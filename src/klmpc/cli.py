@@ -13,9 +13,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import edmd, harness, lifting
+from . import edmd, harness
 from .harness import (
     CampaignConfig,
     ExperimentConfig,
@@ -61,16 +59,7 @@ def cmd_collect(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
     trajectories = edmd.load_trajectories(args.dataset)
-    snaps = edmd.assemble_snapshots(trajectories, cfg.fit.d)
-    Ts = trajectories[0].Ts
-    samples = np.stack([s.a for s in snaps])
-    basis = lifting.fit_basis(samples, cfg.fit.energy, n=4, m=2, d=cfg.fit.d)
-    if args.kind == "baseline":
-        model = edmd.fit_linear_baseline(snaps, n=4, m=2, d=cfg.fit.d, Ts=Ts)
-    elif args.kind == "koopman":
-        model = edmd.fit_koopman(snaps, basis, Ts, with_load=False)
-    else:
-        model = edmd.fit_koopman(snaps, basis, Ts, with_load=True)
+    model = harness.fit_kinds(trajectories, cfg.fit, kinds=(args.kind,))[args.kind]
     edmd.save_model(model, args.model)
     print(f"wrote {args.kind} model (n_z={model.n_z}, "
           f"bottom-block residual {model.bottom_block_residual:.3e}) to {args.model}")
@@ -135,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a model from a dataset CSV")
     p.add_argument("dataset")
     p.add_argument("model", help="output model JSON")
-    p.add_argument("--kind", choices=("baseline", "koopman", "koopman-load"),
+    p.add_argument("--kind", choices=harness.MODEL_KINDS,
                    default="koopman-load")
     p.set_defaults(fn=cmd_fit)
 

@@ -120,20 +120,29 @@ class KoopmanModel:
         return lifting.lift_g(self.basis, yd)
 
 
-def _lift_snapshot_sides(snapshots, basis: Basis, with_load: bool):
+def _snapshot_arrays(snapshots, with_load: bool):
+    """Row-stack the a sides, b sides, inputs and (when ``with_load``) loads
+    of a snapshot list."""
     A_side = np.stack([s.a for s in snapshots])
     B_side = np.stack([s.b for s in snapshots])
     U = np.stack([np.atleast_1d(s.u) for s in snapshots])
-    if with_load:
-        if any(s.w is None for s in snapshots):
-            raise ValueError("with_load requires a load on every snapshot")
-        W = np.stack([np.atleast_1d(s.w) for s in snapshots])
-        Ga = lifting.lift_gamma_many(basis, A_side, W)
-        Gb = lifting.lift_gamma_many(basis, B_side, W)
-    else:
-        Ga = lifting.lift_g_many(basis, A_side)
-        Gb = lifting.lift_g_many(basis, B_side)
-    return np.hstack([Ga, U]), np.hstack([Gb, U]), U.shape[1]
+    if not with_load:
+        return A_side, B_side, U, None
+    if any(s.w is None for s in snapshots):
+        raise ValueError("with_load requires a load on every snapshot")
+    return A_side, B_side, U, np.stack([np.atleast_1d(s.w) for s in snapshots])
+
+
+def _lift_rows(basis: Basis, Yd: np.ndarray, W: Optional[np.ndarray]) -> np.ndarray:
+    if W is None:
+        return lifting.lift_g_many(basis, Yd)
+    return lifting.lift_gamma_many(basis, Yd, W)
+
+
+def _lift_snapshot_sides(snapshots, basis: Basis, with_load: bool):
+    A_side, B_side, U, W = _snapshot_arrays(snapshots, with_load)
+    return (np.hstack([_lift_rows(basis, A_side, W), U]),
+            np.hstack([_lift_rows(basis, B_side, W), U]), U.shape[1])
 
 
 def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> KoopmanModel:
@@ -196,18 +205,18 @@ def simulate_lifted(model: KoopmanModel, z0: np.ndarray, inputs) -> np.ndarray:
     return np.asarray(outputs)
 
 
-def one_step_rmse(model: KoopmanModel, trajectories, use_load: bool = True) -> float:
-    """Held-out one-step output RMSE over all valid snapshot pairs."""
+def one_step_rmse(model: KoopmanModel, trajectories) -> float:
+    """Held-out one-step output RMSE over all valid snapshot pairs.
+
+    All snapshots are lifted in one batch and predicted as
+    (Z A' + U B') C', the row-stacked form of :func:`predict_one_step`.
+    """
     snaps = assemble_snapshots(trajectories, model.d)
-    err2 = 0.0
-    count = 0
-    for s in snaps:
-        w = s.w if (model.p > 0 and use_load) else None
-        pred = predict_one_step(model, s.a, s.u, w)
-        truth = s.b[: model.n]
-        err2 += float(np.sum((pred - truth) ** 2))
-        count += truth.shape[0]
-    return float(np.sqrt(err2 / count))
+    Yd, Y_next, U, W = _snapshot_arrays(snaps, with_load=model.p > 0)
+    Z = _lift_rows(model.basis, Yd, W)
+    truth = Y_next[:, : model.n]
+    pred = (Z @ model.A.T + U @ model.B.T) @ model.C.T
+    return float(np.sqrt(np.sum((pred - truth) ** 2) / truth.size))
 
 
 # ---------------------------------------------------------------------------

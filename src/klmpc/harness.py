@@ -162,12 +162,41 @@ def point_reference(params: ArmParams, target, duration: float) -> Reference:
 # Model fitting
 # ---------------------------------------------------------------------------
 
+MODEL_KINDS = ("baseline", "koopman", "koopman-load")
+
+
 @dataclass(frozen=True)
 class ModelSet:
     baseline: KoopmanModel        # L-MPC: identity-basis least squares
     koopman: KoopmanModel         # K-MPC: degree-2 dictionary, no load
     koopman_load: KoopmanModel    # KL-MPC: load-augmented dictionary
     holdout: tuple                # held-out trajectories
+
+
+def fit_kinds(training, fit: FitConfig, kinds=MODEL_KINDS) -> dict:
+    """Fit the requested model kinds (see ``MODEL_KINDS``) from recorded
+    trajectories, keyed by kind.
+
+    The PCA dictionary basis is fitted once, and only when a dictionary
+    model (koopman or koopman-load) is requested.
+    """
+    unknown = set(kinds) - set(MODEL_KINDS)
+    if unknown:
+        raise ValueError(f"unknown model kinds {sorted(unknown)}")
+    snaps = edmd.assemble_snapshots(training, fit.d)
+    Ts = training[0].Ts
+    n, m = training[0].y.shape[1], training[0].u.shape[1]
+    models = {}
+    if "baseline" in kinds:
+        models["baseline"] = edmd.fit_linear_baseline(snaps, n=n, m=m, d=fit.d, Ts=Ts)
+    dictionary = [k for k in kinds if k != "baseline"]
+    if dictionary:
+        samples = np.stack([s.a for s in snaps])
+        basis = lifting.fit_basis(samples, fit.energy, n=n, m=m, d=fit.d)
+        for kind in dictionary:
+            models[kind] = edmd.fit_koopman(snaps, basis, Ts,
+                                            with_load=kind == "koopman-load")
+    return models
 
 
 def fit_models(cfg: ExperimentConfig, training: Optional[list] = None,
@@ -181,16 +210,9 @@ def fit_models(cfg: ExperimentConfig, training: Optional[list] = None,
     if holdout is None:
         holdout = collect_training_data(params, camp.loads, fit.holdout_trials,
                                         fit.holdout_duration, seed=camp.seed + 1)
-    d = fit.d
-    snaps = edmd.assemble_snapshots(training, d)
-    Ts = training[0].Ts
-    samples = np.stack([s.a for s in snaps])
-    basis = lifting.fit_basis(samples, fit.energy, n=4, m=2, d=d)
-    koop = edmd.fit_koopman(snaps, basis, Ts, with_load=False)
-    koop_load = edmd.fit_koopman(snaps, basis, Ts, with_load=True)
-    base = edmd.fit_linear_baseline(snaps, n=4, m=2, d=d, Ts=Ts)
-    return ModelSet(baseline=base, koopman=koop, koopman_load=koop_load,
-                    holdout=tuple(holdout))
+    models = fit_kinds(training, fit)
+    return ModelSet(baseline=models["baseline"], koopman=models["koopman"],
+                    koopman_load=models["koopman-load"], holdout=tuple(holdout))
 
 
 # ---------------------------------------------------------------------------

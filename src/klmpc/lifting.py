@@ -209,8 +209,10 @@ def lift_gamma(basis: Basis, yd, w) -> np.ndarray:
 
 def lift_gamma_many(basis: Basis, Yd: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Vectorized gamma-lifting; W is (K, p) of per-sample loads."""
-    G = lift_g_many(basis, Yd)
     W = np.atleast_2d(np.asarray(W, dtype=float))
+    if not np.all(np.isfinite(W)):
+        raise ValueError("lift_gamma_many: loads contain non-finite entries")
+    G = lift_g_many(basis, Yd)
     blocks = [G] + [G * W[:, [i]] for i in range(W.shape[1])]
     return np.concatenate(blocks, axis=1)
 

@@ -122,6 +122,19 @@ def kkt_residual(qp: QpProblem, x: np.ndarray) -> float:
     return float(np.max(r)) if r.size else 0.0
 
 
+def _free_newton(H: np.ndarray, g: np.ndarray, free: np.ndarray,
+                 d: np.ndarray) -> np.ndarray:
+    """Overwrite d on the free coordinates with the Newton step
+    -H_ff^-1 g_f (steepest descent -g_f if H_ff is singular); return d."""
+    idx = np.flatnonzero(free)
+    if idx.size:
+        try:
+            d[idx] = np.linalg.solve(H[idx[:, None], idx], -g[idx])
+        except np.linalg.LinAlgError:
+            d[idx] = -g[idx]
+    return d
+
+
 def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 100,
                  x0: Optional[np.ndarray] = None) -> QpResult:
     """Deterministic projected-Newton solver for strictly convex box QPs.
@@ -129,6 +142,13 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 100,
     Each iteration pins the coordinates whose gradient pushes them outward at
     an active bound, takes a Newton step on the free block with a backtracking
     projected line search, and stops once the KKT residual is within tol.
+
+    A coordinate released from a bound (its gradient points inward) can still
+    get an outward Newton component, which the projection would clip, spoiling
+    the step for the rest of the block.  Such coordinates are held where they
+    are and the Newton step is re-solved on the others until every free
+    coordinate at a bound moves inward.  If that leaves no step, the first
+    Newton direction is used as it is.
     """
     H, f, lo, hi = qp.H, qp.f, qp.lower, qp.upper
     n = f.shape[0]
@@ -140,15 +160,18 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 100,
         if kkt_residual(qp, x) <= tol:
             return QpResult(x=x, converged=True, iterations=it - 1,
                             kkt_residual=kkt_residual(qp, x))
-        binding = ((x <= lo + eps) & (g > 0)) | ((x >= hi - eps) & (g < 0))
-        free = ~binding
-        d = -g.copy()
-        if np.any(free):
-            Hff = H[np.ix_(free, free)]
-            try:
-                d[free] = np.linalg.solve(Hff, -g[free])
-            except np.linalg.LinAlgError:
-                d[free] = -g[free]
+        at_lower, at_upper = x <= lo + eps, x >= hi - eps
+        free = ~((at_lower & (g > 0)) | (at_upper & (g < 0)))
+        d = _free_newton(H, g, free, -g)
+        outward = free & ((at_lower & (d < 0)) | (at_upper & (d > 0)))
+        if outward.any():
+            first = d
+            while outward.any():
+                free &= ~outward
+                d = _free_newton(H, g, free, np.zeros(n))
+                outward = free & ((at_lower & (d < 0)) | (at_upper & (d > 0)))
+            if not d.any():
+                d = first
         # projected backtracking line search on the objective
         obj = 0.5 * x @ H @ x + f @ x
         alpha = 1.0

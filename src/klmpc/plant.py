@@ -60,38 +60,58 @@ class ArmState:
         return np.array([self.theta1, self.theta2, self.omega1, self.omega2])
 
 
-def mass_matrix(state_q: np.ndarray, params: ArmParams, w: float) -> np.ndarray:
-    th1, th2 = state_q[0], state_q[1]
-    m2p = params.m2 + w
-    c12 = np.cos(th1 - th2)
-    return np.array([
-        [(params.m1 + m2p) * params.L1**2, m2p * params.L1 * params.L2 * c12],
-        [m2p * params.L1 * params.L2 * c12, m2p * params.L2**2],
-    ])
+def _mass(c12, m2p, params: ArmParams) -> np.ndarray:
+    """Mass matrix from cos(theta1 - theta2) and the loaded tip mass m2 + w."""
+    off = m2p * params.L1 * params.L2 * c12
+    M = np.empty(c12.shape + (2, 2))
+    M[..., 0, 0] = (params.m1 + m2p) * params.L1**2
+    M[..., 0, 1] = off
+    M[..., 1, 0] = off
+    M[..., 1, 1] = m2p * params.L2**2
+    return M
 
 
-def dynamics(q: np.ndarray, tau: np.ndarray, params: ArmParams, w: float) -> np.ndarray:
+def mass_matrix(state_q: np.ndarray, params: ArmParams, w) -> np.ndarray:
+    """Joint-space mass matrix: (2, 2) for one (4,) state, (B, 2, 2) for a
+    (B, 4) stack with a scalar or per-row (B,) payload."""
+    th1, th2, _, _ = np.asarray(state_q).T
+    return _mass(np.cos(th1 - th2), params.m2 + w, params)
+
+
+def dynamics(q: np.ndarray, tau: np.ndarray, params: ArmParams, w) -> np.ndarray:
     """State derivative (w1, w2, a1, a2) of the spring-damper double pendulum
-    with the payload folded into the second tip mass."""
-    th1, th2, om1, om2 = q
+    with the payload folded into the second tip mass.
+
+    ``q`` is one (4,) state or a (B, 4) stack with per-row torques ``tau``
+    (B, 2) and payloads ``w`` (B,) or scalar; every row is computed exactly
+    as it would be on its own.
+    """
+    q = np.asarray(q)
+    th1, th2, om1, om2 = q.T
+    tau1, tau2 = np.asarray(tau).T
     m2p = params.m2 + w
-    s12 = np.sin(th1 - th2)
-    M = mass_matrix(q, params, w)
-    cor = np.array([
-        m2p * params.L1 * params.L2 * s12 * om2**2,
-        -m2p * params.L1 * params.L2 * s12 * om1**2,
-    ])
-    grav = np.array([
-        (params.m1 + m2p) * params.g * params.L1 * np.sin(th1),
-        m2p * params.g * params.L2 * np.sin(th2),
-    ])
-    spring = params.k * np.array([th1, th2])
-    damping = params.c * np.array([om1, om2])
-    alpha = np.linalg.solve(M, tau - cor - grav - spring - damping)
-    return np.array([om1, om2, alpha[0], alpha[1]])
+    d12 = th1 - th2
+    s12 = np.sin(d12)
+    M = _mass(np.cos(d12), m2p, params)
+    rhs = np.empty(th1.shape + (2, 1))
+    rhs[..., 0, 0] = (tau1
+                      - m2p * params.L1 * params.L2 * s12 * om2**2
+                      - (params.m1 + m2p) * params.g * params.L1 * np.sin(th1)
+                      - params.k * th1
+                      - params.c * om1)
+    rhs[..., 1, 0] = (tau2
+                      + m2p * params.L1 * params.L2 * s12 * om1**2
+                      - m2p * params.g * params.L2 * np.sin(th2)
+                      - params.k * th2
+                      - params.c * om2)
+    dq = np.empty(q.shape)
+    dq[..., 0] = om1
+    dq[..., 1] = om2
+    dq[..., 2:] = np.linalg.solve(M, rhs)[..., 0]
+    return dq
 
 
-def _rk4_step(q: np.ndarray, tau: np.ndarray, h: float, params: ArmParams, w: float) -> np.ndarray:
+def _rk4_step(q: np.ndarray, tau: np.ndarray, h: float, params: ArmParams, w) -> np.ndarray:
     k1 = dynamics(q, tau, params, w)
     k2 = dynamics(q + 0.5 * h * k1, tau, params, w)
     k3 = dynamics(q + 0.5 * h * k2, tau, params, w)
@@ -99,11 +119,40 @@ def _rk4_step(q: np.ndarray, tau: np.ndarray, h: float, params: ArmParams, w: fl
     return q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _advance(q: np.ndarray, u, params: ArmParams, w) -> np.ndarray:
+    """Integrate states (4,) or (B, 4) over one sample period under the
+    zero-order-held commands u in [0, 1]^2, (2,) or (B, 2).
+
+    Torque is tau_max * (2u - 1) per joint.  A non-finite or out-of-range
+    command raises before the plant moves.
+    """
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"commands must be finite, got {u}")
+    if np.any(u < 0.0) or np.any(u > 1.0):
+        raise ValueError(f"commands must lie in [0, 1], got {u}")
+    tau = params.tau_max * (2.0 * u - 1.0)
+    h = params.Ts / params.substeps
+    for _ in range(params.substeps):
+        q = _rk4_step(q, tau, h, params, w)
+    return q
+
+
+def _positions(q: np.ndarray, params: ArmParams) -> np.ndarray:
+    """Noiseless (x, y) of the link-1 tip and end effector for states (4,)
+    or (B, 4)."""
+    th1, th2, _, _ = np.asarray(q).T
+    y = np.empty(th1.shape + (4,))
+    y[..., 0] = params.L1 * np.sin(th1)
+    y[..., 1] = -params.L1 * np.cos(th1)
+    y[..., 2] = y[..., 0] + params.L2 * np.sin(th2)
+    y[..., 3] = y[..., 1] - params.L2 * np.cos(th2)
+    return y
+
+
 def output_of(state: ArmState, params: ArmParams) -> np.ndarray:
     """Noiseless measured output: (x, y) of the link-1 tip and end effector."""
-    p1 = np.array([params.L1 * np.sin(state.theta1), -params.L1 * np.cos(state.theta1)])
-    p2 = p1 + np.array([params.L2 * np.sin(state.theta2), -params.L2 * np.cos(state.theta2)])
-    return np.concatenate([p1, p2])
+    return _positions(state.q, params)
 
 
 def energy(state: ArmState, params: ArmParams) -> float:
@@ -125,16 +174,9 @@ def step_zoh(state: ArmState, u, params: ArmParams, rng=None):
 
     Torque is tau_max * (2u - 1) per joint.  Returns (next_state, output);
     sensor noise is added to the output when a generator is supplied and
-    noise_std > 0.
+    noise_std > 0.  A non-finite or out-of-range command raises ValueError.
     """
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        raise ValueError(f"commands must lie in [0, 1], got {u}")
-    tau = params.tau_max * (2.0 * u - 1.0)
-    h = params.Ts / params.substeps
-    q = state.q
-    for _ in range(params.substeps):
-        q = _rk4_step(q, tau, h, params, state.w)
+    q = _advance(state.q, u, params, state.w)
     nxt = replace(state, theta1=float(q[0]), theta2=float(q[1]),
                   omega1=float(q[2]), omega2=float(q[3]))
     y = output_of(nxt, params)
@@ -182,30 +224,38 @@ def collect_training_data(params: ArmParams, loads, trials: int, duration: float
                           seed: int = 0) -> list:
     """Run the randomized ramp-and-hold campaign: ``trials`` runs per load,
     each ``duration`` seconds, recorded at Ts.  Deterministic under the seed.
+
+    All runs are integrated together, one batched step per sample period.
+    Each run keeps its own generator (a child of the seed) for its commands
+    and sensor noise, drawn in the same order as a lone ``Arm`` would, so
+    every run is identical to simulating it by itself.
     """
     loads = [float(w) for w in loads]
     if any(w < 0 or w > W_MAX for w in loads):
         raise ValueError(f"loads must lie in [0, {W_MAX}] kg")
     K = int(round(duration / params.Ts)) + 1
-    ss = np.random.SeedSequence(seed)
-    child_seeds = ss.spawn(len(loads) * trials)
-    trajectories = []
-    idx = 0
-    for w in loads:
-        for _ in range(trials):
-            rng = np.random.default_rng(child_seeds[idx])
-            idx += 1
-            arm = Arm(params, w=w, seed=None)
-            arm.rng = rng
-            policy = ramp_and_hold(rng, m=2, Ts=params.Ts)
-            t = np.arange(K) * params.Ts
-            ys = np.zeros((K, 4))
-            us = np.zeros((K, 2))
-            ys[0] = arm.measure()
-            for k in range(K - 1):
-                u = np.clip(next(policy), 0.0, 1.0)
-                us[k] = u
-                ys[k + 1] = arm.step(u)
-            us[K - 1] = us[K - 2]
-            trajectories.append(Trajectory(t=t, y=ys, u=us, w=np.array([w])))
-    return trajectories
+    w = np.repeat(loads, trials)
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(w.size)]
+    policies = [ramp_and_hold(rng, m=2, Ts=params.Ts) for rng in rngs]
+
+    def measure(q):
+        y = _positions(q, params)
+        if params.noise_std > 0:
+            y = y + np.array([rng.normal(0.0, params.noise_std, size=4)
+                              for rng in rngs])
+        return y
+
+    q = np.zeros((w.size, 4))
+    ys = np.zeros((w.size, K, 4))
+    us = np.zeros((w.size, K, 2))
+    ys[:, 0] = measure(q)
+    for k in range(K - 1):
+        for i, policy in enumerate(policies):
+            us[i, k] = np.clip(next(policy), 0.0, 1.0)
+        q = _advance(q, us[:, k], params, w)
+        ys[:, k + 1] = measure(q)
+    us[:, K - 1] = us[:, K - 2]
+    return [Trajectory(t=np.arange(K) * params.Ts, y=ys[i], u=us[i],
+                       w=np.array([w[i]]))
+            for i in range(w.size)]

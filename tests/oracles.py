@@ -2,7 +2,8 @@
 
 - a scalar bilinear plant x+ = 0.9 x + 0.2 w x + 0.1 u whose load-augmented
   lifting is exactly linear, so identification and estimation must be exact;
-- a brute-force active-set enumeration solver for box QPs.
+- a brute-force active-set enumeration solver for box QPs;
+- the training campaign simulated one run at a time, each on its own ``Arm``.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import numpy as np
 from klmpc.edmd import Trajectory, assemble_snapshots, fit_koopman
 from klmpc.lifting import Basis
 from klmpc.numkit import PcaProjection
+from klmpc.plant import Arm, ramp_and_hold
 
 BILINEAR_TS = 0.05
 
@@ -113,3 +115,26 @@ def random_box_qp(rng, n: int):
 
 def qp_objective(H, f, x) -> float:
     return float(0.5 * x @ H @ x + f @ x)
+
+
+def reference_campaign(params, loads, trials: int, duration: float,
+                       seed: int = 0) -> list:
+    """Ramp-and-hold campaign run by run: one ``Arm`` per run, driven by its
+    own ``SeedSequence`` child for both the commands and the sensor noise.
+    Returns (y, u) array pairs in load-major run order."""
+    K = int(round(duration / params.Ts)) + 1
+    child_seeds = np.random.SeedSequence(seed).spawn(len(loads) * trials)
+    runs = []
+    for idx, w in enumerate(np.repeat(loads, trials)):
+        arm = Arm(params, w=float(w))
+        arm.rng = np.random.default_rng(child_seeds[idx])
+        policy = ramp_and_hold(arm.rng, m=2, Ts=params.Ts)
+        ys = np.zeros((K, 4))
+        us = np.zeros((K, 2))
+        ys[0] = arm.measure()
+        for k in range(K - 1):
+            us[k] = np.clip(next(policy), 0.0, 1.0)
+            ys[k + 1] = arm.step(us[k])
+        us[K - 1] = us[K - 2]
+        runs.append((ys, us))
+    return runs

@@ -129,6 +129,19 @@ def test_bilinear_heldout_one_step():
     assert one_step_rmse(model, [held]) < 1e-8
 
 
+def test_one_step_rmse_matches_per_snapshot_loop(models):
+    # the batched prediction reorders sums, so agreement is to a few ulps
+    held = models.holdout[:2]
+    for model in (models.baseline, models.koopman, models.koopman_load):
+        err2, count = 0.0, 0
+        for s in assemble_snapshots(held, model.d):
+            pred = predict_one_step(model, s.a, s.u, s.w if model.p else None)
+            err2 += float(np.sum((pred - s.b[: model.n]) ** 2))
+            count += model.n
+        assert one_step_rmse(model, held) == pytest.approx(np.sqrt(err2 / count),
+                                                           rel=1e-12)
+
+
 def test_fit_requires_enough_snapshots():
     rng = np.random.default_rng(7)
     traj = linear_trajectory(np.array([[0.9]]), np.array([[0.1]]), 2, rng)

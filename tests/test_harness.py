@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from klmpc import cli
+from klmpc import cli, lifting
 from klmpc.edmd import load_model, load_trajectories
 from klmpc.harness import (
     BIN_COUNT,
@@ -211,6 +211,20 @@ def test_cli_collect_and_fit(tmp_path, capsys):
         assert model.C.shape[0] == 4
     out = capsys.readouterr().out
     assert "wrote" in out
+
+
+def test_cli_fit_baseline_skips_dictionary(tmp_path, monkeypatch):
+    dataset = tmp_path / "data.csv"
+    assert cli.main(collect_args(dataset)) == 0
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("baseline fit must not fit a dictionary basis")
+
+    monkeypatch.setattr(lifting, "fit_basis", no_basis)
+    model_path = tmp_path / "baseline.json"
+    assert cli.main(["fit", str(dataset), str(model_path),
+                     "--kind", "baseline"]) == 0
+    assert load_model(model_path).basis.projection.n_components == 0
 
 
 def test_cli_collect_deterministic(tmp_path):

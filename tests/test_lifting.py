@@ -114,6 +114,8 @@ def test_lift_gamma_rejects_nonfinite_load():
     basis = identity_basis(2, 1, 0)
     with pytest.raises(ValueError):
         lift_gamma(basis, np.zeros(2), np.nan)
+    with pytest.raises(ValueError):
+        lift_gamma_many(basis, np.zeros((3, 2)), np.array([[0.1], [np.inf], [0.2]]))
 
 
 def test_gamma_matrix_identity():

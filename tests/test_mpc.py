@@ -168,6 +168,18 @@ def test_solver_iteration_cap_stays_feasible():
     assert res.converged == (res.kkt_residual <= 1e-14)
 
 
+def test_solver_holds_released_coordinate_pushed_outward():
+    # both gradients point into the box at x = 0, but the joint Newton step
+    # drives x2 below its bound; holding x2 and re-solving for x1 alone
+    # reaches the optimum (1, 0) in one step
+    qp = QpProblem(H=np.array([[1.0, 0.9], [0.9, 1.0]]), f=np.array([-1.0, -0.5]),
+                   lower=np.zeros(2), upper=np.full(2, 5.0))
+    res = solve_box_qp(qp, tol=1e-10)
+    assert res.converged
+    assert res.iterations == 1
+    assert np.allclose(res.x, [1.0, 0.0], atol=1e-12)
+
+
 def test_receding_horizon_shift_property():
     # constant reference, exact model: re-solving from the predicted next
     # state reproduces the previous solution shifted by one block

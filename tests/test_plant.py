@@ -1,11 +1,14 @@
 """Simulated arm: equilibrium and hand-solved dynamics oracles, integrator
-convergence and energy conservation, output geometry, and the data campaign.
+convergence and energy conservation, output geometry, batched against
+row-by-row evaluation, and the data campaign.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klmpc.plant import (
     Arm,
@@ -20,6 +23,8 @@ from klmpc.plant import (
     ramp_and_hold,
     step_zoh,
 )
+
+from oracles import reference_campaign
 
 
 def test_params_validation():
@@ -130,6 +135,47 @@ def test_command_bounds_enforced():
         step_zoh(ArmState(), np.array([1.2, 0.5]), params)
     with pytest.raises(ValueError):
         step_zoh(ArmState(), np.array([0.5, -0.1]), params)
+
+
+def test_non_finite_commands_rejected():
+    params = ArmParams()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            step_zoh(ArmState(), np.array([bad, 0.5]), params)
+    arm = Arm(params, w=0.1)
+    before = arm.state
+    with pytest.raises(ValueError):
+        arm.step(np.array([0.5, np.nan]))
+    assert arm.state == before  # the plant does not move on a rejected command
+
+
+_rows = st.lists(
+    st.tuples(*[st.floats(-3.0, 3.0) for _ in range(4)],   # theta1, theta2, omega1, omega2
+              st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),  # tau1, tau2
+              st.floats(0.0, W_MAX)),                      # payload
+    min_size=1, max_size=16)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_rows)
+def test_batched_dynamics_matches_rows(rows):
+    params = ArmParams()
+    data = np.array(rows)
+    q, tau, w = data[:, :4], data[:, 4:6], data[:, 6]
+    batched = dynamics(q, tau, params, w)
+    single = np.array([dynamics(q[i], tau[i], params, w[i]) for i in range(len(rows))])
+    assert np.array_equal(batched, single)
+
+
+def test_collect_training_data_matches_run_by_run():
+    params = ArmParams(k=1.0, c=0.3)
+    loads = [0.05, 0.25]
+    trajs = collect_training_data(params, loads, trials=2, duration=2.0, seed=4)
+    runs = reference_campaign(params, loads, trials=2, duration=2.0, seed=4)
+    assert len(trajs) == len(runs) == 4
+    for traj, (ys, us) in zip(trajs, runs):
+        assert np.array_equal(traj.y, ys)
+        assert np.array_equal(traj.u, us)
 
 
 def test_noiseless_determinism():
