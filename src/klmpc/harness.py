@@ -350,40 +350,56 @@ class EstimateTrace:
         return float(abs(self.w_hat[-1] - self.payload))
 
 
+def observe_open_loop(model: KoopmanModel, cfg: ExperimentConfig,
+                      payload: float, steps: int, arm_seed: int, policy_rng,
+                      on_step=None):
+    """Excite the arm open-loop with clipped ramp-and-hold inputs for
+    ``steps`` sample periods while the load observer runs on its schedule.
+
+    ``on_step(k, y, u, state)`` is called after each observer update with
+    the output measured at step k and the input applied from it.  Returns
+    the arm, its last measured output and the observer state.
+    """
+    params = cfg.plant
+    arm = Arm(params, w=payload, seed=arm_seed)
+    policy = ramp_and_hold(policy_rng, m=2, Ts=params.Ts)
+    state = EstimatorState(cfg=cfg.estimator, d=model.d)
+    y = arm.measure()
+    for k in range(steps):
+        u = np.clip(next(policy), 0.0, 1.0)
+        obs.update(state, model, y, u)
+        if on_step is not None:
+            on_step(k, y, u, state)
+        y = arm.step(u)
+    return arm, y, state
+
+
 def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig,
                          payload: float, duration: float = 20.0,
                          seed: int = 0) -> EstimateTrace:
     """Drive the plant open-loop with ramp-and-hold inputs while the load
     observer runs on its periodic schedule."""
-    params = cfg.plant
-    est_cfg = cfg.estimator
-    rng = np.random.default_rng(seed)
-    arm = Arm(params, w=payload, seed=seed + 1)
-    policy = ramp_and_hold(rng, m=2, Ts=params.Ts)
-    state = EstimatorState(cfg=est_cfg, d=model.d)
-    K = int(round(duration / params.Ts))
-    y = arm.measure()
-    ys, us = [y], []
-    t = np.zeros(K)
+    K = int(round(duration / cfg.plant.Ts))
+    ys, us = [], []
     w_instant = np.zeros(K)
     w_hat = np.zeros(K)
-    for k in range(K):
-        u = np.clip(next(policy), 0.0, 1.0)
-        obs.update(state, model, y, u)
+
+    def record(k, y, u, state):
+        ys.append(y)
         us.append(u)
         if k >= model.d + 1:
             yd_prev = lifting.delay_embed(ys, us, k - 1, model.d)
             wi, _ = obs.estimate_instant(model, ys[k], yd_prev, us[k - 1],
-                                         est_cfg, fallback=state.w_hat)
+                                         cfg.estimator, fallback=state.w_hat)
             w_instant[k] = wi[0]
         else:
             w_instant[k] = state.w_hat[0]
         w_hat[k] = state.w_hat[0]
-        t[k] = k * params.Ts
-        y = arm.step(u)
-        ys.append(y)
-    return EstimateTrace(payload=payload, t=t, w_instant=w_instant,
-                         w_hat=w_hat)
+
+    observe_open_loop(model, cfg, payload, K, arm_seed=seed + 1,
+                      policy_rng=np.random.default_rng(seed), on_step=record)
+    return EstimateTrace(payload=payload, t=np.arange(K) * cfg.plant.Ts,
+                         w_instant=w_instant, w_hat=w_hat)
 
 
 def run_experiment2(cfg: ExperimentConfig, models: Optional[ModelSet] = None,
@@ -470,15 +486,9 @@ def run_experiment4(cfg: ExperimentConfig, models: Optional[ModelSet] = None,
     for i, payload in enumerate(float(p) for p in payloads):
         seed = cfg.seed * 10000 + i
         # estimation phase: randomized excitation with the passive observer
-        arm = Arm(params, w=payload, seed=seed)
-        policy = ramp_and_hold(np.random.default_rng(seed), m=2, Ts=params.Ts)
-        state = obs.EstimatorState(cfg=cfg.estimator, d=model.d)
-        K_est = int(round(estimation_duration / params.Ts))
-        y = arm.measure()
-        for _ in range(K_est):
-            u = np.clip(next(policy), 0.0, 1.0)
-            obs.update(state, model, y, u)
-            y = arm.step(u)
+        arm, y, state = observe_open_loop(
+            model, cfg, payload, int(round(estimation_duration / params.Ts)),
+            arm_seed=seed, policy_rng=np.random.default_rng(seed))
         w_frozen = float(state.w_hat[0])
         chosen = bin_index(w_frozen)
         # drop-off phase: frozen estimate, constant target reference
