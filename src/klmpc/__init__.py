@@ -4,17 +4,14 @@ model predictive control for a simulated two-link elastic arm.
 
 from .edmd import (
     KoopmanModel,
-    Snapshot,
     Trajectory,
     assemble_snapshots,
     fit_koopman,
     fit_linear_baseline,
     predict_one_step,
-    simulate_lifted,
 )
 from .lifting import (
     Basis,
-    DelayEmbedded,
     delay_embed,
     fit_basis,
     gamma_matrix,
@@ -22,18 +19,17 @@ from .lifting import (
     lift_g,
     lift_gamma,
 )
-from .mpc import Controller, MpcConfig, QpProblem, condense, solve_box_qp
+from .mpc import Controller, MpcConfig, QpProblem, solve_box_qp
 from .numkit import PcaProjection, lstsq, pca_fit, pinv
 from .observer import EstimatorConfig, EstimatorState, estimate_instant, estimate_window
 from .plant import Arm, ArmParams, ArmState, collect_training_data, dynamics, step_zoh
 
 __all__ = [
-    "Arm", "ArmParams", "ArmState", "Basis", "Controller", "DelayEmbedded",
-    "EstimatorConfig", "EstimatorState", "KoopmanModel", "MpcConfig",
-    "PcaProjection", "QpProblem", "Snapshot", "Trajectory",
-    "assemble_snapshots", "collect_training_data", "condense", "delay_embed",
+    "Arm", "ArmParams", "ArmState", "Basis", "Controller", "EstimatorConfig",
+    "EstimatorState", "KoopmanModel", "MpcConfig", "PcaProjection", "QpProblem",
+    "Trajectory", "assemble_snapshots", "collect_training_data", "delay_embed",
     "dynamics", "estimate_instant", "estimate_window", "fit_basis",
     "fit_koopman", "fit_linear_baseline", "gamma_matrix", "identity_basis",
     "lift_g", "lift_gamma", "lstsq", "pca_fit", "pinv", "predict_one_step",
-    "simulate_lifted", "solve_box_qp", "step_zoh",
+    "solve_box_qp", "step_zoh",
 ]

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import lifting, numkit
-from .lifting import Basis, DelayEmbedded, delay_embed, identity_basis
+from .lifting import Basis, delay_embed, identity_basis
 
 logger = logging.getLogger(__name__)
 
@@ -43,24 +43,17 @@ class Trajectory:
         return float(dt[0])
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """Paired lifted-state transition sample (a, b, u) with optional load."""
+def assemble_snapshots(trajectories, d: int):
+    """Build row-stacked delay-embedded snapshot pairs from uniformly sampled
+    runs.
 
-    a: np.ndarray           # embedded output at step k
-    b: np.ndarray           # embedded output at step k+1
-    u: np.ndarray           # input applied between a and b
-    w: Optional[np.ndarray] = None
-
-
-def assemble_snapshots(trajectories, d: int) -> list:
-    """Build delay-embedded snapshot pairs from uniformly sampled runs.
-
-    The b-side snapshot is the embedding at k+1, so b[k] == a[k+1] and the
-    fitted matrix is a genuine one-step transition map.  Pairs never straddle
-    trajectory boundaries.
+    Returns ``(a, b, U, W)``: the embeddings at steps k = d, ..., K-2 of each
+    run, the embeddings at k+1, the inputs applied between them and the run
+    loads (``W`` is None when any run is unannotated).  The b side is the
+    a side shifted by one step within each run, so the fitted matrix is a
+    genuine one-step transition map, and pairs never straddle runs.
     """
-    snapshots = []
+    a, b, U, W = [], [], [], []
     for traj in trajectories:
         K = len(traj)
         if K < d + 2:
@@ -68,13 +61,14 @@ def assemble_snapshots(trajectories, d: int) -> list:
                 f"trajectory of length {K} too short for d={d} (need >= {d + 2})"
             )
         traj.Ts  # raises on non-uniform sampling
-        ys, us = traj.y, traj.u
-        for k in range(d, K - 1):
-            a = delay_embed(ys, us, k, d).vector
-            b = delay_embed(ys, us, k + 1, d).vector
-            snapshots.append(Snapshot(a=a, b=b, u=np.asarray(us[k], dtype=float),
-                                      w=None if traj.w is None else np.asarray(traj.w, dtype=float)))
-    return snapshots
+        E = delay_embed(traj.y, traj.u, d)
+        a.append(E[:-1])
+        b.append(E[1:])
+        U.append(np.asarray(traj.u[d:K - 1], dtype=float))
+        W.append(None if traj.w is None
+                 else np.tile(np.atleast_1d(np.asarray(traj.w, dtype=float)), (K - d - 1, 1)))
+    W = None if any(w is None for w in W) else np.vstack(W)
+    return np.vstack(a), np.vstack(b), np.vstack(U), W
 
 
 @dataclass(frozen=True)
@@ -120,43 +114,29 @@ class KoopmanModel:
         return lifting.lift_g(self.basis, yd)
 
 
-def _snapshot_arrays(snapshots, with_load: bool):
-    """Row-stack the a sides, b sides, inputs and (when ``with_load``) loads
-    of a snapshot list."""
-    A_side = np.stack([s.a for s in snapshots])
-    B_side = np.stack([s.b for s in snapshots])
-    U = np.stack([np.atleast_1d(s.u) for s in snapshots])
+def _lift_rows(basis: Basis, Yd: np.ndarray, W: Optional[np.ndarray],
+               with_load: bool) -> np.ndarray:
     if not with_load:
-        return A_side, B_side, U, None
-    if any(s.w is None for s in snapshots):
-        raise ValueError("with_load requires a load on every snapshot")
-    return A_side, B_side, U, np.stack([np.atleast_1d(s.w) for s in snapshots])
-
-
-def _lift_rows(basis: Basis, Yd: np.ndarray, W: Optional[np.ndarray]) -> np.ndarray:
-    if W is None:
         return lifting.lift_g_many(basis, Yd)
+    if W is None:
+        raise ValueError("with_load requires a load on every snapshot")
     return lifting.lift_gamma_many(basis, Yd, W)
 
 
-def _lift_snapshot_sides(snapshots, basis: Basis, with_load: bool):
-    A_side, B_side, U, W = _snapshot_arrays(snapshots, with_load)
-    return (np.hstack([_lift_rows(basis, A_side, W), U]),
-            np.hstack([_lift_rows(basis, B_side, W), U]), U.shape[1])
-
-
 def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> KoopmanModel:
-    """Least-squares fit of the lifted transition matrix and extraction of
+    """Least-squares fit of the lifted transition matrix from the
+    ``(a, b, U, W)`` arrays of :func:`assemble_snapshots`, and extraction of
     the (A, B, C) realization from its transpose partition."""
-    if not snapshots:
-        raise ValueError("fit_koopman: no snapshots")
-    Psi_a, Psi_b, m = _lift_snapshot_sides(snapshots, basis, with_load)
-    p = np.atleast_1d(snapshots[0].w).shape[0] if with_load else 0
+    a, b, U, W = snapshots
+    Psi_a = np.hstack([_lift_rows(basis, a, W, with_load), U])
+    Psi_b = np.hstack([_lift_rows(basis, b, W, with_load), U])
+    p = W.shape[1] if with_load else 0
+    m = U.shape[1]
     n_z = basis.n_lifted * (p + 1)
-    if len(snapshots) < n_z + m:
+    if a.shape[0] < n_z + m:
         raise ValueError(
             f"fit_koopman: need at least n_z + m = {n_z + m} snapshots, "
-            f"got {len(snapshots)}"
+            f"got {a.shape[0]}"
         )
     rank = np.linalg.matrix_rank(Psi_a)
     if rank < n_z + m:
@@ -192,28 +172,14 @@ def predict_one_step(model: KoopmanModel, yd, u, w=None) -> np.ndarray:
     return model.C @ (model.A @ z + model.B @ u)
 
 
-def simulate_lifted(model: KoopmanModel, z0: np.ndarray, inputs) -> np.ndarray:
-    """Pure linear rollout in the lifted space (no re-lifting); returns the
-    output C z[j] after each input."""
-    z = np.asarray(z0, dtype=float)
-    if z.shape[0] != model.n_z:
-        raise ValueError(f"z0 has dim {z.shape[0]}, model expects {model.n_z}")
-    outputs = []
-    for u in inputs:
-        z = model.A @ z + model.B @ np.atleast_1d(np.asarray(u, dtype=float))
-        outputs.append(model.C @ z)
-    return np.asarray(outputs)
-
-
 def one_step_rmse(model: KoopmanModel, trajectories) -> float:
     """Held-out one-step output RMSE over all valid snapshot pairs.
 
     All snapshots are lifted in one batch and predicted as
     (Z A' + U B') C', the row-stacked form of :func:`predict_one_step`.
     """
-    snaps = assemble_snapshots(trajectories, model.d)
-    Yd, Y_next, U, W = _snapshot_arrays(snaps, with_load=model.p > 0)
-    Z = _lift_rows(model.basis, Yd, W)
+    Yd, Y_next, U, W = assemble_snapshots(trajectories, model.d)
+    Z = _lift_rows(model.basis, Yd, W, with_load=model.p > 0)
     truth = Y_next[:, : model.n]
     pred = (Z @ model.A.T + U @ model.B.T) @ model.C.T
     return float(np.sqrt(np.sum((pred - truth) ** 2) / truth.size))
@@ -236,15 +202,20 @@ def model_to_dict(model: KoopmanModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> KoopmanModel:
-    return KoopmanModel(
-        A=np.asarray(doc["A"], dtype=float),
-        B=np.asarray(doc["B"], dtype=float),
-        C=np.asarray(doc["C"], dtype=float),
-        basis=lifting.basis_from_dict(doc["basis"]),
-        Ts=float(doc["Ts"]),
-        p=int(doc["p"]),
-        bottom_block_residual=float(doc["bottom_block_residual"]),
-    )
+    """Inverse of :func:`model_to_dict`; a missing key raises ValueError
+    naming it."""
+    try:
+        return KoopmanModel(
+            A=np.asarray(doc["A"], dtype=float),
+            B=np.asarray(doc["B"], dtype=float),
+            C=np.asarray(doc["C"], dtype=float),
+            basis=lifting.basis_from_dict(doc["basis"]),
+            Ts=float(doc["Ts"]),
+            p=int(doc["p"]),
+            bottom_block_residual=float(doc["bottom_block_residual"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"model document is missing key {exc.args[0]!r}") from None
 
 
 def save_model(model: KoopmanModel, path) -> None:

@@ -26,6 +26,11 @@ EXP2_PAYLOADS = (0.025, 0.125, 0.225)
 BIN_WIDTH = 0.05
 BIN_COUNT = 5
 CUP_RADIUS = 0.045
+# input weight of the drop-off controller: regulating to a fixed cup needs the
+# arm to come to rest, and at the tracking weight (r_weight) it chatters
+# bang-bang around the target, so the release point would hang on the last
+# bits of the load estimate
+DROPOFF_R_WEIGHT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -74,19 +79,25 @@ def config_from_json(path) -> ExperimentConfig:
     take their defaults."""
     with open(path) as fh:
         doc = json.load(fh)
-    sub = {
-        "plant": ArmParams,
-        "campaign": CampaignConfig,
-        "fit": FitConfig,
-        "estimator": EstimatorConfig,
-    }
-    kwargs = {}
-    for key, value in doc.items():
-        if key in sub:
-            value = sub[key](**{k: tuple(v) if isinstance(v, list) else v
-                                for k, v in value.items()})
-        kwargs[key] = value
+    kwargs = _known_fields(ExperimentConfig, doc, "config")
+    for key, cls in (("plant", ArmParams), ("campaign", CampaignConfig),
+                     ("fit", FitConfig), ("estimator", EstimatorConfig)):
+        if key in kwargs:
+            sub = _known_fields(cls, kwargs[key], f"config {key!r}")
+            kwargs[key] = cls(**{k: tuple(v) if isinstance(v, list) else v
+                                 for k, v in sub.items()})
     return ExperimentConfig(**kwargs)
+
+
+def _known_fields(cls, doc, where: str) -> dict:
+    """``doc`` as keyword arguments for dataclass ``cls``; an unknown key
+    raises ValueError naming it."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    return dict(doc)
 
 
 def config_to_json(cfg: ExperimentConfig, path) -> None:
@@ -191,8 +202,7 @@ def fit_kinds(training, fit: FitConfig, kinds=MODEL_KINDS) -> dict:
         models["baseline"] = edmd.fit_linear_baseline(snaps, n=n, m=m, d=fit.d, Ts=Ts)
     dictionary = [k for k in kinds if k != "baseline"]
     if dictionary:
-        samples = np.stack([s.a for s in snaps])
-        basis = lifting.fit_basis(samples, fit.energy, n=n, m=m, d=fit.d)
+        basis = lifting.fit_basis(snaps[0], fit.energy, n=n, m=m, d=fit.d)
         for kind in dictionary:
             models[kind] = edmd.fit_koopman(snaps, basis, Ts,
                                             with_load=kind == "koopman-load")
@@ -350,9 +360,9 @@ class EstimateTrace:
         return float(abs(self.w_hat[-1] - self.payload))
 
 
-def observe_open_loop(model: KoopmanModel, cfg: ExperimentConfig,
-                      payload: float, steps: int, arm_seed: int, policy_rng,
-                      on_step=None):
+def _observe_open_loop(model: KoopmanModel, cfg: ExperimentConfig,
+                       payload: float, steps: int, arm_seed: int, policy_rng,
+                       on_step=None):
     """Excite the arm open-loop with clipped ramp-and-hold inputs for
     ``steps`` sample periods while the load observer runs on its schedule.
 
@@ -379,25 +389,25 @@ def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig,
                          seed: int = 0) -> EstimateTrace:
     """Drive the plant open-loop with ramp-and-hold inputs while the load
     observer runs on its periodic schedule."""
-    K = int(round(duration / cfg.plant.Ts))
-    ys, us = [], []
+    K, d = int(round(duration / cfg.plant.Ts)), model.d
+    Y = np.zeros((K, model.n))
+    U = np.zeros((K, model.m))
     w_instant = np.zeros(K)
     w_hat = np.zeros(K)
 
     def record(k, y, u, state):
-        ys.append(y)
-        us.append(u)
-        if k >= model.d + 1:
-            yd_prev = lifting.delay_embed(ys, us, k - 1, model.d)
-            wi, _ = obs.estimate_instant(model, ys[k], yd_prev, us[k - 1],
+        Y[k], U[k] = y, u
+        if k > d:
+            yd_prev = lifting.delay_embed(Y[k - 1 - d:k], U[k - 1 - d:k - 1], d)[0]
+            wi, _ = obs.estimate_instant(model, y, yd_prev, U[k - 1],
                                          cfg.estimator, fallback=state.w_hat)
             w_instant[k] = wi[0]
         else:
             w_instant[k] = state.w_hat[0]
         w_hat[k] = state.w_hat[0]
 
-    observe_open_loop(model, cfg, payload, K, arm_seed=seed + 1,
-                      policy_rng=np.random.default_rng(seed), on_step=record)
+    _observe_open_loop(model, cfg, payload, K, arm_seed=seed + 1,
+                       policy_rng=np.random.default_rng(seed), on_step=record)
     return EstimateTrace(payload=payload, t=np.arange(K) * cfg.plant.Ts,
                          w_instant=w_instant, w_hat=w_hat)
 
@@ -486,7 +496,7 @@ def run_experiment4(cfg: ExperimentConfig, models: Optional[ModelSet] = None,
     for i, payload in enumerate(float(p) for p in payloads):
         seed = cfg.seed * 10000 + i
         # estimation phase: randomized excitation with the passive observer
-        arm, y, state = observe_open_loop(
+        arm, y, state = _observe_open_loop(
             model, cfg, payload, int(round(estimation_duration / params.Ts)),
             arm_seed=seed, policy_rng=np.random.default_rng(seed))
         w_frozen = float(state.w_hat[0])
@@ -494,8 +504,8 @@ def run_experiment4(cfg: ExperimentConfig, models: Optional[ModelSet] = None,
         # drop-off phase: frozen estimate, constant target reference
         target = targets[chosen]
         drop_ref = point_reference(params, target, dropoff_duration)
-        ctrl2 = Controller(model, cfg.mpc_config(), drop_ref,
-                           known_load=np.atleast_1d(w_frozen))
+        drop_mpc = dataclasses.replace(cfg, r_weight=DROPOFF_R_WEIGHT).mpc_config()
+        ctrl2 = Controller(model, drop_mpc, drop_ref, known_load=np.atleast_1d(w_frozen))
         K_drop = int(round(dropoff_duration / params.Ts))
         for _ in range(K_drop):
             u = ctrl2.step(y)

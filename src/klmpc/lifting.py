@@ -4,7 +4,6 @@ reduction, and the load-augmented lifting with its block-diagonal matrix form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,69 +11,28 @@ import numpy as np
 from .numkit import PcaProjection, pca_fit
 
 
-@dataclass(frozen=True)
-class DelayEmbedded:
-    """Current output plus d past outputs and d past inputs.
-
-    Flattened layout: (y[k], y[k-1], ..., y[k-d], u[k-1], ..., u[k-d]).
-    """
-
-    y_current: np.ndarray
-    y_past: tuple
-    u_past: tuple
-
-    @property
-    def vector(self) -> np.ndarray:
-        parts = [self.y_current, *self.y_past, *self.u_past]
-        return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in parts])
-
-    def __array__(self, dtype=None, copy=None):
-        v = self.vector
-        return v.astype(dtype) if dtype is not None else v
-
-
 def embedded_dim(n: int, m: int, d: int) -> int:
     """Dimension of the delay-embedded output: n + (n + m) * d."""
     return n + (n + m) * d
 
 
-def delay_embed(ys, us, k: int, d: int) -> DelayEmbedded:
-    """Build the delay-embedded output at index k from time-ordered records.
+def delay_embed(y, u, d: int) -> np.ndarray:
+    """Delay-embed time-ordered outputs ``y`` (K, n) and inputs ``u`` (K, m).
 
-    ``ys`` and ``us`` are indexable sequences of output / input vectors.
-    Requires k >= d so the d past outputs and inputs exist.
+    Returns the (K - d, n + (n + m) d) rows for k = d, ..., K-1, each laid out
+    as (y[k], y[k-1], ..., y[k-d], u[k-1], ..., u[k-d]).  Only u[:K-1] is
+    read, so ``u`` may stop one step short of ``y``.
     """
-    if k < d:
-        raise ValueError(f"delay_embed: need k >= d, got k={k}, d={d}")
-    y_past = tuple(np.atleast_1d(np.asarray(ys[k - i], dtype=float)) for i in range(1, d + 1))
-    u_past = tuple(np.atleast_1d(np.asarray(us[k - i], dtype=float)) for i in range(1, d + 1))
-    return DelayEmbedded(
-        y_current=np.atleast_1d(np.asarray(ys[k], dtype=float)),
-        y_past=y_past,
-        u_past=u_past,
-    )
-
-
-def monomial_exponents(n_embed: int, max_degree: int = 2) -> list:
-    """All monomial exponent tuples of total degree <= max_degree.
-
-    Ordered constant first, then degree-1 in coordinate order, then degree-2
-    pairs (i, j) with i <= j.
-    """
-    if max_degree != 2:
-        raise ValueError("only degree-2 dictionaries are supported")
-    exps = [tuple([0] * n_embed)]
-    for i in range(n_embed):
-        e = [0] * n_embed
-        e[i] = 1
-        exps.append(tuple(e))
-    for i in range(n_embed):
-        for j in range(i, n_embed):
-            e = [0] * n_embed
-            e[i] += 1
-            e[j] += 1
-            exps.append(tuple(e))
-    return exps
+    y = np.asarray(y, dtype=float)
+    u = np.asarray(u, dtype=float)
+    K = y.shape[0]
+    if y.ndim != 2 or u.ndim != 2 or K <= d or u.shape[0] < K - 1:
+        raise ValueError(
+            f"delay_embed: need (K, n) outputs with K > d and at least K-1 "
+            f"inputs, got y {y.shape}, u {u.shape}, d={d}"
+        )
+    return np.hstack([y[d - i:K - i] for i in range(d + 1)]
+                     + [u[d - i:K - i] for i in range(1, d + 1)])
 
 
 def _quad_pairs(n_embed: int) -> list:
@@ -113,26 +71,8 @@ class Basis:
     def n_lifted(self) -> int:
         return self.identity_count + int(self.include_constant) + self.projection.n_components
 
-    def monomials(self):
-        """Exponent tuples spanned by this basis (identities + dictionary)."""
-        ne = self.identity_count
-        exps = monomial_exponents(ne)
-        linear = exps[1 : 1 + ne]
-        quads = []
-        for i, j in self.quad_pairs:
-            e = [0] * ne
-            e[i] += 1
-            e[j] += 1
-            quads.append(tuple(e))
-        out = list(linear)
-        if self.include_constant:
-            out.append(tuple([0] * ne))
-        out.extend(quads)
-        return out
 
-
-def fit_basis(samples: np.ndarray, energy: float, n: int, m: int, d: int,
-              max_degree: int = 2) -> Basis:
+def fit_basis(samples: np.ndarray, energy: float, n: int, m: int, d: int) -> Basis:
     """Fit the lifting dictionary on a matrix of delay-embedded outputs.
 
     Identity coordinates and the constant function are kept verbatim; the
@@ -144,7 +84,7 @@ def fit_basis(samples: np.ndarray, energy: float, n: int, m: int, d: int,
         raise ValueError(
             f"fit_basis: samples must be K x {ne}, got {samples.shape}"
         )
-    n_mono = len(monomial_exponents(ne, max_degree))
+    n_mono = 1 + ne + ne * (ne + 1) // 2   # degree <= 2 monomials in ne variables
     if samples.shape[0] < n_mono:
         raise ValueError(
             f"fit_basis: need at least {n_mono} samples, got {samples.shape[0]}"
@@ -167,21 +107,14 @@ def identity_basis(n: int, m: int, d: int) -> Basis:
                  quad_pairs=())
 
 
-def _as_embedded_matrix(basis: Basis, yd) -> np.ndarray:
-    Y = np.asarray(yd, dtype=float)
-    single = Y.ndim == 1
-    Y = np.atleast_2d(Y)
-    if Y.shape[1] != basis.identity_count:
-        raise ValueError(
-            f"lift: embedded output has dim {Y.shape[1]}, "
-            f"basis expects {basis.identity_count}"
-        )
-    return Y, single
-
-
 def lift_g_many(basis: Basis, Yd: np.ndarray) -> np.ndarray:
     """Vectorized g-lifting of a batch of embedded outputs (rows)."""
-    Yd, _ = _as_embedded_matrix(basis, Yd)
+    Yd = np.atleast_2d(np.asarray(Yd, dtype=float))
+    if Yd.shape[1] != basis.identity_count:
+        raise ValueError(
+            f"lift: embedded output has dim {Yd.shape[1]}, "
+            f"basis expects {basis.identity_count}"
+        )
     blocks = [Yd]
     if basis.include_constant:
         blocks.append(np.ones((Yd.shape[0], 1)))
@@ -194,8 +127,7 @@ def lift_g_many(basis: Basis, Yd: np.ndarray) -> np.ndarray:
 def lift_g(basis: Basis, yd) -> np.ndarray:
     """Evaluate g on one embedded output: identities, constant, projected
     quadratics, in that order."""
-    Y, _ = _as_embedded_matrix(basis, yd)
-    return lift_g_many(basis, Y)[0]
+    return lift_g_many(basis, yd)[0]
 
 
 def lift_gamma(basis: Basis, yd, w) -> np.ndarray:
@@ -264,13 +196,3 @@ def basis_from_dict(doc: dict) -> Basis:
         include_constant=bool(doc["include_constant"]),
         quad_pairs=tuple(tuple(pq) for pq in doc["quad_pairs"]),
     )
-
-
-def save_basis(basis: Basis, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(basis_to_dict(basis), fh)
-
-
-def load_basis(path) -> Basis:
-    with open(path) as fh:
-        return basis_from_dict(json.load(fh))

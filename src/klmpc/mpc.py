@@ -5,6 +5,7 @@ closed control loop with periodic load estimation.
 
 from __future__ import annotations
 
+import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -14,8 +15,10 @@ import numpy as np
 
 from . import observer as obs
 from .edmd import KoopmanModel
-from .lifting import DelayEmbedded
+from .lifting import delay_embed
 from .observer import EstimatorConfig, EstimatorState
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -91,13 +94,6 @@ class Condenser:
         err0 = self.S @ np.asarray(z0, dtype=float) - ref
         f = 2.0 * self.M.T @ self.Qbar @ err0
         return QpProblem(H=self.H, f=f, lower=self.lower, upper=self.upper)
-
-
-def condense(model: KoopmanModel, z0: np.ndarray, ref: np.ndarray,
-             cfg: MpcConfig) -> QpProblem:
-    """One-shot condensation of the Nh-step tracking cost into a dense QP
-    over the stacked input sequence."""
-    return Condenser(model, cfg).qp(z0, ref)
 
 
 @dataclass
@@ -208,6 +204,10 @@ class Controller:
     the load-estimation schedule (when the model is load-augmented and no
     fixed load is supplied), condenses, solves the box QP, and applies the
     first input block.
+
+    A measurement with a non-finite entry is rejected before any state
+    changes: the last applied input (neutral before the first step) is held
+    and ``rejected`` counts the event.
     """
 
     def __init__(self, model: KoopmanModel, mpc_cfg: MpcConfig,
@@ -228,11 +228,13 @@ class Controller:
             u_neutral = 0.5 * (np.asarray(mpc_cfg.u_min, dtype=float)
                                + np.asarray(mpc_cfg.u_max, dtype=float))
         self.u_neutral = np.asarray(u_neutral, dtype=float)
+        # y[k-d..k] and u[k-d-1..k-1]: the input history runs one step behind
         self.history_y = deque(maxlen=model.d + 1)
         self.history_u = deque(maxlen=model.d + 1)
         self.prev_record = None   # completed (y, u) pair awaiting the estimator
         self.prev_U: Optional[np.ndarray] = None
         self.step_count = 0
+        self.rejected = 0
         self.logs: list = []
 
     @property
@@ -253,25 +255,22 @@ class Controller:
         """Algorithm step: update estimate if due, solve the QP, return the
         first input block (always within bounds)."""
         y = np.atleast_1d(np.asarray(y_measured, dtype=float))
+        if not np.all(np.isfinite(y)):
+            self.rejected += 1
+            logger.warning("controller step %d: non-finite measurement %s rejected, "
+                           "holding the last input", self.step_count, y)
+            return (self.history_u[-1] if self.history_u else self.u_neutral).copy()
         k = self.step_count
         if not self.history_y:
             # prefill so delay embedding is defined from the first step
-            for _ in range(self.model.d + 1):
-                self.history_y.append(y.copy())
-                self.history_u.append(self.u_neutral.copy())
-        else:
-            self.history_y.append(y.copy())
+            self.history_y.extend([y.copy()] * self.model.d)
+            self.history_u.extend([self.u_neutral] * (self.model.d + 1))
+        self.history_y.append(y.copy())
         # the estimator consumes completed (y, u) records, one step behind
         if self.estimator is not None and self.prev_record is not None:
             obs.update(self.estimator, self.model, *self.prev_record)
-        d = self.model.d
-        ys = list(self.history_y)
-        us = list(self.history_u)
-        yd = DelayEmbedded(
-            y_current=ys[-1],
-            y_past=tuple(ys[-1 - i] for i in range(1, d + 1)),
-            u_past=tuple(us[-i] for i in range(1, d + 1)),
-        )
+        yd = delay_embed(np.array(self.history_y), np.array(self.history_u)[1:],
+                         self.model.d)[0]
         z0 = self.model.lift(yd, self.w_hat)
         Nh, n = self.cfg.Nh, self.model.n
         ref = np.vstack([self.reference(k + 1 + i) for i in range(Nh)])

@@ -49,14 +49,26 @@ class EstimatorConfig:
         return np.atleast_1d(0.5 * (self.w_min + self.w_max))
 
 
-def _load_rows(model: KoopmanModel, yd) -> np.ndarray:
-    """C A Gamma(yd): n x (p+1) sensitivity of the next output to (1, w)."""
-    G = lifting.gamma_matrix(model.basis, yd, model.p)
-    return model.C @ model.A @ G
+def _load_system(model: KoopmanModel, Yd: np.ndarray, Y_next: np.ndarray,
+                 U: np.ndarray):
+    """Stacked load equations M (1, w) = rhs, n rows per transition.
+
+    For each row of embedded outputs ``Yd`` with the input ``U`` applied from
+    it and the output ``Y_next`` it led to, the block is
+    C A Gamma(yd) = [CA_0 g, ..., CA_p g] with g = g(yd) and CA_c the c-th
+    column block of C A, and the rhs is y_next - C B u.
+    """
+    G = lifting.lift_g_many(model.basis, Yd)
+    N = G.shape[1]
+    CA = model.C @ model.A
+    M = np.stack([G @ CA[:, c * N:(c + 1) * N].T for c in range(model.p + 1)],
+                 axis=2).reshape(-1, model.p + 1)
+    rhs = (Y_next - U @ (model.C @ model.B).T).reshape(-1)
+    return M, rhs
 
 
 def _solve_load(M: np.ndarray, rhs: np.ndarray, cfg: EstimatorConfig,
-                fallback: np.ndarray, reduced=None):
+                fallback=None, reduced=None):
     """Solve the stacked load equations M (1, w) = rhs for w.
 
     The default (full) form solves for the whole (1, w) stack by
@@ -66,6 +78,8 @@ def _solve_load(M: np.ndarray, rhs: np.ndarray, cfg: EstimatorConfig,
     """
     if reduced is None:
         reduced = cfg.reduced
+    if fallback is None:
+        fallback = cfg.w_init
     w_cols = M[:, 1:]
     scale = max(np.linalg.norm(M), 1.0)
     if np.linalg.norm(w_cols) < 1e-9 * scale:
@@ -89,43 +103,38 @@ def estimate_instant(model: KoopmanModel, y_next, yd_prev, u_prev,
     """
     if model.p < 1:
         raise ValueError("estimate_instant: model is not load-augmented")
-    if fallback is None:
-        fallback = cfg.w_init
-    M = _load_rows(model, yd_prev)
-    rhs = (np.asarray(y_next, dtype=float)
-           - model.C @ model.B @ np.atleast_1d(np.asarray(u_prev, dtype=float)))
+    M, rhs = _load_system(model, *(np.atleast_2d(np.asarray(v, dtype=float))
+                                   for v in (yd_prev, y_next, u_prev)))
     return _solve_load(M, rhs, cfg, fallback, reduced)
 
 
-def estimate_window(model: KoopmanModel, history, cfg: EstimatorConfig,
-                    fallback=None, reduced=None):
-    """Windowed load estimate over the last Nw transitions in ``history``.
+def window_system(model: KoopmanModel, history, Nw: int):
+    """Stacked load equations M (1, w) = rhs over the last Nw transitions in
+    ``history``, newest first.
 
     ``history`` is a time-ordered sequence of (y, u) pairs, long enough for
     Nw rows plus the delay embedding: len >= Nw + d + 1.
     """
+    d = model.d
+    if len(history) < Nw + d + 1:
+        raise ValueError(
+            f"window_system: need {Nw + d + 1} records, got {len(history)}"
+        )
+    records = list(history)[-(Nw + d + 1):]
+    ys = np.stack([np.atleast_1d(np.asarray(y, dtype=float)) for y, _ in records])
+    us = np.stack([np.atleast_1d(np.asarray(u, dtype=float)) for _, u in records])
+    Yd = delay_embed(ys[:-1], us[:-1], d)    # transitions k -> k+1, oldest first
+    return _load_system(model, Yd[::-1], ys[d + 1:][::-1], us[d:-1][::-1])
+
+
+def estimate_window(model: KoopmanModel, history, cfg: EstimatorConfig,
+                    fallback=None, reduced=None):
+    """Windowed load estimate over the last Nw transitions in ``history``
+    (see :func:`window_system`)."""
     if model.p < 1:
         raise ValueError("estimate_window: model is not load-augmented")
-    if fallback is None:
-        fallback = cfg.w_init
-    d = model.d
-    history = list(history)
-    j = len(history) - 1
-    if j < cfg.Nw + d:
-        raise ValueError(
-            f"estimate_window: need {cfg.Nw + d + 1} records, got {len(history)}"
-        )
-    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y, _ in history]
-    us = [np.atleast_1d(np.asarray(u, dtype=float)) for _, u in history]
-    rows = []
-    rhs = []
-    for i in range(1, cfg.Nw + 1):
-        yd = delay_embed(ys, us, j - i, d)
-        rows.append(_load_rows(model, yd))
-        rhs.append(ys[j - i + 1] - model.C @ model.B @ us[j - i])
-    Lambda_A = np.vstack(rows)
-    Lambda_B = np.concatenate(rhs)
-    return _solve_load(Lambda_A, Lambda_B, cfg, fallback, reduced)
+    M, rhs = window_system(model, history, cfg.Nw)
+    return _solve_load(M, rhs, cfg, fallback, reduced)
 
 
 @dataclass

@@ -3,9 +3,20 @@ session-scoped model fit (the campaign + fit takes a few seconds, so every
 test that needs real fitted models shares one ModelSet).
 """
 
-import pytest
+import os
+import sys
 
-from klmpc.harness import ExperimentConfig, fit_models
+# One BLAS thread, as in bench/run.py: the fitted models differ in their last
+# bits between thread counts, and closed-loop results amplify those bits.
+# The variables only take effect if set before numpy is first imported.
+NUMPY_PRELOADED = "numpy" in sys.modules
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
+
+from klmpc.harness import ExperimentConfig, fit_models  # noqa: E402
 
 # filled by test_acceptance, printed after the run so the per-criterion
 # verdicts are visible even with captured output

@@ -3,7 +3,9 @@
 - a scalar bilinear plant x+ = 0.9 x + 0.2 w x + 0.1 u whose load-augmented
   lifting is exactly linear, so identification and estimation must be exact;
 - a brute-force active-set enumeration solver for box QPs;
-- the training campaign simulated one run at a time, each on its own ``Arm``.
+- the training campaign simulated one run at a time, each on its own ``Arm``;
+- the observer's stacked load equations built row by row from the
+  block-diagonal ``gamma_matrix``.
 """
 
 import itertools
@@ -11,7 +13,7 @@ import itertools
 import numpy as np
 
 from klmpc.edmd import Trajectory, assemble_snapshots, fit_koopman
-from klmpc.lifting import Basis
+from klmpc.lifting import Basis, gamma_matrix
 from klmpc.numkit import PcaProjection
 from klmpc.plant import Arm, ramp_and_hold
 
@@ -138,3 +140,20 @@ def reference_campaign(params, loads, trials: int, duration: float,
         us[K - 1] = us[K - 2]
         runs.append((ys, us))
     return runs
+
+
+def reference_window_system(model, history, Nw: int):
+    """Load equations of the last Nw transitions in a (y, u) history, newest
+    first: C A Gamma(yd[k]) and y[k+1] - C B u[k], one embedding and one
+    ``gamma_matrix`` per row."""
+    d = model.d
+    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y, _ in history]
+    us = [np.atleast_1d(np.asarray(u, dtype=float)) for _, u in history]
+    j = len(history) - 1
+    rows, rhs = [], []
+    for k in range(j - 1, j - 1 - Nw, -1):
+        yd = np.concatenate([ys[k - i] for i in range(d + 1)]
+                            + [us[k - i] for i in range(1, d + 1)])
+        rows.append(model.C @ model.A @ gamma_matrix(model.basis, yd, model.p))
+        rhs.append(ys[k + 1] - model.C @ model.B @ us[k])
+    return np.vstack(rows), np.concatenate(rhs)

@@ -8,14 +8,12 @@ import pytest
 from klmpc import edmd
 from klmpc.edmd import (
     KoopmanModel,
-    Snapshot,
     Trajectory,
     assemble_snapshots,
     fit_koopman,
     fit_linear_baseline,
     one_step_rmse,
     predict_one_step,
-    simulate_lifted,
 )
 from klmpc.lifting import identity_basis, lift_g
 
@@ -38,25 +36,40 @@ def linear_trajectory(A, B, K, rng, x0=None):
 def test_snapshot_count_minimal():
     rng = np.random.default_rng(0)
     traj = linear_trajectory(np.eye(1) * 0.5, np.eye(1), 3, rng)
-    assert len(assemble_snapshots([traj], d=1)) == 1
-    assert len(assemble_snapshots([traj], d=0)) == 2
+    assert assemble_snapshots([traj], d=1)[0].shape == (1, 3)
+    assert assemble_snapshots([traj], d=0)[0].shape == (2, 1)
 
 
 def test_snapshots_never_straddle_trajectories():
     rng = np.random.default_rng(1)
     t1 = linear_trajectory(np.eye(1) * 0.5, np.eye(1), 10, rng)
     t2 = linear_trajectory(np.eye(1) * 0.5, np.eye(1), 6, rng)
-    snaps = assemble_snapshots([t1, t2], d=1)
-    assert len(snaps) == (10 - 2) + (6 - 2)
+    a, b, U, W = assemble_snapshots([t1, t2], d=1)
+    assert a.shape[0] == b.shape[0] == U.shape[0] == (10 - 2) + (6 - 2)
+    assert W is None
+    # the last pair of the first run ends on that run's last sample, and the
+    # second run starts from its own first embedding
+    assert np.array_equal(b[7], [t1.y[9, 0], t1.y[8, 0], t1.u[8, 0]])
+    assert np.array_equal(a[8], [t2.y[1, 0], t2.y[0, 0], t2.u[0, 0]])
+    assert np.array_equal(U[8], t2.u[1])
 
 
 def test_snapshot_b_is_next_a():
     rng = np.random.default_rng(2)
     traj = linear_trajectory(np.eye(2) * 0.8, np.ones((2, 1)), 12, rng)
     for d in (0, 1, 2):
-        snaps = assemble_snapshots([traj], d)
-        for s, s_next in zip(snaps[:-1], snaps[1:]):
-            assert np.array_equal(s.b, s_next.a)
+        a, b, U, _ = assemble_snapshots([traj], d)
+        assert np.array_equal(b[:-1], a[1:])
+        assert np.array_equal(U, traj.u[d:-1])
+
+
+def test_snapshot_loads_repeat_per_row():
+    rng = np.random.default_rng(12)
+    runs = [simulate_bilinear(w, 6, rng) for w in (0.1, 0.25)]
+    _, _, _, W = assemble_snapshots(runs, d=1)
+    assert np.array_equal(W[:, 0], [0.1] * 4 + [0.25] * 4)
+    unannotated = Trajectory(t=runs[0].t, y=runs[0].y, u=runs[0].u)
+    assert assemble_snapshots([runs[0], unannotated], d=1)[3] is None
 
 
 def test_assemble_rejects_bad_trajectories():
@@ -95,9 +108,8 @@ def test_exact_recovery_multivariate():
 
 def test_frozen_system_gives_identity():
     # b == a with zero input for varied states: the fit must be the identity
-    snaps = [Snapshot(a=np.array([x]), b=np.array([x]), u=np.array([0.0]))
-             for x in (1.0, -2.0, 0.5, 3.0)]
-    model = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
+    x = np.array([[1.0], [-2.0], [0.5], [3.0]])
+    model = fit_koopman((x, x, np.zeros((4, 1)), None), identity_basis(1, 1, 0), TS)
     assert abs(model.A[0, 0] - 1.0) < 1e-8
     assert abs(model.B[0, 0]) < 1e-8
 
@@ -107,7 +119,8 @@ def test_duplicate_snapshots_invariance():
     traj = linear_trajectory(np.array([[0.7]]), np.array([[0.3]]), 30, rng)
     snaps = assemble_snapshots([traj], d=0)
     m1 = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
-    m2 = fit_koopman(snaps + snaps, identity_basis(1, 1, 0), TS)
+    twice = tuple(np.vstack([side, side]) for side in snaps[:3]) + (None,)
+    m2 = fit_koopman(twice, identity_basis(1, 1, 0), TS)
     assert np.allclose(m1.A, m2.A, atol=1e-8)
     assert np.allclose(m1.B, m2.B, atol=1e-8)
 
@@ -134,9 +147,9 @@ def test_one_step_rmse_matches_per_snapshot_loop(models):
     held = models.holdout[:2]
     for model in (models.baseline, models.koopman, models.koopman_load):
         err2, count = 0.0, 0
-        for s in assemble_snapshots(held, model.d):
-            pred = predict_one_step(model, s.a, s.u, s.w if model.p else None)
-            err2 += float(np.sum((pred - s.b[: model.n]) ** 2))
+        for a, b, u, w in zip(*assemble_snapshots(held, model.d)):
+            pred = predict_one_step(model, a, u, w if model.p else None)
+            err2 += float(np.sum((pred - b[: model.n]) ** 2))
             count += model.n
         assert one_step_rmse(model, held) == pytest.approx(np.sqrt(err2 / count),
                                                            rel=1e-12)
@@ -148,8 +161,9 @@ def test_fit_requires_enough_snapshots():
     snaps = assemble_snapshots([traj], d=0)  # 1 snapshot < n_z + m = 2
     with pytest.raises(ValueError):
         fit_koopman(snaps, identity_basis(1, 1, 0), TS)
+    empty = (np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 1)), None)
     with pytest.raises(ValueError):
-        fit_koopman([], identity_basis(1, 1, 0), TS)
+        fit_koopman(empty, identity_basis(1, 1, 0), TS)
 
 
 def test_with_load_requires_annotations():
@@ -180,20 +194,6 @@ def test_predict_one_step_identity_model():
     assert np.array_equal(predict_one_step(model, yd, 0.3), yd)
 
 
-def test_simulate_lifted_matches_chained_steps():
-    model = fit_bilinear_model()
-    rng = np.random.default_rng(10)
-    z = model.lift(np.array([0.4]), 0.2)
-    inputs = rng.uniform(-1.0, 1.0, size=(12, 1))
-    outs = simulate_lifted(model, z, inputs)
-    zz = z.copy()
-    for j, u in enumerate(inputs):
-        zz = model.A @ zz + model.B @ u
-        assert np.allclose(outs[j], model.C @ zz, atol=1e-12)
-    with pytest.raises(ValueError):
-        simulate_lifted(model, np.zeros(model.n_z + 1), inputs)
-
-
 def test_lift_requires_load_when_augmented():
     model = fit_bilinear_model()
     with pytest.raises(ValueError):
@@ -211,6 +211,17 @@ def test_model_json_round_trip(tmp_path):
     assert loaded.p == model.p and loaded.Ts == model.Ts
     yd = np.array([0.7])
     assert np.array_equal(loaded.lift(yd, 0.1), model.lift(yd, 0.1))
+
+
+def test_model_missing_key_names_it():
+    doc = edmd.model_to_dict(fit_bilinear_model())
+    del doc["C"]
+    with pytest.raises(ValueError, match="'C'"):
+        edmd.model_from_dict(doc)
+    doc = edmd.model_to_dict(fit_bilinear_model())
+    del doc["basis"]["quad_pairs"]
+    with pytest.raises(ValueError, match="'quad_pairs'"):
+        edmd.model_from_dict(doc)
 
 
 def test_trajectory_csv_round_trip(tmp_path):

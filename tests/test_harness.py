@@ -263,3 +263,19 @@ def test_cli_errors(tmp_path, capsys):
     # unknown subcommand -> argparse exits nonzero
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"bogus": 1}, "bogus"),
+    ({"estimator": {"nope": 2}}, "nope"),
+    ({"campaign": 3}, "campaign"),
+])
+def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=key):
+        config_from_json(path)
+    assert cli.main(["--config", str(path), "collect", str(tmp_path / "d.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert len(err.strip().splitlines()) == 1

@@ -2,6 +2,8 @@
 checked against hand-built vectors and the block-diagonal matrix identity.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from klmpc.lifting import (
     lift_g_many,
     lift_gamma,
     lift_gamma_many,
-    monomial_exponents,
 )
 
 
@@ -28,24 +29,40 @@ def make_basis(rng, n=2, m=1, d=1, energy=0.99, samples=200):
 
 
 def test_delay_embed_scalar_example():
-    # scalar y and u, d = 1, k = 1: (y[1], y[0], u[0])
-    ys = [np.array([1.0]), np.array([2.0])]
-    us = [np.array([5.0]), np.array([7.0])]
-    yd = delay_embed(ys, us, 1, 1)
-    assert np.array_equal(yd.vector, [2.0, 1.0, 5.0])
+    # scalar y and u, d = 1: one row per k = 1, 2, laid out (y[k], y[k-1], u[k-1])
+    ys = np.array([[1.0], [2.0], [3.0]])
+    us = np.array([[5.0], [7.0], [9.0]])
+    assert np.array_equal(delay_embed(ys, us, 1), [[2.0, 1.0, 5.0], [3.0, 2.0, 7.0]])
+    # the last input is never read, so u may stop one step short of y
+    assert np.array_equal(delay_embed(ys, us[:-1], 1), delay_embed(ys, us, 1))
+
+
+def test_delay_embed_matches_per_index_layout():
+    rng = np.random.default_rng(8)
+    ys, us = rng.normal(size=(9, 3)), rng.normal(size=(9, 2))
+    for d in (0, 1, 3):
+        E = delay_embed(ys, us, d)
+        assert E.shape == (9 - d, embedded_dim(3, 2, d))
+        for row, k in zip(E, range(d, 9)):
+            expected = np.concatenate([ys[k - i] for i in range(d + 1)]
+                                      + [us[k - i] for i in range(1, d + 1)])
+            assert np.array_equal(row, expected)
 
 
 def test_delay_embed_no_delay():
-    ys = [np.array([3.0, 4.0])]
-    yd = delay_embed(ys, [], 0, 0)
-    assert np.array_equal(yd.vector, [3.0, 4.0])
+    ys = np.array([[3.0, 4.0]])
+    assert np.array_equal(delay_embed(ys, np.zeros((0, 1)), 0), [[3.0, 4.0]])
 
 
 def test_delay_embed_requires_history():
-    ys = [np.array([1.0]), np.array([2.0])]
-    us = [np.array([0.0]), np.array([0.0])]
+    ys = np.array([[1.0], [2.0]])
+    us = np.array([[0.0], [0.0]])
     with pytest.raises(ValueError):
-        delay_embed(ys, us, 0, 1)
+        delay_embed(ys, us, 2)          # K <= d: no embedding defined
+    with pytest.raises(ValueError):
+        delay_embed(ys, us[:0], 1)      # fewer than K-1 inputs
+    with pytest.raises(ValueError):
+        delay_embed(ys[:, 0], us, 1)    # outputs must be (K, n)
 
 
 def test_embedded_dim():
@@ -53,16 +70,6 @@ def test_embedded_dim():
     assert embedded_dim(4, 2, 1) == 10
     # three 3-D sections with 9 pressure channels, one delay
     assert embedded_dim(9, 9, 1) == 27
-
-
-def test_monomial_exponents_count_and_degree():
-    for ne in (1, 3, 6):
-        exps = monomial_exponents(ne)
-        assert len(exps) == 1 + ne + ne * (ne + 1) // 2
-        assert len(set(exps)) == len(exps)
-        assert all(sum(e) <= 2 for e in exps)
-    with pytest.raises(ValueError):
-        monomial_exponents(3, max_degree=3)
 
 
 def test_lift_g_layout():
@@ -165,7 +172,10 @@ def test_fit_basis_deterministic():
 
 def test_fit_basis_validation():
     ne = embedded_dim(2, 1, 1)
-    n_mono = len(monomial_exponents(ne))
+    # every monomial of degree <= 2 in ne variables: constant, linear, pairs
+    n_mono = 1 + ne + ne * (ne + 1) // 2
+    assert n_mono == 21
+    fit_basis(np.random.default_rng(0).normal(size=(n_mono, ne)), 0.99, n=2, m=1, d=1)
     with pytest.raises(ValueError):
         fit_basis(np.zeros((n_mono - 1, ne)), 0.99, n=2, m=1, d=1)
     with pytest.raises(ValueError):
@@ -182,23 +192,12 @@ def test_fit_basis_zero_variance_quadratics():
     assert basis.n_lifted == ne + 1
 
 
-def test_monomials_enumeration():
-    rng = np.random.default_rng(6)
-    basis, _ = make_basis(rng)
-    ne = basis.identity_count
-    mono = basis.monomials()
-    # one exponent tuple per spanned function: ne identities, the constant,
-    # and every quadratic pair
-    assert len(mono) == ne + 1 + len(basis.quad_pairs)
-    assert tuple([0] * ne) in mono
-
-
 def test_basis_json_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     basis, _ = make_basis(rng)
     path = tmp_path / "basis.json"
-    lifting.save_basis(basis, path)
-    loaded = lifting.load_basis(path)
+    path.write_text(json.dumps(lifting.basis_to_dict(basis)))
+    loaded = lifting.basis_from_dict(json.loads(path.read_text()))
     assert loaded.n == basis.n and loaded.m == basis.m and loaded.d == basis.d
     assert loaded.quad_pairs == basis.quad_pairs
     assert np.array_equal(loaded.projection.components,
@@ -211,8 +210,8 @@ def test_basis_json_round_trip(tmp_path):
 def test_basis_json_round_trip_identity(tmp_path):
     basis = identity_basis(4, 2, 1)
     path = tmp_path / "identity.json"
-    lifting.save_basis(basis, path)
-    loaded = lifting.load_basis(path)
+    path.write_text(json.dumps(lifting.basis_to_dict(basis)))
+    loaded = lifting.basis_from_dict(json.loads(path.read_text()))
     assert loaded.n_lifted == basis.n_lifted
     assert not loaded.include_constant
     yd = np.arange(float(basis.identity_count))

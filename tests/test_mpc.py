@@ -13,7 +13,6 @@ from klmpc.mpc import (
     Controller,
     MpcConfig,
     QpProblem,
-    condense,
     end_effector_weight,
     kkt_residual,
     save_step_log,
@@ -44,7 +43,7 @@ def scalar_cfg(Nh=1, q=1.0, r=1.0, lo=-1.0, hi=1.0):
 
 
 def rollout_cost(model, cfg, z0, ref, U):
-    """Direct evaluation of the tracking cost, independent of condense."""
+    """Direct evaluation of the tracking cost, independent of Condenser."""
     Nh, m, n = cfg.Nh, model.m, model.C.shape[0]
     z = np.asarray(z0, dtype=float)
     ref = np.asarray(ref, dtype=float).reshape(Nh, n)
@@ -59,7 +58,7 @@ def rollout_cost(model, cfg, z0, ref, U):
 
 def test_condense_hand_oracle():
     # z+ = z + u, Nh = 1, Q = R = 1, z0 = 1, r = 0: cost (1+u)^2 + u^2
-    qp = condense(scalar_model(), np.array([1.0]), np.array([0.0]), scalar_cfg())
+    qp = Condenser(scalar_model(), scalar_cfg()).qp(np.array([1.0]), np.array([0.0]))
     assert np.allclose(qp.H, [[4.0]], atol=1e-12)
     assert np.allclose(qp.f, [2.0], atol=1e-12)
     res = solve_box_qp(qp, tol=1e-10)
@@ -69,8 +68,8 @@ def test_condense_hand_oracle():
 
 
 def test_condense_zero_tracking_weight():
-    qp = condense(scalar_model(), np.array([3.0]), np.array([1.0]),
-                  scalar_cfg(q=0.0))
+    qp = Condenser(scalar_model(), scalar_cfg(q=0.0)).qp(np.array([3.0]),
+                                                         np.array([1.0]))
     assert np.allclose(qp.f, 0.0, atol=1e-12)
     res = solve_box_qp(qp, tol=1e-10)
     assert abs(res.x[0]) < 1e-9
@@ -263,6 +262,38 @@ def test_controller_closed_loop_estimation_schedule():
     # before the first estimate the controller runs on w_init
     early = [lg.w_hat[0] for lg in ctrl.logs[:est_cfg.Ne]]
     assert np.allclose(early, est_cfg.w_init[0], atol=1e-12)
+
+
+def test_controller_holds_input_on_non_finite_measurement(caplog):
+    # a NaN measurement mid-sequence: the last input is held, no QP is
+    # solved, and the controller carries on exactly as a twin that never
+    # saw the NaN
+    model = fit_bilinear_model(c0=0.05)
+    cfg = scalar_cfg(Nh=6, r=0.01)
+
+    def make():
+        return Controller(model, cfg, lambda k: np.array([0.6 * np.sin(0.3 * k)]),
+                          est_cfg=EstimatorConfig(Nw=5, Ne=2, Nr=4))
+
+    first = make()
+    assert np.array_equal(first.step(np.array([np.inf])), first.u_neutral)
+    assert first.rejected == 1 and not first.logs
+
+    ctrl, twin = make(), make()
+    x = 0.0
+    for k in range(30):
+        u = ctrl.step(np.array([x]))
+        assert np.array_equal(u, twin.step(np.array([x])))
+        if k == 12:
+            with caplog.at_level("WARNING", logger="klmpc.mpc"):
+                held = ctrl.step(np.array([np.nan]))
+            assert np.array_equal(held, u)
+            assert len(ctrl.logs) == len(twin.logs)
+            assert "non-finite measurement" in caplog.text
+        x = bilinear_step(x, u[0], 0.22, 0.05)
+    assert ctrl.rejected == 1 and twin.rejected == 0
+    assert ctrl.estimator.updates == twin.estimator.updates > 0
+    assert np.array_equal(ctrl.w_hat, twin.w_hat)
 
 
 def test_step_log_csv(tmp_path):

@@ -2,9 +2,12 @@
 oracles (Penrose conditions, normal equations, explicit SVD reconstructions).
 """
 
+import os
+
 import numpy as np
 import pytest
 
+import conftest
 from klmpc import numkit
 
 
@@ -175,3 +178,13 @@ def test_pca_validation():
         numkit.pca_fit(np.ones((5, 3)), 0.0)
     with pytest.raises(ValueError):
         numkit.pca_fit(np.ones((5, 3)), 1.5)
+
+
+def test_blas_threads_pinned_before_numpy_import():
+    # fitted models differ in their last bits between BLAS thread counts, so
+    # the suite's reference numbers hold only with the pin from conftest,
+    # which takes effect only if numpy was not yet imported
+    assert not conftest.NUMPY_PRELOADED
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS"):
+        assert os.environ[var] == "1"

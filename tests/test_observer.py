@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from klmpc import lifting, numkit, observer as obs
+from klmpc import numkit, observer as obs
 from klmpc.edmd import assemble_snapshots, fit_koopman
 from klmpc.observer import EstimatorConfig, EstimatorState
 
@@ -17,6 +17,7 @@ from oracles import (
     bilinear_basis,
     bilinear_step,
     fit_bilinear_model,
+    reference_window_system,
     simulate_bilinear,
 )
 
@@ -99,17 +100,26 @@ def test_full_and_reduced_modes_agree_on_exact_data(model_drift):
     w_full, _ = obs.estimate_window(model, history, cfg, reduced=False)
     w_red, _ = obs.estimate_window(model, history, cfg, reduced=True)
     assert abs(w_full[0] - w_red[0]) < 1e-8
-    # replicate the stacked system to inspect the unconstrained first entry
-    rows, rhs = [], []
-    ys = [y for y, _ in history]
-    us = [u for _, u in history]
-    j = len(history) - 1
-    for i in range(1, cfg.Nw + 1):
-        G = lifting.gamma_matrix(model.basis, ys[j - i], model.p)
-        rows.append(model.C @ model.A @ G)
-        rhs.append(ys[j - i + 1] - model.C @ model.B @ us[j - i])
-    v = numkit.lstsq(np.vstack(rows), np.concatenate(rhs))
+    # the unconstrained solve of the stacked system has leading entry 1
+    v = numkit.lstsq(*obs.window_system(model, history, cfg.Nw))
     assert abs(v[0] - 1.0) < 1e-6
+
+
+def test_window_system_matches_row_by_row_oracle(models, model_drift):
+    # the one-shot lift and column-block products reorder sums, so the
+    # stacked system agrees with the gamma_matrix oracle to a few ulps
+    rng = np.random.default_rng(11)
+    kl = models.koopman_load
+    arm_history = [(rng.normal(size=4), rng.uniform(0.0, 1.0, size=2))
+                   for _ in range(40)]
+    for model, history in ((kl, arm_history),
+                           (model_drift, history_for(0.2, 40, rng, c0=DRIFT))):
+        for Nw in (1, 30, len(history) - model.d - 1):
+            M, rhs = obs.window_system(model, history, Nw)
+            M_ref, rhs_ref = reference_window_system(model, history, Nw)
+            assert M.shape == M_ref.shape == (model.n * Nw, model.p + 1)
+            assert np.max(np.abs(M - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
+            assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
 
 
 def test_degenerate_geometry_returns_fallback(model):
