@@ -49,8 +49,8 @@ def cmd_collect(args) -> int:
         cfg.campaign, loads=tuple(loads), seed=cfg.seed,
         trials=args.trials if args.trials else cfg.campaign.trials,
         duration=args.duration if args.duration else cfg.campaign.duration)
-    trajectories = collect_training_data(cfg.plant, camp.loads, camp.trials,
-                                         camp.duration, seed=camp.seed)
+    [trajectories] = collect_training_data(
+        cfg.plant, camp.loads, [(camp.trials, camp.duration, camp.seed)])
     edmd.save_trajectories(trajectories, args.dataset)
     print(f"wrote {len(trajectories)} trajectories to {args.dataset}")
     return 0

@@ -89,14 +89,35 @@ def config_from_json(path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# JSON value check and its description, keyed by the field annotation as
+# written (the config modules postpone annotation evaluation); sub-config
+# fields are checked by their own class
+_VALUE_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_real, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "tuple": (lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of numbers"),
+    "Optional[str]": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
+
 def _known_fields(cls, doc, where: str) -> dict:
-    """``doc`` as keyword arguments for dataclass ``cls``; an unknown key
-    raises ValueError naming it."""
+    """``doc`` as keyword arguments for dataclass ``cls``; an unknown key or
+    a value of the wrong type raises ValueError naming the key."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(annotations))
     if unknown:
         raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    for key, value in doc.items():
+        check, expected = _VALUE_TYPES.get(annotations[key], (None, None))
+        if check is not None and not check(value):
+            raise ValueError(f"{where}: {key!r} must be {expected}, got {json.dumps(value)}")
     return dict(doc)
 
 
@@ -211,15 +232,19 @@ def fit_kinds(training, fit: FitConfig, kinds=MODEL_KINDS) -> dict:
 
 def fit_models(cfg: ExperimentConfig, training: Optional[list] = None,
                holdout: Optional[list] = None) -> ModelSet:
-    """Fit the three controller models from the campaign data (collected on
-    demand when not supplied)."""
-    params, camp, fit = cfg.plant, cfg.campaign, cfg.fit
-    if training is None:
-        training = collect_training_data(params, camp.loads, camp.trials,
-                                         camp.duration, seed=camp.seed)
-    if holdout is None:
-        holdout = collect_training_data(params, camp.loads, fit.holdout_trials,
-                                        fit.holdout_duration, seed=camp.seed + 1)
+    """Fit the three controller models from the training campaign and keep
+    the holdout campaign for scoring.  Whichever is not supplied is
+    collected; when both are missing they run as one lockstep batch."""
+    camp, fit = cfg.campaign, cfg.fit
+    campaigns = {"training": (camp.trials, camp.duration, camp.seed),
+                 "holdout": (fit.holdout_trials, fit.holdout_duration, camp.seed + 1)}
+    data = {"training": training, "holdout": holdout}
+    missing = [name for name, runs in data.items() if runs is None]
+    if missing:
+        collected = collect_training_data(cfg.plant, camp.loads,
+                                          [campaigns[name] for name in missing])
+        data.update(zip(missing, collected))
+    training, holdout = data["training"], data["holdout"]
     models = fit_kinds(training, fit)
     return ModelSet(baseline=models["baseline"], koopman=models["koopman"],
                     koopman_load=models["koopman-load"], holdout=tuple(holdout))

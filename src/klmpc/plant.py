@@ -60,22 +60,57 @@ class ArmState:
         return np.array([self.theta1, self.theta2, self.omega1, self.omega2])
 
 
-def _mass(c12, m2p, params: ArmParams) -> np.ndarray:
-    """Mass matrix from cos(theta1 - theta2) and the loaded tip mass m2 + w."""
-    off = m2p * params.L1 * params.L2 * c12
-    M = np.empty(c12.shape + (2, 2))
-    M[..., 0, 0] = (params.m1 + m2p) * params.L1**2
-    M[..., 0, 1] = off
-    M[..., 1, 0] = off
+def _payload_terms(params: ArmParams, w, shape: tuple) -> tuple:
+    """The right-hand side's constants at fixed payloads: m2p*L1*L2,
+    (m1+m2p)*g*L1 and m2p*g*L2 with m2p = m2 + w, and a (shape + (2, 2))
+    mass-matrix buffer whose constant diagonal is filled in.
+
+    Each product is formed in the order the expanded formulas use, so every
+    derivative rounds exactly as if computed from scratch.
+    """
+    m2p = params.m2 + w
+    m1p = params.m1 + m2p
+    M = np.empty(shape + (2, 2))
+    M[..., 0, 0] = m1p * params.L1**2
     M[..., 1, 1] = m2p * params.L2**2
-    return M
+    return (m2p * params.L1 * params.L2, m1p * params.g * params.L1,
+            m2p * params.g * params.L2, M)
 
 
 def mass_matrix(state_q: np.ndarray, params: ArmParams, w) -> np.ndarray:
     """Joint-space mass matrix: (2, 2) for one (4,) state, (B, 2, 2) for a
     (B, 4) stack with a scalar or per-row (B,) payload."""
     th1, th2, _, _ = np.asarray(state_q).T
-    return _mass(np.cos(th1 - th2), params.m2 + w, params)
+    ll, _, _, M = _payload_terms(params, w, th1.shape)
+    M[..., 0, 1] = M[..., 1, 0] = ll * np.cos(th1 - th2)
+    return M
+
+
+def _rhs(q: np.ndarray, tau: np.ndarray, params: ArmParams, terms: tuple) -> np.ndarray:
+    """State derivative from the payload terms of :func:`_payload_terms`;
+    overwrites the off-diagonal of their mass-matrix buffer."""
+    th1, th2, om1, om2 = q.T
+    tau1, tau2 = tau.T
+    ll, g1, g2, M = terms
+    d12 = th1 - th2
+    s12 = np.sin(d12)
+    M[..., 0, 1] = M[..., 1, 0] = ll * np.cos(d12)
+    rhs = np.empty(th1.shape + (2, 1))
+    rhs[..., 0, 0] = (tau1
+                      - ll * s12 * om2**2
+                      - g1 * np.sin(th1)
+                      - params.k * th1
+                      - params.c * om1)
+    rhs[..., 1, 0] = (tau2
+                      + ll * s12 * om1**2
+                      - g2 * np.sin(th2)
+                      - params.k * th2
+                      - params.c * om2)
+    dq = np.empty(q.shape)
+    dq[..., 0] = om1
+    dq[..., 1] = om2
+    dq[..., 2:] = np.linalg.solve(M, rhs)[..., 0]
+    return dq
 
 
 def dynamics(q: np.ndarray, tau: np.ndarray, params: ArmParams, w) -> np.ndarray:
@@ -87,35 +122,15 @@ def dynamics(q: np.ndarray, tau: np.ndarray, params: ArmParams, w) -> np.ndarray
     as it would be on its own.
     """
     q = np.asarray(q)
-    th1, th2, om1, om2 = q.T
-    tau1, tau2 = np.asarray(tau).T
-    m2p = params.m2 + w
-    d12 = th1 - th2
-    s12 = np.sin(d12)
-    M = _mass(np.cos(d12), m2p, params)
-    rhs = np.empty(th1.shape + (2, 1))
-    rhs[..., 0, 0] = (tau1
-                      - m2p * params.L1 * params.L2 * s12 * om2**2
-                      - (params.m1 + m2p) * params.g * params.L1 * np.sin(th1)
-                      - params.k * th1
-                      - params.c * om1)
-    rhs[..., 1, 0] = (tau2
-                      + m2p * params.L1 * params.L2 * s12 * om1**2
-                      - m2p * params.g * params.L2 * np.sin(th2)
-                      - params.k * th2
-                      - params.c * om2)
-    dq = np.empty(q.shape)
-    dq[..., 0] = om1
-    dq[..., 1] = om2
-    dq[..., 2:] = np.linalg.solve(M, rhs)[..., 0]
-    return dq
+    return _rhs(q, np.asarray(tau), params, _payload_terms(params, w, q.shape[:-1]))
 
 
-def _rk4_step(q: np.ndarray, tau: np.ndarray, h: float, params: ArmParams, w) -> np.ndarray:
-    k1 = dynamics(q, tau, params, w)
-    k2 = dynamics(q + 0.5 * h * k1, tau, params, w)
-    k3 = dynamics(q + 0.5 * h * k2, tau, params, w)
-    k4 = dynamics(q + h * k3, tau, params, w)
+def _rk4_step(q: np.ndarray, tau: np.ndarray, h: float, params: ArmParams,
+              terms: tuple) -> np.ndarray:
+    k1 = _rhs(q, tau, params, terms)
+    k2 = _rhs(q + 0.5 * h * k1, tau, params, terms)
+    k3 = _rhs(q + 0.5 * h * k2, tau, params, terms)
+    k4 = _rhs(q + h * k3, tau, params, terms)
     return q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -133,8 +148,9 @@ def _advance(q: np.ndarray, u, params: ArmParams, w) -> np.ndarray:
         raise ValueError(f"commands must lie in [0, 1], got {u}")
     tau = params.tau_max * (2.0 * u - 1.0)
     h = params.Ts / params.substeps
+    terms = _payload_terms(params, w, np.shape(q)[:-1])
     for _ in range(params.substeps):
-        q = _rk4_step(q, tau, h, params, w)
+        q = _rk4_step(q, tau, h, params, terms)
     return q
 
 
@@ -220,42 +236,67 @@ def ramp_and_hold(rng, m: int, Ts: float, hold_range=(0.25, 1.5), ramp_range=(0.
         u_cur = u_next
 
 
-def collect_training_data(params: ArmParams, loads, trials: int, duration: float,
-                          seed: int = 0) -> list:
-    """Run the randomized ramp-and-hold campaign: ``trials`` runs per load,
-    each ``duration`` seconds, recorded at Ts.  Deterministic under the seed.
+def collect_training_data(params: ArmParams, loads, campaigns) -> list:
+    """Run randomized ramp-and-hold campaigns over ``loads``; return one list
+    of trajectories per campaign, in the order given.
 
-    All runs are integrated together, one batched step per sample period.
-    Each run keeps its own generator (a child of the seed) for its commands
-    and sensor noise, drawn in the same order as a lone ``Arm`` would, so
-    every run is identical to simulating it by itself.
+    Each campaign is a ``(trials, duration, seed)`` triple: ``trials`` runs
+    per load (load-major), each ``duration`` seconds recorded at Ts.
+    Deterministic under the seeds.
+
+    The runs of all campaigns are integrated together, one batched step per
+    sample period.  The longest campaigns come first in the batch, so the
+    runs still going are always a leading slice and a run leaves when its
+    campaign ends.  Each run keeps its own generator (a child of its
+    campaign's seed) for its commands and sensor noise, drawn in the same
+    order as a lone ``Arm`` would, so every run is identical to simulating
+    it by itself.
     """
     loads = [float(w) for w in loads]
     if any(w < 0 or w > W_MAX for w in loads):
         raise ValueError(f"loads must lie in [0, {W_MAX}] kg")
-    K = int(round(duration / params.Ts)) + 1
-    w = np.repeat(loads, trials)
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(w.size)]
+    lengths = [int(round(duration / params.Ts)) + 1 for _, duration, _ in campaigns]
+    # campaign -> (first row, end row, K, ys, us), inserted in batch order
+    blocks = {}
+    w, rngs = np.zeros(0), []
+    for c in sorted(range(len(campaigns)), key=lambda c: -lengths[c]):
+        trials, _, seed = campaigns[c]
+        K, runs = lengths[c], np.repeat(loads, trials)
+        blocks[c] = (w.size, w.size + runs.size, K,
+                     np.zeros((runs.size, K, 4)), np.zeros((runs.size, K, 2)))
+        w = np.concatenate([w, runs])
+        rngs += [np.random.default_rng(s)
+                 for s in np.random.SeedSequence(seed).spawn(runs.size)]
     policies = [ramp_and_hold(rng, m=2, Ts=params.Ts) for rng in rngs]
+    batch = list(blocks.values())
 
     def measure(q):
         y = _positions(q, params)
         if params.noise_std > 0:
             y = y + np.array([rng.normal(0.0, params.noise_std, size=4)
-                              for rng in rngs])
+                              for rng in rngs[:len(q)]])
         return y
 
     q = np.zeros((w.size, 4))
-    ys = np.zeros((w.size, K, 4))
-    us = np.zeros((w.size, K, 2))
-    ys[:, 0] = measure(q)
-    for k in range(K - 1):
-        for i, policy in enumerate(policies):
-            us[i, k] = np.clip(next(policy), 0.0, 1.0)
-        q = _advance(q, us[:, k], params, w)
-        ys[:, k + 1] = measure(q)
-    us[:, K - 1] = us[:, K - 2]
-    return [Trajectory(t=np.arange(K) * params.Ts, y=ys[i], u=us[i],
-                       w=np.array([w[i]]))
-            for i in range(w.size)]
+    u = np.zeros((w.size, 2))
+    y = measure(q)
+    for lo, hi, _, ys, _ in batch:
+        ys[:, 0] = y[lo:hi]
+    for k in range(max(lengths, default=1) - 1):
+        live = [block for block in batch if k < block[2] - 1]
+        n = live[-1][1]
+        for i in range(n):
+            u[i] = np.clip(next(policies[i]), 0.0, 1.0)
+        q[:n] = _advance(q[:n], u[:n], params, w[:n])
+        y = measure(q[:n])
+        for lo, hi, _, ys, us in live:
+            us[:, k] = u[lo:hi]
+            ys[:, k + 1] = y[lo:hi]
+    out = []
+    for c in range(len(campaigns)):
+        lo, _, K, ys, us = blocks[c]
+        us[:, K - 1] = us[:, K - 2]
+        out.append([Trajectory(t=np.arange(K) * params.Ts, y=ys[i], u=us[i],
+                               w=np.array([w[lo + i]]))
+                    for i in range(len(ys))])
+    return out

@@ -3,7 +3,7 @@
 - a scalar bilinear plant x+ = 0.9 x + 0.2 w x + 0.1 u whose load-augmented
   lifting is exactly linear, so identification and estimation must be exact;
 - a brute-force active-set enumeration solver for box QPs;
-- the training campaign simulated one run at a time, each on its own ``Arm``;
+- data campaigns simulated one run at a time, each on its own ``Arm``;
 - the observer's stacked load equations built row by row from the
   block-diagonal ``gamma_matrix``.
 """
@@ -119,27 +119,30 @@ def qp_objective(H, f, x) -> float:
     return float(0.5 * x @ H @ x + f @ x)
 
 
-def reference_campaign(params, loads, trials: int, duration: float,
-                       seed: int = 0) -> list:
-    """Ramp-and-hold campaign run by run: one ``Arm`` per run, driven by its
+def reference_campaign(params, loads, campaigns) -> list:
+    """Ramp-and-hold campaigns run by run: one ``Arm`` per run, driven by its
     own ``SeedSequence`` child for both the commands and the sensor noise.
-    Returns (y, u) array pairs in load-major run order."""
-    K = int(round(duration / params.Ts)) + 1
-    child_seeds = np.random.SeedSequence(seed).spawn(len(loads) * trials)
-    runs = []
-    for idx, w in enumerate(np.repeat(loads, trials)):
-        arm = Arm(params, w=float(w))
-        arm.rng = np.random.default_rng(child_seeds[idx])
-        policy = ramp_and_hold(arm.rng, m=2, Ts=params.Ts)
-        ys = np.zeros((K, 4))
-        us = np.zeros((K, 2))
-        ys[0] = arm.measure()
-        for k in range(K - 1):
-            us[k] = np.clip(next(policy), 0.0, 1.0)
-            ys[k + 1] = arm.step(us[k])
-        us[K - 1] = us[K - 2]
-        runs.append((ys, us))
-    return runs
+    ``campaigns`` holds ``(trials, duration, seed)`` triples; returns one list
+    of (y, u) array pairs per campaign, in load-major run order."""
+    out = []
+    for trials, duration, seed in campaigns:
+        K = int(round(duration / params.Ts)) + 1
+        child_seeds = np.random.SeedSequence(seed).spawn(len(loads) * trials)
+        runs = []
+        for idx, w in enumerate(np.repeat(loads, trials)):
+            arm = Arm(params, w=float(w))
+            arm.rng = np.random.default_rng(child_seeds[idx])
+            policy = ramp_and_hold(arm.rng, m=2, Ts=params.Ts)
+            ys = np.zeros((K, 4))
+            us = np.zeros((K, 2))
+            ys[0] = arm.measure()
+            for k in range(K - 1):
+                us[k] = np.clip(next(policy), 0.0, 1.0)
+                ys[k + 1] = arm.step(us[k])
+            us[K - 1] = us[K - 2]
+            runs.append((ys, us))
+        out.append(runs)
+    return out
 
 
 def reference_window_system(model, history, Nw: int):

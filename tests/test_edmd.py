@@ -93,6 +93,22 @@ def test_exact_recovery_scalar():
     assert abs(model.B[0, 0] - 0.1) < 1e-8
 
 
+def test_rank_deficient_fit_warns_and_stays_finite(caplog):
+    # a duplicated input column makes the lifted data matrix rank-deficient:
+    # the fit says so and falls back on the pseudoinverse's minimum-norm
+    # solution, which splits the input gain evenly over the copies
+    rng = np.random.default_rng(6)
+    traj = linear_trajectory(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
+    traj = Trajectory(t=traj.t, y=traj.y, u=np.hstack([traj.u, traj.u]))
+    with caplog.at_level("WARNING", logger="klmpc.edmd"):
+        model = fit_koopman(assemble_snapshots([traj], d=0),
+                            identity_basis(1, 2, 0), TS)
+    assert "rank-deficient (2 < 3)" in caplog.text
+    assert np.all(np.isfinite(model.A)) and np.all(np.isfinite(model.B))
+    assert abs(model.A[0, 0] - 0.9) < 1e-8
+    assert np.allclose(model.B, [[0.05, 0.05]], atol=1e-8)
+
+
 def test_exact_recovery_multivariate():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(4, 4))

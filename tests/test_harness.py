@@ -8,12 +8,14 @@ import json
 import numpy as np
 import pytest
 
-from klmpc import cli, lifting
+from klmpc import cli, harness, lifting
 from klmpc.edmd import load_model, load_trajectories
 from klmpc.harness import (
     BIN_COUNT,
     CONTROLLERS,
+    CampaignConfig,
     ExperimentConfig,
+    FitConfig,
     TrackingReport,
     bin_index,
     bin_targets,
@@ -21,6 +23,7 @@ from klmpc.harness import (
     config_from_json,
     config_to_json,
     figure_eight_reference,
+    fit_models,
     point_reference,
     report_from_csv,
     run_experiment1,
@@ -279,3 +282,75 @@ def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"Nh": "x"}, "Nh"),
+    ({"campaign": {"trials": 1.5}}, "trials"),
+    ({"campaign": {"loads": [0.1, "a"]}}, "loads"),
+    ({"estimator": {"reduced": 1}}, "reduced"),
+    ({"plant": {"k": True}}, "k"),
+    ({"outdir": 3}, "outdir"),
+])
+def test_cli_bad_config_value_fails_before_fitting(tmp_path, capsys, monkeypatch,
+                                                  doc, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"'{key}' must be"):
+        config_from_json(path)
+    fitted = []
+    monkeypatch.setattr(harness, "fit_models", lambda *a, **k: fitted.append(a))
+    assert cli.main(["--config", str(path), "sort"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert len(err.strip().splitlines()) == 1
+    assert fitted == []
+
+
+def test_config_checks_every_field_type(tmp_path):
+    # a value of the wrong type in any field, top level or nested, is
+    # refused by name
+    path = tmp_path / "config.json"
+    config_to_json(ExperimentConfig(), path)
+    doc = json.loads(path.read_text())
+    for section, value in doc.items():
+        for key, v in value.items() if isinstance(value, dict) else [(None, value)]:
+            bad = json.loads(json.dumps(doc))
+            wrong = 3 if v is None or isinstance(v, str) else "x"
+            if key is None:
+                bad[section] = wrong
+            else:
+                bad[section][key] = wrong
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ValueError, match=f"'{key or section}' must be"):
+                config_from_json(path)
+
+
+def test_fit_models_collects_only_missing_campaigns(monkeypatch):
+    cfg = ExperimentConfig(campaign=CampaignConfig(loads=(0.0, 0.3), trials=1, duration=10.0),
+                           fit=FitConfig(holdout_duration=5.0))
+    camp, fit = cfg.campaign, cfg.fit
+    training_spec = (camp.trials, camp.duration, camp.seed)
+    holdout_spec = (fit.holdout_trials, fit.holdout_duration, camp.seed + 1)
+    collect = harness.collect_training_data
+    calls = []
+
+    def spy(params, loads, campaigns):
+        calls.append(list(campaigns))
+        return collect(params, loads, campaigns)
+
+    monkeypatch.setattr(harness, "collect_training_data", spy)
+    merged = fit_models(cfg)
+    assert calls == [[training_spec, holdout_spec]]
+    training, holdout = collect(cfg.plant, camp.loads, [training_spec, holdout_spec])
+    for supplied, collected in (({"holdout": holdout}, [training_spec]),
+                                ({"training": training}, [holdout_spec]),
+                                ({"training": training, "holdout": holdout}, None)):
+        calls.clear()
+        ms = fit_models(cfg, **supplied)
+        assert calls == ([collected] if collected else [])
+        for kind in ("baseline", "koopman", "koopman_load"):
+            assert np.array_equal(getattr(ms, kind).A, getattr(merged, kind).A)
+            assert np.array_equal(getattr(ms, kind).B, getattr(merged, kind).B)
+        for got, want in zip(ms.holdout, merged.holdout, strict=True):
+            assert np.array_equal(got.y, want.y) and np.array_equal(got.u, want.u)

@@ -4,6 +4,8 @@ against active-set enumeration, and the closed-loop controller contracts.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klmpc import mpc
 from klmpc.edmd import KoopmanModel
@@ -165,6 +167,27 @@ def test_solver_iteration_cap_stays_feasible():
     res = solve_box_qp(qp, tol=1e-14, max_iter=1)
     assert np.all(res.x >= lo - 1e-12) and np.all(res.x <= hi + 1e-12)
     assert res.converged == (res.kkt_residual <= 1e-14)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       log_cond=st.floats(0.0, 6.0), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+def test_solver_properties_on_random_box_qps(seed, n, log_cond, tol):
+    # strictly convex box QPs with cond(H) = 10^log_cond
+    rng = np.random.default_rng(seed)
+    _, f, lo, hi = random_box_qp(rng, n)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    H = (Q * np.logspace(0.0, log_cond, n)) @ Q.T
+    qp = QpProblem(H=0.5 * (H + H.T), f=f, lower=lo, upper=hi)
+    res = solve_box_qp(qp, tol=tol)
+    assert np.all(lo <= res.x) and np.all(res.x <= hi)
+    assert res.converged == (kkt_residual(qp, res.x) <= tol)
+    if res.converged and res.iterations > 0:
+        # capped one iteration short, the same path stops and says so
+        capped = solve_box_qp(qp, tol=tol, max_iter=res.iterations - 1)
+        assert capped.iterations == res.iterations - 1
+        assert not capped.converged and capped.kkt_residual > tol
+        assert np.all(lo <= capped.x) and np.all(capped.x <= hi)
 
 
 def test_solver_holds_released_coordinate_pushed_outward():

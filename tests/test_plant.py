@@ -170,12 +170,20 @@ def test_batched_dynamics_matches_rows(rows):
 def test_collect_training_data_matches_run_by_run():
     params = ArmParams(k=1.0, c=0.3)
     loads = [0.05, 0.25]
-    trajs = collect_training_data(params, loads, trials=2, duration=2.0, seed=4)
-    runs = reference_campaign(params, loads, trials=2, duration=2.0, seed=4)
-    assert len(trajs) == len(runs) == 4
-    for traj, (ys, us) in zip(trajs, runs):
-        assert np.array_equal(traj.y, ys)
-        assert np.array_equal(traj.u, us)
+    # one campaign; then campaigns of different lengths, trials and seeds,
+    # whose shorter runs leave the batch first whichever order they come in
+    for campaigns in ([(2, 2.0, 4)],
+                      [(1, 1.0, 7), (2, 2.0, 4)],
+                      [(2, 2.0, 4), (1, 1.0, 7), (3, 1.5, 11)]):
+        got = collect_training_data(params, loads, campaigns)
+        want = reference_campaign(params, loads, campaigns)
+        assert len(got) == len(want) == len(campaigns)
+        for (trials, duration, _), trajs, runs in zip(campaigns, got, want):
+            assert len(trajs) == len(runs) == trials * len(loads)
+            for traj, (ys, us) in zip(trajs, runs):
+                assert len(traj) == int(round(duration / params.Ts)) + 1
+                assert np.array_equal(traj.y, ys)
+                assert np.array_equal(traj.u, us)
 
 
 def test_noiseless_determinism():
@@ -218,7 +226,7 @@ def test_payload_monotonicity():
 
 def test_collect_training_data_shape():
     params = ArmParams()
-    trajs = collect_training_data(params, [0.1], trials=1, duration=1.0, seed=0)
+    [trajs] = collect_training_data(params, [0.1], [(1, 1.0, 0)])
     assert len(trajs) == 1
     traj = trajs[0]
     assert len(traj) == 21  # 1 s at Ts = 0.05 inclusive of both endpoints
@@ -228,8 +236,7 @@ def test_collect_training_data_shape():
 
 def test_collect_training_data_structure():
     params = ArmParams()
-    trajs = collect_training_data(params, [0.0, 0.2], trials=2, duration=2.0,
-                                  seed=3)
+    [trajs] = collect_training_data(params, [0.0, 0.2], [(2, 2.0, 3)])
     assert len(trajs) == 4
     for traj in trajs:
         assert np.all(traj.u >= 0.0) and np.all(traj.u <= 1.0)
@@ -240,15 +247,15 @@ def test_collect_training_data_structure():
 
 def test_collect_training_data_deterministic():
     params = ArmParams()
-    a = collect_training_data(params, [0.05], trials=1, duration=1.0, seed=9)
-    b = collect_training_data(params, [0.05], trials=1, duration=1.0, seed=9)
+    [a] = collect_training_data(params, [0.05], [(1, 1.0, 9)])
+    [b] = collect_training_data(params, [0.05], [(1, 1.0, 9)])
     assert np.array_equal(a[0].y, b[0].y)
     assert np.array_equal(a[0].u, b[0].u)
 
 
 def test_collect_training_data_load_bounds():
     with pytest.raises(ValueError):
-        collect_training_data(ArmParams(), [0.5], trials=1, duration=1.0)
+        collect_training_data(ArmParams(), [0.5], [(1, 1.0, 0)])
 
 
 def test_ramp_and_hold_stays_in_range():
