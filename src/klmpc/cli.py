@@ -43,12 +43,16 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_collect(args) -> int:
     cfg = _load_config(args)
+    for flag in ("trials", "duration"):
+        value = getattr(args, flag)
+        if value is not None and not value > 0:
+            raise ValueError(f"--{flag} must be positive, got {value}")
     loads = ([float(x) for x in args.loads.split(",")] if args.loads
              else list(cfg.campaign.loads))
     camp = dataclasses.replace(
         cfg.campaign, loads=tuple(loads), seed=cfg.seed,
-        trials=args.trials if args.trials else cfg.campaign.trials,
-        duration=args.duration if args.duration else cfg.campaign.duration)
+        trials=cfg.campaign.trials if args.trials is None else args.trials,
+        duration=cfg.campaign.duration if args.duration is None else args.duration)
     [trajectories] = collect_training_data(
         cfg.plant, camp.loads, [(camp.trials, camp.duration, camp.seed)])
     edmd.save_trajectories(trajectories, args.dataset)

@@ -115,21 +115,27 @@ class KoopmanModel:
 
 
 def _lift_rows(basis: Basis, Yd: np.ndarray, W: Optional[np.ndarray],
-               with_load: bool) -> np.ndarray:
+               with_load: bool, out=None) -> np.ndarray:
     if not with_load:
-        return lifting.lift_g_many(basis, Yd)
+        return lifting.lift_g_many(basis, Yd, out=out)
     if W is None:
         raise ValueError("with_load requires a load on every snapshot")
-    return lifting.lift_gamma_many(basis, Yd, W)
+    return lifting.lift_gamma_many(basis, Yd, W, out=out)
 
 
 def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> KoopmanModel:
     """Least-squares fit of the lifted transition matrix from the
     ``(a, b, U, W)`` arrays of :func:`assemble_snapshots`, and extraction of
-    the (A, B, C) realization from its transpose partition."""
+    the (A, B, C) realization from its transpose partition.
+
+    K_bar = pinv(Psi_a) Psi_b with Psi = [lift(Yd) | U].  Each data matrix
+    is lifted straight into its leading columns, and only one is alive at a
+    time: Psi_a is released once its pseudoinverse exists, and only then is
+    Psi_b lifted.
+    """
     a, b, U, W = snapshots
-    Psi_a = np.hstack([_lift_rows(basis, a, W, with_load), U])
-    Psi_b = np.hstack([_lift_rows(basis, b, W, with_load), U])
+    if with_load and W is None:
+        raise ValueError("with_load requires a load on every snapshot")
     p = W.shape[1] if with_load else 0
     m = U.shape[1]
     n_z = basis.n_lifted * (p + 1)
@@ -138,13 +144,23 @@ def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> 
             f"fit_koopman: need at least n_z + m = {n_z + m} snapshots, "
             f"got {a.shape[0]}"
         )
+
+    def data_matrix(Yd):
+        Psi = np.empty((Yd.shape[0], n_z + m))
+        _lift_rows(basis, Yd, W, with_load, out=Psi[:, :n_z])
+        Psi[:, n_z:] = U
+        return Psi
+
+    Psi_a = data_matrix(a)
     rank = np.linalg.matrix_rank(Psi_a)
     if rank < n_z + m:
         logger.warning(
             "fit_koopman: lifted data matrix is rank-deficient (%d < %d); "
             "fit proceeds via pseudoinverse", rank, n_z + m,
         )
-    K_bar = numkit.pinv(Psi_a) @ Psi_b
+    pinv_a = numkit.pinv(Psi_a)
+    del Psi_a
+    K_bar = pinv_a @ data_matrix(b)
     Kt = K_bar.T
     A = Kt[:n_z, :n_z]
     B = Kt[:n_z, n_z:]
@@ -235,6 +251,8 @@ def save_trajectories(trajectories, path) -> None:
     repeated on every row.
     """
     trajectories = list(trajectories)
+    if not trajectories:
+        raise ValueError("no trajectories to write: the campaign has no runs")
     n = trajectories[0].y.shape[1]
     m = trajectories[0].u.shape[1]
     p = 0 if trajectories[0].w is None else np.atleast_1d(trajectories[0].w).shape[0]

@@ -40,11 +40,12 @@ def _quad_pairs(n_embed: int) -> list:
 
 
 def _eval_quadratics(Y: np.ndarray, pairs) -> np.ndarray:
-    """Evaluate the degree-2 monomials on a batch of embedded outputs."""
-    cols = [Y[:, i] * Y[:, j] for i, j in pairs]
-    if not cols:
-        return np.zeros((Y.shape[0], 0))
-    return np.stack(cols, axis=1)
+    """Evaluate the degree-2 monomials on a batch of embedded outputs, one
+    column per pair, written straight into one (K, len(pairs)) array."""
+    Q = np.empty((Y.shape[0], len(pairs)))
+    for c, (i, j) in enumerate(pairs):
+        np.multiply(Y[:, i], Y[:, j], out=Q[:, c])
+    return Q
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,12 @@ def fit_basis(samples: np.ndarray, energy: float, n: int, m: int, d: int) -> Bas
 
     Identity coordinates and the constant function are kept verbatim; the
     degree-2 monomial block is reduced by PCA at the given energy fraction.
+
+    The (K, P) monomial block is the fit's largest array.  It is handed to
+    the PCA without a reference kept here, so the PCA can release it once
+    it has centred a copy, and the PCA takes the spectrum from the P x P R
+    factor, so the K x P left singular vectors, which a projection never
+    uses, are not formed (see :func:`numkit.pca_fit`).
     """
     samples = np.asarray(samples, dtype=float)
     ne = embedded_dim(n, m, d)
@@ -90,8 +97,7 @@ def fit_basis(samples: np.ndarray, energy: float, n: int, m: int, d: int) -> Bas
             f"fit_basis: need at least {n_mono} samples, got {samples.shape[0]}"
         )
     pairs = tuple(_quad_pairs(ne))
-    Q = _eval_quadratics(samples, pairs)
-    projection = pca_fit(Q, energy)
+    projection = pca_fit(_eval_quadratics(samples, pairs), energy)
     return Basis(n=n, m=m, d=d, projection=projection, quad_pairs=pairs)
 
 
@@ -107,21 +113,45 @@ def identity_basis(n: int, m: int, d: int) -> Basis:
                  quad_pairs=())
 
 
-def lift_g_many(basis: Basis, Yd: np.ndarray) -> np.ndarray:
-    """Vectorized g-lifting of a batch of embedded outputs (rows)."""
+def _output(out, shape: tuple) -> np.ndarray:
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64:
+        raise ValueError(
+            f"lift: out must be a float64 array of shape {shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    return out
+
+
+def lift_g_many(basis: Basis, Yd: np.ndarray, *, out=None) -> np.ndarray:
+    """Vectorized g-lifting of a batch of embedded outputs (rows).
+
+    The lifts are written into one (K, n_lifted) array: ``out`` when given
+    (an array or a column view of a wider one, such as the leading columns
+    of a least-squares data matrix), else a new one.  The monomial block is
+    centred in place and projected straight into its columns, so the only
+    temporary is the (K, P) monomial array; the arithmetic is that of
+    ``projection.transform``.
+    """
     Yd = np.atleast_2d(np.asarray(Yd, dtype=float))
     if Yd.shape[1] != basis.identity_count:
         raise ValueError(
             f"lift: embedded output has dim {Yd.shape[1]}, "
             f"basis expects {basis.identity_count}"
         )
-    blocks = [Yd]
+    G = _output(out, (Yd.shape[0], basis.n_lifted))
+    ne = basis.identity_count
+    G[:, :ne] = Yd
     if basis.include_constant:
-        blocks.append(np.ones((Yd.shape[0], 1)))
-    if basis.projection.n_components > 0:
+        G[:, ne] = 1.0
+    projection = basis.projection
+    if projection.n_components > 0:
         Q = _eval_quadratics(Yd, basis.quad_pairs)
-        blocks.append(basis.projection.transform(Q))
-    return np.concatenate(blocks, axis=1)
+        Q -= projection.mean
+        np.matmul(Q, projection.components.T,
+                  out=G[:, ne + int(basis.include_constant):])
+    return G
 
 
 def lift_g(basis: Basis, yd) -> np.ndarray:
@@ -139,14 +169,24 @@ def lift_gamma(basis: Basis, yd, w) -> np.ndarray:
     return np.concatenate([g] + [g * wi for wi in w])
 
 
-def lift_gamma_many(basis: Basis, Yd: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Vectorized gamma-lifting; W is (K, p) of per-sample loads."""
+def lift_gamma_many(basis: Basis, Yd: np.ndarray, W: np.ndarray, *,
+                    out=None) -> np.ndarray:
+    """Vectorized gamma-lifting; W is (K, p) of per-sample loads.
+
+    The lifts fill one (K, n_lifted (p+1)) array, ``out`` when given: g is
+    lifted into its first block and each load block is multiplied from that
+    in place, so no per-block array or concatenated copy is formed.
+    """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if not np.all(np.isfinite(W)):
         raise ValueError("lift_gamma_many: loads contain non-finite entries")
-    G = lift_g_many(basis, Yd)
-    blocks = [G] + [G * W[:, [i]] for i in range(W.shape[1])]
-    return np.concatenate(blocks, axis=1)
+    Yd = np.atleast_2d(np.asarray(Yd, dtype=float))
+    N = basis.n_lifted
+    Z = _output(out, (Yd.shape[0], N * (W.shape[1] + 1)))
+    G = lift_g_many(basis, Yd, out=Z[:, :N])
+    for i in range(W.shape[1]):
+        np.multiply(G, W[:, i:i + 1], out=Z[:, (i + 1) * N:(i + 2) * N])
+    return Z
 
 
 def gamma_matrix(basis: Basis, yd, p: int) -> np.ndarray:

@@ -71,6 +71,14 @@ def pca_fit(X: np.ndarray, energy: float) -> PcaProjection:
 
     The sign of each component is fixed so its largest-magnitude entry is
     positive, making fits reproducible bit-for-bit.
+
+    The singular values and right vectors come from the SVD of the n x n R
+    factor of the centred data, so the K x n left vectors, which PCA never
+    uses, are not formed.  For tall data (K >= 11n/6) this is the route
+    LAPACK's gesdd takes internally, and the result is bit-identical to
+    ``svd(Xc)``; otherwise it agrees to rounding.  The uncentred input is
+    released before the factorisation, so when the caller keeps no reference
+    to it, the peak is the centred copy plus numpy's QR working copies.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -79,14 +87,15 @@ def pca_fit(X: np.ndarray, energy: float) -> PcaProjection:
         raise ValueError(f"pca_fit: energy must be in (0, 1], got {energy}")
     mean = X.mean(axis=0)
     Xc = X - mean
-    _, s, Vt = np.linalg.svd(Xc, full_matrices=False)
+    del X
+    _, s, Vt = np.linalg.svd(np.linalg.qr(Xc, mode="r"), full_matrices=False)
     var = s**2
     total = var.sum()
     if total <= 0.0:
         # zero-variance data: nothing to retain
         return PcaProjection(
             mean=mean,
-            components=np.zeros((0, X.shape[1])),
+            components=np.zeros((0, mean.shape[0])),
             energy_kept=float(energy),
             explained=np.zeros(0),
         )

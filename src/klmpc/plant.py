@@ -242,7 +242,9 @@ def collect_training_data(params: ArmParams, loads, campaigns) -> list:
 
     Each campaign is a ``(trials, duration, seed)`` triple: ``trials`` runs
     per load (load-major), each ``duration`` seconds recorded at Ts.
-    Deterministic under the seeds.
+    Deterministic under the seeds.  A campaign with no runs (zero trials or
+    no loads) gives an empty list; a negative trial count or a duration
+    under one sample period raises ValueError naming the campaign.
 
     The runs of all campaigns are integrated together, one batched step per
     sample period.  The longest campaigns come first in the batch, so the
@@ -255,6 +257,12 @@ def collect_training_data(params: ArmParams, loads, campaigns) -> list:
     loads = [float(w) for w in loads]
     if any(w < 0 or w > W_MAX for w in loads):
         raise ValueError(f"loads must lie in [0, {W_MAX}] kg")
+    for c, (trials, duration, _) in enumerate(campaigns):
+        if trials < 0:
+            raise ValueError(f"campaign {c}: trials must be >= 0, got {trials}")
+        if not duration >= params.Ts:
+            raise ValueError(f"campaign {c}: duration {duration} s is under one "
+                             f"sample period ({params.Ts} s)")
     lengths = [int(round(duration / params.Ts)) + 1 for _, duration, _ in campaigns]
     # campaign -> (first row, end row, K, ys, us), inserted in batch order
     blocks = {}
@@ -267,8 +275,11 @@ def collect_training_data(params: ArmParams, loads, campaigns) -> list:
         w = np.concatenate([w, runs])
         rngs += [np.random.default_rng(s)
                  for s in np.random.SeedSequence(seed).spawn(runs.size)]
+    if not w.size:
+        return [[] for _ in campaigns]
     policies = [ramp_and_hold(rng, m=2, Ts=params.Ts) for rng in rngs]
-    batch = list(blocks.values())
+    # a campaign without runs takes no part in the stepping
+    batch = [block for block in blocks.values() if block[1] > block[0]]
 
     def measure(q):
         y = _positions(q, params)
@@ -282,7 +293,7 @@ def collect_training_data(params: ArmParams, loads, campaigns) -> list:
     y = measure(q)
     for lo, hi, _, ys, _ in batch:
         ys[:, 0] = y[lo:hi]
-    for k in range(max(lengths, default=1) - 1):
+    for k in range(max(block[2] for block in batch) - 1):
         live = [block for block in batch if k < block[2] - 1]
         n = live[-1][1]
         for i in range(n):

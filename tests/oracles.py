@@ -5,7 +5,9 @@
 - a brute-force active-set enumeration solver for box QPs;
 - data campaigns simulated one run at a time, each on its own ``Arm``;
 - the observer's stacked load equations built row by row from the
-  block-diagonal ``gamma_matrix``.
+  block-diagonal ``gamma_matrix``;
+- PCA by a direct SVD of the centred data, and the g/gamma lifts in their
+  per-block concatenation form.
 """
 
 import itertools
@@ -160,3 +162,39 @@ def reference_window_system(model, history, Nw: int):
         rows.append(model.C @ model.A @ gamma_matrix(model.basis, yd, model.p))
         rhs.append(ys[k + 1] - model.C @ model.B @ us[k])
     return np.vstack(rows), np.concatenate(rhs)
+
+
+def reference_pca(X, energy: float):
+    """PCA by a direct thin SVD of the centred data: (mean, components,
+    explained) with the fewest leading components reaching ``energy`` and
+    each component's largest-magnitude entry positive."""
+    X = np.asarray(X, dtype=float)
+    mean = X.mean(axis=0)
+    _, s, Vt = np.linalg.svd(X - mean, full_matrices=False)
+    frac = s**2 / np.sum(s**2)
+    k = min(int(np.searchsorted(np.cumsum(frac), energy - 1e-12) + 1), Vt.shape[0])
+    comps = Vt[:k].copy()
+    for row in comps:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return mean, comps, frac[:k]
+
+
+def reference_lift_g_many(basis: Basis, Yd) -> np.ndarray:
+    """g lifts as blocks concatenated: identities, constant, projected
+    per-pair monomials."""
+    Yd = np.atleast_2d(np.asarray(Yd, dtype=float))
+    blocks = [Yd]
+    if basis.include_constant:
+        blocks.append(np.ones((Yd.shape[0], 1)))
+    if basis.projection.n_components > 0:
+        Q = np.stack([Yd[:, i] * Yd[:, j] for i, j in basis.quad_pairs], axis=1)
+        blocks.append(basis.projection.transform(Q))
+    return np.concatenate(blocks, axis=1)
+
+
+def reference_lift_gamma_many(basis: Basis, Yd, W) -> np.ndarray:
+    """gamma lifts as blocks concatenated: g, then g times each load."""
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    G = reference_lift_g_many(basis, Yd)
+    return np.concatenate([G] + [G * W[:, [i]] for i in range(W.shape[1])], axis=1)

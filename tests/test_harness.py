@@ -237,6 +237,30 @@ def test_cli_collect_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--trials", "0"), ("--trials", "-1"), ("--duration", "0"), ("--duration", "-2.5"),
+])
+def test_cli_collect_rejects_non_positive_flag(tmp_path, capsys, flag, value):
+    # zero is a value, not "not given": it must not fall back to the config
+    dataset = tmp_path / "d.csv"
+    assert cli.main(["collect", str(dataset), "--loads", "0.1", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be positive")
+    assert len(err.strip().splitlines()) == 1
+    assert not dataset.exists()
+
+
+def test_cli_collect_campaign_without_runs_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"campaign": {"trials": 0}}))
+    dataset = tmp_path / "d.csv"
+    assert cli.main(["--config", str(path), "collect", str(dataset)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no trajectories")
+    assert len(err.strip().splitlines()) == 1
+    assert not dataset.exists()
+
+
 def test_cli_seed_env_fallback(tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     monkeypatch.setenv("KLMPC_SEED", "11")

@@ -1,8 +1,10 @@
 """Delay embedding, the degree-2 dictionary, and the load-augmented lifting,
-checked against hand-built vectors and the block-diagonal matrix identity.
+checked against hand-built vectors, the block-diagonal matrix identity, the
+per-block concatenation form, and bounds on their traced memory.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from klmpc.lifting import (
     lift_gamma,
     lift_gamma_many,
 )
+
+from oracles import reference_lift_g_many, reference_lift_gamma_many
 
 
 def make_basis(rng, n=2, m=1, d=1, energy=0.99, samples=200):
@@ -216,3 +220,86 @@ def test_basis_json_round_trip_identity(tmp_path):
     assert not loaded.include_constant
     yd = np.arange(float(basis.identity_count))
     assert np.array_equal(lift_g(loaded, yd), yd)
+
+
+def test_eval_quadratics_matches_per_pair_products():
+    rng = np.random.default_rng(10)
+    Y = rng.normal(size=(37, 6))
+    pairs = lifting._quad_pairs(6)
+    Q = lifting._eval_quadratics(Y, pairs)
+    assert np.array_equal(Q, np.stack([Y[:, i] * Y[:, j] for i, j in pairs], axis=1))
+    assert lifting._eval_quadratics(Y, ()).shape == (37, 0)
+
+
+@pytest.mark.parametrize("rows", [1, 30, 2000])
+def test_lifts_equal_concatenation_form(rows):
+    # filling one output array in place keeps every bit of the block form,
+    # also when the output is the leading columns of a wider matrix
+    rng = np.random.default_rng(rows)
+    for basis in (make_basis(rng)[0], make_basis(rng, n=4, m=2, d=1, energy=0.9)[0],
+                  identity_basis(2, 1, 1)):
+        Yd = rng.normal(size=(rows, basis.identity_count))
+        assert np.array_equal(lift_g_many(basis, Yd), reference_lift_g_many(basis, Yd))
+        N = basis.n_lifted
+        for p in (1, 2):
+            W = rng.uniform(0.0, 0.3, size=(rows, p))
+            want = reference_lift_gamma_many(basis, Yd, W)
+            assert np.array_equal(lift_gamma_many(basis, Yd, W), want)
+            wide = np.full((rows, N * (p + 1) + 2), np.nan)
+            Z = lift_gamma_many(basis, Yd, W, out=wide[:, :N * (p + 1)])
+            assert np.shares_memory(Z, wide)
+            assert np.array_equal(wide[:, :N * (p + 1)], want)
+            assert np.all(np.isnan(wide[:, N * (p + 1):]))
+        wide = np.full((rows, N + 1), np.nan)
+        lift_g_many(basis, Yd, out=wide[:, :N])
+        assert np.array_equal(wide[:, :N], reference_lift_g_many(basis, Yd))
+
+
+def test_lift_out_must_match():
+    basis = identity_basis(2, 1, 0)
+    with pytest.raises(ValueError, match="out must be"):
+        lift_g_many(basis, np.zeros((3, 2)), out=np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="out must be"):
+        lift_gamma_many(basis, np.zeros((3, 2)), np.ones((3, 1)),
+                        out=np.zeros((3, 4), dtype=np.float32))
+
+
+def traced_peak(fn):
+    """Peak traced allocation of ``fn()`` above what was live before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+# The default embedding (n=4, m=2, d=1) has 55 degree-2 monomials.  Bounds
+# are in units of the (K, 55) monomial block Q and of the lift's output.
+MEMORY_ROWS = 4000
+
+
+def test_fit_basis_traced_peak():
+    # the PCA releases the monomial block once it has centred a copy and
+    # never forms the K x 55 left singular vectors: about 2 Q at the peak
+    rng = np.random.default_rng(11)
+    ne = embedded_dim(4, 2, 1)
+    X = rng.normal(size=(MEMORY_ROWS, ne))
+    q_bytes = MEMORY_ROWS * ne * (ne + 1) // 2 * X.itemsize
+    peak, _ = traced_peak(lambda: fit_basis(X, 0.99, n=4, m=2, d=1))
+    assert peak <= 2.25 * q_bytes
+
+
+def test_lift_gamma_many_traced_peak():
+    # output plus the monomial block, no per-block arrays or concatenated
+    # copy
+    rng = np.random.default_rng(12)
+    basis, X = make_basis(rng, n=4, m=2, d=1, samples=MEMORY_ROWS)
+    W = rng.uniform(0.0, 0.3, size=(MEMORY_ROWS, 1))
+    peak, Z = traced_peak(lambda: lift_gamma_many(basis, X, W))
+    assert peak <= 1.6 * Z.nbytes

@@ -9,6 +9,7 @@ import pytest
 
 import conftest
 from klmpc import numkit
+from oracles import reference_pca
 
 
 def random_matrix(rng, rows, cols, rank=None):
@@ -169,6 +170,36 @@ def test_pca_deterministic():
     b = numkit.pca_fit(X, 0.95)
     assert np.array_equal(a.components, b.components)
     assert np.array_equal(a.explained, b.explained)
+
+
+@pytest.mark.parametrize("rows, cols, rank", [
+    (400, 12, None),    # tall: LAPACK's own QR-then-SVD route
+    (14, 12, None),     # near-square
+    (6, 12, None),      # wide: fewer samples than features
+    (300, 12, 5),       # rank-deficient
+])
+def test_pca_matches_direct_svd_oracle(rows, cols, rank):
+    # the R-factor route gives the spectrum and right vectors of a direct
+    # SVD of the centred data
+    rng = np.random.default_rng(rows + cols)
+    X = random_matrix(rng, rows, cols, rank=rank) * np.linspace(4.0, 0.5, cols) + 3.0
+    for energy in (0.9, 1.0):
+        proj = numkit.pca_fit(X, energy)
+        mean, comps, explained = reference_pca(X, energy)
+        assert np.array_equal(proj.mean, mean)
+        assert proj.n_components == comps.shape[0]
+        if rank is not None and energy == 1.0:
+            assert proj.n_components == rank
+        assert np.allclose(proj.explained, explained, rtol=1e-12, atol=0.0)
+        assert np.allclose(proj.components, comps, rtol=0.0, atol=1e-10)
+
+
+def test_pca_does_not_modify_input():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(50, 6)) + 2.0
+    before = X.copy()
+    numkit.pca_fit(X, 0.9)
+    assert np.array_equal(X, before)
 
 
 def test_pca_validation():

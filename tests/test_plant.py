@@ -171,10 +171,12 @@ def test_collect_training_data_matches_run_by_run():
     params = ArmParams(k=1.0, c=0.3)
     loads = [0.05, 0.25]
     # one campaign; then campaigns of different lengths, trials and seeds,
-    # whose shorter runs leave the batch first whichever order they come in
+    # whose shorter runs leave the batch first whichever order they come in;
+    # last, the longest campaign has no runs and must not hold the batch open
     for campaigns in ([(2, 2.0, 4)],
                       [(1, 1.0, 7), (2, 2.0, 4)],
-                      [(2, 2.0, 4), (1, 1.0, 7), (3, 1.5, 11)]):
+                      [(2, 2.0, 4), (1, 1.0, 7), (3, 1.5, 11)],
+                      [(0, 3.0, 1), (1, 1.0, 7), (2, 2.0, 4)]):
         got = collect_training_data(params, loads, campaigns)
         want = reference_campaign(params, loads, campaigns)
         assert len(got) == len(want) == len(campaigns)
@@ -251,6 +253,24 @@ def test_collect_training_data_deterministic():
     [b] = collect_training_data(params, [0.05], [(1, 1.0, 9)])
     assert np.array_equal(a[0].y, b[0].y)
     assert np.array_equal(a[0].u, b[0].u)
+
+
+def test_collect_training_data_without_runs_is_empty():
+    params = ArmParams()
+    assert collect_training_data(params, [0.1], [(0, 1.0, 0)]) == [[]]
+    assert collect_training_data(params, [], [(2, 1.0, 0), (1, 0.5, 1)]) == [[], []]
+    assert collect_training_data(params, [0.1], []) == []
+
+
+@pytest.mark.parametrize("campaign, match", [
+    ((-1, 1.0, 0), "campaign 1: trials"),
+    ((1, 0.0, 0), "campaign 1: duration"),
+    ((1, 0.02, 0), "campaign 1: duration"),
+    ((1, -1.0, 0), "campaign 1: duration"),
+])
+def test_collect_training_data_rejects_bad_campaign(campaign, match):
+    with pytest.raises(ValueError, match=match):
+        collect_training_data(ArmParams(), [0.1], [(1, 1.0, 0), campaign])
 
 
 def test_collect_training_data_load_bounds():
