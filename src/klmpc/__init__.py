@@ -22,13 +22,13 @@ from .lifting import (
 from .mpc import Controller, MpcConfig, QpProblem, solve_box_qp
 from .numkit import PcaProjection, lstsq, pca_fit, pinv
 from .observer import EstimatorConfig, EstimatorState, estimate_instant, estimate_window
-from .plant import Arm, ArmParams, ArmState, collect_training_data, dynamics, step_zoh
+from .plant import ArmParams, Run, collect_training_data, drive, dynamics, step_zoh
 
 __all__ = [
-    "Arm", "ArmParams", "ArmState", "Basis", "Controller", "EstimatorConfig",
-    "EstimatorState", "KoopmanModel", "MpcConfig", "PcaProjection", "QpProblem",
+    "ArmParams", "Basis", "Controller", "EstimatorConfig", "EstimatorState",
+    "KoopmanModel", "MpcConfig", "PcaProjection", "QpProblem", "Run",
     "Trajectory", "assemble_snapshots", "collect_training_data", "delay_embed",
-    "dynamics", "estimate_instant", "estimate_window", "fit_basis",
+    "drive", "dynamics", "estimate_instant", "estimate_window", "fit_basis",
     "fit_koopman", "fit_linear_baseline", "gamma_matrix", "identity_basis",
     "lift_g", "lift_gamma", "lstsq", "pca_fit", "pinv", "predict_one_step",
     "solve_box_qp", "step_zoh",

@@ -15,16 +15,14 @@ import sys
 
 from . import edmd, harness
 from .harness import (
-    CampaignConfig,
     ExperimentConfig,
     config_from_json,
     report_from_csv,
     run_experiment1,
     run_experiment2,
-    run_experiment3,
     run_experiment4,
 )
-from .plant import ArmParams, collect_training_data
+from .plant import collect_training_data
 
 
 def _seed(args) -> int:

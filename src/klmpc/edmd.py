@@ -131,7 +131,8 @@ def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> 
     K_bar = pinv(Psi_a) Psi_b with Psi = [lift(Yd) | U].  Each data matrix
     is lifted straight into its leading columns, and only one is alive at a
     time: Psi_a is released once its pseudoinverse exists, and only then is
-    Psi_b lifted.
+    Psi_b lifted.  A rank-deficient Psi_a is reported by the pseudoinverse,
+    from the one SVD it takes.
     """
     a, b, U, W = snapshots
     if with_load and W is None:
@@ -152,12 +153,6 @@ def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> 
         return Psi
 
     Psi_a = data_matrix(a)
-    rank = np.linalg.matrix_rank(Psi_a)
-    if rank < n_z + m:
-        logger.warning(
-            "fit_koopman: lifted data matrix is rank-deficient (%d < %d); "
-            "fit proceeds via pseudoinverse", rank, n_z + m,
-        )
     pinv_a = numkit.pinv(Psi_a)
     del Psi_a
     K_bar = pinv_a @ data_matrix(b)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -14,10 +15,10 @@ from typing import Optional
 import numpy as np
 
 from . import edmd, lifting, observer as obs
-from .edmd import KoopmanModel, Trajectory
+from .edmd import KoopmanModel
 from .mpc import Controller, MpcConfig, end_effector_weight, save_step_log
 from .observer import EstimatorConfig, EstimatorState
-from .plant import Arm, ArmParams, collect_training_data, ramp_and_hold
+from .plant import ArmParams, Run, collect_training_data, drive, excitation
 
 CONTROLLERS = ("L-MPC", "K-MPC", "KL-MPC")
 
@@ -51,6 +52,10 @@ class FitConfig:
     holdout_trials: int = 1
     holdout_duration: float = 20.0
 
+    def __post_init__(self):
+        if not 0.0 < self.energy <= 1.0:
+            raise ValueError(f"FitConfig: 'energy' must be in (0, 1], got {self.energy}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -63,6 +68,9 @@ class ExperimentConfig:
     r_weight: float = 1e-5
     seed: int = 0
     outdir: Optional[str] = None
+
+    def __post_init__(self):
+        self.mpc_config()  # range checks of the controller settings
 
     def mpc_config(self) -> MpcConfig:
         return MpcConfig(
@@ -90,7 +98,8 @@ def config_from_json(path) -> ExperimentConfig:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # json parses NaN and Infinity, which no config field accepts
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 # JSON value check and its description, keyed by the field annotation as
@@ -98,9 +107,9 @@ def _is_real(v) -> bool:
 # fields are checked by their own class
 _VALUE_TYPES = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (_is_real, "a number"),
+    "float": (_is_real, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "tuple": (lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of numbers"),
+    "tuple": (lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of finite numbers"),
     "Optional[str]": (lambda v: v is None or isinstance(v, str), "a string or null"),
 }
 
@@ -148,6 +157,12 @@ class Reference:
         out = np.zeros(self.n)
         out[-2:] = self.fn(t)
         return out
+
+    def targets(self, ks) -> np.ndarray:
+        """End-effector rows (len(ks), 2) at the integer steps ``ks``, held as
+        in ``__call__``, from one call of the reference function on all times."""
+        t = np.clip(np.asarray(ks) * self.Ts, 0.0, self.duration)
+        return np.broadcast_to(np.asarray(self.fn(t)).T, (t.size, 2))
 
 
 def figure_eight_reference(params: ArmParams, duration: float = 20.0,
@@ -244,6 +259,9 @@ def fit_models(cfg: ExperimentConfig, training: Optional[list] = None,
         collected = collect_training_data(cfg.plant, camp.loads,
                                           [campaigns[name] for name in missing])
         data.update(zip(missing, collected))
+    for name, runs in data.items():
+        if not runs:
+            raise ValueError(f"the {name} campaign has no runs (trials or loads are empty)")
     training, holdout = data["training"], data["holdout"]
     models = fit_kinds(training, fit)
     return ModelSet(baseline=models["baseline"], koopman=models["koopman"],
@@ -271,20 +289,23 @@ def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
                        seed: int = 0, label: str = "") -> TrialResult:
     """Closed-loop run of one controller against the simulated arm."""
     params = cfg.plant
-    arm = Arm(params, w=payload, seed=seed)
     kl = None if known_load is None else np.atleast_1d(known_load)
     ctrl = Controller(model, cfg.mpc_config(), ref,
                       est_cfg=est_cfg, known_load=kl)
     K = int(round(duration / params.Ts))
-    y = arm.measure()
-    errors = np.zeros(K)
     w_trace = []
-    for k in range(K):
+
+    def policy(k, y):
         u = ctrl.step(y)
-        y = arm.step(u)
-        errors[k] = float(np.linalg.norm(y[-2:] - ref(k + 1)[-2:]))
         if ctrl.w_hat is not None:
             w_trace.append(ctrl.w_hat.copy())
+        return u
+
+    [(Y, _)] = drive(params, [Run(payload, np.random.default_rng(seed), K, policy)])
+    miss = Y[1:, -2:] - ref.targets(np.arange(1, K + 1))
+    # a (1, 2) @ (2, 1) product runs the dot kernel that np.linalg.norm runs
+    # on one vector, so each error rounds as its per-step norm would
+    errors = np.sqrt(miss[:, None] @ miss[:, :, None])[:, 0, 0]
     rmse = float(np.sqrt(np.mean(errors**2)))
     return TrialResult(controller=label, payload=payload, rmse=rmse,
                        logs=ctrl.logs, errors=errors,
@@ -385,54 +406,44 @@ class EstimateTrace:
         return float(abs(self.w_hat[-1] - self.payload))
 
 
-def _observe_open_loop(model: KoopmanModel, cfg: ExperimentConfig,
-                       payload: float, steps: int, arm_seed: int, policy_rng,
-                       on_step=None):
-    """Excite the arm open-loop with clipped ramp-and-hold inputs for
-    ``steps`` sample periods while the load observer runs on its schedule.
-
-    ``on_step(k, y, u, state)`` is called after each observer update with
-    the output measured at step k and the input applied from it.  Returns
-    the arm, its last measured output and the observer state.
-    """
-    params = cfg.plant
-    arm = Arm(params, w=payload, seed=arm_seed)
-    policy = ramp_and_hold(policy_rng, m=2, Ts=params.Ts)
+def _observing_policy(model: KoopmanModel, cfg: ExperimentConfig, policy_rng):
+    """Open-loop ramp-and-hold excitation with the load observer running on
+    its schedule: returns the observer state and the policy ``(k, y) -> u``
+    that feeds it each measured output and the input applied from it."""
     state = EstimatorState(cfg=cfg.estimator, d=model.d)
-    y = arm.measure()
-    for k in range(steps):
-        u = np.clip(next(policy), 0.0, 1.0)
+    excite = excitation(policy_rng, cfg.plant.Ts)
+
+    def policy(k, y):
+        u = excite(k, y)
         obs.update(state, model, y, u)
-        if on_step is not None:
-            on_step(k, y, u, state)
-        y = arm.step(u)
-    return arm, y, state
+        return u
+
+    return state, policy
 
 
 def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig,
                          payload: float, duration: float = 20.0,
                          seed: int = 0) -> EstimateTrace:
     """Drive the plant open-loop with ramp-and-hold inputs while the load
-    observer runs on its periodic schedule."""
+    observer runs on its periodic schedule; the instant estimate at step k
+    uses the transition k-1 -> k from the observer's own history."""
     K, d = int(round(duration / cfg.plant.Ts)), model.d
-    Y = np.zeros((K, model.n))
-    U = np.zeros((K, model.m))
     w_instant = np.zeros(K)
     w_hat = np.zeros(K)
+    state, observe = _observing_policy(model, cfg, np.random.default_rng(seed))
 
-    def record(k, y, u, state):
-        Y[k], U[k] = y, u
+    def policy(k, y):
+        u = observe(k, y)
+        w_hat[k] = w_instant[k] = state.w_hat[0]
         if k > d:
-            yd_prev = lifting.delay_embed(Y[k - 1 - d:k], U[k - 1 - d:k - 1], d)[0]
-            wi, _ = obs.estimate_instant(model, y, yd_prev, U[k - 1],
+            ys, us = map(np.stack, zip(*list(state.history)[-d - 2:]))
+            yd_prev = lifting.delay_embed(ys[:-1], us[:-2], d)[0]
+            wi, _ = obs.estimate_instant(model, y, yd_prev, us[-2],
                                          cfg.estimator, fallback=state.w_hat)
             w_instant[k] = wi[0]
-        else:
-            w_instant[k] = state.w_hat[0]
-        w_hat[k] = state.w_hat[0]
+        return u
 
-    _observe_open_loop(model, cfg, payload, K, arm_seed=seed + 1,
-                       policy_rng=np.random.default_rng(seed), on_step=record)
+    drive(cfg.plant, [Run(payload, np.random.default_rng(seed + 1), K, policy)])
     return EstimateTrace(payload=payload, t=np.arange(K) * cfg.plant.Ts,
                          w_instant=w_instant, w_hat=w_hat)
 
@@ -517,33 +528,38 @@ def run_experiment4(cfg: ExperimentConfig, models: Optional[ModelSet] = None,
     payloads = rng.uniform(0.0, 0.25, size=n_objects)
     targets = bin_targets(params)
     model = models.koopman_load
+    K_est = int(round(estimation_duration / params.Ts))
+    K_drop = int(round(dropoff_duration / params.Ts))
+    drop_mpc = dataclasses.replace(cfg, r_weight=DROPOFF_R_WEIGHT).mpc_config()
     outcomes = []
     for i, payload in enumerate(float(p) for p in payloads):
         seed = cfg.seed * 10000 + i
         # estimation phase: randomized excitation with the passive observer
-        arm, y, state = _observe_open_loop(
-            model, cfg, payload, int(round(estimation_duration / params.Ts)),
-            arm_seed=seed, policy_rng=np.random.default_rng(seed))
+        state, observe = _observing_policy(model, cfg, np.random.default_rng(seed))
+        dropoff = []
+
+        def policy(k, y):
+            if k < K_est:
+                return observe(k, y)
+            if not dropoff:
+                # drop-off phase: frozen estimate, constant target reference
+                w = np.atleast_1d(float(state.w_hat[0]))
+                ref = point_reference(params, targets[bin_index(w[0])], dropoff_duration)
+                dropoff.append(Controller(model, drop_mpc, ref, known_load=w))
+            return dropoff[0].step(y)
+
+        [(Y, _)] = drive(params, [Run(payload, np.random.default_rng(seed),
+                                      K_est + K_drop, policy)])
         w_frozen = float(state.w_hat[0])
         chosen = bin_index(w_frozen)
-        # drop-off phase: frozen estimate, constant target reference
-        target = targets[chosen]
-        drop_ref = point_reference(params, target, dropoff_duration)
-        drop_mpc = dataclasses.replace(cfg, r_weight=DROPOFF_R_WEIGHT).mpc_config()
-        ctrl2 = Controller(model, drop_mpc, drop_ref, known_load=np.atleast_1d(w_frozen))
-        K_drop = int(round(dropoff_duration / params.Ts))
-        for _ in range(K_drop):
-            u = ctrl2.step(y)
-            y = arm.step(u)
-        final = y[-2:]
+        target, final = targets[chosen], Y[-1, -2:]
         err = float(np.linalg.norm(final - target))
-        outcome = SortOutcome(
+        outcomes.append(SortOutcome(
             payload=payload, w_estimate=w_frozen, chosen_bin=chosen,
             true_bin=bin_index(payload), final_position=final, target=target,
             placement_error=err,
             success=(chosen == bin_index(payload)) and err <= CUP_RADIUS,
-        )
-        outcomes.append(outcome)
+        ))
     if cfg.outdir:
         os.makedirs(cfg.outdir, exist_ok=True)
         with open(os.path.join(cfg.outdir, "experiment4_sorting.csv"), "w") as fh:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +33,7 @@ class MpcConfig:
 
     def __post_init__(self):
         if self.Nh < 1:
-            raise ValueError("MpcConfig: Nh must be >= 1")
+            raise ValueError(f"MpcConfig: 'Nh' must be >= 1, got {self.Nh}")
         if np.any(np.asarray(self.u_min) >= np.asarray(self.u_max)):
             raise ValueError("MpcConfig: need u_min < u_max componentwise")
 
@@ -285,8 +285,8 @@ class Controller:
         self.history_u.append(u.copy())
         self.prev_record = (y.copy(), u.copy())
         self.logs.append(StepLog(
-            step=k, t=k * self.model.Ts, y=y, r=np.atleast_1d(self.reference(k)),
-            u=u, w_hat=(self.w_hat.copy() if self.w_hat is not None else np.zeros(0)),
+            step=k, t=k * self.model.Ts, y=y.copy(), r=np.atleast_1d(self.reference(k)),
+            u=u.copy(), w_hat=(self.w_hat.copy() if self.w_hat is not None else np.zeros(0)),
             qp_iters=result.iterations, kkt_residual=result.kkt_residual,
             solve_ms=solve_ms,
         ))

@@ -6,9 +6,12 @@ state, safe to call from multiple threads.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_RTOL = 1e-10
 
@@ -16,7 +19,8 @@ DEFAULT_RTOL = 1e-10
 def pinv(A: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse via full SVD.
 
-    Singular values below ``rtol * sigma_max`` are treated as zero.
+    Singular values up to ``rtol * sigma_max`` are treated as zero, and a
+    warning gives the rank that is left when any is dropped.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
@@ -24,9 +28,13 @@ def pinv(A: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     if rtol <= 0:
         raise ValueError("pinv: rtol must be positive")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    keep = s > rtol * s[0] if s.size else s.astype(bool)
+    if not keep.all():
+        logger.warning("pinv: %dx%d matrix is rank-deficient (%d < %d); the "
+                       "minimum-norm solution is returned",
+                       *A.shape, np.count_nonzero(keep), s.size)
+    if not keep.any():
         return np.zeros((A.shape[1], A.shape[0]))
-    keep = s > rtol * s[0]
     s_inv = np.zeros_like(s)
     s_inv[keep] = 1.0 / s[keep]
     return (Vt.T * s_inv) @ U.T

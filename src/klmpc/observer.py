@@ -6,8 +6,7 @@ closed-loop controller.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,15 +166,15 @@ def _window_is_stationary(history) -> bool:
 
 
 def update(state: EstimatorState, model: KoopmanModel, y, u) -> EstimatorState:
-    """Push one (y, u) record; every Ne steps compute a window estimate and
-    refresh the smoothed w_hat as the mean of the buffered estimates.
+    """Push a copy of one (y, u) record; every Ne steps compute a window
+    estimate and refresh the smoothed w_hat as the buffered estimates' mean.
 
     Near-stationary windows carry no load information and are skipped
     (estimate carries over).
     """
     cfg = state.cfg
-    state.history.append((np.atleast_1d(np.asarray(y, dtype=float)),
-                          np.atleast_1d(np.asarray(u, dtype=float))))
+    state.history.append((np.array(y, dtype=float, ndmin=1),
+                          np.array(u, dtype=float, ndmin=1)))
     if state.step % cfg.Ne == 0 and len(state.history) >= cfg.Nw + state.d + 1:
         if _window_is_stationary(state.history):
             state.degenerate = True

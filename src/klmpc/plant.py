@@ -1,11 +1,16 @@
 """Simulated two-link elastic arm: point-mass double pendulum with joint
 springs and dampers, torque inputs through a zero-order hold, an unknown tip
 payload, and seeded Gaussian sensor noise on the measured positions.
+
+A state is a (4,) array, or a (B, 4) stack of them.  :func:`drive` is the one
+loop that steps the arm: the data campaigns and every experiment are
+policies on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +32,6 @@ class ArmParams:
     Ts: float = 0.05         # sample period (s)
     substeps: int = 10       # RK4 substeps per sample
     noise_std: float = 1e-3  # sensor noise sigma (m)
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("L1", "L2", "m1", "m2", "g", "tau_max", "Ts"):
@@ -38,26 +42,6 @@ class ArmParams:
         if self.k < 0 or self.c < 0 or self.noise_std < 0 or self.substeps < 1:
             raise ValueError(
                 "ArmParams: k, c, noise_std >= 0 and substeps >= 1 required")
-
-
-@dataclass(frozen=True)
-class ArmState:
-    """Absolute joint angles from the downward vertical, their rates, and
-    the payload mass carried at the tip."""
-
-    theta1: float = 0.0
-    theta2: float = 0.0
-    omega1: float = 0.0
-    omega2: float = 0.0
-    w: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.w <= W_MAX):
-            raise ValueError(f"payload {self.w} outside [0, {W_MAX}] kg")
-
-    @property
-    def q(self) -> np.ndarray:
-        return np.array([self.theta1, self.theta2, self.omega1, self.omega2])
 
 
 def _payload_terms(params: ArmParams, w, shape: tuple) -> tuple:
@@ -166,59 +150,40 @@ def _positions(q: np.ndarray, params: ArmParams) -> np.ndarray:
     return y
 
 
-def output_of(state: ArmState, params: ArmParams) -> np.ndarray:
-    """Noiseless measured output: (x, y) of the link-1 tip and end effector."""
-    return _positions(state.q, params)
-
-
-def energy(state: ArmState, params: ArmParams) -> float:
-    """Total mechanical energy, including spring potential; conserved when
-    k = c = 0 and tau = 0."""
-    q = state.q
+def energy(q: np.ndarray, params: ArmParams, w: float) -> float:
+    """Total mechanical energy of a (4,) state carrying payload w, including
+    spring potential; conserved when k = c = 0 and tau = 0."""
+    q = np.asarray(q, dtype=float)
     om = q[2:]
-    M = mass_matrix(q, params, state.w)
-    kinetic = 0.5 * om @ M @ om
-    m2p = params.m2 + state.w
-    potential = (-(params.m1 + m2p) * params.g * params.L1 * np.cos(state.theta1)
-                 - m2p * params.g * params.L2 * np.cos(state.theta2)
-                 + 0.5 * params.k * (state.theta1**2 + state.theta2**2))
+    kinetic = 0.5 * om @ mass_matrix(q, params, w) @ om
+    m2p = params.m2 + w
+    potential = (-(params.m1 + m2p) * params.g * params.L1 * np.cos(q[0])
+                 - m2p * params.g * params.L2 * np.cos(q[1])
+                 + 0.5 * params.k * (q[0]**2 + q[1]**2))
     return float(kinetic + potential)
 
 
-def step_zoh(state: ArmState, u, params: ArmParams, rng=None):
-    """Advance one sample period under a zero-order-held command u in [0,1]^2.
+def _measure(q: np.ndarray, params: ArmParams, rngs) -> np.ndarray:
+    """Positions of states (4,) or (B, 4), plus sensor noise drawn from one
+    generator per row when ``rngs`` holds them and noise_std > 0."""
+    y = _positions(q, params)
+    if len(rngs) and params.noise_std > 0:
+        y = y + np.reshape([rng.normal(0.0, params.noise_std, size=4) for rng in rngs],
+                           y.shape)
+    return y
 
-    Torque is tau_max * (2u - 1) per joint.  Returns (next_state, output);
-    sensor noise is added to the output when a generator is supplied and
-    noise_std > 0.  A non-finite or out-of-range command raises ValueError.
+
+def step_zoh(q: np.ndarray, u, params: ArmParams, w, rngs=()) -> tuple:
+    """Advance states (4,) or (B, 4) with payloads w over one sample period
+    under the zero-order-held commands u in [0, 1]^2; return the next states
+    and their measured outputs.
+
+    Torque is tau_max * (2u - 1) per joint.  Sensor noise is drawn from
+    ``rngs``, one generator per row.  A non-finite or out-of-range command
+    raises ValueError before the plant moves.
     """
-    q = _advance(state.q, u, params, state.w)
-    nxt = replace(state, theta1=float(q[0]), theta2=float(q[1]),
-                  omega1=float(q[2]), omega2=float(q[3]))
-    y = output_of(nxt, params)
-    if rng is not None and params.noise_std > 0:
-        y = y + rng.normal(0.0, params.noise_std, size=y.shape)
-    return nxt, y
-
-
-class Arm:
-    """Single-owner plant instance: owns its state and noise generator."""
-
-    def __init__(self, params: ArmParams, w: float = 0.0, state: ArmState = None,
-                 seed: int = None):
-        self.params = params
-        self.state = state if state is not None else ArmState(w=w)
-        self.rng = np.random.default_rng(params.seed if seed is None else seed)
-
-    def measure(self) -> np.ndarray:
-        y = output_of(self.state, self.params)
-        if self.params.noise_std > 0:
-            y = y + self.rng.normal(0.0, self.params.noise_std, size=y.shape)
-        return y
-
-    def step(self, u) -> np.ndarray:
-        self.state, y = step_zoh(self.state, u, self.params, rng=self.rng)
-        return y
+    q = _advance(q, u, params, w)
+    return q, _measure(q, params, rngs)
 
 
 def ramp_and_hold(rng, m: int, Ts: float, hold_range=(0.25, 1.5), ramp_range=(0.1, 0.5)):
@@ -236,6 +201,62 @@ def ramp_and_hold(rng, m: int, Ts: float, hold_range=(0.25, 1.5), ramp_range=(0.
         u_cur = u_next
 
 
+def excitation(rng, Ts: float):
+    """Open-loop policy ``(k, y) -> u`` of clipped ramp-and-hold commands
+    drawn from ``rng``; it ignores the measurement."""
+    commands = ramp_and_hold(rng, m=2, Ts=Ts)
+    return lambda k, y: np.clip(next(commands), 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class Run:
+    """One run for :func:`drive`: payload ``w`` (kg), sensor-noise generator,
+    sample periods, and a policy ``(k, y) -> u`` giving the command held over
+    period k from the output measured at its start."""
+
+    w: float
+    rng: np.random.Generator
+    steps: int
+    policy: Callable
+
+
+def drive(params: ArmParams, runs) -> list:
+    """Drive each run from rest, all runs in lockstep; return one ``(Y, U)``
+    per run, in the order given: its ``steps + 1`` measured outputs and the
+    ``steps`` commands applied.
+
+    Each period the policies of the runs still going are called in turn,
+    then their states advance together through one :func:`step_zoh`.  The
+    longest runs come first in the batch, so the runs still going are always
+    a leading slice and a run leaves when its steps are done.  A run draws
+    from its own generator and its policy's in the order it would alone (the
+    initial measurement, then per period the policy, the step and the noise),
+    and the batched arithmetic is that of a lone state, so every run is
+    identical to driving it by itself.
+    """
+    order = sorted(range(len(runs)), key=lambda i: -runs[i].steps)
+    batch = [runs[i] for i in order]
+    w = np.array([run.w for run in batch])
+    if not np.all((w >= 0.0) & (w <= W_MAX)):
+        raise ValueError(f"payloads must lie in [0, {W_MAX}] kg")
+    steps = np.array([run.steps for run in batch], dtype=int)
+    rngs = [run.rng for run in batch]
+    K = int(steps.max(initial=0))
+    q = np.zeros((len(batch), 4))
+    Y = np.empty((len(batch), K + 1, 4))
+    U = np.empty((len(batch), K, 2))
+    Y[:, 0] = _measure(q, params, rngs)
+    for k in range(K):
+        n = int(np.count_nonzero(steps > k))
+        for i in range(n):
+            U[i, k] = batch[i].policy(k, Y[i, k])
+        # a lone run steps as a (4,) state, whose numpy-scalar arithmetic is
+        # about twice as fast as that of a (1, 4) stack and rounds the same
+        rows = slice(0, n) if n > 1 else 0
+        q[rows], Y[rows, k + 1] = step_zoh(q[rows], U[rows, k], params, w[rows], rngs[:n])
+    return [(Y[j, :steps[j] + 1], U[j, :steps[j]]) for j in np.argsort(order)]
+
+
 def collect_training_data(params: ArmParams, loads, campaigns) -> list:
     """Run randomized ramp-and-hold campaigns over ``loads``; return one list
     of trajectories per campaign, in the order given.
@@ -246,68 +267,26 @@ def collect_training_data(params: ArmParams, loads, campaigns) -> list:
     no loads) gives an empty list; a negative trial count or a duration
     under one sample period raises ValueError naming the campaign.
 
-    The runs of all campaigns are integrated together, one batched step per
-    sample period.  The longest campaigns come first in the batch, so the
-    runs still going are always a leading slice and a run leaves when its
-    campaign ends.  Each run keeps its own generator (a child of its
-    campaign's seed) for its commands and sensor noise, drawn in the same
-    order as a lone ``Arm`` would, so every run is identical to simulating
-    it by itself.
+    The runs of all campaigns are one :func:`drive` batch.  Each run draws
+    its commands and sensor noise from one generator, a child of its
+    campaign's seed, and repeats its last command on its last sample.
     """
-    loads = [float(w) for w in loads]
-    if any(w < 0 or w > W_MAX for w in loads):
-        raise ValueError(f"loads must lie in [0, {W_MAX}] kg")
     for c, (trials, duration, _) in enumerate(campaigns):
         if trials < 0:
             raise ValueError(f"campaign {c}: trials must be >= 0, got {trials}")
         if not duration >= params.Ts:
             raise ValueError(f"campaign {c}: duration {duration} s is under one "
                              f"sample period ({params.Ts} s)")
-    lengths = [int(round(duration / params.Ts)) + 1 for _, duration, _ in campaigns]
-    # campaign -> (first row, end row, K, ys, us), inserted in batch order
-    blocks = {}
-    w, rngs = np.zeros(0), []
-    for c in sorted(range(len(campaigns)), key=lambda c: -lengths[c]):
-        trials, _, seed = campaigns[c]
-        K, runs = lengths[c], np.repeat(loads, trials)
-        blocks[c] = (w.size, w.size + runs.size, K,
-                     np.zeros((runs.size, K, 4)), np.zeros((runs.size, K, 2)))
-        w = np.concatenate([w, runs])
-        rngs += [np.random.default_rng(s)
-                 for s in np.random.SeedSequence(seed).spawn(runs.size)]
-    if not w.size:
-        return [[] for _ in campaigns]
-    policies = [ramp_and_hold(rng, m=2, Ts=params.Ts) for rng in rngs]
-    # a campaign without runs takes no part in the stepping
-    batch = [block for block in blocks.values() if block[1] > block[0]]
-
-    def measure(q):
-        y = _positions(q, params)
-        if params.noise_std > 0:
-            y = y + np.array([rng.normal(0.0, params.noise_std, size=4)
-                              for rng in rngs[:len(q)]])
-        return y
-
-    q = np.zeros((w.size, 4))
-    u = np.zeros((w.size, 2))
-    y = measure(q)
-    for lo, hi, _, ys, _ in batch:
-        ys[:, 0] = y[lo:hi]
-    for k in range(max(block[2] for block in batch) - 1):
-        live = [block for block in batch if k < block[2] - 1]
-        n = live[-1][1]
-        for i in range(n):
-            u[i] = np.clip(next(policies[i]), 0.0, 1.0)
-        q[:n] = _advance(q[:n], u[:n], params, w[:n])
-        y = measure(q[:n])
-        for lo, hi, _, ys, us in live:
-            us[:, k] = u[lo:hi]
-            ys[:, k + 1] = y[lo:hi]
-    out = []
-    for c in range(len(campaigns)):
-        lo, _, K, ys, us = blocks[c]
-        us[:, K - 1] = us[:, K - 2]
-        out.append([Trajectory(t=np.arange(K) * params.Ts, y=ys[i], u=us[i],
-                               w=np.array([w[lo + i]]))
-                    for i in range(len(ys))])
-    return out
+    runs, ends = [], []
+    for trials, duration, seed in campaigns:
+        steps = int(round(duration / params.Ts))
+        rngs = [np.random.default_rng(s)
+                for s in np.random.SeedSequence(seed).spawn(len(loads) * trials)]
+        runs += [Run(float(w), rng, steps, excitation(rng, params.Ts))
+                 for w, rng in zip(np.repeat(loads, trials), rngs)]
+        ends.append(len(runs))
+    recorded = drive(params, runs)
+    return [[Trajectory(t=np.arange(len(Y)) * params.Ts, y=Y,
+                        u=np.concatenate([U, U[-1:]]), w=np.array([run.w]))
+             for run, (Y, U) in zip(runs[lo:hi], recorded[lo:hi])]
+            for lo, hi in zip([0] + ends[:-1], ends)]

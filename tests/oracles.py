@@ -3,7 +3,8 @@
 - a scalar bilinear plant x+ = 0.9 x + 0.2 w x + 0.1 u whose load-augmented
   lifting is exactly linear, so identification and estimation must be exact;
 - a brute-force active-set enumeration solver for box QPs;
-- data campaigns simulated one run at a time, each on its own ``Arm``;
+- one run of the arm stepped by hand on a single state, and data campaigns
+  simulated one such run at a time;
 - the observer's stacked load equations built row by row from the
   block-diagonal ``gamma_matrix``;
 - PCA by a direct SVD of the centred data, and the g/gamma lifts in their
@@ -17,7 +18,7 @@ import numpy as np
 from klmpc.edmd import Trajectory, assemble_snapshots, fit_koopman
 from klmpc.lifting import Basis, gamma_matrix
 from klmpc.numkit import PcaProjection
-from klmpc.plant import Arm, ramp_and_hold
+from klmpc.plant import ramp_and_hold, step_zoh
 
 BILINEAR_TS = 0.05
 
@@ -121,28 +122,44 @@ def qp_objective(H, f, x) -> float:
     return float(0.5 * x @ H @ x + f @ x)
 
 
+def reference_run(params, w: float, steps: int, rng, policy):
+    """One run of the arm by hand, on a single (4,) state from rest: the
+    initial measurement, then per period the policy ``(k, y) -> u``, the
+    step and the sensor noise, drawn from ``rng``.  Returns the ``steps + 1``
+    measured outputs and the ``steps`` commands."""
+
+    def noise():
+        if params.noise_std > 0:
+            return rng.normal(0.0, params.noise_std, size=4)
+        return 0.0
+
+    q = np.zeros(4)
+    ys = [np.array([0.0, -params.L1, 0.0, -params.L1 - params.L2]) + noise()]
+    us = []
+    for k in range(steps):
+        us.append(np.array(policy(k, ys[-1]), dtype=float))
+        q, y = step_zoh(q, us[-1], params, w)
+        ys.append(y + noise())
+    return np.array(ys), np.array(us).reshape(steps, 2)
+
+
 def reference_campaign(params, loads, campaigns) -> list:
-    """Ramp-and-hold campaigns run by run: one ``Arm`` per run, driven by its
-    own ``SeedSequence`` child for both the commands and the sensor noise.
-    ``campaigns`` holds ``(trials, duration, seed)`` triples; returns one list
-    of (y, u) array pairs per campaign, in load-major run order."""
+    """Ramp-and-hold campaigns run by run with :func:`reference_run`, each
+    run drawing its commands and its sensor noise from its own
+    ``SeedSequence`` child.  ``campaigns`` holds ``(trials, duration, seed)``
+    triples; returns one list of (y, u) array pairs per campaign, in
+    load-major run order, with the last command repeated."""
     out = []
     for trials, duration, seed in campaigns:
-        K = int(round(duration / params.Ts)) + 1
+        steps = int(round(duration / params.Ts))
         child_seeds = np.random.SeedSequence(seed).spawn(len(loads) * trials)
         runs = []
         for idx, w in enumerate(np.repeat(loads, trials)):
-            arm = Arm(params, w=float(w))
-            arm.rng = np.random.default_rng(child_seeds[idx])
-            policy = ramp_and_hold(arm.rng, m=2, Ts=params.Ts)
-            ys = np.zeros((K, 4))
-            us = np.zeros((K, 2))
-            ys[0] = arm.measure()
-            for k in range(K - 1):
-                us[k] = np.clip(next(policy), 0.0, 1.0)
-                ys[k + 1] = arm.step(us[k])
-            us[K - 1] = us[K - 2]
-            runs.append((ys, us))
+            rng = np.random.default_rng(child_seeds[idx])
+            policy = ramp_and_hold(rng, m=2, Ts=params.Ts)
+            ys, us = reference_run(params, float(w), steps, rng,
+                                   lambda k, y: np.clip(next(policy), 0.0, 1.0))
+            runs.append((ys, np.vstack([us, us[-1:]])))
         out.append(runs)
     return out
 

@@ -12,7 +12,7 @@ import conftest
 from klmpc.edmd import assemble_snapshots, fit_linear_baseline, one_step_rmse
 from klmpc.mpc import Condenser, QpProblem, solve_box_qp
 from klmpc.observer import EstimatorConfig, estimate_window
-from klmpc.plant import ArmParams, ArmState, energy, step_zoh
+from klmpc.plant import ArmParams, energy, step_zoh
 from klmpc.harness import run_experiment1, run_experiment2, run_experiment4, fit_models
 
 from oracles import (
@@ -149,17 +149,17 @@ def test_ac7_qp_solver_soundness(default_cfg, models):
 
 def test_ac8_integrator_validity():
     params = ArmParams(k=0.0, c=0.0, noise_std=0.0)
-    state = ArmState(theta1=0.5, theta2=-0.3, omega1=0.2, omega2=-0.1, w=0.1)
-    e0 = energy(state, params)
+    q, w = np.array([0.5, -0.3, 0.2, -0.1]), 0.1
+    e0 = energy(q, params, w)
     drift = 0.0
     for _ in range(200):  # 10 s at Ts = 0.05, h = 0.005
-        state, _ = step_zoh(state, np.array([0.5, 0.5]), params)
-        drift = max(drift, abs(energy(state, params) - e0))
-    eq = ArmState()
+        q, _ = step_zoh(q, np.array([0.5, 0.5]), params, w)
+        drift = max(drift, abs(energy(q, params, w) - e0))
+    eq = np.zeros(4)
     for _ in range(40):
         eq, _ = step_zoh(eq, np.array([0.5, 0.5]),
-                         ArmParams(noise_std=0.0))
-    eq_err = float(np.max(np.abs(eq.q)))
+                         ArmParams(noise_std=0.0), 0.0)
+    eq_err = float(np.max(np.abs(eq)))
     record("AC-8", drift < 1e-6 and eq_err < 1e-12,
            f"energy drift {drift:.2e} J over 10 s (limit 1e-6), "
            f"equilibrium drift {eq_err:.1e} (limit 1e-12)")

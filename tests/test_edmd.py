@@ -109,6 +109,29 @@ def test_rank_deficient_fit_warns_and_stays_finite(caplog):
     assert np.allclose(model.B, [[0.05, 0.05]], atol=1e-8)
 
 
+def test_fit_factors_data_matrix_once(monkeypatch):
+    # the rank check reads the singular values of the pseudoinverse's own
+    # SVD: one factorisation of Psi_a per fit, and no matrix_rank
+    rng = np.random.default_rng(6)
+    traj = linear_trajectory(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
+    snaps = assemble_snapshots([traj], d=0)
+    want = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("the fit must not factor Psi_a a second time")
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+    got = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
+    assert calls == [(snaps[0].shape[0], 2)]
+    assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
+
+
 def test_exact_recovery_multivariate():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(4, 4))

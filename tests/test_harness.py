@@ -8,8 +8,12 @@ import json
 import numpy as np
 import pytest
 
-from klmpc import cli, harness, lifting
+from klmpc import cli, harness, lifting, observer as obs
 from klmpc.edmd import load_model, load_trajectories
+from klmpc.lifting import delay_embed
+from klmpc.mpc import Controller
+from klmpc.observer import EstimatorState
+from klmpc.plant import ramp_and_hold
 from klmpc.harness import (
     BIN_COUNT,
     CONTROLLERS,
@@ -28,9 +32,12 @@ from klmpc.harness import (
     report_from_csv,
     run_experiment1,
     run_experiment2,
+    run_estimation_trial,
     run_experiment3,
     run_tracking_trial,
 )
+
+from oracles import reference_run
 
 
 def test_config_json_round_trip(tmp_path):
@@ -192,6 +199,55 @@ def test_run_experiment3_matches_known_load(default_cfg, models):
         assert ratio <= 1.25
 
 
+def test_tracking_trial_matches_one_run_oracle(default_cfg, models):
+    # KL-MPC with the live observer for 60 steps (two scheduled estimates),
+    # against the same controller stepped by hand on a single state with the
+    # same noise generator
+    model, cfg, payload, seed, K = models.koopman_load, default_cfg, 0.125, 7, 60
+    ref = circle_reference(cfg.plant, duration=30.0)
+    res = run_tracking_trial(model, cfg, payload, ref, K * cfg.plant.Ts,
+                             est_cfg=cfg.estimator, seed=seed)
+    ctrl = Controller(model, cfg.mpc_config(), ref, est_cfg=cfg.estimator)
+    Y, U = reference_run(cfg.plant, payload, K, np.random.default_rng(seed),
+                         lambda k, y: ctrl.step(y))
+    errors = [np.linalg.norm(Y[k, -2:] - ref(k)[-2:]) for k in range(1, K + 1)]
+    assert ctrl.estimator.updates == 2
+    assert np.array_equal(res.errors, errors)
+    assert res.rmse == float(np.sqrt(np.mean(np.square(errors))))
+    assert np.array_equal([lg.y for lg in res.logs], Y[:-1])
+    assert np.array_equal([lg.u for lg in res.logs], U)
+    assert np.array_equal(res.w_hat_trace, [lg.w_hat for lg in ctrl.logs])
+
+
+def test_estimation_trial_matches_one_run_oracle(default_cfg, models):
+    # the open-loop observer run for 60 steps against the same excitation and
+    # observer stepped by hand, with the instant estimates taken from the
+    # recorded outputs and inputs; the policy and the noise have separate
+    # generators (seed and seed + 1)
+    model, cfg, payload, seed, K = models.koopman_load, default_cfg, 0.2, 3, 60
+    d, est = model.d, default_cfg.estimator
+    trace = run_estimation_trial(model, cfg, payload, duration=K * cfg.plant.Ts, seed=seed)
+    state = EstimatorState(cfg=est, d=d)
+    commands = ramp_and_hold(np.random.default_rng(seed), m=2, Ts=cfg.plant.Ts)
+    w_hat = []
+
+    def policy(k, y):
+        u = np.clip(next(commands), 0.0, 1.0)
+        obs.update(state, model, y, u)
+        w_hat.append(state.w_hat[0])
+        return u
+
+    Y, U = reference_run(cfg.plant, payload, K, np.random.default_rng(seed + 1), policy)
+    w_instant = w_hat[:d + 1] + [
+        obs.estimate_instant(model, Y[k], delay_embed(Y[k - 1 - d:k], U[k - 1 - d:k - 1], d)[0],
+                             U[k - 1], est, fallback=[w_hat[k]])[0][0]
+        for k in range(d + 1, K)]
+    assert state.updates == 2
+    assert np.array_equal(trace.t, np.arange(K) * cfg.plant.Ts)
+    assert np.array_equal(trace.w_hat, w_hat)
+    assert np.array_equal(trace.w_instant, w_instant)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -261,6 +317,26 @@ def test_cli_collect_campaign_without_runs_is_one_error_line(tmp_path, capsys):
     assert not dataset.exists()
 
 
+@pytest.mark.parametrize("doc, name", [
+    ({"campaign": {"trials": 0}}, "training"),
+    ({"campaign": {"loads": []}}, "training"),
+    ({"fit": {"holdout_trials": 0}}, "holdout"),
+])
+def test_cli_campaign_without_runs_fails_before_fitting(tmp_path, capsys, monkeypatch,
+                                                        doc, name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("an empty campaign must be refused before fitting")
+
+    monkeypatch.setattr(harness, "fit_kinds", no_fit)
+    assert cli.main(["--config", str(path), "track"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the {name} campaign has no runs")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_seed_env_fallback(tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     monkeypatch.setenv("KLMPC_SEED", "11")
@@ -315,6 +391,11 @@ def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
     ({"estimator": {"reduced": 1}}, "reduced"),
     ({"plant": {"k": True}}, "k"),
     ({"outdir": 3}, "outdir"),
+    ({"plant": {"Ts": float("nan")}}, "Ts"),
+    ({"plant": {"tau_max": float("inf")}}, "tau_max"),
+    ({"campaign": {"loads": [0.1, float("-inf")]}}, "loads"),
+    ({"Nh": 0}, "Nh"),
+    ({"fit": {"energy": 2.0}}, "energy"),
 ])
 def test_cli_bad_config_value_fails_before_fitting(tmp_path, capsys, monkeypatch,
                                                   doc, key):

@@ -319,6 +319,19 @@ def test_controller_holds_input_on_non_finite_measurement(caplog):
     assert np.array_equal(ctrl.w_hat, twin.w_hat)
 
 
+def test_step_log_keeps_copies_of_the_callers_arrays():
+    # a caller that reuses its measurement buffer, or writes into the
+    # returned command, leaves the log as it was when the step ran
+    ctrl = Controller(scalar_model(a=0.5), scalar_cfg(Nh=3, r=0.01),
+                      lambda k: np.array([0.2]))
+    y = np.array([0.1])
+    u = ctrl.step(y)
+    logged_u = u.copy()
+    y[0], u[0] = 99.0, -7.0
+    assert np.array_equal(ctrl.logs[0].y, [0.1])
+    assert np.array_equal(ctrl.logs[0].u, logged_u)
+
+
 def test_step_log_csv(tmp_path):
     model = scalar_model(a=0.5)
     cfg = scalar_cfg(Nh=3, r=0.01)

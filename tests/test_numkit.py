@@ -34,6 +34,18 @@ def test_pinv_zero_matrix():
     assert np.array_equal(numkit.pinv(np.zeros((3, 2))), np.zeros((2, 3)))
 
 
+def test_pinv_warns_with_the_rank_it_keeps(caplog):
+    rng = np.random.default_rng(3)
+    with caplog.at_level("WARNING", logger="klmpc.numkit"):
+        numkit.pinv(random_matrix(rng, 6, 4))
+        assert not caplog.records
+        numkit.pinv(random_matrix(rng, 6, 4, rank=2))
+        numkit.pinv(np.zeros((2, 3)))
+    assert [r.getMessage().split(";")[0] for r in caplog.records] == [
+        "pinv: 6x4 matrix is rank-deficient (2 < 4)",
+        "pinv: 2x3 matrix is rank-deficient (0 < 2)"]
+
+
 def test_pinv_penrose_conditions():
     rng = np.random.default_rng(0)
     shapes = [(5, 3), (3, 5), (10, 10), (50, 20), (20, 50), (50, 50)]

@@ -198,6 +198,15 @@ def test_update_schedule_counts(model):
     assert state.updates == 8
 
 
+def test_update_keeps_copies_of_the_callers_arrays(model):
+    state = EstimatorState(cfg=EstimatorConfig(), d=model.d)
+    y, u = np.array([0.1]), np.array([0.2])
+    obs.update(state, model, y, u)
+    y[0], u[0] = 99.0, -7.0
+    assert np.array_equal(state.history[0][0], [0.1])
+    assert np.array_equal(state.history[0][1], [0.2])
+
+
 def test_degenerate_schedule_tracks_latest_estimate(model):
     # Ne = 1, Nr = 0: the smoothed value is just the newest window estimate
     cfg = EstimatorConfig(Nw=5, Ne=1, Nr=0)

@@ -11,20 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klmpc.plant import (
-    Arm,
     ArmParams,
-    ArmState,
+    Run,
     W_MAX,
     collect_training_data,
+    drive,
     dynamics,
     energy,
+    excitation,
     mass_matrix,
-    output_of,
     ramp_and_hold,
     step_zoh,
 )
 
-from oracles import reference_campaign
+from oracles import reference_campaign, reference_run
+
+
+def hold(u):
+    """Policy that holds one command."""
+    return lambda k, y: np.asarray(u, dtype=float)
 
 
 def test_params_validation():
@@ -42,11 +47,18 @@ def test_params_validation():
 
 
 def test_state_payload_bounds():
-    ArmState(w=W_MAX)
+    params = ArmParams()
+
+    def run(w):
+        return Run(w, np.random.default_rng(0), 1, hold([0.5, 0.5]))
+
+    drive(params, [run(W_MAX)])
     with pytest.raises(ValueError):
-        ArmState(w=W_MAX + 1e-6)
+        drive(params, [run(0.1), run(W_MAX + 1e-6)])
     with pytest.raises(ValueError):
-        ArmState(w=-1e-6)
+        drive(params, [run(-1e-6)])
+    with pytest.raises(ValueError):
+        drive(params, [run(float("nan"))])
 
 
 def test_hanging_equilibrium_derivative_zero():
@@ -82,22 +94,22 @@ def test_mass_matrix_positive_definite():
 
 def test_neutral_input_fixes_equilibrium():
     params = ArmParams(noise_std=0.0)
-    state = ArmState()
+    q = np.zeros(4)
     for _ in range(20):
-        state, y = step_zoh(state, np.array([0.5, 0.5]), params)
-    assert np.allclose(state.q, 0.0, atol=1e-12)
+        q, y = step_zoh(q, np.array([0.5, 0.5]), params, 0.0)
+    assert np.allclose(q, 0.0, atol=1e-12)
     assert np.allclose(y, [0.0, -0.5, 0.0, -1.0], atol=1e-12)
 
 
 def test_energy_conservation():
     # k = c = 0, tau = 0 (u = 0.5): drift < 1e-6 J over 10 s at h = 0.005
     params = ArmParams(k=0.0, c=0.0, noise_std=0.0, Ts=0.05, substeps=10)
-    state = ArmState(theta1=0.5, theta2=-0.3, omega1=0.2, omega2=-0.1, w=0.1)
-    e0 = energy(state, params)
+    q, w = np.array([0.5, -0.3, 0.2, -0.1]), 0.1
+    e0 = energy(q, params, w)
     drift = 0.0
     for _ in range(200):
-        state, _ = step_zoh(state, np.array([0.5, 0.5]), params)
-        drift = max(drift, abs(energy(state, params) - e0))
+        q, _ = step_zoh(q, np.array([0.5, 0.5]), params, w)
+        drift = max(drift, abs(energy(q, params, w) - e0))
     assert drift < 1e-6
 
 
@@ -108,45 +120,49 @@ def test_substep_halving_convergence():
     rng = np.random.default_rng(1)
     policy = ramp_and_hold(rng, m=2, Ts=base.Ts)
     us = [np.clip(next(policy), 0.0, 1.0) for _ in range(100)]
-    s1 = ArmState(w=0.2)
-    s2 = ArmState(w=0.2)
+    q1 = q2 = np.zeros(4)
     for u in us:
-        s1, _ = step_zoh(s1, u, base)
-        s2, _ = step_zoh(s2, u, fine)
-    assert np.max(np.abs(s1.q - s2.q)) < 1e-7
+        q1, _ = step_zoh(q1, u, base, 0.2)
+        q2, _ = step_zoh(q2, u, fine, 0.2)
+    assert np.max(np.abs(q1 - q2)) < 1e-7
 
 
 def test_output_geometry_invariants():
     params = ArmParams(noise_std=0.0)
     rng = np.random.default_rng(2)
     policy = ramp_and_hold(rng, m=2, Ts=params.Ts)
-    state = ArmState(w=0.25)
+    q = np.zeros(4)
     for _ in range(100):
-        state, y = step_zoh(state, np.clip(next(policy), 0.0, 1.0), params)
+        q, y = step_zoh(q, np.clip(next(policy), 0.0, 1.0), params, 0.25)
         p1, p2 = y[:2], y[2:]
         assert np.linalg.norm(p1) <= params.L1 + 1e-9
         assert np.linalg.norm(p2 - p1) <= params.L2 + 1e-9
-        assert np.allclose(output_of(state, params), y, atol=1e-15)
+        tip = params.L1 * np.array([np.sin(q[0]), -np.cos(q[0])])
+        assert np.allclose(p1, tip, atol=1e-15)
+        assert np.allclose(p2, tip + params.L2 * np.array([np.sin(q[1]), -np.cos(q[1])]),
+                           atol=1e-15)
 
 
 def test_command_bounds_enforced():
     params = ArmParams()
     with pytest.raises(ValueError):
-        step_zoh(ArmState(), np.array([1.2, 0.5]), params)
+        step_zoh(np.zeros(4), np.array([1.2, 0.5]), params, 0.0)
     with pytest.raises(ValueError):
-        step_zoh(ArmState(), np.array([0.5, -0.1]), params)
+        step_zoh(np.zeros(4), np.array([0.5, -0.1]), params, 0.0)
 
 
 def test_non_finite_commands_rejected():
     params = ArmParams()
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
-            step_zoh(ArmState(), np.array([bad, 0.5]), params)
-    arm = Arm(params, w=0.1)
-    before = arm.state
+            step_zoh(np.zeros(4), np.array([bad, 0.5]), params, 0.0)
+    q = np.array([0.1, -0.2, 0.3, 0.0])
+    before = q.copy()
     with pytest.raises(ValueError):
-        arm.step(np.array([0.5, np.nan]))
-    assert arm.state == before  # the plant does not move on a rejected command
+        step_zoh(q, np.array([0.5, np.nan]), params, 0.1)
+    assert np.array_equal(q, before)  # the plant does not move on a rejected command
+    with pytest.raises(ValueError):
+        drive(params, [Run(0.1, np.random.default_rng(0), 3, hold([0.5, np.nan]))])
 
 
 _rows = st.lists(
@@ -186,26 +202,41 @@ def test_collect_training_data_matches_run_by_run():
                 assert len(traj) == int(round(duration / params.Ts)) + 1
                 assert np.array_equal(traj.y, ys)
                 assert np.array_equal(traj.u, us)
+    # `drive` under the campaigns: runs of unequal lengths (one of none),
+    # with open-loop and feedback policies, each drawing its policy and its
+    # noise from separate generators, leave the batch as they end and equal
+    # each run driven alone and the hand-written one-run loop
+    specs = [(0.05, 3, 1), (0.3, 17, 2), (0.0, 0, 3), (0.15, 9, 4), (0.2, 17, 5)]
+
+    def make(w, steps, seed):
+        policy = excitation(np.random.default_rng(seed + 100), params.Ts)
+        if seed % 2:
+            excite = policy
+            policy = lambda k, y: np.clip(excite(k, y) + 5.0 * y[[0, 2]], 0.0, 1.0)
+        return Run(w, np.random.default_rng(seed), steps, policy)
+
+    batch = drive(params, [make(*spec) for spec in specs])
+    for spec, (Y, U) in zip(specs, batch, strict=True):
+        [(Y1, U1)] = drive(params, [make(*spec)])
+        run = make(*spec)
+        Y2, U2 = reference_run(params, run.w, run.steps, run.rng, run.policy)
+        assert Y.shape == (spec[1] + 1, 4) and U.shape == (spec[1], 2)
+        assert np.array_equal(Y, Y1) and np.array_equal(U, U1)
+        assert np.array_equal(Y, Y2) and np.array_equal(U, U2)
 
 
 def test_noiseless_determinism():
     params = ArmParams(noise_std=0.0)
-    runs = []
-    for _ in range(2):
-        arm = Arm(params, w=0.1, seed=7)
-        ys = [arm.step(np.array([0.7, 0.3])) for _ in range(30)]
-        runs.append(np.array(ys))
+    runs = [drive(params, [Run(0.1, np.random.default_rng(7), 30, hold([0.7, 0.3]))])[0][0]
+            for _ in range(2)]
     assert np.array_equal(runs[0], runs[1])
 
 
 def test_seeded_noise_determinism():
     params = ArmParams(noise_std=1e-3)
-    a = Arm(params, w=0.1, seed=5)
-    b = Arm(params, w=0.1, seed=5)
-    for _ in range(10):
-        ya = a.step(np.array([0.6, 0.4]))
-        yb = b.step(np.array([0.6, 0.4]))
-        assert np.array_equal(ya, yb)
+    a, b = drive(params, [Run(0.1, np.random.default_rng(5), 10, hold([0.6, 0.4]))
+                          for _ in range(2)])
+    assert np.array_equal(a[0], b[0])
 
 
 def test_payload_monotonicity():
@@ -215,11 +246,11 @@ def test_payload_monotonicity():
     params = ArmParams(noise_std=0.0)
     means, peaks = [], []
     for w in (0.0, 0.15, 0.3):
-        state = ArmState(w=w)
+        q = np.zeros(4)
         th1 = []
         for _ in range(40):
-            state, _ = step_zoh(state, np.array([0.8, 0.8]), params)
-            th1.append(abs(state.theta1))
+            q, _ = step_zoh(q, np.array([0.8, 0.8]), params, w)
+            th1.append(abs(q[0]))
         means.append(np.mean(th1))
         peaks.append(np.max(th1))
     assert means[0] > means[1] > means[2]
@@ -276,6 +307,8 @@ def test_collect_training_data_rejects_bad_campaign(campaign, match):
 def test_collect_training_data_load_bounds():
     with pytest.raises(ValueError):
         collect_training_data(ArmParams(), [0.5], [(1, 1.0, 0)])
+    with pytest.raises(ValueError, match="payloads must lie"):
+        collect_training_data(ArmParams(), [float("nan")], [(1, 1.0, 0)])
 
 
 def test_ramp_and_hold_stays_in_range():
