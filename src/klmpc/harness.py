@@ -142,27 +142,26 @@ def config_to_json(cfg: ExperimentConfig, path) -> None:
 class Reference:
     """Time-indexed output reference, held at its final value past the end.
 
-    Only the end-effector coordinates (last two) are tracked; the link-1
-    coordinates carry zero weight and a zero reference.
+    ``table`` holds one row per step k, from one call of ``fn`` on the times
+    ``clip(k Ts, 0, duration)`` up to the end.  Only the end-effector
+    coordinates (last two) are tracked; the link-1 coordinates carry zero
+    weight and a zero reference.
     """
 
     def __init__(self, fn, Ts: float, duration: float, n: int = 4):
         self.fn = fn
         self.Ts = Ts
         self.duration = duration
-        self.n = n
+        t = np.clip(np.arange(math.ceil(duration / Ts) + 2) * Ts, 0.0, duration)
+        self.table = np.zeros((t.size, n))
+        self.table[:, -2:] = np.asarray(fn(t)).T
 
     def __call__(self, k: int) -> np.ndarray:
-        t = min(max(k, 0) * self.Ts, self.duration)
-        out = np.zeros(self.n)
-        out[-2:] = self.fn(t)
-        return out
+        return self.table[min(max(k, 0), len(self.table) - 1)].copy()
 
     def targets(self, ks) -> np.ndarray:
-        """End-effector rows (len(ks), 2) at the integer steps ``ks``, held as
-        in ``__call__``, from one call of the reference function on all times."""
-        t = np.clip(np.asarray(ks) * self.Ts, 0.0, self.duration)
-        return np.broadcast_to(np.asarray(self.fn(t)).T, (t.size, 2))
+        """End-effector rows (len(ks), 2) at the integer steps ``ks``."""
+        return self.table[np.clip(ks, 0, len(self.table) - 1), -2:]
 
 
 def figure_eight_reference(params: ArmParams, duration: float = 20.0,
@@ -282,6 +281,13 @@ class TrialResult:
     w_hat_trace: Optional[np.ndarray] = None
 
 
+def _trial_steps(duration: float, Ts: float) -> int:
+    K = int(round(duration / Ts))
+    if K < 1:
+        raise ValueError(f"trial duration {duration} s gives no whole sample period of {Ts} s")
+    return K
+
+
 def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
                        payload: float, ref: Reference, duration: float,
                        known_load: Optional[float] = None,
@@ -290,9 +296,9 @@ def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
     """Closed-loop run of one controller against the simulated arm."""
     params = cfg.plant
     kl = None if known_load is None else np.atleast_1d(known_load)
-    ctrl = Controller(model, cfg.mpc_config(), ref,
+    K = _trial_steps(duration, params.Ts)
+    ctrl = Controller(model, cfg.mpc_config(), ref.table,
                       est_cfg=est_cfg, known_load=kl)
-    K = int(round(duration / params.Ts))
     w_trace = []
 
     def policy(k, y):
@@ -427,7 +433,7 @@ def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig,
     """Drive the plant open-loop with ramp-and-hold inputs while the load
     observer runs on its periodic schedule; the instant estimate at step k
     uses the transition k-1 -> k from the observer's own history."""
-    K, d = int(round(duration / cfg.plant.Ts)), model.d
+    K, d = _trial_steps(duration, cfg.plant.Ts), model.d
     w_instant = np.zeros(K)
     w_hat = np.zeros(K)
     state, observe = _observing_policy(model, cfg, np.random.default_rng(seed))
@@ -436,10 +442,8 @@ def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig,
         u = observe(k, y)
         w_hat[k] = w_instant[k] = state.w_hat[0]
         if k > d:
-            ys, us = map(np.stack, zip(*list(state.history)[-d - 2:]))
-            yd_prev = lifting.delay_embed(ys[:-1], us[:-2], d)[0]
-            wi, _ = obs.estimate_instant(model, y, yd_prev, us[-2],
-                                         cfg.estimator, fallback=state.w_hat)
+            wi, _ = obs.estimate_instant(model, state.history, cfg.estimator,
+                                         fallback=state.w_hat)
             w_instant[k] = wi[0]
         return u
 
@@ -545,7 +549,7 @@ def run_experiment4(cfg: ExperimentConfig, models: Optional[ModelSet] = None,
                 # drop-off phase: frozen estimate, constant target reference
                 w = np.atleast_1d(float(state.w_hat[0]))
                 ref = point_reference(params, targets[bin_index(w[0])], dropoff_duration)
-                dropoff.append(Controller(model, drop_mpc, ref, known_load=w))
+                dropoff.append(Controller(model, drop_mpc, ref.table, known_load=w))
             return dropoff[0].step(y)
 
         [(Y, _)] = drive(params, [Run(payload, np.random.default_rng(seed),

@@ -161,12 +161,9 @@ def lift_g(basis: Basis, yd) -> np.ndarray:
 
 
 def lift_gamma(basis: Basis, yd, w) -> np.ndarray:
-    """Load-augmented lifting: (g, g*w_1, ..., g*w_p) stacked."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if not np.all(np.isfinite(w)):
-        raise ValueError("lift_gamma: load vector contains non-finite entries")
-    g = lift_g(basis, yd)
-    return np.concatenate([g] + [g * wi for wi in w])
+    """Load-augmented lifting of one embedded output: (g, g*w_1, ...,
+    g*w_p) stacked."""
+    return lift_gamma_many(basis, yd, w)[0]
 
 
 def lift_gamma_many(basis: Basis, Yd: np.ndarray, W: np.ndarray, *,
@@ -179,7 +176,7 @@ def lift_gamma_many(basis: Basis, Yd: np.ndarray, W: np.ndarray, *,
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if not np.all(np.isfinite(W)):
-        raise ValueError("lift_gamma_many: loads contain non-finite entries")
+        raise ValueError("gamma lift: loads contain non-finite entries")
     Yd = np.atleast_2d(np.asarray(Yd, dtype=float))
     N = basis.n_lifted
     Z = _output(out, (Yd.shape[0], N * (W.shape[1] + 1)))

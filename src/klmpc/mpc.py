@@ -9,7 +9,7 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -79,8 +79,8 @@ class Condenser:
         self.model = model
         self.cfg = cfg
         self.S = S
-        self.M = M
-        self.Qbar = Qbar
+        # the linear term's gain: f = P (S z0 - ref)
+        self.P = (2.0 * M.T) @ Qbar
         self.H = 0.5 * (H + H.T)
         self.lower = np.tile(np.asarray(cfg.u_min, dtype=float), Nh)
         self.upper = np.tile(np.asarray(cfg.u_max, dtype=float), Nh)
@@ -91,8 +91,7 @@ class Condenser:
             raise ValueError(
                 f"reference has {ref.shape[0]} entries, expected {self.S.shape[0]}"
             )
-        err0 = self.S @ np.asarray(z0, dtype=float) - ref
-        f = 2.0 * self.M.T @ self.Qbar @ err0
+        f = self.P @ (self.S @ np.asarray(z0, dtype=float) - ref)
         return QpProblem(H=self.H, f=f, lower=self.lower, upper=self.upper)
 
 
@@ -107,7 +106,11 @@ class QpResult:
 def kkt_residual(qp: QpProblem, x: np.ndarray) -> float:
     """Largest componentwise violation of box-constrained first-order
     optimality at x."""
-    g = qp.H @ x + qp.f
+    return _kkt_residual(qp, x, qp.H @ x + qp.f)
+
+
+def _kkt_residual(qp: QpProblem, x: np.ndarray, g: np.ndarray) -> float:
+    """:func:`kkt_residual` from the gradient g = H x + f at x."""
     at_lower = x <= qp.lower + 1e-12
     at_upper = x >= qp.upper - 1e-12
     r = np.abs(g)
@@ -153,9 +156,9 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 100,
     it = 0
     for it in range(1, max_iter + 1):
         g = H @ x + f
-        if kkt_residual(qp, x) <= tol:
-            return QpResult(x=x, converged=True, iterations=it - 1,
-                            kkt_residual=kkt_residual(qp, x))
+        res = _kkt_residual(qp, x, g)
+        if res <= tol:
+            return QpResult(x=x, converged=True, iterations=it - 1, kkt_residual=res)
         at_lower, at_upper = x <= lo + eps, x >= hi - eps
         free = ~((at_lower & (g > 0)) | (at_upper & (g < 0)))
         d = _free_newton(H, g, free, -g)
@@ -205,18 +208,26 @@ class Controller:
     fixed load is supplied), condenses, solves the box QP, and applies the
     first input block.
 
+    ``reference`` holds one output row per step, held at its last row past
+    the end (see ``harness.Reference.table``); step k tracks rows k+1..k+Nh.
+
     A measurement with a non-finite entry is rejected before any state
     changes: the last applied input (neutral before the first step) is held
     and ``rejected`` counts the event.
     """
 
     def __init__(self, model: KoopmanModel, mpc_cfg: MpcConfig,
-                 reference: Callable[[int], np.ndarray],
+                 reference: np.ndarray,
                  est_cfg: Optional[EstimatorConfig] = None,
                  known_load=None, u_neutral=None):
         self.model = model
         self.cfg = mpc_cfg
-        self.reference = reference
+        reference = np.asarray(reference, dtype=float)
+        if reference.ndim != 2 or not len(reference) or reference.shape[1] != model.n:
+            raise ValueError(f"reference must be a (rows, {model.n}) array, got {reference.shape}")
+        # held past the end: Nh copies of the last row let every step slice
+        self.reference = np.vstack([reference] + [reference[-1:]] * mpc_cfg.Nh)
+        self.last_row = reference.shape[0] - 1
         self.condenser = Condenser(model, mpc_cfg)
         self.known_load = None if known_load is None else np.atleast_1d(np.asarray(known_load, dtype=float))
         if model.p > 0 and self.known_load is None:
@@ -272,10 +283,9 @@ class Controller:
         yd = delay_embed(np.array(self.history_y), np.array(self.history_u)[1:],
                          self.model.d)[0]
         z0 = self.model.lift(yd, self.w_hat)
-        Nh, n = self.cfg.Nh, self.model.n
-        ref = np.vstack([self.reference(k + 1 + i) for i in range(Nh)])
+        j = min(k, self.last_row)
         t0 = time.perf_counter()
-        qp = self.condenser.qp(z0, ref)
+        qp = self.condenser.qp(z0, self.reference[j + 1:j + 1 + self.cfg.Nh])
         result = solve_box_qp(qp, tol=self.cfg.qp_tol,
                               max_iter=self.cfg.qp_max_iter, x0=self._warm_start())
         solve_ms = (time.perf_counter() - t0) * 1e3
@@ -285,7 +295,7 @@ class Controller:
         self.history_u.append(u.copy())
         self.prev_record = (y.copy(), u.copy())
         self.logs.append(StepLog(
-            step=k, t=k * self.model.Ts, y=y.copy(), r=np.atleast_1d(self.reference(k)),
+            step=k, t=k * self.model.Ts, y=y.copy(), r=self.reference[j].copy(),
             u=u.copy(), w_hat=(self.w_hat.copy() if self.w_hat is not None else np.zeros(0)),
             qp_iters=result.iterations, kkt_residual=result.kkt_residual,
             solve_ms=solve_ms,

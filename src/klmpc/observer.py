@@ -93,20 +93,6 @@ def _solve_load(M: np.ndarray, rhs: np.ndarray, cfg: EstimatorConfig,
     return cfg.clamp(w), False
 
 
-def estimate_instant(model: KoopmanModel, y_next, yd_prev, u_prev,
-                     cfg: EstimatorConfig, fallback=None, reduced=None):
-    """Single-step load estimate from one (output, input, next-output) triple.
-
-    Returns (w_hat, degenerate): when the output is insensitive to the load at
-    this configuration the fallback estimate is returned with the flag set.
-    """
-    if model.p < 1:
-        raise ValueError("estimate_instant: model is not load-augmented")
-    M, rhs = _load_system(model, *(np.atleast_2d(np.asarray(v, dtype=float))
-                                   for v in (yd_prev, y_next, u_prev)))
-    return _solve_load(M, rhs, cfg, fallback, reduced)
-
-
 def window_system(model: KoopmanModel, history, Nw: int):
     """Stacked load equations M (1, w) = rhs over the last Nw transitions in
     ``history``, newest first.
@@ -115,6 +101,8 @@ def window_system(model: KoopmanModel, history, Nw: int):
     Nw rows plus the delay embedding: len >= Nw + d + 1.
     """
     d = model.d
+    if model.p < 1:
+        raise ValueError("load equations need a load-augmented model")
     if len(history) < Nw + d + 1:
         raise ValueError(
             f"window_system: need {Nw + d + 1} records, got {len(history)}"
@@ -128,12 +116,17 @@ def window_system(model: KoopmanModel, history, Nw: int):
 
 def estimate_window(model: KoopmanModel, history, cfg: EstimatorConfig,
                     fallback=None, reduced=None):
-    """Windowed load estimate over the last Nw transitions in ``history``
-    (see :func:`window_system`)."""
-    if model.p < 1:
-        raise ValueError("estimate_window: model is not load-augmented")
-    M, rhs = window_system(model, history, cfg.Nw)
-    return _solve_load(M, rhs, cfg, fallback, reduced)
+    """Windowed load estimate (w_hat, degenerate) over the last Nw
+    transitions in ``history`` (see :func:`window_system`); a window blind to
+    the load returns the fallback with the flag set."""
+    return _solve_load(*window_system(model, history, cfg.Nw), cfg, fallback, reduced)
+
+
+def estimate_instant(model: KoopmanModel, history, cfg: EstimatorConfig,
+                     fallback=None, reduced=None):
+    """Load estimate from the newest transition in ``history`` alone: the
+    window estimate with Nw = 1, whatever ``cfg.Nw`` is."""
+    return _solve_load(*window_system(model, history, 1), cfg, fallback, reduced)
 
 
 @dataclass
@@ -158,13 +151,6 @@ class EstimatorState:
             self.estimates = deque(maxlen=max(self.cfg.Nr, 1))
 
 
-def _window_is_stationary(history) -> bool:
-    ys = np.stack([np.atleast_1d(np.asarray(y, dtype=float)) for y, _ in history])
-    if ys.shape[0] < 2:
-        return True
-    return float(np.max(np.linalg.norm(np.diff(ys, axis=0), axis=1))) < STATIONARY_MOTION_TOL
-
-
 def update(state: EstimatorState, model: KoopmanModel, y, u) -> EstimatorState:
     """Push a copy of one (y, u) record; every Ne steps compute a window
     estimate and refresh the smoothed w_hat as the buffered estimates' mean.
@@ -176,7 +162,8 @@ def update(state: EstimatorState, model: KoopmanModel, y, u) -> EstimatorState:
     state.history.append((np.array(y, dtype=float, ndmin=1),
                           np.array(u, dtype=float, ndmin=1)))
     if state.step % cfg.Ne == 0 and len(state.history) >= cfg.Nw + state.d + 1:
-        if _window_is_stationary(state.history):
+        ys = np.stack([yk for yk, _ in state.history])
+        if np.max(np.linalg.norm(np.diff(ys, axis=0), axis=1)) < STATIONARY_MOTION_TOL:
             state.degenerate = True
         else:
             w_new, degenerate = estimate_window(model, state.history, cfg,

@@ -6,7 +6,10 @@
 - one run of the arm stepped by hand on a single state, and data campaigns
   simulated one such run at a time;
 - the observer's stacked load equations built row by row from the
-  block-diagonal ``gamma_matrix``;
+  block-diagonal ``gamma_matrix``, and the single-transition load estimate
+  from an explicit (output, input, next-output) triple;
+- a reference evaluated step by step, and the condensed QP's linear term
+  in its expanded form;
 - PCA by a direct SVD of the centred data, and the g/gamma lifts in their
   per-block concatenation form.
 """
@@ -15,6 +18,7 @@ import itertools
 
 import numpy as np
 
+from klmpc import observer
 from klmpc.edmd import Trajectory, assemble_snapshots, fit_koopman
 from klmpc.lifting import Basis, gamma_matrix
 from klmpc.numkit import PcaProjection
@@ -179,6 +183,43 @@ def reference_window_system(model, history, Nw: int):
         rows.append(model.C @ model.A @ gamma_matrix(model.basis, yd, model.p))
         rhs.append(ys[k + 1] - model.C @ model.B @ us[k])
     return np.vstack(rows), np.concatenate(rhs)
+
+
+def reference_estimate_instant(model, y_next, yd_prev, u_prev, cfg,
+                               fallback=None, reduced=None):
+    """Load estimate from one transition given as a triple: the embedded
+    output ``yd_prev``, the input ``u_prev`` applied from it and the output
+    ``y_next`` it led to, each a single row of the load equations."""
+    M, rhs = observer._load_system(model, *(np.atleast_2d(np.asarray(v, dtype=float))
+                                            for v in (yd_prev, y_next, u_prev)))
+    return observer._solve_load(M, rhs, cfg, fallback, reduced)
+
+
+def reference_rows(ref, ks) -> np.ndarray:
+    """A reference's (len(ks), n) rows, its function called once per step
+    at ``min(max(k, 0) Ts, duration)``, link-1 coordinates zero."""
+    rows = np.zeros((len(ks), ref.table.shape[1]))
+    for i, k in enumerate(ks):
+        rows[i, -2:] = ref.fn(min(max(k, 0) * ref.Ts, ref.duration))
+    return rows
+
+
+def reference_condensed_f(model, cfg, z0, ref) -> np.ndarray:
+    """Linear term 2 M' Qbar (S z0 - r) of the condensed QP, with S the
+    stacked C A^i (i = 1..Nh), M the block lower-triangular C A^(i-1-j) B
+    and Qbar the block-diagonal output weight."""
+    A, B, C = model.A, model.B, model.C
+    n, m, Nh = C.shape[0], B.shape[1], cfg.Nh
+    powers = [np.eye(A.shape[0])]
+    for _ in range(Nh):
+        powers.append(A @ powers[-1])
+    S = np.vstack([C @ powers[i] for i in range(1, Nh + 1)])
+    M = np.zeros((n * Nh, m * Nh))
+    for i in range(1, Nh + 1):
+        for j in range(i):
+            M[(i - 1) * n:i * n, j * m:(j + 1) * m] = C @ powers[i - 1 - j] @ B
+    Qbar = np.kron(np.eye(Nh), cfg.Q)
+    return 2.0 * M.T @ Qbar @ (S @ z0 - np.reshape(ref, -1))
 
 
 def reference_pca(X, energy: float):

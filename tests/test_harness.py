@@ -37,7 +37,7 @@ from klmpc.harness import (
     run_tracking_trial,
 )
 
-from oracles import reference_run
+from oracles import reference_estimate_instant, reference_rows, reference_run
 
 
 def test_config_json_round_trip(tmp_path):
@@ -69,6 +69,41 @@ def test_reference_contract():
     K_end = int(round(20.0 / params.Ts))
     assert np.array_equal(ref(K_end + 1), ref(10 * K_end))
     assert np.array_equal(ref(-3), ref(0))
+
+
+def test_reference_table_matches_per_step_evaluation():
+    # one call of the function on every step time gives, bit for bit, the
+    # rows of one call per step, also on the held tail past the end
+    params, Nh = ExperimentConfig().plant, ExperimentConfig().Nh
+    for ref in (figure_eight_reference(params, duration=20.0),
+                circle_reference(params, duration=30.0),
+                circle_reference(params, duration=1.23),
+                point_reference(params, [0.1, -0.9], duration=5.0)):
+        K = int(round(ref.duration / ref.Ts))
+        ks = np.arange(K + Nh + 6)
+        want = reference_rows(ref, ks)
+        assert np.array_equal(ref.table, want[:len(ref.table)])
+        assert np.array_equal([ref(k) for k in ks], want)
+        assert np.array_equal(ref.targets(ks), want[:, -2:])
+        assert np.array_equal(ref(-3), want[0])
+
+
+def test_controller_horizon_is_the_next_reference_rows(default_cfg, models):
+    # step k condenses against rows k+1 .. k+Nh and logs row k, held at the
+    # end of a 1 s reference
+    cfg = default_cfg.mpc_config()
+    ref = circle_reference(default_cfg.plant, duration=1.0)
+    ctrl = Controller(models.koopman_load, cfg, ref.table, known_load=0.1)
+    seen, condense = [], ctrl.condenser.qp
+    ctrl.condenser.qp = lambda z0, r: (seen.append(np.array(r)), condense(z0, r))[1]
+    y = np.array([0.0, -default_cfg.plant.L1, 0.0,
+                  -default_cfg.plant.L1 - default_cfg.plant.L2])
+    K = 30
+    for _ in range(K):
+        ctrl.step(y)
+    for k in range(K):
+        assert np.array_equal(seen[k], reference_rows(ref, range(k + 1, k + 1 + cfg.Nh)))
+        assert np.array_equal(ctrl.logs[k].r, reference_rows(ref, [k])[0])
 
 
 def test_figure_eight_geometry():
@@ -207,7 +242,7 @@ def test_tracking_trial_matches_one_run_oracle(default_cfg, models):
     ref = circle_reference(cfg.plant, duration=30.0)
     res = run_tracking_trial(model, cfg, payload, ref, K * cfg.plant.Ts,
                              est_cfg=cfg.estimator, seed=seed)
-    ctrl = Controller(model, cfg.mpc_config(), ref, est_cfg=cfg.estimator)
+    ctrl = Controller(model, cfg.mpc_config(), ref.table, est_cfg=cfg.estimator)
     Y, U = reference_run(cfg.plant, payload, K, np.random.default_rng(seed),
                          lambda k, y: ctrl.step(y))
     errors = [np.linalg.norm(Y[k, -2:] - ref(k)[-2:]) for k in range(1, K + 1)]
@@ -239,13 +274,31 @@ def test_estimation_trial_matches_one_run_oracle(default_cfg, models):
 
     Y, U = reference_run(cfg.plant, payload, K, np.random.default_rng(seed + 1), policy)
     w_instant = w_hat[:d + 1] + [
-        obs.estimate_instant(model, Y[k], delay_embed(Y[k - 1 - d:k], U[k - 1 - d:k - 1], d)[0],
-                             U[k - 1], est, fallback=[w_hat[k]])[0][0]
+        reference_estimate_instant(model, Y[k], delay_embed(Y[k - 1 - d:k], U[k - 1 - d:k - 1], d)[0],
+                                   U[k - 1], est, fallback=[w_hat[k]])[0][0]
         for k in range(d + 1, K)]
     assert state.updates == 2
     assert np.array_equal(trace.t, np.arange(K) * cfg.plant.Ts)
     assert np.array_equal(trace.w_hat, w_hat)
     assert np.array_equal(trace.w_instant, w_instant)
+
+
+@pytest.mark.parametrize("duration", [0.0, 0.02])
+def test_tracking_trial_refuses_a_duration_without_a_sample_period(
+        default_cfg, models, duration):
+    # under half a period rounds to no step: no NaN RMSE from an empty trial
+    ref = circle_reference(default_cfg.plant, duration=30.0)
+    with pytest.raises(ValueError, match=f"duration {duration} s"):
+        run_tracking_trial(models.koopman_load, default_cfg, 0.1, ref, duration,
+                           known_load=0.1)
+
+
+@pytest.mark.parametrize("duration", [0.0, 0.02])
+def test_estimation_trial_refuses_a_duration_without_a_sample_period(
+        default_cfg, models, duration):
+    # an empty trace would have no final estimate
+    with pytest.raises(ValueError, match=f"duration {duration} s"):
+        run_estimation_trial(models.koopman_load, default_cfg, 0.1, duration=duration)
 
 
 # ---------------------------------------------------------------------------

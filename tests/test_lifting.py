@@ -123,9 +123,9 @@ def test_lift_gamma_hand_example():
 
 def test_lift_gamma_rejects_nonfinite_load():
     basis = identity_basis(2, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite"):
         lift_gamma(basis, np.zeros(2), np.nan)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite"):
         lift_gamma_many(basis, np.zeros((3, 2)), np.array([[0.1], [np.inf], [0.2]]))
 
 
@@ -245,6 +245,9 @@ def test_lifts_equal_concatenation_form(rows):
             W = rng.uniform(0.0, 0.3, size=(rows, p))
             want = reference_lift_gamma_many(basis, Yd, W)
             assert np.array_equal(lift_gamma_many(basis, Yd, W), want)
+            for i in range(min(rows, 30)):   # one-row lifts run one-row products
+                assert np.array_equal(lift_gamma(basis, Yd[i], W[i]),
+                                      reference_lift_gamma_many(basis, Yd[i], W[i])[0])
             wide = np.full((rows, N * (p + 1) + 2), np.nan)
             Z = lift_gamma_many(basis, Yd, W, out=wide[:, :N * (p + 1)])
             assert np.shares_memory(Z, wide)

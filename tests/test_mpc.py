@@ -28,6 +28,7 @@ from oracles import (
     fit_bilinear_model,
     qp_objective,
     random_box_qp,
+    reference_condensed_f,
 )
 
 TS = 0.05
@@ -42,6 +43,11 @@ def scalar_model(a=1.0, b=1.0):
 def scalar_cfg(Nh=1, q=1.0, r=1.0, lo=-1.0, hi=1.0):
     return MpcConfig(Nh=Nh, Q=np.array([[q]]), R=np.array([[r]]),
                      u_min=np.array([lo]), u_max=np.array([hi]))
+
+
+def sine_reference(rows):
+    """(rows, 1) moving reference, one row per step."""
+    return 0.6 * np.sin(0.3 * np.arange(rows))[:, None]
 
 
 def rollout_cost(model, cfg, z0, ref, U):
@@ -108,6 +114,20 @@ def test_condense_matches_finite_difference_hessian():
     # the quadratic model is 1/2 U'HU + f'U: FD of the rollout gives H and f
     assert np.allclose(qp.H, H_fd, rtol=1e-4, atol=1e-4)
     assert np.allclose(qp.f, f_fd, rtol=1e-4, atol=1e-4)
+
+
+def test_condensed_f_matches_expanded_form(models, default_cfg):
+    # f is formed from the gain 2 M' Qbar cached at build, bit for bit as
+    # the expanded product
+    rng = np.random.default_rng(12)
+    cfg = default_cfg.mpc_config()
+    for model in (models.baseline, models.koopman, models.koopman_load):
+        cond = Condenser(model, cfg)
+        for _ in range(50):
+            z0 = rng.normal(size=model.A.shape[0])
+            ref = rng.normal(size=(cfg.Nh, model.n))
+            assert np.array_equal(cond.qp(z0, ref).f,
+                                  reference_condensed_f(model, cfg, z0, ref))
 
 
 def test_condense_reference_length_check():
@@ -240,7 +260,7 @@ def test_controller_neutral_at_equilibrium():
                          basis=identity_basis(2, 2, 0), Ts=TS)
     cfg = MpcConfig(Nh=5, Q=np.eye(2), R=0.01 * np.eye(2),
                     u_min=-np.ones(2), u_max=np.ones(2))
-    ctrl = Controller(model, cfg, lambda k: np.zeros(2))
+    ctrl = Controller(model, cfg, np.zeros((1, 2)))
     u = ctrl.step(np.zeros(2))
     assert np.allclose(u, 0.0, atol=1e-8)
     assert ctrl.estimator is None  # p = 0 bypasses the observer
@@ -249,7 +269,7 @@ def test_controller_neutral_at_equilibrium():
 def test_controller_known_load_bypasses_estimator():
     model = fit_bilinear_model()
     cfg = scalar_cfg(Nh=4, r=0.01)
-    ctrl = Controller(model, cfg, lambda k: np.zeros(1), known_load=0.2)
+    ctrl = Controller(model, cfg, np.zeros((1, 1)), known_load=0.2)
     assert ctrl.estimator is None
     assert np.array_equal(ctrl.w_hat, [0.2])
     u = ctrl.step(np.array([0.3]))
@@ -269,8 +289,7 @@ def test_controller_closed_loop_estimation_schedule():
     w_true = 0.22
     # moving reference keeps the window non-stationary, so no scheduled
     # estimate is skipped
-    ctrl = Controller(model, cfg, lambda k: np.array([0.6 * np.sin(0.3 * k)]),
-                      est_cfg=est_cfg)
+    ctrl = Controller(model, cfg, sine_reference(100), est_cfg=est_cfg)
     x = 0.0
     K = 60
     for k in range(K):
@@ -295,7 +314,7 @@ def test_controller_holds_input_on_non_finite_measurement(caplog):
     cfg = scalar_cfg(Nh=6, r=0.01)
 
     def make():
-        return Controller(model, cfg, lambda k: np.array([0.6 * np.sin(0.3 * k)]),
+        return Controller(model, cfg, sine_reference(50),
                           est_cfg=EstimatorConfig(Nw=5, Ne=2, Nr=4))
 
     first = make()
@@ -319,11 +338,33 @@ def test_controller_holds_input_on_non_finite_measurement(caplog):
     assert np.array_equal(ctrl.w_hat, twin.w_hat)
 
 
+def test_controller_reference_must_be_rows_of_outputs():
+    for bad in (np.zeros(5), np.zeros((0, 1)), np.zeros((5, 2))):
+        with pytest.raises(ValueError, match="reference must be"):
+            Controller(scalar_model(), scalar_cfg(), bad)
+
+
+def test_controller_holds_the_reference_past_its_end():
+    # a 3-row reference behaves as the same rows padded with the last one
+    # past every horizon
+    model, cfg = scalar_model(a=0.5), scalar_cfg(Nh=4, r=0.01)
+    short = sine_reference(3)
+    padded = np.vstack([short, np.repeat(short[-1:], 20, axis=0)])
+    ctrl, twin = Controller(model, cfg, short), Controller(model, cfg, padded)
+    y = np.array([0.0])
+    for _ in range(12):
+        u = ctrl.step(y)
+        assert np.array_equal(u, twin.step(y))
+        y = model.A @ y + model.B @ u
+    assert np.array_equal([lg.r for lg in ctrl.logs], [lg.r for lg in twin.logs])
+    assert np.array_equal(ctrl.logs[-1].r, short[-1])
+
+
 def test_step_log_keeps_copies_of_the_callers_arrays():
     # a caller that reuses its measurement buffer, or writes into the
     # returned command, leaves the log as it was when the step ran
     ctrl = Controller(scalar_model(a=0.5), scalar_cfg(Nh=3, r=0.01),
-                      lambda k: np.array([0.2]))
+                      np.full((1, 1), 0.2))
     y = np.array([0.1])
     u = ctrl.step(y)
     logged_u = u.copy()
@@ -335,7 +376,7 @@ def test_step_log_keeps_copies_of_the_callers_arrays():
 def test_step_log_csv(tmp_path):
     model = scalar_model(a=0.5)
     cfg = scalar_cfg(Nh=3, r=0.01)
-    ctrl = Controller(model, cfg, lambda k: np.array([0.2]))
+    ctrl = Controller(model, cfg, np.full((1, 1), 0.2))
     y = np.array([0.0])
     for _ in range(5):
         u = ctrl.step(y)

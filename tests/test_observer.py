@@ -17,6 +17,7 @@ from oracles import (
     bilinear_basis,
     bilinear_step,
     fit_bilinear_model,
+    reference_estimate_instant,
     reference_window_system,
     simulate_bilinear,
 )
@@ -55,9 +56,9 @@ def test_instant_self_consistency(model):
     cfg = EstimatorConfig()
     w = 0.125
     x, u = 0.8, 0.3
-    y_next = np.array([bilinear_step(x, u, w)])
-    w_hat, degenerate = obs.estimate_instant(model, y_next, np.array([x]),
-                                             np.array([u]), cfg, reduced=True)
+    history = [(np.array([x]), np.array([u])),
+               (np.array([bilinear_step(x, u, w)]), np.array([0.0]))]
+    w_hat, degenerate = obs.estimate_instant(model, history, cfg, reduced=True)
     assert not degenerate
     assert abs(w_hat[0] - w) < 1e-8
 
@@ -81,13 +82,32 @@ def test_window_self_consistency_full_mode(model_drift):
 
 
 def test_window_of_one_equals_instant(model):
-    cfg = EstimatorConfig(Nw=1)
     rng = np.random.default_rng(1)
     history = history_for(0.18, 4, rng, noise=1e-3)
-    w_win, _ = obs.estimate_window(model, history, cfg)
-    (y_prev, u_prev), (y_last, _) = history[-2], history[-1]
-    w_inst, _ = obs.estimate_instant(model, y_last, y_prev, u_prev, cfg)
-    assert np.allclose(w_win, w_inst, atol=1e-12)
+    w_win, _ = obs.estimate_window(model, history, EstimatorConfig(Nw=1))
+    w_inst, _ = obs.estimate_instant(model, history, EstimatorConfig(Nw=30))
+    assert np.array_equal(w_win, w_inst)
+
+
+def test_instant_matches_triple_form(models, model_drift):
+    # the newest transition of a history, bit for bit as the estimate from
+    # its explicit (y_next, yd_prev, u_prev) triple, in both solve modes
+    rng = np.random.default_rng(13)
+    cfg = EstimatorConfig(w_min=-10.0, w_max=10.0)
+    for model in (models.koopman_load, model_drift):
+        d, n, m = model.d, model.n, model.m
+        for _ in range(20):
+            history = [(rng.normal(size=n), rng.uniform(0.0, 1.0, size=m))
+                       for _ in range(d + 2 + int(rng.integers(0, 4)))]
+            ys, us = map(np.array, zip(*history))
+            yd_prev = np.concatenate([ys[-2 - i] for i in range(d + 1)]
+                                     + [us[-2 - i] for i in range(1, d + 1)])
+            for reduced in (False, True):
+                got = obs.estimate_instant(model, history, cfg, fallback=[0.05],
+                                           reduced=reduced)
+                want = reference_estimate_instant(model, ys[-1], yd_prev, us[-2], cfg,
+                                                  fallback=[0.05], reduced=reduced)
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def test_full_and_reduced_modes_agree_on_exact_data(model_drift):
@@ -130,9 +150,8 @@ def test_degenerate_geometry_returns_fallback(model):
     blind = dataclasses.replace(model, A=A)
     cfg = EstimatorConfig()
     fallback = np.array([0.07])
-    w_hat, degenerate = obs.estimate_instant(
-        blind, np.array([0.5]), np.array([0.8]), np.array([0.1]), cfg,
-        fallback=fallback)
+    history = [(np.array([0.8]), np.array([0.1])), (np.array([0.5]), np.array([0.0]))]
+    w_hat, degenerate = obs.estimate_instant(blind, history, cfg, fallback=fallback)
     assert degenerate
     assert np.array_equal(w_hat, fallback)
 
@@ -140,9 +159,8 @@ def test_degenerate_geometry_returns_fallback(model):
 def test_estimate_clamped_to_bounds(model):
     # adversarial next output pushes the raw estimate far past w_max
     cfg = EstimatorConfig()
-    w_hat, degenerate = obs.estimate_instant(
-        model, np.array([5.0]), np.array([1.0]), np.array([0.0]), cfg,
-        reduced=True)
+    history = [(np.array([1.0]), np.array([0.0])), (np.array([5.0]), np.array([0.0]))]
+    w_hat, degenerate = obs.estimate_instant(model, history, cfg, reduced=True)
     assert not degenerate
     assert w_hat[0] == cfg.w_max
 
@@ -157,9 +175,7 @@ def test_window_beats_instant_under_noise(model):
         history = history_for(w_true, 31, rng, noise=1e-3,
                               x0=float(rng.normal()))
         w_win, _ = obs.estimate_window(model, history, cfg, reduced=True)
-        (y_prev, u_prev), (y_last, _) = history[-2], history[-1]
-        w_inst, _ = obs.estimate_instant(model, y_last, y_prev, u_prev, cfg,
-                                         reduced=True)
+        w_inst, _ = obs.estimate_instant(model, history, cfg, reduced=True)
         err_win.append(w_win[0] - w_true)
         err_inst.append(w_inst[0] - w_true)
     assert np.sqrt(np.mean(np.square(err_win))) < np.sqrt(np.mean(np.square(err_inst)))
@@ -178,7 +194,7 @@ def test_estimators_require_augmented_model():
     plain = fit_koopman(snaps, bilinear_basis(), BILINEAR_TS, with_load=False)
     cfg = EstimatorConfig()
     with pytest.raises(ValueError):
-        obs.estimate_instant(plain, np.zeros(1), np.zeros(1), np.zeros(1), cfg)
+        obs.estimate_instant(plain, [(np.zeros(1), np.zeros(1))] * 2, cfg)
     with pytest.raises(ValueError):
         obs.estimate_window(plain, [], cfg)
 
