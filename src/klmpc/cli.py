@@ -28,7 +28,11 @@ from .plant import collect_training_data
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("KLMPC_SEED", "0"))
+    value = os.environ.get("KLMPC_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"KLMPC_SEED must be an integer, got {value!r}") from None
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -357,14 +357,33 @@ class TrackingReport:
 
 
 def report_from_csv(path) -> TrackingReport:
+    """Read a report written by :meth:`TrackingReport.to_csv`.  A header
+    without ``rmse_<g>g`` columns, or a row with too few or non-numeric RMSE
+    cells, raises ValueError naming the file and line."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        payloads = tuple(float(c[len("rmse_"):-1]) / 1000.0
-                         for c in header[1:] if c.startswith("rmse_"))
+        columns = [c for c in header[1:] if c.startswith("rmse_") and c.endswith("g")]
+        try:
+            payloads = tuple(float(c[len("rmse_"):-1]) / 1000.0 for c in columns)
+        except ValueError:
+            raise ValueError(f"{path}: payload columns must read rmse_<grams>g, "
+                             f"got {columns}") from None
+        if not payloads:
+            raise ValueError(f"{path}: no rmse_<grams>g columns in the header {header}")
         rmse = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
             parts = line.strip().split(",")
-            rmse[parts[0]] = [float(v) for v in parts[1:1 + len(payloads)]]
+            cells = parts[1:1 + len(payloads)]
+            try:
+                values = [float(v) for v in cells]
+            except ValueError:
+                values = []
+            if len(values) < len(payloads):
+                raise ValueError(f"{path}, line {lineno}: expected {len(payloads)} "
+                                 f"numeric RMSE cells after the controller, got {cells}")
+            rmse[parts[0]] = values
     return TrackingReport(payloads=payloads, rmse=rmse)
 
 

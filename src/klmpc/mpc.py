@@ -198,6 +198,7 @@ class StepLog:
     u: np.ndarray
     w_hat: np.ndarray
     qp_iters: int
+    converged: bool
     kkt_residual: float
     solve_ms: float
 
@@ -297,7 +298,8 @@ class Controller:
         self.logs.append(StepLog(
             step=k, t=k * self.model.Ts, y=y.copy(), r=self.reference[j].copy(),
             u=u.copy(), w_hat=(self.w_hat.copy() if self.w_hat is not None else np.zeros(0)),
-            qp_iters=result.iterations, kkt_residual=result.kkt_residual,
+            qp_iters=result.iterations, converged=result.converged,
+            kkt_residual=result.kkt_residual,
             solve_ms=solve_ms,
         ))
         self.step_count += 1
@@ -305,8 +307,8 @@ class Controller:
 
 
 def save_step_log(path, logs) -> None:
-    """Per-step log CSV: step, t, y*, r*, u*, w_hat*, qp_iters,
-    kkt_residual, solve_ms."""
+    """Per-step log CSV: step, t, y*, r*, u*, w_hat*, qp_iters, converged
+    (1 or 0), kkt_residual, solve_ms."""
     if not logs:
         raise ValueError("no log rows to save")
     n = logs[0].y.shape[0]
@@ -315,9 +317,9 @@ def save_step_log(path, logs) -> None:
     header = (["step", "t"] + [f"y{i+1}" for i in range(n)]
               + [f"r{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
               + [f"w_hat{i+1}" for i in range(p)]
-              + ["qp_iters", "kkt_residual", "solve_ms"])
+              + ["qp_iters", "converged", "kkt_residual", "solve_ms"])
     rows = [np.concatenate([[lg.step, lg.t], lg.y, lg.r, lg.u, lg.w_hat,
-                            [lg.qp_iters, lg.kkt_residual, lg.solve_ms]])
+                            [lg.qp_iters, lg.converged, lg.kkt_residual, lg.solve_ms]])
             for lg in logs]
     np.savetxt(path, np.vstack(rows), fmt="%.17g", delimiter=",",
                header=",".join(header), comments="")

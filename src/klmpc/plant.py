@@ -45,55 +45,80 @@ class ArmParams:
 
 
 def _payload_terms(params: ArmParams, w, shape: tuple) -> tuple:
-    """The right-hand side's constants at fixed payloads: m2p*L1*L2,
-    (m1+m2p)*g*L1 and m2p*g*L2 with m2p = m2 + w, and a (shape + (2, 2))
-    mass-matrix buffer whose constant diagonal is filled in.
+    """The right-hand side's constants at fixed payloads, for states of batch
+    shape ``shape`` (``()`` for one state, ``(B,)`` for B of them), with
+    m2p = m2 + w:
 
-    Each product is formed in the order the expanded formulas use, so every
-    derivative rounds exactly as if computed from scratch.
+    - ``ll`` = m2p*L1*L2;
+    - ``coriolis`` = (-ll, +ll), the Coriolis coefficient of each joint row;
+    - ``gravity`` = ((m1+m2p)*g*L1, m2p*g*L2), one row per joint;
+    - ``stiff`` = (k, k, c, c) against the state rows (th1, th2, om1, om2);
+    - ``M``, a (shape + (2, 2)) mass-matrix buffer with its constant
+      diagonal filled in, and ``coupling``, a (2,) + shape view of its two
+      off-diagonal entries.
+
+    Each product is formed in the order the expanded formulas use, and a
+    negation is exact, so every derivative rounds exactly as if computed
+    from scratch.
     """
     m2p = params.m2 + w
     m1p = params.m1 + m2p
+    ll = m2p * params.L1 * params.L2
+    rows = np.empty((4,) + shape)
+    rows[0] = -ll
+    rows[1] = ll
+    rows[2] = m1p * params.g * params.L1
+    rows[3] = m2p * params.g * params.L2
+    stiff = np.array([params.k, params.k, params.c, params.c]).reshape(
+        (4,) + (1,) * len(shape))
     M = np.empty(shape + (2, 2))
     M[..., 0, 0] = m1p * params.L1**2
     M[..., 1, 1] = m2p * params.L2**2
-    return (m2p * params.L1 * params.L2, m1p * params.g * params.L1,
-            m2p * params.g * params.L2, M)
+    coupling = M.reshape(shape + (4,))[..., 1:3].T
+    return ll, rows[:2], rows[2:], stiff, M, coupling
 
 
 def mass_matrix(state_q: np.ndarray, params: ArmParams, w) -> np.ndarray:
     """Joint-space mass matrix: (2, 2) for one (4,) state, (B, 2, 2) for a
     (B, 4) stack with a scalar or per-row (B,) payload."""
-    th1, th2, _, _ = np.asarray(state_q).T
-    ll, _, _, M = _payload_terms(params, w, th1.shape)
-    M[..., 0, 1] = M[..., 1, 0] = ll * np.cos(th1 - th2)
+    th1, th2 = np.asarray(state_q).T[:2]
+    ll, _, _, _, M, coupling = _payload_terms(params, w, th1.shape)
+    coupling[...] = ll * np.cos(th1 - th2)
     return M
 
 
-def _rhs(q: np.ndarray, tau: np.ndarray, params: ArmParams, terms: tuple) -> np.ndarray:
-    """State derivative from the payload terms of :func:`_payload_terms`;
-    overwrites the off-diagonal of their mass-matrix buffer."""
-    th1, th2, om1, om2 = q.T
-    tau1, tau2 = tau.T
-    ll, g1, g2, M = terms
-    d12 = th1 - th2
-    s12 = np.sin(d12)
-    M[..., 0, 1] = M[..., 1, 0] = ll * np.cos(d12)
-    rhs = np.empty(th1.shape + (2, 1))
-    rhs[..., 0, 0] = (tau1
-                      - ll * s12 * om2**2
-                      - g1 * np.sin(th1)
-                      - params.k * th1
-                      - params.c * om1)
-    rhs[..., 1, 0] = (tau2
-                      + ll * s12 * om1**2
-                      - g2 * np.sin(th2)
-                      - params.k * th2
-                      - params.c * om2)
-    dq = np.empty(q.shape)
-    dq[..., 0] = om1
-    dq[..., 1] = om2
-    dq[..., 2:] = np.linalg.solve(M, rhs)[..., 0]
+# The LAPACK gufunc behind np.linalg.solve (dgesv, so the same bits), called
+# directly: the wrapper's argument checks cost more than the solve of a 2x2,
+# and the gufunc writes the accelerations straight into the derivative.  The
+# mass matrix is positive definite, so the wrapper's singular-matrix error
+# cannot arise.
+_solve = np.linalg._umath_linalg.solve
+
+
+def _rhs(q: np.ndarray, tau: np.ndarray, terms: tuple) -> np.ndarray:
+    """Derivative of states in structure-of-arrays form: ``q`` is (4,) + shape
+    with rows (th1, th2, om1, om2), ``tau`` is (2,) + shape, and ``terms``
+    come from :func:`_payload_terms`, whose mass-matrix buffer this
+    overwrites.
+
+    Both joint rows are one expression, rounded as the expanded per-joint
+    formulas are, left to right: torque, Coriolis (its sign carried by the
+    ``coriolis`` row), gravity, spring, damper.
+    """
+    ll, coriolis, gravity, stiff, M, coupling = terms
+    th, om = q[:2], q[2:]
+    d12 = q[0] - q[1]
+    coupling[...] = ll * np.cos(d12)
+    f = coriolis * np.sin(d12)
+    f *= np.square(om[::-1])
+    f += tau
+    f -= gravity * np.sin(th)
+    kc = stiff * q
+    f -= kc[:2]
+    f -= kc[2:]
+    dq = np.empty_like(q)
+    dq[:2] = om
+    _solve(M, f.T[..., None], signature="dd->d", out=dq[2:].T[..., None])
     return dq
 
 
@@ -105,17 +130,9 @@ def dynamics(q: np.ndarray, tau: np.ndarray, params: ArmParams, w) -> np.ndarray
     (B, 2) and payloads ``w`` (B,) or scalar; every row is computed exactly
     as it would be on its own.
     """
-    q = np.asarray(q)
-    return _rhs(q, np.asarray(tau), params, _payload_terms(params, w, q.shape[:-1]))
-
-
-def _rk4_step(q: np.ndarray, tau: np.ndarray, h: float, params: ArmParams,
-              terms: tuple) -> np.ndarray:
-    k1 = _rhs(q, tau, params, terms)
-    k2 = _rhs(q + 0.5 * h * k1, tau, params, terms)
-    k3 = _rhs(q + 0.5 * h * k2, tau, params, terms)
-    k4 = _rhs(q + h * k3, tau, params, terms)
-    return q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    q = np.asarray(q, dtype=float)
+    terms = _payload_terms(params, w, q.shape[:-1])
+    return _rhs(np.ascontiguousarray(q.T), np.asarray(tau, dtype=float).T, terms).T
 
 
 def _advance(q: np.ndarray, u, params: ArmParams, w) -> np.ndarray:
@@ -123,19 +140,34 @@ def _advance(q: np.ndarray, u, params: ArmParams, w) -> np.ndarray:
     zero-order-held commands u in [0, 1]^2, (2,) or (B, 2).
 
     Torque is tau_max * (2u - 1) per joint.  A non-finite or out-of-range
-    command raises before the plant moves.
+    command raises before the plant moves.  The RK4 substeps run on the
+    (4,) + batch transpose of the states, one row per state variable.
     """
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError(f"commands must be finite, got {u}")
     if np.any(u < 0.0) or np.any(u > 1.0):
         raise ValueError(f"commands must lie in [0, 1], got {u}")
-    tau = params.tau_max * (2.0 * u - 1.0)
+    tau = params.tau_max * (2.0 * np.ascontiguousarray(u.T) - 1.0)
+    q = np.array(np.asarray(q, dtype=float).T, order="C")
+    terms = _payload_terms(params, w, q.shape[1:])
     h = params.Ts / params.substeps
-    terms = _payload_terms(params, w, np.shape(q)[:-1])
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(params.substeps):
-        q = _rk4_step(q, tau, h, params, terms)
-    return q
+        k1 = _rhs(q, tau, terms)
+        k2 = _rhs(q + half * k1, tau, terms)
+        k3 = _rhs(q + half * k2, tau, terms)
+        k4 = _rhs(q + h * k3, tau, terms)
+        # q + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right; the two
+        # operands of a sum commute exactly, so k2 can hold the running sum
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= sixth
+        q = q + k2
+    return q.T
 
 
 def _positions(q: np.ndarray, params: ArmParams) -> np.ndarray:
@@ -205,7 +237,9 @@ def excitation(rng, Ts: float):
     """Open-loop policy ``(k, y) -> u`` of clipped ramp-and-hold commands
     drawn from ``rng``; it ignores the measurement."""
     commands = ramp_and_hold(rng, m=2, Ts=Ts)
-    return lambda k, y: np.clip(next(commands), 0.0, 1.0)
+    # np.clip(u, 0, 1) as two ufunc calls, without np.clip's Python dispatch;
+    # they differ only on -0.0, which ramp_and_hold never yields
+    return lambda k, y: np.minimum(np.maximum(next(commands), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -250,8 +284,8 @@ def drive(params: ArmParams, runs) -> list:
         n = int(np.count_nonzero(steps > k))
         for i in range(n):
             U[i, k] = batch[i].policy(k, Y[i, k])
-        # a lone run steps as a (4,) state, whose numpy-scalar arithmetic is
-        # about twice as fast as that of a (1, 4) stack and rounds the same
+        # a lone run steps as a (4,) state, which is faster than a (1, 4)
+        # stack and rounds the same
         rows = slice(0, n) if n > 1 else 0
         q[rows], Y[rows, k + 1] = step_zoh(q[rows], U[rows, k], params, w[rows], rngs[:n])
     return [(Y[j, :steps[j] + 1], U[j, :steps[j]]) for j in np.argsort(order)]

@@ -3,8 +3,11 @@
 - a scalar bilinear plant x+ = 0.9 x + 0.2 w x + 0.1 u whose load-augmented
   lifting is exactly linear, so identification and estimation must be exact;
 - a brute-force active-set enumeration solver for box QPs;
-- one run of the arm stepped by hand on a single state, and data campaigns
-  simulated one such run at a time;
+- the arm's row-wise RK4, each joint its own expression over (B,) columns
+  and the accelerations from ``np.linalg.solve``, which the plant's (2, B)
+  integrator must match bit for bit; one run of the arm stepped by hand
+  with it on a single state, and data campaigns simulated one such run at
+  a time;
 - the observer's stacked load equations built row by row from the
   block-diagonal ``gamma_matrix``, and the single-transition load estimate
   from an explicit (output, input, next-output) triple;
@@ -22,7 +25,7 @@ from klmpc import observer
 from klmpc.edmd import Trajectory, assemble_snapshots, fit_koopman
 from klmpc.lifting import Basis, gamma_matrix
 from klmpc.numkit import PcaProjection
-from klmpc.plant import ramp_and_hold, step_zoh
+from klmpc.plant import ramp_and_hold
 
 BILINEAR_TS = 0.05
 
@@ -126,11 +129,97 @@ def qp_objective(H, f, x) -> float:
     return float(0.5 * x @ H @ x + f @ x)
 
 
+def _rowwise_payload_terms(params, w, shape: tuple) -> tuple:
+    m2p = params.m2 + w
+    m1p = params.m1 + m2p
+    M = np.empty(shape + (2, 2))
+    M[..., 0, 0] = m1p * params.L1**2
+    M[..., 1, 1] = m2p * params.L2**2
+    return (m2p * params.L1 * params.L2, m1p * params.g * params.L1,
+            m2p * params.g * params.L2, M)
+
+
+def _rowwise_rhs(q: np.ndarray, tau: np.ndarray, params, terms: tuple) -> np.ndarray:
+    th1, th2, om1, om2 = q.T
+    tau1, tau2 = tau.T
+    ll, g1, g2, M = terms
+    d12 = th1 - th2
+    s12 = np.sin(d12)
+    M[..., 0, 1] = M[..., 1, 0] = ll * np.cos(d12)
+    rhs = np.empty(th1.shape + (2, 1))
+    rhs[..., 0, 0] = (tau1
+                      - ll * s12 * om2**2
+                      - g1 * np.sin(th1)
+                      - params.k * th1
+                      - params.c * om1)
+    rhs[..., 1, 0] = (tau2
+                      + ll * s12 * om1**2
+                      - g2 * np.sin(th2)
+                      - params.k * th2
+                      - params.c * om2)
+    dq = np.empty(q.shape)
+    dq[..., 0] = om1
+    dq[..., 1] = om2
+    dq[..., 2:] = np.linalg.solve(M, rhs)[..., 0]
+    return dq
+
+
+def _rowwise_rk4_step(q: np.ndarray, tau: np.ndarray, h: float, params,
+                      terms: tuple) -> np.ndarray:
+    k1 = _rowwise_rhs(q, tau, params, terms)
+    k2 = _rowwise_rhs(q + 0.5 * h * k1, tau, params, terms)
+    k3 = _rowwise_rhs(q + 0.5 * h * k2, tau, params, terms)
+    k4 = _rowwise_rhs(q + h * k3, tau, params, terms)
+    return q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+# A (4,) state is evaluated as a one-row stack.  On numpy scalars ``x**2``
+# calls the C library's pow(), which can differ from the correctly rounded
+# x*x by one ulp (in about 0.08 % of values with glibc); arrays square
+# exactly, and the plant squares exactly for one state and for a stack.
+
+
+def reference_dynamics(q, tau, params, w) -> np.ndarray:
+    """State derivative of states (4,) or (B, 4) under torques (2,) or
+    (B, 2), each joint its own expression over (B,) columns, with the
+    accelerations from ``np.linalg.solve``."""
+    q, tau = np.asarray(q), np.asarray(tau)
+    if q.ndim == 1:
+        return reference_dynamics(q[None], tau[None], params, np.reshape(w, 1))[0]
+    return _rowwise_rhs(q, tau, params, _rowwise_payload_terms(params, w, q.shape[:-1]))
+
+
+def reference_advance(q, u, params, w) -> np.ndarray:
+    """States (4,) or (B, 4) after one sample period under the held commands
+    u, by the row-wise RK4 of :func:`reference_dynamics`."""
+    if np.ndim(q) == 1:
+        return reference_advance(np.asarray(q)[None], np.asarray(u)[None], params,
+                                 np.reshape(w, 1))[0]
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"commands must be finite, got {u}")
+    if np.any(u < 0.0) or np.any(u > 1.0):
+        raise ValueError(f"commands must lie in [0, 1], got {u}")
+    tau = params.tau_max * (2.0 * u - 1.0)
+    h = params.Ts / params.substeps
+    terms = _rowwise_payload_terms(params, w, np.shape(q)[:-1])
+    for _ in range(params.substeps):
+        q = _rowwise_rk4_step(q, tau, h, params, terms)
+    return q
+
+
+def reference_positions(q, params) -> np.ndarray:
+    """Noiseless (x, y) of the link-1 tip and end effector of a (4,) state."""
+    p1 = np.array([params.L1 * np.sin(q[0]), -params.L1 * np.cos(q[0])])
+    return np.concatenate([p1, p1 + [params.L2 * np.sin(q[1]), -params.L2 * np.cos(q[1])]])
+
+
 def reference_run(params, w: float, steps: int, rng, policy):
-    """One run of the arm by hand, on a single (4,) state from rest: the
-    initial measurement, then per period the policy ``(k, y) -> u``, the
-    step and the sensor noise, drawn from ``rng``.  Returns the ``steps + 1``
-    measured outputs and the ``steps`` commands."""
+    """One run of the arm by hand, on a single (4,) state from rest and
+    integrated by :func:`reference_advance`: the initial measurement, then
+    per period the policy ``(k, y) -> u``, the step and the sensor noise,
+    drawn from ``rng``.  Returns the ``steps + 1`` measured outputs and the
+    ``steps`` commands."""
 
     def noise():
         if params.noise_std > 0:
@@ -142,8 +231,8 @@ def reference_run(params, w: float, steps: int, rng, policy):
     us = []
     for k in range(steps):
         us.append(np.array(policy(k, ys[-1]), dtype=float))
-        q, y = step_zoh(q, us[-1], params, w)
-        ys.append(y + noise())
+        q = reference_advance(q, us[-1], params, w)
+        ys.append(reference_positions(q, params) + noise())
     return np.array(ys), np.array(us).reshape(steps, 2)
 
 

@@ -4,7 +4,12 @@ logic, report formats, tracking sanity on the simulated arm, and the CLI.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import klmpc
 import numpy as np
 import pytest
 
@@ -409,6 +414,52 @@ def test_cli_report(tmp_path, capsys):
     assert cli.main(["report", str(path)]) == 0
     out = capsys.readouterr().out
     assert "| K-MPC |" in out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [
+    "",
+    "garbage\n",
+    "controller,payload,rmse\nK-MPC,0.1,0.02\n",
+    "controller,rmse_abcg,avg,std\nK-MPC,0.02,0.02,0.0\n",
+    "controller,rmse_25g,rmse_125g,avg,std\nK-MPC,0.02\n",
+    "controller,rmse_25g,rmse_125g,avg,std\nK-MPC,0.02,abc,0.1,0.1\n",
+    "controller,rmse_25g,avg,std\nK-MPC,0.02,0.02,0.0\nKL-MPC\n",
+])
+def test_cli_report_rejects_malformed_csv(tmp_path, capsys, text):
+    # no rmse_<g>g column, or a short or non-numeric row: one error line,
+    # exit 2, no table and no numpy warning
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad.csv"):
+        report_from_csv(path)
+    assert cli.main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_cli_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KLMPC_SEED", "abc")
+    dataset = tmp_path / "d.csv"
+    assert cli.main(["collect", str(dataset), "--loads", "0.1", "--trials", "1",
+                     "--duration", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: KLMPC_SEED must be an integer") and "'abc'" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not dataset.exists()
+
+
+def test_python_dash_m_klmpc_runs_the_cli(tmp_path):
+    src = str(Path(klmpc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "klmpc", "--help"], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: klmpc")
+    assert "report" in proc.stdout
 
 
 def test_cli_errors(tmp_path, capsys):

@@ -2,6 +2,8 @@
 against active-set enumeration, and the closed-loop controller contracts.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -373,6 +375,22 @@ def test_step_log_keeps_copies_of_the_callers_arrays():
     assert np.array_equal(ctrl.logs[0].u, logged_u)
 
 
+def test_step_log_records_a_capped_solve_as_unconverged(tmp_path):
+    # no iteration allowed: the first QP stops short of its optimum, and
+    # the log and its CSV say so
+    model = scalar_model(a=0.5)
+    cfg = dataclasses.replace(scalar_cfg(Nh=3, r=0.01), qp_max_iter=0)
+    ctrl = Controller(model, cfg, np.full((1, 1), 0.2))
+    ctrl.step(np.array([0.0]))
+    [log] = ctrl.logs
+    assert log.converged is False
+    assert log.kkt_residual > cfg.qp_tol and log.qp_iters == 0
+    path = tmp_path / "log.csv"
+    save_step_log(path, ctrl.logs)
+    header, row = path.read_text().strip().splitlines()
+    assert row.split(",")[header.split(",").index("converged")] == "0"
+
+
 def test_step_log_csv(tmp_path):
     model = scalar_model(a=0.5)
     cfg = scalar_cfg(Nh=3, r=0.01)
@@ -385,7 +403,9 @@ def test_step_log_csv(tmp_path):
     save_step_log(path, ctrl.logs)
     lines = path.read_text().strip().splitlines()
     # p = 0: no w_hat columns
-    assert lines[0] == "step,t,y1,r1,u1,qp_iters,kkt_residual,solve_ms"
+    assert lines[0] == "step,t,y1,r1,u1,qp_iters,converged,kkt_residual,solve_ms"
     assert len(lines) == 6
+    assert all(lg.converged for lg in ctrl.logs)
+    assert [line.split(",")[6] for line in lines[1:]] == ["1"] * 5
     with pytest.raises(ValueError):
         save_step_log(tmp_path / "empty.csv", [])

@@ -1,13 +1,14 @@
 """Simulated arm: equilibrium and hand-solved dynamics oracles, integrator
-convergence and energy conservation, output geometry, batched against
-row-by-row evaluation, and the data campaign.
+convergence and energy conservation, output geometry, the integrator against
+its row-wise oracle and batched against row-by-row evaluation, and the data
+campaign.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from klmpc.plant import (
@@ -24,7 +25,13 @@ from klmpc.plant import (
     step_zoh,
 )
 
-from oracles import reference_campaign, reference_run
+from oracles import (
+    reference_advance,
+    reference_campaign,
+    reference_dynamics,
+    reference_positions,
+    reference_run,
+)
 
 
 def hold(u):
@@ -174,6 +181,10 @@ _rows = st.lists(
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(_rows)
+# om2**2 on a numpy scalar calls pow(), which glibc rounds one ulp off x*x
+# at this state; a lone state must still square exactly, as a stack does
+@example([(1.2960441655458848, -2.354641815204415, -0.8767878576175852, 2.4226847631984496,
+           0.5983013973583118, 1.4704700824657504, 0.26893820958353504)])
 def test_batched_dynamics_matches_rows(rows):
     params = ArmParams()
     data = np.array(rows)
@@ -181,6 +192,48 @@ def test_batched_dynamics_matches_rows(rows):
     batched = dynamics(q, tau, params, w)
     single = np.array([dynamics(q[i], tau[i], params, w[i]) for i in range(len(rows))])
     assert np.array_equal(batched, single)
+
+
+@pytest.mark.parametrize("B, per_row", [
+    (None, False), (1, False), (1, True), (2, False), (2, True), (21, False), (21, True),
+])
+def test_integrator_matches_row_wise_oracle(B, per_row):
+    # one (4,) state or a (B, 4) stack with a scalar or per-row payload: the
+    # derivative and 20 sample periods from random states equal the row-wise
+    # RK4 bit for bit (B = 2 is the batch as long as the joint axis)
+    params = ArmParams(k=1.0, c=0.3)
+    rng = np.random.default_rng(B or 0)
+    shape = () if B is None else (B,)
+    q = rng.uniform(-3.0, 3.0, shape + (4,))
+    w = rng.uniform(0.0, W_MAX, shape) if per_row else 0.175
+    tau = rng.uniform(-params.tau_max, params.tau_max, shape + (2,))
+    assert np.array_equal(dynamics(q, tau, params, w), reference_dynamics(q, tau, params, w))
+    want = q
+    for _ in range(20):
+        u = rng.uniform(0.0, 1.0, shape + (2,))
+        q, y = step_zoh(q, u, params, w)
+        want = reference_advance(want, u, params, w)
+        assert q.shape == want.shape and np.array_equal(q, want)
+        assert np.array_equal(np.reshape(y, (-1, 4)),
+                              [reference_positions(row, params) for row in np.reshape(q, (-1, 4))])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.tuples(*[st.floats(-3.0, 3.0) for _ in range(4)],  # state
+                          st.floats(0.0, 1.0), st.floats(0.0, 1.0),   # command
+                          st.floats(0.0, W_MAX)),                     # payload
+                min_size=1, max_size=16))
+@example([(-2.350986451755757, 2.001792965522819, -2.350986451755757, 0.0, 0.0, 0.0, 1e-12)])
+def test_step_zoh_matches_row_wise_oracle(rows):
+    params = ArmParams()
+    data = np.array(rows)
+    q, u, w = data[:, :4], data[:, 4:6], data[:, 6]
+    tau = params.tau_max * (2.0 * u - 1.0)
+    assert np.array_equal(step_zoh(q, u, params, w)[0], reference_advance(q, u, params, w))
+    assert np.array_equal(dynamics(q, tau, params, w), reference_dynamics(q, tau, params, w))
+    # the first row alone takes the (4,) path
+    assert np.array_equal(step_zoh(q[0], u[0], params, w[0])[0],
+                          reference_advance(q[0], u[0], params, w[0]))
 
 
 def test_collect_training_data_matches_run_by_run():
