@@ -8,7 +8,6 @@ from .edmd import (
     assemble_snapshots,
     fit_koopman,
     fit_linear_baseline,
-    predict_one_step,
 )
 from .lifting import (
     Basis,
@@ -30,6 +29,6 @@ __all__ = [
     "Trajectory", "assemble_snapshots", "collect_training_data", "delay_embed",
     "drive", "dynamics", "estimate_instant", "estimate_window", "fit_basis",
     "fit_koopman", "fit_linear_baseline", "gamma_matrix", "identity_basis",
-    "lift_g", "lift_gamma", "lstsq", "pca_fit", "pinv", "predict_one_step",
-    "solve_box_qp", "step_zoh",
+    "lift_g", "lift_gamma", "lstsq", "pca_fit", "pinv", "solve_box_qp",
+    "step_zoh",
 ]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -176,18 +177,11 @@ def fit_linear_baseline(snapshots, n: int, m: int, d: int, Ts: float) -> Koopman
     return fit_koopman(snapshots, identity_basis(n, m, d), Ts, with_load=False)
 
 
-def predict_one_step(model: KoopmanModel, yd, u, w=None) -> np.ndarray:
-    """One-step output prediction C (A lift(yd, w) + B u)."""
-    z = model.lift(yd, w)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return model.C @ (model.A @ z + model.B @ u)
-
-
 def one_step_rmse(model: KoopmanModel, trajectories) -> float:
     """Held-out one-step output RMSE over all valid snapshot pairs.
 
     All snapshots are lifted in one batch and predicted as
-    (Z A' + U B') C', the row-stacked form of :func:`predict_one_step`.
+    (Z A' + U B') C', the row-stacked form of C (A lift(yd, w) + B u).
     """
     Yd, Y_next, U, W = assemble_snapshots(trajectories, model.d)
     Z = _lift_rows(model.basis, Yd, W, with_load=model.p > 0)
@@ -266,14 +260,36 @@ def save_trajectories(trajectories, path) -> None:
 
 
 def load_trajectories(path) -> list:
-    """Read a trajectory dataset written by :func:`save_trajectories`."""
+    """Read a trajectory dataset written by :func:`save_trajectories`.
+
+    The header must read ``t,y1..yn,u1..um`` with n, m >= 1, optionally
+    followed by ``w1..wp``.  A different header, a file with no data rows,
+    or a row with a missing, extra, non-numeric or non-finite cell raises
+    ValueError naming the file (and the line).
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    names = header
-    n = sum(1 for c in names if c.startswith("y"))
-    m = sum(1 for c in names if c.startswith("u"))
-    p = sum(1 for c in names if c.startswith("w"))
+        n, m, p = (sum(c.startswith(s) for c in header) for s in "yuw")
+        expected = (["t"] + [f"y{i+1}" for i in range(n)]
+                    + [f"u{i+1}" for i in range(m)] + [f"w{i+1}" for i in range(p)])
+        if n < 1 or m < 1 or header != expected:
+            raise ValueError(f"{path}: the header must read t,y1..yn,u1..um[,w1..wp] "
+                             f"with n, m >= 1, got {','.join(header)!r}")
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(c) for c in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != len(header) or not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}, line {lineno}: expected {len(header)} finite "
+                                 f"numbers, got {line.strip()!r}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows after the header")
+    data = np.array(rows)
     t = data[:, 0]
     # trajectory boundaries: time restarts (non-increasing step)
     breaks = [0] + [i for i in range(1, len(t)) if t[i] <= t[i - 1]] + [len(t)]

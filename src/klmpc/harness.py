@@ -27,6 +27,11 @@ EXP2_PAYLOADS = (0.025, 0.125, 0.225)
 BIN_WIDTH = 0.05
 BIN_COUNT = 5
 CUP_RADIUS = 0.045
+# experiment 4: objects sorted per run, and the seconds of the estimation
+# (excitation) and drop-off phases of each
+SORT_OBJECTS = 5
+SORT_ESTIMATION_DURATION = 15.0
+SORT_DROPOFF_DURATION = 10.0
 # input weight of the drop-off controller: regulating to a fixed cup needs the
 # arm to come to rest, and at the tracking weight (r_weight) it chatters
 # bang-bang around the target, so the release point would hang on the last
@@ -53,6 +58,8 @@ class FitConfig:
     holdout_duration: float = 20.0
 
     def __post_init__(self):
+        if self.d < 0:
+            raise ValueError(f"FitConfig: 'd' must be >= 0, got {self.d}")
         if not 0.0 < self.energy <= 1.0:
             raise ValueError(f"FitConfig: 'energy' must be in (0, 1], got {self.energy}")
 
@@ -70,6 +77,10 @@ class ExperimentConfig:
     outdir: Optional[str] = None
 
     def __post_init__(self):
+        if not self.q_weight >= 0.0:
+            raise ValueError(f"ExperimentConfig: 'q_weight' must be >= 0, got {self.q_weight}")
+        if not self.r_weight > 0.0:
+            raise ValueError(f"ExperimentConfig: 'r_weight' must be > 0, got {self.r_weight}")
         self.mpc_config()  # range checks of the controller settings
 
     def mpc_config(self) -> MpcConfig:
@@ -164,16 +175,15 @@ class Reference:
         return self.table[np.clip(ks, 0, len(self.table) - 1), -2:]
 
 
-def figure_eight_reference(params: ArmParams, duration: float = 20.0,
-                           extent: float = 0.6, center=None) -> Reference:
-    """Planar figure-eight of the given horizontal extent, one cycle over the
-    trial, near the hanging end-effector position.
+def figure_eight_reference(params: ArmParams, duration: float = 20.0) -> Reference:
+    """Planar figure-eight 0.6 m wide, one cycle over the trial, near the
+    hanging end-effector position.
 
     The torque- and spring-limited workspace is wide but shallow, so the
     eight is mostly horizontal.
     """
-    if center is None:
-        center = (0.0, -0.975 * (params.L1 + params.L2))
+    extent = 0.6
+    center = (0.0, -0.975 * (params.L1 + params.L2))
     ax_, ay = extent / 2.0, 0.075 * extent
 
     def fn(t):
@@ -184,12 +194,11 @@ def figure_eight_reference(params: ArmParams, duration: float = 20.0,
     return Reference(fn, params.Ts, duration)
 
 
-def circle_reference(params: ArmParams, duration: float, radius: float = 0.1,
-                     period: float = 10.0, center=None) -> Reference:
-    """Planar circle (paper-scale 200 mm diameter analog) for the end
-    effector, traversed with the given period."""
-    if center is None:
-        center = (0.0, -0.88 * (params.L1 + params.L2))
+def circle_reference(params: ArmParams, duration: float) -> Reference:
+    """Planar circle of radius 0.1 m (paper-scale 200 mm diameter analog)
+    for the end effector, traversed once every 10 s."""
+    radius, period = 0.1, 10.0
+    center = (0.0, -0.88 * (params.L1 + params.L2))
 
     def fn(t):
         ph = 2.0 * np.pi * t / period
@@ -244,24 +253,18 @@ def fit_kinds(training, fit: FitConfig, kinds=MODEL_KINDS) -> dict:
     return models
 
 
-def fit_models(cfg: ExperimentConfig, training: Optional[list] = None,
-               holdout: Optional[list] = None) -> ModelSet:
+def fit_models(cfg: ExperimentConfig) -> ModelSet:
     """Fit the three controller models from the training campaign and keep
-    the holdout campaign for scoring.  Whichever is not supplied is
-    collected; when both are missing they run as one lockstep batch."""
+    the holdout campaign for scoring; both campaigns run as one lockstep
+    batch."""
     camp, fit = cfg.campaign, cfg.fit
-    campaigns = {"training": (camp.trials, camp.duration, camp.seed),
-                 "holdout": (fit.holdout_trials, fit.holdout_duration, camp.seed + 1)}
-    data = {"training": training, "holdout": holdout}
-    missing = [name for name, runs in data.items() if runs is None]
-    if missing:
-        collected = collect_training_data(cfg.plant, camp.loads,
-                                          [campaigns[name] for name in missing])
-        data.update(zip(missing, collected))
-    for name, runs in data.items():
+    training, holdout = collect_training_data(
+        cfg.plant, camp.loads,
+        [(camp.trials, camp.duration, camp.seed),
+         (fit.holdout_trials, fit.holdout_duration, camp.seed + 1)])
+    for name, runs in (("training", training), ("holdout", holdout)):
         if not runs:
             raise ValueError(f"the {name} campaign has no runs (trials or loads are empty)")
-    training, holdout = data["training"], data["holdout"]
     models = fit_kinds(training, fit)
     return ModelSet(baseline=models["baseline"], koopman=models["koopman"],
                     koopman_load=models["koopman-load"], holdout=tuple(holdout))
@@ -295,19 +298,11 @@ def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
                        seed: int = 0, label: str = "") -> TrialResult:
     """Closed-loop run of one controller against the simulated arm."""
     params = cfg.plant
-    kl = None if known_load is None else np.atleast_1d(known_load)
     K = _trial_steps(duration, params.Ts)
     ctrl = Controller(model, cfg.mpc_config(), ref.table,
-                      est_cfg=est_cfg, known_load=kl)
-    w_trace = []
-
-    def policy(k, y):
-        u = ctrl.step(y)
-        if ctrl.w_hat is not None:
-            w_trace.append(ctrl.w_hat.copy())
-        return u
-
-    [(Y, _)] = drive(params, [Run(payload, np.random.default_rng(seed), K, policy)])
+                      est_cfg=est_cfg, known_load=known_load)
+    [(Y, _)] = drive(params, [Run(payload, np.random.default_rng(seed), K,
+                                  lambda k, y: ctrl.step(y))])
     miss = Y[1:, -2:] - ref.targets(np.arange(1, K + 1))
     # a (1, 2) @ (2, 1) product runs the dot kernel that np.linalg.norm runs
     # on one vector, so each error rounds as its per-step norm would
@@ -315,7 +310,8 @@ def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
     rmse = float(np.sqrt(np.mean(errors**2)))
     return TrialResult(controller=label, payload=payload, rmse=rmse,
                        logs=ctrl.logs, errors=errors,
-                       w_hat_trace=np.asarray(w_trace) if w_trace else None)
+                       w_hat_trace=(None if ctrl.w_hat is None
+                                    else np.array([lg.w_hat for lg in ctrl.logs])))
 
 
 @dataclass
@@ -538,21 +534,19 @@ class SortOutcome:
     success: bool
 
 
-def run_experiment4(cfg: ExperimentConfig, models: Optional[ModelSet] = None,
-                    n_objects: int = 5, estimation_duration: float = 15.0,
-                    dropoff_duration: float = 10.0) -> list:
+def run_experiment4(cfg: ExperimentConfig, models: Optional[ModelSet] = None) -> list:
     """Automated sorting by mass: excite the arm with ramp-and-hold wiggles
     for 15 s while the observer runs, freeze the estimate, pick the bin,
-    then track the drop-off target with the frozen load."""
+    then track the drop-off target for 10 s with the frozen load."""
     if models is None:
         models = fit_models(cfg)
     params = cfg.plant
     rng = np.random.default_rng(cfg.seed)
-    payloads = rng.uniform(0.0, 0.25, size=n_objects)
+    payloads = rng.uniform(0.0, 0.25, size=SORT_OBJECTS)
     targets = bin_targets(params)
     model = models.koopman_load
-    K_est = int(round(estimation_duration / params.Ts))
-    K_drop = int(round(dropoff_duration / params.Ts))
+    K_est = int(round(SORT_ESTIMATION_DURATION / params.Ts))
+    K_drop = int(round(SORT_DROPOFF_DURATION / params.Ts))
     drop_mpc = dataclasses.replace(cfg, r_weight=DROPOFF_R_WEIGHT).mpc_config()
     outcomes = []
     for i, payload in enumerate(float(p) for p in payloads):
@@ -567,7 +561,7 @@ def run_experiment4(cfg: ExperimentConfig, models: Optional[ModelSet] = None,
             if not dropoff:
                 # drop-off phase: frozen estimate, constant target reference
                 w = np.atleast_1d(float(state.w_hat[0]))
-                ref = point_reference(params, targets[bin_index(w[0])], dropoff_duration)
+                ref = point_reference(params, targets[bin_index(w[0])], SORT_DROPOFF_DURATION)
                 dropoff.append(Controller(model, drop_mpc, ref.table, known_load=w))
             return dropoff[0].step(y)
 

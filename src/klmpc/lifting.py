@@ -131,8 +131,8 @@ def lift_g_many(basis: Basis, Yd: np.ndarray, *, out=None) -> np.ndarray:
     (an array or a column view of a wider one, such as the leading columns
     of a least-squares data matrix), else a new one.  The monomial block is
     centred in place and projected straight into its columns, so the only
-    temporary is the (K, P) monomial array; the arithmetic is that of
-    ``projection.transform``.
+    temporary is the (K, P) monomial array; the arithmetic is that of the
+    projection ``(Q - mean) @ components.T``.
     """
     Yd = np.atleast_2d(np.asarray(Yd, dtype=float))
     if Yd.shape[1] != basis.identity_count:

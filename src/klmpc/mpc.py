@@ -36,6 +36,13 @@ class MpcConfig:
             raise ValueError(f"MpcConfig: 'Nh' must be >= 1, got {self.Nh}")
         if np.any(np.asarray(self.u_min) >= np.asarray(self.u_max)):
             raise ValueError("MpcConfig: need u_min < u_max componentwise")
+        # Q PSD up to rounding of its entries, R PD; a non-finite entry fails
+        Q, R = (np.asarray(W, dtype=float) for W in (self.Q, self.R))
+        if not (np.all(np.isfinite(Q))
+                and np.linalg.eigvalsh(Q + Q.T)[0] >= -1e-12 * np.abs(Q).max()):
+            raise ValueError("MpcConfig: 'Q' must be positive semidefinite")
+        if not (np.all(np.isfinite(R)) and np.linalg.eigvalsh(R + R.T)[0] > 0.0):
+            raise ValueError("MpcConfig: 'R' must be positive definite")
 
 
 def end_effector_weight(n: int, weight: float = 1.0) -> np.ndarray:
@@ -220,7 +227,7 @@ class Controller:
     def __init__(self, model: KoopmanModel, mpc_cfg: MpcConfig,
                  reference: np.ndarray,
                  est_cfg: Optional[EstimatorConfig] = None,
-                 known_load=None, u_neutral=None):
+                 known_load=None):
         self.model = model
         self.cfg = mpc_cfg
         reference = np.asarray(reference, dtype=float)
@@ -236,14 +243,11 @@ class Controller:
             self.estimator = EstimatorState(cfg=cfg, d=model.d)
         else:
             self.estimator = None
-        if u_neutral is None:
-            u_neutral = 0.5 * (np.asarray(mpc_cfg.u_min, dtype=float)
-                               + np.asarray(mpc_cfg.u_max, dtype=float))
-        self.u_neutral = np.asarray(u_neutral, dtype=float)
+        self.u_neutral = 0.5 * (np.asarray(mpc_cfg.u_min, dtype=float)
+                                + np.asarray(mpc_cfg.u_max, dtype=float))
         # y[k-d..k] and u[k-d-1..k-1]: the input history runs one step behind
         self.history_y = deque(maxlen=model.d + 1)
         self.history_u = deque(maxlen=model.d + 1)
-        self.prev_record = None   # completed (y, u) pair awaiting the estimator
         self.prev_U: Optional[np.ndarray] = None
         self.step_count = 0
         self.rejected = 0
@@ -273,14 +277,15 @@ class Controller:
                            "holding the last input", self.step_count, y)
             return (self.history_u[-1] if self.history_u else self.u_neutral).copy()
         k = self.step_count
+        # the estimator consumes completed (y, u) records, one step behind:
+        # the newest of both histories, before this step's y is appended
+        if self.estimator is not None and k > 0:
+            obs.update(self.estimator, self.model, self.history_y[-1], self.history_u[-1])
         if not self.history_y:
             # prefill so delay embedding is defined from the first step
             self.history_y.extend([y.copy()] * self.model.d)
             self.history_u.extend([self.u_neutral] * (self.model.d + 1))
         self.history_y.append(y.copy())
-        # the estimator consumes completed (y, u) records, one step behind
-        if self.estimator is not None and self.prev_record is not None:
-            obs.update(self.estimator, self.model, *self.prev_record)
         yd = delay_embed(np.array(self.history_y), np.array(self.history_u)[1:],
                          self.model.d)[0]
         z0 = self.model.lift(yd, self.w_hat)
@@ -294,7 +299,6 @@ class Controller:
         m = self.model.m
         u = np.clip(result.x[:m], self.cfg.u_min, self.cfg.u_max)
         self.history_u.append(u.copy())
-        self.prev_record = (y.copy(), u.copy())
         self.logs.append(StepLog(
             step=k, t=k * self.model.Ts, y=y.copy(), r=self.reference[j].copy(),
             u=u.copy(), w_hat=(self.w_hat.copy() if self.w_hat is not None else np.zeros(0)),

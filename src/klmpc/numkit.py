@@ -16,19 +16,17 @@ logger = logging.getLogger(__name__)
 DEFAULT_RTOL = 1e-10
 
 
-def pinv(A: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def pinv(A: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via full SVD.
 
-    Singular values up to ``rtol * sigma_max`` are treated as zero, and a
-    warning gives the rank that is left when any is dropped.
+    Singular values up to ``DEFAULT_RTOL * sigma_max`` are treated as zero,
+    and a warning gives the rank that is left when any is dropped.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("pinv: input matrix contains non-finite entries")
-    if rtol <= 0:
-        raise ValueError("pinv: rtol must be positive")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = s > rtol * s[0] if s.size else s.astype(bool)
+    keep = s > DEFAULT_RTOL * s[0] if s.size else s.astype(bool)
     if not keep.all():
         logger.warning("pinv: %dx%d matrix is rank-deficient (%d < %d); the "
                        "minimum-norm solution is returned",
@@ -40,7 +38,7 @@ def pinv(A: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     return (Vt.T * s_inv) @ U.T
 
 
-def lstsq(A: np.ndarray, B: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def lstsq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Minimum-norm X minimizing ||A X - B||_F, i.e. pinv(A) @ B."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -48,7 +46,7 @@ def lstsq(A: np.ndarray, B: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarra
         raise ValueError(
             f"lstsq: row mismatch, A has {A.shape[0]} rows, B has {B.shape[0]}"
         )
-    return pinv(A, rtol=rtol) @ B
+    return pinv(A) @ B
 
 
 @dataclass(frozen=True)
@@ -67,10 +65,6 @@ class PcaProjection:
     @property
     def n_components(self) -> int:
         return self.components.shape[0]
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return (X - self.mean) @ self.components.T
 
 
 def pca_fit(X: np.ndarray, energy: float) -> PcaProjection:

@@ -6,7 +6,7 @@ closed-loop controller.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,23 +67,21 @@ def _load_system(model: KoopmanModel, Yd: np.ndarray, Y_next: np.ndarray,
 
 
 def _solve_load(M: np.ndarray, rhs: np.ndarray, cfg: EstimatorConfig,
-                fallback=None, reduced=None):
+                fallback=None):
     """Solve the stacked load equations M (1, w) = rhs for w.
 
     The default (full) form solves for the whole (1, w) stack by
     pseudoinverse, letting the constant coefficient soak up any systematic
-    one-step model offset; the reduced form pins the constant coefficient at
-    exactly 1 and solves for w alone.
+    one-step model offset; the reduced form (``cfg.reduced``) pins the
+    constant coefficient at exactly 1 and solves for w alone.
     """
-    if reduced is None:
-        reduced = cfg.reduced
     if fallback is None:
         fallback = cfg.w_init
     w_cols = M[:, 1:]
     scale = max(np.linalg.norm(M), 1.0)
     if np.linalg.norm(w_cols) < 1e-9 * scale:
         return np.asarray(fallback, dtype=float).copy(), True
-    if reduced:
+    if cfg.reduced:
         w = numkit.lstsq(w_cols, rhs - M[:, 0])
     else:
         v = numkit.lstsq(M, rhs)
@@ -115,18 +113,18 @@ def window_system(model: KoopmanModel, history, Nw: int):
 
 
 def estimate_window(model: KoopmanModel, history, cfg: EstimatorConfig,
-                    fallback=None, reduced=None):
+                    fallback=None):
     """Windowed load estimate (w_hat, degenerate) over the last Nw
     transitions in ``history`` (see :func:`window_system`); a window blind to
     the load returns the fallback with the flag set."""
-    return _solve_load(*window_system(model, history, cfg.Nw), cfg, fallback, reduced)
+    return _solve_load(*window_system(model, history, cfg.Nw), cfg, fallback)
 
 
 def estimate_instant(model: KoopmanModel, history, cfg: EstimatorConfig,
-                     fallback=None, reduced=None):
+                     fallback=None):
     """Load estimate from the newest transition in ``history`` alone: the
     window estimate with Nw = 1, whatever ``cfg.Nw`` is."""
-    return _solve_load(*window_system(model, history, 1), cfg, fallback, reduced)
+    return _solve_load(*window_system(model, history, 1), cfg, fallback)
 
 
 @dataclass
@@ -135,20 +133,17 @@ class EstimatorState:
 
     cfg: EstimatorConfig
     d: int
-    w_hat: np.ndarray = None
-    history: deque = None
-    estimates: deque = None
-    step: int = 0
-    updates: int = 0
-    degenerate: bool = False
+    w_hat: np.ndarray = field(init=False)
+    history: deque = field(init=False)
+    estimates: deque = field(init=False)
+    step: int = field(init=False, default=0)
+    updates: int = field(init=False, default=0)
+    degenerate: bool = field(init=False, default=False)
 
     def __post_init__(self):
-        if self.w_hat is None:
-            self.w_hat = self.cfg.w_init.copy()
-        if self.history is None:
-            self.history = deque(maxlen=self.cfg.Nw + self.d + 1)
-        if self.estimates is None:
-            self.estimates = deque(maxlen=max(self.cfg.Nr, 1))
+        self.w_hat = self.cfg.w_init.copy()
+        self.history = deque(maxlen=self.cfg.Nw + self.d + 1)
+        self.estimates = deque(maxlen=self.cfg.Nr)
 
 
 def update(state: EstimatorState, model: KoopmanModel, y, u) -> EstimatorState:
@@ -170,7 +165,7 @@ def update(state: EstimatorState, model: KoopmanModel, y, u) -> EstimatorState:
                                                 fallback=state.w_hat)
             state.degenerate = degenerate
             if not degenerate:
-                pool = [w_new] + list(state.estimates)[-cfg.Nr:] if cfg.Nr > 0 else [w_new]
+                pool = [w_new, *state.estimates]
                 state.w_hat = cfg.clamp(np.mean(pool, axis=0))
                 state.estimates.append(w_new)
                 state.updates += 1
@@ -178,20 +173,13 @@ def update(state: EstimatorState, model: KoopmanModel, y, u) -> EstimatorState:
     return state
 
 
-def save_estimate_trace(path, steps, times, w_instant, w_hat, w_true=None) -> None:
-    """Estimate trace CSV: step, t, w_true (if known), w_instant, w_hat."""
+def save_estimate_trace(path, steps, times, w_instant, w_hat, w_true) -> None:
+    """Estimate trace CSV: step, t, w_true, w_instant, w_hat."""
     cols = [np.asarray(steps, dtype=float), np.asarray(times, dtype=float)]
     header = ["step", "t"]
-    wi = np.atleast_2d(np.asarray(w_instant, dtype=float).T).T
-    wh = np.atleast_2d(np.asarray(w_hat, dtype=float).T).T
-    p = wh.shape[1]
-    if w_true is not None:
-        wt = np.atleast_2d(np.asarray(w_true, dtype=float).T).T
-        cols.extend(wt[:, i] for i in range(p))
-        header.extend(f"w_true{i+1}" for i in range(p))
-    cols.extend(wi[:, i] for i in range(p))
-    header.extend(f"w_instant{i+1}" for i in range(p))
-    cols.extend(wh[:, i] for i in range(p))
-    header.extend(f"w_hat{i+1}" for i in range(p))
+    for name, w in (("w_true", w_true), ("w_instant", w_instant), ("w_hat", w_hat)):
+        w = np.atleast_2d(np.asarray(w, dtype=float).T).T
+        cols.extend(w.T)
+        header.extend(f"{name}{i+1}" for i in range(w.shape[1]))
     np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
                header=",".join(header), comments="")

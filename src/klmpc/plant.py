@@ -218,16 +218,17 @@ def step_zoh(q: np.ndarray, u, params: ArmParams, w, rngs=()) -> tuple:
     return q, _measure(q, params, rngs)
 
 
-def ramp_and_hold(rng, m: int, Ts: float, hold_range=(0.25, 1.5), ramp_range=(0.1, 0.5)):
+def ramp_and_hold(rng, m: int, Ts: float):
     """Generator of randomized ramp-and-hold commands sampled at Ts: hold a
-    uniform-random u, then ramp linearly to the next one."""
+    uniform-random u for 0.25-1.5 s, then ramp linearly to the next one over
+    0.1-0.5 s."""
     u_cur = rng.uniform(0.0, 1.0, size=m)
     while True:
-        hold_steps = max(1, int(round(rng.uniform(*hold_range) / Ts)))
+        hold_steps = max(1, int(round(rng.uniform(0.25, 1.5) / Ts)))
         for _ in range(hold_steps):
             yield u_cur.copy()
         u_next = rng.uniform(0.0, 1.0, size=m)
-        ramp_steps = max(1, int(round(rng.uniform(*ramp_range) / Ts)))
+        ramp_steps = max(1, int(round(rng.uniform(0.1, 0.5) / Ts)))
         for i in range(1, ramp_steps + 1):
             yield u_cur + (u_next - u_cur) * (i / ramp_steps)
         u_cur = u_next

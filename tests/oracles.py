@@ -13,8 +13,10 @@
   from an explicit (output, input, next-output) triple;
 - a reference evaluated step by step, and the condensed QP's linear term
   in its expanded form;
-- PCA by a direct SVD of the centred data, and the g/gamma lifts in their
-  per-block concatenation form.
+- PCA by a direct SVD of the centred data, the projection of samples onto
+  a fitted PCA, and the g/gamma lifts in their per-block concatenation form;
+- the one-step output prediction of a fitted model from one embedded
+  output.
 """
 
 import itertools
@@ -275,13 +277,13 @@ def reference_window_system(model, history, Nw: int):
 
 
 def reference_estimate_instant(model, y_next, yd_prev, u_prev, cfg,
-                               fallback=None, reduced=None):
+                               fallback=None):
     """Load estimate from one transition given as a triple: the embedded
     output ``yd_prev``, the input ``u_prev`` applied from it and the output
     ``y_next`` it led to, each a single row of the load equations."""
     M, rhs = observer._load_system(model, *(np.atleast_2d(np.asarray(v, dtype=float))
                                             for v in (yd_prev, y_next, u_prev)))
-    return observer._solve_load(M, rhs, cfg, fallback, reduced)
+    return observer._solve_load(M, rhs, cfg, fallback)
 
 
 def reference_rows(ref, ks) -> np.ndarray:
@@ -327,6 +329,12 @@ def reference_pca(X, energy: float):
     return mean, comps, frac[:k]
 
 
+def pca_transform(projection: PcaProjection, X) -> np.ndarray:
+    """Samples (rows of X) centred and projected onto the components."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return (X - projection.mean) @ projection.components.T
+
+
 def reference_lift_g_many(basis: Basis, Yd) -> np.ndarray:
     """g lifts as blocks concatenated: identities, constant, projected
     per-pair monomials."""
@@ -336,7 +344,7 @@ def reference_lift_g_many(basis: Basis, Yd) -> np.ndarray:
         blocks.append(np.ones((Yd.shape[0], 1)))
     if basis.projection.n_components > 0:
         Q = np.stack([Yd[:, i] * Yd[:, j] for i, j in basis.quad_pairs], axis=1)
-        blocks.append(basis.projection.transform(Q))
+        blocks.append(pca_transform(basis.projection, Q))
     return np.concatenate(blocks, axis=1)
 
 
@@ -345,3 +353,11 @@ def reference_lift_gamma_many(basis: Basis, Yd, W) -> np.ndarray:
     W = np.atleast_2d(np.asarray(W, dtype=float))
     G = reference_lift_g_many(basis, Yd)
     return np.concatenate([G] + [G * W[:, [i]] for i in range(W.shape[1])], axis=1)
+
+
+def predict_one_step(model, yd, u, w=None) -> np.ndarray:
+    """One-step output prediction C (A lift(yd, w) + B u) from one embedded
+    output."""
+    z = model.lift(yd, w)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return model.C @ (model.A @ z + model.B @ u)

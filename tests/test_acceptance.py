@@ -53,11 +53,10 @@ def test_ac2_exact_augmented_recovery():
     rng = np.random.default_rng(1)
     held = simulate_bilinear(0.15, 80, rng)
     pred_err = one_step_rmse(model, [held])
-    cfg = EstimatorConfig(Nw=30)
     # the pure oracle's constant and load columns are collinear, so the
     # reduced solve is the identifying mode on this plant
-    w_hat, degenerate = estimate_window(model, history_for(0.15, 31, rng), cfg,
-                                        reduced=True)
+    cfg = EstimatorConfig(Nw=30, reduced=True)
+    w_hat, degenerate = estimate_window(model, history_for(0.15, 31, rng), cfg)
     est_err = abs(w_hat[0] - 0.15)
     record("AC-2",
            pred_err < 1e-8 and est_err < 1e-8 and not degenerate,

@@ -1,13 +1,16 @@
 """The benchmark's hook points: every layer entry point its tracer wraps and
-every per-sample call a workload probes must resolve on the package, and its
-self-test must pass.  No workload is run; a rename in the package that would
-crash ``bench/run.py`` fails here instead.
+every per-sample call a workload probes must resolve on the package, its
+trial adapters must run on short trials, and its self-test must pass.  No
+whole workload is run; a rename in the package that would crash
+``bench/run.py`` fails here instead.
 """
 
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -43,6 +46,30 @@ def test_workload_online_points_resolve(workloads, name):
     assert len(probe.points) >= 1
     for owner, attr in probe.points:
         assert callable(owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr))
+
+
+@pytest.mark.parametrize("known_load", [True, False])
+def test_tracking_trial_adapter_runs(workloads, default_cfg, models, known_load):
+    # 1 s of KL-MPC on the circle, with the true load or the live observer
+    payload = 0.125
+    ref = workloads.harness.circle_reference(default_cfg.plant, duration=1.0)
+    extra = ({"known_load": payload} if known_load
+             else {"est_cfg": default_cfg.estimator})
+    out = workloads._tracking_trial(models.koopman_load, default_cfg, payload, ref,
+                                    1.0, "KL-MPC", 3, **extra)
+    assert out.label == "KL-MPC" and out.payload == payload
+    assert out.steps == out.solves == 20
+    assert 0 <= out.unconverged <= out.solves
+    assert math.isfinite(out.rmse) and out.rmse > 0
+    assert (out.load_err is None) == known_load
+    if not known_load:
+        assert 0.0 <= out.load_err <= 0.3
+
+
+def test_estimation_trial_adapter_runs(workloads, default_cfg, models):
+    out = workloads._estimation_trial(models.koopman_load, default_cfg, 0.2, 1.0, 5)
+    assert out.label == "observer" and out.steps == 20
+    assert out.rmse is None and np.isfinite(out.load_err)
 
 
 def test_bench_selftest_passes():

@@ -13,11 +13,10 @@ from klmpc.edmd import (
     fit_koopman,
     fit_linear_baseline,
     one_step_rmse,
-    predict_one_step,
 )
 from klmpc.lifting import identity_basis, lift_g
 
-from oracles import bilinear_basis, fit_bilinear_model, simulate_bilinear
+from oracles import bilinear_basis, fit_bilinear_model, predict_one_step, simulate_bilinear
 
 TS = 0.05
 

@@ -114,7 +114,7 @@ def test_controller_horizon_is_the_next_reference_rows(default_cfg, models):
 def test_figure_eight_geometry():
     params = ExperimentConfig().plant
     extent = 0.6
-    ref = figure_eight_reference(params, duration=20.0, extent=extent)
+    ref = figure_eight_reference(params, duration=20.0)
     pts = np.array([ref(k)[-2:] for k in range(400)])
     cx = 0.0
     assert np.max(pts[:, 0]) - cx == pytest.approx(extent / 2.0, abs=1e-3)
@@ -126,7 +126,7 @@ def test_figure_eight_geometry():
 def test_circle_geometry():
     params = ExperimentConfig().plant
     radius, center = 0.1, (0.0, -0.88 * (params.L1 + params.L2))
-    ref = circle_reference(params, duration=30.0, radius=radius)
+    ref = circle_reference(params, duration=30.0)
     for k in range(0, 600, 7):
         p = ref(k)[-2:]
         assert np.linalg.norm(p - center) == pytest.approx(radius, abs=1e-12)
@@ -330,6 +330,34 @@ def test_cli_collect_and_fit(tmp_path, capsys):
     assert "wrote" in out
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, where", [
+    ("t,u1,y1,y2\n0,0.5,0.1,0.2\n0.05,0.5,0.1,0.2\n", "header"),
+    ("a,b\n0,1\n0.05,1\n", "header"),
+    ("t,y1,y2\n0,0.1,0.2\n", "header"),
+    ("", "header"),
+    ("t,y1,u1,w1\n0,0.1,0.5,0.1\n0.05,nan,0.5,0.1\n", "line 3"),
+    ("t,y1,u1,w1\n0,0.1,0.5,0.1\n0.05,-inf,0.5,0.1\n", "line 3"),
+    ("t,y1,u1,w1\n0,0.1,0.5\n", "line 2"),
+    ("t,y1,u1,w1\n0,0.1,0.5,0.1,7\n", "line 2"),
+    ("t,y1,u1,w1\n0,0.1,abc,0.1\n", "line 2"),
+    ("t,y1,u1,w1\n", "no data rows"),
+])
+def test_cli_fit_rejects_malformed_dataset(tmp_path, capsys, text, where):
+    # a header other than t,y1..yn,u1..um[,w1..wp], a bad cell or no data:
+    # one error line naming the file, exit 2, no numpy warning, no model
+    dataset, model_path = tmp_path / "bad.csv", tmp_path / "model.json"
+    dataset.write_text(text)
+    with pytest.raises(ValueError, match="bad.csv"):
+        load_trajectories(dataset)
+    assert cli.main(["fit", str(dataset), str(model_path), "--kind", "koopman"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and where in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not model_path.exists()
+
+
 def test_cli_fit_baseline_skips_dictionary(tmp_path, monkeypatch):
     dataset = tmp_path / "data.csv"
     assert cli.main(collect_args(dataset)) == 0
@@ -500,6 +528,10 @@ def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
     ({"campaign": {"loads": [0.1, float("-inf")]}}, "loads"),
     ({"Nh": 0}, "Nh"),
     ({"fit": {"energy": 2.0}}, "energy"),
+    ({"fit": {"d": -1}}, "d"),
+    ({"q_weight": -1}, "q_weight"),
+    ({"r_weight": -1}, "r_weight"),
+    ({"r_weight": 0}, "r_weight"),
 ])
 def test_cli_bad_config_value_fails_before_fitting(tmp_path, capsys, monkeypatch,
                                                   doc, key):
@@ -535,7 +567,7 @@ def test_config_checks_every_field_type(tmp_path):
                 config_from_json(path)
 
 
-def test_fit_models_collects_only_missing_campaigns(monkeypatch):
+def test_fit_models_collects_both_campaigns_in_one_call(monkeypatch):
     cfg = ExperimentConfig(campaign=CampaignConfig(loads=(0.0, 0.3), trials=1, duration=10.0),
                            fit=FitConfig(holdout_duration=5.0))
     camp, fit = cfg.campaign, cfg.fit
@@ -549,17 +581,13 @@ def test_fit_models_collects_only_missing_campaigns(monkeypatch):
         return collect(params, loads, campaigns)
 
     monkeypatch.setattr(harness, "collect_training_data", spy)
-    merged = fit_models(cfg)
+    ms = fit_models(cfg)
     assert calls == [[training_spec, holdout_spec]]
     training, holdout = collect(cfg.plant, camp.loads, [training_spec, holdout_spec])
-    for supplied, collected in (({"holdout": holdout}, [training_spec]),
-                                ({"training": training}, [holdout_spec]),
-                                ({"training": training, "holdout": holdout}, None)):
-        calls.clear()
-        ms = fit_models(cfg, **supplied)
-        assert calls == ([collected] if collected else [])
-        for kind in ("baseline", "koopman", "koopman_load"):
-            assert np.array_equal(getattr(ms, kind).A, getattr(merged, kind).A)
-            assert np.array_equal(getattr(ms, kind).B, getattr(merged, kind).B)
-        for got, want in zip(ms.holdout, merged.holdout, strict=True):
-            assert np.array_equal(got.y, want.y) and np.array_equal(got.u, want.u)
+    models = harness.fit_kinds(training, fit)
+    for kind, attr in (("baseline", "baseline"), ("koopman", "koopman"),
+                       ("koopman-load", "koopman_load")):
+        assert np.array_equal(getattr(ms, attr).A, models[kind].A)
+        assert np.array_equal(getattr(ms, attr).B, models[kind].B)
+    for got, want in zip(ms.holdout, holdout, strict=True):
+        assert np.array_equal(got.y, want.y) and np.array_equal(got.u, want.u)

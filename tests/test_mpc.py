@@ -253,6 +253,13 @@ def test_mpc_config_validation():
     with pytest.raises(ValueError):
         MpcConfig(Nh=1, Q=np.eye(1), R=np.eye(1),
                   u_min=np.ones(1), u_max=np.zeros(1))
+    # Q must be PSD (zero is allowed) and R PD
+    MpcConfig(Nh=1, Q=np.zeros((2, 2)), R=np.eye(1), u_min=np.zeros(1), u_max=np.ones(1))
+    for Q, R, name in ((-np.eye(2), np.eye(1), "'Q'"), (np.diag([1.0, -1e-3]), np.eye(1), "'Q'"),
+                       (np.eye(2), np.zeros((1, 1)), "'R'"), (np.eye(2), -np.eye(1), "'R'"),
+                       (np.eye(2), np.full((1, 1), np.nan), "'R'")):
+        with pytest.raises(ValueError, match=name):
+            MpcConfig(Nh=1, Q=Q, R=R, u_min=np.zeros(1), u_max=np.ones(1))
 
 
 def test_controller_neutral_at_equilibrium():

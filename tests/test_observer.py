@@ -53,21 +53,21 @@ def history_for(w, K, rng, noise=0.0, x0=0.5, c0=0.0):
 
 
 def test_instant_self_consistency(model):
-    cfg = EstimatorConfig()
+    cfg = EstimatorConfig(reduced=True)
     w = 0.125
     x, u = 0.8, 0.3
     history = [(np.array([x]), np.array([u])),
                (np.array([bilinear_step(x, u, w)]), np.array([0.0]))]
-    w_hat, degenerate = obs.estimate_instant(model, history, cfg, reduced=True)
+    w_hat, degenerate = obs.estimate_instant(model, history, cfg)
     assert not degenerate
     assert abs(w_hat[0] - w) < 1e-8
 
 
 def test_window_self_consistency(model):
-    cfg = EstimatorConfig(Nw=30)
+    cfg = EstimatorConfig(Nw=30, reduced=True)
     rng = np.random.default_rng(0)
     history = history_for(0.225, 31, rng)
-    w_hat, degenerate = obs.estimate_window(model, history, cfg, reduced=True)
+    w_hat, degenerate = obs.estimate_window(model, history, cfg)
     assert not degenerate
     assert abs(w_hat[0] - 0.225) < 1e-8
 
@@ -102,11 +102,10 @@ def test_instant_matches_triple_form(models, model_drift):
             ys, us = map(np.array, zip(*history))
             yd_prev = np.concatenate([ys[-2 - i] for i in range(d + 1)]
                                      + [us[-2 - i] for i in range(1, d + 1)])
-            for reduced in (False, True):
-                got = obs.estimate_instant(model, history, cfg, fallback=[0.05],
-                                           reduced=reduced)
-                want = reference_estimate_instant(model, ys[-1], yd_prev, us[-2], cfg,
-                                                  fallback=[0.05], reduced=reduced)
+            for mode in (cfg, dataclasses.replace(cfg, reduced=True)):
+                got = obs.estimate_instant(model, history, mode, fallback=[0.05])
+                want = reference_estimate_instant(model, ys[-1], yd_prev, us[-2], mode,
+                                                  fallback=[0.05])
                 assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
@@ -117,8 +116,8 @@ def test_full_and_reduced_modes_agree_on_exact_data(model_drift):
     cfg = EstimatorConfig(Nw=20)
     rng = np.random.default_rng(2)
     history = history_for(0.1, 21, rng, c0=DRIFT)
-    w_full, _ = obs.estimate_window(model, history, cfg, reduced=False)
-    w_red, _ = obs.estimate_window(model, history, cfg, reduced=True)
+    w_full, _ = obs.estimate_window(model, history, cfg)
+    w_red, _ = obs.estimate_window(model, history, dataclasses.replace(cfg, reduced=True))
     assert abs(w_full[0] - w_red[0]) < 1e-8
     # the unconstrained solve of the stacked system has leading entry 1
     v = numkit.lstsq(*obs.window_system(model, history, cfg.Nw))
@@ -158,24 +157,24 @@ def test_degenerate_geometry_returns_fallback(model):
 
 def test_estimate_clamped_to_bounds(model):
     # adversarial next output pushes the raw estimate far past w_max
-    cfg = EstimatorConfig()
+    cfg = EstimatorConfig(reduced=True)
     history = [(np.array([1.0]), np.array([0.0])), (np.array([5.0]), np.array([0.0]))]
-    w_hat, degenerate = obs.estimate_instant(model, history, cfg, reduced=True)
+    w_hat, degenerate = obs.estimate_instant(model, history, cfg)
     assert not degenerate
     assert w_hat[0] == cfg.w_max
 
 
 def test_window_beats_instant_under_noise(model):
     # Monte Carlo: the stacked window estimate is more robust to output noise
-    cfg = EstimatorConfig(Nw=30)
+    cfg = EstimatorConfig(Nw=30, reduced=True)
     rng = np.random.default_rng(3)
     w_true = 0.15
     err_win, err_inst = [], []
     for _ in range(100):
         history = history_for(w_true, 31, rng, noise=1e-3,
                               x0=float(rng.normal()))
-        w_win, _ = obs.estimate_window(model, history, cfg, reduced=True)
-        w_inst, _ = obs.estimate_instant(model, history, cfg, reduced=True)
+        w_win, _ = obs.estimate_window(model, history, cfg)
+        w_inst, _ = obs.estimate_instant(model, history, cfg)
         err_win.append(w_win[0] - w_true)
         err_inst.append(w_inst[0] - w_true)
     assert np.sqrt(np.mean(np.square(err_win))) < np.sqrt(np.mean(np.square(err_inst)))
