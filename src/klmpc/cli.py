@@ -1,8 +1,10 @@
 """Command-line interface: data collection, model fitting, tracking,
 estimation, sorting, and report rendering.
 
-All randomness is controlled by --seed (or the KLMPC_SEED environment
-variable); reruns with the same configuration are byte-identical.
+--seed (or the KLMPC_SEED environment variable) seeds the trials of track,
+estimate and sort, which fit their models from the config's campaign.seed,
+and it is the campaign seed of collect.  Reruns with the same configuration
+and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ import os
 import sys
 
 from . import edmd, harness
-from .harness import (
-    ExperimentConfig,
-    config_from_json,
-    report_from_csv,
-    run_experiment1,
-    run_experiment2,
-    run_experiment4,
-)
+from .harness import ExperimentConfig, config_from_json, report_from_csv
 from .plant import collect_training_data
 
 
@@ -37,10 +32,7 @@ def _seed(args) -> int:
 
 def _load_config(args) -> ExperimentConfig:
     cfg = config_from_json(args.config) if args.config else ExperimentConfig()
-    updates = {"seed": _seed(args)}
-    if getattr(args, "out", None):
-        updates["outdir"] = args.out
-    return dataclasses.replace(cfg, **updates)
+    return dataclasses.replace(cfg, seed=_seed(args))
 
 
 def cmd_collect(args) -> int:
@@ -74,14 +66,14 @@ def cmd_fit(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = _load_config(args)
-    report = run_experiment1(cfg)
+    report = harness.run_experiment1(cfg, harness.fit_models(cfg), outdir=args.out)
     print(report.to_markdown())
     return 0
 
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    traces = run_experiment2(cfg)
+    traces = harness.run_experiment2(cfg, harness.fit_models(cfg), outdir=args.out)
     for tr in traces:
         print(f"payload {1000 * tr.payload:.0f} g: final estimate "
               f"{1000 * tr.w_hat[-1]:.1f} g "
@@ -91,7 +83,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_sort(args) -> int:
     cfg = _load_config(args)
-    outcomes = run_experiment4(cfg)
+    outcomes = harness.run_experiment4(cfg, harness.fit_models(cfg), outdir=args.out)
     ok = sum(o.success for o in outcomes)
     for i, o in enumerate(outcomes):
         print(f"object {i}: mass {1000 * o.payload:.0f} g, estimate "

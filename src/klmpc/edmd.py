@@ -21,6 +21,16 @@ logger = logging.getLogger(__name__)
 CSV_FLOAT_FMT = "%.17g"
 
 
+def write_csv(path, header, rows) -> None:
+    """Write the header line, then one line per row: a string cell as it is,
+    a number as ``CSV_FLOAT_FMT`` (an int or a bool as a whole number)."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else CSV_FLOAT_FMT % c
+                              for c in row) + "\n")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """One recorded run at uniform sampling: times, outputs, inputs, and the
@@ -254,9 +264,7 @@ def save_trajectories(trajectories, path) -> None:
         if p:
             block.append(np.tile(np.atleast_1d(traj.w), (K, 1)))
         rows.append(np.hstack(block))
-    data = np.vstack(rows)
-    np.savetxt(path, data, fmt=CSV_FLOAT_FMT, delimiter=",",
-               header=",".join(header), comments="")
+    write_csv(path, header, np.vstack(rows))
 
 
 def load_trajectories(path) -> list:

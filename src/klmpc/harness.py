@@ -1,6 +1,6 @@
 """Experiment runners: model fitting campaigns, reference trajectories, the
 three tracking controllers, and desk-scale analogs of the four validation
-experiments, with CSV/markdown reports.
+experiments, with CSV/markdown reports; the runners write every experiment file.
 """
 
 from __future__ import annotations
@@ -10,13 +10,14 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import edmd, lifting, observer as obs
-from .edmd import KoopmanModel
-from .mpc import Controller, MpcConfig, end_effector_weight, save_step_log
+from .edmd import KoopmanModel, write_csv
+from .mpc import Controller, MpcConfig, end_effector_weight
 from .observer import EstimatorConfig, EstimatorState
 from .plant import ArmParams, Run, collect_training_data, drive, excitation
 
@@ -58,7 +59,7 @@ class FitConfig:
     holdout_duration: float = 20.0
 
     def __post_init__(self):
-        if self.d < 0:
+        if not self.d >= 0:
             raise ValueError(f"FitConfig: 'd' must be >= 0, got {self.d}")
         if not 0.0 < self.energy <= 1.0:
             raise ValueError(f"FitConfig: 'energy' must be in (0, 1], got {self.energy}")
@@ -74,7 +75,6 @@ class ExperimentConfig:
     q_weight: float = 1.0
     r_weight: float = 1e-5
     seed: int = 0
-    outdir: Optional[str] = None
 
     def __post_init__(self):
         if not self.q_weight >= 0.0:
@@ -121,7 +121,6 @@ _VALUE_TYPES = {
     "float": (_is_real, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "tuple": (lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of finite numbers"),
-    "Optional[str]": (lambda v: v is None or isinstance(v, str), "a string or null"),
 }
 
 
@@ -343,13 +342,10 @@ class TrackingReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            cols = ",".join(f"rmse_{1000 * p:g}g" for p in self.payloads)
-            fh.write(f"controller,{cols},avg,std\n")
-            for name, vals in self.rmse.items():
-                cells = ",".join("%.17g" % v for v in vals)
-                fh.write(f"{name},{cells},%.17g,%.17g\n"
-                         % (self.mean(name), self.std(name)))
+        write_csv(path, ["controller", *(f"rmse_{1000 * p:g}g" for p in self.payloads),
+                         "avg", "std"],
+                  ([name, *vals, self.mean(name), self.std(name)]
+                   for name, vals in self.rmse.items()))
 
 
 def report_from_csv(path) -> TrackingReport:
@@ -383,18 +379,29 @@ def report_from_csv(path) -> TrackingReport:
     return TrackingReport(payloads=payloads, rmse=rmse)
 
 
-def _maybe_write(cfg: ExperimentConfig, name: str, writer) -> None:
-    if cfg.outdir:
-        os.makedirs(cfg.outdir, exist_ok=True)
-        writer(os.path.join(cfg.outdir, name))
+def save_step_log(path, logs) -> None:
+    """Per-step log CSV: step, t, y*, r*, u*, w_hat*, qp_iters, converged
+    (1 or 0), kkt_residual, solve_ms."""
+    if not logs:
+        raise ValueError("no log rows to save")
+    header = (["step", "t"] + [f"{name}{i+1}" for name in ("y", "r", "u", "w_hat")
+                               for i in range(getattr(logs[0], name).shape[0])]
+              + ["qp_iters", "converged", "kkt_residual", "solve_ms"])
+    write_csv(path, header, ([lg.step, lg.t, *lg.y, *lg.r, *lg.u, *lg.w_hat, lg.qp_iters,
+                              lg.converged, lg.kkt_residual, lg.solve_ms] for lg in logs))
 
 
-def run_experiment1(cfg: ExperimentConfig, models: Optional[ModelSet] = None,
-                    payloads=EXP1_PAYLOADS, duration: float = 20.0) -> TrackingReport:
+def _maybe_write(outdir, name: str, writer) -> None:
+    """Run ``writer(path)`` for the file ``name`` in ``outdir``, if one is given."""
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
+        writer(os.path.join(outdir, name))
+
+
+def run_experiment1(cfg: ExperimentConfig, models: ModelSet, payloads=EXP1_PAYLOADS,
+                    duration: float = 20.0, outdir=None) -> TrackingReport:
     """Trajectory following with known payload: all three controllers over
     six payloads; only KL-MPC can use the true load value."""
-    if models is None:
-        models = fit_models(cfg)
     ref = figure_eight_reference(cfg.plant, duration=duration)
     rmse = {name: [] for name in CONTROLLERS}
     for i, payload in enumerate(payloads):
@@ -409,10 +416,9 @@ def run_experiment1(cfg: ExperimentConfig, models: Optional[ModelSet] = None,
                                      label=name)
             rmse[name].append(res.rmse)
     report = TrackingReport(payloads=tuple(payloads), rmse=rmse)
-    _maybe_write(cfg, "experiment1_rmse.csv", report.to_csv)
-    if cfg.outdir:
-        with open(os.path.join(cfg.outdir, "experiment1_rmse.md"), "w") as fh:
-            fh.write(report.to_markdown())
+    _maybe_write(outdir, "experiment1_rmse.csv", report.to_csv)
+    _maybe_write(outdir, "experiment1_rmse.md",
+                 lambda path: Path(path).write_text(report.to_markdown()))
     return report
 
 
@@ -425,6 +431,12 @@ class EstimateTrace:
 
     def final_error(self) -> float:
         return float(abs(self.w_hat[-1] - self.payload))
+
+    def to_csv(self, path) -> None:
+        """Estimate trace CSV: step, t, w_true1, w_instant1, w_hat1."""
+        write_csv(path, ["step", "t", "w_true1", "w_instant1", "w_hat1"],
+                  ([k, t, self.payload, wi, wh] for k, (t, wi, wh)
+                   in enumerate(zip(self.t, self.w_instant, self.w_hat))))
 
 
 def _observing_policy(model: KoopmanModel, cfg: ExperimentConfig, policy_rng):
@@ -467,38 +479,30 @@ def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig,
                          w_instant=w_instant, w_hat=w_hat)
 
 
-def run_experiment2(cfg: ExperimentConfig, models: Optional[ModelSet] = None,
-                    payloads=EXP2_PAYLOADS, duration: float = 20.0) -> list:
+def run_experiment2(cfg: ExperimentConfig, models: ModelSet, payloads=EXP2_PAYLOADS,
+                    duration: float = 20.0, outdir=None) -> list:
     """Online estimation of unknown payloads (none in the training set)
     under randomized ramp-and-hold inputs."""
-    if models is None:
-        models = fit_models(cfg)
     traces = []
     for i, payload in enumerate(payloads):
         trace = run_estimation_trial(models.koopman_load, cfg, payload,
                                      duration=duration, seed=cfg.seed * 100 + i)
         traces.append(trace)
-        _maybe_write(cfg, f"experiment2_w{1000 * payload:g}g.csv",
-                     lambda path, tr=trace: obs.save_estimate_trace(
-                         path, np.arange(tr.t.size), tr.t, tr.w_instant,
-                         tr.w_hat, np.full(tr.t.size, tr.payload)))
+        _maybe_write(outdir, f"experiment2_w{1000 * payload:g}g.csv", trace.to_csv)
     return traces
 
 
-def run_experiment3(cfg: ExperimentConfig, models: Optional[ModelSet] = None,
-                    payloads=EXP2_PAYLOADS, duration: float = 30.0) -> list:
+def run_experiment3(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> list:
     """Trajectory following with unknown payload: KL-MPC with the live
-    observer tracking a 0.1 m-radius circle."""
-    if models is None:
-        models = fit_models(cfg)
-    ref = circle_reference(cfg.plant, duration=duration)
+    observer tracking a 0.1 m-radius circle for 30 s at each exp2 payload."""
+    ref = circle_reference(cfg.plant, duration=30.0)
     results = []
-    for i, payload in enumerate(payloads):
+    for i, payload in enumerate(EXP2_PAYLOADS):
         res = run_tracking_trial(models.koopman_load, cfg, payload, ref,
-                                 duration, est_cfg=cfg.estimator,
+                                 ref.duration, est_cfg=cfg.estimator,
                                  seed=cfg.seed * 100 + 50 + i, label="KL-MPC")
         results.append(res)
-        _maybe_write(cfg, f"experiment3_w{1000 * payload:g}g.csv",
+        _maybe_write(outdir, f"experiment3_w{1000 * payload:g}g.csv",
                      lambda path, r=res: save_step_log(path, r.logs))
     return results
 
@@ -534,12 +538,10 @@ class SortOutcome:
     success: bool
 
 
-def run_experiment4(cfg: ExperimentConfig, models: Optional[ModelSet] = None) -> list:
+def run_experiment4(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> list:
     """Automated sorting by mass: excite the arm with ramp-and-hold wiggles
     for 15 s while the observer runs, freeze the estimate, pick the bin,
     then track the drop-off target for 10 s with the frozen load."""
-    if models is None:
-        models = fit_models(cfg)
     params = cfg.plant
     rng = np.random.default_rng(cfg.seed)
     payloads = rng.uniform(0.0, 0.25, size=SORT_OBJECTS)
@@ -577,13 +579,9 @@ def run_experiment4(cfg: ExperimentConfig, models: Optional[ModelSet] = None) ->
             placement_error=err,
             success=(chosen == bin_index(payload)) and err <= CUP_RADIUS,
         ))
-    if cfg.outdir:
-        os.makedirs(cfg.outdir, exist_ok=True)
-        with open(os.path.join(cfg.outdir, "experiment4_sorting.csv"), "w") as fh:
-            fh.write("object,payload,w_estimate,chosen_bin,true_bin,"
-                     "placement_error,success\n")
-            for i, o in enumerate(outcomes):
-                fh.write("%d,%.17g,%.17g,%d,%d,%.17g,%d\n"
-                         % (i, o.payload, o.w_estimate, o.chosen_bin,
-                            o.true_bin, o.placement_error, int(o.success)))
+    _maybe_write(outdir, "experiment4_sorting.csv", lambda path: write_csv(
+        path, ["object", "payload", "w_estimate", "chosen_bin", "true_bin",
+               "placement_error", "success"],
+        ([i, o.payload, o.w_estimate, o.chosen_bin, o.true_bin, o.placement_error,
+          o.success] for i, o in enumerate(outcomes))))
     return outcomes

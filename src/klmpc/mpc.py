@@ -32,10 +32,15 @@ class MpcConfig:
     qp_max_iter: int = 100
 
     def __post_init__(self):
-        if self.Nh < 1:
+        # each check is written so that NaN fails it
+        if not self.Nh >= 1:
             raise ValueError(f"MpcConfig: 'Nh' must be >= 1, got {self.Nh}")
-        if np.any(np.asarray(self.u_min) >= np.asarray(self.u_max)):
-            raise ValueError("MpcConfig: need u_min < u_max componentwise")
+        lo, hi = np.asarray(self.u_min, dtype=float), np.asarray(self.u_max, dtype=float)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
+            raise ValueError(f"MpcConfig: 'u_min' and 'u_max' must be finite with "
+                             f"u_min < u_max componentwise, got {lo} and {hi}")
+        if not 0.0 <= self.qp_tol < np.inf:
+            raise ValueError(f"MpcConfig: 'qp_tol' must be finite and >= 0, got {self.qp_tol}")
         # Q PSD up to rounding of its entries, R PD; a non-finite entry fails
         Q, R = (np.asarray(W, dtype=float) for W in (self.Q, self.R))
         if not (np.all(np.isfinite(Q))
@@ -308,22 +313,3 @@ class Controller:
         ))
         self.step_count += 1
         return u
-
-
-def save_step_log(path, logs) -> None:
-    """Per-step log CSV: step, t, y*, r*, u*, w_hat*, qp_iters, converged
-    (1 or 0), kkt_residual, solve_ms."""
-    if not logs:
-        raise ValueError("no log rows to save")
-    n = logs[0].y.shape[0]
-    m = logs[0].u.shape[0]
-    p = logs[0].w_hat.shape[0]
-    header = (["step", "t"] + [f"y{i+1}" for i in range(n)]
-              + [f"r{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
-              + [f"w_hat{i+1}" for i in range(p)]
-              + ["qp_iters", "converged", "kkt_residual", "solve_ms"])
-    rows = [np.concatenate([[lg.step, lg.t], lg.y, lg.r, lg.u, lg.w_hat,
-                            [lg.qp_iters, lg.converged, lg.kkt_residual, lg.solve_ms]])
-            for lg in logs]
-    np.savetxt(path, np.vstack(rows), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")

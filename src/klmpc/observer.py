@@ -35,10 +35,13 @@ class EstimatorConfig:
     reduced: bool = False
 
     def __post_init__(self):
-        if self.Nw < 1 or self.Ne < 1 or self.Nr < 0:
-            raise ValueError("EstimatorConfig: need Nw >= 1, Ne >= 1, Nr >= 0")
-        if self.w_min > self.w_max:
-            raise ValueError("EstimatorConfig: w_min must not exceed w_max")
+        # each check is written so that NaN fails it
+        if not (self.Nw >= 1 and self.Ne >= 1 and self.Nr >= 0):
+            raise ValueError(f"EstimatorConfig: need Nw >= 1, Ne >= 1, Nr >= 0, "
+                             f"got {self.Nw}, {self.Ne}, {self.Nr}")
+        if not -np.inf < self.w_min <= self.w_max < np.inf:
+            raise ValueError(f"EstimatorConfig: 'w_min' and 'w_max' must be finite with "
+                             f"w_min <= w_max, got {self.w_min} and {self.w_max}")
 
     def clamp(self, w: np.ndarray) -> np.ndarray:
         return np.clip(w, self.w_min, self.w_max)
@@ -171,15 +174,3 @@ def update(state: EstimatorState, model: KoopmanModel, y, u) -> EstimatorState:
                 state.updates += 1
     state.step += 1
     return state
-
-
-def save_estimate_trace(path, steps, times, w_instant, w_hat, w_true) -> None:
-    """Estimate trace CSV: step, t, w_true, w_instant, w_hat."""
-    cols = [np.asarray(steps, dtype=float), np.asarray(times, dtype=float)]
-    header = ["step", "t"]
-    for name, w in (("w_true", w_true), ("w_instant", w_instant), ("w_hat", w_hat)):
-        w = np.atleast_2d(np.asarray(w, dtype=float).T).T
-        cols.extend(w.T)
-        header.extend(f"{name}{i+1}" for i in range(w.shape[1]))
-    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")

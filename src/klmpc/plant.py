@@ -34,14 +34,17 @@ class ArmParams:
     noise_std: float = 1e-3  # sensor noise sigma (m)
 
     def __post_init__(self):
+        # each check is written so that NaN fails it; k = c = 0 is allowed:
+        # the undamped, spring-free pendulum is the energy-conservation check
+        # configuration
         for name in ("L1", "L2", "m1", "m2", "g", "tau_max", "Ts"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"ArmParams.{name} must be positive")
-        # k = c = 0 is allowed: the undamped, spring-free pendulum is the
-        # energy-conservation check configuration
-        if self.k < 0 or self.c < 0 or self.noise_std < 0 or self.substeps < 1:
-            raise ValueError(
-                "ArmParams: k, c, noise_std >= 0 and substeps >= 1 required")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"ArmParams: {name!r} must be > 0, got {getattr(self, name)}")
+        for name in ("k", "c", "noise_std"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"ArmParams: {name!r} must be >= 0, got {getattr(self, name)}")
+        if not self.substeps >= 1:
+            raise ValueError(f"ArmParams: 'substeps' must be >= 1, got {self.substeps}")
 
 
 def _payload_terms(params: ArmParams, w, shape: tuple) -> tuple:

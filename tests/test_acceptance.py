@@ -168,9 +168,8 @@ def test_ac9_determinism(default_cfg, models, tmp_path):
     produced = []
     for rerun in ("first", "second"):
         outdir = tmp_path / rerun
-        cfg = dataclasses.replace(default_cfg, outdir=str(outdir))
-        run_experiment1(cfg, models=models, payloads=(0.125,), duration=5.0)
-        run_experiment2(cfg, models=models, payloads=(0.125,), duration=8.0)
+        run_experiment1(default_cfg, models, payloads=(0.125,), duration=5.0, outdir=outdir)
+        run_experiment2(default_cfg, models, payloads=(0.125,), duration=8.0, outdir=outdir)
         produced.append(sorted(p.name for p in outdir.iterdir()))
     assert produced[0] == produced[1]
     identical = all(

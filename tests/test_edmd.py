@@ -276,6 +276,29 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert np.array_equal(orig.w, back.w)
 
 
+def test_write_csv_round_trip(tmp_path):
+    # every float reads back bit for bit, and a float array gives the bytes
+    # np.savetxt gives with the same format; an int or a bool is a whole
+    # number, and a string cell is written as it is
+    rng = np.random.default_rng(5)
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1e16, 2.0**53 + 1,
+               np.inf, -np.inf]
+    data = np.concatenate([special, rng.standard_normal(200)
+                           * 10.0 ** rng.integers(-300, 300, 200)]).reshape(-1, 5)
+    path, ref = tmp_path / "data.csv", tmp_path / "ref.csv"
+    edmd.write_csv(path, ["a", "b", "c", "d", "e"], data)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "a,b,c,d,e"
+    back = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(back.view(np.int64), data.view(np.int64))
+    np.savetxt(ref, data, fmt=edmd.CSV_FLOAT_FMT, delimiter=",", header="a,b,c,d,e",
+               comments="")
+    assert path.read_bytes() == ref.read_bytes()
+    edmd.write_csv(path, ["name", "i", "flag", "x"],
+                   [["KL-MPC", 7, True, 0.1], ["K-MPC", -3, False, -0.0]])
+    assert path.read_text() == "name,i,flag,x\nKL-MPC,7,1,0.10000000000000001\nK-MPC,-3,0,-0\n"
+
+
 def test_trajectory_ts_validation():
     with pytest.raises(ValueError):
         Trajectory(t=np.array([0.0]), y=np.zeros((1, 1)), u=np.zeros((1, 1))).Ts

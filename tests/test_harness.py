@@ -23,6 +23,7 @@ from klmpc.harness import (
     BIN_COUNT,
     CONTROLLERS,
     CampaignConfig,
+    EstimateTrace,
     ExperimentConfig,
     FitConfig,
     TrackingReport,
@@ -48,10 +49,19 @@ from oracles import reference_estimate_instant, reference_rows, reference_run
 def test_config_json_round_trip(tmp_path):
     cfg = ExperimentConfig(
         plant=dataclasses.replace(ExperimentConfig().plant, noise_std=0.0),
-        Nh=8, r_weight=1e-4, seed=42, outdir=str(tmp_path))
+        Nh=8, r_weight=1e-4, seed=42)
     path = tmp_path / "config.json"
     config_to_json(cfg, path)
     assert config_from_json(path) == cfg
+
+
+def test_library_configs_refuse_nan():
+    # the range checks of the top-level config and its fit settings refuse
+    # NaN on the library path, naming the field
+    for cls, name in ((FitConfig, "d"), (FitConfig, "energy"), (ExperimentConfig, "q_weight"),
+                      (ExperimentConfig, "r_weight"), (ExperimentConfig, "Nh")):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            cls(**{name: float("nan")})
 
 
 def test_config_defaults_for_missing_fields(tmp_path):
@@ -200,19 +210,19 @@ def test_equilibrium_point_regulation(default_cfg, models):
 
 
 def test_run_experiment1_report_and_outputs(default_cfg, models, tmp_path):
-    cfg = dataclasses.replace(default_cfg, outdir=str(tmp_path))
-    report = run_experiment1(cfg, models=models, payloads=(0.125,), duration=5.0)
+    report = run_experiment1(default_cfg, models, payloads=(0.125,), duration=5.0,
+                             outdir=tmp_path)
     assert set(report.rmse) == set(CONTROLLERS)
     assert all(len(v) == 1 and v[0] > 0 for v in report.rmse.values())
     back = report_from_csv(tmp_path / "experiment1_rmse.csv")
     for name in CONTROLLERS:
         assert back.rmse[name] == report.rmse[name]
-    assert (tmp_path / "experiment1_rmse.md").exists()
+    assert (tmp_path / "experiment1_rmse.md").read_text() == report.to_markdown()
 
 
 def test_run_experiment2_trace_format(default_cfg, models, tmp_path):
-    cfg = dataclasses.replace(default_cfg, outdir=str(tmp_path))
-    traces = run_experiment2(cfg, models=models, payloads=(0.125,), duration=8.0)
+    traces = run_experiment2(default_cfg, models, payloads=(0.125,), duration=8.0,
+                             outdir=tmp_path)
     assert len(traces) == 1
     trace = traces[0]
     assert trace.t.shape == trace.w_hat.shape == trace.w_instant.shape
@@ -221,10 +231,22 @@ def test_run_experiment2_trace_format(default_cfg, models, tmp_path):
     assert len(lines) == trace.t.size + 1
 
 
-def test_run_experiment3_matches_known_load(default_cfg, models):
+def test_estimate_trace_csv(tmp_path):
+    path = tmp_path / "trace.csv"
+    times = np.arange(4) * 0.05
+    EstimateTrace(payload=0.125, t=times, w_instant=np.full(4, 0.1),
+                  w_hat=np.full(4, 0.12)).to_csv(path)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "step,t,w_true1,w_instant1,w_hat1"
+    assert len(lines) == 5
+    row = [float(v) for v in lines[1].split(",")]
+    assert row == [0.0, 0.0, 0.125, 0.1, 0.12]
+
+
+def test_run_experiment3_matches_known_load(default_cfg, models, tmp_path):
     # unknown-load tracking settles to roughly the known-load error: after
     # the estimate converges (final 10 s of 30 s) the ratio stays <= 1.25
-    results = run_experiment3(default_cfg, models=models)
+    results = run_experiment3(default_cfg, models, outdir=tmp_path)
     tail = slice(400, None)  # final 10 s at Ts = 0.05
     for i, res in enumerate(results):
         # first scheduled estimates have not happened yet: w_init in force
@@ -237,6 +259,12 @@ def test_run_experiment3_matches_known_load(default_cfg, models):
         ratio = (np.sqrt(np.mean(res.errors[tail] ** 2))
                  / np.sqrt(np.mean(known.errors[tail] ** 2)))
         assert ratio <= 1.25
+        # the step log: one row per step, the live estimate as one column
+        lines = (tmp_path / f"experiment3_w{1000 * res.payload:g}g.csv").read_text().splitlines()
+        assert lines[0] == ("step,t,y1,y2,y3,y4,r1,r2,r3,r4,u1,u2,w_hat1,"
+                            "qp_iters,converged,kkt_residual,solve_ms")
+        assert len(lines) == 601
+        assert [float(c) for c in lines[-1].split(",")[:2]] == [599, res.logs[-1].t]
 
 
 def test_tracking_trial_matches_one_run_oracle(default_cfg, models):
@@ -504,6 +532,7 @@ def test_cli_errors(tmp_path, capsys):
     ({"bogus": 1}, "bogus"),
     ({"estimator": {"nope": 2}}, "nope"),
     ({"campaign": 3}, "campaign"),
+    ({"outdir": "results"}, "outdir"),
 ])
 def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
     path = tmp_path / "config.json"
@@ -522,7 +551,7 @@ def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
     ({"campaign": {"loads": [0.1, "a"]}}, "loads"),
     ({"estimator": {"reduced": 1}}, "reduced"),
     ({"plant": {"k": True}}, "k"),
-    ({"outdir": 3}, "outdir"),
+    ({"plant": {"Ts": 0.0}}, "Ts"),
     ({"plant": {"Ts": float("nan")}}, "Ts"),
     ({"plant": {"tau_max": float("inf")}}, "tau_max"),
     ({"campaign": {"loads": [0.1, float("-inf")]}}, "loads"),
@@ -557,11 +586,10 @@ def test_config_checks_every_field_type(tmp_path):
     for section, value in doc.items():
         for key, v in value.items() if isinstance(value, dict) else [(None, value)]:
             bad = json.loads(json.dumps(doc))
-            wrong = 3 if v is None or isinstance(v, str) else "x"
             if key is None:
-                bad[section] = wrong
+                bad[section] = "x"
             else:
-                bad[section][key] = wrong
+                bad[section][key] = "x"
             path.write_text(json.dumps(bad))
             with pytest.raises(ValueError, match=f"'{key or section}' must be"):
                 config_from_json(path)

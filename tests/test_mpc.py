@@ -19,9 +19,9 @@ from klmpc.mpc import (
     QpProblem,
     end_effector_weight,
     kkt_residual,
-    save_step_log,
     solve_box_qp,
 )
+from klmpc.harness import save_step_log
 from klmpc.observer import EstimatorConfig
 
 from oracles import (
@@ -260,6 +260,14 @@ def test_mpc_config_validation():
                        (np.eye(2), np.full((1, 1), np.nan), "'R'")):
         with pytest.raises(ValueError, match=name):
             MpcConfig(Nh=1, Q=Q, R=R, u_min=np.zeros(1), u_max=np.ones(1))
+    # finite input bounds and a finite qp_tol >= 0; NaN fails each check
+    for kwargs, name in (({"u_min": [np.nan]}, "'u_min'"), ({"u_max": [np.inf]}, "'u_max'"),
+                         ({"u_min": [-np.inf]}, "'u_min'"), ({"qp_tol": np.nan}, "'qp_tol'"),
+                         ({"qp_tol": np.inf}, "'qp_tol'"), ({"qp_tol": -1e-9}, "'qp_tol'"),
+                         ({"Nh": np.nan}, "'Nh'")):
+        with pytest.raises(ValueError, match=name):
+            MpcConfig(**{"Nh": 1, "Q": np.eye(1), "R": np.eye(1), "u_min": np.zeros(1),
+                         "u_max": np.ones(1), **kwargs})
 
 
 def test_controller_neutral_at_equilibrium():

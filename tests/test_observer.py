@@ -284,16 +284,9 @@ def test_config_contract():
         EstimatorConfig(Nr=-1)
     with pytest.raises(ValueError):
         EstimatorConfig(w_min=0.4, w_max=0.3)
-
-
-def test_save_estimate_trace(tmp_path):
-    path = tmp_path / "trace.csv"
-    steps = np.arange(4)
-    times = steps * 0.05
-    obs.save_estimate_trace(path, steps, times, np.full(4, 0.1),
-                            np.full(4, 0.12), w_true=np.full(4, 0.125))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,t,w_true1,w_instant1,w_hat1"
-    assert len(lines) == 5
-    row = [float(v) for v in lines[1].split(",")]
-    assert row == [0.0, 0.0, 0.125, 0.1, 0.12]
+    # NaN fails every range check, and the load bounds must be finite
+    for kwargs, name in (({"w_min": np.nan}, "w_min"), ({"w_max": np.nan}, "w_max"),
+                         ({"w_max": np.inf}, "w_max"), ({"w_min": -np.inf}, "w_min"),
+                         ({"Nw": np.nan}, "Nw"), ({"Nr": np.nan}, "Nr")):
+        with pytest.raises(ValueError, match=name):
+            EstimatorConfig(**kwargs)

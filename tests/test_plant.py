@@ -51,6 +51,10 @@ def test_params_validation():
         ArmParams(noise_std=-1e-3)
     with pytest.raises(ValueError):
         ArmParams(substeps=0)
+    # NaN fails every range check, naming the field
+    for name in ("L1", "Ts", "k", "c", "noise_std"):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            ArmParams(**{name: float("nan")})
 
 
 def test_state_payload_bounds():
