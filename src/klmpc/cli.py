@@ -1,5 +1,5 @@
 """Command-line interface: data collection, model fitting, tracking,
-estimation, sorting, and report rendering.
+estimation and sorting.
 
 --seed (or the KLMPC_SEED environment variable) seeds the trials of track,
 estimate and sort, which fit their models from the config's campaign.seed,
@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import edmd, harness
-from .harness import ExperimentConfig, config_from_json, report_from_csv
+from .harness import ExperimentConfig, config_from_json
 from .plant import collect_training_data
 
 
@@ -95,12 +95,6 @@ def cmd_sort(args) -> int:
     return 0 if ok == len(outcomes) else 1
 
 
-def cmd_report(args) -> int:
-    report = report_from_csv(args.csv)
-    print(report.to_markdown())
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="klmpc",
@@ -137,10 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sort", help="automated sorting by mass")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sort)
-
-    p = sub.add_parser("report", help="render a tracking report as markdown")
-    p.add_argument("csv")
-    p.set_defaults(fn=cmd_report)
     return parser
 
 

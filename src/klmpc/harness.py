@@ -1,6 +1,7 @@
 """Experiment runners: model fitting campaigns, reference trajectories, the
 three tracking controllers, and desk-scale analogs of the four validation
-experiments, with CSV/markdown reports; the runners write every experiment file.
+experiments; the runners write every experiment file (CSV, and exp1's
+markdown table).
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ CONTROLLERS = ("L-MPC", "K-MPC", "KL-MPC")
 
 EXP1_PAYLOADS = (0.025, 0.075, 0.125, 0.175, 0.225, 0.275)
 EXP2_PAYLOADS = (0.025, 0.125, 0.225)
+# trial lengths (s) of experiments 1-3
+EXP1_DURATION = 20.0
+EXP2_DURATION = 20.0
+EXP3_DURATION = 30.0
 BIN_WIDTH = 0.05
 BIN_COUNT = 5
 CUP_RADIUS = 0.045
@@ -49,6 +54,10 @@ class CampaignConfig:
     trials: int = 2
     duration: float = 40.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.seed >= 0:
+            raise ValueError(f"CampaignConfig: 'seed' must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,8 @@ class ExperimentConfig:
             raise ValueError(f"ExperimentConfig: 'q_weight' must be >= 0, got {self.q_weight}")
         if not self.r_weight > 0.0:
             raise ValueError(f"ExperimentConfig: 'r_weight' must be > 0, got {self.r_weight}")
+        if not self.seed >= 0:
+            raise ValueError(f"ExperimentConfig: 'seed' must be >= 0, got {self.seed}")
         self.mpc_config()  # range checks of the controller settings
 
     def mpc_config(self) -> MpcConfig:
@@ -140,11 +151,6 @@ def _known_fields(cls, doc, where: str) -> dict:
     return dict(doc)
 
 
-def config_to_json(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dataclasses.asdict(cfg), fh, indent=2, default=list)
-
-
 # ---------------------------------------------------------------------------
 # References
 # ---------------------------------------------------------------------------
@@ -174,7 +180,7 @@ class Reference:
         return self.table[np.clip(ks, 0, len(self.table) - 1), -2:]
 
 
-def figure_eight_reference(params: ArmParams, duration: float = 20.0) -> Reference:
+def figure_eight_reference(params: ArmParams, duration: float = EXP1_DURATION) -> Reference:
     """Planar figure-eight 0.6 m wide, one cycle over the trial, near the
     hanging end-effector position.
 
@@ -348,37 +354,6 @@ class TrackingReport:
                    for name, vals in self.rmse.items()))
 
 
-def report_from_csv(path) -> TrackingReport:
-    """Read a report written by :meth:`TrackingReport.to_csv`.  A header
-    without ``rmse_<g>g`` columns, or a row with too few or non-numeric RMSE
-    cells, raises ValueError naming the file and line."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        columns = [c for c in header[1:] if c.startswith("rmse_") and c.endswith("g")]
-        try:
-            payloads = tuple(float(c[len("rmse_"):-1]) / 1000.0 for c in columns)
-        except ValueError:
-            raise ValueError(f"{path}: payload columns must read rmse_<grams>g, "
-                             f"got {columns}") from None
-        if not payloads:
-            raise ValueError(f"{path}: no rmse_<grams>g columns in the header {header}")
-        rmse = {}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            cells = parts[1:1 + len(payloads)]
-            try:
-                values = [float(v) for v in cells]
-            except ValueError:
-                values = []
-            if len(values) < len(payloads):
-                raise ValueError(f"{path}, line {lineno}: expected {len(payloads)} "
-                                 f"numeric RMSE cells after the controller, got {cells}")
-            rmse[parts[0]] = values
-    return TrackingReport(payloads=payloads, rmse=rmse)
-
-
 def save_step_log(path, logs) -> None:
     """Per-step log CSV: step, t, y*, r*, u*, w_hat*, qp_iters, converged
     (1 or 0), kkt_residual, solve_ms."""
@@ -399,7 +374,7 @@ def _maybe_write(outdir, name: str, writer) -> None:
 
 
 def run_experiment1(cfg: ExperimentConfig, models: ModelSet, payloads=EXP1_PAYLOADS,
-                    duration: float = 20.0, outdir=None) -> TrackingReport:
+                    duration: float = EXP1_DURATION, outdir=None) -> TrackingReport:
     """Trajectory following with known payload: all three controllers over
     six payloads; only KL-MPC can use the true load value."""
     ref = figure_eight_reference(cfg.plant, duration=duration)
@@ -455,7 +430,7 @@ def _observing_policy(model: KoopmanModel, cfg: ExperimentConfig, policy_rng):
 
 
 def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig,
-                         payload: float, duration: float = 20.0,
+                         payload: float, duration: float = EXP2_DURATION,
                          seed: int = 0) -> EstimateTrace:
     """Drive the plant open-loop with ramp-and-hold inputs while the load
     observer runs on its periodic schedule; the instant estimate at step k
@@ -480,7 +455,7 @@ def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig,
 
 
 def run_experiment2(cfg: ExperimentConfig, models: ModelSet, payloads=EXP2_PAYLOADS,
-                    duration: float = 20.0, outdir=None) -> list:
+                    duration: float = EXP2_DURATION, outdir=None) -> list:
     """Online estimation of unknown payloads (none in the training set)
     under randomized ramp-and-hold inputs."""
     traces = []
@@ -495,7 +470,7 @@ def run_experiment2(cfg: ExperimentConfig, models: ModelSet, payloads=EXP2_PAYLO
 def run_experiment3(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> list:
     """Trajectory following with unknown payload: KL-MPC with the live
     observer tracking a 0.1 m-radius circle for 30 s at each exp2 payload."""
-    ref = circle_reference(cfg.plant, duration=30.0)
+    ref = circle_reference(cfg.plant, duration=EXP3_DURATION)
     results = []
     for i, payload in enumerate(EXP2_PAYLOADS):
         res = run_tracking_trial(models.koopman_load, cfg, payload, ref,
@@ -532,8 +507,6 @@ class SortOutcome:
     w_estimate: float
     chosen_bin: int
     true_bin: int
-    final_position: np.ndarray
-    target: np.ndarray
     placement_error: float
     success: bool
 
@@ -571,12 +544,10 @@ def run_experiment4(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> lis
                                       K_est + K_drop, policy)])
         w_frozen = float(state.w_hat[0])
         chosen = bin_index(w_frozen)
-        target, final = targets[chosen], Y[-1, -2:]
-        err = float(np.linalg.norm(final - target))
+        err = float(np.linalg.norm(Y[-1, -2:] - targets[chosen]))
         outcomes.append(SortOutcome(
             payload=payload, w_estimate=w_frozen, chosen_bin=chosen,
-            true_bin=bin_index(payload), final_position=final, target=target,
-            placement_error=err,
+            true_bin=bin_index(payload), placement_error=err,
             success=(chosen == bin_index(payload)) and err <= CUP_RADIUS,
         ))
     _maybe_write(outdir, "experiment4_sorting.csv", lambda path: write_csv(

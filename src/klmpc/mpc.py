@@ -88,8 +88,6 @@ class Condenser:
         Qbar = np.kron(np.eye(Nh), np.asarray(cfg.Q, dtype=float))
         Rbar = np.kron(np.eye(Nh), np.asarray(cfg.R, dtype=float))
         H = 2.0 * (M.T @ Qbar @ M + Rbar)
-        self.model = model
-        self.cfg = cfg
         self.S = S
         # the linear term's gain: f = P (S z0 - ref)
         self.P = (2.0 * M.T) @ Qbar

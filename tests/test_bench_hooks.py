@@ -72,6 +72,14 @@ def test_estimation_trial_adapter_runs(workloads, default_cfg, models):
     assert out.rmse is None and np.isfinite(out.load_err)
 
 
+def test_workload_lengths_are_the_harness_lengths(workloads):
+    # the benchmark keeps its own copies of the experiment lengths: a change
+    # of length in the harness must be followed there
+    h = workloads.harness
+    assert (workloads.EXP1_DURATION, workloads.EXP2_DURATION, workloads.EXP3_DURATION) == (
+        h.EXP1_DURATION, h.EXP2_DURATION, h.EXP3_DURATION)
+
+
 def test_bench_selftest_passes():
     run = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
                          capture_output=True, text=True, timeout=120)

@@ -31,11 +31,9 @@ from klmpc.harness import (
     bin_targets,
     circle_reference,
     config_from_json,
-    config_to_json,
     figure_eight_reference,
     fit_models,
     point_reference,
-    report_from_csv,
     run_experiment1,
     run_experiment2,
     run_estimation_trial,
@@ -51,7 +49,8 @@ def test_config_json_round_trip(tmp_path):
         plant=dataclasses.replace(ExperimentConfig().plant, noise_std=0.0),
         Nh=8, r_weight=1e-4, seed=42)
     path = tmp_path / "config.json"
-    config_to_json(cfg, path)
+    with open(path, "w") as fh:
+        json.dump(dataclasses.asdict(cfg), fh, default=list)
     assert config_from_json(path) == cfg
 
 
@@ -59,7 +58,8 @@ def test_library_configs_refuse_nan():
     # the range checks of the top-level config and its fit settings refuse
     # NaN on the library path, naming the field
     for cls, name in ((FitConfig, "d"), (FitConfig, "energy"), (ExperimentConfig, "q_weight"),
-                      (ExperimentConfig, "r_weight"), (ExperimentConfig, "Nh")):
+                      (ExperimentConfig, "r_weight"), (ExperimentConfig, "Nh"),
+                      (ExperimentConfig, "seed"), (CampaignConfig, "seed")):
         with pytest.raises(ValueError, match=f"'{name}'"):
             cls(**{name: float("nan")})
 
@@ -186,16 +186,22 @@ def test_tracking_report_statistics_and_markdown():
     assert len(md.strip().splitlines()) == 2 + len(CONTROLLERS)
 
 
+def report_rows(path) -> dict:
+    """Controller -> the numeric cells of its row in a report CSV."""
+    _, *lines = Path(path).read_text().splitlines()
+    return {name: [float(c) for c in cells]
+            for name, *cells in (line.split(",") for line in lines)}
+
+
 def test_tracking_report_csv_round_trip(tmp_path):
     payloads = (0.025, 0.125)
     rmse = {"K-MPC": [0.0123456789012345, 0.05], "KL-MPC": [0.01, 0.02]}
     report = TrackingReport(payloads=payloads, rmse=rmse)
     path = tmp_path / "report.csv"
     report.to_csv(path)
-    back = report_from_csv(path)
-    assert back.payloads == payloads
-    for name in rmse:
-        assert back.rmse[name] == rmse[name]
+    assert path.read_text().splitlines()[0] == "controller,rmse_25g,rmse_125g,avg,std"
+    assert report_rows(path) == {name: [*vals, report.mean(name), report.std(name)]
+                                 for name, vals in rmse.items()}
 
 
 def test_equilibrium_point_regulation(default_cfg, models):
@@ -214,9 +220,10 @@ def test_run_experiment1_report_and_outputs(default_cfg, models, tmp_path):
                              outdir=tmp_path)
     assert set(report.rmse) == set(CONTROLLERS)
     assert all(len(v) == 1 and v[0] > 0 for v in report.rmse.values())
-    back = report_from_csv(tmp_path / "experiment1_rmse.csv")
+    back = report_rows(tmp_path / "experiment1_rmse.csv")
+    assert list(back) == list(CONTROLLERS)
     for name in CONTROLLERS:
-        assert back.rmse[name] == report.rmse[name]
+        assert back[name] == [*report.rmse[name], report.mean(name), report.std(name)]
     assert (tmp_path / "experiment1_rmse.md").read_text() == report.to_markdown()
 
 
@@ -462,40 +469,6 @@ def test_cli_seed_env_fallback(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_report(tmp_path, capsys):
-    report = TrackingReport(payloads=(0.025, 0.125),
-                            rmse={"K-MPC": [0.02, 0.03]})
-    path = tmp_path / "report.csv"
-    report.to_csv(path)
-    assert cli.main(["report", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "| K-MPC |" in out
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("text", [
-    "",
-    "garbage\n",
-    "controller,payload,rmse\nK-MPC,0.1,0.02\n",
-    "controller,rmse_abcg,avg,std\nK-MPC,0.02,0.02,0.0\n",
-    "controller,rmse_25g,rmse_125g,avg,std\nK-MPC,0.02\n",
-    "controller,rmse_25g,rmse_125g,avg,std\nK-MPC,0.02,abc,0.1,0.1\n",
-    "controller,rmse_25g,avg,std\nK-MPC,0.02,0.02,0.0\nKL-MPC\n",
-])
-def test_cli_report_rejects_malformed_csv(tmp_path, capsys, text):
-    # no rmse_<g>g column, or a short or non-numeric row: one error line,
-    # exit 2, no table and no numpy warning
-    path = tmp_path / "bad.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match="bad.csv"):
-        report_from_csv(path)
-    assert cli.main(["report", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert len(captured.err.strip().splitlines()) == 1
-
-
 def test_cli_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KLMPC_SEED", "abc")
     dataset = tmp_path / "d.csv"
@@ -507,6 +480,19 @@ def test_cli_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
     assert not dataset.exists()
 
 
+@pytest.mark.parametrize("argv, env", [(["--seed", "-1"], None), ([], "-1")])
+def test_cli_negative_seed_fails_before_fitting(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("KLMPC_SEED", env)
+    fitted = []
+    monkeypatch.setattr(harness, "fit_models", lambda *a, **k: fitted.append(a))
+    assert cli.main([*argv, "estimate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'seed' must be >= 0" in err
+    assert len(err.strip().splitlines()) == 1
+    assert fitted == []
+
+
 def test_python_dash_m_klmpc_runs_the_cli(tmp_path):
     src = str(Path(klmpc.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -515,7 +501,7 @@ def test_python_dash_m_klmpc_runs_the_cli(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: klmpc")
-    assert "report" in proc.stdout
+    assert "{collect,fit,track,estimate,sort}" in proc.stdout
 
 
 def test_cli_errors(tmp_path, capsys):
@@ -561,6 +547,8 @@ def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
     ({"q_weight": -1}, "q_weight"),
     ({"r_weight": -1}, "r_weight"),
     ({"r_weight": 0}, "r_weight"),
+    ({"seed": -1}, "seed"),
+    ({"campaign": {"seed": -1}}, "seed"),
 ])
 def test_cli_bad_config_value_fails_before_fitting(tmp_path, capsys, monkeypatch,
                                                   doc, key):
@@ -581,8 +569,7 @@ def test_config_checks_every_field_type(tmp_path):
     # a value of the wrong type in any field, top level or nested, is
     # refused by name
     path = tmp_path / "config.json"
-    config_to_json(ExperimentConfig(), path)
-    doc = json.loads(path.read_text())
+    doc = json.loads(json.dumps(dataclasses.asdict(ExperimentConfig()), default=list))
     for section, value in doc.items():
         for key, v in value.items() if isinstance(value, dict) else [(None, value)]:
             bad = json.loads(json.dumps(doc))

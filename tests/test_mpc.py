@@ -191,6 +191,23 @@ def test_solver_iteration_cap_stays_feasible():
     assert res.converged == (res.kkt_residual <= 1e-14)
 
 
+def test_solver_singular_block_falls_back_to_steepest_descent():
+    # a singular free block takes the steepest-descent step -g_f and leaves
+    # the pinned coordinates as given
+    H = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    g = np.array([-1.0, -2.0, 3.0])
+    d = mpc._free_newton(H, g, np.array([True, True, False]), np.full(3, 7.0))
+    assert np.array_equal(d, [1.0, 2.0, 7.0])
+    # on a singular QP the fallback steps cycle between [0, 0] and [1, 1];
+    # the solver stops inside the box and reports what its residual says
+    qp = QpProblem(H=H[:2, :2], f=np.array([-1.0, -1.0]),
+                   lower=np.zeros(2), upper=np.full(2, 2.0))
+    res = solve_box_qp(qp, tol=1e-8)
+    assert np.all(np.isfinite(res.x))
+    assert np.all(qp.lower <= res.x) and np.all(res.x <= qp.upper)
+    assert res.converged == (kkt_residual(qp, res.x) <= 1e-8)
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
        log_cond=st.floats(0.0, 6.0), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
