@@ -30,6 +30,13 @@ def _seed(args) -> int:
         raise ValueError(f"KLMPC_SEED must be an integer, got {value!r}") from None
 
 
+def _loads(text: str) -> tuple:
+    try:
+        return tuple(map(float, text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _load_config(args) -> ExperimentConfig:
     cfg = config_from_json(args.config) if args.config else ExperimentConfig()
     return dataclasses.replace(cfg, seed=_seed(args))
@@ -37,18 +44,11 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_collect(args) -> int:
     cfg = _load_config(args)
-    for flag in ("trials", "duration"):
-        value = getattr(args, flag)
-        if value is not None and not value > 0:
-            raise ValueError(f"--{flag} must be positive, got {value}")
-    loads = ([float(x) for x in args.loads.split(",")] if args.loads
-             else list(cfg.campaign.loads))
-    camp = dataclasses.replace(
-        cfg.campaign, loads=tuple(loads), seed=cfg.seed,
-        trials=cfg.campaign.trials if args.trials is None else args.trials,
-        duration=cfg.campaign.duration if args.duration is None else args.duration)
-    [trajectories] = collect_training_data(
-        cfg.plant, camp.loads, [(camp.trials, camp.duration, camp.seed)])
+    # a flag overrides the config's campaign and meets the same checks
+    flags = {name: getattr(args, name) for name in ("loads", "trials", "duration")
+             if getattr(args, name) is not None}
+    camp = dataclasses.replace(cfg.campaign, seed=cfg.seed, **flags)
+    [trajectories] = collect_training_data(cfg.plant, [camp])
     edmd.save_trajectories(trajectories, args.dataset)
     print(f"wrote {len(trajectories)} trajectories to {args.dataset}")
     return 0
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collect", help="run the data campaign, write CSV")
     p.add_argument("dataset", help="output dataset CSV")
-    p.add_argument("--loads", help="comma-separated loads in kg")
+    p.add_argument("--loads", type=_loads, help="comma-separated loads in kg")
     p.add_argument("--trials", type=int)
     p.add_argument("--duration", type=float)
     p.set_defaults(fn=cmd_collect)

@@ -20,7 +20,7 @@ from . import edmd, lifting, observer as obs
 from .edmd import KoopmanModel, write_csv
 from .mpc import Controller, MpcConfig, end_effector_weight
 from .observer import EstimatorConfig, EstimatorState
-from .plant import ArmParams, Run, collect_training_data, drive, excitation
+from .plant import ArmParams, CampaignConfig, Run, collect_training_data, drive, excitation
 
 CONTROLLERS = ("L-MPC", "K-MPC", "KL-MPC")
 
@@ -46,21 +46,6 @@ DROPOFF_R_WEIGHT = 1e-2
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
-    """Training-data campaign: desk-scale default of a few ramp-and-hold
-    trials per load across the full payload range."""
-
-    loads: tuple = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
-    trials: int = 2
-    duration: float = 40.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.seed >= 0:
-            raise ValueError(f"CampaignConfig: 'seed' must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
 class FitConfig:
     d: int = 1
     energy: float = 0.999
@@ -72,11 +57,16 @@ class FitConfig:
             raise ValueError(f"FitConfig: 'd' must be >= 0, got {self.d}")
         if not 0.0 < self.energy <= 1.0:
             raise ValueError(f"FitConfig: 'energy' must be in (0, 1], got {self.energy}")
+        if not self.holdout_trials >= 1:
+            raise ValueError(f"FitConfig: 'holdout_trials' must be >= 1, got {self.holdout_trials}")
+        if not 0.0 < self.holdout_duration < math.inf:
+            raise ValueError(f"FitConfig: 'holdout_duration' must be finite and > 0, "
+                             f"got {self.holdout_duration}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    plant: ArmParams = field(default_factory=lambda: ArmParams(k=1.0, c=0.3))
+    plant: ArmParams = field(default_factory=ArmParams)
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
     fit: FitConfig = field(default_factory=FitConfig)
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
@@ -106,7 +96,7 @@ class ExperimentConfig:
 
 def config_from_json(path) -> ExperimentConfig:
     """Load an experiment configuration from a JSON document; missing fields
-    take their defaults."""
+    take the defaults of ``ExperimentConfig()``."""
     with open(path) as fh:
         doc = json.load(fh)
     kwargs = _known_fields(ExperimentConfig, doc, "config")
@@ -263,13 +253,9 @@ def fit_models(cfg: ExperimentConfig) -> ModelSet:
     the holdout campaign for scoring; both campaigns run as one lockstep
     batch."""
     camp, fit = cfg.campaign, cfg.fit
-    training, holdout = collect_training_data(
-        cfg.plant, camp.loads,
-        [(camp.trials, camp.duration, camp.seed),
-         (fit.holdout_trials, fit.holdout_duration, camp.seed + 1)])
-    for name, runs in (("training", training), ("holdout", holdout)):
-        if not runs:
-            raise ValueError(f"the {name} campaign has no runs (trials or loads are empty)")
+    training, holdout = collect_training_data(cfg.plant, [
+        camp, CampaignConfig(loads=camp.loads, trials=fit.holdout_trials,
+                             duration=fit.holdout_duration, seed=camp.seed + 1)])
     models = fit_kinds(training, fit)
     return ModelSet(baseline=models["baseline"], koopman=models["koopman"],
                     koopman_load=models["koopman-load"], holdout=tuple(holdout))
@@ -520,8 +506,8 @@ def run_experiment4(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> lis
     payloads = rng.uniform(0.0, 0.25, size=SORT_OBJECTS)
     targets = bin_targets(params)
     model = models.koopman_load
-    K_est = int(round(SORT_ESTIMATION_DURATION / params.Ts))
-    K_drop = int(round(SORT_DROPOFF_DURATION / params.Ts))
+    K_est = _trial_steps(SORT_ESTIMATION_DURATION, params.Ts)
+    K_drop = _trial_steps(SORT_DROPOFF_DURATION, params.Ts)
     drop_mpc = dataclasses.replace(cfg, r_weight=DROPOFF_R_WEIGHT).mpc_config()
     outcomes = []
     for i, payload in enumerate(float(p) for p in payloads):

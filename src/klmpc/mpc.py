@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import logging
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -248,11 +247,12 @@ class Controller:
             self.estimator = None
         self.u_neutral = 0.5 * (np.asarray(mpc_cfg.u_min, dtype=float)
                                 + np.asarray(mpc_cfg.u_max, dtype=float))
-        # y[k-d..k] and u[k-d-1..k-1]: the input history runs one step behind
-        self.history_y = deque(maxlen=model.d + 1)
-        self.history_u = deque(maxlen=model.d + 1)
-        self.prev_U: Optional[np.ndarray] = None
-        self.step_count = 0
+        # the embedding's window at step k: y[k-d..k] and u[k-d..k-1], oldest
+        # first; step 0's output fills its window, the inputs start neutral
+        self.window_y = np.empty((model.d + 1, model.n))
+        self.window_u = np.tile(self.u_neutral, (model.d, 1))
+        # the last plan shifted by one block, repeating its final block
+        self.warm_start: Optional[np.ndarray] = None
         self.rejected = 0
         self.logs: list = []
 
@@ -260,48 +260,34 @@ class Controller:
     def w_hat(self) -> Optional[np.ndarray]:
         if self.known_load is not None:
             return self.known_load
-        if self.estimator is not None:
-            return self.estimator.w_hat
-        return None
-
-    def _warm_start(self) -> Optional[np.ndarray]:
-        if self.prev_U is None:
-            return None
-        m = self.model.m
-        return np.concatenate([self.prev_U[m:], self.prev_U[-m:]])
+        return None if self.estimator is None else self.estimator.w_hat
 
     def step(self, y_measured) -> np.ndarray:
-        """Algorithm step: update estimate if due, solve the QP, return the
-        first input block (always within bounds)."""
+        """Algorithm step: lift with the current load estimate, solve the QP,
+        feed this step's (y, u) to the estimator, and return the first input
+        block (always within bounds)."""
         y = np.atleast_1d(np.asarray(y_measured, dtype=float))
+        k = len(self.logs)
         if not np.all(np.isfinite(y)):
             self.rejected += 1
             logger.warning("controller step %d: non-finite measurement %s rejected, "
-                           "holding the last input", self.step_count, y)
-            return (self.history_u[-1] if self.history_u else self.u_neutral).copy()
-        k = self.step_count
-        # the estimator consumes completed (y, u) records, one step behind:
-        # the newest of both histories, before this step's y is appended
-        if self.estimator is not None and k > 0:
-            obs.update(self.estimator, self.model, self.history_y[-1], self.history_u[-1])
-        if not self.history_y:
-            # prefill so delay embedding is defined from the first step
-            self.history_y.extend([y.copy()] * self.model.d)
-            self.history_u.extend([self.u_neutral] * (self.model.d + 1))
-        self.history_y.append(y.copy())
-        yd = delay_embed(np.array(self.history_y), np.array(self.history_u)[1:],
-                         self.model.d)[0]
+                           "holding the last input", k, y)
+            return (self.logs[-1].u if self.logs else self.u_neutral).copy()
+        self.window_y = np.vstack([self.window_y[1:], y]) if k else np.tile(y, (len(self.window_y), 1))
+        yd = delay_embed(self.window_y, self.window_u, self.model.d)[0]
         z0 = self.model.lift(yd, self.w_hat)
         j = min(k, self.last_row)
         t0 = time.perf_counter()
         qp = self.condenser.qp(z0, self.reference[j + 1:j + 1 + self.cfg.Nh])
         result = solve_box_qp(qp, tol=self.cfg.qp_tol,
-                              max_iter=self.cfg.qp_max_iter, x0=self._warm_start())
+                              max_iter=self.cfg.qp_max_iter, x0=self.warm_start)
         solve_ms = (time.perf_counter() - t0) * 1e3
-        self.prev_U = result.x
         m = self.model.m
+        self.warm_start = np.concatenate([result.x[m:], result.x[-m:]])
         u = np.clip(result.x[:m], self.cfg.u_min, self.cfg.u_max)
-        self.history_u.append(u.copy())
+        # a slice, so that d = 0 (an empty input window) needs no case
+        self.window_u[:-1] = self.window_u[1:]
+        self.window_u[-1:] = u
         self.logs.append(StepLog(
             step=k, t=k * self.model.Ts, y=y.copy(), r=self.reference[j].copy(),
             u=u.copy(), w_hat=(self.w_hat.copy() if self.w_hat is not None else np.zeros(0)),
@@ -309,5 +295,8 @@ class Controller:
             kkt_residual=result.kkt_residual,
             solve_ms=solve_ms,
         ))
-        self.step_count += 1
+        # the estimator takes this step's record once it is complete, so the
+        # next step lifts with an estimate that has seen it
+        if self.estimator is not None:
+            obs.update(self.estimator, self.model, y, u)
         return u

@@ -26,8 +26,8 @@ class ArmParams:
     m1: float = 0.2          # link tip masses (kg)
     m2: float = 0.2
     g: float = 9.81          # gravity (m/s^2)
-    k: float = 5.0           # joint stiffness (N*m/rad)
-    c: float = 0.4           # joint damping (N*m*s/rad)
+    k: float = 1.0           # joint stiffness (N*m/rad)
+    c: float = 0.3           # joint damping (N*m*s/rad)
     tau_max: float = 2.0     # torque scale (N*m)
     Ts: float = 0.05         # sample period (s)
     substeps: int = 10       # RK4 substeps per sample
@@ -138,12 +138,15 @@ def dynamics(q: np.ndarray, tau: np.ndarray, params: ArmParams, w) -> np.ndarray
     return _rhs(np.ascontiguousarray(q.T), np.asarray(tau, dtype=float).T, terms).T
 
 
+# a diverging state overflows on the way; the check at the end reports it
+@np.errstate(over="ignore", invalid="ignore")
 def _advance(q: np.ndarray, u, params: ArmParams, w) -> np.ndarray:
     """Integrate states (4,) or (B, 4) over one sample period under the
     zero-order-held commands u in [0, 1]^2, (2,) or (B, 2).
 
     Torque is tau_max * (2u - 1) per joint.  A non-finite or out-of-range
-    command raises before the plant moves.  The RK4 substeps run on the
+    command raises before the plant moves, and a state the RK4 step drives
+    out of the finite numbers raises after.  The RK4 substeps run on the
     (4,) + batch transpose of the states, one row per state variable.
     """
     u = np.asarray(u, dtype=float)
@@ -170,6 +173,9 @@ def _advance(q: np.ndarray, u, params: ArmParams, w) -> np.ndarray:
         k2 += k4
         k2 *= sixth
         q = q + k2
+    if not np.all(np.isfinite(q)):
+        raise ValueError(f"the arm state diverged: the RK4 step of Ts = {params.Ts} s "
+                         f"in {params.substeps} substeps is unstable for this arm")
     return q.T
 
 
@@ -295,33 +301,51 @@ def drive(params: ArmParams, runs) -> list:
     return [(Y[j, :steps[j] + 1], U[j, :steps[j]]) for j in np.argsort(order)]
 
 
-def collect_training_data(params: ArmParams, loads, campaigns) -> list:
-    """Run randomized ramp-and-hold campaigns over ``loads``; return one list
-    of trajectories per campaign, in the order given.
+@dataclass(frozen=True)
+class CampaignConfig:
+    """Ramp-and-hold data campaign: ``trials`` runs per load in ``loads``
+    (kg, load-major), each ``duration`` seconds, seeded by ``seed``.  The
+    default is the desk-scale training campaign across the payload range."""
 
-    Each campaign is a ``(trials, duration, seed)`` triple: ``trials`` runs
-    per load (load-major), each ``duration`` seconds recorded at Ts.
-    Deterministic under the seeds.  A campaign with no runs (zero trials or
-    no loads) gives an empty list; a negative trial count or a duration
-    under one sample period raises ValueError naming the campaign.
+    loads: tuple = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
+    trials: int = 2
+    duration: float = 40.0
+    seed: int = 0
+
+    def __post_init__(self):
+        # each check is written so that NaN fails it
+        if not self.loads or not all(0.0 <= w <= W_MAX for w in self.loads):
+            raise ValueError(f"CampaignConfig: 'loads' must be a non-empty list of "
+                             f"payloads in [0, {W_MAX}] kg, got {list(self.loads)}")
+        if not self.trials >= 1:
+            raise ValueError(f"CampaignConfig: 'trials' must be >= 1, got {self.trials}")
+        if not 0.0 < self.duration < np.inf:
+            raise ValueError(f"CampaignConfig: 'duration' must be finite and > 0, "
+                             f"got {self.duration}")
+        if not self.seed >= 0:
+            raise ValueError(f"CampaignConfig: 'seed' must be >= 0, got {self.seed}")
+
+
+def collect_training_data(params: ArmParams, campaigns) -> list:
+    """Run the ramp-and-hold :class:`CampaignConfig` campaigns; return one
+    list of trajectories per campaign, in the order given, each recorded at
+    Ts in load-major order.  Deterministic under the seeds.  A duration under
+    one sample period raises ValueError naming the campaign.
 
     The runs of all campaigns are one :func:`drive` batch.  Each run draws
     its commands and sensor noise from one generator, a child of its
     campaign's seed, and repeats its last command on its last sample.
     """
-    for c, (trials, duration, _) in enumerate(campaigns):
-        if trials < 0:
-            raise ValueError(f"campaign {c}: trials must be >= 0, got {trials}")
-        if not duration >= params.Ts:
-            raise ValueError(f"campaign {c}: duration {duration} s is under one "
-                             f"sample period ({params.Ts} s)")
     runs, ends = [], []
-    for trials, duration, seed in campaigns:
-        steps = int(round(duration / params.Ts))
-        rngs = [np.random.default_rng(s)
-                for s in np.random.SeedSequence(seed).spawn(len(loads) * trials)]
+    for c, camp in enumerate(campaigns):
+        if not camp.duration >= params.Ts:
+            raise ValueError(f"campaign {c}: duration {camp.duration} s is under one "
+                             f"sample period ({params.Ts} s)")
+        steps = int(round(camp.duration / params.Ts))
+        rngs = [np.random.default_rng(s) for s in
+                np.random.SeedSequence(camp.seed).spawn(len(camp.loads) * camp.trials)]
         runs += [Run(float(w), rng, steps, excitation(rng, params.Ts))
-                 for w, rng in zip(np.repeat(loads, trials), rngs)]
+                 for w, rng in zip(np.repeat(camp.loads, camp.trials), rngs)]
         ends.append(len(runs))
     recorded = drive(params, runs)
     return [[Trajectory(t=np.arange(len(Y)) * params.Ts, y=Y,

@@ -238,18 +238,18 @@ def reference_run(params, w: float, steps: int, rng, policy):
     return np.array(ys), np.array(us).reshape(steps, 2)
 
 
-def reference_campaign(params, loads, campaigns) -> list:
-    """Ramp-and-hold campaigns run by run with :func:`reference_run`, each
-    run drawing its commands and its sensor noise from its own
-    ``SeedSequence`` child.  ``campaigns`` holds ``(trials, duration, seed)``
-    triples; returns one list of (y, u) array pairs per campaign, in
-    load-major run order, with the last command repeated."""
+def reference_campaign(params, campaigns) -> list:
+    """Ramp-and-hold ``CampaignConfig`` campaigns run by run with
+    :func:`reference_run`, each run drawing its commands and its sensor noise
+    from its own ``SeedSequence`` child; returns one list of (y, u) array
+    pairs per campaign, in load-major run order, with the last command
+    repeated."""
     out = []
-    for trials, duration, seed in campaigns:
-        steps = int(round(duration / params.Ts))
-        child_seeds = np.random.SeedSequence(seed).spawn(len(loads) * trials)
+    for camp in campaigns:
+        steps = int(round(camp.duration / params.Ts))
+        child_seeds = np.random.SeedSequence(camp.seed).spawn(len(camp.loads) * camp.trials)
         runs = []
-        for idx, w in enumerate(np.repeat(loads, trials)):
+        for idx, w in enumerate(np.repeat(camp.loads, camp.trials)):
             rng = np.random.default_rng(child_seeds[idx])
             policy = ramp_and_hold(rng, m=2, Ts=params.Ts)
             ys, us = reference_run(params, float(w), steps, rng,

@@ -13,12 +13,12 @@ import klmpc
 import numpy as np
 import pytest
 
-from klmpc import cli, harness, lifting, observer as obs
+from klmpc import cli, harness, lifting, observer as obs, plant
 from klmpc.edmd import load_model, load_trajectories
 from klmpc.lifting import delay_embed
 from klmpc.mpc import Controller
 from klmpc.observer import EstimatorState
-from klmpc.plant import ramp_and_hold
+from klmpc.plant import ArmParams, ramp_and_hold
 from klmpc.harness import (
     BIN_COUNT,
     CONTROLLERS,
@@ -38,6 +38,7 @@ from klmpc.harness import (
     run_experiment2,
     run_estimation_trial,
     run_experiment3,
+    run_experiment4,
     run_tracking_trial,
 )
 
@@ -59,7 +60,9 @@ def test_library_configs_refuse_nan():
     # NaN on the library path, naming the field
     for cls, name in ((FitConfig, "d"), (FitConfig, "energy"), (ExperimentConfig, "q_weight"),
                       (ExperimentConfig, "r_weight"), (ExperimentConfig, "Nh"),
-                      (ExperimentConfig, "seed"), (CampaignConfig, "seed")):
+                      (ExperimentConfig, "seed"), (CampaignConfig, "seed"),
+                      (CampaignConfig, "trials"), (CampaignConfig, "duration"),
+                      (FitConfig, "holdout_trials"), (FitConfig, "holdout_duration")):
         with pytest.raises(ValueError, match=f"'{name}'"):
             cls(**{name: float("nan")})
 
@@ -71,6 +74,14 @@ def test_config_defaults_for_missing_fields(tmp_path):
     assert cfg.seed == 7
     assert cfg.campaign.trials == 1
     assert cfg.Nh == ExperimentConfig().Nh
+
+
+def test_config_plant_field_keeps_the_experiment_arm(tmp_path):
+    # naming one plant field, even at its default value, changes that field
+    # alone: the arm is still the one the models are fitted for
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps({"plant": {"noise_std": 0.001}}))
+    assert config_from_json(path).plant == ExperimentConfig().plant == ArmParams()
 
 
 def test_reference_contract():
@@ -341,6 +352,18 @@ def test_estimation_trial_refuses_a_duration_without_a_sample_period(
         run_estimation_trial(models.koopman_load, default_cfg, 0.1, duration=duration)
 
 
+def test_run_experiment4_refuses_a_phase_without_a_sample_period(default_cfg, models,
+                                                                 monkeypatch):
+    # at Ts = 25 s the 10 s drop-off phase rounds to no step: the runner
+    # raises, naming the phase's duration, before the plant moves
+    cfg = dataclasses.replace(default_cfg, plant=ArmParams(Ts=25.0, substeps=5000))
+    steps = []
+    monkeypatch.setattr(plant, "step_zoh", lambda *a: steps.append(a))
+    with pytest.raises(ValueError, match=f"duration {harness.SORT_DROPOFF_DURATION} s"):
+        run_experiment4(cfg, models)
+    assert steps == []
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -414,48 +437,75 @@ def test_cli_collect_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def no_collection(monkeypatch) -> list:
+    """Replace the campaign runner, as the CLI and the harness import it, by
+    a spy; returns the list of calls it records."""
+    calls = []
+    monkeypatch.setattr(cli, "collect_training_data", lambda *a: calls.append(a))
+    monkeypatch.setattr(harness, "collect_training_data", lambda *a: calls.append(a))
+    return calls
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--trials", "0"), ("--trials", "-1"), ("--duration", "0"), ("--duration", "-2.5"),
+    ("--loads", "0.1,0.5"),
 ])
-def test_cli_collect_rejects_non_positive_flag(tmp_path, capsys, flag, value):
-    # zero is a value, not "not given": it must not fall back to the config
+def test_cli_collect_rejects_non_positive_flag(tmp_path, capsys, monkeypatch, flag, value):
+    # zero is a value, not "not given": a flag replaces the config's campaign
+    # field and meets its check, one error line naming the field, before any
+    # run is simulated
+    calls = no_collection(monkeypatch)
     dataset = tmp_path / "d.csv"
     assert cli.main(["collect", str(dataset), "--loads", "0.1", flag, value]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} must be positive")
+    assert err.startswith("error: CampaignConfig: ") and f"'{flag[2:]}' must be" in err
     assert len(err.strip().splitlines()) == 1
-    assert not dataset.exists()
+    assert calls == [] and not dataset.exists()
 
 
-def test_cli_collect_campaign_without_runs_is_one_error_line(tmp_path, capsys):
+def test_cli_collect_campaign_without_runs_is_one_error_line(tmp_path, capsys, monkeypatch):
+    calls = no_collection(monkeypatch)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"campaign": {"trials": 0}}))
     dataset = tmp_path / "d.csv"
     assert cli.main(["--config", str(path), "collect", str(dataset)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: no trajectories")
+    assert err.startswith("error: CampaignConfig: 'trials' must be >= 1")
     assert len(err.strip().splitlines()) == 1
-    assert not dataset.exists()
+    assert calls == [] and not dataset.exists()
 
 
-@pytest.mark.parametrize("doc, name", [
-    ({"campaign": {"trials": 0}}, "training"),
-    ({"campaign": {"loads": []}}, "training"),
-    ({"fit": {"holdout_trials": 0}}, "holdout"),
-])
+# each id names the campaign the document leaves without runs
+@pytest.mark.parametrize("doc, key", [
+    ({"campaign": {"trials": 0}}, "trials"),
+    ({"campaign": {"loads": []}}, "loads"),
+    ({"fit": {"holdout_trials": 0}}, "holdout_trials"),
+    ({"campaign": {"trials": -1}}, "trials"),
+], ids=["doc0-training", "doc1-training", "doc2-holdout", "doc3-training"])
 def test_cli_campaign_without_runs_fails_before_fitting(tmp_path, capsys, monkeypatch,
-                                                        doc, name):
+                                                        doc, key):
+    # such a campaign cannot be built: the config is refused as it is read,
+    # one error line naming the field, and neither campaign is simulated
+    calls = no_collection(monkeypatch)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
+    dataset = tmp_path / "d.csv"
+    for command in (["collect", str(dataset)], ["track"]):
+        assert cli.main(["--config", str(path), *command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}' must be" in err
+        assert len(err.strip().splitlines()) == 1
+    assert calls == [] and not dataset.exists()
 
-    def no_fit(*args, **kwargs):
-        raise AssertionError("an empty campaign must be refused before fitting")
 
-    monkeypatch.setattr(harness, "fit_kinds", no_fit)
-    assert cli.main(["--config", str(path), "track"]) == 2
+def test_cli_collect_loads_must_be_numbers(tmp_path, capsys):
+    dataset = tmp_path / "d.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["collect", str(dataset), "--loads", "0.1,abc"])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: the {name} campaign has no runs")
-    assert len(err.strip().splitlines()) == 1
+    assert "argument --loads:" in err and "'0.1,abc'" in err
+    assert not dataset.exists()
 
 
 def test_cli_seed_env_fallback(tmp_path, monkeypatch):
@@ -549,6 +599,9 @@ def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
     ({"r_weight": 0}, "r_weight"),
     ({"seed": -1}, "seed"),
     ({"campaign": {"seed": -1}}, "seed"),
+    ({"campaign": {"duration": 0}}, "duration"),
+    ({"campaign": {"loads": [0.1, 0.5]}}, "loads"),
+    ({"fit": {"holdout_duration": float("inf")}}, "holdout_duration"),
 ])
 def test_cli_bad_config_value_fails_before_fitting(tmp_path, capsys, monkeypatch,
                                                   doc, key):
@@ -586,19 +639,19 @@ def test_fit_models_collects_both_campaigns_in_one_call(monkeypatch):
     cfg = ExperimentConfig(campaign=CampaignConfig(loads=(0.0, 0.3), trials=1, duration=10.0),
                            fit=FitConfig(holdout_duration=5.0))
     camp, fit = cfg.campaign, cfg.fit
-    training_spec = (camp.trials, camp.duration, camp.seed)
-    holdout_spec = (fit.holdout_trials, fit.holdout_duration, camp.seed + 1)
+    holdout_camp = CampaignConfig(loads=camp.loads, trials=fit.holdout_trials,
+                                  duration=fit.holdout_duration, seed=camp.seed + 1)
     collect = harness.collect_training_data
     calls = []
 
-    def spy(params, loads, campaigns):
+    def spy(params, campaigns):
         calls.append(list(campaigns))
-        return collect(params, loads, campaigns)
+        return collect(params, campaigns)
 
     monkeypatch.setattr(harness, "collect_training_data", spy)
     ms = fit_models(cfg)
-    assert calls == [[training_spec, holdout_spec]]
-    training, holdout = collect(cfg.plant, camp.loads, [training_spec, holdout_spec])
+    assert calls == [[camp, holdout_camp]]
+    training, holdout = collect(cfg.plant, [camp, holdout_camp])
     models = harness.fit_kinds(training, fit)
     for kind, attr in (("baseline", "baseline"), ("koopman", "koopman"),
                        ("koopman-load", "koopman_load")):

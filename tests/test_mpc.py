@@ -330,14 +330,29 @@ def test_controller_closed_loop_estimation_schedule():
         u = ctrl.step(np.array([x]))
         assert cfg.u_min[0] <= u[0] <= cfg.u_max[0]
         x = bilinear_step(x, u[0], w_true, c0)
-    # the estimator consumes completed records one step behind the loop
-    expected = sum(1 for j in range(K - 1)
+    # the estimator takes each step's record at the end of that step
+    expected = sum(1 for j in range(K)
                    if j % est_cfg.Ne == 0 and j + 1 >= est_cfg.Nw + model.d + 1)
     assert ctrl.estimator.updates == expected
     assert abs(ctrl.w_hat[0] - w_true) < 1e-6
     # before the first estimate the controller runs on w_init
     early = [lg.w_hat[0] for lg in ctrl.logs[:est_cfg.Ne]]
     assert np.allclose(early, est_cfg.w_init[0], atol=1e-12)
+
+
+def test_controller_feeds_the_observer_each_steps_record():
+    # after each step the estimator's newest record is that step's measured
+    # output and applied input, and it holds one record per step
+    model = fit_bilinear_model(c0=0.05)
+    ctrl = Controller(model, scalar_cfg(Nh=6, r=0.01), sine_reference(50),
+                      est_cfg=EstimatorConfig(Nw=5, Ne=2, Nr=4))
+    x = 0.0
+    for k in range(1, 21):
+        u = ctrl.step(np.array([x]))
+        y_last, u_last = ctrl.estimator.history[-1]
+        assert np.array_equal(y_last, ctrl.logs[-1].y) and np.array_equal(u_last, u)
+        assert ctrl.estimator.step == len(ctrl.logs) == k
+        x = bilinear_step(x, u[0], 0.22, 0.05)
 
 
 def test_controller_holds_input_on_non_finite_measurement(caplog):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from klmpc.plant import (
     ArmParams,
+    CampaignConfig,
     Run,
     W_MAX,
     collect_training_data,
@@ -32,6 +33,10 @@ from oracles import (
     reference_positions,
     reference_run,
 )
+
+
+# the stiffer arm on which the hypothesis examples below were found
+STIFF_ARM = ArmParams(k=5.0, c=0.4)
 
 
 def hold(u):
@@ -190,7 +195,7 @@ _rows = st.lists(
 @example([(1.2960441655458848, -2.354641815204415, -0.8767878576175852, 2.4226847631984496,
            0.5983013973583118, 1.4704700824657504, 0.26893820958353504)])
 def test_batched_dynamics_matches_rows(rows):
-    params = ArmParams()
+    params = STIFF_ARM
     data = np.array(rows)
     q, tau, w = data[:, :4], data[:, 4:6], data[:, 6]
     batched = dynamics(q, tau, params, w)
@@ -205,7 +210,7 @@ def test_integrator_matches_row_wise_oracle(B, per_row):
     # one (4,) state or a (B, 4) stack with a scalar or per-row payload: the
     # derivative and 20 sample periods from random states equal the row-wise
     # RK4 bit for bit (B = 2 is the batch as long as the joint axis)
-    params = ArmParams(k=1.0, c=0.3)
+    params = ArmParams()
     rng = np.random.default_rng(B or 0)
     shape = () if B is None else (B,)
     q = rng.uniform(-3.0, 3.0, shape + (4,))
@@ -229,7 +234,7 @@ def test_integrator_matches_row_wise_oracle(B, per_row):
                 min_size=1, max_size=16))
 @example([(-2.350986451755757, 2.001792965522819, -2.350986451755757, 0.0, 0.0, 0.0, 1e-12)])
 def test_step_zoh_matches_row_wise_oracle(rows):
-    params = ArmParams()
+    params = STIFF_ARM
     data = np.array(rows)
     q, u, w = data[:, :4], data[:, 4:6], data[:, 6]
     tau = params.tau_max * (2.0 * u - 1.0)
@@ -241,22 +246,22 @@ def test_step_zoh_matches_row_wise_oracle(rows):
 
 
 def test_collect_training_data_matches_run_by_run():
-    params = ArmParams(k=1.0, c=0.3)
-    loads = [0.05, 0.25]
+    params = ArmParams()
+    loads = (0.05, 0.25)
     # one campaign; then campaigns of different lengths, trials and seeds,
-    # whose shorter runs leave the batch first whichever order they come in;
-    # last, the longest campaign has no runs and must not hold the batch open
-    for campaigns in ([(2, 2.0, 4)],
-                      [(1, 1.0, 7), (2, 2.0, 4)],
-                      [(2, 2.0, 4), (1, 1.0, 7), (3, 1.5, 11)],
-                      [(0, 3.0, 1), (1, 1.0, 7), (2, 2.0, 4)]):
-        got = collect_training_data(params, loads, campaigns)
-        want = reference_campaign(params, loads, campaigns)
+    # whose shorter runs leave the batch first whichever order they come in
+    for specs in ([(2, 2.0, 4)],
+                  [(1, 1.0, 7), (2, 2.0, 4)],
+                  [(2, 2.0, 4), (1, 1.0, 7), (3, 1.5, 11)]):
+        campaigns = [CampaignConfig(loads=loads, trials=trials, duration=duration, seed=seed)
+                     for trials, duration, seed in specs]
+        got = collect_training_data(params, campaigns)
+        want = reference_campaign(params, campaigns)
         assert len(got) == len(want) == len(campaigns)
-        for (trials, duration, _), trajs, runs in zip(campaigns, got, want):
-            assert len(trajs) == len(runs) == trials * len(loads)
+        for camp, trajs, runs in zip(campaigns, got, want):
+            assert len(trajs) == len(runs) == camp.trials * len(loads)
             for traj, (ys, us) in zip(trajs, runs):
-                assert len(traj) == int(round(duration / params.Ts)) + 1
+                assert len(traj) == int(round(camp.duration / params.Ts)) + 1
                 assert np.array_equal(traj.y, ys)
                 assert np.array_equal(traj.u, us)
     # `drive` under the campaigns: runs of unequal lengths (one of none),
@@ -316,7 +321,8 @@ def test_payload_monotonicity():
 
 def test_collect_training_data_shape():
     params = ArmParams()
-    [trajs] = collect_training_data(params, [0.1], [(1, 1.0, 0)])
+    [trajs] = collect_training_data(params, [CampaignConfig(loads=(0.1,), trials=1,
+                                                            duration=1.0)])
     assert len(trajs) == 1
     traj = trajs[0]
     assert len(traj) == 21  # 1 s at Ts = 0.05 inclusive of both endpoints
@@ -326,7 +332,8 @@ def test_collect_training_data_shape():
 
 def test_collect_training_data_structure():
     params = ArmParams()
-    [trajs] = collect_training_data(params, [0.0, 0.2], [(2, 2.0, 3)])
+    [trajs] = collect_training_data(params, [CampaignConfig(loads=(0.0, 0.2), trials=2,
+                                                            duration=2.0, seed=3)])
     assert len(trajs) == 4
     for traj in trajs:
         assert np.all(traj.u >= 0.0) and np.all(traj.u <= 1.0)
@@ -337,35 +344,49 @@ def test_collect_training_data_structure():
 
 def test_collect_training_data_deterministic():
     params = ArmParams()
-    [a] = collect_training_data(params, [0.05], [(1, 1.0, 9)])
-    [b] = collect_training_data(params, [0.05], [(1, 1.0, 9)])
+    camp = CampaignConfig(loads=(0.05,), trials=1, duration=1.0, seed=9)
+    [a] = collect_training_data(params, [camp])
+    [b] = collect_training_data(params, [camp])
     assert np.array_equal(a[0].y, b[0].y)
     assert np.array_equal(a[0].u, b[0].u)
 
 
 def test_collect_training_data_without_runs_is_empty():
-    params = ArmParams()
-    assert collect_training_data(params, [0.1], [(0, 1.0, 0)]) == [[]]
-    assert collect_training_data(params, [], [(2, 1.0, 0), (1, 0.5, 1)]) == [[], []]
-    assert collect_training_data(params, [0.1], []) == []
+    assert collect_training_data(ArmParams(), []) == []
 
 
 @pytest.mark.parametrize("campaign, match", [
-    ((-1, 1.0, 0), "campaign 1: trials"),
-    ((1, 0.0, 0), "campaign 1: duration"),
-    ((1, 0.02, 0), "campaign 1: duration"),
-    ((1, -1.0, 0), "campaign 1: duration"),
+    ({"trials": -1}, "'trials' must be >= 1"),
+    ({"duration": 0.0}, "'duration' must be finite and > 0"),
+    ({"duration": 0.02}, "campaign 1: duration"),
+    ({"duration": -1.0}, "'duration' must be finite and > 0"),
+    ({"trials": 0}, "'trials' must be >= 1"),
+    ({"duration": float("inf")}, "'duration' must be finite and > 0"),
+    ({"loads": ()}, "'loads' must be a non-empty list"),
 ])
 def test_collect_training_data_rejects_bad_campaign(campaign, match):
+    # a campaign is refused where it is built; a duration under one sample
+    # period, which only the arm knows, is refused naming the campaign
     with pytest.raises(ValueError, match=match):
-        collect_training_data(ArmParams(), [0.1], [(1, 1.0, 0), campaign])
+        collect_training_data(ArmParams(), [
+            CampaignConfig(duration=1.0),
+            CampaignConfig(**{"loads": (0.1,), "trials": 1, "duration": 1.0, **campaign})])
 
 
 def test_collect_training_data_load_bounds():
-    with pytest.raises(ValueError):
-        collect_training_data(ArmParams(), [0.5], [(1, 1.0, 0)])
-    with pytest.raises(ValueError, match="payloads must lie"):
-        collect_training_data(ArmParams(), [float("nan")], [(1, 1.0, 0)])
+    # a load outside [0, W_MAX] is refused with the campaign, before any run
+    for loads in ((0.5,), (0.1, W_MAX + 1e-6), (-1e-6,), (float("nan"),)):
+        with pytest.raises(ValueError, match="'loads' must be"):
+            CampaignConfig(loads=loads)
+
+
+def test_diverging_integrator_fails_closed():
+    # a sample period far past the RK4's stability limit drives the state to
+    # infinity; the plant raises, naming the step, instead of handing NaN on
+    params = ArmParams(Ts=40.0)
+    run = Run(0.1, np.random.default_rng(0), 5, excitation(np.random.default_rng(1), params.Ts))
+    with pytest.raises(ValueError, match=r"diverged.*Ts = 40\.0 s in 10 substeps"):
+        drive(params, [run])
 
 
 def test_ramp_and_hold_stays_in_range():
