@@ -86,15 +86,14 @@ def assemble_snapshots(trajectories, d: int):
 class KoopmanModel:
     """Discrete lifted linear model z+ = Az + Bu, y = Cz.
 
-    C is exactly [I_n | 0].  ``p`` is the load dimension (0 when the model is
-    not load-augmented), and n_z = N_g * (p + 1).  ``bottom_block_residual``
-    is the Frobenius deviation of the fitted transition matrix's bottom block
-    from [O | I], reported as a fit diagnostic.
+    C = [I_n | 0] is derived, not stored.  ``p`` is the load dimension (0
+    when the model is not load-augmented), and n_z = N_g * (p + 1).
+    ``bottom_block_residual`` is the Frobenius deviation of the fitted
+    transition matrix's bottom block from [O | I], a fit diagnostic.
     """
 
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray
     basis: Basis
     Ts: float
     p: int = 0
@@ -115,6 +114,10 @@ class KoopmanModel:
     @property
     def n_z(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def C(self) -> np.ndarray:
+        return np.eye(self.n, self.n_z)
 
     def lift(self, yd, w=None) -> np.ndarray:
         """Lift an embedded output into the model's state space (g or gamma)."""
@@ -170,14 +173,11 @@ def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> 
     Kt = K_bar.T
     A = Kt[:n_z, :n_z]
     B = Kt[:n_z, n_z:]
-    bottom = Kt[n_z:, :]
-    target = np.hstack([np.zeros((m, n_z)), np.eye(m)])
-    residual = float(np.linalg.norm(bottom - target))
+    # the bottom block's deviation from [O | I]
+    residual = float(np.linalg.norm(Kt[n_z:] - np.eye(m, n_z + m, n_z)))
     if residual > 1e-6:
         logger.info("fit_koopman: bottom-block residual %.3e", residual)
-    n = basis.n
-    C = np.hstack([np.eye(n), np.zeros((n, n_z - n))])
-    return KoopmanModel(A=A, B=B, C=C, basis=basis, Ts=Ts, p=p,
+    return KoopmanModel(A=A, B=B, basis=basis, Ts=Ts, p=p,
                         bottom_block_residual=residual)
 
 
@@ -208,7 +208,6 @@ def model_to_dict(model: KoopmanModel) -> dict:
     return {
         "A": model.A.tolist(),
         "B": model.B.tolist(),
-        "C": model.C.tolist(),
         "Ts": model.Ts,
         "p": model.p,
         "bottom_block_residual": model.bottom_block_residual,
@@ -218,12 +217,11 @@ def model_to_dict(model: KoopmanModel) -> dict:
 
 def model_from_dict(doc: dict) -> KoopmanModel:
     """Inverse of :func:`model_to_dict`; a missing key raises ValueError
-    naming it."""
+    naming it.  An older file's ``C`` must be [I_n | 0]."""
     try:
-        return KoopmanModel(
+        model = KoopmanModel(
             A=np.asarray(doc["A"], dtype=float),
             B=np.asarray(doc["B"], dtype=float),
-            C=np.asarray(doc["C"], dtype=float),
             basis=lifting.basis_from_dict(doc["basis"]),
             Ts=float(doc["Ts"]),
             p=int(doc["p"]),
@@ -231,6 +229,9 @@ def model_from_dict(doc: dict) -> KoopmanModel:
         )
     except KeyError as exc:
         raise ValueError(f"model document is missing key {exc.args[0]!r}") from None
+    if "C" in doc and not np.array_equal(np.asarray(doc["C"], dtype=float), model.C):
+        raise ValueError("model document: 'C' must be [I_n | 0]")
+    return model
 
 
 def save_model(model: KoopmanModel, path) -> None:

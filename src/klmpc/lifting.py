@@ -4,7 +4,7 @@ reduction, and the load-augmented lifting with its block-diagonal matrix form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +35,16 @@ def delay_embed(y, u, d: int) -> np.ndarray:
                      + [u[d - i:K - i] for i in range(1, d + 1)])
 
 
-def _quad_pairs(n_embed: int) -> list:
-    return [(i, j) for i in range(n_embed) for j in range(i, n_embed)]
-
-
-def _eval_quadratics(Y: np.ndarray, pairs) -> np.ndarray:
-    """Evaluate the degree-2 monomials on a batch of embedded outputs, one
-    column per pair, written straight into one (K, len(pairs)) array."""
-    Q = np.empty((Y.shape[0], len(pairs)))
-    for c, (i, j) in enumerate(pairs):
-        np.multiply(Y[:, i], Y[:, j], out=Q[:, c])
+def _eval_quadratics(Y: np.ndarray) -> np.ndarray:
+    """The degree-2 monomials y_i y_j (i <= j) of a batch of embedded
+    outputs, in ``np.triu_indices`` order: coordinate i writes its products
+    with coordinates i.. straight into its slice of one (K, P) array."""
+    K, ne = Y.shape
+    Q = np.empty((K, ne * (ne + 1) // 2))
+    o = 0
+    for i in range(ne):
+        np.multiply(Y[:, i:i + 1], Y[:, i:], out=Q[:, o:o + ne - i])
+        o += ne - i
     return Q
 
 
@@ -55,6 +55,7 @@ class Basis:
 
     The first ``identity_count`` basis functions are exact coordinate
     identities, which is what lets the output matrix be a pure projection.
+    The monomials are fixed by (n, m, d); only their PCA is learned.
     """
 
     n: int
@@ -62,7 +63,6 @@ class Basis:
     d: int
     projection: PcaProjection
     include_constant: bool = True
-    quad_pairs: tuple = field(default_factory=tuple)
 
     @property
     def identity_count(self) -> int:
@@ -88,29 +88,20 @@ def fit_basis(samples: np.ndarray, energy: float, n: int, m: int, d: int) -> Bas
     samples = np.asarray(samples, dtype=float)
     ne = embedded_dim(n, m, d)
     if samples.ndim != 2 or samples.shape[1] != ne:
-        raise ValueError(
-            f"fit_basis: samples must be K x {ne}, got {samples.shape}"
-        )
+        raise ValueError(f"fit_basis: samples must be K x {ne}, got {samples.shape}")
     n_mono = 1 + ne + ne * (ne + 1) // 2   # degree <= 2 monomials in ne variables
     if samples.shape[0] < n_mono:
-        raise ValueError(
-            f"fit_basis: need at least {n_mono} samples, got {samples.shape[0]}"
-        )
-    pairs = tuple(_quad_pairs(ne))
-    projection = pca_fit(_eval_quadratics(samples, pairs), energy)
-    return Basis(n=n, m=m, d=d, projection=projection, quad_pairs=pairs)
+        raise ValueError(f"fit_basis: need at least {n_mono} samples, got {samples.shape[0]}")
+    projection = pca_fit(_eval_quadratics(samples), energy)
+    return Basis(n=n, m=m, d=d, projection=projection)
 
 
 def identity_basis(n: int, m: int, d: int) -> Basis:
     """Pure-identity basis (degree-1 coordinates only); used by the linear
     baseline model."""
-    ne = embedded_dim(n, m, d)
-    projection = PcaProjection(
-        mean=np.zeros(0), components=np.zeros((0, 0)), energy_kept=1.0,
-        explained=np.zeros(0),
-    )
-    return Basis(n=n, m=m, d=d, projection=projection, include_constant=False,
-                 quad_pairs=())
+    projection = PcaProjection(mean=np.zeros(0), components=np.zeros((0, 0)),
+                               energy_kept=1.0)
+    return Basis(n=n, m=m, d=d, projection=projection, include_constant=False)
 
 
 def _output(out, shape: tuple) -> np.ndarray:
@@ -147,7 +138,7 @@ def lift_g_many(basis: Basis, Yd: np.ndarray, *, out=None) -> np.ndarray:
         G[:, ne] = 1.0
     projection = basis.projection
     if projection.n_components > 0:
-        Q = _eval_quadratics(Yd, basis.quad_pairs)
+        Q = _eval_quadratics(Yd)
         Q -= projection.mean
         np.matmul(Q, projection.components.T,
                   out=G[:, ne + int(basis.include_constant):])
@@ -205,7 +196,6 @@ def basis_to_dict(basis: Basis) -> dict:
         "m": basis.m,
         "d": basis.d,
         "include_constant": basis.include_constant,
-        "quad_pairs": [list(pq) for pq in basis.quad_pairs],
         "projection": {
             "mean": basis.projection.mean.tolist(),
             "components": basis.projection.components.tolist(),
@@ -216,20 +206,24 @@ def basis_to_dict(basis: Basis) -> dict:
 
 
 def basis_from_dict(doc: dict) -> Basis:
+    """Inverse of :func:`basis_to_dict`.  An older file's ``quad_pairs``
+    must be the pairs this basis forms (none without a monomial block)."""
     proj = doc["projection"]
-    if proj["components"]:
-        components = np.asarray(proj["components"], dtype=float)
-    else:
-        components = np.zeros((0, len(doc["quad_pairs"])))
+    mean = np.asarray(proj["mean"], dtype=float)
     projection = PcaProjection(
-        mean=np.asarray(proj["mean"], dtype=float),
-        components=components,
+        mean=mean,
+        components=np.asarray(proj["components"], dtype=float).reshape(
+            len(proj["components"]), mean.shape[0]),
         energy_kept=float(proj["energy_kept"]),
         explained=np.asarray(proj["explained"], dtype=float),
     )
-    return Basis(
+    basis = Basis(
         n=int(doc["n"]), m=int(doc["m"]), d=int(doc["d"]),
         projection=projection,
         include_constant=bool(doc["include_constant"]),
-        quad_pairs=tuple(tuple(pq) for pq in doc["quad_pairs"]),
     )
+    pairs = np.transpose(np.triu_indices(basis.identity_count)).tolist() if mean.size else []
+    if [list(pq) for pq in doc.get("quad_pairs", pairs)] != pairs:
+        raise ValueError("basis document: 'quad_pairs' must list the pairs "
+                         "i <= j of the embedded output in order")
+    return basis

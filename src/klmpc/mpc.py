@@ -15,6 +15,7 @@ import numpy as np
 from . import observer as obs
 from .edmd import KoopmanModel
 from .lifting import delay_embed
+from .numkit import lapack
 from .observer import EstimatorConfig, EstimatorState
 
 logger = logging.getLogger(__name__)
@@ -75,15 +76,17 @@ class Condenser:
     def __init__(self, model: KoopmanModel, cfg: MpcConfig):
         A, B, C = model.A, model.B, model.C
         n, m, Nh = C.shape[0], B.shape[1], cfg.Nh
-        # S: stacked C A^i (i = 1..Nh); M: block lower triangular C A^(i-1-j) B
+        # S: stacked C A^i (i = 1..Nh); M: block lower triangular, block row i
+        # the Markov parameters C A^i B, ..., C B (each formed once), then zeros
         powers = [np.eye(A.shape[0])]
         for _ in range(Nh):
             powers.append(A @ powers[-1])
-        S = np.vstack([C @ powers[i] for i in range(1, Nh + 1)])
-        M = np.zeros((n * Nh, m * Nh))
-        for i in range(1, Nh + 1):
-            for j in range(i):
-                M[(i - 1) * n:i * n, j * m:(j + 1) * m] = C @ powers[i - 1 - j] @ B
+        CA = [C @ P for P in powers]
+        markov = [CA[lag] @ B for lag in range(Nh)]
+        S = np.vstack(CA[1:])
+        zero = np.zeros((n, m))
+        M = np.concatenate([np.concatenate(markov[i::-1] + [zero] * (Nh - 1 - i), axis=1)
+                            for i in range(Nh)])
         Qbar = np.kron(np.eye(Nh), np.asarray(cfg.Q, dtype=float))
         Rbar = np.kron(np.eye(Nh), np.asarray(cfg.R, dtype=float))
         H = 2.0 * (M.T @ Qbar @ M + Rbar)
@@ -130,15 +133,16 @@ def _kkt_residual(qp: QpProblem, x: np.ndarray, g: np.ndarray) -> float:
     return float(np.max(r)) if r.size else 0.0
 
 
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
 def _free_newton(H: np.ndarray, g: np.ndarray, free: np.ndarray,
                  d: np.ndarray) -> np.ndarray:
-    """Overwrite d on the free coordinates with the Newton step
-    -H_ff^-1 g_f (steepest descent -g_f if H_ff is singular); return d."""
+    """Overwrite d on the free coordinates with the Newton step -H_ff^-1 g_f;
+    return d.  A singular H_ff sets the invalid flag: steepest descent -g_f."""
     idx = np.flatnonzero(free)
     if idx.size:
         try:
-            d[idx] = np.linalg.solve(H[idx[:, None], idx], -g[idx])
-        except np.linalg.LinAlgError:
+            d[idx] = lapack.solve1(H[idx[:, None], idx], -g[idx], signature="dd->d")
+        except FloatingPointError:
             d[idx] = -g[idx]
     return d
 

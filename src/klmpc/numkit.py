@@ -15,6 +15,12 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_RTOL = 1e-10
 
+# The LAPACK (dgesv) gufuncs behind np.linalg.solve, whose checks cost more
+# than a small solve: ``solve`` is (m,m),(m,k)->(m,k), ``solve1`` (m,m),(m)->(m),
+# both called with signature="dd->d".  A singular matrix gives NaN and the
+# invalid flag, not LinAlgError.
+lapack = np.linalg._umath_linalg
+
 
 def pinv(A: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via full SVD.

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .edmd import Trajectory
+from .numkit import lapack
 
 W_MAX = 0.3
 
@@ -90,14 +91,6 @@ def mass_matrix(state_q: np.ndarray, params: ArmParams, w) -> np.ndarray:
     return M
 
 
-# The LAPACK gufunc behind np.linalg.solve (dgesv, so the same bits), called
-# directly: the wrapper's argument checks cost more than the solve of a 2x2,
-# and the gufunc writes the accelerations straight into the derivative.  The
-# mass matrix is positive definite, so the wrapper's singular-matrix error
-# cannot arise.
-_solve = np.linalg._umath_linalg.solve
-
-
 def _rhs(q: np.ndarray, tau: np.ndarray, terms: tuple) -> np.ndarray:
     """Derivative of states in structure-of-arrays form: ``q`` is (4,) + shape
     with rows (th1, th2, om1, om2), ``tau`` is (2,) + shape, and ``terms``
@@ -121,7 +114,8 @@ def _rhs(q: np.ndarray, tau: np.ndarray, terms: tuple) -> np.ndarray:
     f -= kc[2:]
     dq = np.empty_like(q)
     dq[:2] = om
-    _solve(M, f.T[..., None], signature="dd->d", out=dq[2:].T[..., None])
+    # straight into the derivative; the mass matrix is positive definite
+    lapack.solve(M, f.T[..., None], signature="dd->d", out=dq[2:].T[..., None])
     return dq
 
 

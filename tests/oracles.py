@@ -11,10 +11,11 @@
 - the observer's stacked load equations built row by row from the
   block-diagonal ``gamma_matrix``, and the single-transition load estimate
   from an explicit (output, input, next-output) triple;
-- a reference evaluated step by step, and the condensed QP's linear term
-  in its expanded form;
+- a reference evaluated step by step, and the condensed QP's matrices and
+  linear term with every Markov block formed where it is placed;
 - PCA by a direct SVD of the centred data, the projection of samples onto
-  a fitted PCA, and the g/gamma lifts in their per-block concatenation form;
+  a fitted PCA, the degree-2 monomials one pair at a time, and the g/gamma
+  lifts in their per-block concatenation form;
 - the one-step output prediction of a fitted model from one embedded
   output.
 """
@@ -37,8 +38,7 @@ def bilinear_basis() -> Basis:
     quadratic dictionary."""
     projection = PcaProjection(mean=np.zeros(0), components=np.zeros((0, 0)),
                                energy_kept=1.0, explained=np.zeros(0))
-    return Basis(n=1, m=1, d=0, projection=projection, include_constant=True,
-                 quad_pairs=())
+    return Basis(n=1, m=1, d=0, projection=projection, include_constant=True)
 
 
 def bilinear_step(x: float, u: float, w: float, c0: float = 0.0) -> float:
@@ -295,10 +295,9 @@ def reference_rows(ref, ks) -> np.ndarray:
     return rows
 
 
-def reference_condensed_f(model, cfg, z0, ref) -> np.ndarray:
-    """Linear term 2 M' Qbar (S z0 - r) of the condensed QP, with S the
-    stacked C A^i (i = 1..Nh), M the block lower-triangular C A^(i-1-j) B
-    and Qbar the block-diagonal output weight."""
+def _reference_prediction(model, cfg):
+    """S, the stacked C A^i (i = 1..Nh), and M, the block lower-triangular
+    C A^(i-1-j) B, each block its own product of C, a power of A and B."""
     A, B, C = model.A, model.B, model.C
     n, m, Nh = C.shape[0], B.shape[1], cfg.Nh
     powers = [np.eye(A.shape[0])]
@@ -309,7 +308,26 @@ def reference_condensed_f(model, cfg, z0, ref) -> np.ndarray:
     for i in range(1, Nh + 1):
         for j in range(i):
             M[(i - 1) * n:i * n, j * m:(j + 1) * m] = C @ powers[i - 1 - j] @ B
-    Qbar = np.kron(np.eye(Nh), cfg.Q)
+    return S, M
+
+
+def reference_condenser(model, cfg):
+    """The condensation's (S, P, H): the free response S, the linear term's
+    gain P = 2 M' Qbar and the symmetrised Hessian 2 (M' Qbar M + Rbar),
+    with every Markov block of M formed where it is placed."""
+    S, M = _reference_prediction(model, cfg)
+    Qbar = np.kron(np.eye(cfg.Nh), np.asarray(cfg.Q, dtype=float))
+    Rbar = np.kron(np.eye(cfg.Nh), np.asarray(cfg.R, dtype=float))
+    H = 2.0 * (M.T @ Qbar @ M + Rbar)
+    return S, (2.0 * M.T) @ Qbar, 0.5 * (H + H.T)
+
+
+def reference_condensed_f(model, cfg, z0, ref) -> np.ndarray:
+    """Linear term 2 M' Qbar (S z0 - r) of the condensed QP, with S the
+    stacked C A^i (i = 1..Nh), M the block lower-triangular C A^(i-1-j) B
+    and Qbar the block-diagonal output weight."""
+    S, M = _reference_prediction(model, cfg)
+    Qbar = np.kron(np.eye(cfg.Nh), cfg.Q)
     return 2.0 * M.T @ Qbar @ (S @ z0 - np.reshape(ref, -1))
 
 
@@ -335,6 +353,18 @@ def pca_transform(projection: PcaProjection, X) -> np.ndarray:
     return (X - projection.mean) @ projection.components.T
 
 
+def monomial_pairs(ne: int) -> list:
+    """The degree-2 monomials y_i y_j of ne variables as index pairs, i <= j,
+    in row-major order."""
+    return [(i, j) for i in range(ne) for j in range(i, ne)]
+
+
+def reference_quadratics(Y) -> np.ndarray:
+    """The (K, ne(ne+1)/2) monomial block, one product per pair."""
+    Y = np.asarray(Y, dtype=float)
+    return np.stack([Y[:, i] * Y[:, j] for i, j in monomial_pairs(Y.shape[1])], axis=1)
+
+
 def reference_lift_g_many(basis: Basis, Yd) -> np.ndarray:
     """g lifts as blocks concatenated: identities, constant, projected
     per-pair monomials."""
@@ -343,7 +373,7 @@ def reference_lift_g_many(basis: Basis, Yd) -> np.ndarray:
     if basis.include_constant:
         blocks.append(np.ones((Yd.shape[0], 1)))
     if basis.projection.n_components > 0:
-        Q = np.stack([Yd[:, i] * Yd[:, j] for i, j in basis.quad_pairs], axis=1)
+        Q = reference_quadratics(Yd)
         blocks.append(pca_transform(basis.projection, Q))
     return np.concatenate(blocks, axis=1)
 

@@ -221,13 +221,14 @@ def test_baseline_dimension():
                                 d=1, Ts=TS)
     assert model.n_z == 4 + (4 + 2) * 1
     assert model.p == 0
+    # C = [I_4 | 0], laid out in rows as every product with it expects
+    assert np.array_equal(model.C, np.hstack([np.eye(4), np.zeros((4, 6))]))
+    assert model.C.flags.c_contiguous
 
 
 def test_predict_one_step_identity_model():
     basis = identity_basis(2, 1, 0)
-    model = KoopmanModel(A=np.eye(2), B=np.zeros((2, 1)),
-                         C=np.hstack([np.eye(2), np.zeros((2, 0))]),
-                         basis=basis, Ts=TS)
+    model = KoopmanModel(A=np.eye(2), B=np.zeros((2, 1)), basis=basis, Ts=TS)
     yd = np.array([1.5, -0.5])
     assert np.array_equal(predict_one_step(model, yd, 0.3), yd)
 
@@ -252,14 +253,39 @@ def test_model_json_round_trip(tmp_path):
 
 
 def test_model_missing_key_names_it():
+    # every key a model file still needs, at each level of the document
+    for path in (("A",), ("B",), ("Ts",), ("p",), ("bottom_block_residual",),
+                 ("basis",), ("basis", "d"), ("basis", "include_constant"),
+                 ("basis", "projection"), ("basis", "projection", "mean")):
+        doc = edmd.model_to_dict(fit_bilinear_model())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        with pytest.raises(ValueError, match=f"'{path[-1]}'"):
+            edmd.model_from_dict(doc)
+
+
+def test_model_document_stores_only_the_fit():
     doc = edmd.model_to_dict(fit_bilinear_model())
-    del doc["C"]
-    with pytest.raises(ValueError, match="'C'"):
-        edmd.model_from_dict(doc)
-    doc = edmd.model_to_dict(fit_bilinear_model())
-    del doc["basis"]["quad_pairs"]
-    with pytest.raises(ValueError, match="'quad_pairs'"):
-        edmd.model_from_dict(doc)
+    assert "C" not in doc and "quad_pairs" not in doc["basis"]
+
+
+def test_model_legacy_output_matrix_loads():
+    # files written before C was derived store it: [I_n | 0] loads into the
+    # same model, any other matrix is refused by name
+    model = fit_bilinear_model()
+    doc = dict(edmd.model_to_dict(model), C=model.C.tolist())
+    doc["basis"]["quad_pairs"] = []
+    loaded = edmd.model_from_dict(doc)
+    assert np.array_equal(loaded.A, model.A) and np.array_equal(loaded.B, model.B)
+    assert np.array_equal(loaded.C, model.C)
+    yd = np.array([0.7])
+    assert np.array_equal(loaded.lift(yd, 0.1), model.lift(yd, 0.1))
+    wrong = np.array(model.C)
+    for bad in (2.0 * wrong, wrong[:, :-1], np.roll(wrong, 1, axis=1)):
+        with pytest.raises(ValueError, match="'C'"):
+            edmd.model_from_dict(dict(doc, C=bad.tolist()))
 
 
 def test_trajectory_csv_round_trip(tmp_path):

@@ -23,7 +23,13 @@ from klmpc.lifting import (
     lift_gamma_many,
 )
 
-from oracles import pca_transform, reference_lift_g_many, reference_lift_gamma_many
+from oracles import (
+    monomial_pairs,
+    pca_transform,
+    reference_lift_g_many,
+    reference_lift_gamma_many,
+    reference_quadratics,
+)
 
 
 def make_basis(rng, n=2, m=1, d=1, energy=0.99, samples=200):
@@ -86,7 +92,7 @@ def test_lift_g_layout():
     assert g.shape == (basis.n_lifted,)
     assert np.array_equal(g[:ne], yd)
     assert g[ne] == 1.0
-    quads = np.array([yd[i] * yd[j] for i, j in basis.quad_pairs])
+    quads = np.array([yd[i] * yd[j] for i, j in monomial_pairs(ne)])
     expected = pca_transform(basis.projection, quads[None, :])[0]
     assert np.allclose(g[ne + 1:], expected, atol=1e-12)
 
@@ -171,7 +177,7 @@ def test_fit_basis_deterministic():
     a = fit_basis(X, 0.99, n=2, m=1, d=1)
     b = fit_basis(X, 0.99, n=2, m=1, d=1)
     assert np.array_equal(a.projection.components, b.projection.components)
-    assert a.quad_pairs == b.quad_pairs
+    assert np.array_equal(a.projection.mean, b.projection.mean)
 
 
 def test_fit_basis_validation():
@@ -203,7 +209,7 @@ def test_basis_json_round_trip(tmp_path):
     path.write_text(json.dumps(lifting.basis_to_dict(basis)))
     loaded = lifting.basis_from_dict(json.loads(path.read_text()))
     assert loaded.n == basis.n and loaded.m == basis.m and loaded.d == basis.d
-    assert loaded.quad_pairs == basis.quad_pairs
+    assert "quad_pairs" not in lifting.basis_to_dict(basis)
     assert np.array_equal(loaded.projection.components,
                           basis.projection.components)
     assert np.array_equal(loaded.projection.mean, basis.projection.mean)
@@ -223,12 +229,34 @@ def test_basis_json_round_trip_identity(tmp_path):
 
 
 def test_eval_quadratics_matches_per_pair_products():
+    # one call per embedded coordinate gives every pair's product, bit for
+    # bit, in row-major pair order
     rng = np.random.default_rng(10)
-    Y = rng.normal(size=(37, 6))
-    pairs = lifting._quad_pairs(6)
-    Q = lifting._eval_quadratics(Y, pairs)
-    assert np.array_equal(Q, np.stack([Y[:, i] * Y[:, j] for i, j in pairs], axis=1))
-    assert lifting._eval_quadratics(Y, ()).shape == (37, 0)
+    for ne in (1, 6, 10):
+        for rows in (1, 37, 2000):
+            Y = rng.normal(size=(rows, ne))
+            assert np.array_equal(lifting._eval_quadratics(Y), reference_quadratics(Y))
+
+
+def test_basis_legacy_quad_pairs_load():
+    # files written before the pairs were derived store them: the pairs the
+    # basis forms load, and any other list is refused by name
+    rng = np.random.default_rng(13)
+    for basis in (make_basis(rng)[0], identity_basis(2, 1, 1)):
+        doc = lifting.basis_to_dict(basis)
+        pairs = monomial_pairs(basis.identity_count) if basis.projection.mean.size else []
+        doc["quad_pairs"] = [list(pq) for pq in pairs]
+        loaded = lifting.basis_from_dict(json.loads(json.dumps(doc)))
+        assert np.array_equal(loaded.projection.components, basis.projection.components)
+        assert np.array_equal(loaded.projection.mean, basis.projection.mean)
+        Yd = rng.normal(size=(5, basis.identity_count))
+        assert np.array_equal(lift_g_many(loaded, Yd), lift_g_many(basis, Yd))
+    basis = make_basis(rng)[0]
+    pairs = monomial_pairs(basis.identity_count)
+    for bad in (pairs[::-1], pairs[:-1], [(j, i) for i, j in pairs], []):
+        doc = dict(lifting.basis_to_dict(basis), quad_pairs=[list(pq) for pq in bad])
+        with pytest.raises(ValueError, match="'quad_pairs'"):
+            lifting.basis_from_dict(doc)
 
 
 @pytest.mark.parametrize("rows", [1, 30, 2000])
@@ -296,6 +324,16 @@ def test_fit_basis_traced_peak():
     q_bytes = MEMORY_ROWS * ne * (ne + 1) // 2 * X.itemsize
     peak, _ = traced_peak(lambda: fit_basis(X, 0.99, n=4, m=2, d=1))
     assert peak <= 2.25 * q_bytes
+
+
+def test_eval_quadratics_traced_peak():
+    # the monomial block is the only allocation: the fancy-index form
+    # Y[:, I] * Y[:, J] would add two more arrays of its size inside
+    # fit_basis, which sets the fit's peak memory
+    Y = np.random.default_rng(14).normal(size=(11186, 10))
+    peak, Q = traced_peak(lambda: lifting._eval_quadratics(Y))
+    assert Q.shape == (11186, 55)
+    assert peak <= 1.05 * Q.nbytes
 
 
 def test_lift_gamma_many_traced_peak():

@@ -31,6 +31,7 @@ from oracles import (
     qp_objective,
     random_box_qp,
     reference_condensed_f,
+    reference_condenser,
 )
 
 TS = 0.05
@@ -38,8 +39,7 @@ TS = 0.05
 
 def scalar_model(a=1.0, b=1.0):
     return KoopmanModel(A=np.array([[a]]), B=np.array([[b]]),
-                        C=np.array([[1.0]]), basis=identity_basis(1, 1, 0),
-                        Ts=TS)
+                        basis=identity_basis(1, 1, 0), Ts=TS)
 
 
 def scalar_cfg(Nh=1, q=1.0, r=1.0, lo=-1.0, hi=1.0):
@@ -90,7 +90,6 @@ def test_condense_matches_finite_difference_hessian():
     A = rng.normal(size=(3, 3))
     A *= 0.8 / np.max(np.abs(np.linalg.eigvals(A)))
     model = KoopmanModel(A=A, B=rng.normal(size=(3, 2)),
-                         C=np.hstack([np.eye(2), np.zeros((2, 1))]),
                          basis=identity_basis(2, 2, 0), Ts=TS)
     cfg = MpcConfig(Nh=3, Q=np.diag([1.0, 2.0]), R=0.1 * np.eye(2),
                     u_min=-np.ones(2), u_max=np.ones(2))
@@ -130,6 +129,18 @@ def test_condensed_f_matches_expanded_form(models, default_cfg):
             ref = rng.normal(size=(cfg.Nh, model.n))
             assert np.array_equal(cond.qp(z0, ref).f,
                                   reference_condensed_f(model, cfg, z0, ref))
+
+
+def test_condenser_matches_blockwise_oracle(models, default_cfg):
+    # each Markov block C A^l B is formed once per lag and placed on its
+    # diagonal; S, P and H keep every bit of forming each block in place
+    cfg = default_cfg.mpc_config()
+    for model in (models.baseline, models.koopman, models.koopman_load):
+        cond = Condenser(model, cfg)
+        S, P, H = reference_condenser(model, cfg)
+        assert np.array_equal(cond.S, S)
+        assert np.array_equal(cond.P, P)
+        assert np.array_equal(cond.H, H)
 
 
 def test_condense_reference_length_check():
@@ -191,18 +202,23 @@ def test_solver_iteration_cap_stays_feasible():
     assert res.converged == (res.kkt_residual <= 1e-14)
 
 
+@pytest.mark.filterwarnings("error")
 def test_solver_singular_block_falls_back_to_steepest_descent():
     # a singular free block takes the steepest-descent step -g_f and leaves
-    # the pinned coordinates as given
+    # the pinned coordinates as given, whatever the caller's floating-point
+    # state, and with no warning
     H = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     g = np.array([-1.0, -2.0, 3.0])
-    d = mpc._free_newton(H, g, np.array([True, True, False]), np.full(3, 7.0))
-    assert np.array_equal(d, [1.0, 2.0, 7.0])
+    for state in ({}, {"all": "ignore"}, {"all": "raise"}):
+        with np.errstate(**state):
+            d = mpc._free_newton(H, g, np.array([True, True, False]), np.full(3, 7.0))
+        assert np.array_equal(d, [1.0, 2.0, 7.0])
     # on a singular QP the fallback steps cycle between [0, 0] and [1, 1];
     # the solver stops inside the box and reports what its residual says
     qp = QpProblem(H=H[:2, :2], f=np.array([-1.0, -1.0]),
                    lower=np.zeros(2), upper=np.full(2, 2.0))
-    res = solve_box_qp(qp, tol=1e-8)
+    with np.errstate(all="raise"):
+        res = solve_box_qp(qp, tol=1e-8)
     assert np.all(np.isfinite(res.x))
     assert np.all(qp.lower <= res.x) and np.all(res.x <= qp.upper)
     assert res.converged == (kkt_residual(qp, res.x) <= 1e-8)
@@ -290,7 +306,7 @@ def test_mpc_config_validation():
 def test_controller_neutral_at_equilibrium():
     # model equilibrium at the origin, reference at the origin: the returned
     # input is the neutral command
-    model = KoopmanModel(A=0.9 * np.eye(2), B=0.1 * np.eye(2), C=np.eye(2),
+    model = KoopmanModel(A=0.9 * np.eye(2), B=0.1 * np.eye(2),
                          basis=identity_basis(2, 2, 0), Ts=TS)
     cfg = MpcConfig(Nh=5, Q=np.eye(2), R=0.01 * np.eye(2),
                     u_min=-np.ones(2), u_max=np.ones(2))
