@@ -1,10 +1,11 @@
 """Command-line interface: data collection, model fitting, tracking,
 estimation and sorting.
 
---seed (or the KLMPC_SEED environment variable) seeds the trials of track,
-estimate and sort, which fit their models from the config's campaign.seed,
-and it is the campaign seed of collect.  Reruns with the same configuration
-and seed are byte-identical.
+The --config document (default ExperimentConfig()) holds every setting;
+--seed, when given, replaces its trial seed and nothing else.  collect
+records the document's campaign, the one that track, estimate and sort fit
+their models from, so collect + fit reproduce their models.  Reruns with the
+same configuration and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import edmd, harness
@@ -20,35 +20,14 @@ from .harness import ExperimentConfig, config_from_json
 from .plant import collect_training_data
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    value = os.environ.get("KLMPC_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"KLMPC_SEED must be an integer, got {value!r}") from None
-
-
-def _loads(text: str) -> tuple:
-    try:
-        return tuple(map(float, text.split(",")))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
-
-
 def _load_config(args) -> ExperimentConfig:
     cfg = config_from_json(args.config) if args.config else ExperimentConfig()
-    return dataclasses.replace(cfg, seed=_seed(args))
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def cmd_collect(args) -> int:
     cfg = _load_config(args)
-    # a flag overrides the config's campaign and meets the same checks
-    flags = {name: getattr(args, name) for name in ("loads", "trials", "duration")
-             if getattr(args, name) is not None}
-    camp = dataclasses.replace(cfg.campaign, seed=cfg.seed, **flags)
-    [trajectories] = collect_training_data(cfg.plant, [camp])
+    [trajectories] = collect_training_data(cfg.plant, [cfg.campaign])
     edmd.save_trajectories(trajectories, args.dataset)
     print(f"wrote {len(trajectories)} trajectories to {args.dataset}")
     return 0
@@ -103,14 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="experiment config JSON")
     parser.add_argument("--seed", type=int, default=None,
-                        help="random seed (default: KLMPC_SEED or 0)")
+                        help="trial seed of track, estimate and sort; replaces "
+                             "the config's seed (default: the config's)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("collect", help="run the data campaign, write CSV")
+    p = sub.add_parser("collect", help="run the config's data campaign, write CSV")
     p.add_argument("dataset", help="output dataset CSV")
-    p.add_argument("--loads", type=_loads, help="comma-separated loads in kg")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--duration", type=float)
     p.set_defaults(fn=cmd_collect)
 
     p = sub.add_parser("fit", help="fit a model from a dataset CSV")

@@ -71,13 +71,10 @@ class ExperimentConfig:
     fit: FitConfig = field(default_factory=FitConfig)
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     Nh: int = 12
-    q_weight: float = 1.0
     r_weight: float = 1e-5
     seed: int = 0
 
     def __post_init__(self):
-        if not self.q_weight >= 0.0:
-            raise ValueError(f"ExperimentConfig: 'q_weight' must be >= 0, got {self.q_weight}")
         if not self.r_weight > 0.0:
             raise ValueError(f"ExperimentConfig: 'r_weight' must be > 0, got {self.r_weight}")
         if not self.seed >= 0:
@@ -87,7 +84,7 @@ class ExperimentConfig:
     def mpc_config(self) -> MpcConfig:
         return MpcConfig(
             Nh=self.Nh,
-            Q=end_effector_weight(4, self.q_weight),
+            Q=end_effector_weight(4),
             R=self.r_weight * np.eye(2),
             u_min=np.zeros(2),
             u_max=np.ones(2),

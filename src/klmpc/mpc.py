@@ -50,12 +50,13 @@ class MpcConfig:
             raise ValueError("MpcConfig: 'R' must be positive definite")
 
 
-def end_effector_weight(n: int, weight: float = 1.0) -> np.ndarray:
-    """Output weight penalizing only the last two coordinates (the end
-    effector position); intermediate outputs are unweighted."""
+def end_effector_weight(n: int) -> np.ndarray:
+    """Unit output weight on the last two coordinates (the end effector
+    position); intermediate outputs are unweighted.  Scaling Q and R together
+    leaves the minimizer unchanged, so R alone sets the tracking trade-off."""
     Q = np.zeros((n, n))
-    Q[-2, -2] = weight
-    Q[-1, -1] = weight
+    Q[-2, -2] = 1.0
+    Q[-1, -1] = 1.0
     return Q
 
 

@@ -1,0 +1,51 @@
+"""The package's runtime dependencies: numpy and the standard library only.
+
+scipy and other packages may be installed beside numpy, so a stray import
+would pass the rest of the suite; these tests read the sources instead.
+"""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "klmpc"
+PYPROJECT = ROOT / "pyproject.toml"
+
+
+def imported_modules(path: Path) -> set:
+    """Top-level names of the modules ``path`` imports; a relative import
+    counts as ``klmpc``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("klmpc" if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    allowed = set(sys.stdlib_module_names) | {"numpy", "klmpc"}
+    stray = {path.name: sorted(imported_modules(path) - allowed) for path in sources}
+    assert {name: mods for name, mods in stray.items() if mods} == {}
+
+
+def test_imported_modules_sees_every_import_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import os.path, scipy.linalg as sl\nfrom . import edmd\n"
+                    "from .plant import drive\nfrom numpy import linalg\n"
+                    "def f():\n    import pandas\n")
+    assert imported_modules(path) == {"os", "scipy", "klmpc", "numpy", "pandas"}
+
+
+def test_declared_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps] == ["numpy"]

@@ -58,7 +58,7 @@ def test_config_json_round_trip(tmp_path):
 def test_library_configs_refuse_nan():
     # the range checks of the top-level config and its fit settings refuse
     # NaN on the library path, naming the field
-    for cls, name in ((FitConfig, "d"), (FitConfig, "energy"), (ExperimentConfig, "q_weight"),
+    for cls, name in ((FitConfig, "d"), (FitConfig, "energy"),
                       (ExperimentConfig, "r_weight"), (ExperimentConfig, "Nh"),
                       (ExperimentConfig, "seed"), (CampaignConfig, "seed"),
                       (CampaignConfig, "trials"), (CampaignConfig, "duration"),
@@ -369,8 +369,12 @@ def test_run_experiment4_refuses_a_phase_without_a_sample_period(default_cfg, mo
 # ---------------------------------------------------------------------------
 
 def collect_args(dataset, seed=0):
-    return ["--seed", str(seed), "collect", str(dataset),
-            "--loads", "0.1", "--trials", "1", "--duration", "5.0"]
+    """argv of ``klmpc collect`` whose config, written beside ``dataset``,
+    is a one-run 5 s campaign seeded ``seed``."""
+    path = dataset.with_suffix(".json")
+    path.write_text(json.dumps({"campaign": {"loads": [0.1], "trials": 1, "duration": 5.0,
+                                             "seed": seed}}))
+    return ["--config", str(path), "collect", str(dataset)]
 
 
 def test_cli_collect_and_fit(tmp_path, capsys):
@@ -446,23 +450,6 @@ def no_collection(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--trials", "0"), ("--trials", "-1"), ("--duration", "0"), ("--duration", "-2.5"),
-    ("--loads", "0.1,0.5"),
-])
-def test_cli_collect_rejects_non_positive_flag(tmp_path, capsys, monkeypatch, flag, value):
-    # zero is a value, not "not given": a flag replaces the config's campaign
-    # field and meets its check, one error line naming the field, before any
-    # run is simulated
-    calls = no_collection(monkeypatch)
-    dataset = tmp_path / "d.csv"
-    assert cli.main(["collect", str(dataset), "--loads", "0.1", flag, value]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: CampaignConfig: ") and f"'{flag[2:]}' must be" in err
-    assert len(err.strip().splitlines()) == 1
-    assert calls == [] and not dataset.exists()
-
-
 def test_cli_collect_campaign_without_runs_is_one_error_line(tmp_path, capsys, monkeypatch):
     calls = no_collection(monkeypatch)
     path = tmp_path / "config.json"
@@ -498,49 +485,48 @@ def test_cli_campaign_without_runs_fails_before_fitting(tmp_path, capsys, monkey
     assert calls == [] and not dataset.exists()
 
 
-def test_cli_collect_loads_must_be_numbers(tmp_path, capsys):
-    dataset = tmp_path / "d.csv"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["collect", str(dataset), "--loads", "0.1,abc"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "argument --loads:" in err and "'0.1,abc'" in err
-    assert not dataset.exists()
-
-
-def test_cli_seed_env_fallback(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("KLMPC_SEED", "11")
-    assert cli.main(["collect", str(a), "--loads", "0.1", "--trials", "1",
-                     "--duration", "2.0"]) == 0
-    monkeypatch.delenv("KLMPC_SEED")
-    assert cli.main(["--seed", "11", "collect", str(b), "--loads", "0.1",
-                     "--trials", "1", "--duration", "2.0"]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_cli_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KLMPC_SEED", "abc")
-    dataset = tmp_path / "d.csv"
-    assert cli.main(["collect", str(dataset), "--loads", "0.1", "--trials", "1",
-                     "--duration", "1.0"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: KLMPC_SEED must be an integer") and "'abc'" in err
-    assert len(err.strip().splitlines()) == 1
-    assert not dataset.exists()
-
-
-@pytest.mark.parametrize("argv, env", [(["--seed", "-1"], None), ([], "-1")])
-def test_cli_negative_seed_fails_before_fitting(capsys, monkeypatch, argv, env):
-    if env is not None:
-        monkeypatch.setenv("KLMPC_SEED", env)
+@pytest.mark.parametrize("argv, doc_seed", [(["--seed", "-1"], None), ([], -1)])
+def test_cli_negative_seed_fails_before_fitting(tmp_path, capsys, monkeypatch, argv, doc_seed):
+    # from the flag or from the document
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({} if doc_seed is None else {"seed": doc_seed}))
     fitted = []
     monkeypatch.setattr(harness, "fit_models", lambda *a, **k: fitted.append(a))
-    assert cli.main([*argv, "estimate"]) == 2
+    assert cli.main([*argv, "--config", str(path), "estimate"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'seed' must be >= 0" in err
     assert len(err.strip().splitlines()) == 1
     assert fitted == []
+
+
+@pytest.mark.parametrize("argv, seed", [([], 7), (["--seed", "2"], 2), (["--seed", "0"], 0)])
+def test_cli_seed_flag_replaces_the_document_seed_only_when_given(tmp_path, monkeypatch,
+                                                                  argv, seed):
+    # without --seed the document's seed reaches the runner; a given --seed,
+    # 0 included, replaces it and no other field
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 7, "Nh": 8}))
+    runs = []
+    monkeypatch.setattr(harness, "fit_models", lambda cfg: None)
+    monkeypatch.setattr(harness, "run_experiment2",
+                        lambda cfg, models, outdir=None: runs.append(cfg) or [])
+    assert cli.main([*argv, "--config", str(path), "estimate"]) == 0
+    assert runs == [dataclasses.replace(config_from_json(path), seed=seed)]
+
+
+def test_cli_collect_and_fit_reproduce_the_experiment_model(tmp_path):
+    # collect records the document's campaign, the one fit_models trains on,
+    # whatever --seed is; fit from that dataset gives the same arrays
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"campaign": {"loads": [0.0, 0.3], "trials": 1, "duration": 10.0},
+                                "fit": {"holdout_duration": 5.0}}))
+    dataset, model_path = tmp_path / "data.csv", tmp_path / "model.json"
+    assert cli.main(["--seed", "3", "--config", str(path), "collect", str(dataset)]) == 0
+    assert cli.main(["--config", str(path), "fit", str(dataset), str(model_path),
+                     "--kind", "koopman-load"]) == 0
+    want = fit_models(dataclasses.replace(config_from_json(path), seed=3)).koopman_load
+    got = load_model(model_path)
+    assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
 
 
 def test_python_dash_m_klmpc_runs_the_cli(tmp_path):
@@ -569,6 +555,7 @@ def test_cli_errors(tmp_path, capsys):
     ({"estimator": {"nope": 2}}, "nope"),
     ({"campaign": 3}, "campaign"),
     ({"outdir": "results"}, "outdir"),
+    ({"q_weight": 1.0}, "q_weight"),
 ])
 def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
     path = tmp_path / "config.json"
@@ -594,7 +581,7 @@ def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
     ({"Nh": 0}, "Nh"),
     ({"fit": {"energy": 2.0}}, "energy"),
     ({"fit": {"d": -1}}, "d"),
-    ({"q_weight": -1}, "q_weight"),
+    ({"campaign": {"duration": -2.5}}, "duration"),
     ({"r_weight": -1}, "r_weight"),
     ({"r_weight": 0}, "r_weight"),
     ({"seed": -1}, "seed"),
@@ -602,6 +589,7 @@ def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
     ({"campaign": {"duration": 0}}, "duration"),
     ({"campaign": {"loads": [0.1, 0.5]}}, "loads"),
     ({"fit": {"holdout_duration": float("inf")}}, "holdout_duration"),
+    ({"campaign": {"trials": -1}}, "trials"),
 ])
 def test_cli_bad_config_value_fails_before_fitting(tmp_path, capsys, monkeypatch,
                                                   doc, key):

@@ -274,8 +274,8 @@ def test_receding_horizon_shift_property():
 
 
 def test_end_effector_weight():
-    Q = end_effector_weight(4, 2.5)
-    assert np.array_equal(np.diag(Q), [0.0, 0.0, 2.5, 2.5])
+    Q = end_effector_weight(4)
+    assert np.array_equal(np.diag(Q), [0.0, 0.0, 1.0, 1.0])
     assert np.count_nonzero(Q) == 2
 
 
