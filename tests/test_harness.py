@@ -462,6 +462,44 @@ def test_cli_collect_campaign_without_runs_is_one_error_line(tmp_path, capsys, m
     assert calls == [] and not dataset.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--trials", "0"), ("--trials", "-1"), ("--duration", "0"), ("--duration", "-2.5"),
+    ("--loads", "0.1,0.5"),
+])
+def test_cli_collect_rejects_non_positive_flag(tmp_path, capsys, monkeypatch, flag, value):
+    # collect takes its campaign from the document alone: the former flag is
+    # an unknown argument, and its value written as the document's campaign
+    # field meets the field's check, one error line naming the field, before
+    # any run is simulated
+    calls = no_collection(monkeypatch)
+    dataset = tmp_path / "d.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["collect", str(dataset), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    field = flag[2:]
+    path = tmp_path / "config.json"
+    text = f"[{value}]" if field == "loads" else value
+    path.write_text(json.dumps({"campaign": {field: json.loads(text)}}))
+    assert cli.main(["--config", str(path), "collect", str(dataset)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: CampaignConfig: ") and f"'{field}' must be" in err
+    assert len(err.strip().splitlines()) == 1
+    assert calls == [] and not dataset.exists()
+
+
+def test_cli_collect_loads_must_be_numbers(tmp_path, capsys, monkeypatch):
+    calls = no_collection(monkeypatch)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"campaign": {"loads": [0.1, "abc"]}}))
+    dataset = tmp_path / "d.csv"
+    assert cli.main(["--config", str(path), "collect", str(dataset)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'loads' must be a list of finite numbers" in err
+    assert '"abc"' in err and len(err.strip().splitlines()) == 1
+    assert calls == [] and not dataset.exists()
+
+
 # each id names the campaign the document leaves without runs
 @pytest.mark.parametrize("doc, key", [
     ({"campaign": {"trials": 0}}, "trials"),
