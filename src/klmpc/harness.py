@@ -117,7 +117,6 @@ def _is_real(v) -> bool:
 _VALUE_TYPES = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "float": (_is_real, "a finite number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
     "tuple": (lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of finite numbers"),
 }
 
@@ -427,9 +426,9 @@ def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig,
         u = observe(k, y)
         w_hat[k] = w_instant[k] = state.w_hat[0]
         if k > d:
-            wi, _ = obs.estimate_instant(model, state.history, cfg.estimator,
-                                         fallback=state.w_hat)
-            w_instant[k] = wi[0]
+            wi = obs.estimate_instant(model, state.history, cfg.estimator)
+            if wi is not None:
+                w_instant[k] = wi[0]
         return u
 
     drive(cfg.plant, [Run(payload, np.random.default_rng(seed + 1), K, policy)])

@@ -22,9 +22,7 @@ class EstimatorConfig:
     """Schedule and bounds for the load estimator.
 
     Nw: measurement window length, Ne: steps between estimates, Nr: how many
-    past window estimates enter the running average.  ``reduced`` switches the
-    window solve from the full (1, w) stack to the reduced form that fixes the
-    constant coefficient at 1 (see ``estimate_window``).
+    past window estimates enter the running average.
     """
 
     Nw: int = 30
@@ -32,7 +30,6 @@ class EstimatorConfig:
     Nr: int = 24
     w_min: float = 0.0
     w_max: float = 0.3
-    reduced: bool = False
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -69,37 +66,34 @@ def _load_system(model: KoopmanModel, Yd: np.ndarray, Y_next: np.ndarray,
     return M, rhs
 
 
-def _solve_load(M: np.ndarray, rhs: np.ndarray, cfg: EstimatorConfig,
-                fallback=None):
-    """Solve the stacked load equations M (1, w) = rhs for w.
+def _solve_load(M: np.ndarray, rhs: np.ndarray, cfg: EstimatorConfig):
+    """Clamped w solving M (1, w) = rhs, or None when the equations are not
+    finite, are blind to the load, or give a solve that is not finite.
 
-    The default (full) form solves for the whole (1, w) stack by
-    pseudoinverse, letting the constant coefficient soak up any systematic
-    one-step model offset; the reduced form (``cfg.reduced``) pins the
-    constant coefficient at exactly 1 and solves for w alone.
+    A full-column-rank M (at ``numkit.pinv``'s threshold) is solved for the
+    whole (1, w) stack, so the constant coefficient soaks up any systematic
+    one-step model offset; otherwise the constant is pinned at exactly 1.
     """
-    if fallback is None:
-        fallback = cfg.w_init
+    if not np.all(np.isfinite(M)):
+        return None
     w_cols = M[:, 1:]
-    scale = max(np.linalg.norm(M), 1.0)
-    if np.linalg.norm(w_cols) < 1e-9 * scale:
-        return np.asarray(fallback, dtype=float).copy(), True
-    if cfg.reduced:
-        w = numkit.lstsq(w_cols, rhs - M[:, 0])
+    if np.linalg.norm(w_cols) < 1e-9 * max(np.linalg.norm(M), 1.0):
+        return None
+    s = np.linalg.svd(M, compute_uv=False)
+    if s.size == M.shape[1] and s[-1] > numkit.DEFAULT_RTOL * s[0]:
+        w = numkit.lstsq(M, rhs)[1:]
     else:
-        v = numkit.lstsq(M, rhs)
-        w = v[1:]
-    if not np.all(np.isfinite(w)):
-        return np.asarray(fallback, dtype=float).copy(), True
-    return cfg.clamp(w), False
+        w = numkit.lstsq(w_cols, rhs - M[:, 0])
+    return cfg.clamp(w) if np.all(np.isfinite(w)) else None
 
 
-def window_system(model: KoopmanModel, history, Nw: int):
+def window_system(model: KoopmanModel, history: np.ndarray, Nw: int):
     """Stacked load equations M (1, w) = rhs over the last Nw transitions in
     ``history``, newest first.
 
-    ``history`` is a time-ordered sequence of (y, u) pairs, long enough for
-    Nw rows plus the delay embedding: len >= Nw + d + 1.
+    ``history`` is a time-ordered (records, n + m) array, one [y | u] row per
+    step, long enough for Nw rows plus the delay embedding:
+    len >= Nw + d + 1.
     """
     d = model.d
     if model.p < 1:
@@ -108,36 +102,34 @@ def window_system(model: KoopmanModel, history, Nw: int):
         raise ValueError(
             f"window_system: need {Nw + d + 1} records, got {len(history)}"
         )
-    records = list(history)[-(Nw + d + 1):]
-    ys = np.stack([np.atleast_1d(np.asarray(y, dtype=float)) for y, _ in records])
-    us = np.stack([np.atleast_1d(np.asarray(u, dtype=float)) for _, u in records])
+    records = history[-(Nw + d + 1):]
+    ys, us = records[:, :model.n], records[:, model.n:]
     Yd = delay_embed(ys[:-1], us[:-1], d)    # transitions k -> k+1, oldest first
     return _load_system(model, Yd[::-1], ys[d + 1:][::-1], us[d:-1][::-1])
 
 
-def estimate_window(model: KoopmanModel, history, cfg: EstimatorConfig,
-                    fallback=None):
-    """Windowed load estimate (w_hat, degenerate) over the last Nw
-    transitions in ``history`` (see :func:`window_system`); a window blind to
-    the load returns the fallback with the flag set."""
-    return _solve_load(*window_system(model, history, cfg.Nw), cfg, fallback)
+def estimate_window(model: KoopmanModel, history: np.ndarray, cfg: EstimatorConfig):
+    """Windowed load estimate over the last Nw transitions in ``history``
+    (see :func:`window_system`), or None (see ``_solve_load``)."""
+    return _solve_load(*window_system(model, history, cfg.Nw), cfg)
 
 
-def estimate_instant(model: KoopmanModel, history, cfg: EstimatorConfig,
-                     fallback=None):
+def estimate_instant(model: KoopmanModel, history: np.ndarray, cfg: EstimatorConfig):
     """Load estimate from the newest transition in ``history`` alone: the
     window estimate with Nw = 1, whatever ``cfg.Nw`` is."""
-    return _solve_load(*window_system(model, history, 1), cfg, fallback)
+    return _solve_load(*window_system(model, history, 1), cfg)
 
 
 @dataclass
 class EstimatorState:
-    """Ring buffers and the smoothed estimate driven by the update schedule."""
+    """The newest Nw + d + 1 records at most (``history``, one [y | u] row
+    each, no rows before the first), and the buffered window estimates and
+    their smoothed mean, driven by the update schedule."""
 
     cfg: EstimatorConfig
     d: int
     w_hat: np.ndarray = field(init=False)
-    history: deque = field(init=False)
+    history: np.ndarray = field(init=False)
     estimates: deque = field(init=False)
     step: int = field(init=False, default=0)
     updates: int = field(init=False, default=0)
@@ -145,29 +137,29 @@ class EstimatorState:
 
     def __post_init__(self):
         self.w_hat = self.cfg.w_init.copy()
-        self.history = deque(maxlen=self.cfg.Nw + self.d + 1)
+        self.history = np.empty((0, 0))
         self.estimates = deque(maxlen=self.cfg.Nr)
 
 
 def update(state: EstimatorState, model: KoopmanModel, y, u) -> EstimatorState:
-    """Push a copy of one (y, u) record; every Ne steps compute a window
-    estimate and refresh the smoothed w_hat as the buffered estimates' mean.
+    """Record one [y | u] row; every Ne steps compute a window estimate and
+    refresh the smoothed w_hat as the buffered estimates' mean.
 
-    Near-stationary windows carry no load information and are skipped
-    (estimate carries over).
+    Near-stationary windows carry no load information and are skipped, as
+    are windows blind to the load (the estimate carries over).
     """
     cfg = state.cfg
-    state.history.append((np.array(y, dtype=float, ndmin=1),
-                          np.array(u, dtype=float, ndmin=1)))
+    row = np.concatenate([np.ravel(y), np.ravel(u)], dtype=float)[None]
+    kept = state.history[-(cfg.Nw + state.d):]
+    state.history = np.vstack([kept, row]) if len(kept) else row
     if state.step % cfg.Ne == 0 and len(state.history) >= cfg.Nw + state.d + 1:
-        ys = np.stack([yk for yk, _ in state.history])
+        ys = state.history[:, :model.n]
         if np.max(np.linalg.norm(np.diff(ys, axis=0), axis=1)) < STATIONARY_MOTION_TOL:
             state.degenerate = True
         else:
-            w_new, degenerate = estimate_window(model, state.history, cfg,
-                                                fallback=state.w_hat)
-            state.degenerate = degenerate
-            if not degenerate:
+            w_new = estimate_window(model, state.history, cfg)
+            state.degenerate = w_new is None
+            if w_new is not None:
                 pool = [w_new, *state.estimates]
                 state.w_hat = cfg.clamp(np.mean(pool, axis=0))
                 state.estimates.append(w_new)

@@ -9,8 +9,9 @@
   with it on a single state, and data campaigns simulated one such run at
   a time;
 - the observer's stacked load equations built row by row from the
-  block-diagonal ``gamma_matrix``, and the single-transition load estimate
-  from an explicit (output, input, next-output) triple;
+  block-diagonal ``gamma_matrix``, the single-transition load estimate
+  from an explicit (output, input, next-output) triple, and the observer's
+  update schedule over a deque of (y, u) records with the full-stack solve;
 - a reference evaluated step by step, and the condensed QP's matrices and
   linear term with every Markov block formed where it is placed;
 - PCA by a direct SVD of the centred data, the projection of samples onto
@@ -21,12 +22,14 @@
 """
 
 import itertools
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 
-from klmpc import observer
+from klmpc import numkit, observer
 from klmpc.edmd import Trajectory, assemble_snapshots, fit_koopman
-from klmpc.lifting import Basis, gamma_matrix
+from klmpc.lifting import Basis, delay_embed, gamma_matrix
 from klmpc.numkit import PcaProjection
 from klmpc.plant import ramp_and_hold
 
@@ -44,7 +47,7 @@ def bilinear_basis() -> Basis:
 def bilinear_step(x: float, u: float, w: float, c0: float = 0.0) -> float:
     # c0 adds a constant drift term; with c0 = 0 the constant and load
     # columns of the lifted one-step map are exactly collinear, so only the
-    # reduced observer solve identifies w on this plant
+    # observer solve that pins the constant coefficient at 1 identifies w
     return 0.9 * x + 0.2 * w * x + 0.1 * u + c0
 
 
@@ -260,12 +263,12 @@ def reference_campaign(params, campaigns) -> list:
 
 
 def reference_window_system(model, history, Nw: int):
-    """Load equations of the last Nw transitions in a (y, u) history, newest
-    first: C A Gamma(yd[k]) and y[k+1] - C B u[k], one embedding and one
-    ``gamma_matrix`` per row."""
+    """Load equations of the last Nw transitions in a (records, n + m)
+    [y | u] history, newest first: C A Gamma(yd[k]) and y[k+1] - C B u[k],
+    one embedding and one ``gamma_matrix`` per row."""
     d = model.d
-    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y, _ in history]
-    us = [np.atleast_1d(np.asarray(u, dtype=float)) for _, u in history]
+    ys = [row[:model.n] for row in history]
+    us = [row[model.n:] for row in history]
     j = len(history) - 1
     rows, rhs = [], []
     for k in range(j - 1, j - 1 - Nw, -1):
@@ -276,14 +279,48 @@ def reference_window_system(model, history, Nw: int):
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def reference_estimate_instant(model, y_next, yd_prev, u_prev, cfg,
-                               fallback=None):
+def reference_estimate_instant(model, y_next, yd_prev, u_prev, cfg):
     """Load estimate from one transition given as a triple: the embedded
     output ``yd_prev``, the input ``u_prev`` applied from it and the output
     ``y_next`` it led to, each a single row of the load equations."""
     M, rhs = observer._load_system(model, *(np.atleast_2d(np.asarray(v, dtype=float))
                                             for v in (yd_prev, y_next, u_prev)))
-    return observer._solve_load(M, rhs, cfg, fallback)
+    return observer._solve_load(M, rhs, cfg)
+
+
+def reference_estimator(cfg, d: int) -> SimpleNamespace:
+    """Fresh state for :func:`reference_update`."""
+    return SimpleNamespace(cfg=cfg, d=d, w_hat=cfg.w_init.copy(), step=0, updates=0,
+                           degenerate=False, history=deque(maxlen=cfg.Nw + d + 1),
+                           estimates=deque(maxlen=cfg.Nr))
+
+
+def reference_update(state, model, y, u):
+    """The observer's update schedule over a deque of (y, u) copies: every
+    Ne steps, once the deque holds Nw + d + 1 records, a window of enough
+    motion is solved for the whole (1, w) stack by ``numkit.lstsq``, and
+    the smoothed w_hat is the mean of the new estimate and the buffered
+    ones."""
+    cfg, d = state.cfg, state.d
+    state.history.append((np.array(y, dtype=float, ndmin=1),
+                          np.array(u, dtype=float, ndmin=1)))
+    if state.step % cfg.Ne == 0 and len(state.history) == state.history.maxlen:
+        ys = np.stack([yk for yk, _ in state.history])
+        us = np.stack([uk for _, uk in state.history])
+        if np.max(np.linalg.norm(np.diff(ys, axis=0), axis=1)) < observer.STATIONARY_MOTION_TOL:
+            state.degenerate = True
+        else:
+            Yd = delay_embed(ys[:-1], us[:-1], d)
+            M, rhs = observer._load_system(model, Yd[::-1], ys[d + 1:][::-1], us[d:-1][::-1])
+            blind = np.linalg.norm(M[:, 1:]) < 1e-9 * max(np.linalg.norm(M), 1.0)
+            w = None if blind else numkit.lstsq(M, rhs)[1:]
+            state.degenerate = blind or not np.all(np.isfinite(w))
+            if not state.degenerate:
+                w = cfg.clamp(w)
+                state.w_hat = cfg.clamp(np.mean([w, *state.estimates], axis=0))
+                state.estimates.append(w)
+                state.updates += 1
+    state.step += 1
 
 
 def reference_rows(ref, ks) -> np.ndarray:

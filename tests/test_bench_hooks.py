@@ -72,6 +72,32 @@ def test_estimation_trial_adapter_runs(workloads, default_cfg, models):
     assert out.rmse is None and np.isfinite(out.load_err)
 
 
+def test_window_record_counts_the_observers_scheduled_windows(workloads, default_cfg,
+                                                              models):
+    # the benchmark's degenerate ratio divides the windows its record marks
+    # skipped by those it marks due: over an open-loop run whose sensor is
+    # frozen for its first 60 steps, the due windows are the schedule's, and
+    # they are the estimator's estimates plus its skipped windows
+    obs, plant = workloads.observer, workloads.plant
+    model, est, Ts = models.koopman_load, default_cfg.estimator, default_cfg.plant.Ts
+    state = obs.EstimatorState(cfg=est, d=model.d)
+    excite = plant.excitation(np.random.default_rng(2), Ts)
+    first, records = {}, []
+
+    def policy(k, y):
+        u = excite(k, y)
+        args = (state, model, y if k >= 60 else first.setdefault("y", y), u)
+        records.append(workloads._window_record(args, {}, obs.update(*args)))
+        return u
+
+    plant.drive(default_cfg.plant, [plant.Run(0.2, np.random.default_rng(3), 150, policy)])
+    due = [d for d, _ in records]
+    skipped = sum(g for _, g in records)
+    assert due == [k % est.Ne == 0 and k >= est.Nw + model.d for k in range(150)]
+    assert sum(due) == state.updates + skipped
+    assert skipped > 0 and state.updates > 0
+
+
 def test_workload_lengths_are_the_harness_lengths(workloads):
     # the benchmark keeps its own copies of the experiment lengths: a change
     # of length in the harness must be followed there

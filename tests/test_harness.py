@@ -324,10 +324,11 @@ def test_estimation_trial_matches_one_run_oracle(default_cfg, models):
         return u
 
     Y, U = reference_run(cfg.plant, payload, K, np.random.default_rng(seed + 1), policy)
-    w_instant = w_hat[:d + 1] + [
-        reference_estimate_instant(model, Y[k], delay_embed(Y[k - 1 - d:k], U[k - 1 - d:k - 1], d)[0],
-                                   U[k - 1], est, fallback=[w_hat[k]])[0][0]
-        for k in range(d + 1, K)]
+    w_instant = w_hat[:d + 1]
+    for k in range(d + 1, K):
+        yd_prev = delay_embed(Y[k - 1 - d:k], U[k - 1 - d:k - 1], d)[0]
+        w = reference_estimate_instant(model, Y[k], yd_prev, U[k - 1], est)
+        w_instant.append(w_hat[k] if w is None else w[0])
     assert state.updates == 2
     assert np.array_equal(trace.t, np.arange(K) * cfg.plant.Ts)
     assert np.array_equal(trace.w_hat, w_hat)
@@ -594,6 +595,7 @@ def test_cli_errors(tmp_path, capsys):
     ({"campaign": 3}, "campaign"),
     ({"outdir": "results"}, "outdir"),
     ({"q_weight": 1.0}, "q_weight"),
+    ({"estimator": {"reduced": True}}, "reduced"),
 ])
 def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
     path = tmp_path / "config.json"
@@ -610,7 +612,7 @@ def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
     ({"Nh": "x"}, "Nh"),
     ({"campaign": {"trials": 1.5}}, "trials"),
     ({"campaign": {"loads": [0.1, "a"]}}, "loads"),
-    ({"estimator": {"reduced": 1}}, "reduced"),
+    ({"estimator": {"Nw": True}}, "Nw"),
     ({"plant": {"k": True}}, "k"),
     ({"plant": {"Ts": 0.0}}, "Ts"),
     ({"plant": {"Ts": float("nan")}}, "Ts"),

@@ -365,8 +365,9 @@ def test_controller_feeds_the_observer_each_steps_record():
     x = 0.0
     for k in range(1, 21):
         u = ctrl.step(np.array([x]))
-        y_last, u_last = ctrl.estimator.history[-1]
-        assert np.array_equal(y_last, ctrl.logs[-1].y) and np.array_equal(u_last, u)
+        history = ctrl.estimator.history
+        assert np.array_equal(history[-1], np.concatenate([ctrl.logs[-1].y, u]))
+        assert len(history) == min(k, 5 + model.d + 1)
         assert ctrl.estimator.step == len(ctrl.logs) == k
         x = bilinear_step(x, u[0], 0.22, 0.05)
 

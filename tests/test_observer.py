@@ -12,21 +12,25 @@ from klmpc import numkit, observer as obs
 from klmpc.edmd import assemble_snapshots, fit_koopman
 from klmpc.observer import EstimatorConfig, EstimatorState
 
+from klmpc.plant import Run, drive, excitation
+
 from oracles import (
     BILINEAR_TS,
     bilinear_basis,
     bilinear_step,
     fit_bilinear_model,
     reference_estimate_instant,
+    reference_estimator,
+    reference_update,
     reference_window_system,
     simulate_bilinear,
 )
 
 
 # on the pure bilinear plant the constant and load columns of the stacked
-# system are collinear, so the reduced solve is the identifying mode; the
+# system are collinear, so the solve pins the constant coefficient at 1; the
 # drifted variant (c0 != 0) has independent columns and exercises the
-# default full-stack solve
+# full-stack solve
 DRIFT = 0.05
 
 
@@ -41,34 +45,37 @@ def model_drift():
 
 
 def history_for(w, K, rng, noise=0.0, x0=0.5, c0=0.0):
-    """(y, u) record list from the true bilinear recursion."""
+    """(K, 2) [y | u] record array from the true bilinear recursion."""
     x = x0
-    records = []
-    for _ in range(K):
+    records = np.zeros((K, 2))
+    for k in range(K):
         u = float(rng.uniform(-1.0, 1.0))
-        y = x + (rng.normal(0.0, noise) if noise else 0.0)
-        records.append((np.array([y]), np.array([u])))
+        records[k] = x + (rng.normal(0.0, noise) if noise else 0.0), u
         x = bilinear_step(x, u, w, c0)
     return records
 
 
 def test_instant_self_consistency(model):
-    cfg = EstimatorConfig(reduced=True)
+    cfg = EstimatorConfig()
     w = 0.125
     x, u = 0.8, 0.3
-    history = [(np.array([x]), np.array([u])),
-               (np.array([bilinear_step(x, u, w)]), np.array([0.0]))]
-    w_hat, degenerate = obs.estimate_instant(model, history, cfg)
-    assert not degenerate
+    history = np.array([[x, u], [bilinear_step(x, u, w), 0.0]])
+    w_hat = obs.estimate_instant(model, history, cfg)
+    assert w_hat is not None
     assert abs(w_hat[0] - w) < 1e-8
 
 
-def test_window_self_consistency(model):
-    cfg = EstimatorConfig(Nw=30, reduced=True)
+def test_window_self_consistency(model, caplog):
+    # the collinear window is rank-deficient, so the solve pins the
+    # constant coefficient at 1 and identifies w, without a rank warning;
+    # the full stack's minimum-norm answer would not be w
+    cfg = EstimatorConfig(Nw=30)
     rng = np.random.default_rng(0)
     history = history_for(0.225, 31, rng)
-    w_hat, degenerate = obs.estimate_window(model, history, cfg)
-    assert not degenerate
+    with caplog.at_level("WARNING", logger="klmpc.numkit"):
+        w_hat = obs.estimate_window(model, history, cfg)
+    assert not caplog.records
+    assert w_hat is not None
     assert abs(w_hat[0] - 0.225) < 1e-8
 
 
@@ -76,51 +83,51 @@ def test_window_self_consistency_full_mode(model_drift):
     cfg = EstimatorConfig(Nw=30)
     rng = np.random.default_rng(10)
     history = history_for(0.225, 31, rng, c0=DRIFT)
-    w_hat, degenerate = obs.estimate_window(model_drift, history, cfg)
-    assert not degenerate
+    w_hat = obs.estimate_window(model_drift, history, cfg)
+    assert w_hat is not None
     assert abs(w_hat[0] - 0.225) < 1e-8
 
 
 def test_window_of_one_equals_instant(model):
     rng = np.random.default_rng(1)
     history = history_for(0.18, 4, rng, noise=1e-3)
-    w_win, _ = obs.estimate_window(model, history, EstimatorConfig(Nw=1))
-    w_inst, _ = obs.estimate_instant(model, history, EstimatorConfig(Nw=30))
+    w_win = obs.estimate_window(model, history, EstimatorConfig(Nw=1))
+    w_inst = obs.estimate_instant(model, history, EstimatorConfig(Nw=30))
     assert np.array_equal(w_win, w_inst)
 
 
 def test_instant_matches_triple_form(models, model_drift):
     # the newest transition of a history, bit for bit as the estimate from
-    # its explicit (y_next, yd_prev, u_prev) triple, in both solve modes
+    # its explicit (y_next, yd_prev, u_prev) triple; the arm's four output
+    # rows take the full solve, the drifted plant's one row the pinned one
     rng = np.random.default_rng(13)
     cfg = EstimatorConfig(w_min=-10.0, w_max=10.0)
     for model in (models.koopman_load, model_drift):
         d, n, m = model.d, model.n, model.m
         for _ in range(20):
-            history = [(rng.normal(size=n), rng.uniform(0.0, 1.0, size=m))
-                       for _ in range(d + 2 + int(rng.integers(0, 4)))]
-            ys, us = map(np.array, zip(*history))
+            K = d + 2 + int(rng.integers(0, 4))
+            ys, us = rng.normal(size=(K, n)), rng.uniform(0.0, 1.0, size=(K, m))
             yd_prev = np.concatenate([ys[-2 - i] for i in range(d + 1)]
                                      + [us[-2 - i] for i in range(1, d + 1)])
-            for mode in (cfg, dataclasses.replace(cfg, reduced=True)):
-                got = obs.estimate_instant(model, history, mode, fallback=[0.05])
-                want = reference_estimate_instant(model, ys[-1], yd_prev, us[-2], mode,
-                                                  fallback=[0.05])
-                assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            got = obs.estimate_instant(model, np.hstack([ys, us]), cfg)
+            want = reference_estimate_instant(model, ys[-1], yd_prev, us[-2], cfg)
+            assert got is not None and np.array_equal(got, want)
 
 
 def test_full_and_reduced_modes_agree_on_exact_data(model_drift):
     # on exact data the unconstrained solve's leading coefficient is 1, and
-    # both modes recover the same load
+    # the full solve and the solve with the constant pinned at 1 recover the
+    # same load
     model = model_drift
     cfg = EstimatorConfig(Nw=20)
     rng = np.random.default_rng(2)
     history = history_for(0.1, 21, rng, c0=DRIFT)
-    w_full, _ = obs.estimate_window(model, history, cfg)
-    w_red, _ = obs.estimate_window(model, history, dataclasses.replace(cfg, reduced=True))
+    w_full = obs.estimate_window(model, history, cfg)
+    M, rhs = obs.window_system(model, history, cfg.Nw)
+    w_red = numkit.lstsq(M[:, 1:], rhs - M[:, 0])
     assert abs(w_full[0] - w_red[0]) < 1e-8
     # the unconstrained solve of the stacked system has leading entry 1
-    v = numkit.lstsq(*obs.window_system(model, history, cfg.Nw))
+    v = numkit.lstsq(M, rhs)
     assert abs(v[0] - 1.0) < 1e-6
 
 
@@ -129,8 +136,7 @@ def test_window_system_matches_row_by_row_oracle(models, model_drift):
     # stacked system agrees with the gamma_matrix oracle to a few ulps
     rng = np.random.default_rng(11)
     kl = models.koopman_load
-    arm_history = [(rng.normal(size=4), rng.uniform(0.0, 1.0, size=2))
-                   for _ in range(40)]
+    arm_history = np.hstack([rng.normal(size=(40, 4)), rng.uniform(0.0, 1.0, size=(40, 2))])
     for model, history in ((kl, arm_history),
                            (model_drift, history_for(0.2, 40, rng, c0=DRIFT))):
         for Nw in (1, 30, len(history) - model.d - 1):
@@ -141,40 +147,52 @@ def test_window_system_matches_row_by_row_oracle(models, model_drift):
             assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
 
 
-def test_degenerate_geometry_returns_fallback(model):
+def test_degenerate_geometry_returns_none(model):
     # zero out the load columns of A: the output becomes insensitive to w
     N = model.basis.n_lifted
     A = model.A.copy()
     A[:, N:] = 0.0
     blind = dataclasses.replace(model, A=A)
-    cfg = EstimatorConfig()
-    fallback = np.array([0.07])
-    history = [(np.array([0.8]), np.array([0.1])), (np.array([0.5]), np.array([0.0]))]
-    w_hat, degenerate = obs.estimate_instant(blind, history, cfg, fallback=fallback)
-    assert degenerate
-    assert np.array_equal(w_hat, fallback)
+    history = np.array([[0.8, 0.1], [0.5, 0.0]])
+    assert obs.estimate_instant(blind, history, EstimatorConfig()) is None
+    assert obs.estimate_window(blind, history, EstimatorConfig(Nw=1)) is None
+
+
+def test_non_finite_window_returns_none(model):
+    # a NaN output in the window's oldest or newest record fails closed:
+    # no estimate, and the observer keeps its previous one
+    cfg = EstimatorConfig(Nw=5, Ne=1)
+    for row in (0, -1):
+        history = history_for(0.2, 6 + model.d, np.random.default_rng(12))
+        history[row, 0] = np.nan
+        assert obs.estimate_window(model, history, cfg) is None
+        state = EstimatorState(cfg=cfg, d=model.d)
+        for y, u in history:
+            obs.update(state, model, y, u)
+        assert state.degenerate and state.updates == 0
+        assert np.array_equal(state.w_hat, cfg.w_init)
 
 
 def test_estimate_clamped_to_bounds(model):
     # adversarial next output pushes the raw estimate far past w_max
-    cfg = EstimatorConfig(reduced=True)
-    history = [(np.array([1.0]), np.array([0.0])), (np.array([5.0]), np.array([0.0]))]
-    w_hat, degenerate = obs.estimate_instant(model, history, cfg)
-    assert not degenerate
+    cfg = EstimatorConfig()
+    history = np.array([[1.0, 0.0], [5.0, 0.0]])
+    w_hat = obs.estimate_instant(model, history, cfg)
+    assert w_hat is not None
     assert w_hat[0] == cfg.w_max
 
 
 def test_window_beats_instant_under_noise(model):
     # Monte Carlo: the stacked window estimate is more robust to output noise
-    cfg = EstimatorConfig(Nw=30, reduced=True)
+    cfg = EstimatorConfig(Nw=30)
     rng = np.random.default_rng(3)
     w_true = 0.15
     err_win, err_inst = [], []
     for _ in range(100):
         history = history_for(w_true, 31, rng, noise=1e-3,
                               x0=float(rng.normal()))
-        w_win, _ = obs.estimate_window(model, history, cfg)
-        w_inst, _ = obs.estimate_instant(model, history, cfg)
+        w_win = obs.estimate_window(model, history, cfg)
+        w_inst = obs.estimate_instant(model, history, cfg)
         err_win.append(w_win[0] - w_true)
         err_inst.append(w_inst[0] - w_true)
     assert np.sqrt(np.mean(np.square(err_win))) < np.sqrt(np.mean(np.square(err_inst)))
@@ -193,9 +211,9 @@ def test_estimators_require_augmented_model():
     plain = fit_koopman(snaps, bilinear_basis(), BILINEAR_TS, with_load=False)
     cfg = EstimatorConfig()
     with pytest.raises(ValueError):
-        obs.estimate_instant(plain, [(np.zeros(1), np.zeros(1))] * 2, cfg)
+        obs.estimate_instant(plain, np.zeros((2, 2)), cfg)
     with pytest.raises(ValueError):
-        obs.estimate_window(plain, [], cfg)
+        obs.estimate_window(plain, np.zeros((0, 2)), cfg)
 
 
 def test_update_schedule_counts(model):
@@ -206,6 +224,7 @@ def test_update_schedule_counts(model):
     state = EstimatorState(cfg=cfg, d=model.d)
     for k, (y, u) in enumerate(records):
         obs.update(state, model, y, u)
+        assert len(state.history) == min(k + 1, cfg.Nw + model.d + 1)
         # one window estimate per Ne steps, once the buffer holds Nw+d+1
         expected = sum(1 for j in range(k + 1)
                        if j % cfg.Ne == 0 and j + 1 >= cfg.Nw + model.d + 1)
@@ -215,11 +234,11 @@ def test_update_schedule_counts(model):
 
 def test_update_keeps_copies_of_the_callers_arrays(model):
     state = EstimatorState(cfg=EstimatorConfig(), d=model.d)
+    assert len(state.history) == 0
     y, u = np.array([0.1]), np.array([0.2])
     obs.update(state, model, y, u)
     y[0], u[0] = 99.0, -7.0
-    assert np.array_equal(state.history[0][0], [0.1])
-    assert np.array_equal(state.history[0][1], [0.2])
+    assert np.array_equal(state.history, [[0.1, 0.2]])
 
 
 def test_degenerate_schedule_tracks_latest_estimate(model):
@@ -230,9 +249,30 @@ def test_degenerate_schedule_tracks_latest_estimate(model):
     for y, u in history_for(0.12, 20, rng, noise=1e-3):
         obs.update(state, model, y, u)
         if state.updates:
-            direct, _ = obs.estimate_window(model, state.history, cfg)
+            direct = obs.estimate_window(model, state.history, cfg)
             assert np.allclose(state.w_hat, direct, atol=1e-12)
     assert state.updates > 0
+
+
+def test_update_matches_deque_oracle_on_the_arm(default_cfg, models):
+    # a 400-step exp2-style open-loop run of the arm under the default
+    # schedule: after every record the array-record observer holds the
+    # deque-of-(y, u) oracle's estimate bit for bit
+    model, est, Ts = models.koopman_load, default_cfg.estimator, default_cfg.plant.Ts
+    state = EstimatorState(cfg=est, d=model.d)
+    ref = reference_estimator(est, model.d)
+    excite = excitation(np.random.default_rng(4), Ts)
+
+    def policy(k, y):
+        u = excite(k, y)
+        obs.update(state, model, y, u)
+        reference_update(ref, model, y, u)
+        assert np.array_equal(state.w_hat, ref.w_hat)
+        assert (state.degenerate, state.updates) == (ref.degenerate, ref.updates)
+        return u
+
+    drive(default_cfg.plant, [Run(0.125, np.random.default_rng(5), 400, policy)])
+    assert state.step == 400 and state.updates == ref.updates >= 30
 
 
 def test_smoothed_estimate_in_convex_hull(model):
