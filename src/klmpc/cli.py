@@ -1,11 +1,10 @@
-"""Command-line interface: data collection, model fitting, tracking,
-estimation and sorting.
+"""Command-line interface: model fitting, tracking, estimation and sorting.
 
 The --config document (default ExperimentConfig()) holds every setting;
---seed, when given, replaces its trial seed and nothing else.  collect
-records the document's campaign, the one that track, estimate and sort fit
-their models from, so collect + fit reproduce their models.  Reruns with the
-same configuration and seed are byte-identical.
+--seed, when given, replaces its trial seed and nothing else.  fit writes
+the three models that track, estimate and sort fit from the document's
+campaign, so --seed does not change its document.  Reruns with the same
+configuration and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import sys
 
 from . import edmd, harness
 from .harness import ExperimentConfig, config_from_json
-from .plant import collect_training_data
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -25,21 +23,14 @@ def _load_config(args) -> ExperimentConfig:
     return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
-def cmd_collect(args) -> int:
-    cfg = _load_config(args)
-    [trajectories] = collect_training_data(cfg.plant, [cfg.campaign])
-    edmd.save_trajectories(trajectories, args.dataset)
-    print(f"wrote {len(trajectories)} trajectories to {args.dataset}")
-    return 0
-
-
 def cmd_fit(args) -> int:
-    cfg = _load_config(args)
-    trajectories = edmd.load_trajectories(args.dataset)
-    model = harness.fit_kinds(trajectories, cfg.fit, kinds=(args.kind,))[args.kind]
-    edmd.save_model(model, args.model)
-    print(f"wrote {args.kind} model (n_z={model.n_z}, "
-          f"bottom-block residual {model.bottom_block_residual:.3e}) to {args.model}")
+    models = harness.fit_models(_load_config(args))
+    named = {name: getattr(models, name) for name in ("baseline", "koopman", "koopman_load")}
+    edmd.save_models(named, args.models)
+    for name, model in named.items():
+        print(f"{name}: n_z={model.n_z}, "
+              f"bottom-block residual {model.bottom_block_residual:.3e}")
+    print(f"wrote {len(named)} models to {args.models}")
     return 0
 
 
@@ -86,15 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "the config's seed (default: the config's)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("collect", help="run the config's data campaign, write CSV")
-    p.add_argument("dataset", help="output dataset CSV")
-    p.set_defaults(fn=cmd_collect)
-
-    p = sub.add_parser("fit", help="fit a model from a dataset CSV")
-    p.add_argument("dataset")
-    p.add_argument("model", help="output model JSON")
-    p.add_argument("--kind", choices=harness.MODEL_KINDS,
-                   default="koopman-load")
+    p = sub.add_parser("fit", help="fit the three models from the config's campaign")
+    p.add_argument("models", help="output models JSON")
     p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser("track", help="known-payload tracking comparison")

@@ -1,13 +1,16 @@
 """EDMD fitting: snapshot assembly, least-squares Koopman matrix, and
 extraction of the (A, B, C) linear realization, with optional load
-augmentation.
+augmentation; the JSON model document; and the one CSV writer.
+
+Fitting from recorded data other than a configured campaign is a library
+call: :func:`assemble_snapshots` on a list of :class:`Trajectory`, then
+:func:`fit_koopman`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -234,82 +237,8 @@ def model_from_dict(doc: dict) -> KoopmanModel:
     return model
 
 
-def save_model(model: KoopmanModel, path) -> None:
+def save_models(models: dict, path) -> None:
+    """Write named models as one JSON document, each entry the model's
+    :func:`model_to_dict`."""
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh)
-
-
-def load_model(path) -> KoopmanModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
-
-
-def save_trajectories(trajectories, path) -> None:
-    """Write a trajectory dataset as CSV: t, y1..yn, u1..um, w1..wp.
-
-    Trajectories are separated by a restart of the time column; loads are
-    repeated on every row.
-    """
-    trajectories = list(trajectories)
-    if not trajectories:
-        raise ValueError("no trajectories to write: the campaign has no runs")
-    n = trajectories[0].y.shape[1]
-    m = trajectories[0].u.shape[1]
-    p = 0 if trajectories[0].w is None else np.atleast_1d(trajectories[0].w).shape[0]
-    header = (["t"] + [f"y{i+1}" for i in range(n)]
-              + [f"u{i+1}" for i in range(m)] + [f"w{i+1}" for i in range(p)])
-    rows = []
-    for traj in trajectories:
-        K = len(traj)
-        block = [traj.t.reshape(K, 1), traj.y, traj.u]
-        if p:
-            block.append(np.tile(np.atleast_1d(traj.w), (K, 1)))
-        rows.append(np.hstack(block))
-    write_csv(path, header, np.vstack(rows))
-
-
-def load_trajectories(path) -> list:
-    """Read a trajectory dataset written by :func:`save_trajectories`.
-
-    The header must read ``t,y1..yn,u1..um`` with n, m >= 1, optionally
-    followed by ``w1..wp``.  A different header, a file with no data rows,
-    or a row with a missing, extra, non-numeric or non-finite cell raises
-    ValueError naming the file (and the line).
-    """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        n, m, p = (sum(c.startswith(s) for c in header) for s in "yuw")
-        expected = (["t"] + [f"y{i+1}" for i in range(n)]
-                    + [f"u{i+1}" for i in range(m)] + [f"w{i+1}" for i in range(p)])
-        if n < 1 or m < 1 or header != expected:
-            raise ValueError(f"{path}: the header must read t,y1..yn,u1..um[,w1..wp] "
-                             f"with n, m >= 1, got {','.join(header)!r}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                row = [float(c) for c in line.split(",")]
-            except ValueError:
-                row = []
-            if len(row) != len(header) or not all(map(math.isfinite, row)):
-                raise ValueError(f"{path}, line {lineno}: expected {len(header)} finite "
-                                 f"numbers, got {line.strip()!r}")
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: no data rows after the header")
-    data = np.array(rows)
-    t = data[:, 0]
-    # trajectory boundaries: time restarts (non-increasing step)
-    breaks = [0] + [i for i in range(1, len(t)) if t[i] <= t[i - 1]] + [len(t)]
-    out = []
-    for s, e in zip(breaks[:-1], breaks[1:]):
-        block = data[s:e]
-        w = block[0, 1 + n + m:] if p else None
-        out.append(Trajectory(
-            t=block[:, 0].copy(),
-            y=block[:, 1:1 + n].copy(),
-            u=block[:, 1 + n:1 + n + m].copy(),
-            w=None if w is None else w.copy(),
-        ))
-    return out
+        json.dump({name: model_to_dict(model) for name, model in models.items()}, fh)

@@ -151,7 +151,6 @@ class Reference:
     """
 
     def __init__(self, fn, Ts: float, duration: float, n: int = 4):
-        self.fn = fn
         self.Ts = Ts
         self.duration = duration
         t = np.clip(np.arange(math.ceil(duration / Ts) + 2) * Ts, 0.0, duration)
@@ -208,9 +207,6 @@ def point_reference(params: ArmParams, target, duration: float) -> Reference:
 # Model fitting
 # ---------------------------------------------------------------------------
 
-MODEL_KINDS = ("baseline", "koopman", "koopman-load")
-
-
 @dataclass(frozen=True)
 class ModelSet:
     baseline: KoopmanModel        # L-MPC: identity-basis least squares
@@ -219,42 +215,24 @@ class ModelSet:
     holdout: tuple                # held-out trajectories
 
 
-def fit_kinds(training, fit: FitConfig, kinds=MODEL_KINDS) -> dict:
-    """Fit the requested model kinds (see ``MODEL_KINDS``) from recorded
-    trajectories, keyed by kind.
-
-    The PCA dictionary basis is fitted once, and only when a dictionary
-    model (koopman or koopman-load) is requested.
-    """
-    unknown = set(kinds) - set(MODEL_KINDS)
-    if unknown:
-        raise ValueError(f"unknown model kinds {sorted(unknown)}")
-    snaps = edmd.assemble_snapshots(training, fit.d)
-    Ts = training[0].Ts
-    n, m = training[0].y.shape[1], training[0].u.shape[1]
-    models = {}
-    if "baseline" in kinds:
-        models["baseline"] = edmd.fit_linear_baseline(snaps, n=n, m=m, d=fit.d, Ts=Ts)
-    dictionary = [k for k in kinds if k != "baseline"]
-    if dictionary:
-        basis = lifting.fit_basis(snaps[0], fit.energy, n=n, m=m, d=fit.d)
-        for kind in dictionary:
-            models[kind] = edmd.fit_koopman(snaps, basis, Ts,
-                                            with_load=kind == "koopman-load")
-    return models
-
-
 def fit_models(cfg: ExperimentConfig) -> ModelSet:
     """Fit the three controller models from the training campaign and keep
     the holdout campaign for scoring; both campaigns run as one lockstep
-    batch."""
+    batch, and the PCA dictionary basis is fitted once for both dictionary
+    models."""
     camp, fit = cfg.campaign, cfg.fit
     training, holdout = collect_training_data(cfg.plant, [
         camp, CampaignConfig(loads=camp.loads, trials=fit.holdout_trials,
                              duration=fit.holdout_duration, seed=camp.seed + 1)])
-    models = fit_kinds(training, fit)
-    return ModelSet(baseline=models["baseline"], koopman=models["koopman"],
-                    koopman_load=models["koopman-load"], holdout=tuple(holdout))
+    snaps = edmd.assemble_snapshots(training, fit.d)
+    Ts = training[0].Ts
+    n, m = training[0].y.shape[1], training[0].u.shape[1]
+    baseline = edmd.fit_linear_baseline(snaps, n=n, m=m, d=fit.d, Ts=Ts)
+    basis = lifting.fit_basis(snaps[0], fit.energy, n=n, m=m, d=fit.d)
+    koopman = edmd.fit_koopman(snaps, basis, Ts)
+    return ModelSet(baseline=baseline, koopman=koopman,
+                    koopman_load=edmd.fit_koopman(snaps, basis, Ts, with_load=True),
+                    holdout=tuple(holdout))
 
 
 # ---------------------------------------------------------------------------

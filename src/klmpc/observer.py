@@ -145,8 +145,9 @@ def update(state: EstimatorState, model: KoopmanModel, y, u) -> EstimatorState:
     """Record one [y | u] row; every Ne steps compute a window estimate and
     refresh the smoothed w_hat as the buffered estimates' mean.
 
-    Near-stationary windows carry no load information and are skipped, as
-    are windows blind to the load (the estimate carries over).
+    Windows that hold a non-finite value, near-stationary windows (no load
+    information) and windows blind to the load are skipped; the estimate
+    carries over.
     """
     cfg = state.cfg
     row = np.concatenate([np.ravel(y), np.ravel(u)], dtype=float)[None]
@@ -154,7 +155,8 @@ def update(state: EstimatorState, model: KoopmanModel, y, u) -> EstimatorState:
     state.history = np.vstack([kept, row]) if len(kept) else row
     if state.step % cfg.Ne == 0 and len(state.history) >= cfg.Nw + state.d + 1:
         ys = state.history[:, :model.n]
-        if np.max(np.linalg.norm(np.diff(ys, axis=0), axis=1)) < STATIONARY_MOTION_TOL:
+        if (not np.all(np.isfinite(state.history))
+                or np.max(np.linalg.norm(np.diff(ys, axis=0), axis=1)) < STATIONARY_MOTION_TOL):
             state.degenerate = True
         else:
             w_new = estimate_window(model, state.history, cfg)

@@ -324,8 +324,8 @@ def reference_update(state, model, y, u):
 
 
 def reference_rows(ref, ks) -> np.ndarray:
-    """A reference's (len(ks), n) rows, its function called once per step
-    at ``min(max(k, 0) Ts, duration)``, link-1 coordinates zero."""
+    """A reference's (len(ks), n) rows, its function ``ref.fn`` called once
+    per step at ``min(max(k, 0) Ts, duration)``, link-1 coordinates zero."""
     rows = np.zeros((len(ks), ref.table.shape[1]))
     for i, k in enumerate(ks):
         rows[i, -2:] = ref.fn(min(max(k, 0) * ref.Ts, ref.duration))

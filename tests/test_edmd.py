@@ -2,6 +2,8 @@
 plants, structural invariants of the extracted (A, B, C), and persistence.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -241,9 +243,12 @@ def test_lift_requires_load_when_augmented():
 
 def test_model_json_round_trip(tmp_path):
     model = fit_bilinear_model()
-    path = tmp_path / "model.json"
-    edmd.save_model(model, path)
-    loaded = edmd.load_model(path)
+    path = tmp_path / "models.json"
+    edmd.save_models({"bilinear": model}, path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert list(doc) == ["bilinear"]
+    loaded = edmd.model_from_dict(doc["bilinear"])
     assert np.array_equal(loaded.A, model.A)
     assert np.array_equal(loaded.B, model.B)
     assert np.array_equal(loaded.C, model.C)
@@ -286,20 +291,6 @@ def test_model_legacy_output_matrix_loads():
     for bad in (2.0 * wrong, wrong[:, :-1], np.roll(wrong, 1, axis=1)):
         with pytest.raises(ValueError, match="'C'"):
             edmd.model_from_dict(dict(doc, C=bad.tolist()))
-
-
-def test_trajectory_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    trajs = [simulate_bilinear(w, 8, rng) for w in (0.0, 0.25)]
-    path = tmp_path / "data.csv"
-    edmd.save_trajectories(trajs, path)
-    loaded = edmd.load_trajectories(path)
-    assert len(loaded) == 2
-    for orig, back in zip(trajs, loaded):
-        assert np.array_equal(orig.t, back.t)
-        assert np.array_equal(orig.y, back.y)
-        assert np.array_equal(orig.u, back.u)
-        assert np.array_equal(orig.w, back.w)
 
 
 def test_write_csv_round_trip(tmp_path):

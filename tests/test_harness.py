@@ -13,8 +13,7 @@ import klmpc
 import numpy as np
 import pytest
 
-from klmpc import cli, harness, lifting, observer as obs, plant
-from klmpc.edmd import load_model, load_trajectories
+from klmpc import cli, edmd, harness, lifting, observer as obs, plant
 from klmpc.lifting import delay_embed
 from klmpc.mpc import Controller
 from klmpc.observer import EstimatorState
@@ -97,7 +96,19 @@ def test_reference_contract():
     assert np.array_equal(ref(-3), ref(0))
 
 
-def test_reference_table_matches_per_step_evaluation():
+@pytest.fixture
+def references_keep_fn(monkeypatch):
+    """Make the reference builders return references that keep the function
+    they tabulate as ``fn``, the function the per-step oracle calls."""
+    class Recording(harness.Reference):
+        def __init__(self, fn, *args, **kwargs):
+            self.fn = fn
+            super().__init__(fn, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "Reference", Recording)
+
+
+def test_reference_table_matches_per_step_evaluation(references_keep_fn):
     # one call of the function on every step time gives, bit for bit, the
     # rows of one call per step, also on the held tail past the end
     params, Nh = ExperimentConfig().plant, ExperimentConfig().Nh
@@ -114,7 +125,8 @@ def test_reference_table_matches_per_step_evaluation():
         assert np.array_equal(ref(-3), want[0])
 
 
-def test_controller_horizon_is_the_next_reference_rows(default_cfg, models):
+def test_controller_horizon_is_the_next_reference_rows(default_cfg, models,
+                                                       references_keep_fn):
     # step k condenses against rows k+1 .. k+Nh and logs row k, held at the
     # end of a 1 s reference
     cfg = default_cfg.mpc_config()
@@ -369,84 +381,50 @@ def test_run_experiment4_refuses_a_phase_without_a_sample_period(default_cfg, mo
 # CLI
 # ---------------------------------------------------------------------------
 
-def collect_args(dataset, seed=0):
-    """argv of ``klmpc collect`` whose config, written beside ``dataset``,
-    is a one-run 5 s campaign seeded ``seed``."""
-    path = dataset.with_suffix(".json")
-    path.write_text(json.dumps({"campaign": {"loads": [0.1], "trials": 1, "duration": 5.0,
-                                             "seed": seed}}))
-    return ["--config", str(path), "collect", str(dataset)]
+MODEL_NAMES = ("baseline", "koopman", "koopman_load")
+
+
+def fit_args(models_path, seed=0):
+    """argv of ``klmpc fit`` whose config, written beside ``models_path``,
+    is a two-run 5 s campaign seeded ``seed`` with a 5 s holdout."""
+    path = models_path.with_suffix(".config.json")
+    path.write_text(json.dumps({"campaign": {"loads": [0.1, 0.2], "trials": 1, "duration": 5.0,
+                                             "seed": seed},
+                                "fit": {"holdout_duration": 5.0}}))
+    return ["--config", str(path), "fit", str(models_path)]
+
+
+def load_models(path) -> dict:
+    with open(path) as fh:
+        return {name: edmd.model_from_dict(doc) for name, doc in json.load(fh).items()}
 
 
 def test_cli_collect_and_fit(tmp_path, capsys):
-    dataset = tmp_path / "data.csv"
-    assert cli.main(collect_args(dataset)) == 0
-    trajs = load_trajectories(dataset)
-    assert len(trajs) == 1 and np.array_equal(trajs[0].w, [0.1])
-    for kind in ("baseline", "koopman"):
-        model_path = tmp_path / f"{kind}.json"
-        assert cli.main(["fit", str(dataset), str(model_path),
-                         "--kind", kind]) == 0
-        model = load_model(model_path)
-        assert model.C.shape[0] == 4
-    out = capsys.readouterr().out
-    assert "wrote" in out
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("text, where", [
-    ("t,u1,y1,y2\n0,0.5,0.1,0.2\n0.05,0.5,0.1,0.2\n", "header"),
-    ("a,b\n0,1\n0.05,1\n", "header"),
-    ("t,y1,y2\n0,0.1,0.2\n", "header"),
-    ("", "header"),
-    ("t,y1,u1,w1\n0,0.1,0.5,0.1\n0.05,nan,0.5,0.1\n", "line 3"),
-    ("t,y1,u1,w1\n0,0.1,0.5,0.1\n0.05,-inf,0.5,0.1\n", "line 3"),
-    ("t,y1,u1,w1\n0,0.1,0.5\n", "line 2"),
-    ("t,y1,u1,w1\n0,0.1,0.5,0.1,7\n", "line 2"),
-    ("t,y1,u1,w1\n0,0.1,abc,0.1\n", "line 2"),
-    ("t,y1,u1,w1\n", "no data rows"),
-])
-def test_cli_fit_rejects_malformed_dataset(tmp_path, capsys, text, where):
-    # a header other than t,y1..yn,u1..um[,w1..wp], a bad cell or no data:
-    # one error line naming the file, exit 2, no numpy warning, no model
-    dataset, model_path = tmp_path / "bad.csv", tmp_path / "model.json"
-    dataset.write_text(text)
-    with pytest.raises(ValueError, match="bad.csv"):
-        load_trajectories(dataset)
-    assert cli.main(["fit", str(dataset), str(model_path), "--kind", "koopman"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and where in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
-    assert not model_path.exists()
-
-
-def test_cli_fit_baseline_skips_dictionary(tmp_path, monkeypatch):
-    dataset = tmp_path / "data.csv"
-    assert cli.main(collect_args(dataset)) == 0
-
-    def no_basis(*args, **kwargs):
-        raise AssertionError("baseline fit must not fit a dictionary basis")
-
-    monkeypatch.setattr(lifting, "fit_basis", no_basis)
-    model_path = tmp_path / "baseline.json"
-    assert cli.main(["fit", str(dataset), str(model_path),
-                     "--kind", "baseline"]) == 0
-    assert load_model(model_path).basis.projection.n_components == 0
+    # fit collects the document's campaign and writes the three models into
+    # one document, one printed line per model
+    models_path = tmp_path / "models.json"
+    assert cli.main(fit_args(models_path)) == 0
+    models = load_models(models_path)
+    assert tuple(models) == MODEL_NAMES
+    assert all(model.C.shape[0] == 4 for model in models.values())
+    assert models["baseline"].basis.projection.n_components == 0
+    assert (models["koopman"].p, models["koopman_load"].p) == (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == list(MODEL_NAMES)
+    assert lines[3] == f"wrote 3 models to {models_path}"
 
 
 def test_cli_collect_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli.main(collect_args(a, seed=5)) == 0
-    assert cli.main(collect_args(b, seed=5)) == 0
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(fit_args(a, seed=5)) == 0
+    assert cli.main(fit_args(b, seed=5)) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
 def no_collection(monkeypatch) -> list:
-    """Replace the campaign runner, as the CLI and the harness import it, by
-    a spy; returns the list of calls it records."""
+    """Replace the campaign runner, as the harness imports it, by a spy;
+    returns the list of calls it records."""
     calls = []
-    monkeypatch.setattr(cli, "collect_training_data", lambda *a: calls.append(a))
     monkeypatch.setattr(harness, "collect_training_data", lambda *a: calls.append(a))
     return calls
 
@@ -455,12 +433,12 @@ def test_cli_collect_campaign_without_runs_is_one_error_line(tmp_path, capsys, m
     calls = no_collection(monkeypatch)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"campaign": {"trials": 0}}))
-    dataset = tmp_path / "d.csv"
-    assert cli.main(["--config", str(path), "collect", str(dataset)]) == 2
+    models_path = tmp_path / "models.json"
+    assert cli.main(["--config", str(path), "fit", str(models_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: CampaignConfig: 'trials' must be >= 1")
     assert len(err.strip().splitlines()) == 1
-    assert calls == [] and not dataset.exists()
+    assert calls == [] and not models_path.exists()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -468,37 +446,37 @@ def test_cli_collect_campaign_without_runs_is_one_error_line(tmp_path, capsys, m
     ("--loads", "0.1,0.5"),
 ])
 def test_cli_collect_rejects_non_positive_flag(tmp_path, capsys, monkeypatch, flag, value):
-    # collect takes its campaign from the document alone: the former flag is
+    # fit takes its campaign from the document alone: the former flag is
     # an unknown argument, and its value written as the document's campaign
     # field meets the field's check, one error line naming the field, before
     # any run is simulated
     calls = no_collection(monkeypatch)
-    dataset = tmp_path / "d.csv"
+    models_path = tmp_path / "models.json"
     with pytest.raises(SystemExit) as exc:
-        cli.main(["collect", str(dataset), flag, value])
+        cli.main(["fit", str(models_path), flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     field = flag[2:]
     path = tmp_path / "config.json"
     text = f"[{value}]" if field == "loads" else value
     path.write_text(json.dumps({"campaign": {field: json.loads(text)}}))
-    assert cli.main(["--config", str(path), "collect", str(dataset)]) == 2
+    assert cli.main(["--config", str(path), "fit", str(models_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: CampaignConfig: ") and f"'{field}' must be" in err
     assert len(err.strip().splitlines()) == 1
-    assert calls == [] and not dataset.exists()
+    assert calls == [] and not models_path.exists()
 
 
 def test_cli_collect_loads_must_be_numbers(tmp_path, capsys, monkeypatch):
     calls = no_collection(monkeypatch)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"campaign": {"loads": [0.1, "abc"]}}))
-    dataset = tmp_path / "d.csv"
-    assert cli.main(["--config", str(path), "collect", str(dataset)]) == 2
+    models_path = tmp_path / "models.json"
+    assert cli.main(["--config", str(path), "fit", str(models_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'loads' must be a list of finite numbers" in err
     assert '"abc"' in err and len(err.strip().splitlines()) == 1
-    assert calls == [] and not dataset.exists()
+    assert calls == [] and not models_path.exists()
 
 
 # each id names the campaign the document leaves without runs
@@ -515,13 +493,13 @@ def test_cli_campaign_without_runs_fails_before_fitting(tmp_path, capsys, monkey
     calls = no_collection(monkeypatch)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
-    dataset = tmp_path / "d.csv"
-    for command in (["collect", str(dataset)], ["track"]):
+    models_path = tmp_path / "models.json"
+    for command in (["fit", str(models_path)], ["track"]):
         assert cli.main(["--config", str(path), *command]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{key}' must be" in err
         assert len(err.strip().splitlines()) == 1
-    assert calls == [] and not dataset.exists()
+    assert calls == [] and not models_path.exists()
 
 
 @pytest.mark.parametrize("argv, doc_seed", [(["--seed", "-1"], None), ([], -1)])
@@ -554,18 +532,18 @@ def test_cli_seed_flag_replaces_the_document_seed_only_when_given(tmp_path, monk
 
 
 def test_cli_collect_and_fit_reproduce_the_experiment_model(tmp_path):
-    # collect records the document's campaign, the one fit_models trains on,
-    # whatever --seed is; fit from that dataset gives the same arrays
+    # fit collects the document's campaign, the one fit_models trains on,
+    # whatever --seed is, and writes the arrays of all three models
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"campaign": {"loads": [0.0, 0.3], "trials": 1, "duration": 10.0},
                                 "fit": {"holdout_duration": 5.0}}))
-    dataset, model_path = tmp_path / "data.csv", tmp_path / "model.json"
-    assert cli.main(["--seed", "3", "--config", str(path), "collect", str(dataset)]) == 0
-    assert cli.main(["--config", str(path), "fit", str(dataset), str(model_path),
-                     "--kind", "koopman-load"]) == 0
-    want = fit_models(dataclasses.replace(config_from_json(path), seed=3)).koopman_load
-    got = load_model(model_path)
-    assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
+    models_path = tmp_path / "models.json"
+    assert cli.main(["--seed", "3", "--config", str(path), "fit", str(models_path)]) == 0
+    want = fit_models(dataclasses.replace(config_from_json(path), seed=3))
+    got = load_models(models_path)
+    for name in MODEL_NAMES:
+        assert np.array_equal(got[name].A, getattr(want, name).A)
+        assert np.array_equal(got[name].B, getattr(want, name).B)
 
 
 def test_python_dash_m_klmpc_runs_the_cli(tmp_path):
@@ -576,17 +554,24 @@ def test_python_dash_m_klmpc_runs_the_cli(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: klmpc")
-    assert "{collect,fit,track,estimate,sort}" in proc.stdout
+    assert "{fit,track,estimate,sort}" in proc.stdout
 
 
-def test_cli_errors(tmp_path, capsys):
-    # missing input file -> diagnostic and exit 2
-    assert cli.main(["fit", str(tmp_path / "missing.csv"),
-                     str(tmp_path / "model.json")]) == 2
+def test_cli_errors(tmp_path, capsys, monkeypatch):
+    # missing config file -> diagnostic and exit 2, before any campaign runs
+    calls = no_collection(monkeypatch)
+    models_path = tmp_path / "models.json"
+    assert cli.main(["--config", str(tmp_path / "missing.json"), "fit", str(models_path)]) == 2
     assert "error:" in capsys.readouterr().err
-    # unknown subcommand -> argparse exits nonzero
-    with pytest.raises(SystemExit):
-        cli.main(["frobnicate"])
+    assert calls == [] and not models_path.exists()
+    # unknown subcommand, the former collect and fit's former --kind ->
+    # argparse exits 2
+    for argv in (["frobnicate"], ["collect", str(tmp_path / "d.csv")],
+                 ["fit", str(models_path), "--kind", "koopman"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert calls == [] and not models_path.exists()
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -597,15 +582,18 @@ def test_cli_errors(tmp_path, capsys):
     ({"q_weight": 1.0}, "q_weight"),
     ({"estimator": {"reduced": True}}, "reduced"),
 ])
-def test_cli_bad_config_is_one_error_line(tmp_path, capsys, doc, key):
+def test_cli_bad_config_is_one_error_line(tmp_path, capsys, monkeypatch, doc, key):
+    calls = no_collection(monkeypatch)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=key):
         config_from_json(path)
-    assert cli.main(["--config", str(path), "collect", str(tmp_path / "d.csv")]) == 2
+    models_path = tmp_path / "models.json"
+    assert cli.main(["--config", str(path), "fit", str(models_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert len(err.strip().splitlines()) == 1
+    assert calls == [] and not models_path.exists()
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -680,10 +668,14 @@ def test_fit_models_collects_both_campaigns_in_one_call(monkeypatch):
     ms = fit_models(cfg)
     assert calls == [[camp, holdout_camp]]
     training, holdout = collect(cfg.plant, [camp, holdout_camp])
-    models = harness.fit_kinds(training, fit)
-    for kind, attr in (("baseline", "baseline"), ("koopman", "koopman"),
-                       ("koopman-load", "koopman_load")):
-        assert np.array_equal(getattr(ms, attr).A, models[kind].A)
-        assert np.array_equal(getattr(ms, attr).B, models[kind].B)
+    snaps = edmd.assemble_snapshots(training, fit.d)
+    Ts, n, m = training[0].Ts, 4, 2
+    basis = lifting.fit_basis(snaps[0], fit.energy, n=n, m=m, d=fit.d)
+    reference = {"baseline": edmd.fit_linear_baseline(snaps, n=n, m=m, d=fit.d, Ts=Ts),
+                 "koopman": edmd.fit_koopman(snaps, basis, Ts),
+                 "koopman_load": edmd.fit_koopman(snaps, basis, Ts, with_load=True)}
+    for name, model in reference.items():
+        assert np.array_equal(getattr(ms, name).A, model.A)
+        assert np.array_equal(getattr(ms, name).B, model.B)
     for got, want in zip(ms.holdout, holdout, strict=True):
         assert np.array_equal(got.y, want.y) and np.array_equal(got.u, want.u)

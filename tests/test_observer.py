@@ -173,6 +173,25 @@ def test_non_finite_window_returns_none(model):
         assert np.array_equal(state.w_hat, cfg.w_init)
 
 
+@pytest.mark.filterwarnings("error")
+def test_infinite_outputs_make_degenerate_windows_without_a_warning(models):
+    # two consecutive infinite outputs would give inf - inf in the motion
+    # test; the record's finiteness is tested first, so every window that
+    # holds them is degenerate, no warning is raised, and the estimate stays
+    model = models.koopman_load
+    cfg = EstimatorConfig(Nw=5, Ne=1, Nr=4)
+    window = cfg.Nw + model.d + 1
+    rng = np.random.default_rng(4)
+    state = EstimatorState(cfg=cfg, d=model.d)
+    for k in range(window + 3):
+        y = np.full(model.n, np.inf) if k in (2, 3) else rng.normal(size=model.n)
+        obs.update(state, model, y, rng.uniform(size=model.m))
+        if k >= window - 1:  # the windows of steps window-1 .. window+2 hold step 3
+            assert state.degenerate
+    assert state.updates == 0
+    assert np.array_equal(state.w_hat, cfg.w_init)
+
+
 def test_estimate_clamped_to_bounds(model):
     # adversarial next output pushes the raw estimate far past w_max
     cfg = EstimatorConfig()
