@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from . import edmd, harness
 from .harness import ExperimentConfig, config_from_json
@@ -24,7 +25,9 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def cmd_fit(args) -> int:
-    models = harness.fit_models(_load_config(args))
+    cfg = _load_config(args)
+    Path(args.models).parent.mkdir(parents=True, exist_ok=True)  # fail before the fit
+    models = harness.fit_models(cfg)
     named = {name: getattr(models, name) for name in ("baseline", "koopman", "koopman_load")}
     edmd.save_models(named, args.models)
     for name, model in named.items():

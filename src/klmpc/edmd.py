@@ -1,9 +1,11 @@
 """EDMD fitting: snapshot assembly, least-squares Koopman matrix, and
-extraction of the (A, B, C) linear realization, with optional load
-augmentation; the JSON model document; and the one CSV writer.
+extraction of the (A, B) linear realization, with optional load
+augmentation; and the JSON model document.
 
-Fitting from recorded data other than a configured campaign is a library
-call: :func:`assemble_snapshots` on a list of :class:`Trajectory`, then
+A campaign is three arrays, as :func:`klmpc.plant.collect_training_data`
+records it: outputs ``Y`` (R, K+1, n), commands ``U`` (R, K, m) and loads
+``w`` (R,).  Fitting from recorded data other than a configured campaign is
+a library call: :func:`assemble_snapshots` on such arrays, then
 :func:`fit_koopman`.
 """
 
@@ -21,76 +23,37 @@ from .lifting import Basis, delay_embed, identity_basis
 
 logger = logging.getLogger(__name__)
 
-CSV_FLOAT_FMT = "%.17g"
 
+def assemble_snapshots(Y, U, w, d: int):
+    """Build row-stacked delay-embedded snapshot pairs from R uniformly
+    sampled runs: outputs ``Y`` (R, K+1, n), the commands ``U`` (R, K, m)
+    applied between them, and the run loads ``w`` (R,) or None.
 
-def write_csv(path, header, rows) -> None:
-    """Write the header line, then one line per row: a string cell as it is,
-    a number as ``CSV_FLOAT_FMT`` (an int or a bool as a whole number)."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else CSV_FLOAT_FMT % c
-                              for c in row) + "\n")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One recorded run at uniform sampling: times, outputs, inputs, and the
-    (constant) load applied during the run, if annotated."""
-
-    t: np.ndarray           # (K,)
-    y: np.ndarray           # (K, n)
-    u: np.ndarray           # (K, m)
-    w: Optional[np.ndarray] = None   # (p,)
-
-    def __len__(self) -> int:
-        return self.t.shape[0]
-
-    @property
-    def Ts(self) -> float:
-        dt = np.diff(self.t)
-        if dt.size == 0:
-            raise ValueError("trajectory has fewer than 2 samples")
-        if not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("trajectory is not uniformly sampled")
-        return float(dt[0])
-
-
-def assemble_snapshots(trajectories, d: int):
-    """Build row-stacked delay-embedded snapshot pairs from uniformly sampled
-    runs.
-
-    Returns ``(a, b, U, W)``: the embeddings at steps k = d, ..., K-2 of each
-    run, the embeddings at k+1, the inputs applied between them and the run
-    loads (``W`` is None when any run is unannotated).  The b side is the
-    a side shifted by one step within each run, so the fitted matrix is a
+    Returns ``(a, b, U, W)``: run after run, the embeddings at steps
+    k = d, ..., K-1, the embeddings at k+1, the inputs applied between them
+    and the run loads (``W`` is None when ``w`` is).  The b side is the a
+    side shifted by one step within each run, so the fitted matrix is a
     genuine one-step transition map, and pairs never straddle runs.
     """
-    a, b, U, W = [], [], [], []
-    for traj in trajectories:
-        K = len(traj)
-        if K < d + 2:
-            raise ValueError(
-                f"trajectory of length {K} too short for d={d} (need >= {d + 2})"
-            )
-        traj.Ts  # raises on non-uniform sampling
-        E = delay_embed(traj.y, traj.u, d)
-        a.append(E[:-1])
-        b.append(E[1:])
-        U.append(np.asarray(traj.u[d:K - 1], dtype=float))
-        W.append(None if traj.w is None
-                 else np.tile(np.atleast_1d(np.asarray(traj.w, dtype=float)), (K - d - 1, 1)))
-    W = None if any(w is None for w in W) else np.vstack(W)
-    return np.vstack(a), np.vstack(b), np.vstack(U), W
+    Y = np.asarray(Y, dtype=float)
+    U = np.asarray(U, dtype=float)
+    if (Y.ndim != 3 or U.ndim != 3 or U.shape[:2] != (Y.shape[0], Y.shape[1] - 1)
+            or (w is not None and np.shape(w) != Y.shape[:1]) or Y.shape[1] < d + 2):
+        raise ValueError(
+            f"assemble_snapshots: need outputs (R, K+1, n) with K > d, commands "
+            f"(R, K, m) and loads (R,), got {Y.shape}, {U.shape} and {np.shape(w)} at d={d}"
+        )
+    E = delay_embed(Y, U, d)
+    W = None if w is None else np.repeat(np.asarray(w, dtype=float), E.shape[1] - 1)[:, None]
+    return (E[:, :-1].reshape(-1, E.shape[-1]), E[:, 1:].reshape(-1, E.shape[-1]),
+            U[:, d:].reshape(-1, U.shape[-1]), W)
 
 
 @dataclass(frozen=True)
 class KoopmanModel:
-    """Discrete lifted linear model z+ = Az + Bu, y = Cz.
-
-    C = [I_n | 0] is derived, not stored.  ``p`` is the load dimension (0
-    when the model is not load-augmented), and n_z = N_g * (p + 1).
+    """Discrete lifted linear model z+ = Az + Bu, y = z[:n]: the output map
+    C = [I_n | 0] is a row selection, not stored.  ``p`` is the load
+    dimension (0 when the model is not load-augmented), and n_z = N_g * (p + 1).
     ``bottom_block_residual`` is the Frobenius deviation of the fitted
     transition matrix's bottom block from [O | I], a fit diagnostic.
     """
@@ -118,10 +81,6 @@ class KoopmanModel:
     def n_z(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def C(self) -> np.ndarray:
-        return np.eye(self.n, self.n_z)
-
     def lift(self, yd, w=None) -> np.ndarray:
         """Lift an embedded output into the model's state space (g or gamma)."""
         if self.p > 0:
@@ -143,7 +102,7 @@ def _lift_rows(basis: Basis, Yd: np.ndarray, W: Optional[np.ndarray],
 def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> KoopmanModel:
     """Least-squares fit of the lifted transition matrix from the
     ``(a, b, U, W)`` arrays of :func:`assemble_snapshots`, and extraction of
-    the (A, B, C) realization from its transpose partition.
+    the (A, B) realization from its transpose partition.
 
     K_bar = pinv(Psi_a) Psi_b with Psi = [lift(Yd) | U].  Each data matrix
     is lifted straight into its leading columns, and only one is alive at a
@@ -190,16 +149,17 @@ def fit_linear_baseline(snapshots, n: int, m: int, d: int, Ts: float) -> Koopman
     return fit_koopman(snapshots, identity_basis(n, m, d), Ts, with_load=False)
 
 
-def one_step_rmse(model: KoopmanModel, trajectories) -> float:
-    """Held-out one-step output RMSE over all valid snapshot pairs.
+def one_step_rmse(model: KoopmanModel, campaign) -> float:
+    """Held-out one-step output RMSE over all valid snapshot pairs of a
+    ``(Y, U, w)`` campaign.
 
-    All snapshots are lifted in one batch and predicted as
-    (Z A' + U B') C', the row-stacked form of C (A lift(yd, w) + B u).
+    All snapshots are lifted in one batch and predicted as the first n
+    columns of Z A' + U B', the row-stacked form of A lift(yd, w) + B u.
     """
-    Yd, Y_next, U, W = assemble_snapshots(trajectories, model.d)
+    Yd, Y_next, U, W = assemble_snapshots(*campaign, model.d)
     Z = _lift_rows(model.basis, Yd, W, with_load=model.p > 0)
     truth = Y_next[:, : model.n]
-    pred = (Z @ model.A.T + U @ model.B.T) @ model.C.T
+    pred = (Z @ model.A.T + U @ model.B.T)[:, : model.n]
     return float(np.sqrt(np.sum((pred - truth) ** 2) / truth.size))
 
 
@@ -232,7 +192,8 @@ def model_from_dict(doc: dict) -> KoopmanModel:
         )
     except KeyError as exc:
         raise ValueError(f"model document is missing key {exc.args[0]!r}") from None
-    if "C" in doc and not np.array_equal(np.asarray(doc["C"], dtype=float), model.C):
+    if "C" in doc and not np.array_equal(np.asarray(doc["C"], dtype=float),
+                                         np.eye(model.n, model.n_z)):
         raise ValueError("model document: 'C' must be [I_n | 0]")
     return model
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import edmd, lifting, observer as obs
-from .edmd import KoopmanModel, write_csv
+from .edmd import KoopmanModel
 from .mpc import Controller, MpcConfig, end_effector_weight
 from .observer import EstimatorConfig, EstimatorState
 from .plant import ArmParams, CampaignConfig, Run, collect_training_data, drive, excitation
@@ -43,6 +43,7 @@ SORT_DROPOFF_DURATION = 10.0
 # bang-bang around the target, so the release point would hang on the last
 # bits of the load estimate
 DROPOFF_R_WEIGHT = 1e-2
+CSV_FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ class ModelSet:
     baseline: KoopmanModel        # L-MPC: identity-basis least squares
     koopman: KoopmanModel         # K-MPC: degree-2 dictionary, no load
     koopman_load: KoopmanModel    # KL-MPC: load-augmented dictionary
-    holdout: tuple                # held-out trajectories
+    holdout: tuple                # held-out campaign (Y, U, w)
 
 
 def fit_models(cfg: ExperimentConfig) -> ModelSet:
@@ -224,20 +225,30 @@ def fit_models(cfg: ExperimentConfig) -> ModelSet:
     training, holdout = collect_training_data(cfg.plant, [
         camp, CampaignConfig(loads=camp.loads, trials=fit.holdout_trials,
                              duration=fit.holdout_duration, seed=camp.seed + 1)])
-    snaps = edmd.assemble_snapshots(training, fit.d)
-    Ts = training[0].Ts
-    n, m = training[0].y.shape[1], training[0].u.shape[1]
+    snaps = edmd.assemble_snapshots(*training, fit.d)
+    Ts = cfg.plant.Ts
+    n, m = training[0].shape[-1], training[1].shape[-1]
     baseline = edmd.fit_linear_baseline(snaps, n=n, m=m, d=fit.d, Ts=Ts)
     basis = lifting.fit_basis(snaps[0], fit.energy, n=n, m=m, d=fit.d)
     koopman = edmd.fit_koopman(snaps, basis, Ts)
     return ModelSet(baseline=baseline, koopman=koopman,
                     koopman_load=edmd.fit_koopman(snaps, basis, Ts, with_load=True),
-                    holdout=tuple(holdout))
+                    holdout=holdout)
 
 
 # ---------------------------------------------------------------------------
 # Tracking trials and reports
 # ---------------------------------------------------------------------------
+
+def write_csv(path, header, rows) -> None:
+    """Write the header line, then one line per row: a string cell as it is,
+    a number as ``CSV_FLOAT_FMT`` (an int or a bool as a whole number)."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else CSV_FLOAT_FMT % c
+                              for c in row) + "\n")
+
 
 @dataclass
 class TrialResult:

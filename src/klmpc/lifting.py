@@ -17,22 +17,24 @@ def embedded_dim(n: int, m: int, d: int) -> int:
 
 
 def delay_embed(y, u, d: int) -> np.ndarray:
-    """Delay-embed time-ordered outputs ``y`` (K, n) and inputs ``u`` (K, m).
+    """Delay-embed time-ordered outputs ``y`` (..., K, n) and inputs ``u``
+    (..., K', m); leading axes are runs, embedded each on its own.
 
-    Returns the (K - d, n + (n + m) d) rows for k = d, ..., K-1, each laid out
-    as (y[k], y[k-1], ..., y[k-d], u[k-1], ..., u[k-d]).  Only u[:K-1] is
-    read, so ``u`` may stop one step short of ``y``.
+    Returns the (..., K - d, n + (n + m) d) rows for k = d, ..., K-1, each
+    laid out as (y[k], y[k-1], ..., y[k-d], u[k-1], ..., u[k-d]).  Only
+    u[:K-1] is read, so ``u`` may stop one step short of ``y``.
     """
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
-    K = y.shape[0]
-    if y.ndim != 2 or u.ndim != 2 or K <= d or u.shape[0] < K - 1:
+    K = y.shape[-2] if y.ndim >= 2 else 0
+    if (y.ndim < 2 or u.ndim != y.ndim or u.shape[:-2] != y.shape[:-2]
+            or K <= d or u.shape[-2] < K - 1):
         raise ValueError(
-            f"delay_embed: need (K, n) outputs with K > d and at least K-1 "
-            f"inputs, got y {y.shape}, u {u.shape}, d={d}"
+            f"delay_embed: need (..., K, n) outputs with K > d and at least "
+            f"K-1 inputs per run, got y {y.shape}, u {u.shape}, d={d}"
         )
-    return np.hstack([y[d - i:K - i] for i in range(d + 1)]
-                     + [u[d - i:K - i] for i in range(1, d + 1)])
+    return np.concatenate([y[..., d - i:K - i, :] for i in range(d + 1)]
+                          + [u[..., d - i:K - i, :] for i in range(1, d + 1)], axis=-1)
 
 
 def _eval_quadratics(Y: np.ndarray) -> np.ndarray:

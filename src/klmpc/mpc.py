@@ -75,14 +75,14 @@ class Condenser:
     fixed horizon: only the linear term depends on (z0, reference)."""
 
     def __init__(self, model: KoopmanModel, cfg: MpcConfig):
-        A, B, C = model.A, model.B, model.C
-        n, m, Nh = C.shape[0], B.shape[1], cfg.Nh
-        # S: stacked C A^i (i = 1..Nh); M: block lower triangular, block row i
-        # the Markov parameters C A^i B, ..., C B (each formed once), then zeros
+        A, B = model.A, model.B
+        n, m, Nh = model.n, B.shape[1], cfg.Nh
+        # S: stacked C A^i = (A^i)[:n] (i = 1..Nh); M: block lower triangular, block
+        # row i the Markov parameters C A^i B, ..., C B (each formed once), then zeros
         powers = [np.eye(A.shape[0])]
         for _ in range(Nh):
             powers.append(A @ powers[-1])
-        CA = [C @ P for P in powers]
+        CA = [P[:n] for P in powers]
         markov = [CA[lag] @ B for lag in range(Nh)]
         S = np.vstack(CA[1:])
         zero = np.zeros((n, m))

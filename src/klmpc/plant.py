@@ -3,8 +3,8 @@ springs and dampers, torque inputs through a zero-order hold, an unknown tip
 payload, and seeded Gaussian sensor noise on the measured positions.
 
 A state is a (4,) array, or a (B, 4) stack of them.  :func:`drive` is the one
-loop that steps the arm: the data campaigns and every experiment are
-policies on it.
+loop that steps the arm: the data campaigns, each recorded as its runs'
+outputs, commands and loads, and every experiment are policies on it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .edmd import Trajectory
 from .numkit import lapack
 
 W_MAX = 0.3
@@ -322,13 +321,14 @@ class CampaignConfig:
 
 def collect_training_data(params: ArmParams, campaigns) -> list:
     """Run the ramp-and-hold :class:`CampaignConfig` campaigns; return one
-    list of trajectories per campaign, in the order given, each recorded at
-    Ts in load-major order.  Deterministic under the seeds.  A duration under
-    one sample period raises ValueError naming the campaign.
+    ``(Y, U, w)`` per campaign, in the order given: the measured outputs
+    (R, K+1, 4), the commands applied (R, K, 2) and the loads (R,) of its R
+    runs, in load-major order.  Deterministic under the seeds.  A duration
+    under one sample period raises ValueError naming the campaign.
 
     The runs of all campaigns are one :func:`drive` batch.  Each run draws
     its commands and sensor noise from one generator, a child of its
-    campaign's seed, and repeats its last command on its last sample.
+    campaign's seed.
     """
     runs, ends = [], []
     for c, camp in enumerate(campaigns):
@@ -342,7 +342,6 @@ def collect_training_data(params: ArmParams, campaigns) -> list:
                  for w, rng in zip(np.repeat(camp.loads, camp.trials), rngs)]
         ends.append(len(runs))
     recorded = drive(params, runs)
-    return [[Trajectory(t=np.arange(len(Y)) * params.Ts, y=Y,
-                        u=np.concatenate([U, U[-1:]]), w=np.array([run.w]))
-             for run, (Y, U) in zip(runs[lo:hi], recorded[lo:hi])]
+    return [(np.stack([Y for Y, _ in recorded[lo:hi]]), np.stack([U for _, U in recorded[lo:hi]]),
+             np.array([run.w for run in runs[lo:hi]]))
             for lo, hi in zip([0] + ends[:-1], ends)]

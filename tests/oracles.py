@@ -18,7 +18,8 @@
   a fitted PCA, the degree-2 monomials one pair at a time, and the g/gamma
   lifts in their per-block concatenation form;
 - the one-step output prediction of a fitted model from one embedded
-  output.
+  output, and snapshot assembly one run at a time;
+- the output matrix C = [I_n | 0], written out.
 """
 
 import itertools
@@ -28,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from klmpc import numkit, observer
-from klmpc.edmd import Trajectory, assemble_snapshots, fit_koopman
+from klmpc.edmd import assemble_snapshots, fit_koopman
 from klmpc.lifting import Basis, delay_embed, gamma_matrix
 from klmpc.numkit import PcaProjection
 from klmpc.plant import ramp_and_hold
@@ -51,25 +52,25 @@ def bilinear_step(x: float, u: float, w: float, c0: float = 0.0) -> float:
     return 0.9 * x + 0.2 * w * x + 0.1 * u + c0
 
 
-def simulate_bilinear(w: float, K: int, rng, x0: float = None,
-                      c0: float = 0.0) -> Trajectory:
-    """Roll the true bilinear recursion under uniform random inputs."""
-    x = float(rng.normal()) if x0 is None else float(x0)
-    ys = np.zeros((K, 1))
-    us = rng.uniform(-1.0, 1.0, size=(K, 1))
-    for k in range(K):
-        ys[k, 0] = x
-        x = bilinear_step(x, us[k, 0], w, c0)
-    return Trajectory(t=np.arange(K) * BILINEAR_TS, y=ys, u=us,
-                      w=np.array([w]))
+def simulate_bilinear(ws, K: int, rng, c0: float = 0.0) -> tuple:
+    """Roll the true bilinear recursion under uniform random inputs, one run
+    of K samples per load in ``ws``; returns the campaign ``(Y, U, w)``."""
+    Y, U = np.zeros((len(ws), K, 1)), np.zeros((len(ws), K - 1, 1))
+    for r, w in enumerate(ws):
+        x = float(rng.normal())
+        us = rng.uniform(-1.0, 1.0, size=(K, 1))
+        for k in range(K):
+            Y[r, k, 0] = x
+            x = bilinear_step(x, us[k, 0], w, c0)
+        U[r] = us[:-1]
+    return Y, U, np.array(ws, dtype=float)
 
 
 def fit_bilinear_model(ws=(0.0, 0.1, 0.2, 0.3), K: int = 40, seed: int = 0,
                        c0: float = 0.0):
     """EDMD fit of the load-augmented bilinear plant; exact by construction."""
     rng = np.random.default_rng(seed)
-    trajectories = [simulate_bilinear(w, K, rng, c0=c0) for w in ws]
-    snaps = assemble_snapshots(trajectories, d=0)
+    snaps = assemble_snapshots(*simulate_bilinear(ws, K, rng, c0=c0), d=0)
     return fit_koopman(snaps, bilinear_basis(), BILINEAR_TS, with_load=True)
 
 
@@ -245,8 +246,7 @@ def reference_campaign(params, campaigns) -> list:
     """Ramp-and-hold ``CampaignConfig`` campaigns run by run with
     :func:`reference_run`, each run drawing its commands and its sensor noise
     from its own ``SeedSequence`` child; returns one list of (y, u) array
-    pairs per campaign, in load-major run order, with the last command
-    repeated."""
+    pairs per campaign, in load-major run order."""
     out = []
     for camp in campaigns:
         steps = int(round(camp.duration / params.Ts))
@@ -257,7 +257,7 @@ def reference_campaign(params, campaigns) -> list:
             policy = ramp_and_hold(rng, m=2, Ts=params.Ts)
             ys, us = reference_run(params, float(w), steps, rng,
                                    lambda k, y: np.clip(next(policy), 0.0, 1.0))
-            runs.append((ys, np.vstack([us, us[-1:]])))
+            runs.append((ys, us))
         out.append(runs)
     return out
 
@@ -270,12 +270,13 @@ def reference_window_system(model, history, Nw: int):
     ys = [row[:model.n] for row in history]
     us = [row[model.n:] for row in history]
     j = len(history) - 1
+    C = output_matrix(model)
     rows, rhs = [], []
     for k in range(j - 1, j - 1 - Nw, -1):
         yd = np.concatenate([ys[k - i] for i in range(d + 1)]
                             + [us[k - i] for i in range(1, d + 1)])
-        rows.append(model.C @ model.A @ gamma_matrix(model.basis, yd, model.p))
-        rhs.append(ys[k + 1] - model.C @ model.B @ us[k])
+        rows.append(C @ model.A @ gamma_matrix(model.basis, yd, model.p))
+        rhs.append(ys[k + 1] - C @ model.B @ us[k])
     return np.vstack(rows), np.concatenate(rhs)
 
 
@@ -335,7 +336,7 @@ def reference_rows(ref, ks) -> np.ndarray:
 def _reference_prediction(model, cfg):
     """S, the stacked C A^i (i = 1..Nh), and M, the block lower-triangular
     C A^(i-1-j) B, each block its own product of C, a power of A and B."""
-    A, B, C = model.A, model.B, model.C
+    A, B, C = model.A, model.B, output_matrix(model)
     n, m, Nh = C.shape[0], B.shape[1], cfg.Nh
     powers = [np.eye(A.shape[0])]
     for _ in range(Nh):
@@ -427,4 +428,26 @@ def predict_one_step(model, yd, u, w=None) -> np.ndarray:
     output."""
     z = model.lift(yd, w)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    return model.C @ (model.A @ z + model.B @ u)
+    return output_matrix(model) @ (model.A @ z + model.B @ u)
+
+
+def output_matrix(model) -> np.ndarray:
+    """The (n, n_z) output matrix [I_n | 0] of a lifted model."""
+    C = np.zeros((model.n, model.n_z))
+    C[:, :model.n] = np.eye(model.n)
+    return C
+
+
+def reference_snapshots(Y, U, w, d: int):
+    """Snapshot pairs of a ``(Y, U, w)`` campaign one run at a time: each
+    run's 2-D delay embedding split into its a and b sides, the inputs
+    between them and its load on every row, each side then row-stacked."""
+    a, b, us, W = [], [], [], []
+    for r in range(len(Y)):
+        E = delay_embed(Y[r], U[r], d)
+        a.append(E[:-1])
+        b.append(E[1:])
+        us.append(U[r][d:])
+        if w is not None:
+            W.append(np.tile(np.atleast_1d(w[r]), (len(E) - 1, 1)))
+    return np.vstack(a), np.vstack(b), np.vstack(us), np.vstack(W) if W else None

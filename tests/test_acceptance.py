@@ -22,7 +22,7 @@ from oracles import (
     random_box_qp,
     simulate_bilinear,
 )
-from test_edmd import linear_trajectory
+from test_edmd import linear_campaign
 from test_observer import history_for
 
 
@@ -39,8 +39,8 @@ def test_ac1_exact_linear_recovery():
     A *= 0.85 / np.max(np.abs(np.linalg.eigvals(A)))
     B = rng.normal(size=(4, 2))
     t0 = time.perf_counter()
-    trajs = [linear_trajectory(A, B, 101, rng) for _ in range(2)]  # 200 snapshots
-    snaps = assemble_snapshots(trajs, d=0)
+    campaign = linear_campaign(A, B, 101, rng, runs=2)  # 200 snapshots
+    snaps = assemble_snapshots(*campaign, d=0)
     model = fit_linear_baseline(snaps, n=4, m=2, d=0, Ts=0.05)
     elapsed = time.perf_counter() - t0
     err = float(np.linalg.norm(model.A - A) + np.linalg.norm(model.B - B))
@@ -51,8 +51,8 @@ def test_ac1_exact_linear_recovery():
 def test_ac2_exact_augmented_recovery():
     model = fit_bilinear_model()
     rng = np.random.default_rng(1)
-    held = simulate_bilinear(0.15, 80, rng)
-    pred_err = one_step_rmse(model, [held])
+    held = simulate_bilinear((0.15,), 80, rng)
+    pred_err = one_step_rmse(model, held)
     # the pure oracle's constant and load columns are collinear, so the
     # solve pins the constant coefficient at 1 on this plant
     w_hat = estimate_window(model, history_for(0.15, 31, rng), EstimatorConfig(Nw=30))

@@ -36,12 +36,37 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert {name: mods for name, mods in stray.items() if mods} == {}
 
 
+def klmpc_modules(path: Path) -> set:
+    """The ``klmpc`` modules ``path`` imports, by module name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("klmpc."))
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module == "klmpc" or module.startswith("klmpc."):
+                module = module.removeprefix("klmpc").lstrip(".")
+                names.update([module.split(".")[0]] if module
+                             else (alias.name for alias in node.names))
+    return names
+
+
 def test_imported_modules_sees_every_import_form(tmp_path):
     path = tmp_path / "m.py"
-    path.write_text("import os.path, scipy.linalg as sl\nfrom . import edmd\n"
+    path.write_text("import os.path, scipy.linalg as sl\nfrom . import edmd, lifting\n"
                     "from .plant import drive\nfrom numpy import linalg\n"
+                    "import klmpc.mpc\nfrom klmpc.observer import update\n"
                     "def f():\n    import pandas\n")
     assert imported_modules(path) == {"os", "scipy", "klmpc", "numpy", "pandas"}
+    assert klmpc_modules(path) == {"edmd", "lifting", "plant", "mpc", "observer"}
+
+
+@pytest.mark.parametrize("name", ["plant.py", "numkit.py"])
+def test_simulator_and_numerics_sit_below_identification(name):
+    # the simulated arm and the numerical kernels are the bottom layers: they
+    # may use numkit, and no other klmpc module
+    assert klmpc_modules(PACKAGE / name) <= {"numkit"}
 
 
 def test_declared_dependencies_are_numpy_alone():

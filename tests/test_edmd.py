@@ -1,5 +1,5 @@
 """Snapshot assembly and EDMD fitting: exact recovery on linear and bilinear
-plants, structural invariants of the extracted (A, B, C), and persistence.
+plants, structural invariants of the extracted (A, B), and persistence.
 """
 
 import json
@@ -10,7 +10,6 @@ import pytest
 from klmpc import edmd
 from klmpc.edmd import (
     KoopmanModel,
-    Trajectory,
     assemble_snapshots,
     fit_koopman,
     fit_linear_baseline,
@@ -18,77 +17,104 @@ from klmpc.edmd import (
 )
 from klmpc.lifting import identity_basis, lift_g
 
-from oracles import bilinear_basis, fit_bilinear_model, predict_one_step, simulate_bilinear
+from oracles import (
+    bilinear_basis,
+    fit_bilinear_model,
+    output_matrix,
+    predict_one_step,
+    reference_snapshots,
+    simulate_bilinear,
+)
 
 TS = 0.05
 
 
-def linear_trajectory(A, B, K, rng, x0=None):
+def linear_campaign(A, B, K, rng, runs=1):
+    """``runs`` runs of K samples of x+ = A x + B u from random states under
+    uniform random inputs, as a campaign ``(Y, U, None)`` without loads."""
     n, m = A.shape[0], B.shape[1]
-    x = rng.normal(size=n) if x0 is None else np.asarray(x0, dtype=float)
-    ys = np.zeros((K, n))
-    us = rng.uniform(-1.0, 1.0, size=(K, m))
-    for k in range(K):
-        ys[k] = x
-        x = A @ x + B @ us[k]
-    return Trajectory(t=np.arange(K) * TS, y=ys, u=us)
+    Y, U = np.zeros((runs, K, n)), np.zeros((runs, K - 1, m))
+    for r in range(runs):
+        x = rng.normal(size=n)
+        us = rng.uniform(-1.0, 1.0, size=(K, m))
+        for k in range(K):
+            Y[r, k] = x
+            x = A @ x + B @ us[k]
+        U[r] = us[:-1]
+    return Y, U, None
 
 
 def test_snapshot_count_minimal():
     rng = np.random.default_rng(0)
-    traj = linear_trajectory(np.eye(1) * 0.5, np.eye(1), 3, rng)
-    assert assemble_snapshots([traj], d=1)[0].shape == (1, 3)
-    assert assemble_snapshots([traj], d=0)[0].shape == (2, 1)
+    campaign = linear_campaign(np.eye(1) * 0.5, np.eye(1), 3, rng)
+    assert assemble_snapshots(*campaign, d=1)[0].shape == (1, 3)
+    assert assemble_snapshots(*campaign, d=0)[0].shape == (2, 1)
 
 
 def test_snapshots_never_straddle_trajectories():
     rng = np.random.default_rng(1)
-    t1 = linear_trajectory(np.eye(1) * 0.5, np.eye(1), 10, rng)
-    t2 = linear_trajectory(np.eye(1) * 0.5, np.eye(1), 6, rng)
-    a, b, U, W = assemble_snapshots([t1, t2], d=1)
-    assert a.shape[0] == b.shape[0] == U.shape[0] == (10 - 2) + (6 - 2)
+    Y, U_in, _ = linear_campaign(np.eye(1) * 0.5, np.eye(1), 10, rng, runs=2)
+    a, b, U, W = assemble_snapshots(Y, U_in, None, d=1)
+    assert a.shape[0] == b.shape[0] == U.shape[0] == 2 * (10 - 2)
     assert W is None
     # the last pair of the first run ends on that run's last sample, and the
     # second run starts from its own first embedding
-    assert np.array_equal(b[7], [t1.y[9, 0], t1.y[8, 0], t1.u[8, 0]])
-    assert np.array_equal(a[8], [t2.y[1, 0], t2.y[0, 0], t2.u[0, 0]])
-    assert np.array_equal(U[8], t2.u[1])
+    assert np.array_equal(b[7], [Y[0, 9, 0], Y[0, 8, 0], U_in[0, 8, 0]])
+    assert np.array_equal(a[8], [Y[1, 1, 0], Y[1, 0, 0], U_in[1, 0, 0]])
+    assert np.array_equal(U[8], U_in[1, 1])
 
 
 def test_snapshot_b_is_next_a():
     rng = np.random.default_rng(2)
-    traj = linear_trajectory(np.eye(2) * 0.8, np.ones((2, 1)), 12, rng)
+    Y, U_in, _ = linear_campaign(np.eye(2) * 0.8, np.ones((2, 1)), 12, rng)
     for d in (0, 1, 2):
-        a, b, U, _ = assemble_snapshots([traj], d)
+        a, b, U, _ = assemble_snapshots(Y, U_in, None, d)
         assert np.array_equal(b[:-1], a[1:])
-        assert np.array_equal(U, traj.u[d:-1])
+        assert np.array_equal(U, U_in[0, d:])
+
+
+def test_snapshots_match_run_by_run_assembly():
+    # the one batched embedding gives the rows, order and dtype of embedding
+    # each run alone and stacking the runs
+    rng = np.random.default_rng(13)
+    Y, U, w = rng.normal(size=(3, 9, 4)), rng.uniform(size=(3, 8, 2)), np.array([0.0, 0.1, 0.3])
+    for d in (0, 1, 2):
+        for loads in (w, None):
+            got = assemble_snapshots(Y, U, loads, d)
+            want = reference_snapshots(Y, U, loads, d)
+            for g, r in zip(got, want, strict=True):
+                if r is None:
+                    assert g is None
+                else:
+                    assert g.dtype == r.dtype and np.array_equal(g, r)
 
 
 def test_snapshot_loads_repeat_per_row():
     rng = np.random.default_rng(12)
-    runs = [simulate_bilinear(w, 6, rng) for w in (0.1, 0.25)]
-    _, _, _, W = assemble_snapshots(runs, d=1)
+    Y, U, w = simulate_bilinear((0.1, 0.25), 6, rng)
+    _, _, _, W = assemble_snapshots(Y, U, w, d=1)
     assert np.array_equal(W[:, 0], [0.1] * 4 + [0.25] * 4)
-    unannotated = Trajectory(t=runs[0].t, y=runs[0].y, u=runs[0].u)
-    assert assemble_snapshots([runs[0], unannotated], d=1)[3] is None
+    assert assemble_snapshots(Y, U, None, d=1)[3] is None
 
 
 def test_assemble_rejects_bad_trajectories():
     rng = np.random.default_rng(3)
-    short = linear_trajectory(np.eye(1) * 0.5, np.eye(1), 2, rng)
-    with pytest.raises(ValueError):
-        assemble_snapshots([short], d=1)
-    bad_t = Trajectory(t=np.array([0.0, 0.05, 0.2]), y=np.zeros((3, 1)),
-                       u=np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        assemble_snapshots([bad_t], d=0)
+    short = linear_campaign(np.eye(1) * 0.5, np.eye(1), 2, rng)
+    with pytest.raises(ValueError, match="with K > d"):
+        assemble_snapshots(*short, d=1)
+    # run counts or step counts that disagree are refused naming the shapes
+    Y, U, w = simulate_bilinear((0.1, 0.25), 6, rng)
+    for bad in ((Y[:1], U, w), (Y, U[:1], w), (Y, U, w[:1]), (Y, U[:, :-1], w),
+                (Y[:, :-2], U, w), (Y[0], U[0], w[0])):
+        with pytest.raises(ValueError, match=r"got \("):
+            assemble_snapshots(*bad, d=0)
 
 
 def test_exact_recovery_scalar():
     # x+ = 0.9 x + 0.1 u recovered exactly from noiseless data
     rng = np.random.default_rng(4)
-    traj = linear_trajectory(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
-    snaps = assemble_snapshots([traj], d=0)
+    campaign = linear_campaign(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
+    snaps = assemble_snapshots(*campaign, d=0)
     model = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
     assert abs(model.A[0, 0] - 0.9) < 1e-8
     assert abs(model.B[0, 0] - 0.1) < 1e-8
@@ -99,10 +125,9 @@ def test_rank_deficient_fit_warns_and_stays_finite(caplog):
     # the fit says so and falls back on the pseudoinverse's minimum-norm
     # solution, which splits the input gain evenly over the copies
     rng = np.random.default_rng(6)
-    traj = linear_trajectory(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
-    traj = Trajectory(t=traj.t, y=traj.y, u=np.hstack([traj.u, traj.u]))
+    Y, U, _ = linear_campaign(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
     with caplog.at_level("WARNING", logger="klmpc.edmd"):
-        model = fit_koopman(assemble_snapshots([traj], d=0),
+        model = fit_koopman(assemble_snapshots(Y, np.concatenate([U, U], axis=2), None, d=0),
                             identity_basis(1, 2, 0), TS)
     assert "rank-deficient (2 < 3)" in caplog.text
     assert np.all(np.isfinite(model.A)) and np.all(np.isfinite(model.B))
@@ -114,8 +139,8 @@ def test_fit_factors_data_matrix_once(monkeypatch):
     # the rank check reads the singular values of the pseudoinverse's own
     # SVD: one factorisation of Psi_a per fit, and no matrix_rank
     rng = np.random.default_rng(6)
-    traj = linear_trajectory(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
-    snaps = assemble_snapshots([traj], d=0)
+    campaign = linear_campaign(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
+    snaps = assemble_snapshots(*campaign, d=0)
     want = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
     svd, calls = np.linalg.svd, []
 
@@ -138,8 +163,8 @@ def test_exact_recovery_multivariate():
     A = rng.normal(size=(4, 4))
     A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
     B = rng.normal(size=(4, 2))
-    trajs = [linear_trajectory(A, B, 30, rng) for _ in range(3)]
-    model = fit_linear_baseline(assemble_snapshots(trajs, d=0), n=4, m=2,
+    campaign = linear_campaign(A, B, 30, rng, runs=3)
+    model = fit_linear_baseline(assemble_snapshots(*campaign, d=0), n=4, m=2,
                                 d=0, Ts=TS)
     assert np.linalg.norm(model.A - A) < 1e-8
     assert np.linalg.norm(model.B - B) < 1e-8
@@ -156,8 +181,8 @@ def test_frozen_system_gives_identity():
 
 def test_duplicate_snapshots_invariance():
     rng = np.random.default_rng(6)
-    traj = linear_trajectory(np.array([[0.7]]), np.array([[0.3]]), 30, rng)
-    snaps = assemble_snapshots([traj], d=0)
+    campaign = linear_campaign(np.array([[0.7]]), np.array([[0.3]]), 30, rng)
+    snaps = assemble_snapshots(*campaign, d=0)
     m1 = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
     twice = tuple(np.vstack([side, side]) for side in snaps[:3]) + (None,)
     m2 = fit_koopman(twice, identity_basis(1, 1, 0), TS)
@@ -166,28 +191,28 @@ def test_duplicate_snapshots_invariance():
 
 
 def test_output_matrix_is_projection():
+    # the output map is a row selection: the first n lifted coordinates are
+    # the output, exactly, and the written-out C selects the same rows
     model = fit_bilinear_model()
-    n = model.n
-    assert np.array_equal(model.C[:, :n], np.eye(n))
-    assert np.array_equal(model.C[:, n:], np.zeros((n, model.n_z - n)))
-    # C @ lift == the leading output coordinates, exactly
     yd = np.array([0.37])
-    assert np.array_equal(model.C @ model.lift(yd, 0.1), yd)
+    z = model.lift(yd, 0.1)
+    assert np.array_equal(z[:model.n], yd)
+    assert np.array_equal(output_matrix(model) @ z, z[:model.n])
 
 
 def test_bilinear_heldout_one_step():
     model = fit_bilinear_model()
     rng = np.random.default_rng(99)
-    held = simulate_bilinear(0.15, 60, rng)
-    assert one_step_rmse(model, [held]) < 1e-8
+    held = simulate_bilinear((0.15,), 60, rng)
+    assert one_step_rmse(model, held) < 1e-8
 
 
 def test_one_step_rmse_matches_per_snapshot_loop(models):
     # the batched prediction reorders sums, so agreement is to a few ulps
-    held = models.holdout[:2]
+    held = tuple(x[:2] for x in models.holdout)
     for model in (models.baseline, models.koopman, models.koopman_load):
         err2, count = 0.0, 0
-        for a, b, u, w in zip(*assemble_snapshots(held, model.d)):
+        for a, b, u, w in zip(*assemble_snapshots(*held, model.d)):
             pred = predict_one_step(model, a, u, w if model.p else None)
             err2 += float(np.sum((pred - b[: model.n]) ** 2))
             count += model.n
@@ -197,8 +222,8 @@ def test_one_step_rmse_matches_per_snapshot_loop(models):
 
 def test_fit_requires_enough_snapshots():
     rng = np.random.default_rng(7)
-    traj = linear_trajectory(np.array([[0.9]]), np.array([[0.1]]), 2, rng)
-    snaps = assemble_snapshots([traj], d=0)  # 1 snapshot < n_z + m = 2
+    campaign = linear_campaign(np.array([[0.9]]), np.array([[0.1]]), 2, rng)
+    snaps = assemble_snapshots(*campaign, d=0)  # 1 snapshot < n_z + m = 2
     with pytest.raises(ValueError):
         fit_koopman(snaps, identity_basis(1, 1, 0), TS)
     empty = (np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 1)), None)
@@ -208,8 +233,8 @@ def test_fit_requires_enough_snapshots():
 
 def test_with_load_requires_annotations():
     rng = np.random.default_rng(8)
-    traj = linear_trajectory(np.array([[0.9]]), np.array([[0.1]]), 20, rng)
-    snaps = assemble_snapshots([traj], d=0)
+    campaign = linear_campaign(np.array([[0.9]]), np.array([[0.1]]), 20, rng)
+    snaps = assemble_snapshots(*campaign, d=0)
     with pytest.raises(ValueError):
         fit_koopman(snaps, bilinear_basis(), TS, with_load=True)
 
@@ -218,14 +243,11 @@ def test_baseline_dimension():
     rng = np.random.default_rng(9)
     A = np.eye(4) * 0.5
     B = np.ones((4, 2)) * 0.1
-    trajs = [linear_trajectory(A, B, 30, rng) for _ in range(2)]
-    model = fit_linear_baseline(assemble_snapshots(trajs, d=1), n=4, m=2,
+    campaign = linear_campaign(A, B, 30, rng, runs=2)
+    model = fit_linear_baseline(assemble_snapshots(*campaign, d=1), n=4, m=2,
                                 d=1, Ts=TS)
     assert model.n_z == 4 + (4 + 2) * 1
     assert model.p == 0
-    # C = [I_4 | 0], laid out in rows as every product with it expects
-    assert np.array_equal(model.C, np.hstack([np.eye(4), np.zeros((4, 6))]))
-    assert model.C.flags.c_contiguous
 
 
 def test_predict_one_step_identity_model():
@@ -251,7 +273,6 @@ def test_model_json_round_trip(tmp_path):
     loaded = edmd.model_from_dict(doc["bilinear"])
     assert np.array_equal(loaded.A, model.A)
     assert np.array_equal(loaded.B, model.B)
-    assert np.array_equal(loaded.C, model.C)
     assert loaded.p == model.p and loaded.Ts == model.Ts
     yd = np.array([0.7])
     assert np.array_equal(loaded.lift(yd, 0.1), model.lift(yd, 0.1))
@@ -280,42 +301,13 @@ def test_model_legacy_output_matrix_loads():
     # files written before C was derived store it: [I_n | 0] loads into the
     # same model, any other matrix is refused by name
     model = fit_bilinear_model()
-    doc = dict(edmd.model_to_dict(model), C=model.C.tolist())
+    doc = dict(edmd.model_to_dict(model), C=output_matrix(model).tolist())
     doc["basis"]["quad_pairs"] = []
     loaded = edmd.model_from_dict(doc)
     assert np.array_equal(loaded.A, model.A) and np.array_equal(loaded.B, model.B)
-    assert np.array_equal(loaded.C, model.C)
     yd = np.array([0.7])
     assert np.array_equal(loaded.lift(yd, 0.1), model.lift(yd, 0.1))
-    wrong = np.array(model.C)
+    wrong = output_matrix(model)
     for bad in (2.0 * wrong, wrong[:, :-1], np.roll(wrong, 1, axis=1)):
         with pytest.raises(ValueError, match="'C'"):
             edmd.model_from_dict(dict(doc, C=bad.tolist()))
-
-
-def test_write_csv_round_trip(tmp_path):
-    # every float reads back bit for bit, and a float array gives the bytes
-    # np.savetxt gives with the same format; an int or a bool is a whole
-    # number, and a string cell is written as it is
-    rng = np.random.default_rng(5)
-    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1e16, 2.0**53 + 1,
-               np.inf, -np.inf]
-    data = np.concatenate([special, rng.standard_normal(200)
-                           * 10.0 ** rng.integers(-300, 300, 200)]).reshape(-1, 5)
-    path, ref = tmp_path / "data.csv", tmp_path / "ref.csv"
-    edmd.write_csv(path, ["a", "b", "c", "d", "e"], data)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "a,b,c,d,e"
-    back = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
-    assert np.array_equal(back.view(np.int64), data.view(np.int64))
-    np.savetxt(ref, data, fmt=edmd.CSV_FLOAT_FMT, delimiter=",", header="a,b,c,d,e",
-               comments="")
-    assert path.read_bytes() == ref.read_bytes()
-    edmd.write_csv(path, ["name", "i", "flag", "x"],
-                   [["KL-MPC", 7, True, 0.1], ["K-MPC", -3, False, -0.0]])
-    assert path.read_text() == "name,i,flag,x\nKL-MPC,7,1,0.10000000000000001\nK-MPC,-3,0,-0\n"
-
-
-def test_trajectory_ts_validation():
-    with pytest.raises(ValueError):
-        Trajectory(t=np.array([0.0]), y=np.zeros((1, 1)), u=np.zeros((1, 1))).Ts

@@ -406,7 +406,7 @@ def test_cli_collect_and_fit(tmp_path, capsys):
     assert cli.main(fit_args(models_path)) == 0
     models = load_models(models_path)
     assert tuple(models) == MODEL_NAMES
-    assert all(model.C.shape[0] == 4 for model in models.values())
+    assert all(model.n == 4 for model in models.values())
     assert models["baseline"].basis.projection.n_components == 0
     assert (models["koopman"].p, models["koopman_load"].p) == (0, 1)
     lines = capsys.readouterr().out.splitlines()
@@ -574,6 +574,26 @@ def test_cli_errors(tmp_path, capsys, monkeypatch):
     assert calls == [] and not models_path.exists()
 
 
+def test_cli_fit_makes_the_models_directory(tmp_path):
+    # the document's directory need not exist, as an --out directory need not
+    argv = fit_args(tmp_path / "models.json")
+    models_path = tmp_path / "new" / "nested" / "models.json"
+    assert cli.main(argv[:-1] + [str(models_path)]) == 0
+    assert tuple(load_models(models_path)) == MODEL_NAMES
+
+
+def test_cli_fit_into_a_blocked_directory_fails_before_fitting(tmp_path, capsys, monkeypatch):
+    # a regular file where the directory would go is one error line, and
+    # nothing is fitted
+    monkeypatch.setattr(harness, "fit_models", lambda cfg: pytest.fail("fit_models ran"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["fit", str(blocker / "sub" / "models.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("doc, key", [
     ({"bogus": 1}, "bogus"),
     ({"estimator": {"nope": 2}}, "nope"),
@@ -668,8 +688,8 @@ def test_fit_models_collects_both_campaigns_in_one_call(monkeypatch):
     ms = fit_models(cfg)
     assert calls == [[camp, holdout_camp]]
     training, holdout = collect(cfg.plant, [camp, holdout_camp])
-    snaps = edmd.assemble_snapshots(training, fit.d)
-    Ts, n, m = training[0].Ts, 4, 2
+    snaps = edmd.assemble_snapshots(*training, fit.d)
+    Ts, n, m = cfg.plant.Ts, 4, 2
     basis = lifting.fit_basis(snaps[0], fit.energy, n=n, m=m, d=fit.d)
     reference = {"baseline": edmd.fit_linear_baseline(snaps, n=n, m=m, d=fit.d, Ts=Ts),
                  "koopman": edmd.fit_koopman(snaps, basis, Ts),
@@ -678,4 +698,27 @@ def test_fit_models_collects_both_campaigns_in_one_call(monkeypatch):
         assert np.array_equal(getattr(ms, name).A, model.A)
         assert np.array_equal(getattr(ms, name).B, model.B)
     for got, want in zip(ms.holdout, holdout, strict=True):
-        assert np.array_equal(got.y, want.y) and np.array_equal(got.u, want.u)
+        assert np.array_equal(got, want)
+
+
+def test_write_csv_round_trip(tmp_path):
+    # every float reads back bit for bit, and a float array gives the bytes
+    # np.savetxt gives with the same format; an int or a bool is a whole
+    # number, and a string cell is written as it is
+    rng = np.random.default_rng(5)
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1e16, 2.0**53 + 1,
+               np.inf, -np.inf]
+    data = np.concatenate([special, rng.standard_normal(200)
+                           * 10.0 ** rng.integers(-300, 300, 200)]).reshape(-1, 5)
+    path, ref = tmp_path / "data.csv", tmp_path / "ref.csv"
+    harness.write_csv(path, ["a", "b", "c", "d", "e"], data)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "a,b,c,d,e"
+    back = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(back.view(np.int64), data.view(np.int64))
+    np.savetxt(ref, data, fmt=harness.CSV_FLOAT_FMT, delimiter=",", header="a,b,c,d,e",
+               comments="")
+    assert path.read_bytes() == ref.read_bytes()
+    harness.write_csv(path, ["name", "i", "flag", "x"],
+                      [["KL-MPC", 7, True, 0.1], ["K-MPC", -3, False, -0.0]])
+    assert path.read_text() == "name,i,flag,x\nKL-MPC,7,1,0.10000000000000001\nK-MPC,-3,0,-0\n"

@@ -64,6 +64,17 @@ def test_delay_embed_no_delay():
     assert np.array_equal(delay_embed(ys, np.zeros((0, 1)), 0), [[3.0, 4.0]])
 
 
+def test_delay_embed_run_axis_matches_each_run():
+    # a leading run axis embeds every run as the 2-D call does, bit for bit
+    rng = np.random.default_rng(9)
+    Y, U = rng.normal(size=(3, 7, 4)), rng.normal(size=(3, 6, 2))
+    for d in (0, 1, 2):
+        E = delay_embed(Y, U, d)
+        assert E.shape == (3, 7 - d, embedded_dim(4, 2, d))
+        for r in range(3):
+            assert np.array_equal(E[r], delay_embed(Y[r], U[r], d))
+
+
 def test_delay_embed_requires_history():
     ys = np.array([[1.0], [2.0]])
     us = np.array([[0.0], [0.0]])
@@ -73,6 +84,8 @@ def test_delay_embed_requires_history():
         delay_embed(ys, us[:0], 1)      # fewer than K-1 inputs
     with pytest.raises(ValueError):
         delay_embed(ys[:, 0], us, 1)    # outputs must be (K, n)
+    with pytest.raises(ValueError):
+        delay_embed(np.stack([ys, ys]), us, 1)   # one run of inputs for two of outputs
 
 
 def test_embedded_dim():

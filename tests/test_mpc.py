@@ -54,14 +54,14 @@ def sine_reference(rows):
 
 def rollout_cost(model, cfg, z0, ref, U):
     """Direct evaluation of the tracking cost, independent of Condenser."""
-    Nh, m, n = cfg.Nh, model.m, model.C.shape[0]
+    Nh, m, n = cfg.Nh, model.m, model.n
     z = np.asarray(z0, dtype=float)
     ref = np.asarray(ref, dtype=float).reshape(Nh, n)
     cost = 0.0
     for i in range(Nh):
         u = U[i * m:(i + 1) * m]
         z = model.A @ z + model.B @ u
-        e = model.C @ z - ref[i]
+        e = z[:n] - ref[i]
         cost += e @ cfg.Q @ e + u @ cfg.R @ u
     return cost
 

@@ -226,7 +226,7 @@ def test_window_requires_enough_history(model):
 
 def test_estimators_require_augmented_model():
     rng = np.random.default_rng(5)
-    snaps = assemble_snapshots([simulate_bilinear(0.0, 30, rng)], d=0)
+    snaps = assemble_snapshots(*simulate_bilinear((0.0,), 30, rng), d=0)
     plain = fit_koopman(snaps, bilinear_basis(), BILINEAR_TS, with_load=False)
     cfg = EstimatorConfig()
     with pytest.raises(ValueError):

@@ -258,12 +258,13 @@ def test_collect_training_data_matches_run_by_run():
         got = collect_training_data(params, campaigns)
         want = reference_campaign(params, campaigns)
         assert len(got) == len(want) == len(campaigns)
-        for camp, trajs, runs in zip(campaigns, got, want):
-            assert len(trajs) == len(runs) == camp.trials * len(loads)
-            for traj, (ys, us) in zip(trajs, runs):
-                assert len(traj) == int(round(camp.duration / params.Ts)) + 1
-                assert np.array_equal(traj.y, ys)
-                assert np.array_equal(traj.u, us)
+        for camp, (Y, U, w), runs in zip(campaigns, got, want):
+            steps = int(round(camp.duration / params.Ts))
+            assert Y.shape == (len(runs), steps + 1, 4) and U.shape == (len(runs), steps, 2)
+            assert len(runs) == camp.trials * len(loads)
+            assert np.array_equal(w, np.repeat(loads, camp.trials))
+            assert np.array_equal(Y, [ys for ys, _ in runs])
+            assert np.array_equal(U, [us for _, us in runs])
     # `drive` under the campaigns: runs of unequal lengths (one of none),
     # with open-loop and feedback policies, each drawing its policy and its
     # noise from separate generators, leave the batch as they end and equal
@@ -321,25 +322,22 @@ def test_payload_monotonicity():
 
 def test_collect_training_data_shape():
     params = ArmParams()
-    [trajs] = collect_training_data(params, [CampaignConfig(loads=(0.1,), trials=1,
-                                                            duration=1.0)])
-    assert len(trajs) == 1
-    traj = trajs[0]
-    assert len(traj) == 21  # 1 s at Ts = 0.05 inclusive of both endpoints
-    assert traj.Ts == pytest.approx(params.Ts)
-    assert np.array_equal(traj.w, [0.1])
+    [(Y, U, w)] = collect_training_data(params, [CampaignConfig(loads=(0.1,), trials=1,
+                                                                duration=1.0)])
+    assert Y.shape == (1, 21, 4)  # 1 s at Ts = 0.05 inclusive of both endpoints
+    assert U.shape == (1, 20, 2)  # one command per sample period
+    assert np.array_equal(w, [0.1])
 
 
 def test_collect_training_data_structure():
     params = ArmParams()
-    [trajs] = collect_training_data(params, [CampaignConfig(loads=(0.0, 0.2), trials=2,
-                                                            duration=2.0, seed=3)])
-    assert len(trajs) == 4
-    for traj in trajs:
-        assert np.all(traj.u >= 0.0) and np.all(traj.u <= 1.0)
-        assert traj.w.shape == (1,)
+    [(Y, U, w)] = collect_training_data(params, [CampaignConfig(loads=(0.0, 0.2), trials=2,
+                                                                duration=2.0, seed=3)])
+    assert len(Y) == len(U) == 4
+    assert np.all(U >= 0.0) and np.all(U <= 1.0)
+    assert np.array_equal(w, [0.0, 0.0, 0.2, 0.2])  # load-major
     # distinct trials explore distinct inputs
-    assert not np.array_equal(trajs[0].u, trajs[1].u)
+    assert not np.array_equal(U[0], U[1])
 
 
 def test_collect_training_data_deterministic():
@@ -347,8 +345,8 @@ def test_collect_training_data_deterministic():
     camp = CampaignConfig(loads=(0.05,), trials=1, duration=1.0, seed=9)
     [a] = collect_training_data(params, [camp])
     [b] = collect_training_data(params, [camp])
-    assert np.array_equal(a[0].y, b[0].y)
-    assert np.array_equal(a[0].u, b[0].u)
+    for x, y in zip(a, b, strict=True):
+        assert np.array_equal(x, y)
 
 
 def test_collect_training_data_without_runs_is_empty():
