@@ -20,7 +20,8 @@ from . import edmd, lifting, observer as obs
 from .edmd import KoopmanModel
 from .mpc import Controller, MpcConfig, end_effector_weight
 from .observer import EstimatorConfig, EstimatorState
-from .plant import ArmParams, CampaignConfig, Run, collect_training_data, drive, excitation
+from .plant import (ArmParams, CampaignConfig, Run, collect_training_data, drive, excitation,
+                    sample_steps)
 
 CONTROLLERS = ("L-MPC", "K-MPC", "KL-MPC")
 
@@ -255,16 +256,9 @@ class TrialResult:
     controller: str
     payload: float
     rmse: float
-    logs: list
+    logs: np.recarray             # the controller's step log
     errors: np.ndarray            # per-step end-effector tracking error
     w_hat_trace: Optional[np.ndarray] = None
-
-
-def _trial_steps(duration: float, Ts: float) -> int:
-    K = int(round(duration / Ts))
-    if K < 1:
-        raise ValueError(f"trial duration {duration} s gives no whole sample period of {Ts} s")
-    return K
 
 
 def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
@@ -274,7 +268,7 @@ def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
                        seed: int = 0, label: str = "") -> TrialResult:
     """Closed-loop run of one controller against the simulated arm."""
     params = cfg.plant
-    K = _trial_steps(duration, params.Ts)
+    K = sample_steps(duration, params.Ts)
     ctrl = Controller(model, cfg.mpc_config(), ref.table,
                       est_cfg=est_cfg, known_load=known_load)
     [(Y, _)] = drive(params, [Run(payload, np.random.default_rng(seed), K,
@@ -286,8 +280,7 @@ def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
     rmse = float(np.sqrt(np.mean(errors**2)))
     return TrialResult(controller=label, payload=payload, rmse=rmse,
                        logs=ctrl.logs, errors=errors,
-                       w_hat_trace=(None if ctrl.w_hat is None
-                                    else np.array([lg.w_hat for lg in ctrl.logs])))
+                       w_hat_trace=None if ctrl.w_hat is None else ctrl.logs.w_hat.copy())
 
 
 @dataclass
@@ -325,16 +318,17 @@ class TrackingReport:
                    for name, vals in self.rmse.items()))
 
 
-def save_step_log(path, logs) -> None:
-    """Per-step log CSV: step, t, y*, r*, u*, w_hat*, qp_iters, converged
-    (1 or 0), kkt_residual, solve_ms."""
-    if not logs:
-        raise ValueError("no log rows to save")
-    header = (["step", "t"] + [f"{name}{i+1}" for name in ("y", "r", "u", "w_hat")
-                               for i in range(getattr(logs[0], name).shape[0])]
-              + ["qp_iters", "converged", "kkt_residual", "solve_ms"])
-    write_csv(path, header, ([lg.step, lg.t, *lg.y, *lg.r, *lg.u, *lg.w_hat, lg.qp_iters,
-                              lg.converged, lg.kkt_residual, lg.solve_ms] for lg in logs))
+def write_records(path, records) -> None:
+    """Write a record array through :func:`write_csv`, one line per record:
+    a field of shape (k,) gives the columns name1..namek, a scalar field its
+    name, and every value is written as a float."""
+    if not len(records):
+        raise ValueError("no records to write")
+    header = [col for name in records.dtype.names for col in
+              ([f"{name}{i + 1}" for i in range(records.dtype[name].shape[0])]
+               if records.dtype[name].shape else [name])]
+    write_csv(path, header,
+              np.column_stack([records[name] for name in records.dtype.names]).astype(float))
 
 
 def _maybe_write(outdir, name: str, writer) -> None:
@@ -406,7 +400,7 @@ def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig,
     """Drive the plant open-loop with ramp-and-hold inputs while the load
     observer runs on its periodic schedule; the instant estimate at step k
     uses the transition k-1 -> k from the observer's own history."""
-    K, d = _trial_steps(duration, cfg.plant.Ts), model.d
+    K, d = sample_steps(duration, cfg.plant.Ts), model.d
     w_instant = np.zeros(K)
     w_hat = np.zeros(K)
     state, observe = _observing_policy(model, cfg, np.random.default_rng(seed))
@@ -449,7 +443,7 @@ def run_experiment3(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> lis
                                  seed=cfg.seed * 100 + 50 + i, label="KL-MPC")
         results.append(res)
         _maybe_write(outdir, f"experiment3_w{1000 * payload:g}g.csv",
-                     lambda path, r=res: save_step_log(path, r.logs))
+                     lambda path, r=res: write_records(path, r.logs))
     return results
 
 
@@ -472,29 +466,22 @@ def bin_targets(params: ArmParams) -> np.ndarray:
     return np.stack([xs, ys], axis=1)
 
 
-@dataclass
-class SortOutcome:
-    payload: float
-    w_estimate: float
-    chosen_bin: int
-    true_bin: int
-    placement_error: float
-    success: bool
-
-
-def run_experiment4(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> list:
+def run_experiment4(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> np.recarray:
     """Automated sorting by mass: excite the arm with ramp-and-hold wiggles
     for 15 s while the observer runs, freeze the estimate, pick the bin,
-    then track the drop-off target for 10 s with the frozen load."""
+    then track the drop-off target for 10 s with the frozen load; one
+    record per object."""
     params = cfg.plant
     rng = np.random.default_rng(cfg.seed)
     payloads = rng.uniform(0.0, 0.25, size=SORT_OBJECTS)
     targets = bin_targets(params)
     model = models.koopman_load
-    K_est = _trial_steps(SORT_ESTIMATION_DURATION, params.Ts)
-    K_drop = _trial_steps(SORT_DROPOFF_DURATION, params.Ts)
+    K_drop = sample_steps(SORT_DROPOFF_DURATION, params.Ts)
+    K_est = sample_steps(SORT_ESTIMATION_DURATION, params.Ts)
     drop_mpc = dataclasses.replace(cfg, r_weight=DROPOFF_R_WEIGHT).mpc_config()
-    outcomes = []
+    outcomes = np.recarray(SORT_OBJECTS, dtype=[
+        ("object", int), ("payload", float), ("w_estimate", float), ("chosen_bin", int),
+        ("true_bin", int), ("placement_error", float), ("success", bool)])
     for i, payload in enumerate(float(p) for p in payloads):
         seed = cfg.seed * 10000 + i
         # estimation phase: randomized excitation with the passive observer
@@ -516,14 +503,7 @@ def run_experiment4(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> lis
         w_frozen = float(state.w_hat[0])
         chosen = bin_index(w_frozen)
         err = float(np.linalg.norm(Y[-1, -2:] - targets[chosen]))
-        outcomes.append(SortOutcome(
-            payload=payload, w_estimate=w_frozen, chosen_bin=chosen,
-            true_bin=bin_index(payload), placement_error=err,
-            success=(chosen == bin_index(payload)) and err <= CUP_RADIUS,
-        ))
-    _maybe_write(outdir, "experiment4_sorting.csv", lambda path: write_csv(
-        path, ["object", "payload", "w_estimate", "chosen_bin", "true_bin",
-               "placement_error", "success"],
-        ([i, o.payload, o.w_estimate, o.chosen_bin, o.true_bin, o.placement_error,
-          o.success] for i, o in enumerate(outcomes))))
+        outcomes[i] = (i, payload, w_frozen, chosen, bin_index(payload), err,
+                       (chosen == bin_index(payload)) and err <= CUP_RADIUS)
+    _maybe_write(outdir, "experiment4_sorting.csv", lambda path: write_records(path, outcomes))
     return outcomes

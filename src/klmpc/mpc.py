@@ -203,20 +203,6 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 100,
     return QpResult(x=x, converged=res <= tol, iterations=it, kkt_residual=res)
 
 
-@dataclass
-class StepLog:
-    step: int
-    t: float
-    y: np.ndarray
-    r: np.ndarray
-    u: np.ndarray
-    w_hat: np.ndarray
-    qp_iters: int
-    converged: bool
-    kkt_residual: float
-    solve_ms: float
-
-
 class Controller:
     """Closed-loop tracking controller: delay-embeds the measurements, runs
     the load-estimation schedule (when the model is load-augmented and no
@@ -225,6 +211,11 @@ class Controller:
 
     ``reference`` holds one output row per step, held at its last row past
     the end (see ``harness.Reference.table``); step k tracks rows k+1..k+Nh.
+    ``known_load``, when given, must have the model's p entries, all finite.
+
+    ``logs`` is the step log, a record array with one row per step taken.
+    It is the tail of one buffer whose first d rows are the start-up window
+    (step 0's output, neutral inputs): step k embeds buffer rows k..k+d.
 
     A measurement with a non-finite entry is rejected before any state
     changes: the last applied input (neutral before the first step) is held
@@ -245,6 +236,9 @@ class Controller:
         self.last_row = reference.shape[0] - 1
         self.condenser = Condenser(model, mpc_cfg)
         self.known_load = None if known_load is None else np.atleast_1d(np.asarray(known_load, dtype=float))
+        if self.known_load is not None and not (self.known_load.shape == (model.p,)
+                                                and np.all(np.isfinite(self.known_load))):
+            raise ValueError(f"known_load must be {model.p} finite entries, got {self.known_load}")
         if model.p > 0 and self.known_load is None:
             cfg = est_cfg if est_cfg is not None else EstimatorConfig()
             self.estimator = EstimatorState(cfg=cfg, d=model.d)
@@ -252,14 +246,20 @@ class Controller:
             self.estimator = None
         self.u_neutral = 0.5 * (np.asarray(mpc_cfg.u_min, dtype=float)
                                 + np.asarray(mpc_cfg.u_max, dtype=float))
-        # the embedding's window at step k: y[k-d..k] and u[k-d..k-1], oldest
-        # first; step 0's output fills its window, the inputs start neutral
-        self.window_y = np.empty((model.d + 1, model.n))
-        self.window_u = np.tile(self.u_neutral, (model.d, 1))
+        n, m, d = model.n, model.m, model.d
+        self._log = np.recarray(d + len(self.reference), dtype=[
+            ("step", int), ("t", float), ("y", float, (n,)), ("r", float, (n,)),
+            ("u", float, (m,)), ("w_hat", float, (model.p,)), ("qp_iters", int),
+            ("converged", bool), ("kkt_residual", float), ("solve_ms", float)])
+        self._log.u[:d] = self.u_neutral
+        self._steps = 0
         # the last plan shifted by one block, repeating its final block
         self.warm_start: Optional[np.ndarray] = None
         self.rejected = 0
-        self.logs: list = []
+
+    @property
+    def logs(self) -> np.recarray:
+        return self._log[self.model.d:self.model.d + self._steps]
 
     @property
     def w_hat(self) -> Optional[np.ndarray]:
@@ -272,15 +272,21 @@ class Controller:
         feed this step's (y, u) to the estimator, and return the first input
         block (always within bounds)."""
         y = np.atleast_1d(np.asarray(y_measured, dtype=float))
-        k = len(self.logs)
+        if y.shape != (self.model.n,):
+            raise ValueError(f"measurement must have shape ({self.model.n},), got {y.shape}")
+        k, d = self._steps, self.model.d
         if not np.all(np.isfinite(y)):
             self.rejected += 1
             logger.warning("controller step %d: non-finite measurement %s rejected, "
                            "holding the last input", k, y)
-            return (self.logs[-1].u if self.logs else self.u_neutral).copy()
-        self.window_y = np.vstack([self.window_y[1:], y]) if k else np.tile(y, (len(self.window_y), 1))
-        yd = delay_embed(self.window_y, self.window_u, self.model.d)[0]
-        z0 = self.model.lift(yd, self.w_hat)
+            return (self._log.u[d + k - 1] if k else self.u_neutral).copy()
+        if d + k == len(self._log):  # full: double the buffer
+            self._log = np.concatenate([self._log, np.empty_like(self._log)]).view(np.recarray)
+        # step 0's output also fills the start-up window
+        self._log.y[d + k if k else 0:d + k + 1] = y
+        yd = delay_embed(self._log.y[k:k + d + 1], self._log.u[k:k + d], d)[0]
+        w_hat = self.w_hat
+        z0 = self.model.lift(yd, w_hat)
         j = min(k, self.last_row)
         t0 = time.perf_counter()
         qp = self.condenser.qp(z0, self.reference[j + 1:j + 1 + self.cfg.Nh])
@@ -290,16 +296,10 @@ class Controller:
         m = self.model.m
         self.warm_start = np.concatenate([result.x[m:], result.x[-m:]])
         u = np.clip(result.x[:m], self.cfg.u_min, self.cfg.u_max)
-        # a slice, so that d = 0 (an empty input window) needs no case
-        self.window_u[:-1] = self.window_u[1:]
-        self.window_u[-1:] = u
-        self.logs.append(StepLog(
-            step=k, t=k * self.model.Ts, y=y.copy(), r=self.reference[j].copy(),
-            u=u.copy(), w_hat=(self.w_hat.copy() if self.w_hat is not None else np.zeros(0)),
-            qp_iters=result.iterations, converged=result.converged,
-            kkt_residual=result.kkt_residual,
-            solve_ms=solve_ms,
-        ))
+        self._log[d + k] = (k, k * self.model.Ts, y, self.reference[j], u,
+                            () if w_hat is None else w_hat, result.iterations,
+                            result.converged, result.kkt_residual, solve_ms)
+        self._steps = k + 1
         # the estimator takes this step's record once it is complete, so the
         # next step lifts with an estimate that has seen it
         if self.estimator is not None:

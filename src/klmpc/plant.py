@@ -294,6 +294,14 @@ def drive(params: ArmParams, runs) -> list:
     return [(Y[j, :steps[j] + 1], U[j, :steps[j]]) for j in np.argsort(order)]
 
 
+def sample_steps(duration: float, Ts: float) -> int:
+    """Sample periods of Ts in ``duration`` seconds, rounded; a duration
+    under one period raises ValueError."""
+    if not duration >= Ts:
+        raise ValueError(f"duration {duration} s is under one sample period ({Ts} s)")
+    return int(round(duration / Ts))
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Ramp-and-hold data campaign: ``trials`` runs per load in ``loads``
@@ -332,10 +340,10 @@ def collect_training_data(params: ArmParams, campaigns) -> list:
     """
     runs, ends = [], []
     for c, camp in enumerate(campaigns):
-        if not camp.duration >= params.Ts:
-            raise ValueError(f"campaign {c}: duration {camp.duration} s is under one "
-                             f"sample period ({params.Ts} s)")
-        steps = int(round(camp.duration / params.Ts))
+        try:
+            steps = sample_steps(camp.duration, params.Ts)
+        except ValueError as exc:
+            raise ValueError(f"campaign {c}: {exc}") from None
         rngs = [np.random.default_rng(s) for s in
                 np.random.SeedSequence(camp.seed).spawn(len(camp.loads) * camp.trials)]
         runs += [Run(float(w), rng, steps, excitation(rng, params.Ts))

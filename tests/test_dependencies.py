@@ -69,6 +69,17 @@ def test_simulator_and_numerics_sit_below_identification(name):
     assert klmpc_modules(PACKAGE / name) <= {"numkit"}
 
 
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "cli.py"),
+                         ids=lambda p: p.name)
+def test_library_modules_never_print(path):
+    # only the command line writes to stdout; the library reports through
+    # logging, return values and the files its runners are asked to write
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "print"]
+    assert calls == []
+
+
 def test_declared_dependencies_are_numpy_alone():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:

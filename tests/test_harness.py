@@ -347,17 +347,18 @@ def test_estimation_trial_matches_one_run_oracle(default_cfg, models):
     assert np.array_equal(trace.w_instant, w_instant)
 
 
-@pytest.mark.parametrize("duration", [0.0, 0.02])
+@pytest.mark.parametrize("duration", [0.0, 0.02, 0.03])
 def test_tracking_trial_refuses_a_duration_without_a_sample_period(
         default_cfg, models, duration):
-    # under half a period rounds to no step: no NaN RMSE from an empty trial
+    # under one period is refused, as a campaign is: no NaN RMSE from an
+    # empty trial, and no one-step trial from a duration that rounds up
     ref = circle_reference(default_cfg.plant, duration=30.0)
     with pytest.raises(ValueError, match=f"duration {duration} s"):
         run_tracking_trial(models.koopman_load, default_cfg, 0.1, ref, duration,
                            known_load=0.1)
 
 
-@pytest.mark.parametrize("duration", [0.0, 0.02])
+@pytest.mark.parametrize("duration", [0.0, 0.02, 0.03])
 def test_estimation_trial_refuses_a_duration_without_a_sample_period(
         default_cfg, models, duration):
     # an empty trace would have no final estimate
@@ -375,6 +376,21 @@ def test_run_experiment4_refuses_a_phase_without_a_sample_period(default_cfg, mo
     with pytest.raises(ValueError, match=f"duration {harness.SORT_DROPOFF_DURATION} s"):
         run_experiment4(cfg, models)
     assert steps == []
+
+
+def test_run_experiment4_writes_its_records(default_cfg, models, tmp_path, monkeypatch):
+    # short phases keep this quick; the CSV has one column per record field
+    # and one line per object, with the bool success written as 1 or 0
+    monkeypatch.setattr(harness, "SORT_OBJECTS", 2)
+    monkeypatch.setattr(harness, "SORT_ESTIMATION_DURATION", 2.0)
+    monkeypatch.setattr(harness, "SORT_DROPOFF_DURATION", 1.0)
+    outcomes = run_experiment4(default_cfg, models, outdir=tmp_path)
+    header, *rows = (tmp_path / "experiment4_sorting.csv").read_text().strip().splitlines()
+    assert header == "object,payload,w_estimate,chosen_bin,true_bin,placement_error,success"
+    assert np.array_equal(outcomes.object, [0, 1])
+    table = np.array([[float(c) for c in row.split(",")] for row in rows])
+    assert np.array_equal(table, [list(o) for o in outcomes])
+    assert all(row.split(",")[-1] in ("0", "1") for row in rows)
 
 
 # ---------------------------------------------------------------------------

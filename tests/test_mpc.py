@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from klmpc import mpc
 from klmpc.edmd import KoopmanModel
-from klmpc.lifting import identity_basis
+from klmpc.lifting import delay_embed, embedded_dim, identity_basis
 from klmpc.mpc import (
     Condenser,
     Controller,
@@ -21,7 +21,7 @@ from klmpc.mpc import (
     kkt_residual,
     solve_box_qp,
 )
-from klmpc.harness import save_step_log
+from klmpc.harness import write_records
 from klmpc.observer import EstimatorConfig
 
 from oracles import (
@@ -326,6 +326,62 @@ def test_controller_known_load_bypasses_estimator():
     assert cfg.u_min[0] <= u[0] <= cfg.u_max[0]
 
 
+def test_controller_refuses_a_bad_known_load():
+    # the load must have the model's p entries, all finite, when the
+    # controller is built; a p = 0 model takes no load
+    cfg = scalar_cfg(Nh=4, r=0.01)
+    for model, load in ((fit_bilinear_model(), [0.1, 0.2]),
+                        (fit_bilinear_model(), np.nan),
+                        (fit_bilinear_model(), [np.inf]),
+                        (scalar_model(), 0.2)):
+        with pytest.raises(ValueError, match="known_load must be"):
+            Controller(model, cfg, np.zeros((1, 1)), known_load=load)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_controller_embeds_its_start_up_window_and_logged_steps(d, monkeypatch):
+    # the embedded output at each step is the delay embedding of a window
+    # built here: step 0's output d times, d neutral inputs, then the
+    # accepted outputs and the inputs returned; 30 steps outgrow the log's
+    # first buffer, and a non-finite measurement leaves no row
+    rng = np.random.default_rng(d)
+    n, m = 2, 1
+    n_z = embedded_dim(n, m, d)
+    A = rng.normal(size=(n_z, n_z))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    model = KoopmanModel(A=A, B=rng.normal(size=(n_z, m)),
+                         basis=identity_basis(n, m, d), Ts=TS)
+    cfg = MpcConfig(Nh=3, Q=np.eye(n), R=0.1 * np.eye(m),
+                    u_min=-np.ones(m), u_max=2.0 * np.ones(m))
+    lifted, lift = [], KoopmanModel.lift
+
+    def recording_lift(self, yd, w=None):
+        lifted.append(yd.copy())
+        return lift(self, yd, w)
+
+    monkeypatch.setattr(KoopmanModel, "lift", recording_lift)
+    ctrl = Controller(model, cfg, rng.normal(size=(2, n)))
+    ys, us = [], []
+    for k in range(31):
+        y = np.full(n, np.nan) if k == 15 else rng.normal(size=n)
+        u = ctrl.step(y)
+        if k != 15:
+            ys.append(y)
+            us.append(u)
+    assert ctrl.rejected == 1 and len(ctrl.logs) == len(lifted) == 30
+    window_y = np.vstack([np.tile(ys[0], (d, 1)), ys])
+    window_u = np.vstack([np.tile(ctrl.u_neutral, (d, 1)), us])
+    for k, yd in enumerate(lifted):
+        assert np.array_equal(yd, delay_embed(window_y[k:k + d + 1], window_u[k:k + d], d)[0])
+    assert np.array_equal(ctrl.logs.step, np.arange(30))
+    assert np.array_equal(ctrl.logs.y, ys) and np.array_equal(ctrl.logs.u, us)
+    # a measurement of the wrong shape is refused, not broadcast into the log
+    for bad in (np.zeros(1), np.zeros(n + 1)):
+        with pytest.raises(ValueError, match="measurement must have shape"):
+            ctrl.step(bad)
+    assert len(ctrl.logs) == 30
+
+
 def test_controller_closed_loop_estimation_schedule():
     # full loop on the exact bilinear plant: inputs stay in bounds, one
     # window estimate per Ne steps once the buffer fills, and the estimate
@@ -385,7 +441,7 @@ def test_controller_holds_input_on_non_finite_measurement(caplog):
 
     first = make()
     assert np.array_equal(first.step(np.array([np.inf])), first.u_neutral)
-    assert first.rejected == 1 and not first.logs
+    assert first.rejected == 1 and len(first.logs) == 0
 
     ctrl, twin = make(), make()
     x = 0.0
@@ -447,10 +503,10 @@ def test_step_log_records_a_capped_solve_as_unconverged(tmp_path):
     ctrl = Controller(model, cfg, np.full((1, 1), 0.2))
     ctrl.step(np.array([0.0]))
     [log] = ctrl.logs
-    assert log.converged is False
+    assert not log.converged
     assert log.kkt_residual > cfg.qp_tol and log.qp_iters == 0
     path = tmp_path / "log.csv"
-    save_step_log(path, ctrl.logs)
+    write_records(path, ctrl.logs)
     header, row = path.read_text().strip().splitlines()
     assert row.split(",")[header.split(",").index("converged")] == "0"
 
@@ -464,7 +520,7 @@ def test_step_log_csv(tmp_path):
         u = ctrl.step(y)
         y = model.A @ y + model.B @ u
     path = tmp_path / "log.csv"
-    save_step_log(path, ctrl.logs)
+    write_records(path, ctrl.logs)
     lines = path.read_text().strip().splitlines()
     # p = 0: no w_hat columns
     assert lines[0] == "step,t,y1,r1,u1,qp_iters,converged,kkt_residual,solve_ms"
@@ -472,4 +528,23 @@ def test_step_log_csv(tmp_path):
     assert all(lg.converged for lg in ctrl.logs)
     assert [line.split(",")[6] for line in lines[1:]] == ["1"] * 5
     with pytest.raises(ValueError):
-        save_step_log(tmp_path / "empty.csv", [])
+        write_records(tmp_path / "empty.csv", [])
+    # a synthetic record: a (0,) field gives no column, a (2,) field two, and
+    # an int and a bool are written as floats; every cell reads back exactly
+    rng = np.random.default_rng(4)
+    records = np.recarray(3, dtype=[("none", float, (0,)), ("pair", float, (2,)),
+                                    ("count", int), ("flag", bool), ("x", float)])
+    records.pair = rng.normal(size=(3, 2)) * 10.0 ** rng.integers(-300, 300, size=(3, 2))
+    records.count = [0, -7, 2**52 + 1]
+    records.flag = [True, False, True]
+    records.x = [np.pi, -0.0, 5e-324]
+    path = tmp_path / "records.csv"
+    write_records(path, records)
+    header, *rows = path.read_text().strip().splitlines()
+    assert header == "pair1,pair2,count,flag,x"
+    assert rows[1].split(",")[2:4] == ["-7", "0"]
+    table = np.array([[float(c) for c in row.split(",")] for row in rows])
+    assert np.array_equal(table[:, :2], records.pair)
+    assert np.array_equal(table[:, 2], records.count)
+    assert np.array_equal(table[:, 3], records.flag)
+    assert np.array_equal(table[:, 4], records.x) and np.signbit(table[1, 4])
