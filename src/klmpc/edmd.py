@@ -1,6 +1,6 @@
 """EDMD fitting: snapshot assembly, least-squares Koopman matrix, and
 extraction of the (A, B) linear realization, with optional load
-augmentation; and the JSON model document.
+augmentation; and the JSON models document, written and read strictly.
 
 A campaign is three arrays, as :func:`klmpc.plant.collect_training_data`
 records it: outputs ``Y`` (R, K+1, n), commands ``U`` (R, K, m) and loads
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import textwrap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -164,7 +166,7 @@ def one_step_rmse(model: KoopmanModel, campaign) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Persistence
+# The models document
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: KoopmanModel) -> dict:
@@ -174,28 +176,85 @@ def model_to_dict(model: KoopmanModel) -> dict:
         "Ts": model.Ts,
         "p": model.p,
         "bottom_block_residual": model.bottom_block_residual,
-        "basis": lifting.basis_to_dict(model.basis),
+        "basis": {
+            "n": model.basis.n,
+            "m": model.basis.m,
+            "d": model.basis.d,
+            "include_constant": model.basis.include_constant,
+            "projection": {
+                "mean": model.basis.projection.mean.tolist(),
+                "components": model.basis.projection.components.tolist(),
+                "energy_kept": model.basis.projection.energy_kept,
+                "explained": model.basis.projection.explained.tolist(),
+            },
+        },
     }
 
 
-def model_from_dict(doc: dict) -> KoopmanModel:
-    """Inverse of :func:`model_to_dict`; a missing key raises ValueError
-    naming it.  An older file's ``C`` must be [I_n | 0]."""
+def _is_array(v) -> bool:
     try:
-        model = KoopmanModel(
-            A=np.asarray(doc["A"], dtype=float),
-            B=np.asarray(doc["B"], dtype=float),
-            basis=lifting.basis_from_dict(doc["basis"]),
-            Ts=float(doc["Ts"]),
-            p=int(doc["p"]),
-            bottom_block_residual=float(doc["bottom_block_residual"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"model document is missing key {exc.args[0]!r}") from None
-    if "C" in doc and not np.array_equal(np.asarray(doc["C"], dtype=float),
-                                         np.eye(model.n, model.n_z)):
-        raise ValueError("model document: 'C' must be [I_n | 0]")
-    return model
+        arr = np.array(v)
+    except ValueError:               # rows of different lengths
+        return False
+    return isinstance(v, list) and arr.dtype.kind in "iuf" and bool(np.all(np.isfinite(arr)))
+
+
+# JSON value checks and their descriptions, keyed by the type of the value a
+# document's form holds; json parses NaN and Infinity, which no value accepts
+VALUE_KINDS = {
+    bool: (lambda v: type(v) is bool, "true or false"),
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+    tuple: (lambda v: _is_array(v) and np.ndim(v) == 1, "a list of finite numbers"),
+    list: (_is_array, "an array of finite numbers"),
+}
+
+
+def check_document(doc, form: dict, where: str, complete: bool = True) -> None:
+    """Refuse the JSON object ``doc`` unless its keys are those of ``form``
+    (all of them when ``complete``) at every level, each with a value of the
+    kind that ``form`` holds there.  The ValueError names the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(form))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    for key, proto in form.items():
+        if key not in doc:
+            if complete:
+                raise ValueError(f"{where} is missing key {key!r}")
+        elif isinstance(proto, dict):
+            check_document(doc[key], proto, f"{where} {key!r}", complete)
+        elif not VALUE_KINDS[type(proto)][0](doc[key]):
+            raise ValueError(f"{where}: {key!r} must be {VALUE_KINDS[type(proto)][1]}, "
+                             f"got {textwrap.shorten(json.dumps(doc[key], default=repr), 60)}")
+
+
+# the form of every entry, as model_to_dict writes it for any model
+_FORM = model_to_dict(KoopmanModel(A=np.zeros((1, 1)), B=np.zeros((1, 1)),
+                                   basis=identity_basis(1, 1, 0), Ts=1.0))
+
+
+def model_from_dict(doc) -> KoopmanModel:
+    """Inverse of :func:`model_to_dict`, taking exactly the form it writes.
+    A missing or unknown key, a value of the wrong kind (a non-finite matrix
+    entry too) or a matrix shape off the basis and ``p`` is a ValueError."""
+    check_document(doc, _FORM, "model document")
+    b, proj, p = doc["basis"], doc["basis"]["projection"], doc["p"]
+    mean, components = (np.asarray(proj[key], dtype=float) for key in ("mean", "components"))
+    projection = numkit.PcaProjection(
+        mean=mean, components=components.reshape(len(components), mean.size),
+        energy_kept=float(proj["energy_kept"]),
+        explained=np.asarray(proj["explained"], dtype=float))
+    basis = Basis(n=b["n"], m=b["m"], d=b["d"], projection=projection,
+                  include_constant=b["include_constant"])
+    A, B = np.asarray(doc["A"], dtype=float), np.asarray(doc["B"], dtype=float)
+    n_z = basis.n_lifted * (p + 1)
+    if A.shape != (n_z, n_z) or B.shape != (n_z, basis.m):
+        raise ValueError(f"model document: 'A' {A.shape} and 'B' {B.shape} must be {(n_z, n_z)} "
+                         f"and {(n_z, basis.m)} for its basis and p = {p}")
+    return KoopmanModel(A=A, B=B, basis=basis, Ts=float(doc["Ts"]), p=p,
+                        bottom_block_residual=float(doc["bottom_block_residual"]))
 
 
 def save_models(models: dict, path) -> None:

@@ -94,49 +94,21 @@ class ExperimentConfig:
 
 
 def config_from_json(path) -> ExperimentConfig:
-    """Load an experiment configuration from a JSON document; missing fields
-    take the defaults of ``ExperimentConfig()``."""
+    """Load an experiment configuration from a JSON document, checked against
+    the form of ``ExperimentConfig()``; missing fields take its defaults."""
     with open(path) as fh:
         doc = json.load(fh)
-    kwargs = _known_fields(ExperimentConfig, doc, "config")
-    for key, cls in (("plant", ArmParams), ("campaign", CampaignConfig),
-                     ("fit", FitConfig), ("estimator", EstimatorConfig)):
-        if key in kwargs:
-            sub = _known_fields(cls, kwargs[key], f"config {key!r}")
-            kwargs[key] = cls(**{k: tuple(v) if isinstance(v, list) else v
-                                 for k, v in sub.items()})
-    return ExperimentConfig(**kwargs)
+    edmd.check_document(doc, dataclasses.asdict(ExperimentConfig()), "config", complete=False)
+    return _replace(ExperimentConfig(), doc)
 
 
-def _is_real(v) -> bool:
-    # json parses NaN and Infinity, which no config field accepts
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-# JSON value check and its description, keyed by the field annotation as
-# written (the config modules postpone annotation evaluation); sub-config
-# fields are checked by their own class
-_VALUE_TYPES = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (_is_real, "a finite number"),
-    "tuple": (lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of finite numbers"),
-}
-
-
-def _known_fields(cls, doc, where: str) -> dict:
-    """``doc`` as keyword arguments for dataclass ``cls``; an unknown key or
-    a value of the wrong type raises ValueError naming the key."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - set(annotations))
-    if unknown:
-        raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-    for key, value in doc.items():
-        check, expected = _VALUE_TYPES.get(annotations[key], (None, None))
-        if check is not None and not check(value):
-            raise ValueError(f"{where}: {key!r} must be {expected}, got {json.dumps(value)}")
-    return dict(doc)
+def _replace(config, doc: dict):
+    """``config`` with the fields that the checked object ``doc`` names; a
+    sub-config's object replaces its own fields."""
+    return dataclasses.replace(config, **{
+        key: _replace(getattr(config, key), value) if isinstance(value, dict)
+        else tuple(value) if isinstance(value, list) else value
+        for key, value in doc.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -191,41 +191,3 @@ def gamma_matrix(basis: Basis, yd, p: int) -> np.ndarray:
         out[c * N:(c + 1) * N, c] = g
     return out
 
-
-def basis_to_dict(basis: Basis) -> dict:
-    return {
-        "n": basis.n,
-        "m": basis.m,
-        "d": basis.d,
-        "include_constant": basis.include_constant,
-        "projection": {
-            "mean": basis.projection.mean.tolist(),
-            "components": basis.projection.components.tolist(),
-            "energy_kept": basis.projection.energy_kept,
-            "explained": basis.projection.explained.tolist(),
-        },
-    }
-
-
-def basis_from_dict(doc: dict) -> Basis:
-    """Inverse of :func:`basis_to_dict`.  An older file's ``quad_pairs``
-    must be the pairs this basis forms (none without a monomial block)."""
-    proj = doc["projection"]
-    mean = np.asarray(proj["mean"], dtype=float)
-    projection = PcaProjection(
-        mean=mean,
-        components=np.asarray(proj["components"], dtype=float).reshape(
-            len(proj["components"]), mean.shape[0]),
-        energy_kept=float(proj["energy_kept"]),
-        explained=np.asarray(proj["explained"], dtype=float),
-    )
-    basis = Basis(
-        n=int(doc["n"]), m=int(doc["m"]), d=int(doc["d"]),
-        projection=projection,
-        include_constant=bool(doc["include_constant"]),
-    )
-    pairs = np.transpose(np.triu_indices(basis.identity_count)).tolist() if mean.size else []
-    if [list(pq) for pq in doc.get("quad_pairs", pairs)] != pairs:
-        raise ValueError("basis document: 'quad_pairs' must list the pairs "
-                         "i <= j of the embedded output in order")
-    return basis

@@ -211,7 +211,7 @@ class Controller:
 
     ``reference`` holds one output row per step, held at its last row past
     the end (see ``harness.Reference.table``); step k tracks rows k+1..k+Nh.
-    ``known_load``, when given, must have the model's p entries, all finite.
+    ``known_load`` must have p finite entries; without it, p > 0 needs ``est_cfg``.
 
     ``logs`` is the step log, a record array with one row per step taken.
     It is the tail of one buffer whose first d rows are the start-up window
@@ -239,11 +239,10 @@ class Controller:
         if self.known_load is not None and not (self.known_load.shape == (model.p,)
                                                 and np.all(np.isfinite(self.known_load))):
             raise ValueError(f"known_load must be {model.p} finite entries, got {self.known_load}")
-        if model.p > 0 and self.known_load is None:
-            cfg = est_cfg if est_cfg is not None else EstimatorConfig()
-            self.estimator = EstimatorState(cfg=cfg, d=model.d)
-        else:
-            self.estimator = None
+        observed = model.p > 0 and self.known_load is None
+        if observed and est_cfg is None:
+            raise ValueError("a load-augmented model needs known_load or est_cfg")
+        self.estimator = EstimatorState(cfg=est_cfg, d=model.d) if observed else None
         self.u_neutral = 0.5 * (np.asarray(mpc_cfg.u_min, dtype=float)
                                 + np.asarray(mpc_cfg.u_max, dtype=float))
         n, m, d = model.n, model.m, model.d

@@ -80,6 +80,13 @@ def test_library_modules_never_print(path):
     assert calls == []
 
 
+def test_only_the_document_owners_import_json():
+    # edmd reads and writes the models document and harness reads the
+    # experiment config; every other module leaves JSON to them
+    owners = sorted(path.name for path in PACKAGE.glob("*.py") if "json" in imported_modules(path))
+    assert owners == ["edmd.py", "harness.py"]
+
+
 def test_declared_dependencies_are_numpy_alone():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:

@@ -15,7 +15,7 @@ from klmpc.edmd import (
     fit_linear_baseline,
     one_step_rmse,
 )
-from klmpc.lifting import identity_basis, lift_g
+from klmpc.lifting import embedded_dim, fit_basis, identity_basis, lift_g
 
 from oracles import (
     bilinear_basis,
@@ -297,17 +297,104 @@ def test_model_document_stores_only_the_fit():
     assert "C" not in doc and "quad_pairs" not in doc["basis"]
 
 
-def test_model_legacy_output_matrix_loads():
-    # files written before C was derived store it: [I_n | 0] loads into the
-    # same model, any other matrix is refused by name
-    model = fit_bilinear_model()
-    doc = dict(edmd.model_to_dict(model), C=output_matrix(model).tolist())
-    doc["basis"]["quad_pairs"] = []
-    loaded = edmd.model_from_dict(doc)
-    assert np.array_equal(loaded.A, model.A) and np.array_equal(loaded.B, model.B)
-    yd = np.array([0.7])
-    assert np.array_equal(loaded.lift(yd, 0.1), model.lift(yd, 0.1))
-    wrong = output_matrix(model)
-    for bad in (2.0 * wrong, wrong[:, :-1], np.roll(wrong, 1, axis=1)):
-        with pytest.raises(ValueError, match="'C'"):
-            edmd.model_from_dict(dict(doc, C=bad.tolist()))
+def basis_round_trip(basis, path):
+    """``basis`` written to ``path`` in a model entry, and read back."""
+    N = basis.n_lifted
+    model = KoopmanModel(A=np.eye(N), B=np.zeros((N, basis.m)), basis=basis, Ts=TS)
+    path.write_text(json.dumps(edmd.model_to_dict(model)))
+    return edmd.model_from_dict(json.loads(path.read_text())).basis
+
+
+def test_basis_json_round_trip(tmp_path):
+    rng = np.random.default_rng(7)
+    ne = embedded_dim(2, 1, 1)
+    basis = fit_basis(rng.normal(size=(200, ne)), 0.99, n=2, m=1, d=1)
+    loaded = basis_round_trip(basis, tmp_path / "basis.json")
+    assert loaded.n == basis.n and loaded.m == basis.m and loaded.d == basis.d
+    assert "quad_pairs" not in json.loads((tmp_path / "basis.json").read_text())["basis"]
+    assert np.array_equal(loaded.projection.components,
+                          basis.projection.components)
+    assert np.array_equal(loaded.projection.mean, basis.projection.mean)
+    yd = rng.normal(size=basis.identity_count)
+    assert np.array_equal(lift_g(loaded, yd), lift_g(basis, yd))
+
+
+def test_basis_json_round_trip_identity(tmp_path):
+    basis = identity_basis(4, 2, 1)
+    loaded = basis_round_trip(basis, tmp_path / "identity.json")
+    assert loaded.n_lifted == basis.n_lifted
+    assert not loaded.include_constant
+    yd = np.arange(float(basis.identity_count))
+    assert np.array_equal(lift_g(loaded, yd), yd)
+
+
+def test_basis_json_round_trip_without_components(tmp_path):
+    # a zero-variance fit keeps its monomial mean and no component: the
+    # empty component list reads back as (0, P)
+    ne = embedded_dim(2, 1, 0)
+    basis = fit_basis(np.ones((60, ne)), 0.99, n=2, m=1, d=0)
+    loaded = basis_round_trip(basis, tmp_path / "flat.json")
+    assert loaded.projection.components.shape == basis.projection.components.shape == (0, 3)
+    assert np.array_equal(loaded.projection.mean, basis.projection.mean)
+    yd = np.arange(float(ne))
+    assert np.array_equal(lift_g(loaded, yd), lift_g(basis, yd))
+
+
+def test_fitted_models_read_back_as_written(models):
+    # each entry that `klmpc fit` writes reads back into the same arrays and
+    # writes the same JSON again
+    for model in (models.baseline, models.koopman, models.koopman_load):
+        entry = json.loads(json.dumps(edmd.model_to_dict(model)))
+        loaded = edmd.model_from_dict(entry)
+        assert json.dumps(edmd.model_to_dict(loaded)) == json.dumps(entry)
+        assert np.array_equal(loaded.A, model.A) and np.array_equal(loaded.B, model.B)
+        for name in ("mean", "components", "explained"):
+            assert np.array_equal(getattr(loaded.basis.projection, name),
+                                  getattr(model.basis.projection, name))
+        basis_fields = ("n", "m", "d", "include_constant", "n_lifted")
+        assert ([getattr(loaded.basis, name) for name in basis_fields]
+                == [getattr(model.basis, name) for name in basis_fields])
+
+
+def scalar_entry() -> dict:
+    """The JSON entry of a p = 0 model whose identity basis lifts to one
+    coordinate."""
+    model = KoopmanModel(A=np.array([[0.5]]), B=np.array([[0.1]]),
+                         basis=identity_basis(1, 1, 0), Ts=TS)
+    return json.loads(json.dumps(edmd.model_to_dict(model)))
+
+
+def set_at(doc, path, value):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("mutate, named", [
+    (lambda e: [e], "expected a JSON object"),
+    (lambda e: set_at(e, ("Ts",), [1]), "'Ts'"),
+    (lambda e: set_at(e, ("p",), None), "'p'"),
+    (lambda e: set_at(e, ("A",), np.eye(3).tolist()), r"'A' \(3, 3\)"),
+    (lambda e: set_at(e, ("B",), [[0.1], [0.2]]), r"'B' \(2, 1\)"),
+    (lambda e: set_at(e, ("A",), [[float("nan")]]), "'A'"),
+    (lambda e: set_at(e, ("bogus",), 1), "'bogus'"),
+    (lambda e: set_at(e, ("p",), 2), r"\(3, 3\)"),
+    (lambda e: set_at(e, ("C",), [[1.0]]), "'C'"),
+    (lambda e: set_at(e, ("basis", "quad_pairs"), []), "'quad_pairs'"),
+    (lambda e: set_at(e, ("basis", "bogus"), 1), "'bogus'"),
+    (lambda e: set_at(e, ("basis", "projection", "bogus"), 1), "'bogus'"),
+    (lambda e: set_at(e, ("basis",), 3), "'basis'"),
+    (lambda e: set_at(e, ("basis", "include_constant"), 1), "'include_constant'"),
+    (lambda e: set_at(e, ("basis", "n"), 1.5), "'n'"),
+    (lambda e: set_at(e, ("A",), [[0.5], [0.5, 0.5]]), "'A'"),
+    (lambda e: set_at(e, ("B",), [["0.1"]]), "'B'"),
+    (lambda e: set_at(e, ("basis", "projection", "mean"), [True]), "'mean'"),
+])
+def test_model_document_refuses_a_malformed_entry(mutate, named):
+    # one ValueError naming the key or the shapes, never a TypeError
+    entry = json.loads(json.dumps(mutate(scalar_entry())))
+    with pytest.raises(ValueError, match=named):
+        edmd.model_from_dict(entry)
+

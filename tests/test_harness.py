@@ -687,6 +687,22 @@ def test_config_checks_every_field_type(tmp_path):
                 config_from_json(path)
 
 
+def test_config_reader_checks_every_leaf_field():
+    # every field of the config tree is a sub-config with a dataclass
+    # default, or has a default whose type the reader checks
+    def leaves(cls, where):
+        for f in dataclasses.fields(cls):
+            if dataclasses.is_dataclass(f.default_factory):
+                yield from leaves(f.default_factory, f"{where}.{f.name}")
+            else:
+                yield f"{where}.{f.name}", f.default
+
+    found = dict(leaves(ExperimentConfig, "config"))
+    assert {"config.Nh", "config.plant.Ts", "config.campaign.loads"} <= set(found)
+    assert {name: type(default).__name__ for name, default in found.items()
+            if type(default) not in edmd.VALUE_KINDS} == {}
+
+
 def test_fit_models_collects_both_campaigns_in_one_call(monkeypatch):
     cfg = ExperimentConfig(campaign=CampaignConfig(loads=(0.0, 0.3), trials=1, duration=10.0),
                            fit=FitConfig(holdout_duration=5.0))

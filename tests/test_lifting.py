@@ -3,7 +3,6 @@ checked against hand-built vectors, the block-diagonal matrix identity, the
 per-block concatenation form, and bounds on their traced memory.
 """
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -215,32 +214,6 @@ def test_fit_basis_zero_variance_quadratics():
     assert basis.n_lifted == ne + 1
 
 
-def test_basis_json_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    basis, _ = make_basis(rng)
-    path = tmp_path / "basis.json"
-    path.write_text(json.dumps(lifting.basis_to_dict(basis)))
-    loaded = lifting.basis_from_dict(json.loads(path.read_text()))
-    assert loaded.n == basis.n and loaded.m == basis.m and loaded.d == basis.d
-    assert "quad_pairs" not in lifting.basis_to_dict(basis)
-    assert np.array_equal(loaded.projection.components,
-                          basis.projection.components)
-    assert np.array_equal(loaded.projection.mean, basis.projection.mean)
-    yd = rng.normal(size=basis.identity_count)
-    assert np.array_equal(lift_g(loaded, yd), lift_g(basis, yd))
-
-
-def test_basis_json_round_trip_identity(tmp_path):
-    basis = identity_basis(4, 2, 1)
-    path = tmp_path / "identity.json"
-    path.write_text(json.dumps(lifting.basis_to_dict(basis)))
-    loaded = lifting.basis_from_dict(json.loads(path.read_text()))
-    assert loaded.n_lifted == basis.n_lifted
-    assert not loaded.include_constant
-    yd = np.arange(float(basis.identity_count))
-    assert np.array_equal(lift_g(loaded, yd), yd)
-
-
 def test_eval_quadratics_matches_per_pair_products():
     # one call per embedded coordinate gives every pair's product, bit for
     # bit, in row-major pair order
@@ -249,27 +222,6 @@ def test_eval_quadratics_matches_per_pair_products():
         for rows in (1, 37, 2000):
             Y = rng.normal(size=(rows, ne))
             assert np.array_equal(lifting._eval_quadratics(Y), reference_quadratics(Y))
-
-
-def test_basis_legacy_quad_pairs_load():
-    # files written before the pairs were derived store them: the pairs the
-    # basis forms load, and any other list is refused by name
-    rng = np.random.default_rng(13)
-    for basis in (make_basis(rng)[0], identity_basis(2, 1, 1)):
-        doc = lifting.basis_to_dict(basis)
-        pairs = monomial_pairs(basis.identity_count) if basis.projection.mean.size else []
-        doc["quad_pairs"] = [list(pq) for pq in pairs]
-        loaded = lifting.basis_from_dict(json.loads(json.dumps(doc)))
-        assert np.array_equal(loaded.projection.components, basis.projection.components)
-        assert np.array_equal(loaded.projection.mean, basis.projection.mean)
-        Yd = rng.normal(size=(5, basis.identity_count))
-        assert np.array_equal(lift_g_many(loaded, Yd), lift_g_many(basis, Yd))
-    basis = make_basis(rng)[0]
-    pairs = monomial_pairs(basis.identity_count)
-    for bad in (pairs[::-1], pairs[:-1], [(j, i) for i, j in pairs], []):
-        doc = dict(lifting.basis_to_dict(basis), quad_pairs=[list(pq) for pq in bad])
-        with pytest.raises(ValueError, match="'quad_pairs'"):
-            lifting.basis_from_dict(doc)
 
 
 @pytest.mark.parametrize("rows", [1, 30, 2000])

@@ -338,6 +338,13 @@ def test_controller_refuses_a_bad_known_load():
             Controller(model, cfg, np.zeros((1, 1)), known_load=load)
 
 
+def test_controller_refuses_a_load_model_without_a_load_source():
+    # a load-augmented model needs a known load or the experiment's observer
+    # settings; no default observer stands in for them
+    with pytest.raises(ValueError, match="known_load or est_cfg"):
+        Controller(fit_bilinear_model(), scalar_cfg(Nh=4, r=0.01), np.zeros((1, 1)))
+
+
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_controller_embeds_its_start_up_window_and_logged_steps(d, monkeypatch):
     # the embedded output at each step is the delay embedding of a window
