@@ -2,9 +2,10 @@
 
 The --config document (default ExperimentConfig()) holds every setting;
 --seed, when given, replaces its trial seed and nothing else.  fit writes
-the three models that track, estimate and sort fit from the document's
-campaign, so --seed does not change its document.  Reruns with the same
-configuration and seed are byte-identical.
+the three models it fits from the document's campaign into one models
+document, so --seed does not change it; track, estimate and sort run the
+models of such a document, and run them exactly as if they had just been
+fitted.  Reruns with the same configuration and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ import sys
 from pathlib import Path
 
 from . import edmd, harness
-from .harness import ExperimentConfig, config_from_json
+from .harness import ExperimentConfig, ModelSet, config_from_json
+
+# the models of a models document and their load dimensions p
+MODEL_LOADS = {"baseline": 0, "koopman": 0, "koopman_load": 1}
+# the arm's measured outputs and commanded inputs
+ARM_OUTPUTS, ARM_INPUTS = 4, 2
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -23,11 +29,31 @@ def _load_config(args) -> ExperimentConfig:
     return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
+def _load_models(args, cfg: ExperimentConfig) -> ModelSet:
+    """The models of the document ``args.models``, refused unless it holds
+    each of MODEL_LOADS with its load dimension, for the arm's outputs and
+    inputs at the config's sample period."""
+    models = edmd.load_models(args.models)
+    where = f"models document {args.models}"
+    if sorted(models) != sorted(MODEL_LOADS):
+        raise ValueError(f"{where}: expected the models {', '.join(map(repr, MODEL_LOADS))}, "
+                         f"got {', '.join(map(repr, models)) or 'none'}")
+    for name, model in models.items():
+        if (model.n, model.m, model.p) != (ARM_OUTPUTS, ARM_INPUTS, MODEL_LOADS[name]):
+            raise ValueError(f"{where}: {name!r} has n = {model.n}, m = {model.m} and "
+                             f"p = {model.p}; the arm needs {ARM_OUTPUTS}, {ARM_INPUTS} "
+                             f"and {MODEL_LOADS[name]}")
+        if model.Ts != cfg.plant.Ts:
+            raise ValueError(f"{where}: {name!r} has Ts = {model.Ts}, "
+                             f"the config's plant has Ts = {cfg.plant.Ts}")
+    return ModelSet(**models)
+
+
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
     Path(args.models).parent.mkdir(parents=True, exist_ok=True)  # fail before the fit
     models = harness.fit_models(cfg)
-    named = {name: getattr(models, name) for name in ("baseline", "koopman", "koopman_load")}
+    named = {name: getattr(models, name) for name in MODEL_LOADS}
     edmd.save_models(named, args.models)
     for name, model in named.items():
         print(f"{name}: n_z={model.n_z}, "
@@ -38,14 +64,14 @@ def cmd_fit(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = _load_config(args)
-    report = harness.run_experiment1(cfg, harness.fit_models(cfg), outdir=args.out)
+    report = harness.run_experiment1(cfg, _load_models(args, cfg), outdir=args.out)
     print(report.to_markdown())
     return 0
 
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    traces = harness.run_experiment2(cfg, harness.fit_models(cfg), outdir=args.out)
+    traces = harness.run_experiment2(cfg, _load_models(args, cfg), outdir=args.out)
     for tr in traces:
         print(f"payload {1000 * tr.payload:.0f} g: final estimate "
               f"{1000 * tr.w_hat[-1]:.1f} g "
@@ -55,7 +81,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_sort(args) -> int:
     cfg = _load_config(args)
-    outcomes = harness.run_experiment4(cfg, harness.fit_models(cfg), outdir=args.out)
+    outcomes = harness.run_experiment4(cfg, _load_models(args, cfg), outdir=args.out)
     ok = sum(o.success for o in outcomes)
     for i, o in enumerate(outcomes):
         print(f"object {i}: mass {1000 * o.payload:.0f} g, estimate "
@@ -83,17 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("models", help="output models JSON")
     p.set_defaults(fn=cmd_fit)
 
-    p = sub.add_parser("track", help="known-payload tracking comparison")
-    p.add_argument("--out", help="output directory for CSV reports")
-    p.set_defaults(fn=cmd_track)
-
-    p = sub.add_parser("estimate", help="online payload estimation")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_estimate)
-
-    p = sub.add_parser("sort", help="automated sorting by mass")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_sort)
+    for name, fn, text in (("track", cmd_track, "known-payload tracking comparison"),
+                           ("estimate", cmd_estimate, "online payload estimation"),
+                           ("sort", cmd_sort, "automated sorting by mass")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("models", help="models JSON written by fit")
+        p.add_argument("--out", help="output directory for CSV reports")
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -110,7 +110,9 @@ def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> 
     is lifted straight into its leading columns, and only one is alive at a
     time: Psi_a is released once its pseudoinverse exists, and only then is
     Psi_b lifted.  A rank-deficient Psi_a is reported by the pseudoinverse,
-    from the one SVD it takes.
+    from the one SVD it takes.  A and B are column-major copies, the layout
+    :func:`model_from_dict` reads them back in, so a fitted and a read model
+    run the same bits.
     """
     a, b, U, W = snapshots
     if with_load and W is None:
@@ -135,8 +137,7 @@ def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> 
     del Psi_a
     K_bar = pinv_a @ data_matrix(b)
     Kt = K_bar.T
-    A = Kt[:n_z, :n_z]
-    B = Kt[:n_z, n_z:]
+    A, B = np.asfortranarray(Kt[:n_z, :n_z]), np.asfortranarray(Kt[:n_z, n_z:])
     # the bottom block's deviation from [O | I]
     residual = float(np.linalg.norm(Kt[n_z:] - np.eye(m, n_z + m, n_z)))
     if residual > 1e-6:
@@ -235,23 +236,36 @@ _FORM = model_to_dict(KoopmanModel(A=np.zeros((1, 1)), B=np.zeros((1, 1)),
                                    basis=identity_basis(1, 1, 0), Ts=1.0))
 
 
-def model_from_dict(doc) -> KoopmanModel:
+def model_from_dict(doc, where: str = "model document") -> KoopmanModel:
     """Inverse of :func:`model_to_dict`, taking exactly the form it writes.
     A missing or unknown key, a value of the wrong kind (a non-finite matrix
-    entry too) or a matrix shape off the basis and ``p`` is a ValueError."""
-    check_document(doc, _FORM, "model document")
+    entry too), a projection off the basis's monomials or a matrix shape off
+    the basis and ``p`` is a ValueError.  ``A`` and ``B`` are read
+    column-major, as :func:`fit_koopman` returns them."""
+    check_document(doc, _FORM, where)
     b, proj, p = doc["basis"], doc["basis"]["projection"], doc["p"]
-    mean, components = (np.asarray(proj[key], dtype=float) for key in ("mean", "components"))
+    mean, components, explained = (np.asarray(proj[key], dtype=float)
+                                   for key in ("mean", "components", "explained"))
+    ne = lifting.embedded_dim(b["n"], b["m"], b["d"])
+    P, k = ne * (ne + 1) // 2, len(components)
+    # an entry without components keeps its monomial mean or none, and
+    # writes its (0, P) components as []
+    for key, arr, shapes in (("mean", mean, [(P,), (0,)] if k == 0 else [(P,)]),
+                             ("components", components, [(0,)] if k == 0 else [(k, P)]),
+                             ("explained", explained, [(k,)])):
+        if arr.shape not in shapes:
+            raise ValueError(f"{where}: projection {key!r} {arr.shape} must be "
+                             f"{' or '.join(map(str, shapes))} for {P} monomials "
+                             f"and {k} components")
     projection = numkit.PcaProjection(
-        mean=mean, components=components.reshape(len(components), mean.size),
-        energy_kept=float(proj["energy_kept"]),
-        explained=np.asarray(proj["explained"], dtype=float))
+        mean=mean, components=components.reshape(k, mean.size),
+        energy_kept=float(proj["energy_kept"]), explained=explained)
     basis = Basis(n=b["n"], m=b["m"], d=b["d"], projection=projection,
                   include_constant=b["include_constant"])
-    A, B = np.asarray(doc["A"], dtype=float), np.asarray(doc["B"], dtype=float)
+    A, B = (np.array(doc[key], dtype=float, order="F") for key in ("A", "B"))
     n_z = basis.n_lifted * (p + 1)
     if A.shape != (n_z, n_z) or B.shape != (n_z, basis.m):
-        raise ValueError(f"model document: 'A' {A.shape} and 'B' {B.shape} must be {(n_z, n_z)} "
+        raise ValueError(f"{where}: 'A' {A.shape} and 'B' {B.shape} must be {(n_z, n_z)} "
                          f"and {(n_z, basis.m)} for its basis and p = {p}")
     return KoopmanModel(A=A, B=B, basis=basis, Ts=float(doc["Ts"]), p=p,
                         bottom_block_residual=float(doc["bottom_block_residual"]))
@@ -262,3 +276,18 @@ def save_models(models: dict, path) -> None:
     :func:`model_to_dict`."""
     with open(path, "w") as fh:
         json.dump({name: model_to_dict(model) for name, model in models.items()}, fh)
+
+
+def load_models(path) -> dict:
+    """Inverse of :func:`save_models`: the named models of the document at
+    ``path``.  A malformed entry is a ValueError naming the model."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:            # not JSON, or not UTF-8 text
+            raise ValueError(f"models document {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"models document {path}: expected a JSON object, "
+                         f"got {type(doc).__name__}")
+    return {name: model_from_dict(entry, f"models document {path} {name!r}")
+            for name, entry in doc.items()}

@@ -186,7 +186,7 @@ class ModelSet:
     baseline: KoopmanModel        # L-MPC: identity-basis least squares
     koopman: KoopmanModel         # K-MPC: degree-2 dictionary, no load
     koopman_load: KoopmanModel    # KL-MPC: load-augmented dictionary
-    holdout: tuple                # held-out campaign (Y, U, w)
+    holdout: Optional[tuple] = None   # held-out campaign (Y, U, w); None when read
 
 
 def fit_models(cfg: ExperimentConfig) -> ModelSet:

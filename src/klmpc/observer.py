@@ -59,8 +59,9 @@ def _load_system(model: KoopmanModel, Yd: np.ndarray, Y_next: np.ndarray,
     """
     G = lifting.lift_g_many(model.basis, Yd)
     N, n = G.shape[1], model.n
-    # C A and C B are the first n rows of A and B, copied row-major: a fitted
-    # A is a strided view, and BLAS rounds products with it differently
+    # C A and C B are the first n rows of A and B, copied row-major: a row
+    # slice of the column-major A is strided, and BLAS rounds products with
+    # it differently
     CA, CB = (np.ascontiguousarray(X[:n]) for X in (model.A, model.B))
     M = np.stack([G @ CA[:, c * N:(c + 1) * N].T for c in range(model.p + 1)],
                  axis=2).reshape(-1, model.p + 1)

@@ -15,7 +15,9 @@ from klmpc.edmd import (
     fit_linear_baseline,
     one_step_rmse,
 )
-from klmpc.lifting import embedded_dim, fit_basis, identity_basis, lift_g
+from klmpc.lifting import Basis, embedded_dim, fit_basis, identity_basis, lift_g
+from klmpc.mpc import Condenser
+from klmpc.numkit import PcaProjection
 
 from oracles import (
     bilinear_basis,
@@ -356,12 +358,40 @@ def test_fitted_models_read_back_as_written(models):
                 == [getattr(model.basis, name) for name in basis_fields])
 
 
+def test_fitted_and_read_models_condense_alike(default_cfg, models):
+    # the fit and the reader both give column-major A and B, so a read
+    # model condenses to the fitted one's bits
+    mpc_cfg = default_cfg.mpc_config()
+    for model in (models.baseline, models.koopman, models.koopman_load):
+        loaded = edmd.model_from_dict(json.loads(json.dumps(edmd.model_to_dict(model))))
+        assert all(X.flags.f_contiguous for X in (model.A, model.B, loaded.A, loaded.B))
+        fitted, read = Condenser(model, mpc_cfg), Condenser(loaded, mpc_cfg)
+        for name in ("H", "S", "P"):
+            assert np.array_equal(getattr(read, name), getattr(fitted, name))
+
+
 def scalar_entry() -> dict:
     """The JSON entry of a p = 0 model whose identity basis lifts to one
     coordinate."""
     model = KoopmanModel(A=np.array([[0.5]]), B=np.array([[0.1]]),
                          basis=identity_basis(1, 1, 0), Ts=TS)
     return json.loads(json.dumps(edmd.model_to_dict(model)))
+
+
+def projected_entry(**projection) -> dict:
+    """The JSON entry of a p = 0 model whose basis (n = 2, m = 1, d = 0)
+    keeps one component of its P = 3 monomials, with the ``projection``
+    keys replaced."""
+    basis = Basis(n=2, m=1, d=0, projection=PcaProjection(
+        mean=np.zeros(3), components=np.eye(1, 3), energy_kept=1.0, explained=np.ones(1)))
+    model = KoopmanModel(A=np.eye(4), B=np.zeros((4, 1)), basis=basis, Ts=TS)
+    entry = json.loads(json.dumps(edmd.model_to_dict(model)))
+    entry["basis"]["projection"].update(projection)
+    return entry
+
+
+def test_projected_entry_loads():
+    assert edmd.model_from_dict(projected_entry()).basis.n_lifted == 4
 
 
 def set_at(doc, path, value):
@@ -391,6 +421,9 @@ def set_at(doc, path, value):
     (lambda e: set_at(e, ("A",), [[0.5], [0.5, 0.5]]), "'A'"),
     (lambda e: set_at(e, ("B",), [["0.1"]]), "'B'"),
     (lambda e: set_at(e, ("basis", "projection", "mean"), [True]), "'mean'"),
+    (lambda e: projected_entry(mean=[0.0, 0.0], components=[[1.0, 0.0]]), "projection 'mean'"),
+    (lambda e: projected_entry(components=[[1.0, 0.0]]), "projection 'components'"),
+    (lambda e: projected_entry(explained=[0.5, 0.5]), "projection 'explained'"),
 ])
 def test_model_document_refuses_a_malformed_entry(mutate, named):
     # one ValueError naming the key or the shapes, never a TypeError

@@ -3,6 +3,7 @@ logic, report formats, tracking sanity on the simulated arm, and the CLI.
 """
 
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -410,9 +411,12 @@ def fit_args(models_path, seed=0):
     return ["--config", str(path), "fit", str(models_path)]
 
 
-def load_models(path) -> dict:
-    with open(path) as fh:
-        return {name: edmd.model_from_dict(doc) for name, doc in json.load(fh).items()}
+@pytest.fixture(scope="module")
+def models_doc(tmp_path_factory, models):
+    """The session's fitted models, written as ``klmpc fit`` writes them."""
+    path = tmp_path_factory.mktemp("models") / "models.json"
+    edmd.save_models({name: getattr(models, name) for name in MODEL_NAMES}, path)
+    return path
 
 
 def test_cli_collect_and_fit(tmp_path, capsys):
@@ -420,7 +424,7 @@ def test_cli_collect_and_fit(tmp_path, capsys):
     # one document, one printed line per model
     models_path = tmp_path / "models.json"
     assert cli.main(fit_args(models_path)) == 0
-    models = load_models(models_path)
+    models = edmd.load_models(models_path)
     assert tuple(models) == MODEL_NAMES
     assert all(model.n == 4 for model in models.values())
     assert models["baseline"].basis.projection.n_components == 0
@@ -442,6 +446,15 @@ def no_collection(monkeypatch) -> list:
     returns the list of calls it records."""
     calls = []
     monkeypatch.setattr(harness, "collect_training_data", lambda *a: calls.append(a))
+    return calls
+
+
+def no_models(monkeypatch) -> list:
+    """Replace the models reader and the fit by spies; returns the list of
+    calls they record."""
+    calls = []
+    monkeypatch.setattr(edmd, "load_models", lambda *a: calls.append(a))
+    monkeypatch.setattr(harness, "fit_models", lambda *a: calls.append(a))
     return calls
 
 
@@ -510,7 +523,7 @@ def test_cli_campaign_without_runs_fails_before_fitting(tmp_path, capsys, monkey
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     models_path = tmp_path / "models.json"
-    for command in (["fit", str(models_path)], ["track"]):
+    for command in (["fit", str(models_path)], ["track", str(models_path)]):
         assert cli.main(["--config", str(path), *command]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{key}' must be" in err
@@ -523,27 +536,25 @@ def test_cli_negative_seed_fails_before_fitting(tmp_path, capsys, monkeypatch, a
     # from the flag or from the document
     path = tmp_path / "config.json"
     path.write_text(json.dumps({} if doc_seed is None else {"seed": doc_seed}))
-    fitted = []
-    monkeypatch.setattr(harness, "fit_models", lambda *a, **k: fitted.append(a))
-    assert cli.main([*argv, "--config", str(path), "estimate"]) == 2
+    calls = no_models(monkeypatch)
+    assert cli.main([*argv, "--config", str(path), "estimate", str(tmp_path / "m.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'seed' must be >= 0" in err
     assert len(err.strip().splitlines()) == 1
-    assert fitted == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv, seed", [([], 7), (["--seed", "2"], 2), (["--seed", "0"], 0)])
 def test_cli_seed_flag_replaces_the_document_seed_only_when_given(tmp_path, monkeypatch,
-                                                                  argv, seed):
+                                                                  models_doc, argv, seed):
     # without --seed the document's seed reaches the runner; a given --seed,
     # 0 included, replaces it and no other field
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 7, "Nh": 8}))
     runs = []
-    monkeypatch.setattr(harness, "fit_models", lambda cfg: None)
     monkeypatch.setattr(harness, "run_experiment2",
                         lambda cfg, models, outdir=None: runs.append(cfg) or [])
-    assert cli.main([*argv, "--config", str(path), "estimate"]) == 0
+    assert cli.main([*argv, "--config", str(path), "estimate", str(models_doc)]) == 0
     assert runs == [dataclasses.replace(config_from_json(path), seed=seed)]
 
 
@@ -556,7 +567,7 @@ def test_cli_collect_and_fit_reproduce_the_experiment_model(tmp_path):
     models_path = tmp_path / "models.json"
     assert cli.main(["--seed", "3", "--config", str(path), "fit", str(models_path)]) == 0
     want = fit_models(dataclasses.replace(config_from_json(path), seed=3))
-    got = load_models(models_path)
+    got = edmd.load_models(models_path)
     for name in MODEL_NAMES:
         assert np.array_equal(got[name].A, getattr(want, name).A)
         assert np.array_equal(got[name].B, getattr(want, name).B)
@@ -580,10 +591,11 @@ def test_cli_errors(tmp_path, capsys, monkeypatch):
     assert cli.main(["--config", str(tmp_path / "missing.json"), "fit", str(models_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert calls == [] and not models_path.exists()
-    # unknown subcommand, the former collect and fit's former --kind ->
-    # argparse exits 2
+    # unknown subcommand, the former collect, fit's former --kind and an
+    # experiment without its models document -> argparse exits 2
     for argv in (["frobnicate"], ["collect", str(tmp_path / "d.csv")],
-                 ["fit", str(models_path), "--kind", "koopman"]):
+                 ["fit", str(models_path), "--kind", "koopman"], ["track"],
+                 ["sort", "--out", str(tmp_path)]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -595,7 +607,7 @@ def test_cli_fit_makes_the_models_directory(tmp_path):
     argv = fit_args(tmp_path / "models.json")
     models_path = tmp_path / "new" / "nested" / "models.json"
     assert cli.main(argv[:-1] + [str(models_path)]) == 0
-    assert tuple(load_models(models_path)) == MODEL_NAMES
+    assert tuple(edmd.load_models(models_path)) == MODEL_NAMES
 
 
 def test_cli_fit_into_a_blocked_directory_fails_before_fitting(tmp_path, capsys, monkeypatch):
@@ -661,13 +673,88 @@ def test_cli_bad_config_value_fails_before_fitting(tmp_path, capsys, monkeypatch
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"'{key}' must be"):
         config_from_json(path)
-    fitted = []
-    monkeypatch.setattr(harness, "fit_models", lambda *a, **k: fitted.append(a))
-    assert cli.main(["--config", str(path), "sort"]) == 2
+    calls = no_models(monkeypatch)
+    assert cli.main(["--config", str(path), "sort", str(tmp_path / "m.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert len(err.strip().splitlines()) == 1
-    assert fitted == []
+    assert calls == []
+
+
+def test_cli_estimate_from_the_document_matches_the_fitted_models(tmp_path, default_cfg,
+                                                                  models, models_doc):
+    # a read document runs the bits of the models it was written from
+    cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+    assert cli.main(["--seed", "0", "estimate", str(models_doc), "--out", str(cli_dir)]) == 0
+    run_experiment2(default_cfg, models, outdir=lib_dir)
+    names = sorted(path.name for path in lib_dir.iterdir())
+    assert names and sorted(path.name for path in cli_dir.iterdir()) == names
+    for name in names:
+        assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["track", "estimate", "sort"])
+def test_cli_runs_the_models_document_without_fitting(tmp_path, capsys, monkeypatch,
+                                                      models_doc, command):
+    # track runs one short trial per controller to keep the test quick
+    monkeypatch.setattr(harness, "fit_models", lambda cfg: pytest.fail("fit_models ran"))
+    monkeypatch.setattr(harness, "run_experiment1", functools.partial(
+        harness.run_experiment1, payloads=(0.1,), duration=2.0))
+    assert cli.main(["--seed", "0", command, str(models_doc), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out and any(tmp_path.iterdir())
+
+
+def refusals(monkeypatch, capsys, path) -> list:
+    """The error line of each of track, estimate and sort on the models
+    document ``path``, each exit 2 before any trial runs."""
+    for name in ("run_experiment1", "run_experiment2", "run_experiment4"):
+        monkeypatch.setattr(harness, name, lambda *a, **k: pytest.fail("a trial ran"))
+    errors = []
+    for command in ("track", "estimate", "sort"):
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        errors.append(err)
+    return errors
+
+
+def identity_entry(n: int, m: int) -> dict:
+    """The entry of a p = 0 identity-basis model with n outputs and m inputs."""
+    model = edmd.KoopmanModel(A=np.eye(n), B=np.zeros((n, m)),
+                              basis=lifting.identity_basis(n, m, 0),
+                              Ts=ExperimentConfig().plant.Ts)
+    return edmd.model_to_dict(model)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc.pop("koopman_load"), "'koopman_load'"),
+    (lambda doc: doc["koopman"].update(Ts=0.1), "'koopman' has Ts = 0.1"),
+    (lambda doc: doc.update(baseline=identity_entry(2, 2)), "'baseline' has n = 2"),
+    (lambda doc: doc.update(baseline=identity_entry(4, 1)), "m = 1"),
+    (lambda doc: doc.update(koopman_load=doc["koopman"]), "p = 0"),
+], ids=["missing-model", "Ts", "outputs", "inputs", "load-dimension"])
+def test_cli_refuses_a_document_that_does_not_fit_the_config(tmp_path, capsys, monkeypatch,
+                                                             models_doc, edit, named):
+    doc = json.loads(models_doc.read_text())
+    edit(doc)
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps(doc))
+    for err in refusals(monkeypatch, capsys, path):
+        assert named in err
+
+
+@pytest.mark.parametrize("content, named", [
+    (None, "No such file"),
+    (b"{", "models document"),
+    (b"\xff", "models document"),
+    (b"[]", "expected a JSON object"),
+], ids=["missing", "not-json", "not-text", "not-an-object"])
+def test_cli_refuses_an_unreadable_document(tmp_path, capsys, monkeypatch, content, named):
+    path = tmp_path / "models.json"
+    if content is not None:
+        path.write_bytes(content)
+    for err in refusals(monkeypatch, capsys, path):
+        assert named in err
 
 
 def test_config_checks_every_field_type(tmp_path):
