@@ -64,8 +64,8 @@ def cmd_fit(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = _load_config(args)
-    report = harness.run_experiment1(cfg, _load_models(args, cfg), outdir=args.out)
-    print(report.to_markdown())
+    trials = harness.run_experiment1(cfg, _load_models(args, cfg), outdir=args.out)
+    print(harness.tracking_markdown(trials))
     return 0
 
 

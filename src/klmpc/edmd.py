@@ -239,9 +239,11 @@ _FORM = model_to_dict(KoopmanModel(A=np.zeros((1, 1)), B=np.zeros((1, 1)),
 def model_from_dict(doc, where: str = "model document") -> KoopmanModel:
     """Inverse of :func:`model_to_dict`, taking exactly the form it writes.
     A missing or unknown key, a value of the wrong kind (a non-finite matrix
-    entry too), a projection off the basis's monomials or a matrix shape off
-    the basis and ``p`` is a ValueError.  ``A`` and ``B`` are read
-    column-major, as :func:`fit_koopman` returns them."""
+    entry too), a projection off the basis's monomials, a matrix shape off
+    the basis and ``p``, an ``energy_kept`` outside (0, 1], an ``explained``
+    fraction outside [0, 1] or a negative ``bottom_block_residual`` is a
+    ValueError.  ``A`` and ``B`` are read column-major, as
+    :func:`fit_koopman` returns them."""
     check_document(doc, _FORM, where)
     b, proj, p = doc["basis"], doc["basis"]["projection"], doc["p"]
     mean, components, explained = (np.asarray(proj[key], dtype=float)
@@ -257,6 +259,15 @@ def model_from_dict(doc, where: str = "model document") -> KoopmanModel:
             raise ValueError(f"{where}: projection {key!r} {arr.shape} must be "
                              f"{' or '.join(map(str, shapes))} for {P} monomials "
                              f"and {k} components")
+    if not 0.0 < proj["energy_kept"] <= 1.0:
+        raise ValueError(f"{where}: projection 'energy_kept' must be in (0, 1], "
+                         f"got {proj['energy_kept']}")
+    if not np.all((explained >= 0.0) & (explained <= 1.0)):
+        raise ValueError(f"{where}: projection 'explained' must have entries in [0, 1], "
+                         f"got {proj['explained']}")
+    if not doc["bottom_block_residual"] >= 0.0:
+        raise ValueError(f"{where}: 'bottom_block_residual' must be >= 0, "
+                         f"got {doc['bottom_block_residual']}")
     projection = numkit.PcaProjection(
         mean=mean, components=components.reshape(k, mean.size),
         energy_kept=float(proj["energy_kept"]), explained=explained)

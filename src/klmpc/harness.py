@@ -23,8 +23,6 @@ from .observer import EstimatorConfig, EstimatorState
 from .plant import (ArmParams, CampaignConfig, Run, collect_training_data, drive, excitation,
                     sample_steps)
 
-CONTROLLERS = ("L-MPC", "K-MPC", "KL-MPC")
-
 EXP1_PAYLOADS = (0.025, 0.075, 0.125, 0.175, 0.225, 0.275)
 EXP2_PAYLOADS = (0.025, 0.125, 0.225)
 # trial lengths (s) of experiments 1-3
@@ -255,41 +253,6 @@ def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
                        w_hat_trace=None if ctrl.w_hat is None else ctrl.logs.w_hat.copy())
 
 
-@dataclass
-class TrackingReport:
-    """Per-payload RMSE for each controller, with mean and standard deviation
-    across payloads."""
-
-    payloads: tuple
-    rmse: dict                    # controller -> list of per-payload RMSE (m)
-
-    def mean(self, controller: str) -> float:
-        return float(np.mean(self.rmse[controller]))
-
-    def std(self, controller: str) -> float:
-        return float(np.std(self.rmse[controller]))
-
-    def to_markdown(self) -> str:
-        header = ("| Controller | "
-                  + " | ".join(f"{1000 * p:g} g" for p in self.payloads)
-                  + " | Avg. | Std. Dev. |")
-        sep = "|" + "---|" * (len(self.payloads) + 3)
-        lines = [header, sep]
-        for name, vals in self.rmse.items():
-            cells = " | ".join(f"{1000 * v:.2f}" for v in vals)
-            lines.append(
-                f"| {name} | {cells} | {1000 * self.mean(name):.2f} "
-                f"| {1000 * self.std(name):.2f} |"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["controller", *(f"rmse_{1000 * p:g}g" for p in self.payloads),
-                         "avg", "std"],
-                  ([name, *vals, self.mean(name), self.std(name)]
-                   for name, vals in self.rmse.items()))
-
-
 def write_records(path, records) -> None:
     """Write a record array through :func:`write_csv`, one line per record:
     a field of shape (k,) gives the columns name1..namek, a scalar field its
@@ -310,28 +273,62 @@ def _maybe_write(outdir, name: str, writer) -> None:
         writer(os.path.join(outdir, name))
 
 
+def _tracking_experiment(cfg: ExperimentConfig, ref: Reference, payloads, seed: int,
+                         controllers) -> list:
+    """Closed-loop trials over ``ref`` of each controller row ``(label,
+    model, load)`` at each payload, payload-major; the trials at payload i
+    are seeded ``seed + i``.  ``load`` is None (no load), "known" (the true
+    payload) or "live" (the controller's own observer)."""
+    return [run_tracking_trial(model, cfg, payload, ref, ref.duration,
+                               known_load=payload if load == "known" else None,
+                               est_cfg=cfg.estimator if load == "live" else None,
+                               seed=seed + i, label=label)
+            for i, payload in enumerate(payloads) for label, model, load in controllers]
+
+
+def tracking_table(trials) -> tuple:
+    """The tracking table of ``trials``: its payload columns, those of the
+    first controller's trials, and a dict mapping each controller, in the
+    order it first ran, to ``(rmse, mean, std)``: the RMSE (m) of its trials
+    in run order, and their mean and std."""
+    rmse = {}
+    for trial in trials:
+        rmse.setdefault(trial.controller, []).append(trial.rmse)
+    payloads = [t.payload for t in trials if t.controller == trials[0].controller]
+    return payloads, {name: (vals, float(np.mean(vals)), float(np.std(vals)))
+                      for name, vals in rmse.items()}
+
+
+def tracking_markdown(trials) -> str:
+    """The tracking table in markdown, in mm."""
+    payloads, rows = tracking_table(trials)
+    lines = ["| Controller | " + " | ".join(f"{1000 * p:g} g" for p in payloads)
+             + " | Avg. | Std. Dev. |", "|" + "---|" * (len(payloads) + 3)]
+    for name, (rmse, mean, std) in rows.items():
+        cells = " | ".join(f"{1000 * v:.2f}" for v in (*rmse, mean, std))
+        lines.append(f"| {name} | {cells} |")
+    return "\n".join(lines) + "\n"
+
+
+def write_tracking_csv(path, trials) -> None:
+    """The tracking table as CSV: ``controller,rmse_<grams>g...,avg,std``."""
+    payloads, rows = tracking_table(trials)
+    write_csv(path, ["controller", *(f"rmse_{1000 * p:g}g" for p in payloads), "avg", "std"],
+              ([name, *rmse, mean, std] for name, (rmse, mean, std) in rows.items()))
+
+
 def run_experiment1(cfg: ExperimentConfig, models: ModelSet, payloads=EXP1_PAYLOADS,
-                    duration: float = EXP1_DURATION, outdir=None) -> TrackingReport:
+                    duration: float = EXP1_DURATION, outdir=None) -> list:
     """Trajectory following with known payload: all three controllers over
     six payloads; only KL-MPC can use the true load value."""
-    ref = figure_eight_reference(cfg.plant, duration=duration)
-    rmse = {name: [] for name in CONTROLLERS}
-    for i, payload in enumerate(payloads):
-        trial_seed = cfg.seed * 1000 + i
-        for name, model, known in (
-            ("L-MPC", models.baseline, None),
-            ("K-MPC", models.koopman, None),
-            ("KL-MPC", models.koopman_load, payload),
-        ):
-            res = run_tracking_trial(model, cfg, payload, ref, duration,
-                                     known_load=known, seed=trial_seed,
-                                     label=name)
-            rmse[name].append(res.rmse)
-    report = TrackingReport(payloads=tuple(payloads), rmse=rmse)
-    _maybe_write(outdir, "experiment1_rmse.csv", report.to_csv)
+    trials = _tracking_experiment(
+        cfg, figure_eight_reference(cfg.plant, duration=duration), payloads, cfg.seed * 1000,
+        [("L-MPC", models.baseline, None), ("K-MPC", models.koopman, None),
+         ("KL-MPC", models.koopman_load, "known")])
+    _maybe_write(outdir, "experiment1_rmse.csv", lambda path: write_tracking_csv(path, trials))
     _maybe_write(outdir, "experiment1_rmse.md",
-                 lambda path: Path(path).write_text(report.to_markdown()))
-    return report
+                 lambda path: Path(path).write_text(tracking_markdown(trials)))
+    return trials
 
 
 @dataclass
@@ -407,16 +404,13 @@ def run_experiment2(cfg: ExperimentConfig, models: ModelSet, payloads=EXP2_PAYLO
 def run_experiment3(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> list:
     """Trajectory following with unknown payload: KL-MPC with the live
     observer tracking a 0.1 m-radius circle for 30 s at each exp2 payload."""
-    ref = circle_reference(cfg.plant, duration=EXP3_DURATION)
-    results = []
-    for i, payload in enumerate(EXP2_PAYLOADS):
-        res = run_tracking_trial(models.koopman_load, cfg, payload, ref,
-                                 ref.duration, est_cfg=cfg.estimator,
-                                 seed=cfg.seed * 100 + 50 + i, label="KL-MPC")
-        results.append(res)
-        _maybe_write(outdir, f"experiment3_w{1000 * payload:g}g.csv",
-                     lambda path, r=res: write_records(path, r.logs))
-    return results
+    trials = _tracking_experiment(
+        cfg, circle_reference(cfg.plant, duration=EXP3_DURATION), EXP2_PAYLOADS,
+        cfg.seed * 100 + 50, [("KL-MPC", models.koopman_load, "live")])
+    for trial in trials:
+        _maybe_write(outdir, f"experiment3_w{1000 * trial.payload:g}g.csv",
+                     lambda path, t=trial: write_records(path, t.logs))
+    return trials
 
 
 def bin_index(w: float) -> int:

@@ -72,8 +72,13 @@ class QpProblem:
 
 class Condenser:
     """Precomputed condensation of a time-invariant lifted model under a
-    fixed horizon: only the linear term depends on (z0, reference)."""
+    fixed horizon: only the linear term depends on (z0, reference).
 
+    A model whose condensed S, P or H is not finite, or whose H is not
+    positive definite, is refused; its overflow stays silent, so the refusal
+    is the one report."""
+
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, model: KoopmanModel, cfg: MpcConfig):
         A, B = model.A, model.B
         n, m, Nh = model.n, B.shape[1], cfg.Nh
@@ -95,6 +100,13 @@ class Condenser:
         # the linear term's gain: f = P (S z0 - ref)
         self.P = (2.0 * M.T) @ Qbar
         self.H = 0.5 * (H + H.T)
+        try:
+            if not all(np.all(np.isfinite(X)) for X in (self.S, self.P, self.H)):
+                raise np.linalg.LinAlgError
+            np.linalg.cholesky(self.H)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"Condenser: the condensation of the n_z = {model.n_z} model "
+                             f"is not finite with a positive definite Hessian") from None
         self.lower = np.tile(np.asarray(cfg.u_min, dtype=float), Nh)
         self.upper = np.tile(np.asarray(cfg.u_max, dtype=float), Nh)
 
@@ -269,7 +281,7 @@ class Controller:
     def step(self, y_measured) -> np.ndarray:
         """Algorithm step: lift with the current load estimate, solve the QP,
         feed this step's (y, u) to the estimator, and return the first input
-        block (always within bounds)."""
+        block (always within bounds).  A non-finite input is a ValueError."""
         y = np.atleast_1d(np.asarray(y_measured, dtype=float))
         if y.shape != (self.model.n,):
             raise ValueError(f"measurement must have shape ({self.model.n},), got {y.shape}")
@@ -293,8 +305,10 @@ class Controller:
                               max_iter=self.cfg.qp_max_iter, x0=self.warm_start)
         solve_ms = (time.perf_counter() - t0) * 1e3
         m = self.model.m
-        self.warm_start = np.concatenate([result.x[m:], result.x[-m:]])
         u = np.clip(result.x[:m], self.cfg.u_min, self.cfg.u_max)
+        if not np.all(np.isfinite(u)):
+            raise ValueError(f"controller step {k}: the QP gave a non-finite input {u}")
+        self.warm_start = np.concatenate([result.x[m:], result.x[-m:]])
         self._log[d + k] = (k, k * self.model.Ts, y, self.reference[j], u,
                             () if w_hat is None else w_hat, result.iterations,
                             result.converged, result.kkt_residual, solve_ms)

@@ -424,6 +424,13 @@ def set_at(doc, path, value):
     (lambda e: projected_entry(mean=[0.0, 0.0], components=[[1.0, 0.0]]), "projection 'mean'"),
     (lambda e: projected_entry(components=[[1.0, 0.0]]), "projection 'components'"),
     (lambda e: projected_entry(explained=[0.5, 0.5]), "projection 'explained'"),
+    (lambda e: set_at(e, ("basis", "projection", "energy_kept"), 7),
+     r"'energy_kept' must be in \(0, 1\], got 7"),
+    (lambda e: set_at(e, ("basis", "projection", "energy_kept"), 0),
+     r"'energy_kept' must be in \(0, 1\], got 0"),
+    (lambda e: projected_entry(explained=[-0.1]), r"'explained' must have entries in \[0, 1\]"),
+    (lambda e: projected_entry(explained=[1.5]), r"'explained' .*, got \[1.5\]"),
+    (lambda e: set_at(e, ("bottom_block_residual",), -1), "'bottom_block_residual' must be >= 0"),
 ])
 def test_model_document_refuses_a_malformed_entry(mutate, named):
     # one ValueError naming the key or the shapes, never a TypeError

@@ -21,12 +21,12 @@ from klmpc.observer import EstimatorState
 from klmpc.plant import ArmParams, ramp_and_hold
 from klmpc.harness import (
     BIN_COUNT,
-    CONTROLLERS,
+    EXP2_PAYLOADS,
     CampaignConfig,
     EstimateTrace,
     ExperimentConfig,
     FitConfig,
-    TrackingReport,
+    TrialResult,
     bin_index,
     bin_targets,
     circle_reference,
@@ -40,9 +40,15 @@ from klmpc.harness import (
     run_experiment3,
     run_experiment4,
     run_tracking_trial,
+    tracking_markdown,
+    tracking_table,
+    write_tracking_csv,
 )
 
 from oracles import reference_estimate_instant, reference_rows, reference_run
+
+# exp1's controllers, in the order each first runs
+CONTROLLERS = ("L-MPC", "K-MPC", "KL-MPC")
 
 
 def test_config_json_round_trip(tmp_path):
@@ -194,15 +200,26 @@ def test_bin_targets_layout():
     assert np.all(np.linalg.norm(targets, axis=1) <= reach)
 
 
+def tracking_trials(payloads, rmse: dict) -> list:
+    """Payload-major tracking trials with the RMSE ``rmse[controller][i]``
+    at ``payloads[i]``."""
+    return [TrialResult(controller=name, payload=payload, rmse=vals[i], logs=None, errors=None)
+            for i, payload in enumerate(payloads) for name, vals in rmse.items()]
+
+
 def test_tracking_report_statistics_and_markdown():
     payloads = (0.025, 0.075, 0.125, 0.175, 0.225, 0.275)
     rng = np.random.default_rng(0)
     rmse = {name: list(rng.uniform(0.01, 0.1, size=6)) for name in CONTROLLERS}
-    report = TrackingReport(payloads=payloads, rmse=rmse)
+    trials = tracking_trials(payloads, rmse)
+    columns, rows = tracking_table(trials)
+    assert columns == list(payloads) and list(rows) == list(CONTROLLERS)
     for name in CONTROLLERS:
-        assert report.mean(name) == pytest.approx(np.mean(rmse[name]), abs=1e-12)
-        assert report.std(name) == pytest.approx(np.std(rmse[name]), abs=1e-12)
-    md = report.to_markdown()
+        vals, mean, std = rows[name]
+        assert vals == rmse[name]
+        assert mean == pytest.approx(np.mean(rmse[name]), abs=1e-12)
+        assert std == pytest.approx(np.std(rmse[name]), abs=1e-12)
+    md = tracking_markdown(trials)
     header = md.splitlines()[0]
     for p in payloads:
         assert f"{1000 * p:g} g" in header
@@ -220,11 +237,10 @@ def report_rows(path) -> dict:
 def test_tracking_report_csv_round_trip(tmp_path):
     payloads = (0.025, 0.125)
     rmse = {"K-MPC": [0.0123456789012345, 0.05], "KL-MPC": [0.01, 0.02]}
-    report = TrackingReport(payloads=payloads, rmse=rmse)
     path = tmp_path / "report.csv"
-    report.to_csv(path)
+    write_tracking_csv(path, tracking_trials(payloads, rmse))
     assert path.read_text().splitlines()[0] == "controller,rmse_25g,rmse_125g,avg,std"
-    assert report_rows(path) == {name: [*vals, report.mean(name), report.std(name)]
+    assert report_rows(path) == {name: [*vals, float(np.mean(vals)), float(np.std(vals))]
                                  for name, vals in rmse.items()}
 
 
@@ -240,15 +256,46 @@ def test_equilibrium_point_regulation(default_cfg, models):
 
 
 def test_run_experiment1_report_and_outputs(default_cfg, models, tmp_path):
-    report = run_experiment1(default_cfg, models, payloads=(0.125,), duration=5.0,
+    trials = run_experiment1(default_cfg, models, payloads=(0.125,), duration=5.0,
                              outdir=tmp_path)
-    assert set(report.rmse) == set(CONTROLLERS)
-    assert all(len(v) == 1 and v[0] > 0 for v in report.rmse.values())
+    _, rows = tracking_table(trials)
+    assert set(rows) == set(CONTROLLERS)
+    assert len(trials) == len(CONTROLLERS) and all(t.rmse > 0 for t in trials)
     back = report_rows(tmp_path / "experiment1_rmse.csv")
     assert list(back) == list(CONTROLLERS)
     for name in CONTROLLERS:
-        assert back[name] == [*report.rmse[name], report.mean(name), report.std(name)]
-    assert (tmp_path / "experiment1_rmse.md").read_text() == report.to_markdown()
+        [trial] = (t for t in trials if t.controller == name)
+        vals, mean, std = rows[name]
+        assert back[name] == [*vals, mean, std] == [trial.rmse, trial.rmse, 0.0]
+    assert (tmp_path / "experiment1_rmse.md").read_text() == tracking_markdown(trials)
+
+
+def test_tracking_experiments_run_their_controller_rows(default_cfg, models, monkeypatch):
+    # exp1 runs L, K and KL with the true load at each payload, payload-major;
+    # exp3 runs KL with its live observer; the trials at payload i are
+    # seeded the experiment's seed + i
+    ran = []
+
+    def trial(model, cfg, payload, ref, duration, known_load=None, est_cfg=None, seed=0,
+              label=""):
+        ran.append((label, model, payload, known_load, est_cfg, seed, duration))
+        return TrialResult(controller=label, payload=payload, rmse=1.0, logs=None, errors=None)
+
+    monkeypatch.setattr(harness, "run_tracking_trial", trial)
+    cfg = dataclasses.replace(default_cfg, seed=2)
+    trials = run_experiment1(cfg, models, payloads=(0.125, 0.025), duration=5.0)
+    assert [(t.controller, t.payload) for t in trials] == [
+        (name, payload) for payload in (0.125, 0.025) for name in CONTROLLERS]
+    assert ran == [(name, model, payload, payload if name == "KL-MPC" else None, None,
+                    2000 + i, 5.0)
+                   for i, payload in enumerate((0.125, 0.025))
+                   for name, model in zip(CONTROLLERS, (models.baseline, models.koopman,
+                                                        models.koopman_load))]
+    ran.clear()
+    trials = run_experiment3(cfg, models)
+    assert [(t.controller, t.payload) for t in trials] == [("KL-MPC", p) for p in EXP2_PAYLOADS]
+    assert ran == [("KL-MPC", models.koopman_load, payload, None, cfg.estimator, 250 + i, 30.0)
+                   for i, payload in enumerate(EXP2_PAYLOADS)]
 
 
 def test_run_experiment2_trace_format(default_cfg, models, tmp_path):
@@ -278,14 +325,15 @@ def test_run_experiment3_matches_known_load(default_cfg, models, tmp_path):
     # unknown-load tracking settles to roughly the known-load error: after
     # the estimate converges (final 10 s of 30 s) the ratio stays <= 1.25
     results = run_experiment3(default_cfg, models, outdir=tmp_path)
+    assert [(r.controller, r.payload) for r in results] == [("KL-MPC", p) for p in EXP2_PAYLOADS]
     tail = slice(400, None)  # final 10 s at Ts = 0.05
+    circle = circle_reference(default_cfg.plant, duration=30.0)
     for i, res in enumerate(results):
         # first scheduled estimates have not happened yet: w_init in force
         assert np.allclose(res.w_hat_trace[:default_cfg.estimator.Ne],
                            default_cfg.estimator.w_init, atol=1e-12)
         known = run_tracking_trial(
-            models.koopman_load, default_cfg, res.payload,
-            circle_reference(default_cfg.plant, duration=30.0), 30.0,
+            models.koopman_load, default_cfg, res.payload, circle, 30.0,
             known_load=res.payload, seed=default_cfg.seed * 100 + 50 + i)
         ratio = (np.sqrt(np.mean(res.errors[tail] ** 2))
                  / np.sqrt(np.mean(known.errors[tail] ** 2)))
@@ -296,6 +344,14 @@ def test_run_experiment3_matches_known_load(default_cfg, models, tmp_path):
                             "qp_iters,converged,kkt_residual,solve_ms")
         assert len(lines) == 601
         assert [float(c) for c in lines[-1].split(",")[:2]] == [599, res.logs[-1].t]
+    # a rerun of the live trial at the first payload, with its seed, logs the
+    # same cells; only the solve's wall time differs
+    rerun = run_tracking_trial(models.koopman_load, default_cfg, EXP2_PAYLOADS[0], circle,
+                               30.0, est_cfg=default_cfg.estimator,
+                               seed=default_cfg.seed * 100 + 50, label="KL-MPC")
+    for name in rerun.logs.dtype.names:
+        if name != "solve_ms":
+            assert np.array_equal(rerun.logs[name], results[0].logs[name]), name
 
 
 def test_tracking_trial_matches_one_run_oracle(default_cfg, models):
@@ -696,12 +752,23 @@ def test_cli_estimate_from_the_document_matches_the_fitted_models(tmp_path, defa
 @pytest.mark.parametrize("command", ["track", "estimate", "sort"])
 def test_cli_runs_the_models_document_without_fitting(tmp_path, capsys, monkeypatch,
                                                       models_doc, command):
-    # track runs one short trial per controller to keep the test quick
+    # track runs one short trial per controller to keep the test quick, and
+    # prints the table of the trials it ran
     monkeypatch.setattr(harness, "fit_models", lambda cfg: pytest.fail("fit_models ran"))
-    monkeypatch.setattr(harness, "run_experiment1", functools.partial(
-        harness.run_experiment1, payloads=(0.1,), duration=2.0))
+    exp1, returned = functools.partial(harness.run_experiment1, payloads=(0.1,),
+                                       duration=2.0), []
+
+    def short_exp1(*args, **kwargs):
+        returned.append(exp1(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(harness, "run_experiment1", short_exp1)
     assert cli.main(["--seed", "0", command, str(models_doc), "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out and any(tmp_path.iterdir())
+    out = capsys.readouterr().out
+    assert out and any(tmp_path.iterdir())
+    if command == "track":
+        [trials] = returned
+        assert out == tracking_markdown(trials) + "\n"
 
 
 def refusals(monkeypatch, capsys, path) -> list:
@@ -755,6 +822,21 @@ def test_cli_refuses_an_unreadable_document(tmp_path, capsys, monkeypatch, conte
         path.write_bytes(content)
     for err in refusals(monkeypatch, capsys, path):
         assert named in err
+
+
+def test_cli_track_fails_closed_on_a_diverging_model(tmp_path, capsys, models_doc):
+    # every A scaled by 1e200: the condensed Hessians overflow, and track
+    # stops with one error line before any command reaches the arm (warnings
+    # are errors here, so no RuntimeWarning escapes either)
+    doc = json.loads(models_doc.read_text())
+    for entry in doc.values():
+        entry["A"] = (1e200 * np.array(entry["A"])).tolist()
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--seed", "0", "track", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Condenser: ") and len(err.strip().splitlines()) == 1
+    assert "not finite with a positive definite Hessian" in err
 
 
 def test_config_checks_every_field_type(tmp_path):

@@ -149,6 +149,21 @@ def test_condense_reference_length_check():
         cond.qp(np.array([0.0]), np.zeros(2))
 
 
+@pytest.mark.parametrize("model", [
+    scalar_model(a=1e200),          # A^2 overflows: H is not finite
+    # two inputs with one huge column: H is finite but singular to rounding
+    KoopmanModel(A=np.eye(1), B=np.full((1, 2), 1e150), basis=identity_basis(1, 2, 0), Ts=TS),
+    # A^2 overflows in S alone: H and P stay finite, H positive definite
+    scalar_model(a=1e160, b=1e-200),
+], ids=["not-finite", "singular", "free-response-not-finite"])
+def test_condenser_refuses_a_model_it_cannot_condense(model):
+    # one ValueError and no RuntimeWarning (warnings are errors here)
+    cfg = MpcConfig(Nh=2, Q=np.eye(1), R=1e-5 * np.eye(model.m),
+                    u_min=np.zeros(model.m), u_max=np.ones(model.m))
+    with pytest.raises(ValueError, match="not finite with a positive definite Hessian"):
+        Condenser(model, cfg)
+
+
 def test_solver_clipped_scalar():
     # min 1/2 u^2 - u over [0, 0.4] -> u* = 0.4
     qp = QpProblem(H=np.array([[1.0]]), f=np.array([-1.0]),
@@ -465,6 +480,17 @@ def test_controller_holds_input_on_non_finite_measurement(caplog):
     assert ctrl.rejected == 1 and twin.rejected == 0
     assert ctrl.estimator.updates == twin.estimator.updates > 0
     assert np.array_equal(ctrl.w_hat, twin.w_hat)
+
+
+def test_controller_step_refuses_a_non_finite_input(monkeypatch):
+    # a QP whose plan is not finite fails the step closed: no input is
+    # returned, and no step is logged or warm-starts the next
+    ctrl = Controller(scalar_model(a=0.5), scalar_cfg(Nh=3), np.zeros((1, 1)))
+    monkeypatch.setattr(mpc, "solve_box_qp", lambda qp, **kw: mpc.QpResult(
+        x=np.full(3, np.nan), converged=False, iterations=0, kkt_residual=np.nan))
+    with pytest.raises(ValueError, match="controller step 0: .* non-finite input"):
+        ctrl.step(np.array([0.1]))
+    assert len(ctrl.logs) == 0 and ctrl.warm_start is None
 
 
 def test_controller_reference_must_be_rows_of_outputs():
