@@ -108,7 +108,8 @@ def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> 
 
     K_bar = pinv(Psi_a) Psi_b with Psi = [lift(Yd) | U].  Each data matrix
     is lifted straight into its leading columns, and only one is alive at a
-    time: Psi_a is released once its pseudoinverse exists, and only then is
+    time: the pseudoinverse's SVD writes its left singular vectors over
+    Psi_a, which is released once the pseudoinverse exists, and only then is
     Psi_b lifted.  A rank-deficient Psi_a is reported by the pseudoinverse,
     from the one SVD it takes.  A and B are column-major copies, the layout
     :func:`model_from_dict` reads them back in, so a fitted and a read model
@@ -133,7 +134,7 @@ def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> 
         return Psi
 
     Psi_a = data_matrix(a)
-    pinv_a = numkit.pinv(Psi_a)
+    pinv_a = numkit.pinv(Psi_a, overwrite=True)
     del Psi_a
     K_bar = pinv_a @ data_matrix(b)
     Kt = K_bar.T

@@ -81,11 +81,10 @@ def fit_basis(samples: np.ndarray, energy: float, n: int, m: int, d: int) -> Bas
     Identity coordinates and the constant function are kept verbatim; the
     degree-2 monomial block is reduced by PCA at the given energy fraction.
 
-    The (K, P) monomial block is the fit's largest array.  It is handed to
-    the PCA without a reference kept here, so the PCA can release it once
-    it has centred a copy, and the PCA takes the spectrum from the P x P R
-    factor, so the K x P left singular vectors, which a projection never
-    uses, are not formed (see :func:`numkit.pca_fit`).
+    The (K, P) monomial block is the fit's largest array.  The PCA centres
+    one copy of it and takes the spectrum from the P x P R factor, which
+    the QR leaves in that copy, so the K x P left singular vectors, which a
+    projection never uses, are not formed (see :func:`numkit.pca_fit`).
     """
     samples = np.asarray(samples, dtype=float)
     ne = embedded_dim(n, m, d)
@@ -117,15 +116,23 @@ def _output(out, shape: tuple) -> np.ndarray:
     return out
 
 
+# Rows per monomial block of a batch lift.  Blocks of 256 rows or more give
+# the one-shot projection's bits with OpenBLAS; 64-row blocks do not.
+LIFT_BLOCK_ROWS = 512
+
+
 def lift_g_many(basis: Basis, Yd: np.ndarray, *, out=None) -> np.ndarray:
     """Vectorized g-lifting of a batch of embedded outputs (rows).
 
     The lifts are written into one (K, n_lifted) array: ``out`` when given
     (an array or a column view of a wider one, such as the leading columns
-    of a least-squares data matrix), else a new one.  The monomial block is
-    centred in place and projected straight into its columns, so the only
-    temporary is the (K, P) monomial array; the arithmetic is that of the
-    projection ``(Q - mean) @ components.T``.
+    of a least-squares data matrix), else a new one.  The monomials are
+    formed ``LIFT_BLOCK_ROWS`` rows at a time (the last block takes the
+    remainder, so a batch under twice that is one block), each block centred
+    in place and projected straight into its rows, so the only temporary is
+    one block of monomials; the result has the bits of the one-shot
+    projection ``(Q - mean) @ components.T``.  A measurement too large to
+    square gives inf or NaN lifts without a warning: its caller refuses them.
     """
     Yd = np.atleast_2d(np.asarray(Yd, dtype=float))
     if Yd.shape[1] != basis.identity_count:
@@ -139,11 +146,16 @@ def lift_g_many(basis: Basis, Yd: np.ndarray, *, out=None) -> np.ndarray:
     if basis.include_constant:
         G[:, ne] = 1.0
     projection = basis.projection
-    if projection.n_components > 0:
-        Q = _eval_quadratics(Yd)
-        Q -= projection.mean
-        np.matmul(Q, projection.components.T,
-                  out=G[:, ne + int(basis.include_constant):])
+    if projection.n_components == 0:
+        return G
+    G_mono = G[:, ne + int(basis.include_constant):]
+    K = Yd.shape[0]
+    bounds = [i * LIFT_BLOCK_ROWS for i in range(max(1, K // LIFT_BLOCK_ROWS))] + [K]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, end in zip(bounds[:-1], bounds[1:]):
+            Q = _eval_quadratics(Yd[start:end])
+            Q -= projection.mean
+            np.matmul(Q, projection.components.T, out=G_mono[start:end])
     return G
 
 
@@ -174,8 +186,9 @@ def lift_gamma_many(basis: Basis, Yd: np.ndarray, W: np.ndarray, *,
     N = basis.n_lifted
     Z = _output(out, (Yd.shape[0], N * (W.shape[1] + 1)))
     G = lift_g_many(basis, Yd, out=Z[:, :N])
-    for i in range(W.shape[1]):
-        np.multiply(G, W[:, i:i + 1], out=Z[:, (i + 1) * N:(i + 2) * N])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(W.shape[1]):
+            np.multiply(G, W[:, i:i + 1], out=Z[:, (i + 1) * N:(i + 2) * N])
     return Z
 
 

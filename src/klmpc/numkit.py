@@ -15,23 +15,45 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_RTOL = 1e-10
 
-# The LAPACK (dgesv) gufuncs behind np.linalg.solve, whose checks cost more
-# than a small solve: ``solve`` is (m,m),(m,k)->(m,k), ``solve1`` (m,m),(m)->(m),
-# both called with signature="dd->d".  A singular matrix gives NaN and the
-# invalid flag, not LinAlgError.
+# The LAPACK gufuncs behind np.linalg.  The dgesv ones behind
+# np.linalg.solve, whose checks cost more than a small solve: ``solve`` is
+# (m,m),(m,k)->(m,k), ``solve1`` (m,m),(m)->(m), both called with
+# signature="dd->d"; a singular matrix gives NaN and the invalid flag, not
+# LinAlgError.  ``svd_s`` (m,n)->(m,k),(k),(k,n) is np.linalg.svd's thin SVD
+# and ``qr_r_raw`` (m,n)->(k) np.linalg.qr's Householder step, which leaves R
+# in the upper triangle of its input; both flag a failure as invalid.
 lapack = np.linalg._umath_linalg
 
 
-def pinv(A: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via full SVD.
+def _lapack_errors(message: str):
+    """The floating-point state np.linalg runs its gufuncs under: a failure
+    flagged as invalid is a LinAlgError with ``message``."""
+    def fail(*_):
+        raise np.linalg.LinAlgError(message)
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+def pinv(A: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+    """Moore-Penrose pseudoinverse via the thin SVD.
 
     Singular values up to ``DEFAULT_RTOL * sigma_max`` are treated as zero,
     and a warning gives the rank that is left when any is dropped.
+
+    The SVD is the LAPACK call of ``np.linalg.svd(A, full_matrices=False)``,
+    so the result has its bits.  With ``overwrite`` on a tall, C-contiguous
+    float64 ``A`` the left singular vectors are written over ``A`` itself, so
+    no second array of its size is formed; ``A`` holds them afterwards.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("pinv: input matrix contains non-finite entries")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if A.ndim != 2:
+        raise np.linalg.LinAlgError(f"pinv: need a 2-D matrix, got {A.ndim} dimension(s)")
+    in_place = overwrite and A.shape[0] >= A.shape[1] and A.flags.c_contiguous
+    with _lapack_errors("SVD did not converge"):
+        U, s, Vt = lapack.svd_s(A, signature="d->ddd",
+                                out=(A if in_place else None, None, None))
     keep = s > DEFAULT_RTOL * s[0] if s.size else s.astype(bool)
     if not keep.all():
         logger.warning("pinv: %dx%d matrix is rank-deficient (%d < %d); the "
@@ -84,9 +106,10 @@ def pca_fit(X: np.ndarray, energy: float) -> PcaProjection:
     factor of the centred data, so the K x n left vectors, which PCA never
     uses, are not formed.  For tall data (K >= 11n/6) this is the route
     LAPACK's gesdd takes internally, and the result is bit-identical to
-    ``svd(Xc)``; otherwise it agrees to rounding.  The uncentred input is
-    released before the factorisation, so when the caller keeps no reference
-    to it, the peak is the centred copy plus numpy's QR working copies.
+    ``svd(Xc)``; otherwise it agrees to rounding.  The Householder QR of
+    ``np.linalg.qr(Xc, mode="r")`` runs in place on the centred copy, which
+    is released once R is taken from it, so no third array of the data's
+    size is formed: the peak is the input and its centred copy.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -96,7 +119,11 @@ def pca_fit(X: np.ndarray, energy: float) -> PcaProjection:
     mean = X.mean(axis=0)
     Xc = X - mean
     del X
-    _, s, Vt = np.linalg.svd(np.linalg.qr(Xc, mode="r"), full_matrices=False)
+    with _lapack_errors("Incorrect argument found while performing QR factorization"):
+        lapack.qr_r_raw(Xc, signature="d->d")
+    R = np.triu(Xc[:min(Xc.shape)])
+    del Xc
+    _, s, Vt = np.linalg.svd(R, full_matrices=False)
     var = s**2
     total = var.sum()
     if total <= 0.0:

@@ -76,11 +76,18 @@ def _solve_load(M: np.ndarray, rhs: np.ndarray, cfg: EstimatorConfig):
     A full-column-rank M (at ``numkit.pinv``'s threshold) is solved for the
     whole (1, w) stack, so the constant coefficient soaks up any systematic
     one-step model offset; otherwise the constant is pinned at exactly 1.
+    A finite M whose norm overflows comes from a model out of range, and is
+    a ValueError.
     """
     if not np.all(np.isfinite(M)):
         return None
     w_cols = M[:, 1:]
-    if np.linalg.norm(w_cols) < 1e-9 * max(np.linalg.norm(M), 1.0):
+    with np.errstate(over="ignore"):
+        norm_w, norm_M = np.linalg.norm(w_cols), np.linalg.norm(M)
+    if not np.isfinite(norm_M):
+        raise ValueError("load equations: the entries are finite but their norm "
+                         "overflows; the model's matrices are out of range")
+    if norm_w < 1e-9 * max(norm_M, 1.0):
         return None
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == M.shape[1] and s[-1] > numkit.DEFAULT_RTOL * s[0]:

@@ -5,6 +5,7 @@ test that needs real fitted models shares one ModelSet).
 
 import os
 import sys
+import tracemalloc
 
 # One BLAS thread, as in bench/run.py: the fitted models differ in their last
 # bits between thread counts, and closed-loop results amplify those bits.
@@ -31,6 +32,21 @@ def default_cfg():
 @pytest.fixture(scope="session")
 def models(default_cfg):
     return fit_models(default_cfg)
+
+
+def traced_peak(fn):
+    """Peak traced allocation of ``fn()`` above what was live before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from klmpc import edmd
+from klmpc import edmd, numkit
 from klmpc.edmd import (
     KoopmanModel,
     assemble_snapshots,
@@ -18,7 +18,9 @@ from klmpc.edmd import (
 from klmpc.lifting import Basis, embedded_dim, fit_basis, identity_basis, lift_g
 from klmpc.mpc import Condenser
 from klmpc.numkit import PcaProjection
+from klmpc.plant import collect_training_data
 
+from conftest import traced_peak
 from oracles import (
     bilinear_basis,
     fit_bilinear_model,
@@ -139,25 +141,41 @@ def test_rank_deficient_fit_warns_and_stays_finite(caplog):
 
 def test_fit_factors_data_matrix_once(monkeypatch):
     # the rank check reads the singular values of the pseudoinverse's own
-    # SVD: one factorisation of Psi_a per fit, and no matrix_rank
+    # SVD: one factorisation of Psi_a per fit, and no matrix_rank.  The thin
+    # SVD gufunc is counted, which np.linalg.svd runs too.
     rng = np.random.default_rng(6)
     campaign = linear_campaign(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
     snaps = assemble_snapshots(*campaign, d=0)
     want = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
-    svd, calls = np.linalg.svd, []
+    svd_s, calls = numkit.lapack.svd_s, []
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
-        return svd(*args, **kwargs)
+        return svd_s(*args, **kwargs)
 
     def no_rank(*args, **kwargs):
         raise AssertionError("the fit must not factor Psi_a a second time")
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(numkit.lapack, "svd_s", counted)
     monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
     got = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
     assert calls == [(snaps[0].shape[0], 2)]
     assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
+
+
+def test_load_fit_traced_peak(default_cfg, models):
+    # Psi_a, the pseudoinverse and one row block of monomials: the SVD writes
+    # U over Psi_a, and the lift forms no (K, 55) monomial block.  With a
+    # separate U and the whole block the peak was 3.06 Psi_a; 2.17 measured.
+    [training] = collect_training_data(default_cfg.plant, [default_cfg.campaign])
+    snaps = assemble_snapshots(*training, default_cfg.fit.d)
+    basis = models.koopman_load.basis
+    peak, model = traced_peak(lambda: fit_koopman(snaps, basis, default_cfg.plant.Ts,
+                                                  with_load=True))
+    assert np.array_equal(model.A, models.koopman_load.A)
+    assert np.array_equal(model.B, models.koopman_load.B)
+    psi_bytes = snaps[0].shape[0] * (model.n_z + model.m) * 8
+    assert peak <= 2.25 * psi_bytes
 
 
 def test_exact_recovery_multivariate():

@@ -824,19 +824,38 @@ def test_cli_refuses_an_unreadable_document(tmp_path, capsys, monkeypatch, conte
         assert named in err
 
 
-def test_cli_track_fails_closed_on_a_diverging_model(tmp_path, capsys, models_doc):
-    # every A scaled by 1e200: the condensed Hessians overflow, and track
-    # stops with one error line before any command reaches the arm (warnings
-    # are errors here, so no RuntimeWarning escapes either)
+def diverging_models_doc(models_doc, tmp_path):
+    """The models document ``models_doc`` with every A scaled by 1e200."""
     doc = json.loads(models_doc.read_text())
     for entry in doc.values():
         entry["A"] = (1e200 * np.array(entry["A"])).tolist()
     path = tmp_path / "models.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cli_track_fails_closed_on_a_diverging_model(tmp_path, capsys, models_doc):
+    # the condensed Hessians overflow, and track stops with one error line
+    # before any command reaches the arm (warnings are errors here, so no
+    # RuntimeWarning escapes either)
+    path = diverging_models_doc(models_doc, tmp_path)
     assert cli.main(["--seed", "0", "track", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: Condenser: ") and len(err.strip().splitlines()) == 1
     assert "not finite with a positive definite Hessian" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "sort"])
+def test_cli_observer_fails_closed_on_a_diverging_model(tmp_path, capsys, models_doc,
+                                                        command):
+    # the load equations are finite but their norm overflows: the first
+    # window estimate stops the run with one error line, where every window
+    # was read as blind to the load and estimate printed 0.0 g
+    path = diverging_models_doc(models_doc, tmp_path)
+    assert cli.main(["--seed", "0", command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert err.startswith("error: load equations: ") and "norm overflows" in err
 
 
 def test_config_checks_every_field_type(tmp_path):

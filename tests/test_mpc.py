@@ -493,6 +493,18 @@ def test_controller_step_refuses_a_non_finite_input(monkeypatch):
     assert len(ctrl.logs) == 0 and ctrl.warm_start is None
 
 
+def test_controller_step_refuses_a_huge_measurement_quietly(default_cfg, models):
+    # a finite measurement too large to square lifts to inf and NaN without
+    # an overflow RuntimeWarning (warnings are errors here), and the step
+    # fails closed with its ValueError alone
+    for model, load in ((models.koopman, None), (models.koopman_load, 0.1)):
+        ctrl = Controller(model, default_cfg.mpc_config(), np.zeros((10, model.n)),
+                          known_load=load)
+        with pytest.raises(ValueError, match="controller step 0: .* non-finite input"):
+            ctrl.step(np.full(model.n, 1e200))
+        assert len(ctrl.logs) == 0
+
+
 def test_controller_reference_must_be_rows_of_outputs():
     for bad in (np.zeros(5), np.zeros((0, 1)), np.zeros((5, 2))):
         with pytest.raises(ValueError, match="reference must be"):

@@ -67,6 +67,33 @@ def test_pinv_matches_numpy():
         assert np.allclose(numkit.pinv(A), np.linalg.pinv(A), atol=1e-10)
 
 
+def svd_pinv(A):
+    """Oracle: the pseudoinverse from np.linalg.svd's thin factors, with the
+    singular values pinv drops set to zero."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > numkit.DEFAULT_RTOL * s[0]
+    s_inv = np.zeros_like(s)
+    s_inv[keep] = 1.0 / s[keep]
+    return (Vt.T * s_inv) @ U.T, U
+
+
+@pytest.mark.parametrize("rows, cols, order", [
+    (300, 7, "C"), (7, 7, "C"), (4, 9, "C"), (300, 7, "F")])
+def test_pinv_overwrite_keeps_every_bit(rows, cols, order):
+    # the thin SVD's bits whether or not U is written over the input; only a
+    # tall C-contiguous input is overwritten, and then it holds U
+    rng = np.random.default_rng(rows + cols)
+    A = np.asarray(random_matrix(rng, rows, cols), order=order)
+    A[:, -1] = A[:, 0]                   # rank-deficient: a dropped value
+    want, U = svd_pinv(A)
+    original = A.copy(order="K")
+    assert np.array_equal(numkit.pinv(A), want)
+    assert np.array_equal(A, original)
+    assert np.array_equal(numkit.pinv(A, overwrite=True), want)
+    in_place = rows >= cols and order == "C"
+    assert np.array_equal(A, U if in_place else original)
+
+
 def test_pinv_rejects_nonfinite():
     A = np.eye(2)
     A[0, 0] = np.nan
