@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import os
 import sys
 from pathlib import Path
 
 from . import edmd, harness
-from .harness import ExperimentConfig, ModelSet, config_from_json
-
-# the models of a models document and their load dimensions p
-MODEL_LOADS = {"baseline": 0, "koopman": 0, "koopman_load": 1}
-# the arm's measured outputs and commanded inputs
-ARM_OUTPUTS, ARM_INPUTS = 4, 2
+from .harness import ExperimentConfig, config_from_json
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -29,31 +26,24 @@ def _load_config(args) -> ExperimentConfig:
     return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
-def _load_models(args, cfg: ExperimentConfig) -> ModelSet:
-    """The models of the document ``args.models``, refused unless it holds
-    each of MODEL_LOADS with its load dimension, for the arm's outputs and
-    inputs at the config's sample period."""
-    models = edmd.load_models(args.models)
-    where = f"models document {args.models}"
-    if sorted(models) != sorted(MODEL_LOADS):
-        raise ValueError(f"{where}: expected the models {', '.join(map(repr, MODEL_LOADS))}, "
-                         f"got {', '.join(map(repr, models)) or 'none'}")
-    for name, model in models.items():
-        if (model.n, model.m, model.p) != (ARM_OUTPUTS, ARM_INPUTS, MODEL_LOADS[name]):
-            raise ValueError(f"{where}: {name!r} has n = {model.n}, m = {model.m} and "
-                             f"p = {model.p}; the arm needs {ARM_OUTPUTS}, {ARM_INPUTS} "
-                             f"and {MODEL_LOADS[name]}")
-        if model.Ts != cfg.plant.Ts:
-            raise ValueError(f"{where}: {name!r} has Ts = {model.Ts}, "
-                             f"the config's plant has Ts = {cfg.plant.Ts}")
-    return ModelSet(**models)
+def _load_run(args) -> tuple:
+    """The config and the models of track, estimate or sort, with the --out
+    directory made, so that each fails before any trial runs."""
+    cfg = _load_config(args)
+    models = harness.read_models(args.models, cfg)
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    return cfg, models
 
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
-    Path(args.models).parent.mkdir(parents=True, exist_ok=True)  # fail before the fit
+    # fail before the fit, as the write after it would
+    Path(args.models).parent.mkdir(parents=True, exist_ok=True)
+    if Path(args.models).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.models)
     models = harness.fit_models(cfg)
-    named = {name: getattr(models, name) for name in MODEL_LOADS}
+    named = {name: getattr(models, name) for name in harness.MODEL_LOADS}
     edmd.save_models(named, args.models)
     for name, model in named.items():
         print(f"{name}: n_z={model.n_z}, "
@@ -63,15 +53,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_track(args) -> int:
-    cfg = _load_config(args)
-    trials = harness.run_experiment1(cfg, _load_models(args, cfg), outdir=args.out)
+    trials = harness.run_experiment1(*_load_run(args), outdir=args.out)
     print(harness.tracking_markdown(trials))
     return 0
 
 
 def cmd_estimate(args) -> int:
-    cfg = _load_config(args)
-    traces = harness.run_experiment2(cfg, _load_models(args, cfg), outdir=args.out)
+    traces = harness.run_experiment2(*_load_run(args), outdir=args.out)
     for tr in traces:
         print(f"payload {1000 * tr.payload:.0f} g: final estimate "
               f"{1000 * tr.w_hat[-1]:.1f} g "
@@ -80,8 +68,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sort(args) -> int:
-    cfg = _load_config(args)
-    outcomes = harness.run_experiment4(cfg, _load_models(args, cfg), outdir=args.out)
+    outcomes = harness.run_experiment4(*_load_run(args), outdir=args.out)
     ok = sum(o.success for o in outcomes)
     for i, o in enumerate(outcomes):
         print(f"object {i}: mass {1000 * o.payload:.0f} g, estimate "

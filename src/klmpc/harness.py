@@ -1,7 +1,7 @@
-"""Experiment runners: model fitting campaigns, reference trajectories, the
-three tracking controllers, and desk-scale analogs of the four validation
-experiments; the runners write every experiment file (CSV, and exp1's
-markdown table).
+"""Experiment runners: model fitting campaigns, the models document's
+reader, reference trajectories, the three tracking controllers, and
+desk-scale analogs of the four validation experiments; the runners write
+every experiment file (CSV, and exp1's markdown table).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from . import edmd, lifting, observer as obs
 from .edmd import KoopmanModel
 from .mpc import Controller, MpcConfig, end_effector_weight
 from .observer import EstimatorConfig, EstimatorState
-from .plant import (ArmParams, CampaignConfig, Run, collect_training_data, drive, excitation,
-                    sample_steps)
+from .plant import (ARM_SHAPE, ArmParams, CampaignConfig, Run, collect_training_data, drive,
+                    excitation, sample_steps)
 
 EXP1_PAYLOADS = (0.025, 0.075, 0.125, 0.175, 0.225, 0.275)
 EXP2_PAYLOADS = (0.025, 0.125, 0.225)
@@ -82,12 +82,13 @@ class ExperimentConfig:
         self.mpc_config()  # range checks of the controller settings
 
     def mpc_config(self) -> MpcConfig:
+        n, m = ARM_SHAPE
         return MpcConfig(
             Nh=self.Nh,
-            Q=end_effector_weight(4),
-            R=self.r_weight * np.eye(2),
-            u_min=np.zeros(2),
-            u_max=np.ones(2),
+            Q=end_effector_weight(n),
+            R=self.r_weight * np.eye(m),
+            u_min=np.zeros(m),
+            u_max=np.ones(m),
         )
 
 
@@ -122,11 +123,11 @@ class Reference:
     weight and a zero reference.
     """
 
-    def __init__(self, fn, Ts: float, duration: float, n: int = 4):
+    def __init__(self, fn, Ts: float, duration: float):
         self.Ts = Ts
         self.duration = duration
         t = np.clip(np.arange(math.ceil(duration / Ts) + 2) * Ts, 0.0, duration)
-        self.table = np.zeros((t.size, n))
+        self.table = np.zeros((t.size, ARM_SHAPE[0]))
         self.table[:, -2:] = np.asarray(fn(t)).T
 
     def __call__(self, k: int) -> np.ndarray:
@@ -179,6 +180,11 @@ def point_reference(params: ArmParams, target, duration: float) -> Reference:
 # Model fitting
 # ---------------------------------------------------------------------------
 
+# the models of a ModelSet, and of its models document, with their load
+# dimensions p
+MODEL_LOADS = {"baseline": 0, "koopman": 0, "koopman_load": 1}
+
+
 @dataclass(frozen=True)
 class ModelSet:
     baseline: KoopmanModel        # L-MPC: identity-basis least squares
@@ -205,6 +211,26 @@ def fit_models(cfg: ExperimentConfig) -> ModelSet:
     return ModelSet(baseline=baseline, koopman=koopman,
                     koopman_load=edmd.fit_koopman(snaps, basis, Ts, with_load=True),
                     holdout=holdout)
+
+
+def read_models(path, cfg: ExperimentConfig) -> ModelSet:
+    """The models of the models document at ``path``, refused unless it
+    holds each of MODEL_LOADS with its load dimension, for the arm's outputs
+    and inputs at the sample period of ``cfg.plant``."""
+    models = edmd.load_models(path)
+    where = f"models document {path}"
+    if sorted(models) != sorted(MODEL_LOADS):
+        raise ValueError(f"{where}: expected the models {', '.join(map(repr, MODEL_LOADS))}, "
+                         f"got {', '.join(map(repr, models)) or 'none'}")
+    for name, model in models.items():
+        if (model.n, model.m, model.p) != (*ARM_SHAPE, MODEL_LOADS[name]):
+            raise ValueError(f"{where}: {name!r} has n = {model.n}, m = {model.m} and "
+                             f"p = {model.p}; the arm needs {ARM_SHAPE[0]}, {ARM_SHAPE[1]} "
+                             f"and {MODEL_LOADS[name]}")
+        if model.Ts != cfg.plant.Ts:
+            raise ValueError(f"{where}: {name!r} has Ts = {model.Ts}, "
+                             f"the config's plant has Ts = {cfg.plant.Ts}")
+    return ModelSet(**models)
 
 
 # ---------------------------------------------------------------------------

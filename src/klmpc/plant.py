@@ -17,6 +17,9 @@ import numpy as np
 from .numkit import lapack
 
 W_MAX = 0.3
+# (n, m): the arm's measured outputs, the (x, y) of both link tips, and its
+# commanded inputs, one per joint
+ARM_SHAPE = (4, 2)
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,7 @@ def ramp_and_hold(rng, m: int, Ts: float):
 def excitation(rng, Ts: float):
     """Open-loop policy ``(k, y) -> u`` of clipped ramp-and-hold commands
     drawn from ``rng``; it ignores the measurement."""
-    commands = ramp_and_hold(rng, m=2, Ts=Ts)
+    commands = ramp_and_hold(rng, m=ARM_SHAPE[1], Ts=Ts)
     # np.clip(u, 0, 1) as two ufunc calls, without np.clip's Python dispatch;
     # they differ only on -0.0, which ramp_and_hold never yields
     return lambda k, y: np.minimum(np.maximum(next(commands), 0.0), 1.0)
@@ -280,8 +283,8 @@ def drive(params: ArmParams, runs) -> list:
     rngs = [run.rng for run in batch]
     K = int(steps.max(initial=0))
     q = np.zeros((len(batch), 4))
-    Y = np.empty((len(batch), K + 1, 4))
-    U = np.empty((len(batch), K, 2))
+    Y = np.empty((len(batch), K + 1, ARM_SHAPE[0]))
+    U = np.empty((len(batch), K, ARM_SHAPE[1]))
     Y[:, 0] = _measure(q, params, rngs)
     for k in range(K):
         n = int(np.count_nonzero(steps > k))

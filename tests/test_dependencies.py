@@ -87,6 +87,16 @@ def test_only_the_document_owners_import_json():
     assert owners == ["edmd.py", "harness.py"]
 
 
+def test_only_the_harness_reads_a_models_document():
+    # harness.read_models checks a document against the arm and the config;
+    # a second caller of edmd.load_models would run models it never checked
+    callers = sorted({path.name for path in PACKAGE.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                      if isinstance(node, ast.Call) and "load_models" in (
+                          getattr(node.func, "attr", None), getattr(node.func, "id", None))})
+    assert callers == ["harness.py"]
+
+
 def test_declared_dependencies_are_numpy_alone():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:

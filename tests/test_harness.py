@@ -471,11 +471,11 @@ def fit_args(models_path, seed=0):
 def models_doc(tmp_path_factory, models):
     """The session's fitted models, written as ``klmpc fit`` writes them."""
     path = tmp_path_factory.mktemp("models") / "models.json"
-    edmd.save_models({name: getattr(models, name) for name in MODEL_NAMES}, path)
+    edmd.save_models({name: getattr(models, name) for name in harness.MODEL_LOADS}, path)
     return path
 
 
-def test_cli_collect_and_fit(tmp_path, capsys):
+def test_cli_fit_writes_the_three_models(tmp_path, capsys):
     # fit collects the document's campaign and writes the three models into
     # one document, one printed line per model
     models_path = tmp_path / "models.json"
@@ -490,7 +490,7 @@ def test_cli_collect_and_fit(tmp_path, capsys):
     assert lines[3] == f"wrote 3 models to {models_path}"
 
 
-def test_cli_collect_deterministic(tmp_path):
+def test_cli_fit_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(fit_args(a, seed=5)) == 0
     assert cli.main(fit_args(b, seed=5)) == 0
@@ -514,7 +514,7 @@ def no_models(monkeypatch) -> list:
     return calls
 
 
-def test_cli_collect_campaign_without_runs_is_one_error_line(tmp_path, capsys, monkeypatch):
+def test_cli_fit_campaign_without_runs_is_one_error_line(tmp_path, capsys, monkeypatch):
     calls = no_collection(monkeypatch)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"campaign": {"trials": 0}}))
@@ -552,7 +552,7 @@ def test_cli_collect_rejects_non_positive_flag(tmp_path, capsys, monkeypatch, fl
     assert calls == [] and not models_path.exists()
 
 
-def test_cli_collect_loads_must_be_numbers(tmp_path, capsys, monkeypatch):
+def test_cli_fit_loads_must_be_numbers(tmp_path, capsys, monkeypatch):
     calls = no_collection(monkeypatch)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"campaign": {"loads": [0.1, "abc"]}}))
@@ -614,7 +614,7 @@ def test_cli_seed_flag_replaces_the_document_seed_only_when_given(tmp_path, monk
     assert runs == [dataclasses.replace(config_from_json(path), seed=seed)]
 
 
-def test_cli_collect_and_fit_reproduce_the_experiment_model(tmp_path):
+def test_cli_fit_reproduces_the_experiment_model(tmp_path):
     # fit collects the document's campaign, the one fit_models trains on,
     # whatever --seed is, and writes the arrays of all three models
     path = tmp_path / "config.json"
@@ -664,6 +664,14 @@ def test_cli_fit_makes_the_models_directory(tmp_path):
     models_path = tmp_path / "new" / "nested" / "models.json"
     assert cli.main(argv[:-1] + [str(models_path)]) == 0
     assert tuple(edmd.load_models(models_path)) == MODEL_NAMES
+
+
+def test_cli_fit_onto_a_directory_fails_before_fitting(tmp_path, capsys, monkeypatch):
+    # the write after the fit would fail: the same error line comes first
+    monkeypatch.setattr(harness, "fit_models", lambda cfg: pytest.fail("fit_models ran"))
+    assert cli.main(["fit", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_fit_into_a_blocked_directory_fails_before_fitting(tmp_path, capsys, monkeypatch):
@@ -771,18 +779,26 @@ def test_cli_runs_the_models_document_without_fitting(tmp_path, capsys, monkeypa
         assert out == tracking_markdown(trials) + "\n"
 
 
-def refusals(monkeypatch, capsys, path) -> list:
+def refusals(monkeypatch, capsys, path, *argv) -> list:
     """The error line of each of track, estimate and sort on the models
-    document ``path``, each exit 2 before any trial runs."""
+    document ``path`` with the further arguments ``argv``, each exit 2
+    before any trial runs."""
     for name in ("run_experiment1", "run_experiment2", "run_experiment4"):
         monkeypatch.setattr(harness, name, lambda *a, **k: pytest.fail("a trial ran"))
     errors = []
     for command in ("track", "estimate", "sort"):
-        assert cli.main([command, str(path)]) == 2
+        assert cli.main([command, str(path), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         errors.append(err)
     return errors
+
+
+def library_refusal(path) -> Exception:
+    """The error of the library reader on the models document ``path``."""
+    with pytest.raises((OSError, ValueError)) as exc:
+        harness.read_models(path, ExperimentConfig())
+    return exc.value
 
 
 def identity_entry(n: int, m: int) -> dict:
@@ -806,8 +822,12 @@ def test_cli_refuses_a_document_that_does_not_fit_the_config(tmp_path, capsys, m
     edit(doc)
     path = tmp_path / "models.json"
     path.write_text(json.dumps(doc))
+    # the library reader refuses the document with the CLI's message, a
+    # missing model as a ValueError too
+    exc = library_refusal(path)
+    assert type(exc) is ValueError
     for err in refusals(monkeypatch, capsys, path):
-        assert named in err
+        assert named in err and err == f"error: {exc}\n"
 
 
 @pytest.mark.parametrize("content, named", [
@@ -820,8 +840,32 @@ def test_cli_refuses_an_unreadable_document(tmp_path, capsys, monkeypatch, conte
     path = tmp_path / "models.json"
     if content is not None:
         path.write_bytes(content)
+    exc = library_refusal(path)
     for err in refusals(monkeypatch, capsys, path):
-        assert named in err
+        assert named in err and err == f"error: {exc}\n"
+
+
+def test_cli_out_into_a_blocked_directory_fails_before_any_trial(tmp_path, capsys, monkeypatch,
+                                                                 models_doc):
+    # a regular file where the --out directory would go is one error line
+    # once the config and the document are checked, and no trial runs
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"
+    assert (refusals(monkeypatch, capsys, models_doc, "--out", str(out))
+            == [f"error: [Errno 20] Not a directory: '{out}'\n"] * 3)
+
+
+def test_read_models_gives_the_fitted_models(default_cfg, models, models_doc):
+    # the set read from fit's document is the session fit: every entry
+    # writes the same JSON, and A and B are bit-equal and column-major
+    read = harness.read_models(models_doc, default_cfg)
+    assert read.holdout is None
+    for name in harness.MODEL_LOADS:
+        got, want = getattr(read, name), getattr(models, name)
+        assert edmd.model_to_dict(got) == edmd.model_to_dict(want)
+        for X, Y in ((got.A, want.A), (got.B, want.B)):
+            assert X.tobytes() == Y.tobytes() and X.flags.f_contiguous
 
 
 def diverging_models_doc(models_doc, tmp_path):
