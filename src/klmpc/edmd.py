@@ -1,12 +1,15 @@
-"""EDMD fitting: snapshot assembly, least-squares Koopman matrix, and
-extraction of the (A, B) linear realization, with optional load
-augmentation; and the JSON models document, written and read strictly.
+"""EDMD fitting: least-squares Koopman matrix and extraction of the (A, B)
+linear realization, with optional load augmentation, from a recorded
+campaign; and the JSON models document, written and read strictly.
 
 A campaign is three arrays, as :func:`klmpc.plant.collect_training_data`
 records it: outputs ``Y`` (R, K+1, n), commands ``U`` (R, K, m) and loads
-``w`` (R,).  Fitting from recorded data other than a configured campaign is
-a library call: :func:`assemble_snapshots` on such arrays, then
-:func:`fit_koopman`.
+``w`` (R,) or None.  It is the one form the fits and the scoring take:
+:func:`fit_koopman` lifts the runs' delay embeddings block by block
+straight into the rows of its data matrix, and :func:`assemble_snapshots`
+row-stacks the snapshot pairs for a caller that wants them as arrays.
+Fitting from recorded data other than a configured campaign is a library
+call on such arrays.
 """
 
 from __future__ import annotations
@@ -26,10 +29,26 @@ from .lifting import Basis, delay_embed, identity_basis
 logger = logging.getLogger(__name__)
 
 
+def _check_campaign(Y, U, w, d: int) -> tuple:
+    """The campaign ``(Y, U, w)`` as float arrays, refused with one
+    ValueError naming the shapes unless it is outputs (R, K+1, n) with
+    K > d, the commands (R, K, m) applied between them, and loads (R,) or
+    None."""
+    Y = np.asarray(Y, dtype=float)
+    U = np.asarray(U, dtype=float)
+    if (Y.ndim != 3 or U.ndim != 3 or U.shape[:2] != (Y.shape[0], Y.shape[1] - 1)
+            or (w is not None and np.shape(w) != Y.shape[:1]) or Y.shape[1] < d + 2):
+        raise ValueError(
+            f"campaign: need outputs (R, K+1, n) with K > d, commands "
+            f"(R, K, m) and loads (R,), got {Y.shape}, {U.shape} and {np.shape(w)} at d={d}"
+        )
+    return Y, U, None if w is None else np.asarray(w, dtype=float)
+
+
 def assemble_snapshots(Y, U, w, d: int):
-    """Build row-stacked delay-embedded snapshot pairs from R uniformly
-    sampled runs: outputs ``Y`` (R, K+1, n), the commands ``U`` (R, K, m)
-    applied between them, and the run loads ``w`` (R,) or None.
+    """Build row-stacked delay-embedded snapshot pairs from a campaign of R
+    uniformly sampled runs: outputs ``Y`` (R, K+1, n), the commands ``U``
+    (R, K, m) applied between them, and the run loads ``w`` (R,) or None.
 
     Returns ``(a, b, U, W)``: run after run, the embeddings at steps
     k = d, ..., K-1, the embeddings at k+1, the inputs applied between them
@@ -37,16 +56,9 @@ def assemble_snapshots(Y, U, w, d: int):
     side shifted by one step within each run, so the fitted matrix is a
     genuine one-step transition map, and pairs never straddle runs.
     """
-    Y = np.asarray(Y, dtype=float)
-    U = np.asarray(U, dtype=float)
-    if (Y.ndim != 3 or U.ndim != 3 or U.shape[:2] != (Y.shape[0], Y.shape[1] - 1)
-            or (w is not None and np.shape(w) != Y.shape[:1]) or Y.shape[1] < d + 2):
-        raise ValueError(
-            f"assemble_snapshots: need outputs (R, K+1, n) with K > d, commands "
-            f"(R, K, m) and loads (R,), got {Y.shape}, {U.shape} and {np.shape(w)} at d={d}"
-        )
+    Y, U, w = _check_campaign(Y, U, w, d)
     E = delay_embed(Y, U, d)
-    W = None if w is None else np.repeat(np.asarray(w, dtype=float), E.shape[1] - 1)[:, None]
+    W = None if w is None else np.repeat(w, E.shape[1] - 1)[:, None]
     return (E[:, :-1].reshape(-1, E.shape[-1]), E[:, 1:].reshape(-1, E.shape[-1]),
             U[:, d:].reshape(-1, U.shape[-1]), W)
 
@@ -101,42 +113,65 @@ def _lift_rows(basis: Basis, Yd: np.ndarray, W: Optional[np.ndarray],
     return lifting.lift_gamma_many(basis, Yd, W, out=out)
 
 
-def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> KoopmanModel:
-    """Least-squares fit of the lifted transition matrix from the
-    ``(a, b, U, W)`` arrays of :func:`assemble_snapshots`, and extraction of
-    the (A, B) realization from its transpose partition.
+def _data_matrix(basis: Basis, Y, U, w, n_z: int, shift: int) -> np.ndarray:
+    """One side of the least-squares data matrix Psi = [lift(Yd) | U] of a
+    checked campaign, a row per snapshot pair, run after run: ``shift`` 0
+    gives the a side, which embeds ``Y[r, :K]``, and 1 the b side, which
+    embeds ``Y[r, 1:]``.  ``w`` is None for the g lift.
 
-    K_bar = pinv(Psi_a) Psi_b with Psi = [lift(Yd) | U].  Each data matrix
-    is lifted straight into its leading columns, and only one is alive at a
-    time: the pseudoinverse's SVD writes its left singular vectors over
-    Psi_a, which is released once the pseudoinverse exists, and only then is
-    Psi_b lifted.  A rank-deficient Psi_a is reported by the pseudoinverse,
-    from the one SVD it takes.  A and B are column-major copies, the layout
+    Psi is filled in the row blocks of one batch lift of the whole side
+    (:func:`lifting.row_blocks`): each block's rows are cut from the
+    embedding of just the runs it meets and lifted straight into its rows
+    of Psi, so every row has the bits of a lift of the row-stacked side, and
+    no side's whole embedding is formed.  Lifting each run alone would not
+    keep them: a run under about a hundred rows projects its monomials with
+    other roundings.
+    """
+    R, K, m = U.shape
+    rows = K - basis.d
+    Psi = np.empty((R * rows, n_z + m))
+    Psi[:, n_z:] = U[:, basis.d:].reshape(-1, m)
+    for start, end in lifting.row_blocks(R * rows):
+        r0, r1 = start // rows, -(-end // rows)
+        E = delay_embed(Y[r0:r1, shift:K + shift], U[r0:r1, shift:], basis.d)
+        cut = slice(start - r0 * rows, end - r0 * rows)
+        W = None if w is None else np.repeat(w[r0:r1], rows)[cut, None]
+        _lift_rows(basis, E.reshape(-1, E.shape[-1])[cut], W, w is not None,
+                   out=Psi[start:end, :n_z])
+    return Psi
+
+
+def fit_koopman(campaign, basis: Basis, Ts: float, with_load: bool = False) -> KoopmanModel:
+    """Least-squares fit of the lifted transition matrix from the snapshot
+    pairs of a ``(Y, U, w)`` campaign (those :func:`assemble_snapshots`
+    gives), and extraction of the (A, B) realization from its transpose
+    partition.
+
+    K_bar = pinv(Psi_a) Psi_b with Psi = [lift(Yd) | U].  Only one data
+    matrix is alive at a time, and no snapshot array: the pseudoinverse's
+    SVD writes its left singular vectors over Psi_a, which is released once
+    the pseudoinverse exists, and only then is Psi_b built.  A
+    rank-deficient Psi_a is reported by the pseudoinverse, from the one SVD
+    it takes.  A and B are column-major copies, the layout
     :func:`model_from_dict` reads them back in, so a fitted and a read model
     run the same bits.
     """
-    a, b, U, W = snapshots
-    if with_load and W is None:
+    Y, U, w = _check_campaign(*campaign, basis.d)
+    if with_load and w is None:
         raise ValueError("with_load requires a load on every snapshot")
-    p = W.shape[1] if with_load else 0
-    m = U.shape[1]
+    p = int(with_load)
+    m = U.shape[2]
     n_z = basis.n_lifted * (p + 1)
-    if a.shape[0] < n_z + m:
+    pairs = Y.shape[0] * (U.shape[1] - basis.d)
+    if pairs < n_z + m:
         raise ValueError(
-            f"fit_koopman: need at least n_z + m = {n_z + m} snapshots, "
-            f"got {a.shape[0]}"
+            f"fit_koopman: need at least n_z + m = {n_z + m} snapshots, got {pairs}"
         )
-
-    def data_matrix(Yd):
-        Psi = np.empty((Yd.shape[0], n_z + m))
-        _lift_rows(basis, Yd, W, with_load, out=Psi[:, :n_z])
-        Psi[:, n_z:] = U
-        return Psi
-
-    Psi_a = data_matrix(a)
+    loads = w if with_load else None
+    Psi_a = _data_matrix(basis, Y, U, loads, n_z, 0)
     pinv_a = numkit.pinv(Psi_a, overwrite=True)
     del Psi_a
-    K_bar = pinv_a @ data_matrix(b)
+    K_bar = pinv_a @ _data_matrix(basis, Y, U, loads, n_z, 1)
     Kt = K_bar.T
     A, B = np.asfortranarray(Kt[:n_z, :n_z]), np.asfortranarray(Kt[:n_z, n_z:])
     # the bottom block's deviation from [O | I]
@@ -147,10 +182,10 @@ def fit_koopman(snapshots, basis: Basis, Ts: float, with_load: bool = False) -> 
                         bottom_block_residual=residual)
 
 
-def fit_linear_baseline(snapshots, n: int, m: int, d: int, Ts: float) -> KoopmanModel:
+def fit_linear_baseline(campaign, n: int, m: int, d: int, Ts: float) -> KoopmanModel:
     """Linear state-space baseline: identity-basis least squares (no
-    dictionary, no load)."""
-    return fit_koopman(snapshots, identity_basis(n, m, d), Ts, with_load=False)
+    dictionary, no load) on a ``(Y, U, w)`` campaign."""
+    return fit_koopman(campaign, identity_basis(n, m, d), Ts, with_load=False)
 
 
 def one_step_rmse(model: KoopmanModel, campaign) -> float:

@@ -197,19 +197,20 @@ def fit_models(cfg: ExperimentConfig) -> ModelSet:
     """Fit the three controller models from the training campaign and keep
     the holdout campaign for scoring; both campaigns run as one lockstep
     batch, and the PCA dictionary basis is fitted once for both dictionary
-    models."""
+    models.  Each fit takes the campaign itself; the PCA's samples, the
+    a side of its snapshot pairs, are released before the dictionary fits."""
     camp, fit = cfg.campaign, cfg.fit
     training, holdout = collect_training_data(cfg.plant, [
         camp, CampaignConfig(loads=camp.loads, trials=fit.holdout_trials,
                              duration=fit.holdout_duration, seed=camp.seed + 1)])
-    snaps = edmd.assemble_snapshots(*training, fit.d)
     Ts = cfg.plant.Ts
     n, m = training[0].shape[-1], training[1].shape[-1]
-    baseline = edmd.fit_linear_baseline(snaps, n=n, m=m, d=fit.d, Ts=Ts)
-    basis = lifting.fit_basis(snaps[0], fit.energy, n=n, m=m, d=fit.d)
-    koopman = edmd.fit_koopman(snaps, basis, Ts)
+    baseline = edmd.fit_linear_baseline(training, n=n, m=m, d=fit.d, Ts=Ts)
+    basis = lifting.fit_basis(edmd.assemble_snapshots(*training, fit.d)[0], fit.energy,
+                              n=n, m=m, d=fit.d)
+    koopman = edmd.fit_koopman(training, basis, Ts)
     return ModelSet(baseline=baseline, koopman=koopman,
-                    koopman_load=edmd.fit_koopman(snaps, basis, Ts, with_load=True),
+                    koopman_load=edmd.fit_koopman(training, basis, Ts, with_load=True),
                     holdout=holdout)
 
 

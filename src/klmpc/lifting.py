@@ -81,10 +81,11 @@ def fit_basis(samples: np.ndarray, energy: float, n: int, m: int, d: int) -> Bas
     Identity coordinates and the constant function are kept verbatim; the
     degree-2 monomial block is reduced by PCA at the given energy fraction.
 
-    The (K, P) monomial block is the fit's largest array.  The PCA centres
-    one copy of it and takes the spectrum from the P x P R factor, which
-    the QR leaves in that copy, so the K x P left singular vectors, which a
-    projection never uses, are not formed (see :func:`numkit.pca_fit`).
+    The (K, P) monomial block is the fit's largest array, and the only one
+    of its size: it is handed to the PCA, which centres it in place and
+    takes the spectrum from the P x P R factor that the QR leaves in it, so
+    neither a centred copy nor the K x P left singular vectors, which a
+    projection never uses, are formed (see :func:`numkit.pca_fit`).
     """
     samples = np.asarray(samples, dtype=float)
     ne = embedded_dim(n, m, d)
@@ -93,7 +94,7 @@ def fit_basis(samples: np.ndarray, energy: float, n: int, m: int, d: int) -> Bas
     n_mono = 1 + ne + ne * (ne + 1) // 2   # degree <= 2 monomials in ne variables
     if samples.shape[0] < n_mono:
         raise ValueError(f"fit_basis: need at least {n_mono} samples, got {samples.shape[0]}")
-    projection = pca_fit(_eval_quadratics(samples), energy)
+    projection = pca_fit(_eval_quadratics(samples), energy, overwrite=True)
     return Basis(n=n, m=m, d=d, projection=projection)
 
 
@@ -121,14 +122,21 @@ def _output(out, shape: tuple) -> np.ndarray:
 LIFT_BLOCK_ROWS = 512
 
 
+def row_blocks(K: int) -> list:
+    """The (start, end) row blocks of a K-row batch lift: ``LIFT_BLOCK_ROWS``
+    rows each, the last taking the remainder, so a batch under twice that is
+    one block."""
+    bounds = [i * LIFT_BLOCK_ROWS for i in range(max(1, K // LIFT_BLOCK_ROWS))] + [K]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def lift_g_many(basis: Basis, Yd: np.ndarray, *, out=None) -> np.ndarray:
     """Vectorized g-lifting of a batch of embedded outputs (rows).
 
     The lifts are written into one (K, n_lifted) array: ``out`` when given
     (an array or a column view of a wider one, such as the leading columns
     of a least-squares data matrix), else a new one.  The monomials are
-    formed ``LIFT_BLOCK_ROWS`` rows at a time (the last block takes the
-    remainder, so a batch under twice that is one block), each block centred
+    formed in the :func:`row_blocks` of the batch, each block centred
     in place and projected straight into its rows, so the only temporary is
     one block of monomials; the result has the bits of the one-shot
     projection ``(Q - mean) @ components.T``.  A measurement too large to
@@ -149,10 +157,8 @@ def lift_g_many(basis: Basis, Yd: np.ndarray, *, out=None) -> np.ndarray:
     if projection.n_components == 0:
         return G
     G_mono = G[:, ne + int(basis.include_constant):]
-    K = Yd.shape[0]
-    bounds = [i * LIFT_BLOCK_ROWS for i in range(max(1, K // LIFT_BLOCK_ROWS))] + [K]
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, end in zip(bounds[:-1], bounds[1:]):
+        for start, end in row_blocks(Yd.shape[0]):
             Q = _eval_quadratics(Yd[start:end])
             Q -= projection.mean
             np.matmul(Q, projection.components.T, out=G_mono[start:end])

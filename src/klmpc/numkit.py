@@ -95,7 +95,7 @@ class PcaProjection:
         return self.components.shape[0]
 
 
-def pca_fit(X: np.ndarray, energy: float) -> PcaProjection:
+def pca_fit(X: np.ndarray, energy: float, *, overwrite: bool = False) -> PcaProjection:
     """Fit PCA on samples-by-features data, keeping the minimal number of
     leading components whose cumulative explained variance reaches ``energy``.
 
@@ -107,9 +107,12 @@ def pca_fit(X: np.ndarray, energy: float) -> PcaProjection:
     uses, are not formed.  For tall data (K >= 11n/6) this is the route
     LAPACK's gesdd takes internally, and the result is bit-identical to
     ``svd(Xc)``; otherwise it agrees to rounding.  The Householder QR of
-    ``np.linalg.qr(Xc, mode="r")`` runs in place on the centred copy, which
+    ``np.linalg.qr(Xc, mode="r")`` runs in place on the centred data, which
     is released once R is taken from it, so no third array of the data's
-    size is formed: the peak is the input and its centred copy.
+    size is formed: the peak is the input and its centred copy.  With
+    ``overwrite`` on a C-contiguous float64 ``X`` the data is centred in
+    place and the QR overwrites ``X`` too, so the peak is ``X`` alone; ``X``
+    holds the Householder factorisation afterwards.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -117,7 +120,8 @@ def pca_fit(X: np.ndarray, energy: float) -> PcaProjection:
     if not (0.0 < energy <= 1.0):
         raise ValueError(f"pca_fit: energy must be in (0, 1], got {energy}")
     mean = X.mean(axis=0)
-    Xc = X - mean
+    Xc = X if overwrite and X.flags.c_contiguous else X.copy()
+    Xc -= mean
     del X
     with _lapack_errors("Incorrect argument found while performing QR factorization"):
         lapack.qr_r_raw(Xc, signature="d->d")

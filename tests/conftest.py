@@ -18,6 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import pytest  # noqa: E402
 
 from klmpc.harness import ExperimentConfig, fit_models  # noqa: E402
+from klmpc.plant import collect_training_data  # noqa: E402
 
 # filled by test_acceptance, printed after the run so the per-criterion
 # verdicts are visible even with captured output
@@ -32,6 +33,13 @@ def default_cfg():
 @pytest.fixture(scope="session")
 def models(default_cfg):
     return fit_models(default_cfg)
+
+
+@pytest.fixture(scope="session")
+def training(default_cfg):
+    """The training campaign ``(Y, U, w)`` the session models are fitted on."""
+    [campaign] = collect_training_data(default_cfg.plant, [default_cfg.campaign])
+    return campaign
 
 
 def traced_peak(fn):

@@ -19,6 +19,8 @@
   lifts in their per-block concatenation form;
 - the one-step output prediction of a fitted model from one embedded
   output, and snapshot assembly one run at a time;
+- the EDMD fit on row-stacked snapshots: one lift of each whole side and
+  the pseudoinverse of a data matrix the fit keeps;
 - the output matrix C = [I_n | 0], written out.
 """
 
@@ -29,8 +31,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from klmpc import numkit, observer
-from klmpc.edmd import assemble_snapshots, fit_koopman
-from klmpc.lifting import Basis, delay_embed, gamma_matrix
+from klmpc.edmd import KoopmanModel, assemble_snapshots, fit_koopman
+from klmpc.lifting import Basis, delay_embed, gamma_matrix, lift_g_many, lift_gamma_many
 from klmpc.numkit import PcaProjection
 from klmpc.plant import ramp_and_hold
 
@@ -70,8 +72,8 @@ def fit_bilinear_model(ws=(0.0, 0.1, 0.2, 0.3), K: int = 40, seed: int = 0,
                        c0: float = 0.0):
     """EDMD fit of the load-augmented bilinear plant; exact by construction."""
     rng = np.random.default_rng(seed)
-    snaps = assemble_snapshots(*simulate_bilinear(ws, K, rng, c0=c0), d=0)
-    return fit_koopman(snaps, bilinear_basis(), BILINEAR_TS, with_load=True)
+    return fit_koopman(simulate_bilinear(ws, K, rng, c0=c0), bilinear_basis(), BILINEAR_TS,
+                       with_load=True)
 
 
 def enumerate_box_qp(H: np.ndarray, f: np.ndarray, lo: np.ndarray,
@@ -451,3 +453,22 @@ def reference_snapshots(Y, U, w, d: int):
         if w is not None:
             W.append(np.tile(np.atleast_1d(w[r]), (len(E) - 1, 1)))
     return np.vstack(a), np.vstack(b), np.vstack(us), np.vstack(W) if W else None
+
+
+def row_stacked_fit(campaign, basis: Basis, Ts: float, with_load: bool = False) -> KoopmanModel:
+    """EDMD on the row-stacked snapshot pairs of a ``(Y, U, w)`` campaign:
+    ``assemble_snapshots``, one lift of each whole side, and
+    K_bar = pinv(Psi_a) Psi_b with Psi = [lift(Yd) | U], Psi_a kept."""
+    a, b, U, W = assemble_snapshots(*campaign, basis.d)
+
+    def data_matrix(Yd):
+        Z = lift_gamma_many(basis, Yd, W) if with_load else lift_g_many(basis, Yd)
+        return np.hstack([Z, U])
+
+    Kt = (numkit.pinv(data_matrix(a)) @ data_matrix(b)).T
+    m = U.shape[1]
+    n_z = Kt.shape[0] - m
+    return KoopmanModel(A=Kt[:n_z, :n_z], B=Kt[:n_z, n_z:], basis=basis, Ts=Ts,
+                        p=int(with_load),
+                        bottom_block_residual=float(np.linalg.norm(
+                            Kt[n_z:] - np.eye(m, n_z + m, n_z))))

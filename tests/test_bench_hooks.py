@@ -37,6 +37,28 @@ def test_layer_tracer_resolves_and_restores_every_point(workloads):
         assert current is original
 
 
+def test_layer_tracer_records_every_fit_stage(workloads):
+    # the per-layer fit metrics sum these spans: a fit that stops calling a
+    # wrapped point where the tracer patches it would read 0 there
+    h = workloads.harness
+    cfg = h.ExperimentConfig(
+        campaign=h.CampaignConfig(loads=(0.0, 0.3), trials=1, duration=10.0),
+        fit=h.FitConfig(holdout_duration=5.0))
+    tracer = workloads.layer_tracer()
+    tracer.install()
+    try:
+        h.fit_models(cfg)
+    finally:
+        tracer.uninstall()
+    counts = {name: tracer.names.count(name) for name in (
+        "harness.fit_models", "edmd.fit_linear_baseline", "edmd.fit_koopman",
+        "edmd.assemble_snapshots", "lifting.fit_basis", "numkit.pca_fit", "numkit.pinv")}
+    # the baseline fit is a fit_koopman too, and each of the three takes one pinv
+    assert counts == {"harness.fit_models": 1, "edmd.fit_linear_baseline": 1,
+                      "edmd.fit_koopman": 3, "edmd.assemble_snapshots": 1,
+                      "lifting.fit_basis": 1, "numkit.pca_fit": 1, "numkit.pinv": 3}
+
+
 @pytest.mark.parametrize("name", ["track_known", "estimate_open", "track_unknown"])
 def test_workload_online_points_resolve(workloads, name):
     workload = workloads.WORKLOADS[name]

@@ -18,7 +18,7 @@ from klmpc.edmd import (
 from klmpc.lifting import Basis, embedded_dim, fit_basis, identity_basis, lift_g
 from klmpc.mpc import Condenser
 from klmpc.numkit import PcaProjection
-from klmpc.plant import collect_training_data
+from klmpc.plant import CampaignConfig, collect_training_data
 
 from conftest import traced_peak
 from oracles import (
@@ -27,6 +27,7 @@ from oracles import (
     output_matrix,
     predict_one_step,
     reference_snapshots,
+    row_stacked_fit,
     simulate_bilinear,
 )
 
@@ -101,25 +102,52 @@ def test_snapshot_loads_repeat_per_row():
     assert assemble_snapshots(Y, U, None, d=1)[3] is None
 
 
-def test_assemble_rejects_bad_trajectories():
+def malformed_campaigns() -> dict:
+    """Campaigns ``(Y, U, w)`` of one output and one input, each with the
+    delay ``d`` it is refused at: runs too short for ``d``, run counts or
+    step counts that disagree, and arrays of the wrong ``ndim``."""
     rng = np.random.default_rng(3)
     short = linear_campaign(np.eye(1) * 0.5, np.eye(1), 2, rng)
-    with pytest.raises(ValueError, match="with K > d"):
-        assemble_snapshots(*short, d=1)
-    # run counts or step counts that disagree are refused naming the shapes
     Y, U, w = simulate_bilinear((0.1, 0.25), 6, rng)
-    for bad in ((Y[:1], U, w), (Y, U[:1], w), (Y, U, w[:1]), (Y, U[:, :-1], w),
-                (Y[:, :-2], U, w), (Y[0], U[0], w[0])):
+    return {"too short for d": (short, 1),
+            "fewer output runs": ((Y[:1], U, w), 0),
+            "fewer command runs": ((Y, U[:1], w), 0),
+            "fewer loads": ((Y, U, w[:1]), 0),
+            "fewer commands": ((Y, U[:, :-1], w), 0),
+            "fewer outputs": ((Y[:, :-2], U, w), 0),
+            "one run, not a stack": ((Y[0], U[0], w[0]), 0)}
+
+
+MALFORMED = malformed_campaigns()
+
+
+def test_assemble_rejects_bad_trajectories():
+    short, d = MALFORMED["too short for d"]
+    with pytest.raises(ValueError, match="with K > d"):
+        assemble_snapshots(*short, d=d)
+    # run counts or step counts that disagree are refused naming the shapes
+    for campaign, d in MALFORMED.values():
         with pytest.raises(ValueError, match=r"got \("):
-            assemble_snapshots(*bad, d=0)
+            assemble_snapshots(*campaign, d=d)
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_fit_refuses_what_assembly_refuses(case):
+    # one check for both: the fit refuses each campaign with assembly's message
+    campaign, d = MALFORMED[case]
+    with pytest.raises(ValueError) as want:
+        assemble_snapshots(*campaign, d=d)
+    for with_load in (False, True):
+        with pytest.raises(ValueError) as got:
+            fit_koopman(campaign, identity_basis(1, 1, d), TS, with_load=with_load)
+        assert str(got.value) == str(want.value)
 
 
 def test_exact_recovery_scalar():
     # x+ = 0.9 x + 0.1 u recovered exactly from noiseless data
     rng = np.random.default_rng(4)
     campaign = linear_campaign(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
-    snaps = assemble_snapshots(*campaign, d=0)
-    model = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
+    model = fit_koopman(campaign, identity_basis(1, 1, 0), TS)
     assert abs(model.A[0, 0] - 0.9) < 1e-8
     assert abs(model.B[0, 0] - 0.1) < 1e-8
 
@@ -131,7 +159,7 @@ def test_rank_deficient_fit_warns_and_stays_finite(caplog):
     rng = np.random.default_rng(6)
     Y, U, _ = linear_campaign(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
     with caplog.at_level("WARNING", logger="klmpc.edmd"):
-        model = fit_koopman(assemble_snapshots(Y, np.concatenate([U, U], axis=2), None, d=0),
+        model = fit_koopman((Y, np.concatenate([U, U], axis=2), None),
                             identity_basis(1, 2, 0), TS)
     assert "rank-deficient (2 < 3)" in caplog.text
     assert np.all(np.isfinite(model.A)) and np.all(np.isfinite(model.B))
@@ -145,8 +173,7 @@ def test_fit_factors_data_matrix_once(monkeypatch):
     # SVD gufunc is counted, which np.linalg.svd runs too.
     rng = np.random.default_rng(6)
     campaign = linear_campaign(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
-    snaps = assemble_snapshots(*campaign, d=0)
-    want = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
+    want = fit_koopman(campaign, identity_basis(1, 1, 0), TS)
     svd_s, calls = numkit.lapack.svd_s, []
 
     def counted(*args, **kwargs):
@@ -158,24 +185,56 @@ def test_fit_factors_data_matrix_once(monkeypatch):
 
     monkeypatch.setattr(numkit.lapack, "svd_s", counted)
     monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
-    got = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
-    assert calls == [(snaps[0].shape[0], 2)]
+    got = fit_koopman(campaign, identity_basis(1, 1, 0), TS)
+    assert calls == [(49, 2)]
     assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
 
 
-def test_load_fit_traced_peak(default_cfg, models):
-    # Psi_a, the pseudoinverse and one row block of monomials: the SVD writes
-    # U over Psi_a, and the lift forms no (K, 55) monomial block.  With a
-    # separate U and the whole block the peak was 3.06 Psi_a; 2.17 measured.
-    [training] = collect_training_data(default_cfg.plant, [default_cfg.campaign])
-    snaps = assemble_snapshots(*training, default_cfg.fit.d)
+def test_load_fit_traced_peak(default_cfg, models, training):
+    # Psi_a, the pseudoinverse and one row block of embeddings and monomials:
+    # the SVD writes U over Psi_a, and neither the snapshot pairs nor a
+    # (K, 55) monomial block are formed.  With a separate U and the whole
+    # block the peak was 3.06 Psi_a; 2.17 measured.
     basis = models.koopman_load.basis
-    peak, model = traced_peak(lambda: fit_koopman(snaps, basis, default_cfg.plant.Ts,
+    peak, model = traced_peak(lambda: fit_koopman(training, basis, default_cfg.plant.Ts,
                                                   with_load=True))
     assert np.array_equal(model.A, models.koopman_load.A)
     assert np.array_equal(model.B, models.koopman_load.B)
-    psi_bytes = snaps[0].shape[0] * (model.n_z + model.m) * 8
-    assert peak <= 2.25 * psi_bytes
+    pairs = len(training[1]) * (training[1].shape[1] - model.d)
+    assert peak <= 2.25 * pairs * (model.n_z + model.m) * 8
+
+
+@pytest.fixture(scope="module")
+def long_runs(default_cfg):
+    """Two 60 s runs: 1,199 snapshot pairs each, more than two lift blocks."""
+    [campaign] = collect_training_data(default_cfg.plant, [
+        CampaignConfig(loads=(0.0, 0.3), trials=1, duration=60.0, seed=7)])
+    return campaign
+
+
+@pytest.fixture(scope="module")
+def short_runs(default_cfg):
+    """Forty 2 s runs of 39 pairs each, so that lift blocks cut through runs."""
+    [campaign] = collect_training_data(default_cfg.plant, [
+        CampaignConfig(loads=(0.0, 0.1, 0.2, 0.3), trials=10, duration=2.0, seed=8)])
+    return campaign
+
+
+@pytest.mark.parametrize("name", ["training", "holdout", "long_runs", "short_runs"])
+def test_fit_has_the_bits_of_the_row_stacked_fit(request, default_cfg, models, name):
+    # lifting into the data matrix block by block, from the campaign, gives
+    # the bits of lifting the row-stacked snapshot pairs whole
+    campaign = models.holdout if name == "holdout" else request.getfixturevalue(name)
+    basis, Ts = models.koopman.basis, default_cfg.plant.Ts
+    fits = [(fit_linear_baseline(campaign, n=4, m=2, d=basis.d, Ts=Ts),
+             row_stacked_fit(campaign, identity_basis(4, 2, basis.d), Ts)),
+            (fit_koopman(campaign, basis, Ts), row_stacked_fit(campaign, basis, Ts)),
+            (fit_koopman(campaign, basis, Ts, with_load=True),
+             row_stacked_fit(campaign, basis, Ts, with_load=True))]
+    for got, want in fits:
+        assert (got.n_z, got.p) == (want.n_z, want.p)
+        assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
+        assert got.bottom_block_residual == want.bottom_block_residual
 
 
 def test_exact_recovery_multivariate():
@@ -184,17 +243,18 @@ def test_exact_recovery_multivariate():
     A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
     B = rng.normal(size=(4, 2))
     campaign = linear_campaign(A, B, 30, rng, runs=3)
-    model = fit_linear_baseline(assemble_snapshots(*campaign, d=0), n=4, m=2,
-                                d=0, Ts=TS)
+    model = fit_linear_baseline(campaign, n=4, m=2, d=0, Ts=TS)
     assert np.linalg.norm(model.A - A) < 1e-8
     assert np.linalg.norm(model.B - B) < 1e-8
     assert model.bottom_block_residual < 1e-8
 
 
 def test_frozen_system_gives_identity():
-    # b == a with zero input for varied states: the fit must be the identity
-    x = np.array([[1.0], [-2.0], [0.5], [3.0]])
-    model = fit_koopman((x, x, np.zeros((4, 1)), None), identity_basis(1, 1, 0), TS)
+    # b == a with zero input for varied states, one two-sample run per
+    # state: the fit must be the identity
+    x = np.array([1.0, -2.0, 0.5, 3.0])
+    Y = np.repeat(x[:, None, None], 2, axis=1)
+    model = fit_koopman((Y, np.zeros((4, 1, 1)), None), identity_basis(1, 1, 0), TS)
     assert abs(model.A[0, 0] - 1.0) < 1e-8
     assert abs(model.B[0, 0]) < 1e-8
 
@@ -202,9 +262,9 @@ def test_frozen_system_gives_identity():
 def test_duplicate_snapshots_invariance():
     rng = np.random.default_rng(6)
     campaign = linear_campaign(np.array([[0.7]]), np.array([[0.3]]), 30, rng)
-    snaps = assemble_snapshots(*campaign, d=0)
-    m1 = fit_koopman(snaps, identity_basis(1, 1, 0), TS)
-    twice = tuple(np.vstack([side, side]) for side in snaps[:3]) + (None,)
+    m1 = fit_koopman(campaign, identity_basis(1, 1, 0), TS)
+    # every run twice: every snapshot pair twice
+    twice = tuple(np.concatenate([runs, runs]) for runs in campaign[:2]) + (None,)
     m2 = fit_koopman(twice, identity_basis(1, 1, 0), TS)
     assert np.allclose(m1.A, m2.A, atol=1e-8)
     assert np.allclose(m1.B, m2.B, atol=1e-8)
@@ -243,10 +303,9 @@ def test_one_step_rmse_matches_per_snapshot_loop(models):
 def test_fit_requires_enough_snapshots():
     rng = np.random.default_rng(7)
     campaign = linear_campaign(np.array([[0.9]]), np.array([[0.1]]), 2, rng)
-    snaps = assemble_snapshots(*campaign, d=0)  # 1 snapshot < n_z + m = 2
-    with pytest.raises(ValueError):
-        fit_koopman(snaps, identity_basis(1, 1, 0), TS)
-    empty = (np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 1)), None)
+    with pytest.raises(ValueError):   # 1 snapshot < n_z + m = 2
+        fit_koopman(campaign, identity_basis(1, 1, 0), TS)
+    empty = (np.zeros((0, 2, 1)), np.zeros((0, 1, 1)), None)
     with pytest.raises(ValueError):
         fit_koopman(empty, identity_basis(1, 1, 0), TS)
 
@@ -254,9 +313,8 @@ def test_fit_requires_enough_snapshots():
 def test_with_load_requires_annotations():
     rng = np.random.default_rng(8)
     campaign = linear_campaign(np.array([[0.9]]), np.array([[0.1]]), 20, rng)
-    snaps = assemble_snapshots(*campaign, d=0)
     with pytest.raises(ValueError):
-        fit_koopman(snaps, bilinear_basis(), TS, with_load=True)
+        fit_koopman(campaign, bilinear_basis(), TS, with_load=True)
 
 
 def test_baseline_dimension():
@@ -264,8 +322,7 @@ def test_baseline_dimension():
     A = np.eye(4) * 0.5
     B = np.ones((4, 2)) * 0.1
     campaign = linear_campaign(A, B, 30, rng, runs=2)
-    model = fit_linear_baseline(assemble_snapshots(*campaign, d=1), n=4, m=2,
-                                d=1, Ts=TS)
+    model = fit_linear_baseline(campaign, n=4, m=2, d=1, Ts=TS)
     assert model.n_z == 4 + (4 + 2) * 1
     assert model.p == 0
 

@@ -45,7 +45,8 @@ from klmpc.harness import (
     write_tracking_csv,
 )
 
-from oracles import reference_estimate_instant, reference_rows, reference_run
+from conftest import traced_peak
+from oracles import reference_estimate_instant, reference_rows, reference_run, row_stacked_fit
 
 # exp1's controllers, in the order each first runs
 CONTROLLERS = ("L-MPC", "K-MPC", "KL-MPC")
@@ -952,17 +953,33 @@ def test_fit_models_collects_both_campaigns_in_one_call(monkeypatch):
     ms = fit_models(cfg)
     assert calls == [[camp, holdout_camp]]
     training, holdout = collect(cfg.plant, [camp, holdout_camp])
-    snaps = edmd.assemble_snapshots(*training, fit.d)
     Ts, n, m = cfg.plant.Ts, 4, 2
-    basis = lifting.fit_basis(snaps[0], fit.energy, n=n, m=m, d=fit.d)
-    reference = {"baseline": edmd.fit_linear_baseline(snaps, n=n, m=m, d=fit.d, Ts=Ts),
-                 "koopman": edmd.fit_koopman(snaps, basis, Ts),
-                 "koopman_load": edmd.fit_koopman(snaps, basis, Ts, with_load=True)}
+    basis = lifting.fit_basis(edmd.assemble_snapshots(*training, fit.d)[0], fit.energy,
+                              n=n, m=m, d=fit.d)
+    reference = {"baseline": row_stacked_fit(training, lifting.identity_basis(n, m, fit.d), Ts),
+                 "koopman": row_stacked_fit(training, basis, Ts),
+                 "koopman_load": row_stacked_fit(training, basis, Ts, with_load=True)}
     for name, model in reference.items():
         assert np.array_equal(getattr(ms, name).A, model.A)
         assert np.array_equal(getattr(ms, name).B, model.B)
     for got, want in zip(ms.holdout, holdout, strict=True):
         assert np.array_equal(got, want)
+
+
+def test_fit_models_traced_peak(monkeypatch, default_cfg, models, training):
+    # with the campaigns collected beforehand, the fit holds no snapshot
+    # array and the PCA centres its monomial block in place, so the peak is
+    # the KL fit's: Psi_a and its pseudoinverse (2.18 Psi_a measured; the
+    # row-stacked snapshots and the centred copy made it 2.60)
+    monkeypatch.setattr(harness, "collect_training_data",
+                        lambda params, campaigns: (training, models.holdout))
+    peak, ms = traced_peak(lambda: fit_models(default_cfg))
+    for name in ("baseline", "koopman", "koopman_load"):
+        assert np.array_equal(getattr(ms, name).A, getattr(models, name).A)
+        assert np.array_equal(getattr(ms, name).B, getattr(models, name).B)
+    kl = ms.koopman_load
+    pairs = len(training[1]) * (training[1].shape[1] - kl.d)
+    assert peak <= 2.25 * pairs * (kl.n_z + kl.m) * 8
 
 
 def test_write_csv_round_trip(tmp_path):

@@ -284,14 +284,15 @@ MEMORY_ROWS = 4000
 
 
 def test_fit_basis_traced_peak():
-    # the monomial block and its centred copy, in which the QR runs; the
-    # K x 55 left singular vectors are never formed: about 2 Q at the peak
+    # the monomial block alone: the PCA centres it in place and runs its QR
+    # there, and the K x 55 left singular vectors are never formed (1.04 Q
+    # measured; a centred copy made it 2.01 Q)
     rng = np.random.default_rng(11)
     ne = embedded_dim(4, 2, 1)
     X = rng.normal(size=(MEMORY_ROWS, ne))
     q_bytes = MEMORY_ROWS * ne * (ne + 1) // 2 * X.itemsize
     peak, _ = traced_peak(lambda: fit_basis(X, 0.99, n=4, m=2, d=1))
-    assert peak <= 2.25 * q_bytes
+    assert peak <= 1.25 * q_bytes
 
 
 def test_eval_quadratics_traced_peak():

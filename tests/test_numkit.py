@@ -239,6 +239,27 @@ def test_pca_does_not_modify_input():
     assert np.array_equal(X, before)
 
 
+@pytest.mark.parametrize("rows, order", [(300, "C"), (300, "F"), (8, "C")])
+def test_pca_overwrite_keeps_every_bit(rows, order):
+    # the projection's bits whether or not the data is centred in place;
+    # only a C-contiguous input is overwritten, and then it holds the QR of
+    # the centred data, R in its leading upper triangle
+    rng = np.random.default_rng(rows)
+    X = np.asarray(rng.normal(size=(rows, 12)) * np.linspace(4.0, 0.5, 12) + 3.0,
+                   order=order)
+    original = X.copy(order="K")
+    want = numkit.pca_fit(X, 0.9)
+    got = numkit.pca_fit(X, 0.9, overwrite=True)
+    for name in ("mean", "components", "explained"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    if order == "C":
+        k = min(X.shape)
+        R = np.linalg.qr(original - want.mean, mode="r")
+        assert np.array_equal(np.triu(X[:k]), R)
+    else:
+        assert np.array_equal(X, original)
+
+
 def test_pca_validation():
     with pytest.raises(ValueError):
         numkit.pca_fit(np.ones((1, 3)), 0.9)

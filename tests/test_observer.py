@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from klmpc import numkit, observer as obs
-from klmpc.edmd import assemble_snapshots, fit_koopman
+from klmpc.edmd import fit_koopman
 from klmpc.observer import EstimatorConfig, EstimatorState
 
 from klmpc.plant import Run, drive, excitation
@@ -226,8 +226,8 @@ def test_window_requires_enough_history(model):
 
 def test_estimators_require_augmented_model():
     rng = np.random.default_rng(5)
-    snaps = assemble_snapshots(*simulate_bilinear((0.0,), 30, rng), d=0)
-    plain = fit_koopman(snaps, bilinear_basis(), BILINEAR_TS, with_load=False)
+    plain = fit_koopman(simulate_bilinear((0.0,), 30, rng), bilinear_basis(), BILINEAR_TS,
+                        with_load=False)
     cfg = EstimatorConfig()
     with pytest.raises(ValueError):
         obs.estimate_instant(plain, np.zeros((2, 2)), cfg)
