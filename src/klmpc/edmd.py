@@ -104,16 +104,13 @@ class KoopmanModel:
         return lifting.lift_g(self.basis, yd)
 
 
-def _lift_rows(basis: Basis, Yd: np.ndarray, W: Optional[np.ndarray],
-               with_load: bool, out=None) -> np.ndarray:
-    if not with_load:
-        return lifting.lift_g_many(basis, Yd, out=out)
+def _lift_rows(basis: Basis, Yd: np.ndarray, W: Optional[np.ndarray], out=None) -> np.ndarray:
     if W is None:
-        raise ValueError("with_load requires a load on every snapshot")
+        return lifting.lift_g_many(basis, Yd, out=out)
     return lifting.lift_gamma_many(basis, Yd, W, out=out)
 
 
-def _data_matrix(basis: Basis, Y, U, w, n_z: int, shift: int) -> np.ndarray:
+def _data_matrix(basis: Basis, Y, U, w, shift: int) -> np.ndarray:
     """One side of the least-squares data matrix Psi = [lift(Yd) | U] of a
     checked campaign, a row per snapshot pair, run after run: ``shift`` 0
     gives the a side, which embeds ``Y[r, :K]``, and 1 the b side, which
@@ -129,6 +126,7 @@ def _data_matrix(basis: Basis, Y, U, w, n_z: int, shift: int) -> np.ndarray:
     """
     R, K, m = U.shape
     rows = K - basis.d
+    n_z = basis.n_lifted * (1 if w is None else 2)
     Psi = np.empty((R * rows, n_z + m))
     Psi[:, n_z:] = U[:, basis.d:].reshape(-1, m)
     for start, end in lifting.row_blocks(R * rows):
@@ -136,8 +134,7 @@ def _data_matrix(basis: Basis, Y, U, w, n_z: int, shift: int) -> np.ndarray:
         E = delay_embed(Y[r0:r1, shift:K + shift], U[r0:r1, shift:], basis.d)
         cut = slice(start - r0 * rows, end - r0 * rows)
         W = None if w is None else np.repeat(w[r0:r1], rows)[cut, None]
-        _lift_rows(basis, E.reshape(-1, E.shape[-1])[cut], W, w is not None,
-                   out=Psi[start:end, :n_z])
+        _lift_rows(basis, E.reshape(-1, E.shape[-1])[cut], W, out=Psi[start:end, :n_z])
     return Psi
 
 
@@ -168,10 +165,10 @@ def fit_koopman(campaign, basis: Basis, Ts: float, with_load: bool = False) -> K
             f"fit_koopman: need at least n_z + m = {n_z + m} snapshots, got {pairs}"
         )
     loads = w if with_load else None
-    Psi_a = _data_matrix(basis, Y, U, loads, n_z, 0)
+    Psi_a = _data_matrix(basis, Y, U, loads, 0)
     pinv_a = numkit.pinv(Psi_a, overwrite=True)
     del Psi_a
-    K_bar = pinv_a @ _data_matrix(basis, Y, U, loads, n_z, 1)
+    K_bar = pinv_a @ _data_matrix(basis, Y, U, loads, 1)
     Kt = K_bar.T
     A, B = np.asfortranarray(Kt[:n_z, :n_z]), np.asfortranarray(Kt[:n_z, n_z:])
     # the bottom block's deviation from [O | I]
@@ -182,10 +179,11 @@ def fit_koopman(campaign, basis: Basis, Ts: float, with_load: bool = False) -> K
                         bottom_block_residual=residual)
 
 
-def fit_linear_baseline(campaign, n: int, m: int, d: int, Ts: float) -> KoopmanModel:
+def fit_linear_baseline(campaign, d: int, Ts: float) -> KoopmanModel:
     """Linear state-space baseline: identity-basis least squares (no
-    dictionary, no load) on a ``(Y, U, w)`` campaign."""
-    return fit_koopman(campaign, identity_basis(n, m, d), Ts, with_load=False)
+    dictionary, no load) on a ``(Y, U, w)`` campaign, with the n and m of its Y and U."""
+    Y, U, _ = _check_campaign(*campaign, d)
+    return fit_koopman(campaign, identity_basis(Y.shape[2], U.shape[2], d), Ts)
 
 
 def one_step_rmse(model: KoopmanModel, campaign) -> float:
@@ -196,7 +194,9 @@ def one_step_rmse(model: KoopmanModel, campaign) -> float:
     columns of Z A' + U B', the row-stacked form of A lift(yd, w) + B u.
     """
     Yd, Y_next, U, W = assemble_snapshots(*campaign, model.d)
-    Z = _lift_rows(model.basis, Yd, W, with_load=model.p > 0)
+    if model.p > 0 and W is None:
+        raise ValueError("one_step_rmse: the load-augmented model needs the campaign's loads")
+    Z = _lift_rows(model.basis, Yd, W if model.p > 0 else None)
     truth = Y_next[:, : model.n]
     pred = (Z @ model.A.T + U @ model.B.T)[:, : model.n]
     return float(np.sqrt(np.sum((pred - truth) ** 2) / truth.size))

@@ -203,14 +203,12 @@ def fit_models(cfg: ExperimentConfig) -> ModelSet:
     training, holdout = collect_training_data(cfg.plant, [
         camp, CampaignConfig(loads=camp.loads, trials=fit.holdout_trials,
                              duration=fit.holdout_duration, seed=camp.seed + 1)])
-    Ts = cfg.plant.Ts
-    n, m = training[0].shape[-1], training[1].shape[-1]
-    baseline = edmd.fit_linear_baseline(training, n=n, m=m, d=fit.d, Ts=Ts)
+    baseline = edmd.fit_linear_baseline(training, d=fit.d, Ts=cfg.plant.Ts)
     basis = lifting.fit_basis(edmd.assemble_snapshots(*training, fit.d)[0], fit.energy,
-                              n=n, m=m, d=fit.d)
-    koopman = edmd.fit_koopman(training, basis, Ts)
+                              n=baseline.n, m=baseline.m, d=fit.d)
+    koopman = edmd.fit_koopman(training, basis, cfg.plant.Ts)
     return ModelSet(baseline=baseline, koopman=koopman,
-                    koopman_load=edmd.fit_koopman(training, basis, Ts, with_load=True),
+                    koopman_load=edmd.fit_koopman(training, basis, cfg.plant.Ts, with_load=True),
                     holdout=holdout)
 
 
@@ -255,7 +253,11 @@ class TrialResult:
     rmse: float
     logs: np.recarray             # the controller's step log
     errors: np.ndarray            # per-step end-effector tracking error
-    w_hat_trace: Optional[np.ndarray] = None
+
+    @property
+    def w_hat_trace(self) -> Optional[np.ndarray]:
+        """The step log's w_hat column; None when the log has no load columns."""
+        return self.logs.w_hat if self.logs.dtype["w_hat"].shape[0] else None
 
 
 def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
@@ -276,8 +278,7 @@ def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
     errors = np.sqrt(miss[:, None] @ miss[:, :, None])[:, 0, 0]
     rmse = float(np.sqrt(np.mean(errors**2)))
     return TrialResult(controller=label, payload=payload, rmse=rmse,
-                       logs=ctrl.logs, errors=errors,
-                       w_hat_trace=None if ctrl.w_hat is None else ctrl.logs.w_hat.copy())
+                       logs=ctrl.logs, errors=errors)
 
 
 def write_records(path, records) -> None:

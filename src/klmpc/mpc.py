@@ -60,19 +60,9 @@ def end_effector_weight(n: int) -> np.ndarray:
     return Q
 
 
-@dataclass(frozen=True)
-class QpProblem:
-    """min 1/2 U'HU + f'U subject to lower <= U <= upper."""
-
-    H: np.ndarray
-    f: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-
 class Condenser:
-    """Precomputed condensation of a time-invariant lifted model under a
-    fixed horizon: only the linear term depends on (z0, reference).
+    """Precomputed condensation of a time-invariant lifted model under a fixed
+    horizon into a box QP: only its linear term f depends on (z0, reference).
 
     A model whose condensed S, P or H is not finite, or whose H is not
     positive definite, is refused; its overflow stays silent, so the refusal
@@ -110,14 +100,13 @@ class Condenser:
         self.lower = np.tile(np.asarray(cfg.u_min, dtype=float), Nh)
         self.upper = np.tile(np.asarray(cfg.u_max, dtype=float), Nh)
 
-    def qp(self, z0: np.ndarray, ref: np.ndarray) -> QpProblem:
+    def qp(self, z0: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        """The QP's linear term f at the lifted state z0 and the Nh reference rows."""
         ref = np.asarray(ref, dtype=float).reshape(-1)
         if ref.shape[0] != self.S.shape[0]:
-            raise ValueError(
-                f"reference has {ref.shape[0]} entries, expected {self.S.shape[0]}"
-            )
-        f = self.P @ (self.S @ np.asarray(z0, dtype=float) - ref)
-        return QpProblem(H=self.H, f=f, lower=self.lower, upper=self.upper)
+            raise ValueError(f"reference has {ref.shape[0]} entries, "
+                             f"expected {self.S.shape[0]}")
+        return self.P @ (self.S @ np.asarray(z0, dtype=float) - ref)
 
 
 @dataclass
@@ -128,16 +117,17 @@ class QpResult:
     kkt_residual: float
 
 
-def kkt_residual(qp: QpProblem, x: np.ndarray) -> float:
-    """Largest componentwise violation of box-constrained first-order
-    optimality at x."""
-    return _kkt_residual(qp, x, qp.H @ x + qp.f)
+def kkt_residual(H: np.ndarray, f: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                 x: np.ndarray) -> float:
+    """Largest componentwise violation at x of first-order optimality for
+    min 1/2 x'Hx + f'x subject to lower <= x <= upper."""
+    return _kkt_residual(x, H @ x + f, lower, upper)
 
 
-def _kkt_residual(qp: QpProblem, x: np.ndarray, g: np.ndarray) -> float:
+def _kkt_residual(x: np.ndarray, g: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
     """:func:`kkt_residual` from the gradient g = H x + f at x."""
-    at_lower = x <= qp.lower + 1e-12
-    at_upper = x >= qp.upper - 1e-12
+    at_lower = x <= lower + 1e-12
+    at_upper = x >= upper - 1e-12
     r = np.abs(g)
     r[at_lower] = np.maximum(-g[at_lower], 0.0)
     r[at_upper] = np.maximum(g[at_upper], 0.0)
@@ -160,9 +150,11 @@ def _free_newton(H: np.ndarray, g: np.ndarray, free: np.ndarray,
     return d
 
 
-def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 100,
+def solve_box_qp(H: np.ndarray, f: np.ndarray, lower: np.ndarray, upper: np.ndarray, *,
+                 tol: float = 1e-8, max_iter: int = 100,
                  x0: Optional[np.ndarray] = None) -> QpResult:
-    """Deterministic projected-Newton solver for strictly convex box QPs.
+    """Deterministic projected-Newton solver for the strictly convex box QP
+    min 1/2 x'Hx + f'x subject to lower <= x <= upper.
 
     Each iteration pins the coordinates whose gradient pushes them outward at
     an active bound, takes a Newton step on the free block with a backtracking
@@ -175,17 +167,16 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 100,
     coordinate at a bound moves inward.  If that leaves no step, the first
     Newton direction is used as it is.
     """
-    H, f, lo, hi = qp.H, qp.f, qp.lower, qp.upper
     n = f.shape[0]
-    x = np.clip(x0 if x0 is not None else np.zeros(n), lo, hi).astype(float)
+    x = np.clip(x0 if x0 is not None else np.zeros(n), lower, upper).astype(float)
     eps = 1e-10
     it = 0
     for it in range(1, max_iter + 1):
         g = H @ x + f
-        res = _kkt_residual(qp, x, g)
+        res = _kkt_residual(x, g, lower, upper)
         if res <= tol:
             return QpResult(x=x, converged=True, iterations=it - 1, kkt_residual=res)
-        at_lower, at_upper = x <= lo + eps, x >= hi - eps
+        at_lower, at_upper = x <= lower + eps, x >= upper - eps
         free = ~((at_lower & (g > 0)) | (at_upper & (g < 0)))
         d = _free_newton(H, g, free, -g)
         outward = free & ((at_lower & (d < 0)) | (at_upper & (d > 0)))
@@ -202,7 +193,7 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 100,
         alpha = 1.0
         accepted = False
         for _ in range(60):
-            x_new = np.clip(x + alpha * d, lo, hi)
+            x_new = np.clip(x + alpha * d, lower, upper)
             obj_new = 0.5 * x_new @ H @ x_new + f @ x_new
             if obj_new <= obj or np.array_equal(x_new, x):
                 accepted = True
@@ -211,7 +202,7 @@ def solve_box_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 100,
         x = x_new
         if not accepted:
             break
-    res = kkt_residual(qp, x)
+    res = kkt_residual(H, f, lower, upper, x)
     return QpResult(x=x, converged=res <= tol, iterations=it, kkt_residual=res)
 
 
@@ -300,8 +291,15 @@ class Controller:
         z0 = self.model.lift(yd, w_hat)
         j = min(k, self.last_row)
         t0 = time.perf_counter()
-        qp = self.condenser.qp(z0, self.reference[j + 1:j + 1 + self.cfg.Nh])
-        result = solve_box_qp(qp, tol=self.cfg.qp_tol,
+        cond = self.condenser
+        f = cond.qp(z0, self.reference[j + 1:j + 1 + self.cfg.Nh])
+        # one refusal for every model, before the solve: a lift that is not
+        # finite, or a huge finite one, gives f whose square quietly overflows
+        with np.errstate(over="ignore"):
+            if not np.isfinite(f @ f):
+                raise ValueError(f"controller step {k}: measurement {y} puts the QP's linear "
+                                 f"term out of range, which would give a non-finite input")
+        result = solve_box_qp(cond.H, f, cond.lower, cond.upper, tol=self.cfg.qp_tol,
                               max_iter=self.cfg.qp_max_iter, x0=self.warm_start)
         solve_ms = (time.perf_counter() - t0) * 1e3
         m = self.model.m

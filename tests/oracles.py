@@ -18,7 +18,8 @@
   a fitted PCA, the degree-2 monomials one pair at a time, and the g/gamma
   lifts in their per-block concatenation form;
 - the one-step output prediction of a fitted model from one embedded
-  output, and snapshot assembly one run at a time;
+  output, its open-loop end-effector error k steps ahead from every start
+  of a campaign, and snapshot assembly one run at a time;
 - the EDMD fit on row-stacked snapshots: one lift of each whole side and
   the pseudoinverse of a data matrix the fit keeps;
 - the output matrix C = [I_n | 0], written out.
@@ -431,6 +432,26 @@ def predict_one_step(model, yd, u, w=None) -> np.ndarray:
     z = model.lift(yd, w)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     return output_matrix(model) @ (model.A @ z + model.B @ u)
+
+
+def horizon_errors(model, campaign, steps: int) -> np.ndarray:
+    """The open-loop end-effector errors of a fitted model ``steps`` samples
+    ahead on a ``(Y, U, w)`` campaign, one per start k = d, ..., K - steps
+    of each run: the recorded embedding at each start is lifted on its own
+    with the run's load, the run's lifted starts are rolled forward together
+    by z+ = A z + B u under the recorded inputs, and the last two outputs
+    of each are compared with the recorded ones at k + steps."""
+    Y, U, w = campaign
+    d, n = model.d, model.n
+    errors = []
+    for r in range(len(Y)):
+        E = delay_embed(Y[r], U[r], d)
+        starts = np.arange(d, U.shape[1] - steps + 1)
+        Z = np.array([model.lift(E[k - d], w[r] if model.p else None) for k in starts])
+        for i in range(steps):
+            Z = Z @ model.A.T + U[r, starts + i] @ model.B.T
+        errors.append(np.linalg.norm(Z[:, n - 2:n] - Y[r, starts + steps, -2:], axis=1))
+    return np.concatenate(errors)
 
 
 def output_matrix(model) -> np.ndarray:

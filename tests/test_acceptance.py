@@ -10,7 +10,7 @@ import numpy as np
 
 import conftest
 from klmpc.edmd import assemble_snapshots, fit_linear_baseline, one_step_rmse
-from klmpc.mpc import Condenser, QpProblem, solve_box_qp
+from klmpc.mpc import Condenser, solve_box_qp
 from klmpc.observer import EstimatorConfig, estimate_window
 from klmpc.plant import ArmParams, energy, step_zoh
 from klmpc.harness import (fit_models, run_experiment1, run_experiment2, run_experiment4,
@@ -41,7 +41,7 @@ def test_ac1_exact_linear_recovery():
     B = rng.normal(size=(4, 2))
     t0 = time.perf_counter()
     campaign = linear_campaign(A, B, 101, rng, runs=2)  # 200 snapshots
-    model = fit_linear_baseline(campaign, n=4, m=2, d=0, Ts=0.05)
+    model = fit_linear_baseline(campaign, d=0, Ts=0.05)
     elapsed = time.perf_counter() - t0
     err = float(np.linalg.norm(model.A - A) + np.linalg.norm(model.B - B))
     pairs = len(assemble_snapshots(*campaign, d=0)[0])
@@ -123,8 +123,7 @@ def test_ac7_qp_solver_soundness(default_cfg, models):
     worst_obj, worst_kkt = 0.0, 0.0
     for _ in range(500):
         H, f, lo, hi = random_box_qp(rng, int(rng.integers(2, 13)))
-        qp = QpProblem(H=H, f=f, lower=lo, upper=hi)
-        res = solve_box_qp(qp, tol=1e-8, max_iter=200)
+        res = solve_box_qp(H, f, lo, hi, tol=1e-8, max_iter=200)
         x_ref = enumerate_box_qp(H, f, lo, hi)
         worst_obj = max(worst_obj,
                         abs(qp_objective(H, f, res.x) - qp_objective(H, f, x_ref)))
@@ -134,11 +133,11 @@ def test_ac7_qp_solver_soundness(default_cfg, models):
     z0 = models.koopman_load.lift(np.concatenate(
         [[0.0, -0.5, 0.0, -1.0], [0.0, -0.5, 0.0, -1.0], [0.5, 0.5]]), 0.1)
     ref = np.tile([0.0, 0.0, 0.05, -0.95], default_cfg.Nh)
-    qp = cond.qp(z0, ref)
+    f = cond.qp(z0, ref)
     times = []
     for _ in range(100):
         t0 = time.perf_counter()
-        solve_box_qp(qp, tol=1e-8, max_iter=100)
+        solve_box_qp(cond.H, f, cond.lower, cond.upper, tol=1e-8, max_iter=100)
         times.append(time.perf_counter() - t0)
     per_solve_ms = 1e3 * float(np.median(times))
     record("AC-7",

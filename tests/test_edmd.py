@@ -24,6 +24,7 @@ from conftest import traced_peak
 from oracles import (
     bilinear_basis,
     fit_bilinear_model,
+    horizon_errors,
     output_matrix,
     predict_one_step,
     reference_snapshots,
@@ -226,7 +227,7 @@ def test_fit_has_the_bits_of_the_row_stacked_fit(request, default_cfg, models, n
     # the bits of lifting the row-stacked snapshot pairs whole
     campaign = models.holdout if name == "holdout" else request.getfixturevalue(name)
     basis, Ts = models.koopman.basis, default_cfg.plant.Ts
-    fits = [(fit_linear_baseline(campaign, n=4, m=2, d=basis.d, Ts=Ts),
+    fits = [(fit_linear_baseline(campaign, d=basis.d, Ts=Ts),
              row_stacked_fit(campaign, identity_basis(4, 2, basis.d), Ts)),
             (fit_koopman(campaign, basis, Ts), row_stacked_fit(campaign, basis, Ts)),
             (fit_koopman(campaign, basis, Ts, with_load=True),
@@ -243,7 +244,7 @@ def test_exact_recovery_multivariate():
     A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
     B = rng.normal(size=(4, 2))
     campaign = linear_campaign(A, B, 30, rng, runs=3)
-    model = fit_linear_baseline(campaign, n=4, m=2, d=0, Ts=TS)
+    model = fit_linear_baseline(campaign, d=0, Ts=TS)
     assert np.linalg.norm(model.A - A) < 1e-8
     assert np.linalg.norm(model.B - B) < 1e-8
     assert model.bottom_block_residual < 1e-8
@@ -285,6 +286,10 @@ def test_bilinear_heldout_one_step():
     rng = np.random.default_rng(99)
     held = simulate_bilinear((0.15,), 60, rng)
     assert one_step_rmse(model, held) < 1e-8
+    # without the campaign's loads the load model cannot be scored, and the
+    # refusal names what is missing
+    with pytest.raises(ValueError, match="load-augmented model needs the campaign's loads"):
+        one_step_rmse(model, (*held[:2], None))
 
 
 def test_one_step_rmse_matches_per_snapshot_loop(models):
@@ -298,6 +303,18 @@ def test_one_step_rmse_matches_per_snapshot_loop(models):
             count += model.n
         assert one_step_rmse(model, held) == pytest.approx(np.sqrt(err2 / count),
                                                            rel=1e-12)
+
+
+def test_horizon_error_orders_the_models(default_cfg, models):
+    # over the MPC's horizon, as one step ahead (AC-3), the holdout's
+    # open-loop end-effector errors order KL < K < L, by their median
+    # (48 < 66 < 106 mm) and by their RMSE (78 < 94 < 173 mm)
+    errors = [horizon_errors(model, models.holdout, default_cfg.Nh)
+              for model in (models.koopman_load, models.koopman, models.baseline)]
+    medians = [np.median(e) for e in errors]
+    rmses = [np.sqrt(np.mean(e**2)) for e in errors]
+    assert medians[0] < medians[1] < medians[2]
+    assert rmses[0] < rmses[1] < rmses[2]
 
 
 def test_fit_requires_enough_snapshots():
@@ -322,7 +339,7 @@ def test_baseline_dimension():
     A = np.eye(4) * 0.5
     B = np.ones((4, 2)) * 0.1
     campaign = linear_campaign(A, B, 30, rng, runs=2)
-    model = fit_linear_baseline(campaign, n=4, m=2, d=1, Ts=TS)
+    model = fit_linear_baseline(campaign, d=1, Ts=TS)
     assert model.n_z == 4 + (4 + 2) * 1
     assert model.p == 0
 

@@ -16,7 +16,6 @@ from klmpc.mpc import (
     Condenser,
     Controller,
     MpcConfig,
-    QpProblem,
     end_effector_weight,
     kkt_residual,
     solve_box_qp,
@@ -68,20 +67,21 @@ def rollout_cost(model, cfg, z0, ref, U):
 
 def test_condense_hand_oracle():
     # z+ = z + u, Nh = 1, Q = R = 1, z0 = 1, r = 0: cost (1+u)^2 + u^2
-    qp = Condenser(scalar_model(), scalar_cfg()).qp(np.array([1.0]), np.array([0.0]))
-    assert np.allclose(qp.H, [[4.0]], atol=1e-12)
-    assert np.allclose(qp.f, [2.0], atol=1e-12)
-    res = solve_box_qp(qp, tol=1e-10)
+    cond = Condenser(scalar_model(), scalar_cfg())
+    f = cond.qp(np.array([1.0]), np.array([0.0]))
+    assert np.allclose(cond.H, [[4.0]], atol=1e-12)
+    assert np.allclose(f, [2.0], atol=1e-12)
+    res = solve_box_qp(cond.H, f, cond.lower, cond.upper, tol=1e-10)
     assert abs(res.x[0] + 0.5) < 1e-9
     # interior stationarity
-    assert np.allclose(qp.H @ res.x + qp.f, 0.0, atol=1e-8)
+    assert np.allclose(cond.H @ res.x + f, 0.0, atol=1e-8)
 
 
 def test_condense_zero_tracking_weight():
-    qp = Condenser(scalar_model(), scalar_cfg(q=0.0)).qp(np.array([3.0]),
-                                                         np.array([1.0]))
-    assert np.allclose(qp.f, 0.0, atol=1e-12)
-    res = solve_box_qp(qp, tol=1e-10)
+    cond = Condenser(scalar_model(), scalar_cfg(q=0.0))
+    f = cond.qp(np.array([3.0]), np.array([1.0]))
+    assert np.allclose(f, 0.0, atol=1e-12)
+    res = solve_box_qp(cond.H, f, cond.lower, cond.upper, tol=1e-10)
     assert abs(res.x[0]) < 1e-9
 
 
@@ -95,8 +95,9 @@ def test_condense_matches_finite_difference_hessian():
                     u_min=-np.ones(2), u_max=np.ones(2))
     z0 = rng.normal(size=3)
     ref = rng.normal(size=(3, 2))
-    qp = Condenser(model, cfg).qp(z0, ref)
-    dim = qp.f.shape[0]
+    cond = Condenser(model, cfg)
+    f = cond.qp(z0, ref)
+    dim = f.shape[0]
     h = 1e-5
     H_fd = np.zeros((dim, dim))
     f_fd = np.zeros(dim)
@@ -113,8 +114,8 @@ def test_condense_matches_finite_difference_hessian():
                           - rollout_cost(model, cfg, z0, ref, -ei + ej)
                           + rollout_cost(model, cfg, z0, ref, -ei - ej)) / (4 * h * h)
     # the quadratic model is 1/2 U'HU + f'U: FD of the rollout gives H and f
-    assert np.allclose(qp.H, H_fd, rtol=1e-4, atol=1e-4)
-    assert np.allclose(qp.f, f_fd, rtol=1e-4, atol=1e-4)
+    assert np.allclose(cond.H, H_fd, rtol=1e-4, atol=1e-4)
+    assert np.allclose(f, f_fd, rtol=1e-4, atol=1e-4)
 
 
 def test_condensed_f_matches_expanded_form(models, default_cfg):
@@ -127,7 +128,7 @@ def test_condensed_f_matches_expanded_form(models, default_cfg):
         for _ in range(50):
             z0 = rng.normal(size=model.A.shape[0])
             ref = rng.normal(size=(cfg.Nh, model.n))
-            assert np.array_equal(cond.qp(z0, ref).f,
+            assert np.array_equal(cond.qp(z0, ref),
                                   reference_condensed_f(model, cfg, z0, ref))
 
 
@@ -166,22 +167,20 @@ def test_condenser_refuses_a_model_it_cannot_condense(model):
 
 def test_solver_clipped_scalar():
     # min 1/2 u^2 - u over [0, 0.4] -> u* = 0.4
-    qp = QpProblem(H=np.array([[1.0]]), f=np.array([-1.0]),
-                   lower=np.array([0.0]), upper=np.array([0.4]))
-    res = solve_box_qp(qp, tol=1e-10)
+    qp = np.array([[1.0]]), np.array([-1.0]), np.array([0.0]), np.array([0.4])
+    res = solve_box_qp(*qp, tol=1e-10)
     assert res.converged
     assert abs(res.x[0] - 0.4) < 1e-12
-    assert kkt_residual(qp, res.x) <= 1e-10
+    assert kkt_residual(*qp, res.x) <= 1e-10
     # an interior non-stationary point has the full gradient as residual
-    assert kkt_residual(qp, np.array([0.2])) == pytest.approx(0.8)
+    assert kkt_residual(*qp, np.array([0.2])) == pytest.approx(0.8)
 
 
 def test_solver_against_enumeration_oracle():
     rng = np.random.default_rng(1)
     for _ in range(60):
         H, f, lo, hi = random_box_qp(rng, int(rng.integers(2, 9)))
-        qp = QpProblem(H=H, f=f, lower=lo, upper=hi)
-        res = solve_box_qp(qp, tol=1e-8, max_iter=200)
+        res = solve_box_qp(H, f, lo, hi, tol=1e-8, max_iter=200)
         x_ref = enumerate_box_qp(H, f, lo, hi)
         assert abs(qp_objective(H, f, res.x) - qp_objective(H, f, x_ref)) < 1e-6
         assert res.kkt_residual <= 1e-6
@@ -191,9 +190,8 @@ def test_solver_against_enumeration_oracle():
 def test_solver_deterministic():
     rng = np.random.default_rng(2)
     H, f, lo, hi = random_box_qp(rng, 6)
-    qp = QpProblem(H=H, f=f, lower=lo, upper=hi)
-    a = solve_box_qp(qp, tol=1e-10, max_iter=200)
-    b = solve_box_qp(qp, tol=1e-10, max_iter=200)
+    a = solve_box_qp(H, f, lo, hi, tol=1e-10, max_iter=200)
+    b = solve_box_qp(H, f, lo, hi, tol=1e-10, max_iter=200)
     assert np.array_equal(a.x, b.x)
     assert a.iterations == b.iterations
 
@@ -201,9 +199,8 @@ def test_solver_deterministic():
 def test_solver_warm_start_reaches_same_optimum():
     rng = np.random.default_rng(3)
     H, f, lo, hi = random_box_qp(rng, 6)
-    qp = QpProblem(H=H, f=f, lower=lo, upper=hi)
-    cold = solve_box_qp(qp, tol=1e-10, max_iter=200)
-    warm = solve_box_qp(qp, tol=1e-10, max_iter=200,
+    cold = solve_box_qp(H, f, lo, hi, tol=1e-10, max_iter=200)
+    warm = solve_box_qp(H, f, lo, hi, tol=1e-10, max_iter=200,
                         x0=rng.uniform(lo, hi))
     assert np.allclose(cold.x, warm.x, atol=1e-9)
 
@@ -211,8 +208,7 @@ def test_solver_warm_start_reaches_same_optimum():
 def test_solver_iteration_cap_stays_feasible():
     rng = np.random.default_rng(4)
     H, f, lo, hi = random_box_qp(rng, 8)
-    qp = QpProblem(H=H, f=f, lower=lo, upper=hi)
-    res = solve_box_qp(qp, tol=1e-14, max_iter=1)
+    res = solve_box_qp(H, f, lo, hi, tol=1e-14, max_iter=1)
     assert np.all(res.x >= lo - 1e-12) and np.all(res.x <= hi + 1e-12)
     assert res.converged == (res.kkt_residual <= 1e-14)
 
@@ -230,13 +226,12 @@ def test_solver_singular_block_falls_back_to_steepest_descent():
         assert np.array_equal(d, [1.0, 2.0, 7.0])
     # on a singular QP the fallback steps cycle between [0, 0] and [1, 1];
     # the solver stops inside the box and reports what its residual says
-    qp = QpProblem(H=H[:2, :2], f=np.array([-1.0, -1.0]),
-                   lower=np.zeros(2), upper=np.full(2, 2.0))
+    qp = H[:2, :2], np.array([-1.0, -1.0]), np.zeros(2), np.full(2, 2.0)
     with np.errstate(all="raise"):
-        res = solve_box_qp(qp, tol=1e-8)
+        res = solve_box_qp(*qp, tol=1e-8)
     assert np.all(np.isfinite(res.x))
-    assert np.all(qp.lower <= res.x) and np.all(res.x <= qp.upper)
-    assert res.converged == (kkt_residual(qp, res.x) <= 1e-8)
+    assert np.all(0.0 <= res.x) and np.all(res.x <= 2.0)
+    assert res.converged == (kkt_residual(*qp, res.x) <= 1e-8)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -248,13 +243,13 @@ def test_solver_properties_on_random_box_qps(seed, n, log_cond, tol):
     _, f, lo, hi = random_box_qp(rng, n)
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     H = (Q * np.logspace(0.0, log_cond, n)) @ Q.T
-    qp = QpProblem(H=0.5 * (H + H.T), f=f, lower=lo, upper=hi)
-    res = solve_box_qp(qp, tol=tol)
+    qp = 0.5 * (H + H.T), f, lo, hi
+    res = solve_box_qp(*qp, tol=tol)
     assert np.all(lo <= res.x) and np.all(res.x <= hi)
-    assert res.converged == (kkt_residual(qp, res.x) <= tol)
+    assert res.converged == (kkt_residual(*qp, res.x) <= tol)
     if res.converged and res.iterations > 0:
         # capped one iteration short, the same path stops and says so
-        capped = solve_box_qp(qp, tol=tol, max_iter=res.iterations - 1)
+        capped = solve_box_qp(*qp, tol=tol, max_iter=res.iterations - 1)
         assert capped.iterations == res.iterations - 1
         assert not capped.converged and capped.kkt_residual > tol
         assert np.all(lo <= capped.x) and np.all(capped.x <= hi)
@@ -264,9 +259,8 @@ def test_solver_holds_released_coordinate_pushed_outward():
     # both gradients point into the box at x = 0, but the joint Newton step
     # drives x2 below its bound; holding x2 and re-solving for x1 alone
     # reaches the optimum (1, 0) in one step
-    qp = QpProblem(H=np.array([[1.0, 0.9], [0.9, 1.0]]), f=np.array([-1.0, -0.5]),
-                   lower=np.zeros(2), upper=np.full(2, 5.0))
-    res = solve_box_qp(qp, tol=1e-10)
+    res = solve_box_qp(np.array([[1.0, 0.9], [0.9, 1.0]]), np.array([-1.0, -0.5]),
+                       np.zeros(2), np.full(2, 5.0), tol=1e-10)
     assert res.converged
     assert res.iterations == 1
     assert np.allclose(res.x, [1.0, 0.0], atol=1e-12)
@@ -282,9 +276,11 @@ def test_receding_horizon_shift_property():
     ref = np.zeros(cfg.Nh)
     tol = 1e-10
     z0 = np.array([1.0])
-    first = solve_box_qp(cond.qp(z0, ref), tol=tol, max_iter=300)
+    first = solve_box_qp(cond.H, cond.qp(z0, ref), cond.lower, cond.upper,
+                         tol=tol, max_iter=300)
     z1 = model.A @ z0 + model.B @ first.x[:1]
-    second = solve_box_qp(cond.qp(z1, ref), tol=tol, max_iter=300)
+    second = solve_box_qp(cond.H, cond.qp(z1, ref), cond.lower, cond.upper,
+                          tol=tol, max_iter=300)
     assert np.max(np.abs(second.x[:-1] - first.x[1:])) <= 10 * tol
 
 
@@ -486,7 +482,7 @@ def test_controller_step_refuses_a_non_finite_input(monkeypatch):
     # a QP whose plan is not finite fails the step closed: no input is
     # returned, and no step is logged or warm-starts the next
     ctrl = Controller(scalar_model(a=0.5), scalar_cfg(Nh=3), np.zeros((1, 1)))
-    monkeypatch.setattr(mpc, "solve_box_qp", lambda qp, **kw: mpc.QpResult(
+    monkeypatch.setattr(mpc, "solve_box_qp", lambda *qp, **kw: mpc.QpResult(
         x=np.full(3, np.nan), converged=False, iterations=0, kkt_residual=np.nan))
     with pytest.raises(ValueError, match="controller step 0: .* non-finite input"):
         ctrl.step(np.array([0.1]))
@@ -495,9 +491,12 @@ def test_controller_step_refuses_a_non_finite_input(monkeypatch):
 
 def test_controller_step_refuses_a_huge_measurement_quietly(default_cfg, models):
     # a finite measurement too large to square lifts to inf and NaN without
-    # an overflow RuntimeWarning (warnings are errors here), and the step
-    # fails closed with its ValueError alone
-    for model, load in ((models.koopman, None), (models.koopman_load, 0.1)):
+    # an overflow RuntimeWarning (warnings are errors here), or, through the
+    # baseline's identity lift, to a finite state whose QP linear term
+    # squares to inf; every model's step fails closed with its ValueError
+    # alone, before the solve
+    for model, load in ((models.baseline, None), (models.koopman, None),
+                        (models.koopman_load, 0.1)):
         ctrl = Controller(model, default_cfg.mpc_config(), np.zeros((10, model.n)),
                           known_load=load)
         with pytest.raises(ValueError, match="controller step 0: .* non-finite input"):
