@@ -4,12 +4,10 @@ campaign; and the JSON models document, written and read strictly.
 
 A campaign is three arrays, as :func:`klmpc.plant.collect_training_data`
 records it: outputs ``Y`` (R, K+1, n), commands ``U`` (R, K, m) and loads
-``w`` (R,) or None.  It is the one form the fits and the scoring take:
-:func:`fit_koopman` lifts the runs' delay embeddings block by block
-straight into the rows of its data matrix, and :func:`assemble_snapshots`
-row-stacks the snapshot pairs for a caller that wants them as arrays.
-Fitting from recorded data other than a configured campaign is a library
-call on such arrays.
+``w`` (R,) or None.  It is the one form the fits and the scoring take,
+and both lift it one way, block by block into a data matrix (see
+:func:`_data_matrix`).  Fitting from recorded data other than a configured
+campaign is a library call on such arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import logging
 import math
 import textwrap
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,22 +42,14 @@ def _check_campaign(Y, U, w, d: int) -> tuple:
     return Y, U, None if w is None else np.asarray(w, dtype=float)
 
 
-def assemble_snapshots(Y, U, w, d: int):
-    """Build row-stacked delay-embedded snapshot pairs from a campaign of R
-    uniformly sampled runs: outputs ``Y`` (R, K+1, n), the commands ``U``
-    (R, K, m) applied between them, and the run loads ``w`` (R,) or None.
-
-    Returns ``(a, b, U, W)``: run after run, the embeddings at steps
-    k = d, ..., K-1, the embeddings at k+1, the inputs applied between them
-    and the run loads (``W`` is None when ``w`` is).  The b side is the a
-    side shifted by one step within each run, so the fitted matrix is a
-    genuine one-step transition map, and pairs never straddle runs.
-    """
-    Y, U, w = _check_campaign(Y, U, w, d)
-    E = delay_embed(Y, U, d)
-    W = None if w is None else np.repeat(w, E.shape[1] - 1)[:, None]
-    return (E[:, :-1].reshape(-1, E.shape[-1]), E[:, 1:].reshape(-1, E.shape[-1]),
-            U[:, d:].reshape(-1, U.shape[-1]), W)
+def assemble_snapshots(Y, U, w, d: int) -> np.ndarray:
+    """The row-stacked a side of the snapshot pairs of a ``(Y, U, w)``
+    campaign: run after run, the embeddings at steps k = d, ..., K-1, which
+    :func:`_data_matrix` lifts into its a side and ``fit_basis`` takes as
+    its samples.  The loads are checked, not read."""
+    Y, U, _ = _check_campaign(Y, U, w, d)
+    E = delay_embed(Y[:, :-1], U, d)
+    return E.reshape(-1, E.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -104,17 +93,13 @@ class KoopmanModel:
         return lifting.lift_g(self.basis, yd)
 
 
-def _lift_rows(basis: Basis, Yd: np.ndarray, W: Optional[np.ndarray], out=None) -> np.ndarray:
-    if W is None:
-        return lifting.lift_g_many(basis, Yd, out=out)
-    return lifting.lift_gamma_many(basis, Yd, W, out=out)
-
-
 def _data_matrix(basis: Basis, Y, U, w, shift: int) -> np.ndarray:
     """One side of the least-squares data matrix Psi = [lift(Yd) | U] of a
     checked campaign, a row per snapshot pair, run after run: ``shift`` 0
     gives the a side, which embeds ``Y[r, :K]``, and 1 the b side, which
-    embeds ``Y[r, 1:]``.  ``w`` is None for the g lift.
+    embeds ``Y[r, 1:]``, so a pair is one step of one run and never
+    straddles runs.  ``w`` is None for the g lift, else the Gamma lift
+    takes each run's load on its rows.
 
     Psi is filled in the row blocks of one batch lift of the whole side
     (:func:`lifting.row_blocks`): each block's rows are cut from the
@@ -133,16 +118,18 @@ def _data_matrix(basis: Basis, Y, U, w, shift: int) -> np.ndarray:
         r0, r1 = start // rows, -(-end // rows)
         E = delay_embed(Y[r0:r1, shift:K + shift], U[r0:r1, shift:], basis.d)
         cut = slice(start - r0 * rows, end - r0 * rows)
-        W = None if w is None else np.repeat(w[r0:r1], rows)[cut, None]
-        _lift_rows(basis, E.reshape(-1, E.shape[-1])[cut], W, out=Psi[start:end, :n_z])
+        Yd, out = E.reshape(-1, E.shape[-1])[cut], Psi[start:end, :n_z]
+        if w is None:
+            lifting.lift_g_many(basis, Yd, out=out)
+        else:
+            lifting.lift_gamma_many(basis, Yd, np.repeat(w[r0:r1], rows)[cut, None], out=out)
     return Psi
 
 
 def fit_koopman(campaign, basis: Basis, Ts: float, with_load: bool = False) -> KoopmanModel:
     """Least-squares fit of the lifted transition matrix from the snapshot
-    pairs of a ``(Y, U, w)`` campaign (those :func:`assemble_snapshots`
-    gives), and extraction of the (A, B) realization from its transpose
-    partition.
+    pairs of a ``(Y, U, w)`` campaign (see :func:`_data_matrix`), and
+    extraction of the (A, B) realization from its transpose partition.
 
     K_bar = pinv(Psi_a) Psi_b with Psi = [lift(Yd) | U].  Only one data
     matrix is alive at a time, and no snapshot array: the pseudoinverse's
@@ -190,15 +177,16 @@ def one_step_rmse(model: KoopmanModel, campaign) -> float:
     """Held-out one-step output RMSE over all valid snapshot pairs of a
     ``(Y, U, w)`` campaign.
 
-    All snapshots are lifted in one batch and predicted as the first n
-    columns of Z A' + U B', the row-stacked form of A lift(yd, w) + B u.
+    The snapshots are lifted as the fit lifts them, into the a side
+    Psi = [Z | U] of its data matrix, and predicted as the first n columns
+    of Z A' + U B', the row-stacked form of A lift(yd, w) + B u.
     """
-    Yd, Y_next, U, W = assemble_snapshots(*campaign, model.d)
-    if model.p > 0 and W is None:
+    Y, U, w = _check_campaign(*campaign, model.d)
+    if model.p > 0 and w is None:
         raise ValueError("one_step_rmse: the load-augmented model needs the campaign's loads")
-    Z = _lift_rows(model.basis, Yd, W if model.p > 0 else None)
-    truth = Y_next[:, : model.n]
-    pred = (Z @ model.A.T + U @ model.B.T)[:, : model.n]
+    Psi = _data_matrix(model.basis, Y, U, w if model.p > 0 else None, 0)
+    pred = (Psi[:, :model.n_z] @ model.A.T + Psi[:, model.n_z:] @ model.B.T)[:, :model.n]
+    truth = Y[:, model.d + 1:].reshape(-1, model.n)
     return float(np.sqrt(np.sum((pred - truth) ** 2) / truth.size))
 
 

@@ -204,7 +204,7 @@ def fit_models(cfg: ExperimentConfig) -> ModelSet:
         camp, CampaignConfig(loads=camp.loads, trials=fit.holdout_trials,
                              duration=fit.holdout_duration, seed=camp.seed + 1)])
     baseline = edmd.fit_linear_baseline(training, d=fit.d, Ts=cfg.plant.Ts)
-    basis = lifting.fit_basis(edmd.assemble_snapshots(*training, fit.d)[0], fit.energy,
+    basis = lifting.fit_basis(edmd.assemble_snapshots(*training, fit.d), fit.energy,
                               n=baseline.n, m=baseline.m, d=fit.d)
     koopman = edmd.fit_koopman(training, basis, cfg.plant.Ts)
     return ModelSet(baseline=baseline, koopman=koopman,

@@ -294,11 +294,13 @@ class Controller:
         cond = self.condenser
         f = cond.qp(z0, self.reference[j + 1:j + 1 + self.cfg.Nh])
         # one refusal for every model, before the solve: a lift that is not
-        # finite, or a huge finite one, gives f whose square quietly overflows
+        # finite, or a huge finite one, gives f whose square quietly overflows;
+        # a known load is lifted with the measurement, so it is named too
         with np.errstate(over="ignore"):
             if not np.isfinite(f @ f):
-                raise ValueError(f"controller step {k}: measurement {y} puts the QP's linear "
-                                 f"term out of range, which would give a non-finite input")
+                at = "" if self.known_load is None else f" at known load {self.known_load}"
+                raise ValueError(f"controller step {k}: measurement {y}{at} puts the QP's "
+                                 f"linear term out of range, which would give a non-finite input")
         result = solve_box_qp(cond.H, f, cond.lower, cond.upper, tol=self.cfg.qp_tol,
                               max_iter=self.cfg.qp_max_iter, x0=self.warm_start)
         solve_ms = (time.perf_counter() - t0) * 1e3

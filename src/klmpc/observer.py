@@ -76,15 +76,15 @@ def _solve_load(M: np.ndarray, rhs: np.ndarray, cfg: EstimatorConfig):
     A full-column-rank M (at ``numkit.pinv``'s threshold) is solved for the
     whole (1, w) stack, so the constant coefficient soaks up any systematic
     one-step model offset; otherwise the constant is pinned at exactly 1.
-    A finite M whose norm overflows comes from a model out of range, and is
-    a ValueError.
+    Finite equations whose M or rhs has a norm that overflows come from a
+    model out of range, and are a ValueError, before the solve would warn.
     """
-    if not np.all(np.isfinite(M)):
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         return None
     w_cols = M[:, 1:]
     with np.errstate(over="ignore"):
-        norm_w, norm_M = np.linalg.norm(w_cols), np.linalg.norm(M)
-    if not np.isfinite(norm_M):
+        norm_w, norm_M, norm_rhs = (np.linalg.norm(X) for X in (w_cols, M, rhs))
+    if not (np.isfinite(norm_M) and np.isfinite(norm_rhs)):
         raise ValueError("load equations: the entries are finite but their norm "
                          "overflows; the model's matrices are out of range")
     if norm_w < 1e-9 * max(norm_M, 1.0):

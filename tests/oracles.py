@@ -32,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from klmpc import numkit, observer
-from klmpc.edmd import KoopmanModel, assemble_snapshots, fit_koopman
+from klmpc.edmd import KoopmanModel, fit_koopman
 from klmpc.lifting import Basis, delay_embed, gamma_matrix, lift_g_many, lift_gamma_many
 from klmpc.numkit import PcaProjection
 from klmpc.plant import ramp_and_hold
@@ -82,44 +82,38 @@ def enumerate_box_qp(H: np.ndarray, f: np.ndarray, lo: np.ndarray,
     """Exact solver for min 1/2 x'Hx + f'x over [lo, hi] with H PD.
 
     Enumerates every active-set pattern (each coordinate free, at its lower
-    bound, or at its upper bound), solves the free block, and returns the
-    first pattern whose candidate satisfies the KKT conditions — which is the
-    unique global optimum of a strictly convex QP.
+    bound, or at its upper bound), by active count, and returns the first
+    pattern whose candidate satisfies the KKT conditions — which is the
+    unique global optimum of a strictly convex QP.  The patterns of one
+    count are solved together: every free block, against each of its bound
+    choices, in one batched ``np.linalg.solve``.
     """
     n = f.shape[0]
     for r in range(n + 1):
-        for act in itertools.combinations(range(n), r):
-            act = list(act)
-            free = [i for i in range(n) if i not in act]
-            if act:
-                choices = np.array(list(itertools.product(
-                    *[(lo[i], hi[i]) for i in act])))
-            else:
-                choices = np.zeros((1, 0))
-            if free:
-                rhs = -(f[free][:, None]
-                        + (H[np.ix_(free, act)] @ choices.T if act else 0.0))
-                Xf = np.linalg.solve(H[np.ix_(free, free)], rhs)
-                feas = np.all((Xf >= lo[free][:, None] - 1e-12)
-                              & (Xf <= hi[free][:, None] + 1e-12), axis=0)
-            else:
-                Xf = np.zeros((0, choices.shape[0]))
-                feas = np.ones(choices.shape[0], dtype=bool)
-            if not np.any(feas):
-                continue
-            X = np.zeros((n, choices.shape[0]))
-            if act:
-                X[act, :] = choices.T
-            if free:
-                X[free, :] = Xf
-            G = H @ X + f[:, None]
-            ok = feas.copy()
-            for j, i in enumerate(act):
-                at_lo = np.isclose(choices[:, j], lo[i])
-                ok &= np.where(at_lo, G[i] >= -1e-9, G[i] <= 1e-9)
-            idx = np.flatnonzero(ok)
-            if idx.size:
-                return X[:, idx[0]]
+        combos = list(itertools.combinations(range(n), r))
+        act = np.array(combos, dtype=int).reshape(len(combos), r)
+        is_free = np.ones((len(combos), n), dtype=bool)
+        is_free[np.arange(len(combos))[:, None], act] = False
+        free = np.nonzero(is_free)[1].reshape(len(combos), n - r)
+        # the bound choices in itertools.product order: lower before upper,
+        # the last active coordinate varying fastest; (patterns, 2^r, r)
+        at_hi = (np.arange(2**r)[:, None] >> np.arange(r - 1, -1, -1) & 1).astype(bool)
+        choices = np.where(at_hi, hi[act][:, None], lo[act][:, None])
+        rhs = -(f[free][:, :, None]
+                + H[free[:, :, None], act[:, None]] @ choices.transpose(0, 2, 1))
+        Xf = np.linalg.solve(H[free[:, :, None], free[:, None]], rhs).transpose(0, 2, 1)
+        feas = np.all((Xf >= lo[free][:, None] - 1e-12)
+                      & (Xf <= hi[free][:, None] + 1e-12), axis=2)
+        if not np.any(feas):
+            continue
+        # each candidate with its coordinates back in order
+        X = np.take_along_axis(np.concatenate([choices, Xf], axis=2),
+                               np.argsort(np.hstack([act, free]), axis=1)[:, None], axis=2)
+        G = np.take_along_axis(X @ H.T + f, act[:, None], axis=2)
+        ok = feas & np.all(np.where(at_hi, G <= 1e-9, G >= -1e-9), axis=2)
+        idx = np.flatnonzero(ok)
+        if idx.size:
+            return X.reshape(-1, n)[idx[0]]
     raise RuntimeError("no KKT-consistent active set found")
 
 
@@ -478,9 +472,9 @@ def reference_snapshots(Y, U, w, d: int):
 
 def row_stacked_fit(campaign, basis: Basis, Ts: float, with_load: bool = False) -> KoopmanModel:
     """EDMD on the row-stacked snapshot pairs of a ``(Y, U, w)`` campaign:
-    ``assemble_snapshots``, one lift of each whole side, and
+    the pairs assembled one run at a time, one lift of each whole side, and
     K_bar = pinv(Psi_a) Psi_b with Psi = [lift(Yd) | U], Psi_a kept."""
-    a, b, U, W = assemble_snapshots(*campaign, basis.d)
+    a, b, U, W = reference_snapshots(*campaign, basis.d)
 
     def data_matrix(Yd):
         Z = lift_gamma_many(basis, Yd, W) if with_load else lift_g_many(basis, Yd)

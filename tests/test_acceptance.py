@@ -44,7 +44,7 @@ def test_ac1_exact_linear_recovery():
     model = fit_linear_baseline(campaign, d=0, Ts=0.05)
     elapsed = time.perf_counter() - t0
     err = float(np.linalg.norm(model.A - A) + np.linalg.norm(model.B - B))
-    pairs = len(assemble_snapshots(*campaign, d=0)[0])
+    pairs = len(assemble_snapshots(*campaign, d=0))
     record("AC-1", err < 1e-8 and pairs == 200 and elapsed < 1.0,
            f"(A,B) error {err:.2e} from 200 snapshots in {elapsed:.2f} s")
 

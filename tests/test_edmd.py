@@ -2,6 +2,7 @@
 plants, structural invariants of the extracted (A, B), and persistence.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -53,30 +54,38 @@ def linear_campaign(A, B, K, rng, runs=1):
 def test_snapshot_count_minimal():
     rng = np.random.default_rng(0)
     campaign = linear_campaign(np.eye(1) * 0.5, np.eye(1), 3, rng)
-    assert assemble_snapshots(*campaign, d=1)[0].shape == (1, 3)
-    assert assemble_snapshots(*campaign, d=0)[0].shape == (2, 1)
+    assert assemble_snapshots(*campaign, d=1).shape == (1, 3)
+    assert assemble_snapshots(*campaign, d=0).shape == (2, 1)
 
 
 def test_snapshots_never_straddle_trajectories():
     rng = np.random.default_rng(1)
     Y, U_in, _ = linear_campaign(np.eye(1) * 0.5, np.eye(1), 10, rng, runs=2)
-    a, b, U, W = assemble_snapshots(Y, U_in, None, d=1)
-    assert a.shape[0] == b.shape[0] == U.shape[0] == 2 * (10 - 2)
-    assert W is None
-    # the last pair of the first run ends on that run's last sample, and the
-    # second run starts from its own first embedding
-    assert np.array_equal(b[7], [Y[0, 9, 0], Y[0, 8, 0], U_in[0, 8, 0]])
+    a = assemble_snapshots(Y, U_in, None, d=1)
+    assert a.shape[0] == 2 * (10 - 2)
+    # the second run starts from its own first embedding; on the fit's b
+    # side, with the identity lift, the last pair of the first run ends on
+    # that run's last sample
     assert np.array_equal(a[8], [Y[1, 1, 0], Y[1, 0, 0], U_in[1, 0, 0]])
-    assert np.array_equal(U[8], U_in[1, 1])
+    basis = identity_basis(1, 1, 1)
+    b = edmd._data_matrix(basis, Y, U_in, None, 1)
+    assert np.array_equal(b[7, :3], [Y[0, 9, 0], Y[0, 8, 0], U_in[0, 8, 0]])
+    assert np.array_equal(edmd._data_matrix(basis, Y, U_in, None, 0)[8, 3:], U_in[1, 1])
 
 
 def test_snapshot_b_is_next_a():
+    # the fit's two sides, with the identity lift: the b side is the a side
+    # one step on, the a side's rows are assemble_snapshots' rows, and both
+    # carry the input applied from the a side's step
     rng = np.random.default_rng(2)
     Y, U_in, _ = linear_campaign(np.eye(2) * 0.8, np.ones((2, 1)), 12, rng)
     for d in (0, 1, 2):
-        a, b, U, _ = assemble_snapshots(Y, U_in, None, d)
-        assert np.array_equal(b[:-1], a[1:])
-        assert np.array_equal(U, U_in[0, d:])
+        basis = identity_basis(2, 1, d)
+        ne = basis.identity_count
+        a, b = (edmd._data_matrix(basis, Y, U_in, None, shift) for shift in (0, 1))
+        assert np.array_equal(a[:, :ne], assemble_snapshots(Y, U_in, None, d))
+        assert np.array_equal(b[:-1, :ne], a[1:, :ne])
+        assert np.array_equal(a[:, ne:], U_in[0, d:]) and np.array_equal(b[:, ne:], a[:, ne:])
 
 
 def test_snapshots_match_run_by_run_assembly():
@@ -87,20 +96,19 @@ def test_snapshots_match_run_by_run_assembly():
     for d in (0, 1, 2):
         for loads in (w, None):
             got = assemble_snapshots(Y, U, loads, d)
-            want = reference_snapshots(Y, U, loads, d)
-            for g, r in zip(got, want, strict=True):
-                if r is None:
-                    assert g is None
-                else:
-                    assert g.dtype == r.dtype and np.array_equal(g, r)
+            want = reference_snapshots(Y, U, loads, d)[0]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_snapshot_loads_repeat_per_row():
+    # the a side does not read the loads; the fit's Gamma lift takes each
+    # run's load on its rows, so the constant's load column is the load
     rng = np.random.default_rng(12)
     Y, U, w = simulate_bilinear((0.1, 0.25), 6, rng)
-    _, _, _, W = assemble_snapshots(Y, U, w, d=1)
-    assert np.array_equal(W[:, 0], [0.1] * 4 + [0.25] * 4)
-    assert assemble_snapshots(Y, U, None, d=1)[3] is None
+    assert np.array_equal(assemble_snapshots(Y, U, w, d=1), assemble_snapshots(Y, U, None, d=1))
+    basis = dataclasses.replace(bilinear_basis(), d=1)
+    Psi = edmd._data_matrix(basis, Y, U, w, 0)
+    assert np.array_equal(Psi[:, 2 * basis.n_lifted - 1], [0.1] * 4 + [0.25] * 4)
 
 
 def malformed_campaigns() -> dict:
@@ -297,7 +305,7 @@ def test_one_step_rmse_matches_per_snapshot_loop(models):
     held = tuple(x[:2] for x in models.holdout)
     for model in (models.baseline, models.koopman, models.koopman_load):
         err2, count = 0.0, 0
-        for a, b, u, w in zip(*assemble_snapshots(*held, model.d)):
+        for a, b, u, w in zip(*reference_snapshots(*held, model.d)):
             pred = predict_one_step(model, a, u, w if model.p else None)
             err2 += float(np.sum((pred - b[: model.n]) ** 2))
             count += model.n

@@ -641,6 +641,20 @@ def test_python_dash_m_klmpc_runs_the_cli(tmp_path):
     assert "{fit,track,estimate,sort}" in proc.stdout
 
 
+def test_cli_fits_on_one_blas_thread(tmp_path, models_doc):
+    # with no thread count in its environment the command pins one BLAS
+    # thread, as this suite does, so it writes the session fit's document;
+    # on a one-core host the thread count cannot differ, and this cannot fail
+    src = str(Path(klmpc.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key not in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "klmpc", "fit", "M.json"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "M.json").read_bytes() == models_doc.read_bytes()
+
+
 def test_cli_errors(tmp_path, capsys, monkeypatch):
     # missing config file -> diagnostic and exit 2, before any campaign runs
     calls = no_collection(monkeypatch)
@@ -954,7 +968,7 @@ def test_fit_models_collects_both_campaigns_in_one_call(monkeypatch):
     assert calls == [[camp, holdout_camp]]
     training, holdout = collect(cfg.plant, [camp, holdout_camp])
     Ts, n, m = cfg.plant.Ts, 4, 2
-    basis = lifting.fit_basis(edmd.assemble_snapshots(*training, fit.d)[0], fit.energy,
+    basis = lifting.fit_basis(edmd.assemble_snapshots(*training, fit.d), fit.energy,
                               n=n, m=m, d=fit.d)
     reference = {"baseline": row_stacked_fit(training, lifting.identity_basis(n, m, fit.d), Ts),
                  "koopman": row_stacked_fit(training, basis, Ts),

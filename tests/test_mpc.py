@@ -504,6 +504,17 @@ def test_controller_step_refuses_a_huge_measurement_quietly(default_cfg, models)
         assert len(ctrl.logs) == 0
 
 
+def test_controller_step_refusal_names_a_huge_known_load(default_cfg, models):
+    # an ordinary measurement lifted with a huge known load puts the QP's
+    # linear term out of range: the refusal names the load it was lifted with
+    model = models.koopman_load
+    ctrl = Controller(model, default_cfg.mpc_config(), np.zeros((10, model.n)),
+                      known_load=1e200)
+    with pytest.raises(ValueError, match=r"at known load \[1.e\+200\] puts the QP's linear"):
+        ctrl.step(np.array([0.0, -0.5, 0.0, -1.0]))
+    assert len(ctrl.logs) == 0
+
+
 def test_controller_reference_must_be_rows_of_outputs():
     for bad in (np.zeros(5), np.zeros((0, 1)), np.zeros((5, 2))):
         with pytest.raises(ValueError, match="reference must be"):

@@ -192,6 +192,22 @@ def test_infinite_outputs_make_degenerate_windows_without_a_warning(models):
     assert np.array_equal(state.w_hat, cfg.w_init)
 
 
+@pytest.mark.filterwarnings("error")
+def test_rhs_out_of_range_is_refused_without_a_warning(default_cfg, models):
+    # with the KL B x 1e308 the load equations' right-hand side is finite,
+    # but its norm overflows: the window is refused with the "out of range"
+    # ValueError of an M whose norm overflows, before the solve could warn
+    model = models.koopman_load
+    huge_b = dataclasses.replace(model, B=model.B * 1e308)
+    Y, U, _ = models.holdout
+    rows = default_cfg.estimator.Nw + model.d + 1
+    history = np.hstack([Y[0, :rows], U[0, :rows]])
+    M, rhs = obs.window_system(huge_b, history, default_cfg.estimator.Nw)
+    assert np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))
+    with pytest.raises(ValueError, match="norm overflows; the model's matrices are out of range"):
+        obs.estimate_window(huge_b, history, default_cfg.estimator)
+
+
 def test_estimate_clamped_to_bounds(model):
     # adversarial next output pushes the raw estimate far past w_max
     cfg = EstimatorConfig()
