@@ -132,13 +132,13 @@ def fit_koopman(campaign, basis: Basis, Ts: float, with_load: bool = False) -> K
     extraction of the (A, B) realization from its transpose partition.
 
     K_bar = pinv(Psi_a) Psi_b with Psi = [lift(Yd) | U].  Only one data
-    matrix is alive at a time, and no snapshot array: the pseudoinverse's
-    SVD writes its left singular vectors over Psi_a, which is released once
-    the pseudoinverse exists, and only then is Psi_b built.  A
-    rank-deficient Psi_a is reported by the pseudoinverse, from the one SVD
-    it takes.  A and B are column-major copies, the layout
-    :func:`model_from_dict` reads them back in, so a fitted and a read model
-    run the same bits.
+    matrix is alive at a time, and no snapshot array: the pseudoinverse
+    runs LAPACK's QR-first SVD in Psi_a's column-major copy and writes U'
+    over Psi_a, which is released once the pseudoinverse exists, and only
+    then is Psi_b built.  A rank-deficient Psi_a is reported by the
+    pseudoinverse, from the one SVD it takes.  A and B are column-major
+    copies, the layout :func:`model_from_dict` reads them back in, so a
+    fitted and a read model run the same bits.
     """
     Y, U, w = _check_campaign(*campaign, basis.d)
     if with_load and w is None:

@@ -17,6 +17,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import pytest  # noqa: E402
 
+from klmpc import numkit  # noqa: E402
 from klmpc.harness import ExperimentConfig, fit_models  # noqa: E402
 from klmpc.plant import collect_training_data  # noqa: E402
 
@@ -55,6 +56,31 @@ def traced_peak(fn):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+@pytest.fixture
+def factorisations(monkeypatch):
+    """The factorisations run while the test runs: the input shape of each
+    thin SVD gufunc call (``np.linalg.svd`` runs it too) and the ``(m, n)``
+    of each ``dgeqrf`` call that is not a workspace query.
+
+    A gufunc's working copies are invisible to tracemalloc, so these shapes
+    are what shows an array of a data matrix's size formed beside it."""
+    calls = {"svd_s": [], "dgeqrf": []}
+    svd_s, dgeqrf = numkit.lapack.svd_s, numkit.lapack_lite.dgeqrf
+
+    def svd_spy(*args, **kwargs):
+        calls["svd_s"].append(args[0].shape)
+        return svd_s(*args, **kwargs)
+
+    def dgeqrf_spy(m, n, *args):
+        if args[-2] != -1:                   # lwork: -1 asks for the workspace size
+            calls["dgeqrf"].append((m, n))
+        return dgeqrf(m, n, *args)
+
+    monkeypatch.setattr(numkit.lapack, "svd_s", svd_spy)
+    monkeypatch.setattr(numkit.lapack_lite, "dgeqrf", dgeqrf_spy)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter):

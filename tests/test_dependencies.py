@@ -5,6 +5,7 @@ would pass the rest of the suite; these tests read the sources instead.
 """
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -102,3 +103,34 @@ def test_declared_dependencies_are_numpy_alone():
     with open(PYPROJECT, "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps] == ["numpy"]
+
+
+@pytest.mark.parametrize("module, names", [
+    ("_umath_linalg", ["svd_s", "solve", "solve1", "qr_r_raw"]),
+    ("lapack_lite", ["dgeqrf", "dorgqr"]),
+])
+def test_numpy_keeps_the_private_lapack_entry_points(module, names):
+    # numkit calls these below np.linalg's public API; a numpy that drops
+    # one fails here, by name, and not inside a fit
+    linalg = importlib.import_module(f"numpy.linalg.{module}")
+    assert [name for name in names if not callable(getattr(linalg, name, None))] == []
+
+
+def test_only_numkit_names_the_private_lapack_modules():
+    # every other module reaches LAPACK through numkit, so a numpy upgrade
+    # that moves these is mended in one file
+    private = {"_umath_linalg", "lapack_lite"}
+
+    def names(path):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield from node.name.split(".")
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                yield from node.module.split(".")
+
+    users = sorted(path.name for path in PACKAGE.glob("*.py") if private & set(names(path)))
+    assert users == ["numkit.py"]

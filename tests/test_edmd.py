@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from klmpc import edmd, numkit
+from klmpc import edmd
 from klmpc.edmd import (
     KoopmanModel,
     assemble_snapshots,
@@ -176,34 +176,33 @@ def test_rank_deficient_fit_warns_and_stays_finite(caplog):
     assert np.allclose(model.B, [[0.05, 0.05]], atol=1e-8)
 
 
-def test_fit_factors_data_matrix_once(monkeypatch):
+def test_fit_factors_data_matrix_once(monkeypatch, factorisations):
     # the rank check reads the singular values of the pseudoinverse's own
-    # SVD: one factorisation of Psi_a per fit, and no matrix_rank.  The thin
-    # SVD gufunc is counted, which np.linalg.svd runs too.
+    # SVD: one factorisation of Psi_a per fit, and no matrix_rank.  Psi_a is
+    # factored by one in-place QR, and the SVD sees only its R factor.
     rng = np.random.default_rng(6)
     campaign = linear_campaign(np.array([[0.9]]), np.array([[0.1]]), 50, rng)
     want = fit_koopman(campaign, identity_basis(1, 1, 0), TS)
-    svd_s, calls = numkit.lapack.svd_s, []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd_s(*args, **kwargs)
+    factorisations["svd_s"].clear()
+    factorisations["dgeqrf"].clear()
 
     def no_rank(*args, **kwargs):
         raise AssertionError("the fit must not factor Psi_a a second time")
 
-    monkeypatch.setattr(numkit.lapack, "svd_s", counted)
     monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
     got = fit_koopman(campaign, identity_basis(1, 1, 0), TS)
-    assert calls == [(49, 2)]
+    assert factorisations == {"svd_s": [(2, 2)], "dgeqrf": [(49, 2)]}
     assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
 
 
 def test_load_fit_traced_peak(default_cfg, models, training):
     # Psi_a, the pseudoinverse and one row block of embeddings and monomials:
-    # the SVD writes U over Psi_a, and neither the snapshot pairs nor a
-    # (K, 55) monomial block are formed.  With a separate U and the whole
-    # block the peak was 3.06 Psi_a; 2.17 measured.
+    # the QR path writes U' over Psi_a and the pseudoinverse over its own
+    # column-major copy, and neither the snapshot pairs nor a (K, 55)
+    # monomial block are formed.  With a separate U and the whole block the
+    # peak was 3.06 Psi_a; 2.16 measured.  The SVD gufunc's buffers, which
+    # the QR path no longer forms, were never traced: test_harness's
+    # factorisation shapes are what keeps them out.
     basis = models.koopman_load.basis
     peak, model = traced_peak(lambda: fit_koopman(training, basis, default_cfg.plant.Ts,
                                                   with_load=True))

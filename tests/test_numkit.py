@@ -32,6 +32,8 @@ def test_pinv_rank_deficient_diag():
 
 def test_pinv_zero_matrix():
     assert np.array_equal(numkit.pinv(np.zeros((3, 2))), np.zeros((2, 3)))
+    # on the in-place QR path too (3 >= 11 * 2 / 6)
+    assert np.array_equal(numkit.pinv(np.zeros((3, 2)), overwrite=True), np.zeros((2, 3)))
 
 
 def test_pinv_warns_with_the_rank_it_keeps(caplog):
@@ -78,10 +80,16 @@ def svd_pinv(A):
 
 
 @pytest.mark.parametrize("rows, cols, order", [
-    (300, 7, "C"), (7, 7, "C"), (4, 9, "C"), (300, 7, "F")])
+    (300, 7, "C"), (7, 7, "C"), (4, 9, "C"), (300, 7, "F"),
+    (11, 7, "C"),                        # one row short of dgesdd's QR path
+    (12, 7, "C"),                        # the first shape on it
+    (5, 1, "C"),                         # one column: A.T is already C-contiguous
+    (300, 54, "C"),                      # U_R.T as a view gives other bits here
+])
 def test_pinv_overwrite_keeps_every_bit(rows, cols, order):
-    # the thin SVD's bits whether or not U is written over the input; only a
-    # tall C-contiguous input is overwritten, and then it holds U
+    # the thin SVD's bits whether or not the QR path runs in place; only a
+    # C-contiguous input with rows >= 11 cols / 6 is overwritten, and then
+    # it holds U' in its first cols * rows entries
     rng = np.random.default_rng(rows + cols)
     A = np.asarray(random_matrix(rng, rows, cols), order=order)
     A[:, -1] = A[:, 0]                   # rank-deficient: a dropped value
@@ -90,8 +98,22 @@ def test_pinv_overwrite_keeps_every_bit(rows, cols, order):
     assert np.array_equal(numkit.pinv(A), want)
     assert np.array_equal(A, original)
     assert np.array_equal(numkit.pinv(A, overwrite=True), want)
-    in_place = rows >= cols and order == "C"
-    assert np.array_equal(A, U if in_place else original)
+    if order == "C" and rows >= cols * 11 // 6:
+        assert np.array_equal(A.reshape(cols, rows), U.T)
+    else:
+        assert np.array_equal(A, original)
+
+
+def test_pinv_in_place_reports_a_lapack_failure(monkeypatch):
+    # a nonzero info from the QR path's LAPACK routines is a LinAlgError
+    dgeqrf = numkit.lapack_lite.dgeqrf
+
+    def failing(*args):
+        return {**dgeqrf(*args), "info": -4}
+
+    monkeypatch.setattr(numkit.lapack_lite, "dgeqrf", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="dgeqrf"):
+        numkit.pinv(np.random.default_rng(0).normal(size=(30, 4)), overwrite=True)
 
 
 def test_pinv_rejects_nonfinite():
