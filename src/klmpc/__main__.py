@@ -11,7 +11,11 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    from .cli import main as cli_main
+    try:
+        from .cli import main as cli_main
+    except ImportError as exc:    # numkit checks numpy's private LAPACK names
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return cli_main(argv)
 
 

@@ -37,12 +37,13 @@ def delay_embed(y, u, d: int) -> np.ndarray:
                           + [u[..., d - i:K - i, :] for i in range(1, d + 1)], axis=-1)
 
 
-def _eval_quadratics(Y: np.ndarray) -> np.ndarray:
+def _eval_quadratics(Y: np.ndarray, order: str = "C") -> np.ndarray:
     """The degree-2 monomials y_i y_j (i <= j) of a batch of embedded
     outputs, in ``np.triu_indices`` order: coordinate i writes its products
-    with coordinates i.. straight into its slice of one (K, P) array."""
+    with coordinates i.. straight into its slice of one (K, P) array, laid
+    out in ``order``, which leaves every bit as it is."""
     K, ne = Y.shape
-    Q = np.empty((K, ne * (ne + 1) // 2))
+    Q = np.empty((K, ne * (ne + 1) // 2), order=order)
     o = 0
     for i in range(ne):
         np.multiply(Y[:, i:i + 1], Y[:, i:], out=Q[:, o:o + ne - i])
@@ -82,10 +83,11 @@ def fit_basis(samples: np.ndarray, energy: float, n: int, m: int, d: int) -> Bas
     degree-2 monomial block is reduced by PCA at the given energy fraction.
 
     The (K, P) monomial block is the fit's largest array, and the only one
-    of its size: it is handed to the PCA, which centres it in place and
-    takes the spectrum from the P x P R factor that the QR leaves in it, so
-    neither a centred copy nor the K x P left singular vectors, which a
-    projection never uses, are formed (see :func:`numkit.pca_fit`).
+    of its size: it is built column-major for the PCA to centre and factor
+    in place, with the spectrum from the P x P R factor, so neither a copy
+    nor the K x P left singular vectors are formed (see
+    :func:`numkit.pca_fit`).  The batch lifts keep C-ordered blocks, whose
+    projection bits depend on that layout.
     """
     samples = np.asarray(samples, dtype=float)
     ne = embedded_dim(n, m, d)
@@ -94,7 +96,7 @@ def fit_basis(samples: np.ndarray, energy: float, n: int, m: int, d: int) -> Bas
     n_mono = 1 + ne + ne * (ne + 1) // 2   # degree <= 2 monomials in ne variables
     if samples.shape[0] < n_mono:
         raise ValueError(f"fit_basis: need at least {n_mono} samples, got {samples.shape[0]}")
-    projection = pca_fit(_eval_quadratics(samples), energy, overwrite=True)
+    projection = pca_fit(_eval_quadratics(samples, order="F"), energy)
     return Basis(n=n, m=m, d=d, projection=projection)
 
 

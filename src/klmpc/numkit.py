@@ -1,7 +1,10 @@
 """Dense linear-algebra kernel: SVD pseudoinverse, least squares, and PCA.
 
-Everything here operates on plain numpy arrays and is pure: no module
-state, safe to call from multiple threads.
+The fit's pseudoinverse and its PCA factor a tall matrix one way: a
+Householder QR run in place by LAPACK's dgeqrf on a column-major buffer,
+then the SVD of the square R factor by ``np.linalg.svd``.  Everything here
+operates on plain numpy arrays and is pure: no module state, safe to call
+from multiple threads.
 """
 
 from __future__ import annotations
@@ -16,26 +19,28 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_RTOL = 1e-10
 
-# The LAPACK gufuncs behind np.linalg.  The dgesv ones behind
-# np.linalg.solve, whose checks cost more than a small solve: ``solve`` is
-# (m,m),(m,k)->(m,k), ``solve1`` (m,m),(m)->(m), both called with
-# signature="dd->d"; a singular matrix gives NaN and the invalid flag, not
-# LinAlgError.  ``svd_s`` (m,n)->(m,k),(k),(k,n) is np.linalg.svd's thin SVD
-# and ``qr_r_raw`` (m,n)->(k) np.linalg.qr's Householder step, which leaves R
-# in the upper triangle of its input; both flag a failure as invalid.
-# ``lapack_lite`` holds the plain LAPACK routines ``dgeqrf`` and ``dorgqr``,
-# which run in place on a column-major matrix (passed as its C-contiguous
-# transpose) and report through ``info``.
+# numpy's private LAPACK entry points that numkit calls, by module of
+# numpy.linalg, checked at import; calls look them up on the module.  The
+# dgesv gufuncs ``solve`` (m,m),(m,k)->(m,k) and ``solve1`` (m,m),(m)->(m),
+# called with signature="dd->d", skip np.linalg.solve's checks, which cost
+# more than a small solve; a singular matrix gives NaN and the invalid flag,
+# not LinAlgError.  ``dgeqrf`` and ``dorgqr`` run in place on a column-major
+# matrix, passed as its C-contiguous transpose, and report through ``info``.
+PRIVATE_LAPACK = {"_umath_linalg": ("solve", "solve1"), "lapack_lite": ("dgeqrf", "dorgqr")}
 lapack = np.linalg._umath_linalg
 
 
-def _lapack_errors(message: str):
-    """The floating-point state np.linalg runs its gufuncs under: a failure
-    flagged as invalid is a LinAlgError with ``message``."""
-    def fail(*_):
-        raise np.linalg.LinAlgError(message)
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
+def _check_private_lapack(modules: dict) -> None:
+    """Raise ImportError naming numpy's version and each name of
+    ``PRIVATE_LAPACK`` missing from ``modules`` (module name -> module)."""
+    missing = [f"numpy.linalg.{module}.{name}" for module, names in PRIVATE_LAPACK.items()
+               for name in names if not callable(getattr(modules[module], name, None))]
+    if missing:
+        raise ImportError(f"numpy {np.__version__} lacks the LAPACK routines klmpc "
+                          f"calls: {', '.join(missing)}")
+
+
+_check_private_lapack({"_umath_linalg": lapack, "lapack_lite": lapack_lite})
 
 
 def _lapack_lite(name: str, *args) -> None:
@@ -52,27 +57,14 @@ def _lapack_lite(name: str, *args) -> None:
         raise np.linalg.LinAlgError(f"{name} failed with info = {info}")
 
 
-def _qr_svd_in_place(A: np.ndarray):
-    """Thin SVD of a tall C-contiguous float64 ``A`` by dgesdd's own QR
-    path, in buffers this call owns: returns ``(Ut, s, Vt, X)``.
-
-    ``X`` is a column-major copy of ``A``, the one the SVD gufunc would
-    form.  The Householder QR and then Q are formed in it in place, the SVD
-    of R gives ``U_R``, ``s`` and ``Vt``, and ``Ut`` = (Q U_R)' is written
-    over ``A`` by the NN dgemm that dgesdd ends with.  ``X`` is free for the
-    caller to write over.  Each factor has ``np.linalg.svd``'s bits.
-    """
-    M, N = A.shape
-    X = A.T.copy()
-    tau = np.empty(N)
-    _lapack_lite("dgeqrf", M, N, X, M, tau)
-    R = np.triu(X[:, :N].T)
-    _lapack_lite("dorgqr", M, N, N, X, M, tau)
-    with _lapack_errors("SVD did not converge"):
-        U_R, s, Vt = lapack.svd_s(R, signature="d->ddd")
-    # U_R.T as a view would take another gemm kernel, and other bits
-    Ut = np.matmul(np.ascontiguousarray(U_R.T), X, out=A.reshape(N, M))
-    return Ut, s, Vt, X
+def _householder_r(Xt: np.ndarray) -> tuple:
+    """dgeqrf's Householder QR, in place, of the column-major M x N matrix
+    whose C-contiguous transpose is ``Xt`` (N, M): returns its min(M, N) x N
+    R factor and ``tau``, and ``Xt`` holds the reflectors."""
+    N, M = Xt.shape
+    tau = np.empty(min(M, N))
+    _lapack_lite("dgeqrf", M, N, Xt, M, tau)
+    return np.triu(Xt[:, :tau.size].T), tau
 
 
 def pinv(A: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
@@ -83,12 +75,11 @@ def pinv(A: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
 
     The SVD has the bits of ``np.linalg.svd(A, full_matrices=False)``, and
     so has the result.  With ``overwrite`` on a C-contiguous float64 ``A``
-    of shape (M, N) with M >= 11N/6, the bound past which LAPACK's dgesdd
-    factors A = QR first, that QR path is run step by step
-    (:func:`_qr_svd_in_place`): A's column-major copy holds Q and then the
-    result, and ``A.reshape(N, M)`` holds U' afterwards, so the peak is two
-    arrays of A's size.  Otherwise ``A`` is not written, and the SVD gufunc
-    forms a column-major copy and U beside it: three.
+    of shape (M, N), M >= 11N/6 (where LAPACK's dgesdd factors A = QR
+    first), that QR path runs step by step: Q and then the result in A's
+    column-major copy, and U' over ``A.reshape(N, M)`` by dgesdd's closing
+    NN dgemm, so the peak is two arrays of A's size.  Otherwise ``A`` is not
+    written, and ``np.linalg.svd`` forms a copy and U beside it: three.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
@@ -97,10 +88,14 @@ def pinv(A: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
         raise np.linalg.LinAlgError(f"pinv: need a 2-D matrix, got {A.ndim} dimension(s)")
     rows, cols = A.shape
     if overwrite and cols >= 1 and rows >= cols * 11 // 6 and A.flags.c_contiguous:
-        Ut, s, Vt, out = _qr_svd_in_place(A)
+        out = A.T.copy()
+        R, tau = _householder_r(out)
+        _lapack_lite("dorgqr", rows, cols, cols, out, rows, tau)
+        U, s, Vt = np.linalg.svd(R, full_matrices=False)
+        # U.T as a view would take another gemm kernel, and other bits
+        Ut = np.matmul(np.ascontiguousarray(U.T), out, out=A.reshape(cols, rows))
     else:
-        with _lapack_errors("SVD did not converge"):
-            U, s, Vt = lapack.svd_s(A, signature="d->ddd")
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
         Ut, out = U.T, None
     keep = s > DEFAULT_RTOL * s[0] if s.size else s.astype(bool)
     if not keep.all():
@@ -143,7 +138,26 @@ class PcaProjection:
         return self.components.shape[0]
 
 
-def pca_fit(X: np.ndarray, energy: float, *, overwrite: bool = False) -> PcaProjection:
+SUM_BLOCK_ROWS = 256
+
+
+def _column_sums(X: np.ndarray) -> np.ndarray:
+    """The sum of ``X``'s rows, added one at a time in order, in any layout:
+    the bits of ``X.sum(axis=0)`` on C-ordered data, where an F-ordered
+    ``X`` sums each column pairwise.  Each block of rows is copied to C
+    order behind the running sum and reduced into it."""
+    K, P = X.shape
+    block = np.empty((min(K, SUM_BLOCK_ROWS) + 1, P))
+    total = np.zeros(P)
+    for start in range(0, K, SUM_BLOCK_ROWS):
+        rows = X[start:start + SUM_BLOCK_ROWS]
+        block[0] = total
+        block[1:len(rows) + 1] = rows
+        np.add.reduce(block[:len(rows) + 1], axis=0, out=total)
+    return total
+
+
+def pca_fit(X: np.ndarray, energy: float) -> PcaProjection:
     """Fit PCA on samples-by-features data, keeping the minimal number of
     leading components whose cumulative explained variance reaches ``energy``.
 
@@ -152,50 +166,28 @@ def pca_fit(X: np.ndarray, energy: float, *, overwrite: bool = False) -> PcaProj
 
     The singular values and right vectors come from the SVD of the n x n R
     factor of the centred data, so the K x n left vectors, which PCA never
-    uses, are not formed.  For tall data (K >= 11n/6) this is the route
-    LAPACK's gesdd takes internally, and the result is bit-identical to
-    ``svd(Xc)``; otherwise it agrees to rounding.  The Householder QR of
-    ``np.linalg.qr(Xc, mode="r")`` writes its result over the centred data,
-    which is released once R is taken from it.  That gufunc factors a
-    column-major copy of its input and copies the result back, so the peak
-    is three arrays of the data's size: the input, its centred copy and the
-    gufunc's copy.  With ``overwrite`` on a C-contiguous float64 ``X`` the
-    data is centred in place and the QR's result is written over ``X``, so
-    the peak is ``X`` and the gufunc's copy; ``X`` holds the Householder
-    factorisation afterwards.
+    uses, are not formed; for tall data (K >= 11n/6) this is LAPACK's own
+    route, bit for bit.  The mean has the bits of ``X.mean(axis=0)`` on
+    C-ordered data in any layout.  An F-contiguous writeable float64 ``X``
+    is centred and factored in place, and holds the QR afterwards; any
+    other ``X`` is left as it is, and one column-major copy is factored.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("pca_fit: need a 2-D sample matrix with at least 2 rows")
     if not (0.0 < energy <= 1.0):
         raise ValueError(f"pca_fit: energy must be in (0, 1], got {energy}")
-    mean = X.mean(axis=0)
-    Xc = X if overwrite and X.flags.c_contiguous else X.copy()
+    mean = _column_sums(X) / X.shape[0]
+    Xc = X if X.flags.f_contiguous and X.flags.writeable else X.copy(order="F")
     Xc -= mean
-    del X
-    with _lapack_errors("Incorrect argument found while performing QR factorization"):
-        lapack.qr_r_raw(Xc, signature="d->d")
-    R = np.triu(Xc[:min(Xc.shape)])
-    del Xc
+    R, _ = _householder_r(Xc.T)
     _, s, Vt = np.linalg.svd(R, full_matrices=False)
     var = s**2
     total = var.sum()
-    if total <= 0.0:
-        # zero-variance data: nothing to retain
-        return PcaProjection(
-            mean=mean,
-            components=np.zeros((0, mean.shape[0])),
-            energy_kept=float(energy),
-            explained=np.zeros(0),
-        )
-    frac = var / total
-    k = int(np.searchsorted(np.cumsum(frac), energy - 1e-12) + 1)
-    k = min(k, Vt.shape[0])
-    comps = Vt[:k].copy()
-    for i in range(k):
-        j = int(np.argmax(np.abs(comps[i])))
-        if comps[i, j] < 0:
-            comps[i] = -comps[i]
+    # zero-variance data: nothing to retain
+    frac = np.zeros(0) if total <= 0.0 else var / total
+    k = min(int(np.searchsorted(np.cumsum(frac), energy - 1e-12) + 1), frac.size)
+    comps = Vt[:k] * np.sign(Vt[np.arange(k), np.argmax(np.abs(Vt[:k]), axis=1)])[:, None]
     return PcaProjection(
         mean=mean,
         components=comps,

@@ -8,9 +8,14 @@ import ast
 import importlib
 import re
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from klmpc import __main__ as klmpc_main
+from klmpc import numkit
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "klmpc"
@@ -74,11 +79,14 @@ def test_simulator_and_numerics_sit_below_identification(name):
                          ids=lambda p: p.name)
 def test_library_modules_never_print(path):
     # only the command line writes to stdout; the library reports through
-    # logging, return values and the files its runners are asked to write
-    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    # logging, return values and the files its runners are asked to write,
+    # and the entry point in __main__.py only its import error, to stderr
+    calls = [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "print"]
-    assert calls == []
+    to_stderr = [node for node in calls if path.name == "__main__.py" and any(
+        kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr" for kw in node.keywords)]
+    assert [node.lineno for node in calls if node not in to_stderr] == []
 
 
 def test_only_the_document_owners_import_json():
@@ -105,15 +113,43 @@ def test_declared_dependencies_are_numpy_alone():
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps] == ["numpy"]
 
 
-@pytest.mark.parametrize("module, names", [
-    ("_umath_linalg", ["svd_s", "solve", "solve1", "qr_r_raw"]),
-    ("lapack_lite", ["dgeqrf", "dorgqr"]),
-])
+def test_ci_installs_the_declared_numpy_floor():
+    # one CI job runs the suite on exactly the oldest numpy the package
+    # declares, so the floor is a version that has run it
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        [floor] = [d.removeprefix("numpy>=") for d in tomllib.load(fh)["project"]["dependencies"]]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert re.findall(r'"numpy==([0-9.]+)"', workflow) == [f"{floor}.0"]
+
+
+@pytest.mark.parametrize("module, names", list(numkit.PRIVATE_LAPACK.items()))
 def test_numpy_keeps_the_private_lapack_entry_points(module, names):
     # numkit calls these below np.linalg's public API; a numpy that drops
     # one fails here, by name, and not inside a fit
     linalg = importlib.import_module(f"numpy.linalg.{module}")
     assert [name for name in names if not callable(getattr(linalg, name, None))] == []
+
+
+def test_a_numpy_without_a_private_name_fails_at_import():
+    # numkit runs this check when it is imported, naming numpy's version and
+    # every name it misses
+    stub = types.SimpleNamespace(solve=numkit.lapack.solve)
+    with pytest.raises(ImportError, match=re.escape(
+            f"numpy {np.__version__} lacks the LAPACK routines klmpc calls: "
+            "numpy.linalg._umath_linalg.solve1")):
+        numkit._check_private_lapack({"_umath_linalg": stub,
+                                      "lapack_lite": numkit.lapack_lite})
+
+
+def test_the_command_line_reports_an_import_error(monkeypatch, capsys):
+    # a numpy that fails numkit's check gives one error line and exit 2, not
+    # a traceback
+    monkeypatch.setitem(sys.modules, "klmpc.cli", None)
+    assert klmpc_main.main(["fit", "models.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_only_numkit_names_the_private_lapack_modules():

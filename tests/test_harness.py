@@ -998,16 +998,19 @@ def test_fit_models_traced_peak(monkeypatch, default_cfg, models, training):
 
 def test_fit_models_factors_each_data_matrix_once_in_place(factorisations):
     # every data matrix is factored once, by the QR that runs in its own
-    # column-major copy, and every SVD, the PCA's too, sees only a square R
-    # factor: the SVD gufunc's copies of a tall matrix and its U are never
-    # formed.  tracemalloc cannot see those buffers; these shapes can.
+    # column-major copy, and the PCA's monomial block by the same QR in
+    # place; every SVD sees only a square R factor: the SVD gufunc's copies
+    # of a tall matrix and its U are never formed.  tracemalloc cannot see
+    # those buffers; these shapes can.
     cfg = ExperimentConfig(campaign=CampaignConfig(loads=(0.0, 0.3), trials=1, duration=10.0),
                            fit=FitConfig(holdout_duration=5.0))
     ms = fit_models(cfg)
-    fits = (ms.baseline, ms.koopman, ms.koopman_load)
     [(_, U, _)] = harness.collect_training_data(cfg.plant, [cfg.campaign])
     pairs = len(U) * (U.shape[1] - cfg.fit.d)
-    assert factorisations["dgeqrf"] == [(pairs, f.n_z + f.m) for f in fits]
+    ne = ms.koopman.basis.identity_count
+    assert factorisations["dgeqrf"] == [
+        (pairs, ms.baseline.n_z + ms.baseline.m), (pairs, ne * (ne + 1) // 2),
+        (pairs, ms.koopman.n_z + ms.koopman.m), (pairs, ms.koopman_load.n_z + ms.koopman_load.m)]
     assert factorisations["svd_s"]
     assert all(rows == cols for rows, cols in factorisations["svd_s"])
 

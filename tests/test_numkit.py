@@ -261,23 +261,30 @@ def test_pca_does_not_modify_input():
     assert np.array_equal(X, before)
 
 
-@pytest.mark.parametrize("rows, order", [(300, "C"), (300, "F"), (8, "C")])
+@pytest.mark.parametrize("rows, order", [
+    (300, "C"), (300, "F"), (8, "C"), (1000, "C"), (1000, "F"), (4000, "C"), (4000, "F"),
+])
 def test_pca_overwrite_keeps_every_bit(rows, order):
-    # the projection's bits whether or not the data is centred in place;
-    # only a C-contiguous input is overwritten, and then it holds the QR of
-    # the centred data, R in its leading upper triangle
+    # the bits of the mean of the C-ordered data, np.linalg.qr's R of the
+    # centred data and np.linalg.svd of R, in either layout; an F-contiguous
+    # input is centred and factored in place, and holds R in its leading
+    # upper triangle afterwards, and any other input is left as it is
     rng = np.random.default_rng(rows)
     X = np.asarray(rng.normal(size=(rows, 12)) * np.linspace(4.0, 0.5, 12) + 3.0,
                    order=order)
     original = X.copy(order="K")
-    want = numkit.pca_fit(X, 0.9)
-    got = numkit.pca_fit(X, 0.9, overwrite=True)
-    for name in ("mean", "components", "explained"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-    if order == "C":
-        k = min(X.shape)
-        R = np.linalg.qr(original - want.mean, mode="r")
-        assert np.array_equal(np.triu(X[:k]), R)
+    mean = np.ascontiguousarray(X).mean(axis=0)
+    R = np.linalg.qr(original - mean, mode="r")
+    _, s, Vt = np.linalg.svd(R, full_matrices=False)
+    frac = s**2 / np.sum(s**2)
+    got = numkit.pca_fit(X, 0.9)
+    k = int(np.searchsorted(np.cumsum(frac), 0.9 - 1e-12) + 1)
+    comps = np.array([v if v[np.argmax(np.abs(v))] > 0 else -v for v in Vt[:k]])
+    assert np.array_equal(got.mean, mean)
+    assert np.array_equal(got.explained, frac[:k])
+    assert np.array_equal(got.components, comps)
+    if order == "F":
+        assert np.array_equal(np.triu(X[:12]), R)
     else:
         assert np.array_equal(X, original)
 
