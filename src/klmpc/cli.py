@@ -59,11 +59,10 @@ def cmd_track(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    traces = harness.run_experiment2(*_load_run(args), outdir=args.out)
-    for tr in traces:
-        print(f"payload {1000 * tr.payload:.0f} g: final estimate "
-              f"{1000 * tr.w_hat[-1]:.1f} g "
-              f"(error {1000 * tr.final_error():.1f} g)")
+    for trial in harness.run_experiment2(*_load_run(args), outdir=args.out):
+        print(f"payload {1000 * trial.payload:.0f} g: final estimate "
+              f"{1000 * trial.w_hat_trace[-1, 0]:.1f} g "
+              f"(error {1000 * trial.final_error():.1f} g)")
     return 0
 
 
@@ -114,7 +113,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

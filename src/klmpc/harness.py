@@ -250,14 +250,23 @@ def write_csv(path, header, rows) -> None:
 class TrialResult:
     controller: str
     payload: float
-    rmse: float
-    logs: np.recarray             # the controller's step log
-    errors: np.ndarray            # per-step end-effector tracking error
+    rmse: Optional[float]         # None for an estimation trial
+    logs: np.recarray             # the trial's step log
+    errors: Optional[np.ndarray]  # per-step end-effector tracking error; None likewise
 
     @property
     def w_hat_trace(self) -> Optional[np.ndarray]:
         """The step log's w_hat column; None when the log has no load columns."""
         return self.logs.w_hat if self.logs.dtype["w_hat"].shape[0] else None
+
+    @property
+    def t(self) -> np.ndarray:
+        """The step log's t column."""
+        return self.logs.t
+
+    def final_error(self) -> float:
+        """|final load estimate - payload|, of the first load entry."""
+        return float(abs(self.w_hat_trace[-1, 0] - self.payload))
 
 
 def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
@@ -359,23 +368,6 @@ def run_experiment1(cfg: ExperimentConfig, models: ModelSet, payloads=EXP1_PAYLO
     return trials
 
 
-@dataclass
-class EstimateTrace:
-    payload: float
-    t: np.ndarray
-    w_instant: np.ndarray
-    w_hat: np.ndarray
-
-    def final_error(self) -> float:
-        return float(abs(self.w_hat[-1] - self.payload))
-
-    def to_csv(self, path) -> None:
-        """Estimate trace CSV: step, t, w_true1, w_instant1, w_hat1."""
-        write_csv(path, ["step", "t", "w_true1", "w_instant1", "w_hat1"],
-                  ([k, t, self.payload, wi, wh] for k, (t, wi, wh)
-                   in enumerate(zip(self.t, self.w_instant, self.w_hat))))
-
-
 def _observing_policy(model: KoopmanModel, cfg: ExperimentConfig, policy_rng):
     """Open-loop ramp-and-hold excitation with the load observer running on
     its schedule: returns the observer state and the policy ``(k, y) -> u``
@@ -393,40 +385,51 @@ def _observing_policy(model: KoopmanModel, cfg: ExperimentConfig, policy_rng):
 
 def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig,
                          payload: float, duration: float = EXP2_DURATION,
-                         seed: int = 0) -> EstimateTrace:
+                         seed: int = 0) -> TrialResult:
     """Drive the plant open-loop with ramp-and-hold inputs while the load
     observer runs on its periodic schedule; the instant estimate at step k
-    uses the transition k-1 -> k from the observer's own history."""
-    K, d = sample_steps(duration, cfg.plant.Ts), model.d
-    w_instant = np.zeros(K)
-    w_hat = np.zeros(K)
+    uses the transition k-1 -> k from the observer's own history.  The step
+    log holds, per step, the true load, the instant estimate and w_hat."""
+    K, d, p = sample_steps(duration, cfg.plant.Ts), model.d, model.p
+    logs = np.recarray(K, dtype=[("step", int), ("t", float), ("w_true", float, (p,)),
+                                 ("w_instant", float, (p,)), ("w_hat", float, (p,))])
+    logs.step = np.arange(K)
+    logs.t = np.arange(K) * cfg.plant.Ts
+    logs.w_true = payload
+    w_instant, w_hat = logs.w_instant, logs.w_hat
     state, observe = _observing_policy(model, cfg, np.random.default_rng(seed))
 
     def policy(k, y):
         u = observe(k, y)
-        w_hat[k] = w_instant[k] = state.w_hat[0]
+        w_hat[k] = w_instant[k] = state.w_hat
         if k > d:
             wi = obs.estimate_instant(model, state.history, cfg.estimator)
             if wi is not None:
-                w_instant[k] = wi[0]
+                w_instant[k] = wi
         return u
 
     drive(cfg.plant, [Run(payload, np.random.default_rng(seed + 1), K, policy)])
-    return EstimateTrace(payload=payload, t=np.arange(K) * cfg.plant.Ts,
-                         w_instant=w_instant, w_hat=w_hat)
+    return TrialResult(controller="observer", payload=payload, rmse=None, logs=logs,
+                       errors=None)
+
+
+def _write_logs(outdir, experiment: int, trials) -> None:
+    """Write each trial's step log, when ``outdir`` is given, as
+    ``experiment<experiment>_w<grams>g.csv``."""
+    for trial in trials:
+        _maybe_write(outdir, f"experiment{experiment}_w{1000 * trial.payload:g}g.csv",
+                     lambda path, logs=trial.logs: write_records(path, logs))
 
 
 def run_experiment2(cfg: ExperimentConfig, models: ModelSet, payloads=EXP2_PAYLOADS,
                     duration: float = EXP2_DURATION, outdir=None) -> list:
     """Online estimation of unknown payloads (none in the training set)
     under randomized ramp-and-hold inputs."""
-    traces = []
-    for i, payload in enumerate(payloads):
-        trace = run_estimation_trial(models.koopman_load, cfg, payload,
-                                     duration=duration, seed=cfg.seed * 100 + i)
-        traces.append(trace)
-        _maybe_write(outdir, f"experiment2_w{1000 * payload:g}g.csv", trace.to_csv)
-    return traces
+    trials = [run_estimation_trial(models.koopman_load, cfg, payload, duration=duration,
+                                   seed=cfg.seed * 100 + i)
+              for i, payload in enumerate(payloads)]
+    _write_logs(outdir, 2, trials)
+    return trials
 
 
 def run_experiment3(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> list:
@@ -435,9 +438,7 @@ def run_experiment3(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> lis
     trials = _tracking_experiment(
         cfg, circle_reference(cfg.plant, duration=EXP3_DURATION), EXP2_PAYLOADS,
         cfg.seed * 100 + 50, [("KL-MPC", models.koopman_load, "live")])
-    for trial in trials:
-        _maybe_write(outdir, f"experiment3_w{1000 * trial.payload:g}g.csv",
-                     lambda path, t=trial: write_records(path, t.logs))
+    _write_logs(outdir, 3, trials)
     return trials
 
 

@@ -87,7 +87,7 @@ def test_ac4_observer_convergence(default_cfg, models):
     errors = []
     for trace in traces:
         k15 = int(np.searchsorted(trace.t, 15.0))
-        errors.append(abs(trace.w_hat[k15] - trace.payload))
+        errors.append(abs(trace.logs.w_hat[k15, 0] - trace.payload))
     detail = ", ".join(f"{1000 * e:.1f} g" for e in errors)
     record("AC-4", max(errors) < 0.025 and elapsed < 60.0,
            f"|w_hat - w| at 15 s: {detail} (limit 25 g) in {elapsed:.0f} s")

@@ -8,6 +8,7 @@ import ast
 import importlib
 import re
 import sys
+import tomllib
 import types
 from pathlib import Path
 
@@ -89,6 +90,18 @@ def test_library_modules_never_print(path):
     assert [node.lineno for node in calls if node not in to_stderr] == []
 
 
+def test_only_the_entry_point_runs_as_a_script():
+    # __main__.py pins the BLAS threads before numpy is imported; a second
+    # ``__name__ == "__main__"`` block would run the command without the pin
+    def runs_as_script(path):
+        return any(isinstance(node, ast.Compare) and {"__name__", "'__main__'"} == {
+            ast.unparse(node.left), *map(ast.unparse, node.comparators)}
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+
+    assert sorted(path.name for path in PACKAGE.glob("*.py") if runs_as_script(path)) == [
+        "__main__.py"]
+
+
 def test_only_the_document_owners_import_json():
     # edmd reads and writes the models document and harness reads the
     # experiment config; every other module leaves JSON to them
@@ -107,7 +120,6 @@ def test_only_the_harness_reads_a_models_document():
 
 
 def test_declared_dependencies_are_numpy_alone():
-    tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps] == ["numpy"]
@@ -116,7 +128,6 @@ def test_declared_dependencies_are_numpy_alone():
 def test_ci_installs_the_declared_numpy_floor():
     # one CI job runs the suite on exactly the oldest numpy the package
     # declares, so the floor is a version that has run it
-    tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:
         [floor] = [d.removeprefix("numpy>=") for d in tomllib.load(fh)["project"]["dependencies"]]
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()

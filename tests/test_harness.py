@@ -23,7 +23,6 @@ from klmpc.harness import (
     BIN_COUNT,
     EXP2_PAYLOADS,
     CampaignConfig,
-    EstimateTrace,
     ExperimentConfig,
     FitConfig,
     TrialResult,
@@ -304,22 +303,26 @@ def test_run_experiment2_trace_format(default_cfg, models, tmp_path):
                              outdir=tmp_path)
     assert len(traces) == 1
     trace = traces[0]
-    assert trace.t.shape == trace.w_hat.shape == trace.w_instant.shape
+    assert trace.logs.w_hat.shape == trace.logs.w_instant.shape == (trace.t.size, 1)
     lines = (tmp_path / "experiment2_w125g.csv").read_text().splitlines()
     assert lines[0] == "step,t,w_true1,w_instant1,w_hat1"
     assert len(lines) == trace.t.size + 1
 
 
-def test_estimate_trace_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    times = np.arange(4) * 0.05
-    EstimateTrace(payload=0.125, t=times, w_instant=np.full(4, 0.1),
-                  w_hat=np.full(4, 0.12)).to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,t,w_true1,w_instant1,w_hat1"
-    assert len(lines) == 5
-    row = [float(v) for v in lines[1].split(",")]
-    assert row == [0.0, 0.0, 0.125, 0.1, 0.12]
+def test_run_experiment2_file_reads_back_the_step_log(default_cfg, models, tmp_path):
+    # the estimation trial's step log is the file, every cell bit for bit
+    [trial] = run_experiment2(default_cfg, models, payloads=(0.075,), duration=3.0,
+                              outdir=tmp_path)
+    path = tmp_path / "experiment2_w75g.csv"
+    assert path.read_text().splitlines()[0] == "step,t,w_true1,w_instant1,w_hat1"
+    cells = np.loadtxt(path, delimiter=",", skiprows=1)
+    logs = trial.logs
+    assert trial.controller == "observer" and trial.rmse is None and trial.errors is None
+    assert np.array_equal(logs.step, np.arange(len(cells)))
+    assert np.all(logs.w_true == 0.075)
+    expected = np.column_stack([logs.step, logs.t, logs.w_true, logs.w_instant,
+                                logs.w_hat]).astype(float)
+    assert np.array_equal(cells.view(np.int64), expected.view(np.int64))
 
 
 def test_run_experiment3_matches_known_load(default_cfg, models, tmp_path):
@@ -401,8 +404,18 @@ def test_estimation_trial_matches_one_run_oracle(default_cfg, models):
         w_instant.append(w_hat[k] if w is None else w[0])
     assert state.updates == 2
     assert np.array_equal(trace.t, np.arange(K) * cfg.plant.Ts)
-    assert np.array_equal(trace.w_hat, w_hat)
-    assert np.array_equal(trace.w_instant, w_instant)
+    assert np.array_equal(trace.logs.w_hat[:, 0], w_hat)
+    assert np.array_equal(trace.logs.w_instant[:, 0], w_instant)
+
+
+def test_a_trial_reads_its_time_and_final_load_error_from_its_log(default_cfg, models):
+    # a live-observer tracking trial: t is the log's column, and the final
+    # load error is the last w_hat's first entry against the payload
+    model, cfg, payload = models.koopman_load, default_cfg, 0.175
+    res = run_tracking_trial(model, cfg, payload, circle_reference(cfg.plant, duration=30.0),
+                             60 * cfg.plant.Ts, est_cfg=cfg.estimator, seed=5)
+    assert np.array_equal(res.t, res.logs.t)
+    assert res.final_error() == abs(res.w_hat_trace[-1][0] - payload)
 
 
 @pytest.mark.parametrize("duration", [0.0, 0.02, 0.03])
