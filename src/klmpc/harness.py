@@ -468,7 +468,7 @@ def run_experiment4(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> np.
     record per object."""
     params = cfg.plant
     rng = np.random.default_rng(cfg.seed)
-    payloads = rng.uniform(0.0, 0.25, size=SORT_OBJECTS)
+    payloads = rng.uniform(0.0, BIN_WIDTH * BIN_COUNT, size=SORT_OBJECTS)
     targets = bin_targets(params)
     model = models.koopman_load
     K_drop = sample_steps(SORT_DROPOFF_DURATION, params.Ts)

@@ -290,7 +290,6 @@ class Controller:
         w_hat = self.w_hat
         z0 = self.model.lift(yd, w_hat)
         j = min(k, self.last_row)
-        t0 = time.perf_counter()
         cond = self.condenser
         f = cond.qp(z0, self.reference[j + 1:j + 1 + self.cfg.Nh])
         # one refusal for every model, before the solve: a lift that is not
@@ -301,6 +300,7 @@ class Controller:
                 at = "" if self.known_load is None else f" at known load {self.known_load}"
                 raise ValueError(f"controller step {k}: measurement {y}{at} puts the QP's "
                                  f"linear term out of range, which would give a non-finite input")
+        t0 = time.perf_counter()
         result = solve_box_qp(cond.H, f, cond.lower, cond.upper, tol=self.cfg.qp_tol,
                               max_iter=self.cfg.qp_max_iter, x0=self.warm_start)
         solve_ms = (time.perf_counter() - t0) * 1e3

@@ -84,15 +84,6 @@ def _payload_terms(params: ArmParams, w, shape: tuple) -> tuple:
     return ll, rows[:2], rows[2:], stiff, M, coupling
 
 
-def mass_matrix(state_q: np.ndarray, params: ArmParams, w) -> np.ndarray:
-    """Joint-space mass matrix: (2, 2) for one (4,) state, (B, 2, 2) for a
-    (B, 4) stack with a scalar or per-row (B,) payload."""
-    th1, th2 = np.asarray(state_q).T[:2]
-    ll, _, _, _, M, coupling = _payload_terms(params, w, th1.shape)
-    coupling[...] = ll * np.cos(th1 - th2)
-    return M
-
-
 def _rhs(q: np.ndarray, tau: np.ndarray, terms: tuple) -> np.ndarray:
     """Derivative of states in structure-of-arrays form: ``q`` is (4,) + shape
     with rows (th1, th2, om1, om2), ``tau`` is (2,) + shape, and ``terms``
@@ -119,19 +110,6 @@ def _rhs(q: np.ndarray, tau: np.ndarray, terms: tuple) -> np.ndarray:
     # straight into the derivative; the mass matrix is positive definite
     lapack.solve(M, f.T[..., None], signature="dd->d", out=dq[2:].T[..., None])
     return dq
-
-
-def dynamics(q: np.ndarray, tau: np.ndarray, params: ArmParams, w) -> np.ndarray:
-    """State derivative (w1, w2, a1, a2) of the spring-damper double pendulum
-    with the payload folded into the second tip mass.
-
-    ``q`` is one (4,) state or a (B, 4) stack with per-row torques ``tau``
-    (B, 2) and payloads ``w`` (B,) or scalar; every row is computed exactly
-    as it would be on its own.
-    """
-    q = np.asarray(q, dtype=float)
-    terms = _payload_terms(params, w, q.shape[:-1])
-    return _rhs(np.ascontiguousarray(q.T), np.asarray(tau, dtype=float).T, terms).T
 
 
 # a diverging state overflows on the way; the check at the end reports it
@@ -185,19 +163,6 @@ def _positions(q: np.ndarray, params: ArmParams) -> np.ndarray:
     y[..., 2] = y[..., 0] + params.L2 * np.sin(th2)
     y[..., 3] = y[..., 1] - params.L2 * np.cos(th2)
     return y
-
-
-def energy(q: np.ndarray, params: ArmParams, w: float) -> float:
-    """Total mechanical energy of a (4,) state carrying payload w, including
-    spring potential; conserved when k = c = 0 and tau = 0."""
-    q = np.asarray(q, dtype=float)
-    om = q[2:]
-    kinetic = 0.5 * om @ mass_matrix(q, params, w) @ om
-    m2p = params.m2 + w
-    potential = (-(params.m1 + m2p) * params.g * params.L1 * np.cos(q[0])
-                 - m2p * params.g * params.L2 * np.cos(q[1])
-                 + 0.5 * params.k * (q[0]**2 + q[1]**2))
-    return float(kinetic + potential)
 
 
 def _measure(q: np.ndarray, params: ArmParams, rngs) -> np.ndarray:

@@ -5,9 +5,9 @@
 - a brute-force active-set enumeration solver for box QPs;
 - the arm's row-wise RK4, each joint its own expression over (B,) columns
   and the accelerations from ``np.linalg.solve``, which the plant's (2, B)
-  integrator must match bit for bit; one run of the arm stepped by hand
-  with it on a single state, and data campaigns simulated one such run at
-  a time;
+  integrator must match bit for bit; the arm's mechanical energy from the
+  same per-joint mass matrix; one run of the arm stepped by hand with it on
+  a single state, and data campaigns simulated one such run at a time;
 - the observer's stacked load equations built row by row from the
   block-diagonal ``gamma_matrix``, the single-transition load estimate
   from an explicit (output, input, next-output) triple, and the observer's
@@ -209,6 +209,19 @@ def reference_advance(q, u, params, w) -> np.ndarray:
     for _ in range(params.substeps):
         q = _rowwise_rk4_step(q, tau, h, params, terms)
     return q
+
+
+def reference_energy(q, params, w) -> float:
+    """Total mechanical energy of a (4,) state carrying payload w, spring
+    potential included, from the per-joint mass matrix and gravity terms;
+    conserved when k = c = 0 and tau = 0.  The plant's integrator shares
+    none of this arithmetic, so a wrong constant in it shows as drift."""
+    th1, th2, om = q[0], q[1], q[2:]
+    ll, g1, g2, M = _rowwise_payload_terms(params, w, ())
+    M[0, 1] = M[1, 0] = ll * np.cos(th1 - th2)
+    potential = (-g1 * np.cos(th1) - g2 * np.cos(th2)
+                 + 0.5 * params.k * (th1**2 + th2**2))
+    return float(0.5 * om @ M @ om + potential)
 
 
 def reference_positions(q, params) -> np.ndarray:

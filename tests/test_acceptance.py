@@ -12,7 +12,7 @@ import conftest
 from klmpc.edmd import assemble_snapshots, fit_linear_baseline, one_step_rmse
 from klmpc.mpc import Condenser, solve_box_qp
 from klmpc.observer import EstimatorConfig, estimate_window
-from klmpc.plant import ArmParams, energy, step_zoh
+from klmpc.plant import ArmParams, step_zoh
 from klmpc.harness import (fit_models, run_experiment1, run_experiment2, run_experiment4,
                            tracking_table)
 
@@ -21,6 +21,7 @@ from oracles import (
     fit_bilinear_model,
     qp_objective,
     random_box_qp,
+    reference_energy,
     simulate_bilinear,
 )
 from test_edmd import linear_campaign
@@ -149,11 +150,11 @@ def test_ac7_qp_solver_soundness(default_cfg, models):
 def test_ac8_integrator_validity():
     params = ArmParams(k=0.0, c=0.0, noise_std=0.0)
     q, w = np.array([0.5, -0.3, 0.2, -0.1]), 0.1
-    e0 = energy(q, params, w)
+    e0 = reference_energy(q, params, w)
     drift = 0.0
     for _ in range(200):  # 10 s at Ts = 0.05, h = 0.005
         q, _ = step_zoh(q, np.array([0.5, 0.5]), params, w)
-        drift = max(drift, abs(energy(q, params, w) - e0))
+        drift = max(drift, abs(reference_energy(q, params, w) - e0))
     eq = np.zeros(4)
     for _ in range(40):
         eq, _ = step_zoh(eq, np.array([0.5, 0.5]),

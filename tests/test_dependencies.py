@@ -134,6 +134,19 @@ def test_ci_installs_the_declared_numpy_floor():
     assert re.findall(r'"numpy==([0-9.]+)"', workflow) == [f"{floor}.0"]
 
 
+def test_declared_scripts_import_and_ci_runs_them():
+    # the suite calls main in-process, so CI runs each installed command
+    # once, and its target must be a callable that imports from the package
+    with open(PYPROJECT, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"klmpc": "klmpc.__main__:main"}
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    for name, target in scripts.items():
+        module, attr = target.split(":")
+        assert callable(getattr(importlib.import_module(module), attr))
+        assert re.search(rf"run: {name} --help$", workflow, re.MULTILINE)
+
+
 @pytest.mark.parametrize("module, names", list(numkit.PRIVATE_LAPACK.items()))
 def test_numpy_keeps_the_private_lapack_entry_points(module, names):
     # numkit calls these below np.linalg's public API; a numpy that drops

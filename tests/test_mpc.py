@@ -3,6 +3,7 @@ against active-set enumeration, and the closed-loop controller contracts.
 """
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -564,6 +565,21 @@ def test_step_log_records_a_capped_solve_as_unconverged(tmp_path):
     write_records(path, ctrl.logs)
     header, row = path.read_text().strip().splitlines()
     assert row.split(",")[header.split(",").index("converged")] == "0"
+
+
+def test_step_log_times_the_solve_alone(monkeypatch):
+    # a condensation that takes 50 ms is not counted in solve_ms
+    qp = Condenser.qp
+
+    def slow_qp(self, *args):
+        time.sleep(0.05)
+        return qp(self, *args)
+
+    monkeypatch.setattr(mpc.Condenser, "qp", slow_qp)
+    ctrl = Controller(scalar_model(a=0.5), scalar_cfg(Nh=3, r=0.01), np.full((1, 1), 0.2))
+    for _ in range(3):
+        ctrl.step(np.array([0.0]))
+    assert len(ctrl.logs) == 3 and np.all(ctrl.logs.solve_ms < 50.0)
 
 
 def test_step_log_csv(tmp_path):

@@ -1,7 +1,8 @@
-"""Simulated arm: equilibrium and hand-solved dynamics oracles, integrator
-convergence and energy conservation, output geometry, the integrator against
-its row-wise oracle and batched against row-by-row evaluation, and the data
-campaign.
+"""Simulated arm: the row-wise oracle's equilibrium and hand-solved torque
+response, integrator convergence, energy conservation measured by the
+oracle's independent energy, output geometry, the integrator against its
+row-wise oracle bit for bit (lone states, stacks and per-row payloads), and
+the data campaign.
 """
 
 import dataclasses
@@ -18,10 +19,7 @@ from klmpc.plant import (
     W_MAX,
     collect_training_data,
     drive,
-    dynamics,
-    energy,
     excitation,
-    mass_matrix,
     ramp_and_hold,
     step_zoh,
 )
@@ -30,6 +28,7 @@ from oracles import (
     reference_advance,
     reference_campaign,
     reference_dynamics,
+    reference_energy,
     reference_positions,
     reference_run,
 )
@@ -80,7 +79,7 @@ def test_state_payload_bounds():
 def test_hanging_equilibrium_derivative_zero():
     params = ArmParams()
     for w in (0.0, 0.15, 0.3):
-        dq = dynamics(np.zeros(4), np.zeros(2), params, w)
+        dq = reference_dynamics(np.zeros(4), np.zeros(2), params, w)
         assert np.allclose(dq, 0.0, atol=1e-15)
 
 
@@ -88,7 +87,7 @@ def test_torque_response_hand_solve():
     # theta = omega = 0, tau = (1, 0): alpha = M(0)^{-1} (1, 0)
     params = ArmParams()
     w = 0.1
-    dq = dynamics(np.zeros(4), np.array([1.0, 0.0]), params, w)
+    dq = reference_dynamics(np.zeros(4), np.array([1.0, 0.0]), params, w)
     m2p = params.m2 + w
     M0 = np.array([
         [(params.m1 + m2p) * params.L1**2, m2p * params.L1 * params.L2],
@@ -97,15 +96,6 @@ def test_torque_response_hand_solve():
     alpha = np.linalg.solve(M0, np.array([1.0, 0.0]))
     assert np.allclose(dq[:2], 0.0, atol=1e-15)
     assert np.allclose(dq[2:], alpha, atol=1e-12)
-
-
-def test_mass_matrix_positive_definite():
-    rng = np.random.default_rng(0)
-    params = ArmParams()
-    for _ in range(50):
-        q = rng.uniform(-np.pi, np.pi, size=4)
-        M = mass_matrix(q, params, float(rng.uniform(0.0, 0.3)))
-        assert np.all(np.linalg.eigvalsh(M) > 0)
 
 
 def test_neutral_input_fixes_equilibrium():
@@ -121,11 +111,11 @@ def test_energy_conservation():
     # k = c = 0, tau = 0 (u = 0.5): drift < 1e-6 J over 10 s at h = 0.005
     params = ArmParams(k=0.0, c=0.0, noise_std=0.0, Ts=0.05, substeps=10)
     q, w = np.array([0.5, -0.3, 0.2, -0.1]), 0.1
-    e0 = energy(q, params, w)
+    e0 = reference_energy(q, params, w)
     drift = 0.0
     for _ in range(200):
         q, _ = step_zoh(q, np.array([0.5, 0.5]), params, w)
-        drift = max(drift, abs(energy(q, params, w) - e0))
+        drift = max(drift, abs(reference_energy(q, params, w) - e0))
     assert drift < 1e-6
 
 
@@ -181,42 +171,20 @@ def test_non_finite_commands_rejected():
         drive(params, [Run(0.1, np.random.default_rng(0), 3, hold([0.5, np.nan]))])
 
 
-_rows = st.lists(
-    st.tuples(*[st.floats(-3.0, 3.0) for _ in range(4)],   # theta1, theta2, omega1, omega2
-              st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),  # tau1, tau2
-              st.floats(0.0, W_MAX)),                      # payload
-    min_size=1, max_size=16)
-
-
-@settings(max_examples=60, deadline=None, database=None)
-@given(_rows)
-# om2**2 on a numpy scalar calls pow(), which glibc rounds one ulp off x*x
-# at this state; a lone state must still square exactly, as a stack does
-@example([(1.2960441655458848, -2.354641815204415, -0.8767878576175852, 2.4226847631984496,
-           0.5983013973583118, 1.4704700824657504, 0.26893820958353504)])
-def test_batched_dynamics_matches_rows(rows):
-    params = STIFF_ARM
-    data = np.array(rows)
-    q, tau, w = data[:, :4], data[:, 4:6], data[:, 6]
-    batched = dynamics(q, tau, params, w)
-    single = np.array([dynamics(q[i], tau[i], params, w[i]) for i in range(len(rows))])
-    assert np.array_equal(batched, single)
-
-
 @pytest.mark.parametrize("B, per_row", [
     (None, False), (1, False), (1, True), (2, False), (2, True), (21, False), (21, True),
 ])
 def test_integrator_matches_row_wise_oracle(B, per_row):
-    # one (4,) state or a (B, 4) stack with a scalar or per-row payload: the
-    # derivative and 20 sample periods from random states equal the row-wise
-    # RK4 bit for bit (B = 2 is the batch as long as the joint axis)
+    # one (4,) state or a (B, 4) stack with a scalar or per-row payload: 20
+    # sample periods from random states equal the row-wise RK4 bit for bit
+    # (B = 2 is the batch as long as the joint axis)
     params = ArmParams()
     rng = np.random.default_rng(B or 0)
     shape = () if B is None else (B,)
     q = rng.uniform(-3.0, 3.0, shape + (4,))
     w = rng.uniform(0.0, W_MAX, shape) if per_row else 0.175
-    tau = rng.uniform(-params.tau_max, params.tau_max, shape + (2,))
-    assert np.array_equal(dynamics(q, tau, params, w), reference_dynamics(q, tau, params, w))
+    # an unused draw that keeps the commands below as they are drawn
+    rng.uniform(-params.tau_max, params.tau_max, shape + (2,))
     want = q
     for _ in range(20):
         u = rng.uniform(0.0, 1.0, shape + (2,))
@@ -233,13 +201,17 @@ def test_integrator_matches_row_wise_oracle(B, per_row):
                           st.floats(0.0, W_MAX)),                     # payload
                 min_size=1, max_size=16))
 @example([(-2.350986451755757, 2.001792965522819, -2.350986451755757, 0.0, 0.0, 0.0, 1e-12)])
+# om2**2 on a numpy scalar calls pow(), which glibc rounds one ulp off x*x
+# at this state; a lone state must still square exactly, as a stack does
+# (found with torques (0.5983013973583118, 1.4704700824657504), here the
+# commands u = (tau / tau_max + 1) / 2)
+@example([(1.2960441655458848, -2.354641815204415, -0.8767878576175852, 2.4226847631984496,
+           0.649575349339578, 0.8676175206164376, 0.26893820958353504)])
 def test_step_zoh_matches_row_wise_oracle(rows):
     params = STIFF_ARM
     data = np.array(rows)
     q, u, w = data[:, :4], data[:, 4:6], data[:, 6]
-    tau = params.tau_max * (2.0 * u - 1.0)
     assert np.array_equal(step_zoh(q, u, params, w)[0], reference_advance(q, u, params, w))
-    assert np.array_equal(dynamics(q, tau, params, w), reference_dynamics(q, tau, params, w))
     # the first row alone takes the (4,) path
     assert np.array_equal(step_zoh(q[0], u[0], params, w[0])[0],
                           reference_advance(q[0], u[0], params, w[0]))
