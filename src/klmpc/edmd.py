@@ -135,8 +135,8 @@ def fit_koopman(campaign, basis: Basis, Ts: float, with_load: bool = False) -> K
     matrix is alive at a time, and no snapshot array: the pseudoinverse
     runs LAPACK's QR-first SVD in Psi_a's column-major copy and writes U'
     over Psi_a, which is released once the pseudoinverse exists, and only
-    then is Psi_b built.  A rank-deficient Psi_a is reported by the
-    pseudoinverse, from the one SVD it takes.  A and B are column-major
+    then is Psi_b built.  A rank-deficient Psi_a is logged here, with the
+    rank the pseudoinverse's one SVD keeps.  A and B are column-major
     copies, the layout :func:`model_from_dict` reads them back in, so a
     fitted and a read model run the same bits.
     """
@@ -153,8 +153,11 @@ def fit_koopman(campaign, basis: Basis, Ts: float, with_load: bool = False) -> K
         )
     loads = w if with_load else None
     Psi_a = _data_matrix(basis, Y, U, loads, 0)
-    pinv_a = numkit.pinv(Psi_a, overwrite=True)
+    pinv_a, rank = numkit.pinv(Psi_a, overwrite=True)
     del Psi_a
+    if rank < n_z + m:
+        logger.warning("fit_koopman: Psi_a is rank-deficient (%d < %d); the "
+                       "minimum-norm solution is used", rank, n_z + m)
     K_bar = pinv_a @ _data_matrix(basis, Y, U, loads, 1)
     Kt = K_bar.T
     A, B = np.asfortranarray(Kt[:n_z, :n_z]), np.asfortranarray(Kt[:n_z, n_z:])

@@ -49,7 +49,6 @@ CSV_FLOAT_FMT = "%.17g"
 class FitConfig:
     d: int = 1
     energy: float = 0.999
-    holdout_trials: int = 1
     holdout_duration: float = 20.0
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class FitConfig:
             raise ValueError(f"FitConfig: 'd' must be >= 0, got {self.d}")
         if not 0.0 < self.energy <= 1.0:
             raise ValueError(f"FitConfig: 'energy' must be in (0, 1], got {self.energy}")
-        if not self.holdout_trials >= 1:
-            raise ValueError(f"FitConfig: 'holdout_trials' must be >= 1, got {self.holdout_trials}")
         if not 0.0 < self.holdout_duration < math.inf:
             raise ValueError(f"FitConfig: 'holdout_duration' must be finite and > 0, "
                              f"got {self.holdout_duration}")
@@ -201,7 +198,7 @@ def fit_models(cfg: ExperimentConfig) -> ModelSet:
     a side of its snapshot pairs, are released before the dictionary fits."""
     camp, fit = cfg.campaign, cfg.fit
     training, holdout = collect_training_data(cfg.plant, [
-        camp, CampaignConfig(loads=camp.loads, trials=fit.holdout_trials,
+        camp, CampaignConfig(loads=camp.loads, trials=1,
                              duration=fit.holdout_duration, seed=camp.seed + 1)])
     baseline = edmd.fit_linear_baseline(training, d=fit.d, Ts=cfg.plant.Ts)
     basis = lifting.fit_basis(edmd.assemble_snapshots(*training, fit.d), fit.energy,

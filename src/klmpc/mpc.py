@@ -117,15 +117,10 @@ class QpResult:
     kkt_residual: float
 
 
-def kkt_residual(H: np.ndarray, f: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                 x: np.ndarray) -> float:
+def kkt_residual(x: np.ndarray, g: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
     """Largest componentwise violation at x of first-order optimality for
-    min 1/2 x'Hx + f'x subject to lower <= x <= upper."""
-    return _kkt_residual(x, H @ x + f, lower, upper)
-
-
-def _kkt_residual(x: np.ndarray, g: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
-    """:func:`kkt_residual` from the gradient g = H x + f at x."""
+    min 1/2 x'Hx + f'x subject to lower <= x <= upper, from the gradient
+    g = H x + f at x."""
     at_lower = x <= lower + 1e-12
     at_upper = x >= upper - 1e-12
     r = np.abs(g)
@@ -173,7 +168,7 @@ def solve_box_qp(H: np.ndarray, f: np.ndarray, lower: np.ndarray, upper: np.ndar
     it = 0
     for it in range(1, max_iter + 1):
         g = H @ x + f
-        res = _kkt_residual(x, g, lower, upper)
+        res = kkt_residual(x, g, lower, upper)
         if res <= tol:
             return QpResult(x=x, converged=True, iterations=it - 1, kkt_residual=res)
         at_lower, at_upper = x <= lower + eps, x >= upper - eps
@@ -202,7 +197,7 @@ def solve_box_qp(H: np.ndarray, f: np.ndarray, lower: np.ndarray, upper: np.ndar
         x = x_new
         if not accepted:
             break
-    res = kkt_residual(H, f, lower, upper, x)
+    res = kkt_residual(x, H @ x + f, lower, upper)
     return QpResult(x=x, converged=res <= tol, iterations=it, kkt_residual=res)
 
 
@@ -234,6 +229,8 @@ class Controller:
         reference = np.asarray(reference, dtype=float)
         if reference.ndim != 2 or not len(reference) or reference.shape[1] != model.n:
             raise ValueError(f"reference must be a (rows, {model.n}) array, got {reference.shape}")
+        if not np.all(np.isfinite(reference)):
+            raise ValueError("reference has non-finite entries")
         # held past the end: Nh copies of the last row let every step slice
         self.reference = np.vstack([reference] + [reference[-1:]] * mpc_cfg.Nh)
         self.last_row = reference.shape[0] - 1

@@ -9,13 +9,10 @@ from multiple threads.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import lapack_lite
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_RTOL = 1e-10
 
@@ -67,11 +64,12 @@ def _householder_r(Xt: np.ndarray) -> tuple:
     return np.triu(Xt[:, :tau.size].T), tau
 
 
-def pinv(A: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the thin SVD.
+def pinv(A: np.ndarray, *, overwrite: bool = False) -> tuple:
+    """Moore-Penrose pseudoinverse via the thin SVD, and the rank it keeps.
 
-    Singular values up to ``DEFAULT_RTOL * sigma_max`` are treated as zero,
-    and a warning gives the rank that is left when any is dropped.
+    Singular values up to ``DEFAULT_RTOL * sigma_max`` are treated as zero;
+    the rank returned counts the others, so a caller reads A's numerical
+    rank from the one SVD the pseudoinverse takes.
 
     The SVD has the bits of ``np.linalg.svd(A, full_matrices=False)``, and
     so has the result.  With ``overwrite`` on a C-contiguous float64 ``A``
@@ -98,15 +96,12 @@ def pinv(A: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         Ut, out = U.T, None
     keep = s > DEFAULT_RTOL * s[0] if s.size else s.astype(bool)
-    if not keep.all():
-        logger.warning("pinv: %dx%d matrix is rank-deficient (%d < %d); the "
-                       "minimum-norm solution is returned",
-                       rows, cols, np.count_nonzero(keep), s.size)
-    if not keep.any():
-        return np.zeros((cols, rows))
+    rank = int(np.count_nonzero(keep))
+    if not rank:
+        return np.zeros((cols, rows)), 0
     s_inv = np.zeros_like(s)
     s_inv[keep] = 1.0 / s[keep]
-    return np.matmul(Vt.T * s_inv, Ut, out=out)
+    return np.matmul(Vt.T * s_inv, Ut, out=out), rank
 
 
 def lstsq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -117,7 +112,7 @@ def lstsq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"lstsq: row mismatch, A has {A.shape[0]} rows, B has {B.shape[0]}"
         )
-    return pinv(A) @ B
+    return pinv(A)[0] @ B
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,9 @@ def _solve_load(M: np.ndarray, rhs: np.ndarray, cfg: EstimatorConfig):
     """Clamped w solving M (1, w) = rhs, or None when the equations are not
     finite, are blind to the load, or give a solve that is not finite.
 
-    A full-column-rank M (at ``numkit.pinv``'s threshold) is solved for the
-    whole (1, w) stack, so the constant coefficient soaks up any systematic
-    one-step model offset; otherwise the constant is pinned at exactly 1.
+    An M of full column rank (by its pseudoinverse's own SVD) is solved for
+    the whole (1, w) stack, so the constant coefficient soaks up any
+    systematic one-step model offset; otherwise the constant is pinned at 1.
     Finite equations whose M or rhs has a norm that overflows come from a
     model out of range, and are a ValueError, before the solve would warn.
     """
@@ -89,11 +89,8 @@ def _solve_load(M: np.ndarray, rhs: np.ndarray, cfg: EstimatorConfig):
                          "overflows; the model's matrices are out of range")
     if norm_w < 1e-9 * max(norm_M, 1.0):
         return None
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == M.shape[1] and s[-1] > numkit.DEFAULT_RTOL * s[0]:
-        w = numkit.lstsq(M, rhs)[1:]
-    else:
-        w = numkit.lstsq(w_cols, rhs - M[:, 0])
+    P, rank = numkit.pinv(M)
+    w = (P @ rhs)[1:] if rank == M.shape[1] else numkit.lstsq(w_cols, rhs - M[:, 0])
     return cfg.clamp(w) if np.all(np.isfinite(w)) else None
 
 

@@ -493,7 +493,7 @@ def row_stacked_fit(campaign, basis: Basis, Ts: float, with_load: bool = False) 
         Z = lift_gamma_many(basis, Yd, W) if with_load else lift_g_many(basis, Yd)
         return np.hstack([Z, U])
 
-    Kt = (numkit.pinv(data_matrix(a)) @ data_matrix(b)).T
+    Kt = (numkit.pinv(data_matrix(a))[0] @ data_matrix(b)).T
     m = U.shape[1]
     n_z = Kt.shape[0] - m
     return KoopmanModel(A=Kt[:n_z, :n_z], B=Kt[:n_z, n_z:], basis=basis, Ts=Ts,

@@ -68,7 +68,7 @@ def test_library_configs_refuse_nan():
                       (ExperimentConfig, "r_weight"), (ExperimentConfig, "Nh"),
                       (ExperimentConfig, "seed"), (CampaignConfig, "seed"),
                       (CampaignConfig, "trials"), (CampaignConfig, "duration"),
-                      (FitConfig, "holdout_trials"), (FitConfig, "holdout_duration")):
+                      (FitConfig, "holdout_duration")):
         with pytest.raises(ValueError, match=f"'{name}'"):
             cls(**{name: float("nan")})
 
@@ -582,9 +582,8 @@ def test_cli_fit_loads_must_be_numbers(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("doc, key", [
     ({"campaign": {"trials": 0}}, "trials"),
     ({"campaign": {"loads": []}}, "loads"),
-    ({"fit": {"holdout_trials": 0}}, "holdout_trials"),
     ({"campaign": {"trials": -1}}, "trials"),
-], ids=["doc0-training", "doc1-training", "doc2-holdout", "doc3-training"])
+], ids=["doc0-training", "doc1-training", "doc3-training"])
 def test_cli_campaign_without_runs_fails_before_fitting(tmp_path, capsys, monkeypatch,
                                                         doc, key):
     # such a campaign cannot be built: the config is refused as it is read,
@@ -721,6 +720,7 @@ def test_cli_fit_into_a_blocked_directory_fails_before_fitting(tmp_path, capsys,
     ({"outdir": "results"}, "outdir"),
     ({"q_weight": 1.0}, "q_weight"),
     ({"estimator": {"reduced": True}}, "reduced"),
+    ({"fit": {"holdout_trials": 1}}, "holdout_trials"),
 ])
 def test_cli_bad_config_is_one_error_line(tmp_path, capsys, monkeypatch, doc, key):
     calls = no_collection(monkeypatch)
@@ -967,7 +967,7 @@ def test_fit_models_collects_both_campaigns_in_one_call(monkeypatch):
     cfg = ExperimentConfig(campaign=CampaignConfig(loads=(0.0, 0.3), trials=1, duration=10.0),
                            fit=FitConfig(holdout_duration=5.0))
     camp, fit = cfg.campaign, cfg.fit
-    holdout_camp = CampaignConfig(loads=camp.loads, trials=fit.holdout_trials,
+    holdout_camp = CampaignConfig(loads=camp.loads, trials=1,
                                   duration=fit.holdout_duration, seed=camp.seed + 1)
     collect = harness.collect_training_data
     calls = []

@@ -168,13 +168,14 @@ def test_condenser_refuses_a_model_it_cannot_condense(model):
 
 def test_solver_clipped_scalar():
     # min 1/2 u^2 - u over [0, 0.4] -> u* = 0.4
-    qp = np.array([[1.0]]), np.array([-1.0]), np.array([0.0]), np.array([0.4])
-    res = solve_box_qp(*qp, tol=1e-10)
+    H, f, lo, hi = np.array([[1.0]]), np.array([-1.0]), np.array([0.0]), np.array([0.4])
+    res = solve_box_qp(H, f, lo, hi, tol=1e-10)
     assert res.converged
     assert abs(res.x[0] - 0.4) < 1e-12
-    assert kkt_residual(*qp, res.x) <= 1e-10
+    assert kkt_residual(res.x, H @ res.x + f, lo, hi) <= 1e-10
     # an interior non-stationary point has the full gradient as residual
-    assert kkt_residual(*qp, np.array([0.2])) == pytest.approx(0.8)
+    x = np.array([0.2])
+    assert kkt_residual(x, H @ x + f, lo, hi) == pytest.approx(0.8)
 
 
 def test_solver_against_enumeration_oracle():
@@ -227,12 +228,12 @@ def test_solver_singular_block_falls_back_to_steepest_descent():
         assert np.array_equal(d, [1.0, 2.0, 7.0])
     # on a singular QP the fallback steps cycle between [0, 0] and [1, 1];
     # the solver stops inside the box and reports what its residual says
-    qp = H[:2, :2], np.array([-1.0, -1.0]), np.zeros(2), np.full(2, 2.0)
+    H, f, lo, hi = H[:2, :2], np.array([-1.0, -1.0]), np.zeros(2), np.full(2, 2.0)
     with np.errstate(all="raise"):
-        res = solve_box_qp(*qp, tol=1e-8)
+        res = solve_box_qp(H, f, lo, hi, tol=1e-8)
     assert np.all(np.isfinite(res.x))
     assert np.all(0.0 <= res.x) and np.all(res.x <= 2.0)
-    assert res.converged == (kkt_residual(*qp, res.x) <= 1e-8)
+    assert res.converged == (kkt_residual(res.x, H @ res.x + f, lo, hi) <= 1e-8)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -244,10 +245,11 @@ def test_solver_properties_on_random_box_qps(seed, n, log_cond, tol):
     _, f, lo, hi = random_box_qp(rng, n)
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     H = (Q * np.logspace(0.0, log_cond, n)) @ Q.T
-    qp = 0.5 * (H + H.T), f, lo, hi
+    H = 0.5 * (H + H.T)
+    qp = H, f, lo, hi
     res = solve_box_qp(*qp, tol=tol)
     assert np.all(lo <= res.x) and np.all(res.x <= hi)
-    assert res.converged == (kkt_residual(*qp, res.x) <= tol)
+    assert res.converged == (kkt_residual(res.x, H @ res.x + f, lo, hi) <= tol)
     if res.converged and res.iterations > 0:
         # capped one iteration short, the same path stops and says so
         capped = solve_box_qp(*qp, tol=tol, max_iter=res.iterations - 1)
@@ -520,6 +522,18 @@ def test_controller_reference_must_be_rows_of_outputs():
     for bad in (np.zeros(5), np.zeros((0, 1)), np.zeros((5, 2))):
         with pytest.raises(ValueError, match="reference must be"):
             Controller(scalar_model(), scalar_cfg(), bad)
+
+
+def test_controller_refuses_a_non_finite_reference(default_cfg, models):
+    # refused when built, under the reference's name, not at a later step
+    # under an ordinary measurement's
+    circle = np.column_stack([np.cos(np.linspace(0.0, 1.0, 10)), np.sin(np.linspace(0.0, 1.0, 10)),
+                              np.zeros(10), np.full(10, -1.0)])
+    for bad in (np.nan, np.inf, -np.inf):
+        reference = circle.copy()
+        reference[3:] = bad
+        with pytest.raises(ValueError, match="reference has non-finite entries"):
+            Controller(models.koopman, default_cfg.mpc_config(), reference)
 
 
 def test_controller_holds_the_reference_past_its_end():

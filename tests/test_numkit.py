@@ -22,30 +22,29 @@ def random_matrix(rng, rows, cols, rank=None):
 
 
 def test_pinv_identity():
-    assert np.allclose(numkit.pinv(np.eye(3)), np.eye(3), atol=1e-12)
+    assert np.allclose(numkit.pinv(np.eye(3))[0], np.eye(3), atol=1e-12)
 
 
 def test_pinv_rank_deficient_diag():
     A = np.diag([2.0, 0.0])
-    assert np.allclose(numkit.pinv(A), np.diag([0.5, 0.0]), atol=1e-12)
+    assert np.allclose(numkit.pinv(A)[0], np.diag([0.5, 0.0]), atol=1e-12)
 
 
 def test_pinv_zero_matrix():
-    assert np.array_equal(numkit.pinv(np.zeros((3, 2))), np.zeros((2, 3)))
+    assert np.array_equal(numkit.pinv(np.zeros((3, 2)))[0], np.zeros((2, 3)))
     # on the in-place QR path too (3 >= 11 * 2 / 6)
-    assert np.array_equal(numkit.pinv(np.zeros((3, 2)), overwrite=True), np.zeros((2, 3)))
+    assert np.array_equal(numkit.pinv(np.zeros((3, 2)), overwrite=True)[0], np.zeros((2, 3)))
 
 
-def test_pinv_warns_with_the_rank_it_keeps(caplog):
+def test_pinv_returns_the_rank_it_keeps(caplog):
+    # the rank is the caller's to report: numkit logs nothing
     rng = np.random.default_rng(3)
-    with caplog.at_level("WARNING", logger="klmpc.numkit"):
-        numkit.pinv(random_matrix(rng, 6, 4))
-        assert not caplog.records
-        numkit.pinv(random_matrix(rng, 6, 4, rank=2))
-        numkit.pinv(np.zeros((2, 3)))
-    assert [r.getMessage().split(";")[0] for r in caplog.records] == [
-        "pinv: 6x4 matrix is rank-deficient (2 < 4)",
-        "pinv: 2x3 matrix is rank-deficient (0 < 2)"]
+    with caplog.at_level("DEBUG", logger="klmpc.numkit"):
+        ranks = [numkit.pinv(A)[1] for A in (random_matrix(rng, 6, 4),
+                                             random_matrix(rng, 6, 4, rank=2),
+                                             np.zeros((2, 3)))]
+    assert ranks == [4, 2, 0]
+    assert not caplog.records
 
 
 def test_pinv_penrose_conditions():
@@ -54,7 +53,7 @@ def test_pinv_penrose_conditions():
     for rows, cols in shapes:
         for rank in (None, min(rows, cols) // 2):
             A = random_matrix(rng, rows, cols, rank=rank)
-            P = numkit.pinv(A)
+            P, _ = numkit.pinv(A)
             scale = np.linalg.norm(A)
             assert np.allclose(A @ P @ A, A, atol=1e-8 * max(scale, 1.0))
             assert np.allclose(P @ A @ P, P, atol=1e-8)
@@ -66,7 +65,7 @@ def test_pinv_matches_numpy():
     rng = np.random.default_rng(1)
     for _ in range(10):
         A = random_matrix(rng, 8, 5)
-        assert np.allclose(numkit.pinv(A), np.linalg.pinv(A), atol=1e-10)
+        assert np.allclose(numkit.pinv(A)[0], np.linalg.pinv(A), atol=1e-10)
 
 
 def svd_pinv(A):
@@ -95,9 +94,9 @@ def test_pinv_overwrite_keeps_every_bit(rows, cols, order):
     A[:, -1] = A[:, 0]                   # rank-deficient: a dropped value
     want, U = svd_pinv(A)
     original = A.copy(order="K")
-    assert np.array_equal(numkit.pinv(A), want)
+    assert np.array_equal(numkit.pinv(A)[0], want)
     assert np.array_equal(A, original)
-    assert np.array_equal(numkit.pinv(A, overwrite=True), want)
+    assert np.array_equal(numkit.pinv(A, overwrite=True)[0], want)
     if order == "C" and rows >= cols * 11 // 6:
         assert np.array_equal(A.reshape(cols, rows), U.T)
     else:

@@ -67,12 +67,12 @@ def test_instant_self_consistency(model):
 
 def test_window_self_consistency(model, caplog):
     # the collinear window is rank-deficient, so the solve pins the
-    # constant coefficient at 1 and identifies w, without a rank warning;
-    # the full stack's minimum-norm answer would not be w
+    # constant coefficient at 1 and identifies w, without a warning; the
+    # full stack's minimum-norm answer would not be w
     cfg = EstimatorConfig(Nw=30)
     rng = np.random.default_rng(0)
     history = history_for(0.225, 31, rng)
-    with caplog.at_level("WARNING", logger="klmpc.numkit"):
+    with caplog.at_level("WARNING"):
         w_hat = obs.estimate_window(model, history, cfg)
     assert not caplog.records
     assert w_hat is not None
@@ -86,6 +86,24 @@ def test_window_self_consistency_full_mode(model_drift):
     w_hat = obs.estimate_window(model_drift, history, cfg)
     assert w_hat is not None
     assert abs(w_hat[0] - 0.225) < 1e-8
+
+
+def test_full_rank_window_is_factored_once(monkeypatch, models):
+    # the rank that picks the full solve comes from the solve's own SVD
+    svd, shapes = np.linalg.svd, []
+
+    def svd_spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    rng = np.random.default_rng(4)
+    history = np.hstack([rng.normal(size=(40, 4)), rng.uniform(0.0, 1.0, size=(40, 2))])
+    model = models.koopman_load
+    M, _ = obs.window_system(model, history, 30)
+    shapes.clear()
+    assert obs.estimate_window(model, history, EstimatorConfig(Nw=30)) is not None
+    assert shapes == [M.shape]
 
 
 def test_window_of_one_equals_instant(model):
