@@ -291,9 +291,16 @@ class Controller:
         f = cond.qp(z0, self.reference[j + 1:j + 1 + self.cfg.Nh])
         # one refusal for every model, before the solve: a lift that is not
         # finite, or a huge finite one, gives f whose square quietly overflows;
-        # a known load is lifted with the measurement, so it is named too
-        with np.errstate(over="ignore"):
+        # a known load is lifted with the measurement, so it is named too;
+        # when the lifted state's part of f squares finitely, the reference
+        # rows are what put it out of range
+        with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(f @ f):
+                lifted = cond.P @ (cond.S @ z0)
+                if np.isfinite(lifted @ lifted):
+                    raise ValueError(f"controller step {k}: reference rows {j + 1}..{j + self.cfg.Nh} "
+                                     f"put the QP's linear term out of range, which would give "
+                                     f"a non-finite input")
                 at = "" if self.known_load is None else f" at known load {self.known_load}"
                 raise ValueError(f"controller step {k}: measurement {y}{at} puts the QP's "
                                  f"linear term out of range, which would give a non-finite input")

@@ -3,8 +3,11 @@
 The fit's pseudoinverse and its PCA factor a tall matrix one way: a
 Householder QR run in place by LAPACK's dgeqrf on a column-major buffer,
 then the SVD of the square R factor by ``np.linalg.svd``.  Everything here
-operates on plain numpy arrays and is pure: no module state, safe to call
-from multiple threads.
+operates on plain numpy arrays and keeps no module state.  Two calls write
+their argument, to spare the fit a copy of its data matrix:
+``pinv(A, overwrite=True)`` writes U' over a tall C-contiguous ``A``, and
+``pca_fit`` centres an F-contiguous writeable float64 ``X`` and factors it
+in place.  Every other call leaves its arguments as they were.
 """
 
 from __future__ import annotations

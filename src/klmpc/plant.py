@@ -112,16 +112,35 @@ def _rhs(q: np.ndarray, tau: np.ndarray, terms: tuple) -> np.ndarray:
     return dq
 
 
+def _measure(q: np.ndarray, params: ArmParams, rngs) -> np.ndarray:
+    """(x, y) of the link-1 tip and end effector for states (4,) or (B, 4),
+    plus sensor noise drawn from one generator per row when ``rngs`` holds
+    them and noise_std > 0."""
+    th1, th2, _, _ = np.asarray(q).T
+    y = np.empty(th1.shape + (4,))
+    y[..., 0] = params.L1 * np.sin(th1)
+    y[..., 1] = -params.L1 * np.cos(th1)
+    y[..., 2] = y[..., 0] + params.L2 * np.sin(th2)
+    y[..., 3] = y[..., 1] - params.L2 * np.cos(th2)
+    if len(rngs) and params.noise_std > 0:
+        y = y + np.reshape([rng.normal(0.0, params.noise_std, size=4) for rng in rngs],
+                           y.shape)
+    return y
+
+
 # a diverging state overflows on the way; the check at the end reports it
 @np.errstate(over="ignore", invalid="ignore")
-def _advance(q: np.ndarray, u, params: ArmParams, w) -> np.ndarray:
-    """Integrate states (4,) or (B, 4) over one sample period under the
-    zero-order-held commands u in [0, 1]^2, (2,) or (B, 2).
+def step_zoh(q: np.ndarray, u, params: ArmParams, w, rngs=()) -> tuple:
+    """Advance states (4,) or (B, 4) with payloads w over one sample period
+    under the zero-order-held commands u in [0, 1]^2, (2,) or (B, 2); return
+    the next states and their measured outputs, with sensor noise drawn from
+    ``rngs``, one generator per row.
 
     Torque is tau_max * (2u - 1) per joint.  A non-finite or out-of-range
-    command raises before the plant moves, and a state the RK4 step drives
-    out of the finite numbers raises after.  The RK4 substeps run on the
-    (4,) + batch transpose of the states, one row per state variable.
+    command raises ValueError before the plant moves, and a state the RK4
+    step drives out of the finite numbers raises after.  The RK4 substeps
+    run on the (4,) + batch transpose of the states, one row per state
+    variable.
     """
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
@@ -150,42 +169,7 @@ def _advance(q: np.ndarray, u, params: ArmParams, w) -> np.ndarray:
     if not np.all(np.isfinite(q)):
         raise ValueError(f"the arm state diverged: the RK4 step of Ts = {params.Ts} s "
                          f"in {params.substeps} substeps is unstable for this arm")
-    return q.T
-
-
-def _positions(q: np.ndarray, params: ArmParams) -> np.ndarray:
-    """Noiseless (x, y) of the link-1 tip and end effector for states (4,)
-    or (B, 4)."""
-    th1, th2, _, _ = np.asarray(q).T
-    y = np.empty(th1.shape + (4,))
-    y[..., 0] = params.L1 * np.sin(th1)
-    y[..., 1] = -params.L1 * np.cos(th1)
-    y[..., 2] = y[..., 0] + params.L2 * np.sin(th2)
-    y[..., 3] = y[..., 1] - params.L2 * np.cos(th2)
-    return y
-
-
-def _measure(q: np.ndarray, params: ArmParams, rngs) -> np.ndarray:
-    """Positions of states (4,) or (B, 4), plus sensor noise drawn from one
-    generator per row when ``rngs`` holds them and noise_std > 0."""
-    y = _positions(q, params)
-    if len(rngs) and params.noise_std > 0:
-        y = y + np.reshape([rng.normal(0.0, params.noise_std, size=4) for rng in rngs],
-                           y.shape)
-    return y
-
-
-def step_zoh(q: np.ndarray, u, params: ArmParams, w, rngs=()) -> tuple:
-    """Advance states (4,) or (B, 4) with payloads w over one sample period
-    under the zero-order-held commands u in [0, 1]^2; return the next states
-    and their measured outputs.
-
-    Torque is tau_max * (2u - 1) per joint.  Sensor noise is drawn from
-    ``rngs``, one generator per row.  A non-finite or out-of-range command
-    raises ValueError before the plant moves.
-    """
-    q = _advance(q, u, params, w)
-    return q, _measure(q, params, rngs)
+    return q.T, _measure(q.T, params, rngs)
 
 
 def ramp_and_hold(rng, m: int, Ts: float):

@@ -11,8 +11,9 @@ import tracemalloc
 # bits between thread counts, and closed-loop results amplify those bits.
 # The variables only take effect if set before numpy is first imported.
 NUMPY_PRELOADED = "numpy" in sys.modules
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS"):
+from klmpc.__main__ import BLAS_THREAD_VARS  # noqa: E402  (imports no numpy)
+
+for _var in BLAS_THREAD_VARS:
     os.environ[_var] = "1"
 
 import pytest  # noqa: E402

@@ -147,6 +147,15 @@ def test_declared_scripts_import_and_ci_runs_them():
         assert re.search(rf"run: {name} --help$", workflow, re.MULTILINE)
 
 
+def test_ci_pins_the_blas_threads_the_command_line_pins():
+    # CI fits on one BLAS thread through the same variables the command line
+    # sets, so its suite checks the bits the command writes
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    env = re.search(r"^( +)env:\n((?:\1 .*\n)+)", workflow, re.MULTILINE).group(2)
+    assert dict(re.findall(r'^ +(\w+): "(.*)"$', env, re.MULTILINE)) == dict.fromkeys(
+        klmpc_main.BLAS_THREAD_VARS, "1")
+
+
 @pytest.mark.parametrize("module, names", list(numkit.PRIVATE_LAPACK.items()))
 def test_numpy_keeps_the_private_lapack_entry_points(module, names):
     # numkit calls these below np.linalg's public API; a numpy that drops

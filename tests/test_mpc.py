@@ -524,16 +524,48 @@ def test_controller_reference_must_be_rows_of_outputs():
             Controller(scalar_model(), scalar_cfg(), bad)
 
 
+def circle_rows(rows=10):
+    """An arc of ``rows`` arm outputs, a reference every model can track."""
+    s = np.linspace(0.0, 1.0, rows)
+    return np.column_stack([np.cos(s), np.sin(s), np.zeros(rows), np.full(rows, -1.0)])
+
+
 def test_controller_refuses_a_non_finite_reference(default_cfg, models):
     # refused when built, under the reference's name, not at a later step
     # under an ordinary measurement's
-    circle = np.column_stack([np.cos(np.linspace(0.0, 1.0, 10)), np.sin(np.linspace(0.0, 1.0, 10)),
-                              np.zeros(10), np.full(10, -1.0)])
     for bad in (np.nan, np.inf, -np.inf):
-        reference = circle.copy()
+        reference = circle_rows()
         reference[3:] = bad
         with pytest.raises(ValueError, match="reference has non-finite entries"):
             Controller(models.koopman, default_cfg.mpc_config(), reference)
+
+
+@pytest.mark.parametrize("name, load", [("baseline", None), ("koopman", None),
+                                        ("koopman_load", 0.1)])
+def test_controller_step_refusal_names_a_huge_reference(default_cfg, models, name, load):
+    # a huge finite reference puts an ordinary measurement's linear term out
+    # of range: the refusal names the horizon's reference rows on every
+    # model, not the measurement or the known load
+    cfg = default_cfg.mpc_config()
+    reference = circle_rows()
+    reference[3:] = 1e200
+    ctrl = Controller(getattr(models, name), cfg, reference, known_load=load)
+    with pytest.raises(ValueError, match=rf"^controller step 0: reference rows 1\.\.{cfg.Nh} "
+                                         r"put the QP's linear term out of range"):
+        ctrl.step(np.array([0.0, -0.5, 0.0, -1.0]))
+    assert len(ctrl.logs) == 0
+
+
+def test_controller_keeps_its_own_copy_of_the_reference(default_cfg, models):
+    # the table is checked when the controller is built, so a caller that
+    # later writes NaN into its own array must not reach the steps
+    table = circle_rows()
+    ctrl = Controller(models.koopman, default_cfg.mpc_config(), table)
+    twin = Controller(models.koopman, default_cfg.mpc_config(), table.copy())
+    table[:] = np.nan
+    y = np.array([0.0, -0.5, 0.0, -1.0])
+    assert np.array_equal(ctrl.step(y), twin.step(y))
+    assert np.array_equal(ctrl.logs.r, twin.logs.r)
 
 
 def test_controller_holds_the_reference_past_its_end():
