@@ -113,3 +113,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    # numpy is loaded by now, so the one-BLAS-thread pin could not apply
+    print("error: not an entry point; run `klmpc` or `python -m klmpc`", file=sys.stderr)
+    sys.exit(2)

@@ -230,7 +230,7 @@ def read_models(path, cfg: ExperimentConfig) -> ModelSet:
 
 
 # ---------------------------------------------------------------------------
-# Tracking trials and reports
+# Trials and reports
 # ---------------------------------------------------------------------------
 
 def write_csv(path, header, rows) -> None:
@@ -266,25 +266,35 @@ class TrialResult:
         return float(abs(self.w_hat_trace[-1, 0] - self.payload))
 
 
-def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig,
-                       payload: float, ref: Reference, duration: float,
-                       known_load: Optional[float] = None,
-                       est_cfg: Optional[EstimatorConfig] = None,
-                       seed: int = 0, label: str = "") -> TrialResult:
+def _lockstep(params: ArmParams, trials) -> list:
+    """Drive the trials ``(run, read)`` as one :func:`drive` batch; return each ``read(Y)``."""
+    recorded = drive(params, [run for run, _ in trials])
+    return [read(Y) for (_, read), (Y, _) in zip(trials, recorded)]
+
+
+def _tracking_trial(model, cfg, payload, ref, duration, known_load, est_cfg, seed, label) -> tuple:
+    """The run and reader of :func:`run_tracking_trial`."""
+    K = sample_steps(duration, cfg.plant.Ts)
+    ctrl = Controller(model, cfg.mpc_config(), ref.table, est_cfg=est_cfg, known_load=known_load)
+
+    def read(Y):
+        miss = Y[1:, -2:] - ref.targets(np.arange(1, K + 1))
+        # a (1, 2) @ (2, 1) product runs the dot kernel that np.linalg.norm
+        # runs on one vector, so each error rounds as its per-step norm would
+        errors = np.sqrt(miss[:, None] @ miss[:, :, None])[:, 0, 0]
+        return TrialResult(controller=label, payload=payload,
+                           rmse=float(np.sqrt(np.mean(errors**2))), logs=ctrl.logs, errors=errors)
+
+    return Run(payload, np.random.default_rng(seed), K, lambda k, y: ctrl.step(y)), read
+
+
+def run_tracking_trial(model: KoopmanModel, cfg: ExperimentConfig, payload: float,
+                       ref: Reference, duration: float, known_load: Optional[float] = None,
+                       est_cfg: Optional[EstimatorConfig] = None, seed: int = 0,
+                       label: str = "") -> TrialResult:
     """Closed-loop run of one controller against the simulated arm."""
-    params = cfg.plant
-    K = sample_steps(duration, params.Ts)
-    ctrl = Controller(model, cfg.mpc_config(), ref.table,
-                      est_cfg=est_cfg, known_load=known_load)
-    [(Y, _)] = drive(params, [Run(payload, np.random.default_rng(seed), K,
-                                  lambda k, y: ctrl.step(y))])
-    miss = Y[1:, -2:] - ref.targets(np.arange(1, K + 1))
-    # a (1, 2) @ (2, 1) product runs the dot kernel that np.linalg.norm runs
-    # on one vector, so each error rounds as its per-step norm would
-    errors = np.sqrt(miss[:, None] @ miss[:, :, None])[:, 0, 0]
-    rmse = float(np.sqrt(np.mean(errors**2)))
-    return TrialResult(controller=label, payload=payload, rmse=rmse,
-                       logs=ctrl.logs, errors=errors)
+    return _lockstep(cfg.plant, [_tracking_trial(model, cfg, payload, ref, duration, known_load,
+                                                 est_cfg, seed, label)])[0]
 
 
 def write_records(path, records) -> None:
@@ -305,19 +315,6 @@ def _maybe_write(outdir, name: str, writer) -> None:
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         writer(os.path.join(outdir, name))
-
-
-def _tracking_experiment(cfg: ExperimentConfig, ref: Reference, payloads, seed: int,
-                         controllers) -> list:
-    """Closed-loop trials over ``ref`` of each controller row ``(label,
-    model, load)`` at each payload, payload-major; the trials at payload i
-    are seeded ``seed + i``.  ``load`` is None (no load), "known" (the true
-    payload) or "live" (the controller's own observer)."""
-    return [run_tracking_trial(model, cfg, payload, ref, ref.duration,
-                               known_load=payload if load == "known" else None,
-                               est_cfg=cfg.estimator if load == "live" else None,
-                               seed=seed + i, label=label)
-            for i, payload in enumerate(payloads) for label, model, load in controllers]
 
 
 def tracking_table(trials) -> tuple:
@@ -354,60 +351,49 @@ def write_tracking_csv(path, trials) -> None:
 def run_experiment1(cfg: ExperimentConfig, models: ModelSet, payloads=EXP1_PAYLOADS,
                     duration: float = EXP1_DURATION, outdir=None) -> list:
     """Trajectory following with known payload: all three controllers over
-    six payloads; only KL-MPC can use the true load value."""
-    trials = _tracking_experiment(
-        cfg, figure_eight_reference(cfg.plant, duration=duration), payloads, cfg.seed * 1000,
-        [("L-MPC", models.baseline, None), ("K-MPC", models.koopman, None),
-         ("KL-MPC", models.koopman_load, "known")])
+    six payloads, payload-major; only KL-MPC can use the true load value."""
+    ref = figure_eight_reference(cfg.plant, duration=duration)
+    trials = _lockstep(cfg.plant, [
+        _tracking_trial(model, cfg, payload, ref, duration, payload if model.p else None, None,
+                        cfg.seed * 1000 + i, label)
+        for i, payload in enumerate(payloads)
+        for label, model in (("L-MPC", models.baseline), ("K-MPC", models.koopman),
+                             ("KL-MPC", models.koopman_load))])
     _maybe_write(outdir, "experiment1_rmse.csv", lambda path: write_tracking_csv(path, trials))
     _maybe_write(outdir, "experiment1_rmse.md",
                  lambda path: Path(path).write_text(tracking_markdown(trials)))
     return trials
 
 
-def _observing_policy(model: KoopmanModel, cfg: ExperimentConfig, policy_rng):
-    """Open-loop ramp-and-hold excitation with the load observer running on
-    its schedule: returns the observer state and the policy ``(k, y) -> u``
-    that feeds it each measured output and the input applied from it."""
-    state = EstimatorState(cfg=cfg.estimator, d=model.d)
-    excite = excitation(policy_rng, cfg.plant.Ts)
+def _estimation_trial(model, cfg, payload, duration, seed) -> tuple:
+    """The run and reader of :func:`run_estimation_trial`."""
+    K, d, p = sample_steps(duration, cfg.plant.Ts), model.d, model.p
+    logs = np.recarray(K, dtype=[("step", int), ("t", float), ("w_true", float, (p,)),
+                                 ("w_instant", float, (p,)), ("w_hat", float, (p,))])
+    logs.step, logs.t, logs.w_true = np.arange(K), np.arange(K) * cfg.plant.Ts, payload
+    w_instant, w_hat = logs.w_instant, logs.w_hat
+    state = EstimatorState(cfg=cfg.estimator, d=d)
+    excite = excitation(np.random.default_rng(seed), cfg.plant.Ts)
 
     def policy(k, y):
         u = excite(k, y)
         obs.update(state, model, y, u)
+        w_hat[k] = w_instant[k] = state.w_hat
+        if k > d and (wi := obs.estimate_instant(model, state.history, cfg.estimator)) is not None:
+            w_instant[k] = wi
         return u
 
-    return state, policy
+    result = TrialResult(controller="observer", payload=payload, rmse=None, logs=logs, errors=None)
+    return Run(payload, np.random.default_rng(seed + 1), K, policy), lambda Y: result
 
 
-def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig,
-                         payload: float, duration: float = EXP2_DURATION,
-                         seed: int = 0) -> TrialResult:
+def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig, payload: float,
+                         duration: float = EXP2_DURATION, seed: int = 0) -> TrialResult:
     """Drive the plant open-loop with ramp-and-hold inputs while the load
     observer runs on its periodic schedule; the instant estimate at step k
     uses the transition k-1 -> k from the observer's own history.  The step
     log holds, per step, the true load, the instant estimate and w_hat."""
-    K, d, p = sample_steps(duration, cfg.plant.Ts), model.d, model.p
-    logs = np.recarray(K, dtype=[("step", int), ("t", float), ("w_true", float, (p,)),
-                                 ("w_instant", float, (p,)), ("w_hat", float, (p,))])
-    logs.step = np.arange(K)
-    logs.t = np.arange(K) * cfg.plant.Ts
-    logs.w_true = payload
-    w_instant, w_hat = logs.w_instant, logs.w_hat
-    state, observe = _observing_policy(model, cfg, np.random.default_rng(seed))
-
-    def policy(k, y):
-        u = observe(k, y)
-        w_hat[k] = w_instant[k] = state.w_hat
-        if k > d:
-            wi = obs.estimate_instant(model, state.history, cfg.estimator)
-            if wi is not None:
-                w_instant[k] = wi
-        return u
-
-    drive(cfg.plant, [Run(payload, np.random.default_rng(seed + 1), K, policy)])
-    return TrialResult(controller="observer", payload=payload, rmse=None, logs=logs,
-                       errors=None)
+    return _lockstep(cfg.plant, [_estimation_trial(model, cfg, payload, duration, seed)])[0]
 
 
 def _write_logs(outdir, experiment: int, trials) -> None:
@@ -422,9 +408,9 @@ def run_experiment2(cfg: ExperimentConfig, models: ModelSet, payloads=EXP2_PAYLO
                     duration: float = EXP2_DURATION, outdir=None) -> list:
     """Online estimation of unknown payloads (none in the training set)
     under randomized ramp-and-hold inputs."""
-    trials = [run_estimation_trial(models.koopman_load, cfg, payload, duration=duration,
-                                   seed=cfg.seed * 100 + i)
-              for i, payload in enumerate(payloads)]
+    trials = _lockstep(cfg.plant, [
+        _estimation_trial(models.koopman_load, cfg, payload, duration, cfg.seed * 100 + i)
+        for i, payload in enumerate(payloads)])
     _write_logs(outdir, 2, trials)
     return trials
 
@@ -432,9 +418,11 @@ def run_experiment2(cfg: ExperimentConfig, models: ModelSet, payloads=EXP2_PAYLO
 def run_experiment3(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> list:
     """Trajectory following with unknown payload: KL-MPC with the live
     observer tracking a 0.1 m-radius circle for 30 s at each exp2 payload."""
-    trials = _tracking_experiment(
-        cfg, circle_reference(cfg.plant, duration=EXP3_DURATION), EXP2_PAYLOADS,
-        cfg.seed * 100 + 50, [("KL-MPC", models.koopman_load, "live")])
+    ref = circle_reference(cfg.plant, duration=EXP3_DURATION)
+    trials = _lockstep(cfg.plant, [
+        _tracking_trial(models.koopman_load, cfg, payload, ref, EXP3_DURATION, None,
+                        cfg.estimator, cfg.seed * 100 + 50 + i, "KL-MPC")
+        for i, payload in enumerate(EXP2_PAYLOADS)])
     _write_logs(outdir, 3, trials)
     return trials
 
@@ -463,26 +451,25 @@ def run_experiment4(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> np.
     for 15 s while the observer runs, freeze the estimate, pick the bin,
     then track the drop-off target for 10 s with the frozen load; one
     record per object."""
-    params = cfg.plant
-    rng = np.random.default_rng(cfg.seed)
-    payloads = rng.uniform(0.0, BIN_WIDTH * BIN_COUNT, size=SORT_OBJECTS)
+    params, model = cfg.plant, models.koopman_load
+    payloads = np.random.default_rng(cfg.seed).uniform(0.0, BIN_WIDTH * BIN_COUNT, SORT_OBJECTS)
     targets = bin_targets(params)
-    model = models.koopman_load
     K_drop = sample_steps(SORT_DROPOFF_DURATION, params.Ts)
     K_est = sample_steps(SORT_ESTIMATION_DURATION, params.Ts)
     drop_mpc = dataclasses.replace(cfg, r_weight=DROPOFF_R_WEIGHT).mpc_config()
-    outcomes = np.recarray(SORT_OBJECTS, dtype=[
-        ("object", int), ("payload", float), ("w_estimate", float), ("chosen_bin", int),
-        ("true_bin", int), ("placement_error", float), ("success", bool)])
-    for i, payload in enumerate(float(p) for p in payloads):
+
+    def trial(i, payload):
         seed = cfg.seed * 10000 + i
-        # estimation phase: randomized excitation with the passive observer
-        state, observe = _observing_policy(model, cfg, np.random.default_rng(seed))
+        state = EstimatorState(cfg=cfg.estimator, d=model.d)
+        excite = excitation(np.random.default_rng(seed), params.Ts)
         dropoff = []
 
         def policy(k, y):
             if k < K_est:
-                return observe(k, y)
+                # estimation phase: randomized excitation with the passive observer
+                u = excite(k, y)
+                obs.update(state, model, y, u)
+                return u
             if not dropoff:
                 # drop-off phase: frozen estimate, constant target reference
                 w = np.atleast_1d(float(state.w_hat[0]))
@@ -490,12 +477,17 @@ def run_experiment4(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> np.
                 dropoff.append(Controller(model, drop_mpc, ref.table, known_load=w))
             return dropoff[0].step(y)
 
-        [(Y, _)] = drive(params, [Run(payload, np.random.default_rng(seed),
-                                      K_est + K_drop, policy)])
-        w_frozen = float(state.w_hat[0])
-        chosen = bin_index(w_frozen)
-        err = float(np.linalg.norm(Y[-1, -2:] - targets[chosen]))
-        outcomes[i] = (i, payload, w_frozen, chosen, bin_index(payload), err,
-                       (chosen == bin_index(payload)) and err <= CUP_RADIUS)
+        def read(Y):
+            chosen, true_bin = bin_index(state.w_hat[0]), bin_index(payload)
+            err = float(np.linalg.norm(Y[-1, -2:] - targets[chosen]))
+            return (i, payload, float(state.w_hat[0]), chosen, true_bin, err,
+                    chosen == true_bin and err <= CUP_RADIUS)
+
+        return Run(payload, np.random.default_rng(seed), K_est + K_drop, policy), read
+
+    outcomes = np.rec.fromrecords(
+        _lockstep(params, [trial(i, float(p)) for i, p in enumerate(payloads)]), dtype=[
+            ("object", int), ("payload", float), ("w_estimate", float), ("chosen_bin", int),
+            ("true_bin", int), ("placement_error", float), ("success", bool)])
     _maybe_write(outdir, "experiment4_sorting.csv", lambda path: write_records(path, outcomes))
     return outcomes

@@ -3,8 +3,8 @@ springs and dampers, torque inputs through a zero-order hold, an unknown tip
 payload, and seeded Gaussian sensor noise on the measured positions.
 
 A state is a (4,) array, or a (B, 4) stack of them.  :func:`drive` is the one
-loop that steps the arm: the data campaigns, each recorded as its runs'
-outputs, commands and loads, and every experiment are policies on it.
+loop that steps the arm: the data campaigns and each experiment are one batch
+of their runs' policies, and each run stays bit-identical to driving it alone.
 """
 
 from __future__ import annotations

@@ -92,14 +92,19 @@ def test_library_modules_never_print(path):
 
 def test_only_the_entry_point_runs_as_a_script():
     # __main__.py pins the BLAS threads before numpy is imported; a second
-    # ``__name__ == "__main__"`` block would run the command without the pin
-    def runs_as_script(path):
-        return any(isinstance(node, ast.Compare) and {"__name__", "'__main__'"} == {
-            ast.unparse(node.left), *map(ast.unparse, node.comparators)}
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    # ``__name__ == "__main__"`` block would run the command without the pin,
+    # so cli.py's may only print its refusal and exit
+    def script_blocks(path):
+        return [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and {"__name__", "'__main__'"} == {ast.unparse(node.test.left),
+                                                   *map(ast.unparse, node.test.comparators)}]
 
-    assert sorted(path.name for path in PACKAGE.glob("*.py") if runs_as_script(path)) == [
-        "__main__.py"]
+    blocks = {path.name: script_blocks(path) for path in PACKAGE.glob("*.py")}
+    assert sorted(name for name, found in blocks.items() if found) == ["__main__.py", "cli.py"]
+    [refusal] = blocks["cli.py"]
+    assert {ast.unparse(node.func) for stmt in refusal.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Call)} == {"print", "sys.exit"}
 
 
 def test_only_the_document_owners_import_json():

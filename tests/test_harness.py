@@ -270,32 +270,77 @@ def test_run_experiment1_report_and_outputs(default_cfg, models, tmp_path):
     assert (tmp_path / "experiment1_rmse.md").read_text() == tracking_markdown(trials)
 
 
-def test_tracking_experiments_run_their_controller_rows(default_cfg, models, monkeypatch):
+def drive_calls(monkeypatch) -> list:
+    """The number of runs of each ``drive`` call the harness makes."""
+    calls = []
+
+    def spy(params, runs):
+        calls.append(len(runs))
+        return plant.drive(params, runs)
+
+    monkeypatch.setattr(harness, "drive", spy)
+    return calls
+
+
+def assert_same_trial(trial, alone):
+    """``trial`` is ``alone`` bit for bit: its row, RMSE, per-step errors
+    and every step-log column but the solve's wall time."""
+    assert (trial.controller, trial.payload, trial.rmse) == (alone.controller, alone.payload,
+                                                             alone.rmse)
+    assert (trial.errors is None) == (alone.errors is None)
+    if alone.errors is not None:
+        assert trial.errors.tobytes() == alone.errors.tobytes()
+    assert trial.logs.dtype == alone.logs.dtype
+    for name in alone.logs.dtype.names:
+        if name != "solve_ms":
+            assert trial.logs[name].tobytes() == alone.logs[name].tobytes(), name
+
+
+def test_experiments_drive_their_trials_as_one_batch_of_lone_runs(default_cfg, models,
+                                                                  monkeypatch):
     # exp1 runs L, K and KL with the true load at each payload, payload-major;
-    # exp3 runs KL with its live observer; the trials at payload i are
-    # seeded the experiment's seed + i
-    ran = []
-
-    def trial(model, cfg, payload, ref, duration, known_load=None, est_cfg=None, seed=0,
-              label=""):
-        ran.append((label, model, payload, known_load, est_cfg, seed, duration))
-        return TrialResult(controller=label, payload=payload, rmse=1.0, logs=None, errors=None)
-
-    monkeypatch.setattr(harness, "run_tracking_trial", trial)
+    # exp3 runs KL with its live observer; exp2 runs the open-loop observer.
+    # Each experiment is one drive call, and each of its trials is the lone
+    # trial at its seed: exp1's at payload i seeded cfg.seed * 1000 + i,
+    # exp3's cfg.seed * 100 + 50 + i and exp2's cfg.seed * 100 + i
     cfg = dataclasses.replace(default_cfg, seed=2)
-    trials = run_experiment1(cfg, models, payloads=(0.125, 0.025), duration=5.0)
+    calls = drive_calls(monkeypatch)
+    payloads = (0.125, 0.025)
+    trials = run_experiment1(cfg, models, payloads=payloads, duration=2.0)
+    assert calls == [6]
+    ref = figure_eight_reference(cfg.plant, duration=2.0)
+    alone = [run_tracking_trial(model, cfg, payload, ref, 2.0,
+                                known_load=payload if name == "KL-MPC" else None,
+                                seed=2000 + i, label=name)
+             for i, payload in enumerate(payloads)
+             for name, model in zip(CONTROLLERS, (models.baseline, models.koopman,
+                                                  models.koopman_load))]
     assert [(t.controller, t.payload) for t in trials] == [
-        (name, payload) for payload in (0.125, 0.025) for name in CONTROLLERS]
-    assert ran == [(name, model, payload, payload if name == "KL-MPC" else None, None,
-                    2000 + i, 5.0)
-                   for i, payload in enumerate((0.125, 0.025))
-                   for name, model in zip(CONTROLLERS, (models.baseline, models.koopman,
-                                                        models.koopman_load))]
-    ran.clear()
+        (name, payload) for payload in payloads for name in CONTROLLERS]
+    for trial, lone in zip(trials, alone, strict=True):
+        assert len(trial.logs) == trial.errors.size == 40
+        assert_same_trial(trial, lone)
+
+    calls.clear()
+    monkeypatch.setattr(harness, "EXP3_DURATION", 2.0)
     trials = run_experiment3(cfg, models)
-    assert [(t.controller, t.payload) for t in trials] == [("KL-MPC", p) for p in EXP2_PAYLOADS]
-    assert ran == [("KL-MPC", models.koopman_load, payload, None, cfg.estimator, 250 + i, 30.0)
-                   for i, payload in enumerate(EXP2_PAYLOADS)]
+    assert calls == [3]
+    circle = circle_reference(cfg.plant, duration=2.0)
+    for i, (trial, payload) in enumerate(zip(trials, EXP2_PAYLOADS, strict=True)):
+        assert len(trial.logs) == 40
+        assert_same_trial(trial, run_tracking_trial(
+            models.koopman_load, cfg, payload, circle, 2.0, est_cfg=cfg.estimator,
+            seed=250 + i, label="KL-MPC"))
+
+    calls.clear()
+    trials = run_experiment2(cfg, models, duration=2.0)
+    assert calls == [3]
+    for i, (trial, payload) in enumerate(zip(trials, EXP2_PAYLOADS, strict=True)):
+        assert len(trial.logs) == 40
+        assert_same_trial(trial, run_estimation_trial(models.koopman_load, cfg, payload,
+                                                      duration=2.0, seed=200 + i))
+    # the lone trials above were one-run drive calls
+    assert calls == [3, 1, 1, 1]
 
 
 def test_run_experiment2_trace_format(default_cfg, models, tmp_path):
@@ -462,6 +507,47 @@ def test_run_experiment4_writes_its_records(default_cfg, models, tmp_path, monke
     table = np.array([[float(c) for c in row.split(",")] for row in rows])
     assert np.array_equal(table, [list(o) for o in outcomes])
     assert all(row.split(",")[-1] in ("0", "1") for row in rows)
+
+
+def test_run_experiment4_objects_match_lone_oracle_runs(default_cfg, models, monkeypatch):
+    # two objects with short phases in one drive call; each record is the
+    # object driven alone on one state by the oracle, with the same
+    # excitation, observer and drop-off controller, both of its generators
+    # seeded cfg.seed * 10000 + i
+    monkeypatch.setattr(harness, "SORT_OBJECTS", 2)
+    monkeypatch.setattr(harness, "SORT_ESTIMATION_DURATION", 2.0)
+    monkeypatch.setattr(harness, "SORT_DROPOFF_DURATION", 1.0)
+    calls = drive_calls(monkeypatch)
+    cfg = dataclasses.replace(default_cfg, seed=1)
+    outcomes = run_experiment4(cfg, models)
+    assert calls == [2]
+    params, model, K_est = cfg.plant, models.koopman_load, 40
+    targets = bin_targets(params)
+    drop_mpc = dataclasses.replace(cfg, r_weight=harness.DROPOFF_R_WEIGHT).mpc_config()
+    payloads = np.random.default_rng(cfg.seed).uniform(0.0, 0.25, size=2)
+    for i, payload in enumerate(payloads):
+        seed = 10000 + i
+        state = EstimatorState(cfg=cfg.estimator, d=model.d)
+        commands = ramp_and_hold(np.random.default_rng(seed), m=2, Ts=params.Ts)
+        dropoff = []
+
+        def policy(k, y):
+            if k < K_est:
+                u = np.clip(next(commands), 0.0, 1.0)
+                obs.update(state, model, y, u)
+                return u
+            if not dropoff:
+                ref = point_reference(params, targets[bin_index(state.w_hat[0])], 1.0)
+                dropoff.append(Controller(model, drop_mpc, ref.table,
+                                          known_load=state.w_hat.copy()))
+            return dropoff[0].step(y)
+
+        Y, _ = reference_run(params, payload, K_est + 20, np.random.default_rng(seed), policy)
+        assert len(dropoff[0].logs) == 20
+        w, true_bin = state.w_hat[0], bin_index(payload)
+        err = np.linalg.norm(Y[-1, -2:] - targets[bin_index(w)])
+        assert outcomes[i].tolist() == (i, payload, w, bin_index(w), true_bin, err,
+                                        bin_index(w) == true_bin and err <= harness.CUP_RADIUS)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +737,21 @@ def test_python_dash_m_klmpc_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: klmpc")
     assert "{fit,track,estimate,sort}" in proc.stdout
+
+
+def test_python_dash_m_klmpc_cli_names_the_entry_points(tmp_path):
+    # the module is not an entry point: numpy is loaded before it could pin
+    # the BLAS threads, so it runs nothing and says which two commands to use
+    src = str(Path(klmpc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "klmpc.cli", "fit", "M.json"], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "`klmpc`" in line and "`python -m klmpc`" in line
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_fits_on_one_blas_thread(tmp_path, models_doc):
