@@ -135,7 +135,7 @@ class Reference:
         return self.table[np.clip(ks, 0, len(self.table) - 1), -2:]
 
 
-def figure_eight_reference(params: ArmParams, duration: float = EXP1_DURATION) -> Reference:
+def figure_eight_reference(params: ArmParams, duration: float) -> Reference:
     """Planar figure-eight 0.6 m wide, one cycle over the trial, near the
     hanging end-effector position.
 
@@ -348,15 +348,14 @@ def write_tracking_csv(path, trials) -> None:
               ([name, *rmse, mean, std] for name, (rmse, mean, std) in rows.items()))
 
 
-def run_experiment1(cfg: ExperimentConfig, models: ModelSet, payloads=EXP1_PAYLOADS,
-                    duration: float = EXP1_DURATION, outdir=None) -> list:
+def run_experiment1(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> list:
     """Trajectory following with known payload: all three controllers over
-    six payloads, payload-major; only KL-MPC can use the true load value."""
-    ref = figure_eight_reference(cfg.plant, duration=duration)
+    EXP1_PAYLOADS, payload-major; only KL-MPC can use the true load value."""
+    ref = figure_eight_reference(cfg.plant, duration=EXP1_DURATION)
     trials = _lockstep(cfg.plant, [
-        _tracking_trial(model, cfg, payload, ref, duration, payload if model.p else None, None,
-                        cfg.seed * 1000 + i, label)
-        for i, payload in enumerate(payloads)
+        _tracking_trial(model, cfg, payload, ref, EXP1_DURATION, payload if model.p else None,
+                        None, cfg.seed * 1000 + i, label)
+        for i, payload in enumerate(EXP1_PAYLOADS)
         for label, model in (("L-MPC", models.baseline), ("K-MPC", models.koopman),
                              ("KL-MPC", models.koopman_load))])
     _maybe_write(outdir, "experiment1_rmse.csv", lambda path: write_tracking_csv(path, trials))
@@ -388,7 +387,7 @@ def _estimation_trial(model, cfg, payload, duration, seed) -> tuple:
 
 
 def run_estimation_trial(model: KoopmanModel, cfg: ExperimentConfig, payload: float,
-                         duration: float = EXP2_DURATION, seed: int = 0) -> TrialResult:
+                         duration: float, seed: int = 0) -> TrialResult:
     """Drive the plant open-loop with ramp-and-hold inputs while the load
     observer runs on its periodic schedule; the instant estimate at step k
     uses the transition k-1 -> k from the observer's own history.  The step
@@ -404,13 +403,12 @@ def _write_logs(outdir, experiment: int, trials) -> None:
                      lambda path, logs=trial.logs: write_records(path, logs))
 
 
-def run_experiment2(cfg: ExperimentConfig, models: ModelSet, payloads=EXP2_PAYLOADS,
-                    duration: float = EXP2_DURATION, outdir=None) -> list:
-    """Online estimation of unknown payloads (none in the training set)
-    under randomized ramp-and-hold inputs."""
+def run_experiment2(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> list:
+    """Online estimation of the unknown EXP2_PAYLOADS (none in the training
+    set) for EXP2_DURATION each under randomized ramp-and-hold inputs."""
     trials = _lockstep(cfg.plant, [
-        _estimation_trial(models.koopman_load, cfg, payload, duration, cfg.seed * 100 + i)
-        for i, payload in enumerate(payloads)])
+        _estimation_trial(models.koopman_load, cfg, payload, EXP2_DURATION, cfg.seed * 100 + i)
+        for i, payload in enumerate(EXP2_PAYLOADS)])
     _write_logs(outdir, 2, trials)
     return trials
 

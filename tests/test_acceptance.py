@@ -13,6 +13,7 @@ from klmpc.edmd import assemble_snapshots, fit_linear_baseline, one_step_rmse
 from klmpc.mpc import Condenser, solve_box_qp
 from klmpc.observer import EstimatorConfig, estimate_window
 from klmpc.plant import ArmParams, step_zoh
+from klmpc import harness
 from klmpc.harness import (fit_models, run_experiment1, run_experiment2, run_experiment4,
                            tracking_table)
 
@@ -83,7 +84,7 @@ def test_ac3_model_ordering(default_cfg):
 
 def test_ac4_observer_convergence(default_cfg, models):
     t0 = time.perf_counter()
-    traces = run_experiment2(default_cfg, models=models, duration=16.0)
+    traces = run_experiment2(default_cfg, models=models)
     elapsed = time.perf_counter() - t0
     errors = []
     for trace in traces:
@@ -165,12 +166,19 @@ def test_ac8_integrator_validity():
            f"equilibrium drift {eq_err:.1e} (limit 1e-12)")
 
 
-def test_ac9_determinism(default_cfg, models, tmp_path):
+def test_ac9_determinism(default_cfg, models, tmp_path, monkeypatch):
+    # short runs of what track, estimate and sort write
+    for name, value in (("EXP1_PAYLOADS", (0.125,)), ("EXP1_DURATION", 5.0),
+                        ("EXP2_PAYLOADS", (0.125,)), ("EXP2_DURATION", 8.0),
+                        ("SORT_OBJECTS", 2), ("SORT_ESTIMATION_DURATION", 2.0),
+                        ("SORT_DROPOFF_DURATION", 1.0)):
+        monkeypatch.setattr(harness, name, value)
     produced = []
     for rerun in ("first", "second"):
         outdir = tmp_path / rerun
-        run_experiment1(default_cfg, models, payloads=(0.125,), duration=5.0, outdir=outdir)
-        run_experiment2(default_cfg, models, payloads=(0.125,), duration=8.0, outdir=outdir)
+        run_experiment1(default_cfg, models, outdir=outdir)
+        run_experiment2(default_cfg, models, outdir=outdir)
+        run_experiment4(default_cfg, models, outdir=outdir)
         produced.append(sorted(p.name for p in outdir.iterdir()))
     assert produced[0] == produced[1]
     identical = all(

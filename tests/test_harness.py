@@ -3,7 +3,6 @@ logic, report formats, tracking sanity on the simulated arm, and the CLI.
 """
 
 import dataclasses
-import functools
 import json
 import os
 import subprocess
@@ -255,9 +254,10 @@ def test_equilibrium_point_regulation(default_cfg, models):
     assert res.rmse < 0.03
 
 
-def test_run_experiment1_report_and_outputs(default_cfg, models, tmp_path):
-    trials = run_experiment1(default_cfg, models, payloads=(0.125,), duration=5.0,
-                             outdir=tmp_path)
+def test_run_experiment1_report_and_outputs(default_cfg, models, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "EXP1_PAYLOADS", (0.125,))
+    monkeypatch.setattr(harness, "EXP1_DURATION", 5.0)
+    trials = run_experiment1(default_cfg, models, outdir=tmp_path)
     _, rows = tracking_table(trials)
     assert set(rows) == set(CONTROLLERS)
     assert len(trials) == len(CONTROLLERS) and all(t.rmse > 0 for t in trials)
@@ -306,7 +306,9 @@ def test_experiments_drive_their_trials_as_one_batch_of_lone_runs(default_cfg, m
     cfg = dataclasses.replace(default_cfg, seed=2)
     calls = drive_calls(monkeypatch)
     payloads = (0.125, 0.025)
-    trials = run_experiment1(cfg, models, payloads=payloads, duration=2.0)
+    monkeypatch.setattr(harness, "EXP1_PAYLOADS", payloads)
+    monkeypatch.setattr(harness, "EXP1_DURATION", 2.0)
+    trials = run_experiment1(cfg, models)
     assert calls == [6]
     ref = figure_eight_reference(cfg.plant, duration=2.0)
     alone = [run_tracking_trial(model, cfg, payload, ref, 2.0,
@@ -333,7 +335,8 @@ def test_experiments_drive_their_trials_as_one_batch_of_lone_runs(default_cfg, m
             seed=250 + i, label="KL-MPC"))
 
     calls.clear()
-    trials = run_experiment2(cfg, models, duration=2.0)
+    monkeypatch.setattr(harness, "EXP2_DURATION", 2.0)
+    trials = run_experiment2(cfg, models)
     assert calls == [3]
     for i, (trial, payload) in enumerate(zip(trials, EXP2_PAYLOADS, strict=True)):
         assert len(trial.logs) == 40
@@ -343,9 +346,10 @@ def test_experiments_drive_their_trials_as_one_batch_of_lone_runs(default_cfg, m
     assert calls == [3, 1, 1, 1]
 
 
-def test_run_experiment2_trace_format(default_cfg, models, tmp_path):
-    traces = run_experiment2(default_cfg, models, payloads=(0.125,), duration=8.0,
-                             outdir=tmp_path)
+def test_run_experiment2_trace_format(default_cfg, models, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "EXP2_PAYLOADS", (0.125,))
+    monkeypatch.setattr(harness, "EXP2_DURATION", 8.0)
+    traces = run_experiment2(default_cfg, models, outdir=tmp_path)
     assert len(traces) == 1
     trace = traces[0]
     assert trace.logs.w_hat.shape == trace.logs.w_instant.shape == (trace.t.size, 1)
@@ -354,10 +358,12 @@ def test_run_experiment2_trace_format(default_cfg, models, tmp_path):
     assert len(lines) == trace.t.size + 1
 
 
-def test_run_experiment2_file_reads_back_the_step_log(default_cfg, models, tmp_path):
+def test_run_experiment2_file_reads_back_the_step_log(default_cfg, models, tmp_path,
+                                                      monkeypatch):
     # the estimation trial's step log is the file, every cell bit for bit
-    [trial] = run_experiment2(default_cfg, models, payloads=(0.075,), duration=3.0,
-                              outdir=tmp_path)
+    monkeypatch.setattr(harness, "EXP2_PAYLOADS", (0.075,))
+    monkeypatch.setattr(harness, "EXP2_DURATION", 3.0)
+    [trial] = run_experiment2(default_cfg, models, outdir=tmp_path)
     path = tmp_path / "experiment2_w75g.csv"
     assert path.read_text().splitlines()[0] == "step,t,w_true1,w_instant1,w_hat1"
     cells = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -451,6 +457,27 @@ def test_estimation_trial_matches_one_run_oracle(default_cfg, models):
     assert np.array_equal(trace.t, np.arange(K) * cfg.plant.Ts)
     assert np.array_equal(trace.logs.w_hat[:, 0], w_hat)
     assert np.array_equal(trace.logs.w_instant[:, 0], w_instant)
+
+
+def test_a_shorter_trial_is_a_prefix_of_the_longer_one(default_cfg, models):
+    # at one seed a trial's steps do not depend on its length: this is what
+    # lets AC-4 read the 15 s estimates from the full 20 s exp2
+    model, cfg, payload = models.koopman_load, default_cfg, 0.125
+    short, full = (run_estimation_trial(model, cfg, payload, duration, seed=200)
+                   for duration in (16.0, 20.0))
+    assert (len(short.logs), len(full.logs)) == (320, 400)
+    for name in full.logs.dtype.names:
+        assert short.logs[name].tobytes() == full.logs[name][:320].tobytes(), name
+    # KL-MPC with the live observer, on one reference that outlasts both
+    circle = circle_reference(cfg.plant, 4.0)
+    short, full = (run_tracking_trial(model, cfg, payload, circle, duration,
+                                      est_cfg=cfg.estimator, seed=250)
+                   for duration in (2.0, 4.0))
+    assert (len(short.logs), len(full.logs)) == (40, 80)
+    assert short.errors.tobytes() == full.errors[:40].tobytes()
+    for name in full.logs.dtype.names:
+        if name != "solve_ms":
+            assert short.logs[name].tobytes() == full.logs[name][:40].tobytes(), name
 
 
 def test_a_trial_reads_its_time_and_final_load_error_from_its_log(default_cfg, models):
@@ -892,14 +919,15 @@ def test_cli_runs_the_models_document_without_fitting(tmp_path, capsys, monkeypa
     # track runs one short trial per controller to keep the test quick, and
     # prints the table of the trials it ran
     monkeypatch.setattr(harness, "fit_models", lambda cfg: pytest.fail("fit_models ran"))
-    exp1, returned = functools.partial(harness.run_experiment1, payloads=(0.1,),
-                                       duration=2.0), []
+    monkeypatch.setattr(harness, "EXP1_PAYLOADS", (0.1,))
+    monkeypatch.setattr(harness, "EXP1_DURATION", 2.0)
+    exp1, returned = harness.run_experiment1, []
 
-    def short_exp1(*args, **kwargs):
+    def spy_exp1(*args, **kwargs):
         returned.append(exp1(*args, **kwargs))
         return returned[-1]
 
-    monkeypatch.setattr(harness, "run_experiment1", short_exp1)
+    monkeypatch.setattr(harness, "run_experiment1", spy_exp1)
     assert cli.main(["--seed", "0", command, str(models_doc), "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out and any(tmp_path.iterdir())
