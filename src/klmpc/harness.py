@@ -121,8 +121,6 @@ class Reference:
     """
 
     def __init__(self, fn, Ts: float, duration: float):
-        self.Ts = Ts
-        self.duration = duration
         t = np.clip(np.arange(math.ceil(duration / Ts) + 2) * Ts, 0.0, duration)
         self.table = np.zeros((t.size, ARM_SHAPE[0]))
         self.table[:, -2:] = np.asarray(fn(t)).T
@@ -166,11 +164,6 @@ def circle_reference(params: ArmParams, duration: float) -> Reference:
                          center[1] - radius * np.cos(ph)])
 
     return Reference(fn, params.Ts, duration)
-
-
-def point_reference(params: ArmParams, target, duration: float) -> Reference:
-    target = np.asarray(target, dtype=float)
-    return Reference(lambda t: target, params.Ts, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +462,12 @@ def run_experiment4(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> np.
                 obs.update(state, model, y, u)
                 return u
             if not dropoff:
-                # drop-off phase: frozen estimate, constant target reference
+                # drop-off phase: frozen estimate, the bin target as a one-row
+                # reference, which the controller holds
                 w = np.atleast_1d(float(state.w_hat[0]))
-                ref = point_reference(params, targets[bin_index(w[0])], SORT_DROPOFF_DURATION)
-                dropoff.append(Controller(model, drop_mpc, ref.table, known_load=w))
+                ref = np.zeros((1, ARM_SHAPE[0]))
+                ref[0, -2:] = targets[bin_index(w[0])]
+                dropoff.append(Controller(model, drop_mpc, ref, known_load=w))
             return dropoff[0].step(y)
 
         def read(Y):

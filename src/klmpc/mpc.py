@@ -8,7 +8,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -28,8 +28,9 @@ class MpcConfig:
     R: np.ndarray                # input weight (m x m, PD)
     u_min: np.ndarray
     u_max: np.ndarray
-    qp_tol: float = 1e-8
-    qp_max_iter: int = 100
+    # the QP's stopping rule: KKT residual within qp_tol, or qp_max_iter iterations
+    qp_tol: ClassVar[float] = 1e-8
+    qp_max_iter: ClassVar[int] = 100
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -39,8 +40,6 @@ class MpcConfig:
         if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
             raise ValueError(f"MpcConfig: 'u_min' and 'u_max' must be finite with "
                              f"u_min < u_max componentwise, got {lo} and {hi}")
-        if not 0.0 <= self.qp_tol < np.inf:
-            raise ValueError(f"MpcConfig: 'qp_tol' must be finite and >= 0, got {self.qp_tol}")
         # Q PSD up to rounding of its entries, R PD; a non-finite entry fails
         Q, R = (np.asarray(W, dtype=float) for W in (self.Q, self.R))
         if not (np.all(np.isfinite(Q))
@@ -146,7 +145,7 @@ def _free_newton(H: np.ndarray, g: np.ndarray, free: np.ndarray,
 
 
 def solve_box_qp(H: np.ndarray, f: np.ndarray, lower: np.ndarray, upper: np.ndarray, *,
-                 tol: float = 1e-8, max_iter: int = 100,
+                 tol: float = MpcConfig.qp_tol, max_iter: int = MpcConfig.qp_max_iter,
                  x0: Optional[np.ndarray] = None) -> QpResult:
     """Deterministic projected-Newton solver for the strictly convex box QP
     min 1/2 x'Hx + f'x subject to lower <= x <= upper.
@@ -309,7 +308,8 @@ class Controller:
                               max_iter=self.cfg.qp_max_iter, x0=self.warm_start)
         solve_ms = (time.perf_counter() - t0) * 1e3
         m = self.model.m
-        u = np.clip(result.x[:m], self.cfg.u_min, self.cfg.u_max)
+        # the solver's iterates are projected onto the box, so u is within bounds
+        u = result.x[:m]
         if not np.all(np.isfinite(u)):
             raise ValueError(f"controller step {k}: the QP gave a non-finite input {u}")
         self.warm_start = np.concatenate([result.x[m:], result.x[-m:]])

@@ -31,7 +31,6 @@ from klmpc.harness import (
     config_from_json,
     figure_eight_reference,
     fit_models,
-    point_reference,
     run_experiment1,
     run_experiment2,
     run_estimation_trial,
@@ -105,11 +104,12 @@ def test_reference_contract():
 @pytest.fixture
 def references_keep_fn(monkeypatch):
     """Make the reference builders return references that keep the function
-    they tabulate as ``fn``, the function the per-step oracle calls."""
+    they tabulate as ``fn``, with its ``Ts`` and ``duration``: what the
+    per-step oracle calls."""
     class Recording(harness.Reference):
-        def __init__(self, fn, *args, **kwargs):
-            self.fn = fn
-            super().__init__(fn, *args, **kwargs)
+        def __init__(self, fn, Ts, duration):
+            self.fn, self.Ts, self.duration = fn, Ts, duration
+            super().__init__(fn, Ts, duration)
 
     monkeypatch.setattr(harness, "Reference", Recording)
 
@@ -118,10 +118,11 @@ def test_reference_table_matches_per_step_evaluation(references_keep_fn):
     # one call of the function on every step time gives, bit for bit, the
     # rows of one call per step, also on the held tail past the end
     params, Nh = ExperimentConfig().plant, ExperimentConfig().Nh
+    target = np.array([0.1, -0.9])
     for ref in (figure_eight_reference(params, duration=20.0),
                 circle_reference(params, duration=30.0),
                 circle_reference(params, duration=1.23),
-                point_reference(params, [0.1, -0.9], duration=5.0)):
+                harness.Reference(lambda t: target, params.Ts, 5.0)):
         K = int(round(ref.duration / ref.Ts))
         ks = np.arange(K + Nh + 6)
         want = reference_rows(ref, ks)
@@ -169,13 +170,6 @@ def test_circle_geometry():
     for k in range(0, 600, 7):
         p = ref(k)[-2:]
         assert np.linalg.norm(p - center) == pytest.approx(radius, abs=1e-12)
-
-
-def test_point_reference_constant():
-    params = ExperimentConfig().plant
-    ref = point_reference(params, [0.1, -0.9], duration=5.0)
-    for k in (0, 5, 1000):
-        assert np.array_equal(ref(k)[-2:], [0.1, -0.9])
 
 
 def test_bin_index_edges():
@@ -248,7 +242,7 @@ def test_equilibrium_point_regulation(default_cfg, models):
     # known-load controller holds station (bounded by model bias, well below
     # moving-reference tracking error)
     eq = np.array([0.0, -(default_cfg.plant.L1 + default_cfg.plant.L2)])
-    ref = point_reference(default_cfg.plant, eq, 5.0)
+    ref = harness.Reference(lambda t: eq, default_cfg.plant.Ts, 5.0)
     res = run_tracking_trial(models.koopman_load, default_cfg, 0.0, ref, 5.0,
                              known_load=0.0, seed=3)
     assert res.rmse < 0.03
@@ -564,7 +558,9 @@ def test_run_experiment4_objects_match_lone_oracle_runs(default_cfg, models, mon
                 obs.update(state, model, y, u)
                 return u
             if not dropoff:
-                ref = point_reference(params, targets[bin_index(state.w_hat[0])], 1.0)
+                # the padded constant table the one-row reference stands for
+                target = targets[bin_index(state.w_hat[0])]
+                ref = harness.Reference(lambda t: target, params.Ts, 1.0)
                 dropoff.append(Controller(model, drop_mpc, ref.table,
                                           known_load=state.w_hat.copy()))
             return dropoff[0].step(y)

@@ -146,9 +146,12 @@ def test_condenser_matches_blockwise_oracle(models, default_cfg):
 
 
 def test_condense_reference_length_check():
+    # a one-entry reference would broadcast silently into S z0 - ref, so the
+    # length is checked before the product; two entries are refused the same way
     cond = Condenser(scalar_model(), scalar_cfg(Nh=3))
-    with pytest.raises(ValueError):
-        cond.qp(np.array([0.0]), np.zeros(2))
+    for entries in (1, 2):
+        with pytest.raises(ValueError, match=f"reference has {entries} entries, expected 3"):
+            cond.qp(np.array([0.0]), np.zeros(entries))
 
 
 @pytest.mark.parametrize("model", [
@@ -208,11 +211,13 @@ def test_solver_warm_start_reaches_same_optimum():
 
 
 def test_solver_iteration_cap_stays_feasible():
+    # a capped solve's iterate is in the box: projecting it again keeps every bit
     rng = np.random.default_rng(4)
     H, f, lo, hi = random_box_qp(rng, 8)
-    res = solve_box_qp(H, f, lo, hi, tol=1e-14, max_iter=1)
-    assert np.all(res.x >= lo - 1e-12) and np.all(res.x <= hi + 1e-12)
-    assert res.converged == (res.kkt_residual <= 1e-14)
+    for max_iter in (0, 1):
+        res = solve_box_qp(H, f, lo, hi, tol=1e-14, max_iter=max_iter)
+        assert np.clip(res.x, lo, hi).tobytes() == res.x.tobytes()
+        assert res.converged == (res.kkt_residual <= 1e-14)
 
 
 @pytest.mark.filterwarnings("error")
@@ -248,14 +253,15 @@ def test_solver_properties_on_random_box_qps(seed, n, log_cond, tol):
     H = 0.5 * (H + H.T)
     qp = H, f, lo, hi
     res = solve_box_qp(*qp, tol=tol)
-    assert np.all(lo <= res.x) and np.all(res.x <= hi)
+    # the result is in the box, so the controller does not project it again
+    assert np.clip(res.x, lo, hi).tobytes() == res.x.tobytes()
     assert res.converged == (kkt_residual(res.x, H @ res.x + f, lo, hi) <= tol)
     if res.converged and res.iterations > 0:
         # capped one iteration short, the same path stops and says so
         capped = solve_box_qp(*qp, tol=tol, max_iter=res.iterations - 1)
         assert capped.iterations == res.iterations - 1
         assert not capped.converged and capped.kkt_residual > tol
-        assert np.all(lo <= capped.x) and np.all(capped.x <= hi)
+        assert np.clip(capped.x, lo, hi).tobytes() == capped.x.tobytes()
 
 
 def test_solver_holds_released_coordinate_pushed_outward():
@@ -307,14 +313,22 @@ def test_mpc_config_validation():
                        (np.eye(2), np.full((1, 1), np.nan), "'R'")):
         with pytest.raises(ValueError, match=name):
             MpcConfig(Nh=1, Q=Q, R=R, u_min=np.zeros(1), u_max=np.ones(1))
-    # finite input bounds and a finite qp_tol >= 0; NaN fails each check
+    # finite input bounds; NaN fails each check
     for kwargs, name in (({"u_min": [np.nan]}, "'u_min'"), ({"u_max": [np.inf]}, "'u_max'"),
-                         ({"u_min": [-np.inf]}, "'u_min'"), ({"qp_tol": np.nan}, "'qp_tol'"),
-                         ({"qp_tol": np.inf}, "'qp_tol'"), ({"qp_tol": -1e-9}, "'qp_tol'"),
-                         ({"Nh": np.nan}, "'Nh'")):
+                         ({"u_min": [-np.inf]}, "'u_min'"), ({"Nh": np.nan}, "'Nh'")):
         with pytest.raises(ValueError, match=name):
             MpcConfig(**{"Nh": 1, "Q": np.eye(1), "R": np.eye(1), "u_min": np.zeros(1),
                          "u_max": np.ones(1), **kwargs})
+
+
+def test_the_qp_stopping_rule_is_stated_once():
+    # the QP's tolerance and iteration cap are MpcConfig's class constants,
+    # not constructor fields, and solve_box_qp's defaults are the same two
+    assert [f.name for f in dataclasses.fields(MpcConfig)] == ["Nh", "Q", "R", "u_min", "u_max"]
+    cfg = scalar_cfg()
+    assert (cfg.qp_tol, cfg.qp_max_iter) == (1e-8, 100)
+    defaults = solve_box_qp.__kwdefaults__
+    assert (defaults["tol"], defaults["max_iter"]) == (MpcConfig.qp_tol, MpcConfig.qp_max_iter)
 
 
 def test_controller_neutral_at_equilibrium():
@@ -597,11 +611,12 @@ def test_step_log_keeps_copies_of_the_callers_arrays():
     assert np.array_equal(ctrl.logs[0].u, logged_u)
 
 
-def test_step_log_records_a_capped_solve_as_unconverged(tmp_path):
+def test_step_log_records_a_capped_solve_as_unconverged(tmp_path, monkeypatch):
     # no iteration allowed: the first QP stops short of its optimum, and
     # the log and its CSV say so
     model = scalar_model(a=0.5)
-    cfg = dataclasses.replace(scalar_cfg(Nh=3, r=0.01), qp_max_iter=0)
+    monkeypatch.setattr(MpcConfig, "qp_max_iter", 0)
+    cfg = scalar_cfg(Nh=3, r=0.01)
     ctrl = Controller(model, cfg, np.full((1, 1), 0.2))
     ctrl.step(np.array([0.0]))
     [log] = ctrl.logs

@@ -10,10 +10,10 @@ loops still run the host's code.
 
 Each set runs the Tier-1 command in its own child process, with
 ``OPENBLAS_CORETYPE`` and ``klmpc.__main__.BLAS_THREAD_VARS`` (each at 1) set
-in that child's environment alone; a second child reads back the core name
-OpenBLAS loaded.  The JSON holds, per set, that core name, the pass and fail
-counts, the ids of the failing tests with their reasons, and the AC-1...AC-9
-lines.  The exit status is 1 when any set has a failing test.
+in that child's environment alone; a second child runs ``tools/blas_core.py``
+to read back the core name OpenBLAS loaded.  The JSON holds, per set, that
+core name, the pass and fail counts, the ids of the failing tests with their
+reasons, and the AC-1...AC-9 lines.  The exit status is 1 when any set has a failing test.
 """
 
 from __future__ import annotations
@@ -36,15 +36,8 @@ KERNELS = ("default", "Haswell", "SandyBridge", "Nehalem", "Prescott")
 RUN_TIMEOUT_S = 1800
 TIER1 = ["-m", "pytest", "-q", "-rfE", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
-# the core name of numpy's bundled OpenBLAS, as the CI workflow prints it
-CORENAME = """
-import ctypes, glob, os, numpy
-lib = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
-                             "libscipy_openblas*"))[0]
-corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
-corename.restype = ctypes.c_char_p
-print(corename().decode())
-"""
+# prints the core name of numpy's bundled OpenBLAS; the CI workflow runs it too
+CORE_PROBE = ROOT / "tools" / "blas_core.py"
 LIMITS = ("OPENBLAS_CORETYPE swaps the BLAS kernels only; numpy's SIMD ufunc "
           "loops still run the host's code")
 
@@ -63,7 +56,7 @@ def child_env(kernel: str) -> dict:
 
 def run_kernel(kernel: str) -> dict:
     env = child_env(kernel)
-    probe = subprocess.run([sys.executable, "-c", CORENAME], cwd=ROOT, env=env,
+    probe = subprocess.run([sys.executable, str(CORE_PROBE)], cwd=ROOT, env=env,
                            capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
