@@ -160,6 +160,9 @@ def solve_box_qp(H: np.ndarray, f: np.ndarray, lower: np.ndarray, upper: np.ndar
     are and the Newton step is re-solved on the others until every free
     coordinate at a bound moves inward.  If that leaves no step, the first
     Newton direction is used as it is.
+
+    The tol and max_iter defaults are MpcConfig's values, bound when this
+    module is imported; a caller who wants other values passes them.
     """
     n = f.shape[0]
     x = np.clip(x0 if x0 is not None else np.zeros(n), lower, upper).astype(float)

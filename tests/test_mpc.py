@@ -216,6 +216,7 @@ def test_solver_iteration_cap_stays_feasible():
     H, f, lo, hi = random_box_qp(rng, 8)
     for max_iter in (0, 1):
         res = solve_box_qp(H, f, lo, hi, tol=1e-14, max_iter=max_iter)
+        assert np.all(res.x >= lo - 1e-12) and np.all(res.x <= hi + 1e-12)
         assert np.clip(res.x, lo, hi).tobytes() == res.x.tobytes()
         assert res.converged == (res.kkt_residual <= 1e-14)
 
@@ -254,6 +255,7 @@ def test_solver_properties_on_random_box_qps(seed, n, log_cond, tol):
     qp = H, f, lo, hi
     res = solve_box_qp(*qp, tol=tol)
     # the result is in the box, so the controller does not project it again
+    assert np.all(lo <= res.x) and np.all(res.x <= hi)
     assert np.clip(res.x, lo, hi).tobytes() == res.x.tobytes()
     assert res.converged == (kkt_residual(res.x, H @ res.x + f, lo, hi) <= tol)
     if res.converged and res.iterations > 0:
@@ -261,6 +263,7 @@ def test_solver_properties_on_random_box_qps(seed, n, log_cond, tol):
         capped = solve_box_qp(*qp, tol=tol, max_iter=res.iterations - 1)
         assert capped.iterations == res.iterations - 1
         assert not capped.converged and capped.kkt_residual > tol
+        assert np.all(lo <= capped.x) and np.all(capped.x <= hi)
         assert np.clip(capped.x, lo, hi).tobytes() == capped.x.tobytes()
 
 
