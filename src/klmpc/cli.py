@@ -17,12 +17,11 @@ import os
 import sys
 from pathlib import Path
 
-from . import edmd, harness
-from .harness import ExperimentConfig, config_from_json
+from . import harness
 
 
-def _load_config(args) -> ExperimentConfig:
-    cfg = config_from_json(args.config) if args.config else ExperimentConfig()
+def _load_config(args) -> harness.ExperimentConfig:
+    cfg = harness.config_from_json(args.config) if args.config else harness.ExperimentConfig()
     return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
@@ -43,12 +42,12 @@ def cmd_fit(args) -> int:
     if Path(args.models).is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.models)
     models = harness.fit_models(cfg)
-    named = {name: getattr(models, name) for name in harness.MODEL_LOADS}
-    edmd.save_models(named, args.models)
-    for name, model in named.items():
+    harness.write_models(models, args.models)
+    for name in harness.MODEL_LOADS:
+        model = getattr(models, name)
         print(f"{name}: n_z={model.n_z}, "
               f"bottom-block residual {model.bottom_block_residual:.3e}")
-    print(f"wrote {len(named)} models to {args.models}")
+    print(f"wrote {len(harness.MODEL_LOADS)} models to {args.models}")
     return 0
 
 
@@ -60,9 +59,9 @@ def cmd_track(args) -> int:
 
 def cmd_estimate(args) -> int:
     for trial in harness.run_experiment2(*_load_run(args), outdir=args.out):
-        print(f"payload {1000 * trial.payload:.0f} g: final estimate "
-              f"{1000 * trial.w_hat_trace[-1, 0]:.1f} g "
-              f"(error {1000 * trial.final_error():.1f} g)")
+        w_hat = trial.logs.w_hat[-1, 0]
+        print(f"payload {1000 * trial.payload:.0f} g: final estimate {1000 * w_hat:.1f} g "
+              f"(error {1000 * abs(w_hat - trial.payload):.1f} g)")
     return 0
 
 

@@ -1,6 +1,7 @@
 """EDMD fitting: least-squares Koopman matrix and extraction of the (A, B)
 linear realization, with optional load augmentation, from a recorded
-campaign; and the JSON models document, written and read strictly.
+campaign; and a model's JSON entry, converted to and from a dict and read
+strictly.  This module opens no file: the harness owns the models document.
 
 A campaign is three arrays, as :func:`klmpc.plant.collect_training_data`
 records it: outputs ``Y`` (R, K+1, n), commands ``U`` (R, K, m) and loads
@@ -194,7 +195,7 @@ def one_step_rmse(model: KoopmanModel, campaign) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The models document
+# A model's entry in the models document
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: KoopmanModel) -> dict:
@@ -307,25 +308,3 @@ def model_from_dict(doc, where: str = "model document") -> KoopmanModel:
                          f"and {(n_z, basis.m)} for its basis and p = {p}")
     return KoopmanModel(A=A, B=B, basis=basis, Ts=float(doc["Ts"]), p=p,
                         bottom_block_residual=float(doc["bottom_block_residual"]))
-
-
-def save_models(models: dict, path) -> None:
-    """Write named models as one JSON document, each entry the model's
-    :func:`model_to_dict`."""
-    with open(path, "w") as fh:
-        json.dump({name: model_to_dict(model) for name, model in models.items()}, fh)
-
-
-def load_models(path) -> dict:
-    """Inverse of :func:`save_models`: the named models of the document at
-    ``path``.  A malformed entry is a ValueError naming the model."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:            # not JSON, or not UTF-8 text
-            raise ValueError(f"models document {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"models document {path}: expected a JSON object, "
-                         f"got {type(doc).__name__}")
-    return {name: model_from_dict(entry, f"models document {path} {name!r}")
-            for name, entry in doc.items()}

@@ -1,8 +1,8 @@
-"""Experiment runners: model fitting campaigns, the models document's
-reader, reference trajectories, the three tracking controllers, and
-desk-scale analogs of the four validation experiments; the runners write
-every experiment file (CSV, and exp1's markdown table).
-"""
+"""Experiment runners: model fitting campaigns, reference trajectories, the
+three tracking controllers, and desk-scale analogs of the four validation
+experiments.  The one module that opens a file: it reads the config, writes
+and reads the models document, and writes every experiment file (CSV, and
+exp1's markdown table)."""
 
 from __future__ import annotations
 
@@ -89,12 +89,25 @@ class ExperimentConfig:
         )
 
 
+def _read_json(path, where: str) -> dict:
+    """The JSON object in the file at ``path``.  Text that is not JSON, not
+    UTF-8 or not an object is one ValueError starting with ``where``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:            # not JSON, or not UTF-8 text
+            raise ValueError(f"{where}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def config_from_json(path) -> ExperimentConfig:
     """Load an experiment configuration from a JSON document, checked against
     the form of ``ExperimentConfig()``; missing fields take its defaults."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    edmd.check_document(doc, dataclasses.asdict(ExperimentConfig()), "config", complete=False)
+    where = f"config {path}"
+    doc = _read_json(path, where)
+    edmd.check_document(doc, dataclasses.asdict(ExperimentConfig()), where, complete=False)
     return _replace(ExperimentConfig(), doc)
 
 
@@ -202,12 +215,21 @@ def fit_models(cfg: ExperimentConfig) -> ModelSet:
                     holdout=holdout)
 
 
+def write_models(models: ModelSet, path) -> None:
+    """Write the models document: one JSON object whose MODEL_LOADS entries
+    are the :func:`edmd.model_to_dict` of each model of ``models``."""
+    with open(path, "w") as fh:
+        json.dump({name: edmd.model_to_dict(getattr(models, name)) for name in MODEL_LOADS}, fh)
+
+
 def read_models(path, cfg: ExperimentConfig) -> ModelSet:
     """The models of the models document at ``path``, refused unless it
     holds each of MODEL_LOADS with its load dimension, for the arm's outputs
-    and inputs at the sample period of ``cfg.plant``."""
-    models = edmd.load_models(path)
+    and inputs at the sample period of ``cfg.plant``; a malformed entry is
+    refused by name."""
     where = f"models document {path}"
+    models = {name: edmd.model_from_dict(entry, f"{where} {name!r}")
+              for name, entry in _read_json(path, where).items()}
     if sorted(models) != sorted(MODEL_LOADS):
         raise ValueError(f"{where}: expected the models {', '.join(map(repr, MODEL_LOADS))}, "
                          f"got {', '.join(map(repr, models)) or 'none'}")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from klmpc import __main__ as klmpc_main
-from klmpc import numkit
+from klmpc import edmd, numkit
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "klmpc"
@@ -108,20 +108,34 @@ def test_only_the_entry_point_runs_as_a_script():
 
 
 def test_only_the_document_owners_import_json():
-    # edmd reads and writes the models document and harness reads the
-    # experiment config; every other module leaves JSON to them
+    # harness reads and writes both documents, and edmd quotes a refused
+    # JSON value in its message; every other module leaves JSON to them
     owners = sorted(path.name for path in PACKAGE.glob("*.py") if "json" in imported_modules(path))
     assert owners == ["edmd.py", "harness.py"]
 
 
+def callers(name: str) -> list:
+    """The package modules that call a function or method named ``name``."""
+    return sorted({path.name for path in PACKAGE.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                   if isinstance(node, ast.Call) and name in (
+                       getattr(node.func, "attr", None), getattr(node.func, "id", None))})
+
+
 def test_only_the_harness_reads_a_models_document():
     # harness.read_models checks a document against the arm and the config;
-    # a second caller of edmd.load_models would run models it never checked
-    callers = sorted({path.name for path in PACKAGE.glob("*.py")
-                      for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-                      if isinstance(node, ast.Call) and "load_models" in (
-                          getattr(node.func, "attr", None), getattr(node.func, "id", None))})
-    assert callers == ["harness.py"]
+    # a second caller of edmd.model_from_dict would run entries it never checked
+    assert callers("model_from_dict") == ["harness.py"]
+
+
+def test_only_the_harness_opens_a_file():
+    # the harness reads the config and both writes and reads the models
+    # document, through one JSON reader; edmd only converts a model's entry,
+    # and the command line reaches the package through the harness alone
+    assert {module for name in ("open", "read_text", "read_bytes", "write_text", "write_bytes")
+            for module in callers(name)} == {"harness.py"}
+    assert not hasattr(edmd, "save_models") and not hasattr(edmd, "load_models")
+    assert klmpc_modules(PACKAGE / "cli.py") == {"harness"}
 
 
 def test_declared_dependencies_are_numpy_alone():

@@ -594,7 +594,7 @@ def fit_args(models_path, seed=0):
 def models_doc(tmp_path_factory, models):
     """The session's fitted models, written as ``klmpc fit`` writes them."""
     path = tmp_path_factory.mktemp("models") / "models.json"
-    edmd.save_models({name: getattr(models, name) for name in harness.MODEL_LOADS}, path)
+    harness.write_models(models, path)
     return path
 
 
@@ -603,11 +603,11 @@ def test_cli_fit_writes_the_three_models(tmp_path, capsys):
     # one document, one printed line per model
     models_path = tmp_path / "models.json"
     assert cli.main(fit_args(models_path)) == 0
-    models = edmd.load_models(models_path)
-    assert tuple(models) == MODEL_NAMES
-    assert all(model.n == 4 for model in models.values())
-    assert models["baseline"].basis.projection.n_components == 0
-    assert (models["koopman"].p, models["koopman_load"].p) == (0, 1)
+    assert tuple(json.loads(models_path.read_text())) == MODEL_NAMES
+    models = harness.read_models(models_path, ExperimentConfig())
+    assert all(getattr(models, name).n == 4 for name in MODEL_NAMES)
+    assert models.baseline.basis.projection.n_components == 0
+    assert (models.koopman.p, models.koopman_load.p) == (0, 1)
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[:3]] == list(MODEL_NAMES)
     assert lines[3] == f"wrote 3 models to {models_path}"
@@ -629,10 +629,10 @@ def no_collection(monkeypatch) -> list:
 
 
 def no_models(monkeypatch) -> list:
-    """Replace the models reader and the fit by spies; returns the list of
-    calls they record."""
+    """Replace the models document's entry reader and the fit by spies;
+    returns the list of calls they record."""
     calls = []
-    monkeypatch.setattr(edmd, "load_models", lambda *a: calls.append(a))
+    monkeypatch.setattr(edmd, "model_from_dict", lambda *a: calls.append(a))
     monkeypatch.setattr(harness, "fit_models", lambda *a: calls.append(a))
     return calls
 
@@ -745,10 +745,10 @@ def test_cli_fit_reproduces_the_experiment_model(tmp_path):
     models_path = tmp_path / "models.json"
     assert cli.main(["--seed", "3", "--config", str(path), "fit", str(models_path)]) == 0
     want = fit_models(dataclasses.replace(config_from_json(path), seed=3))
-    got = edmd.load_models(models_path)
+    got = harness.read_models(models_path, config_from_json(path))
     for name in MODEL_NAMES:
-        assert np.array_equal(got[name].A, getattr(want, name).A)
-        assert np.array_equal(got[name].B, getattr(want, name).B)
+        assert np.array_equal(getattr(got, name).A, getattr(want, name).A)
+        assert np.array_equal(getattr(got, name).B, getattr(want, name).B)
 
 
 def test_python_dash_m_klmpc_runs_the_cli(tmp_path):
@@ -814,7 +814,7 @@ def test_cli_fit_makes_the_models_directory(tmp_path):
     argv = fit_args(tmp_path / "models.json")
     models_path = tmp_path / "new" / "nested" / "models.json"
     assert cli.main(argv[:-1] + [str(models_path)]) == 0
-    assert tuple(edmd.load_models(models_path)) == MODEL_NAMES
+    assert tuple(json.loads(models_path.read_text())) == MODEL_NAMES
 
 
 def test_cli_fit_onto_a_directory_fails_before_fitting(tmp_path, capsys, monkeypatch):
@@ -996,6 +996,24 @@ def test_cli_refuses_an_unreadable_document(tmp_path, capsys, monkeypatch, conte
     exc = library_refusal(path)
     for err in refusals(monkeypatch, capsys, path):
         assert named in err and err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("content", [b"{", b"\xff", b"[]"],
+                         ids=["not-json", "not-text", "not-an-object"])
+def test_cli_refuses_an_unreadable_config(tmp_path, capsys, monkeypatch, content):
+    # the config reader is the models document's: its refusal names the
+    # file, and no campaign is collected, no model fitted and none read
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as exc:
+        config_from_json(path)
+    assert str(exc.value).startswith(f"config {path}: ")
+    collected, read_or_fitted = no_collection(monkeypatch), no_models(monkeypatch)
+    models_path = tmp_path / "models.json"
+    for command in ("fit", "track", "estimate", "sort"):
+        assert cli.main(["--config", str(path), command, str(models_path)]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert collected == read_or_fitted == [] and not models_path.exists()
 
 
 def test_cli_out_into_a_blocked_directory_fails_before_any_trial(tmp_path, capsys, monkeypatch,
