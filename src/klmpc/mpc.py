@@ -158,8 +158,8 @@ def solve_box_qp(H: np.ndarray, f: np.ndarray, lower: np.ndarray, upper: np.ndar
     get an outward Newton component, which the projection would clip, spoiling
     the step for the rest of the block.  Such coordinates are held where they
     are and the Newton step is re-solved on the others until every free
-    coordinate at a bound moves inward.  If that leaves no step, the first
-    Newton direction is used as it is.
+    coordinate at a bound moves inward.  The step is never empty: g_F'd_F < 0
+    and each held coordinate has g_j d_j >= 0, so one with g_j d_j < 0 stays free.
 
     The tol and max_iter defaults are MpcConfig's values, bound when this
     module is imported; a caller who wants other values passes them.
@@ -176,15 +176,9 @@ def solve_box_qp(H: np.ndarray, f: np.ndarray, lower: np.ndarray, upper: np.ndar
         at_lower, at_upper = x <= lower + eps, x >= upper - eps
         free = ~((at_lower & (g > 0)) | (at_upper & (g < 0)))
         d = _free_newton(H, g, free, -g)
-        outward = free & ((at_lower & (d < 0)) | (at_upper & (d > 0)))
-        if outward.any():
-            first = d
-            while outward.any():
-                free &= ~outward
-                d = _free_newton(H, g, free, np.zeros(n))
-                outward = free & ((at_lower & (d < 0)) | (at_upper & (d > 0)))
-            if not d.any():
-                d = first
+        while (outward := free & ((at_lower & (d < 0)) | (at_upper & (d > 0)))).any():
+            free &= ~outward
+            d = _free_newton(H, g, free, np.zeros(n))
         # projected backtracking line search on the objective
         obj = 0.5 * x @ H @ x + f @ x
         alpha = 1.0

@@ -143,10 +143,9 @@ def step_zoh(q: np.ndarray, u, params: ArmParams, w, rngs=()) -> tuple:
     variable.
     """
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"commands must be finite, got {u}")
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        raise ValueError(f"commands must lie in [0, 1], got {u}")
+    # NaN fails both comparisons and an infinity one of them
+    if not np.all((u >= 0.0) & (u <= 1.0)):
+        raise ValueError(f"commands must be finite and lie in [0, 1], got {u}")
     tau = params.tau_max * (2.0 * np.ascontiguousarray(u.T) - 1.0)
     q = np.array(np.asarray(q, dtype=float).T, order="C")
     terms = _payload_terms(params, w, q.shape[1:])
@@ -189,12 +188,10 @@ def ramp_and_hold(rng, m: int, Ts: float):
 
 
 def excitation(rng, Ts: float):
-    """Open-loop policy ``(k, y) -> u`` of clipped ramp-and-hold commands
-    drawn from ``rng``; it ignores the measurement."""
+    """Open-loop policy ``(k, y) -> u`` of ramp-and-hold commands drawn from
+    ``rng``; it ignores the measurement."""
     commands = ramp_and_hold(rng, m=ARM_SHAPE[1], Ts=Ts)
-    # np.clip(u, 0, 1) as two ufunc calls, without np.clip's Python dispatch;
-    # they differ only on -0.0, which ramp_and_hold never yields
-    return lambda k, y: np.minimum(np.maximum(next(commands), 0.0), 1.0)
+    return lambda k, y: next(commands)
 
 
 @dataclass(frozen=True)

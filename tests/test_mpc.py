@@ -278,6 +278,48 @@ def test_solver_holds_released_coordinate_pushed_outward():
     assert np.allclose(res.x, [1.0, 0.0], atol=1e-12)
 
 
+def nth_box_qp(k):
+    """The k-th QP (from 0) of the stream test_solver_against_enumeration_oracle
+    draws from, sizes 2..8."""
+    rng = np.random.default_rng(1)
+    for _ in range(k):
+        random_box_qp(rng, int(rng.integers(2, 9)))
+    return random_box_qp(rng, int(rng.integers(2, 9)))
+
+
+@pytest.mark.parametrize("k, held, passes", [
+    (123, 2, 1), (126, 2, 1), (1401, 3, 1), (1557, 3, 1), (411, 1, 2), (690, 1, 2),
+])
+def test_solver_hold_loop_matches_enumeration_oracle(k, held, passes, monkeypatch):
+    # QPs on which one pass of the hold loop holds two or three coordinates,
+    # or the loop re-solves twice in one iteration: the solver still reaches
+    # the enumerated optimum, and every hold loop leaves a nonempty step
+    calls = []
+    newton = mpc._free_newton
+
+    def spy(H, g, free, d):
+        # d comes in zero exactly on a hold-loop re-solve
+        resolve = not d.any()
+        d = newton(H, g, free, d)
+        calls.append((int(free.sum()), resolve, d.any()))
+        return d
+
+    monkeypatch.setattr(mpc, "_free_newton", spy)
+    H, f, lo, hi = nth_box_qp(k)
+    res = solve_box_qp(H, f, lo, hi, tol=1e-8, max_iter=200)
+    # one (first solve, hold passes...) group per iteration
+    starts = [i for i, (_, resolve, _) in enumerate(calls) if not resolve] + [len(calls)]
+    groups = [calls[a:b] for a, b in zip(starts, starts[1:])]
+    assert max(len(grp) - 1 for grp in groups) == passes
+    assert max(before[0] - after[0] for grp in groups
+               for before, after in zip(grp, grp[1:])) == held
+    assert all(grp[-1][2] for grp in groups if len(grp) > 1)
+    x_ref = enumerate_box_qp(H, f, lo, hi)
+    assert abs(qp_objective(H, f, res.x) - qp_objective(H, f, x_ref)) < 1e-6
+    assert res.kkt_residual <= 1e-6
+    assert np.all(res.x >= lo - 1e-12) and np.all(res.x <= hi + 1e-12)
+
+
 def test_receding_horizon_shift_property():
     # constant reference, exact model: re-solving from the predicted next
     # state reproduces the previous solution shifted by one block

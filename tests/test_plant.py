@@ -150,26 +150,42 @@ def test_output_geometry_invariants():
                            atol=1e-15)
 
 
-def test_command_bounds_enforced():
+# the smallest steps outside the box, and the non-finite commands
+EDGE_COMMANDS = (-5e-324, 1.0 + 2.0**-52, np.nan, np.inf, -np.inf)
+COMMAND_ERROR = r"commands must be finite and lie in \[0, 1\], got"
+
+
+def assert_commands_refused(bad_values):
+    """Each value, in either joint's command, is refused with the one command
+    error by a lone state, by a stack of three and through drive, and the
+    states passed in stay as they were."""
     params = ArmParams()
-    with pytest.raises(ValueError):
-        step_zoh(np.zeros(4), np.array([1.2, 0.5]), params, 0.0)
-    with pytest.raises(ValueError):
-        step_zoh(np.zeros(4), np.array([0.5, -0.1]), params, 0.0)
+    q = np.array([0.1, -0.2, 0.3, 0.0])
+    stack = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 4))
+    saved = q.copy(), stack.copy()
+    for bad in bad_values:
+        for u in ([bad, 0.5], [0.5, bad]):
+            with pytest.raises(ValueError, match=COMMAND_ERROR):
+                step_zoh(q, np.array(u), params, 0.1)
+            U = np.full((3, 2), 0.5)
+            U[1] = u
+            with pytest.raises(ValueError, match=COMMAND_ERROR):
+                step_zoh(stack, U, params, np.full(3, 0.1))
+            with pytest.raises(ValueError, match=COMMAND_ERROR):
+                drive(params, [Run(0.1, np.random.default_rng(0), 3, hold(u))])
+    # the plant does not move on a rejected command
+    assert np.array_equal(q, saved[0]) and np.array_equal(stack, saved[1])
+
+
+def test_command_bounds_enforced():
+    assert_commands_refused((1.2, -0.1) + EDGE_COMMANDS)
+    # the box's own edges, -0.0 included, are commands
+    q, _ = step_zoh(np.zeros(4), np.array([-0.0, 1.0]), ArmParams(), 0.0)
+    assert np.all(np.isfinite(q))
 
 
 def test_non_finite_commands_rejected():
-    params = ArmParams()
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError):
-            step_zoh(np.zeros(4), np.array([bad, 0.5]), params, 0.0)
-    q = np.array([0.1, -0.2, 0.3, 0.0])
-    before = q.copy()
-    with pytest.raises(ValueError):
-        step_zoh(q, np.array([0.5, np.nan]), params, 0.1)
-    assert np.array_equal(q, before)  # the plant does not move on a rejected command
-    with pytest.raises(ValueError):
-        drive(params, [Run(0.1, np.random.default_rng(0), 3, hold([0.5, np.nan]))])
+    assert_commands_refused(EDGE_COMMANDS)
 
 
 @pytest.mark.parametrize("B, per_row", [
@@ -377,10 +393,22 @@ def test_diverging_integrator_fails_closed():
         drive(params, [run])
 
 
-def test_ramp_and_hold_stays_in_range():
-    rng = np.random.default_rng(4)
-    policy = ramp_and_hold(rng, m=2, Ts=0.05)
-    us = np.array([next(policy) for _ in range(500)])
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), Ts=st.floats(0.01, 0.2))
+def test_ramp_and_hold_stays_in_range(seed, m, Ts):
+    # hold levels are uniform draws in [0, 1) and a ramp value rounds between
+    # its two ends, so every command is in the box with its sign bit clear;
+    # excitation hands them to step_zoh unclipped
+    policy = ramp_and_hold(np.random.default_rng(seed), m=m, Ts=Ts)
+    us = np.array([next(policy) for _ in range(400)])
+    assert us.shape == (400, m)
     assert np.all(us >= 0.0) and np.all(us <= 1.0)
-    # actually moves: ramps connect distinct hold levels
+    assert not np.any(np.signbit(us))
+    # actually moves: 400 draws span at least one ramp (a hold is at most 1.5 s)
+    assert np.ptp(us, axis=0).min() > 0.0
+
+
+def test_ramp_and_hold_ramps_between_distinct_levels():
+    policy = ramp_and_hold(np.random.default_rng(4), m=2, Ts=0.05)
+    us = np.array([next(policy) for _ in range(500)])
     assert np.ptp(us, axis=0).min() > 0.1
