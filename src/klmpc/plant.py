@@ -2,9 +2,10 @@
 springs and dampers, torque inputs through a zero-order hold, an unknown tip
 payload, and seeded Gaussian sensor noise on the measured positions.
 
-A state is a (4,) array, or a (B, 4) stack of them.  :func:`drive` is the one
-loop that steps the arm: the data campaigns and each experiment are one batch
-of their runs' policies, and each run stays bit-identical to driving it alone.
+:func:`drive` is the one loop that steps the arm: the data campaigns and each
+experiment are one batch of their runs' policies, and each run stays
+bit-identical to driving it alone.  The runs still going share one
+:func:`_stepper`, bound again only when a run leaves.
 """
 
 from __future__ import annotations
@@ -50,18 +51,17 @@ class ArmParams:
             raise ValueError(f"ArmParams: 'substeps' must be >= 1, got {self.substeps}")
 
 
-def _payload_terms(params: ArmParams, w, shape: tuple) -> tuple:
-    """The right-hand side's constants at fixed payloads, for states of batch
-    shape ``shape`` (``()`` for one state, ``(B,)`` for B of them), with
-    m2p = m2 + w:
+def _payload_terms(params: ArmParams, w: np.ndarray) -> tuple:
+    """The right-hand side's constants for B runs of payloads ``w``, (B,),
+    with m2p = m2 + w:
 
     - ``ll`` = m2p*L1*L2;
     - ``coriolis`` = (-ll, +ll), the Coriolis coefficient of each joint row;
     - ``gravity`` = ((m1+m2p)*g*L1, m2p*g*L2), one row per joint;
     - ``stiff`` = (k, k, c, c) against the state rows (th1, th2, om1, om2);
-    - ``M``, a (shape + (2, 2)) mass-matrix buffer with its constant
-      diagonal filled in, and ``coupling``, a (2,) + shape view of its two
-      off-diagonal entries.
+    - ``M``, a (B, 2, 2) mass-matrix buffer with its constant diagonal
+      filled in, and ``coupling``, a (2, B) view of its two off-diagonal
+      entries.
 
     Each product is formed in the order the expanded formulas use, and a
     negation is exact, so every derivative rounds exactly as if computed
@@ -70,105 +70,124 @@ def _payload_terms(params: ArmParams, w, shape: tuple) -> tuple:
     m2p = params.m2 + w
     m1p = params.m1 + m2p
     ll = m2p * params.L1 * params.L2
-    rows = np.empty((4,) + shape)
-    rows[0] = -ll
-    rows[1] = ll
-    rows[2] = m1p * params.g * params.L1
-    rows[3] = m2p * params.g * params.L2
-    stiff = np.array([params.k, params.k, params.c, params.c]).reshape(
-        (4,) + (1,) * len(shape))
-    M = np.empty(shape + (2, 2))
-    M[..., 0, 0] = m1p * params.L1**2
-    M[..., 1, 1] = m2p * params.L2**2
-    coupling = M.reshape(shape + (4,))[..., 1:3].T
-    return ll, rows[:2], rows[2:], stiff, M, coupling
+    coriolis = np.array([-ll, ll])
+    gravity = np.array([m1p * params.g * params.L1, m2p * params.g * params.L2])
+    stiff = np.array([[params.k], [params.k], [params.c], [params.c]])
+    M = np.empty(w.shape + (2, 2))
+    M[:, 0, 0] = m1p * params.L1**2
+    M[:, 1, 1] = m2p * params.L2**2
+    coupling = M.reshape(-1, 4)[:, 1:3].T
+    return ll, coriolis, gravity, stiff, M, coupling
 
 
-def _rhs(q: np.ndarray, tau: np.ndarray, terms: tuple) -> np.ndarray:
-    """Derivative of states in structure-of-arrays form: ``q`` is (4,) + shape
-    with rows (th1, th2, om1, om2), ``tau`` is (2,) + shape, and ``terms``
-    come from :func:`_payload_terms`, whose mass-matrix buffer this
-    overwrites.
-
-    Both joint rows are one expression, rounded as the expanded per-joint
-    formulas are, left to right: torque, Coriolis (its sign carried by the
-    ``coriolis`` row), gravity, spring, damper.
+def _rk4_stage(terms: tuple, tau: np.ndarray, x: np.ndarray, dq: np.ndarray) -> Callable:
+    """Bind one RK4 stage: a call writes into ``dq`` the derivative of the
+    states ``x``, both (4, B) with rows (th1, th2, om1, om2), under the
+    torques ``tau``, (2, B), into buffers bound here, ``terms``' mass matrix
+    among them.  Both joint rows are one expression, rounded as the expanded
+    per-joint formulas are, left to right: torque, Coriolis (its sign carried
+    by the ``coriolis`` row), gravity, spring, damper.
     """
     ll, coriolis, gravity, stiff, M, coupling = terms
-    th, om = q[:2], q[2:]
-    d12 = q[0] - q[1]
-    coupling[...] = ll * np.cos(d12)
-    f = coriolis * np.sin(d12)
-    f *= np.square(om[::-1])
-    f += tau
-    f -= gravity * np.sin(th)
-    kc = stiff * q
-    f -= kc[:2]
-    f -= kc[2:]
-    dq = np.empty_like(q)
-    dq[:2] = om
-    # straight into the derivative; the mass matrix is positive definite
-    lapack.solve(M, f.T[..., None], signature="dd->d", out=dq[2:].T[..., None])
-    return dq
+    th1, th2, th, om, om_swapped = x[0], x[1], x[:2], x[2:], x[3:1:-1]
+    d12, trig = np.empty((2,) + ll.shape)
+    (f, sines), kc = np.empty((2,) + th.shape), np.empty(x.shape)
+    spring, damper, rates = kc[:2], kc[2:], dq[:2]
+    rhs, acc = f.T[..., None], dq[2:].T[..., None]
+    sin, cos, square, copyto, solve = np.sin, np.cos, np.square, np.copyto, lapack.solve
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+
+    def stage():
+        subtract(th1, th2, d12)
+        multiply(ll, cos(d12, trig), coupling)
+        multiply(coriolis, sin(d12, trig), f)
+        multiply(f, square(om_swapped, sines), f)
+        add(f, tau, f)
+        subtract(f, multiply(gravity, sin(th, sines), sines), f)
+        multiply(stiff, x, kc)
+        subtract(f, spring, f)
+        subtract(f, damper, f)
+        copyto(rates, om)
+        # straight into the derivative; the mass matrix is positive definite
+        solve(M, rhs, acc, signature="dd->d")
+
+    return stage
+
+
+def _stepper(params: ArmParams, q: np.ndarray, w: np.ndarray) -> Callable:
+    """Bind ``advance(u)`` for B runs of payloads ``w``, (B,): it moves their
+    states ``q``, a C-contiguous (4, B) array of rows (th1, th2, om1, om2), in
+    place over one sample period of the held commands u in [0, 1]^2, (B, 2)
+    or (2,) for B = 1, at torque tau_max * (2u - 1) per joint.  A command
+    outside the box, NaN included, raises ValueError before the plant moves,
+    and a state driven out of the finite numbers raises after.  Payload
+    terms, buffers and the four stage closures are made here, once.
+    """
+    terms = _payload_terms(params, w)
+    tau, x = np.empty((2,) + w.shape), np.empty_like(q)
+    k1, k2, k3, k4 = np.empty((4,) + q.shape)
+    stage1, stage2, stage3, stage4 = (_rk4_stage(terms, tau, src, k)
+                                      for src, k in ((q, k1), (x, k2), (x, k3), (x, k4)))
+    h = params.Ts / params.substeps
+    half, sixth = 0.5 * h, h / 6.0
+    multiply, add = np.multiply, np.add
+
+    # a diverging state overflows on the way; the check at the end reports it
+    @np.errstate(over="ignore", invalid="ignore")
+    def advance(u):
+        u = np.asarray(u, dtype=float)
+        # NaN fails both comparisons and an infinity one of them
+        if not np.all((u >= 0.0) & (u <= 1.0)):
+            raise ValueError(f"commands must be finite and lie in [0, 1], got {u}")
+        multiply(params.tau_max, 2.0 * u.reshape(-1, 2).T - 1.0, tau)
+        for _ in range(params.substeps):
+            stage1()
+            add(q, multiply(half, k1, x), x)
+            stage2()
+            add(q, multiply(half, k2, x), x)
+            stage3()
+            add(q, multiply(h, k3, x), x)
+            stage4()
+            # q + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right; the
+            # two operands of a sum commute exactly, so k2 holds the sum
+            add(add(multiply(k2, 2.0, k2), k1, k2), multiply(k3, 2.0, k3), k2)
+            add(q, multiply(add(k2, k4, k2), sixth, k2), q)
+        if not np.all(np.isfinite(q)):
+            raise ValueError(f"the arm state diverged: the RK4 step of Ts = {params.Ts} s "
+                             f"in {params.substeps} substeps is unstable for this arm")
+
+    return advance
 
 
 def _measure(q: np.ndarray, params: ArmParams, rngs) -> np.ndarray:
-    """(x, y) of the link-1 tip and end effector for states (4,) or (B, 4),
-    plus sensor noise drawn from one generator per row when ``rngs`` holds
-    them and noise_std > 0."""
-    th1, th2, _, _ = np.asarray(q).T
+    """(x, y) of the link-1 tip and end effector, (B, 4), for the states
+    ``q``, (4, B) with rows (th1, th2, om1, om2), plus sensor noise drawn
+    from one generator per run when ``rngs`` holds them and noise_std > 0."""
+    th1, th2 = q[0], q[1]
     y = np.empty(th1.shape + (4,))
-    y[..., 0] = params.L1 * np.sin(th1)
-    y[..., 1] = -params.L1 * np.cos(th1)
-    y[..., 2] = y[..., 0] + params.L2 * np.sin(th2)
-    y[..., 3] = y[..., 1] - params.L2 * np.cos(th2)
+    y[:, 0] = params.L1 * np.sin(th1)
+    y[:, 1] = -params.L1 * np.cos(th1)
+    y[:, 2] = y[:, 0] + params.L2 * np.sin(th2)
+    y[:, 3] = y[:, 1] - params.L2 * np.cos(th2)
     if len(rngs) and params.noise_std > 0:
         y = y + np.reshape([rng.normal(0.0, params.noise_std, size=4) for rng in rngs],
                            y.shape)
     return y
 
 
-# a diverging state overflows on the way; the check at the end reports it
-@np.errstate(over="ignore", invalid="ignore")
 def step_zoh(q: np.ndarray, u, params: ArmParams, w, rngs=()) -> tuple:
     """Advance states (4,) or (B, 4) with payloads w over one sample period
     under the zero-order-held commands u in [0, 1]^2, (2,) or (B, 2); return
     the next states and their measured outputs, with sensor noise drawn from
-    ``rngs``, one generator per row.
-
-    Torque is tau_max * (2u - 1) per joint.  A non-finite or out-of-range
-    command raises ValueError before the plant moves, and a state the RK4
-    step drives out of the finite numbers raises after.  The RK4 substeps
-    run on the (4,) + batch transpose of the states, one row per state
-    variable.
+    ``rngs``, one generator per row.  One call of a :func:`_stepper` bound to
+    a copy of the states (a lone state as a batch of one), so it refuses and
+    rounds as :func:`drive` does and leaves its inputs as they were.
     """
-    u = np.asarray(u, dtype=float)
-    # NaN fails both comparisons and an infinity one of them
-    if not np.all((u >= 0.0) & (u <= 1.0)):
-        raise ValueError(f"commands must be finite and lie in [0, 1], got {u}")
-    tau = params.tau_max * (2.0 * np.ascontiguousarray(u.T) - 1.0)
-    q = np.array(np.asarray(q, dtype=float).T, order="C")
-    terms = _payload_terms(params, w, q.shape[1:])
-    h = params.Ts / params.substeps
-    half, sixth = 0.5 * h, h / 6.0
-    for _ in range(params.substeps):
-        k1 = _rhs(q, tau, terms)
-        k2 = _rhs(q + half * k1, tau, terms)
-        k3 = _rhs(q + half * k2, tau, terms)
-        k4 = _rhs(q + h * k3, tau, terms)
-        # q + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right; the two
-        # operands of a sum commute exactly, so k2 can hold the running sum
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
-        k2 *= sixth
-        q = q + k2
-    if not np.all(np.isfinite(q)):
-        raise ValueError(f"the arm state diverged: the RK4 step of Ts = {params.Ts} s "
-                         f"in {params.substeps} substeps is unstable for this arm")
-    return q.T, _measure(q.T, params, rngs)
+    q = np.asarray(q, dtype=float)
+    state = np.array(q.reshape(-1, 4).T, order="C")
+    _stepper(params, state, np.broadcast_to(w, state.shape[1:]))(u)
+    y = _measure(state, params, rngs)
+    return (state.T, y) if q.ndim == 2 else (state[:, 0], y[0])
 
 
 def ramp_and_hold(rng, m: int, Ts: float):
@@ -212,12 +231,13 @@ def drive(params: ArmParams, runs) -> list:
     ``steps`` commands applied.
 
     Each period the policies of the runs still going are called in turn,
-    then their states advance together through one :func:`step_zoh`.  The
-    longest runs come first in the batch, so the runs still going are always
-    a leading slice and a run leaves when its steps are done.  A run draws
-    from its own generator and its policy's in the order it would alone (the
-    initial measurement, then per period the policy, the step and the noise),
-    and the batched arithmetic is that of a lone state, so every run is
+    then one :func:`_stepper` advances their states together.  The longest
+    runs come first in the batch, so the runs still going are always a
+    leading slice; a run leaves when its steps are done, and only then is a
+    stepper bound to the states of the runs left.  A run draws from its own
+    generator and its policy's in the order it would alone (the initial
+    measurement, then per period the policy, the step and the noise), and
+    the batched arithmetic is that of a lone state, so every run is
     identical to driving it by itself.
     """
     order = sorted(range(len(runs)), key=lambda i: -runs[i].steps)
@@ -228,7 +248,7 @@ def drive(params: ArmParams, runs) -> list:
     steps = np.array([run.steps for run in batch], dtype=int)
     rngs = [run.rng for run in batch]
     K = int(steps.max(initial=0))
-    q = np.zeros((len(batch), 4))
+    q, advance = np.zeros((4, len(batch))), None
     Y = np.empty((len(batch), K + 1, ARM_SHAPE[0]))
     U = np.empty((len(batch), K, ARM_SHAPE[1]))
     Y[:, 0] = _measure(q, params, rngs)
@@ -236,10 +256,11 @@ def drive(params: ArmParams, runs) -> list:
         n = int(np.count_nonzero(steps > k))
         for i in range(n):
             U[i, k] = batch[i].policy(k, Y[i, k])
-        # a lone run steps as a (4,) state, which is faster than a (1, 4)
-        # stack and rounds the same
-        rows = slice(0, n) if n > 1 else 0
-        q[rows], Y[rows, k + 1] = step_zoh(q[rows], U[rows, k], params, w[rows], rngs[:n])
+        if advance is None or n < q.shape[1]:
+            q = q[:, :n].copy()
+            advance = _stepper(params, q, w[:n])
+        advance(U[:n, k])
+        Y[:n, k + 1] = _measure(q, params, rngs[:n])
     return [(Y[j, :steps[j] + 1], U[j, :steps[j]]) for j in np.argsort(order)]
 
 

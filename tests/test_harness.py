@@ -506,10 +506,11 @@ def test_estimation_trial_refuses_a_duration_without_a_sample_period(
 def test_run_experiment4_refuses_a_phase_without_a_sample_period(default_cfg, models,
                                                                  monkeypatch):
     # at Ts = 25 s the 10 s drop-off phase rounds to no step: the runner
-    # raises, naming the phase's duration, before the plant moves
+    # raises, naming the phase's duration, before the plant moves; drive
+    # binds a stepper before a run's first step
     cfg = dataclasses.replace(default_cfg, plant=ArmParams(Ts=25.0, substeps=5000))
-    steps = []
-    monkeypatch.setattr(plant, "step_zoh", lambda *a: steps.append(a))
+    steps, stepper = [], plant._stepper
+    monkeypatch.setattr(plant, "_stepper", lambda *a: steps.append(a) or stepper(*a))
     with pytest.raises(ValueError, match=f"duration {harness.SORT_DROPOFF_DURATION} s"):
         run_experiment4(cfg, models)
     assert steps == []

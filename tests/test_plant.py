@@ -229,7 +229,7 @@ def test_step_zoh_matches_row_wise_oracle(rows):
     data = np.array(rows)
     q, u, w = data[:, :4], data[:, 4:6], data[:, 6]
     assert np.array_equal(step_zoh(q, u, params, w)[0], reference_advance(q, u, params, w))
-    # the first row alone takes the (4,) path
+    # the first row alone, as a (4,) state
     assert np.array_equal(step_zoh(q[0], u[0], params, w[0])[0],
                           reference_advance(q[0], u[0], params, w[0]))
 
@@ -247,8 +247,10 @@ def test_lone_state_derivative_matches_row_wise_oracle(q, u, w):
     params = STIFF_ARM
     q = np.array(q)
     tau = params.tau_max * (2.0 * np.array(u) - 1.0)
-    got = plant._rhs(q, tau, plant._payload_terms(params, w, ()))
-    assert np.array_equal(got, reference_dynamics(q, tau, params, w))
+    # the stage a lone run's stepper binds: a batch of one
+    got = np.empty((4, 1))
+    plant._rk4_stage(plant._payload_terms(params, np.array([w])), tau[:, None], q[:, None], got)()
+    assert np.array_equal(got[:, 0], reference_dynamics(q, tau, params, w))
 
 
 def test_collect_training_data_matches_run_by_run():
@@ -274,9 +276,8 @@ def test_collect_training_data_matches_run_by_run():
     # `drive` under the campaigns: runs of unequal lengths (one of none),
     # with open-loop and feedback policies, each drawing its policy and its
     # noise from separate generators, leave the batch as they end and equal
-    # each run driven alone and the hand-written one-run loop
-    specs = [(0.05, 3, 1), (0.3, 17, 2), (0.0, 0, 3), (0.15, 9, 4), (0.2, 17, 5)]
-
+    # each run driven alone and the hand-written one-run loop; the second
+    # batch shrinks 3 -> 2 -> 1, so a stepper hands a lone run on
     def make(w, steps, seed):
         policy = excitation(np.random.default_rng(seed + 100), params.Ts)
         if seed % 2:
@@ -284,14 +285,38 @@ def test_collect_training_data_matches_run_by_run():
             policy = lambda k, y: np.clip(excite(k, y) + 5.0 * y[[0, 2]], 0.0, 1.0)
         return Run(w, np.random.default_rng(seed), steps, policy)
 
-    batch = drive(params, [make(*spec) for spec in specs])
-    for spec, (Y, U) in zip(specs, batch, strict=True):
-        [(Y1, U1)] = drive(params, [make(*spec)])
-        run = make(*spec)
-        Y2, U2 = reference_run(params, run.w, run.steps, run.rng, run.policy)
-        assert Y.shape == (spec[1] + 1, 4) and U.shape == (spec[1], 2)
-        assert np.array_equal(Y, Y1) and np.array_equal(U, U1)
-        assert np.array_equal(Y, Y2) and np.array_equal(U, U2)
+    for specs in ([(0.05, 3, 1), (0.3, 17, 2), (0.0, 0, 3), (0.15, 9, 4), (0.2, 17, 5)],
+                  [(0.1, 12, 6), (0.25, 5, 7), (0.05, 20, 8)]):
+        batch = drive(params, [make(*spec) for spec in specs])
+        for spec, (Y, U) in zip(specs, batch, strict=True):
+            [(Y1, U1)] = drive(params, [make(*spec)])
+            run = make(*spec)
+            Y2, U2 = reference_run(params, run.w, run.steps, run.rng, run.policy)
+            assert Y.shape == (spec[1] + 1, 4) and U.shape == (spec[1], 2)
+            assert np.array_equal(Y, Y1) and np.array_equal(U, U1)
+            assert np.array_equal(Y, Y2) and np.array_equal(U, U2)
+
+
+@pytest.mark.parametrize("B", [None, 3])
+def test_step_zoh_hands_back_arrays_it_does_not_reuse(B):
+    # a second step, from the first one's states, leaves the caller's inputs
+    # and the first step's states and outputs as they were: no array handed
+    # in or back is a stepper's buffer
+    params = ArmParams()
+    rng = np.random.default_rng(9)
+    shape = () if B is None else (B,)
+    q, u, w = (rng.uniform(-1.0, 1.0, shape + (4,)), rng.uniform(0.0, 1.0, shape + (2,)),
+               rng.uniform(0.0, W_MAX, shape))
+    rngs = [np.random.default_rng(i) for i in range(B or 1)]
+    inputs = [q, u, w]
+    saved = [a.copy() for a in inputs]
+    first = step_zoh(q, u, params, w, rngs)
+    kept = [a.copy() for a in first]
+    second = step_zoh(first[0], u, params, w, rngs)
+    for a, b in zip(inputs + list(first), saved + kept, strict=True):
+        assert np.array_equal(a, b)
+    # the second step moved the arm, so an overwrite would have shown
+    assert not np.array_equal(second[0], first[0]) and not np.array_equal(second[1], first[1])
 
 
 def test_noiseless_determinism():
@@ -398,7 +423,7 @@ def test_diverging_integrator_fails_closed():
 def test_ramp_and_hold_stays_in_range(seed, m, Ts):
     # hold levels are uniform draws in [0, 1) and a ramp value rounds between
     # its two ends, so every command is in the box with its sign bit clear;
-    # excitation hands them to step_zoh unclipped
+    # excitation hands them to the plant unclipped
     policy = ramp_and_hold(np.random.default_rng(seed), m=m, Ts=Ts)
     us = np.array([next(policy) for _ in range(400)])
     assert us.shape == (400, m)
