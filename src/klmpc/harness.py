@@ -18,7 +18,7 @@ import numpy as np
 
 from . import edmd, lifting, observer as obs
 from .edmd import KoopmanModel
-from .mpc import Controller, MpcConfig, end_effector_weight
+from .mpc import Controller, MpcConfig
 from .observer import EstimatorConfig, EstimatorState
 from .plant import (ARM_SHAPE, ArmParams, CampaignConfig, Run, collect_training_data, drive,
                     excitation, sample_steps)
@@ -79,14 +79,11 @@ class ExperimentConfig:
         self.mpc_config()  # range checks of the controller settings
 
     def mpc_config(self) -> MpcConfig:
-        n, m = ARM_SHAPE
-        return MpcConfig(
-            Nh=self.Nh,
-            Q=end_effector_weight(n),
-            R=self.r_weight * np.eye(m),
-            u_min=np.zeros(m),
-            u_max=np.ones(m),
-        )
+        # unit weight on the end effector's position, the last two outputs;
+        # scaling q and r_weight together leaves the minimizer unchanged, so
+        # r_weight alone sets the tracking trade-off
+        return MpcConfig(Nh=self.Nh, q=(0.0, 0.0, 1.0, 1.0), r_weight=self.r_weight,
+                         u_min=0.0, u_max=1.0)
 
 
 def _read_json(path, where: str) -> dict:
@@ -469,7 +466,7 @@ def run_experiment4(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> np.
     targets = bin_targets(params)
     K_drop = sample_steps(SORT_DROPOFF_DURATION, params.Ts)
     K_est = sample_steps(SORT_ESTIMATION_DURATION, params.Ts)
-    drop_mpc = dataclasses.replace(cfg, r_weight=DROPOFF_R_WEIGHT).mpc_config()
+    drop_mpc = dataclasses.replace(cfg.mpc_config(), r_weight=DROPOFF_R_WEIGHT)
 
     def trial(i, payload):
         seed = cfg.seed * 10000 + i

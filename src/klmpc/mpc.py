@@ -23,11 +23,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class MpcConfig:
+    """The tracking cost's weights and the input box: the output error
+    weighed by diag(q), each input by r_weight, and every input held to
+    [u_min, u_max]."""
     Nh: int                      # horizon (steps)
-    Q: np.ndarray                # output-error weight (n x n, PSD)
-    R: np.ndarray                # input weight (m x m, PD)
-    u_min: np.ndarray
-    u_max: np.ndarray
+    q: tuple                     # output-error weight per output (>= 0)
+    r_weight: float              # input weight (> 0)
+    u_min: float
+    u_max: float
     # the QP's stopping rule: KKT residual within qp_tol, or qp_max_iter iterations
     qp_tol: ClassVar[float] = 1e-8
     qp_max_iter: ClassVar[int] = 100
@@ -36,27 +39,14 @@ class MpcConfig:
         # each check is written so that NaN fails it
         if not self.Nh >= 1:
             raise ValueError(f"MpcConfig: 'Nh' must be >= 1, got {self.Nh}")
-        lo, hi = np.asarray(self.u_min, dtype=float), np.asarray(self.u_max, dtype=float)
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
+        q = np.asarray(self.q, dtype=float)
+        if not (q.ndim == 1 and np.all((q >= 0.0) & (q < np.inf))):
+            raise ValueError(f"MpcConfig: 'q' must be finite weights >= 0, got {self.q}")
+        if not 0.0 < self.r_weight < np.inf:
+            raise ValueError(f"MpcConfig: 'r_weight' must be finite and > 0, got {self.r_weight}")
+        if not -np.inf < self.u_min < self.u_max < np.inf:
             raise ValueError(f"MpcConfig: 'u_min' and 'u_max' must be finite with "
-                             f"u_min < u_max componentwise, got {lo} and {hi}")
-        # Q PSD up to rounding of its entries, R PD; a non-finite entry fails
-        Q, R = (np.asarray(W, dtype=float) for W in (self.Q, self.R))
-        if not (np.all(np.isfinite(Q))
-                and np.linalg.eigvalsh(Q + Q.T)[0] >= -1e-12 * np.abs(Q).max()):
-            raise ValueError("MpcConfig: 'Q' must be positive semidefinite")
-        if not (np.all(np.isfinite(R)) and np.linalg.eigvalsh(R + R.T)[0] > 0.0):
-            raise ValueError("MpcConfig: 'R' must be positive definite")
-
-
-def end_effector_weight(n: int) -> np.ndarray:
-    """Unit output weight on the last two coordinates (the end effector
-    position); intermediate outputs are unweighted.  Scaling Q and R together
-    leaves the minimizer unchanged, so R alone sets the tracking trade-off."""
-    Q = np.zeros((n, n))
-    Q[-2, -2] = 1.0
-    Q[-1, -1] = 1.0
-    return Q
+                             f"u_min < u_max, got {self.u_min} and {self.u_max}")
 
 
 class Condenser:
@@ -82,8 +72,8 @@ class Condenser:
         zero = np.zeros((n, m))
         M = np.concatenate([np.concatenate(markov[i::-1] + [zero] * (Nh - 1 - i), axis=1)
                             for i in range(Nh)])
-        Qbar = np.kron(np.eye(Nh), np.asarray(cfg.Q, dtype=float))
-        Rbar = np.kron(np.eye(Nh), np.asarray(cfg.R, dtype=float))
+        Qbar = np.kron(np.eye(Nh), np.diag(np.asarray(cfg.q, dtype=float)))
+        Rbar = cfg.r_weight * np.eye(Nh * m)
         H = 2.0 * (M.T @ Qbar @ M + Rbar)
         self.S = S
         # the linear term's gain: f = P (S z0 - ref)
@@ -96,8 +86,8 @@ class Condenser:
         except np.linalg.LinAlgError:
             raise ValueError(f"Condenser: the condensation of the n_z = {model.n_z} model "
                              f"is not finite with a positive definite Hessian") from None
-        self.lower = np.tile(np.asarray(cfg.u_min, dtype=float), Nh)
-        self.upper = np.tile(np.asarray(cfg.u_max, dtype=float), Nh)
+        self.lower = np.full(Nh * m, float(cfg.u_min))
+        self.upper = np.full(Nh * m, float(cfg.u_max))
 
     def qp(self, z0: np.ndarray, ref: np.ndarray) -> np.ndarray:
         """The QP's linear term f at the lifted state z0 and the Nh reference rows."""
@@ -239,8 +229,7 @@ class Controller:
         if observed and est_cfg is None:
             raise ValueError("a load-augmented model needs known_load or est_cfg")
         self.estimator = EstimatorState(cfg=est_cfg, d=model.d) if observed else None
-        self.u_neutral = 0.5 * (np.asarray(mpc_cfg.u_min, dtype=float)
-                                + np.asarray(mpc_cfg.u_max, dtype=float))
+        self.u_neutral = np.full(model.m, 0.5 * (mpc_cfg.u_min + mpc_cfg.u_max))
         n, m, d = model.n, model.m, model.d
         self._log = np.recarray(d + len(self.reference), dtype=[
             ("step", int), ("t", float), ("y", float, (n,)), ("r", float, (n,)),

@@ -359,15 +359,25 @@ def _reference_prediction(model, cfg):
     return S, M
 
 
+def _reference_weights(cfg, m: int):
+    """The matrix form of the config's weights and box: Q = diag(q),
+    R = r_weight I_m, and u_min and u_max as per-input vectors."""
+    return (np.diag(np.asarray(cfg.q, dtype=float)), cfg.r_weight * np.eye(m),
+            np.full(m, float(cfg.u_min)), np.full(m, float(cfg.u_max)))
+
+
 def reference_condenser(model, cfg):
-    """The condensation's (S, P, H): the free response S, the linear term's
-    gain P = 2 M' Qbar and the symmetrised Hessian 2 (M' Qbar M + Rbar),
-    with every Markov block of M formed where it is placed."""
+    """The condensation's (S, P, H, lower, upper): the free response S, the
+    linear term's gain P = 2 M' Qbar, the symmetrised Hessian
+    2 (M' Qbar M + Rbar) and the box tiled over the horizon, with every
+    Markov block of M formed where it is placed and the block-diagonal
+    weights built from the matrices Q and R."""
     S, M = _reference_prediction(model, cfg)
-    Qbar = np.kron(np.eye(cfg.Nh), np.asarray(cfg.Q, dtype=float))
-    Rbar = np.kron(np.eye(cfg.Nh), np.asarray(cfg.R, dtype=float))
+    Q, R, lo, hi = _reference_weights(cfg, model.B.shape[1])
+    Qbar = np.kron(np.eye(cfg.Nh), Q)
+    Rbar = np.kron(np.eye(cfg.Nh), R)
     H = 2.0 * (M.T @ Qbar @ M + Rbar)
-    return S, (2.0 * M.T) @ Qbar, 0.5 * (H + H.T)
+    return S, (2.0 * M.T) @ Qbar, 0.5 * (H + H.T), np.tile(lo, cfg.Nh), np.tile(hi, cfg.Nh)
 
 
 def reference_condensed_f(model, cfg, z0, ref) -> np.ndarray:
@@ -375,7 +385,7 @@ def reference_condensed_f(model, cfg, z0, ref) -> np.ndarray:
     stacked C A^i (i = 1..Nh), M the block lower-triangular C A^(i-1-j) B
     and Qbar the block-diagonal output weight."""
     S, M = _reference_prediction(model, cfg)
-    Qbar = np.kron(np.eye(cfg.Nh), cfg.Q)
+    Qbar = np.kron(np.eye(cfg.Nh), _reference_weights(cfg, model.B.shape[1])[0])
     return 2.0 * M.T @ Qbar @ (S @ z0 - np.reshape(ref, -1))
 
 

@@ -545,7 +545,7 @@ def test_run_experiment4_objects_match_lone_oracle_runs(default_cfg, models, mon
     assert calls == [2]
     params, model, K_est = cfg.plant, models.koopman_load, 40
     targets = bin_targets(params)
-    drop_mpc = dataclasses.replace(cfg, r_weight=harness.DROPOFF_R_WEIGHT).mpc_config()
+    drop_mpc = dataclasses.replace(cfg.mpc_config(), r_weight=harness.DROPOFF_R_WEIGHT)
     payloads = np.random.default_rng(cfg.seed).uniform(0.0, 0.25, size=2)
     for i, payload in enumerate(payloads):
         seed = 10000 + i
@@ -836,6 +836,19 @@ def test_cli_fit_into_a_blocked_directory_fails_before_fitting(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("doc", [{"campaign": {"duration": 1e12}}, {"plant": {"Ts": 1e-12}}])
+def test_cli_run_too_large_to_allocate_is_one_error_line(tmp_path, capsys, doc):
+    # 2e13 or more samples per run: the campaign's first array needs
+    # petabytes, beyond any address space, so its allocation fails at once
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    models_path = tmp_path / "models.json"
+    assert cli.main(["--config", str(path), "fit", str(models_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and len(err.strip().splitlines()) == 1
+    assert not models_path.exists()
 
 
 @pytest.mark.parametrize("doc, key", [

@@ -17,7 +17,6 @@ from klmpc.mpc import (
     Condenser,
     Controller,
     MpcConfig,
-    end_effector_weight,
     kkt_residual,
     solve_box_qp,
 )
@@ -43,8 +42,7 @@ def scalar_model(a=1.0, b=1.0):
 
 
 def scalar_cfg(Nh=1, q=1.0, r=1.0, lo=-1.0, hi=1.0):
-    return MpcConfig(Nh=Nh, Q=np.array([[q]]), R=np.array([[r]]),
-                     u_min=np.array([lo]), u_max=np.array([hi]))
+    return MpcConfig(Nh=Nh, q=(q,), r_weight=r, u_min=lo, u_max=hi)
 
 
 def sine_reference(rows):
@@ -53,8 +51,10 @@ def sine_reference(rows):
 
 
 def rollout_cost(model, cfg, z0, ref, U):
-    """Direct evaluation of the tracking cost, independent of Condenser."""
+    """Direct evaluation of the tracking cost, independent of Condenser,
+    with the weights as the matrices Q = diag(q) and R = r_weight I."""
     Nh, m, n = cfg.Nh, model.m, model.n
+    Q, R = np.diag(cfg.q), cfg.r_weight * np.eye(m)
     z = np.asarray(z0, dtype=float)
     ref = np.asarray(ref, dtype=float).reshape(Nh, n)
     cost = 0.0
@@ -62,7 +62,7 @@ def rollout_cost(model, cfg, z0, ref, U):
         u = U[i * m:(i + 1) * m]
         z = model.A @ z + model.B @ u
         e = z[:n] - ref[i]
-        cost += e @ cfg.Q @ e + u @ cfg.R @ u
+        cost += e @ Q @ e + u @ R @ u
     return cost
 
 
@@ -92,8 +92,7 @@ def test_condense_matches_finite_difference_hessian():
     A *= 0.8 / np.max(np.abs(np.linalg.eigvals(A)))
     model = KoopmanModel(A=A, B=rng.normal(size=(3, 2)),
                          basis=identity_basis(2, 2, 0), Ts=TS)
-    cfg = MpcConfig(Nh=3, Q=np.diag([1.0, 2.0]), R=0.1 * np.eye(2),
-                    u_min=-np.ones(2), u_max=np.ones(2))
+    cfg = MpcConfig(Nh=3, q=(1.0, 2.0), r_weight=0.1, u_min=-1.0, u_max=1.0)
     z0 = rng.normal(size=3)
     ref = rng.normal(size=(3, 2))
     cond = Condenser(model, cfg)
@@ -139,10 +138,30 @@ def test_condenser_matches_blockwise_oracle(models, default_cfg):
     cfg = default_cfg.mpc_config()
     for model in (models.baseline, models.koopman, models.koopman_load):
         cond = Condenser(model, cfg)
-        S, P, H = reference_condenser(model, cfg)
-        assert np.array_equal(cond.S, S)
-        assert np.array_equal(cond.P, P)
-        assert np.array_equal(cond.H, H)
+        for name, oracle in zip("S P H lower upper".split(), reference_condenser(model, cfg)):
+            assert getattr(cond, name).tobytes() == oracle.tobytes(), name
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), extra=st.integers(0, 3),
+       m=st.integers(1, 3), Nh=st.integers(1, 6), log_r=st.floats(-6.0, 2.0),
+       lo=st.floats(-10.0, 10.0), width=st.floats(1e-3, 10.0))
+def test_condenser_matches_the_matrix_form_on_random_settings(seed, n, extra, m, Nh,
+                                                              log_r, lo, width):
+    # per-output weights (some zero), one input weight and one box give the
+    # arrays of the matrix form diag(q), r_weight I and tiled bounds, bit for bit
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n + extra, n + extra))
+    A *= rng.uniform(0.5, 1.0) / np.max(np.abs(np.linalg.eigvals(A)))
+    model = KoopmanModel(A=A, B=rng.normal(size=(n + extra, m)),
+                         basis=identity_basis(n, m, 0), Ts=TS)
+    q = tuple(rng.uniform(0.0, 5.0, n) * (rng.random(n) < 0.7))
+    cfg = MpcConfig(Nh=Nh, q=q, r_weight=10.0**log_r, u_min=lo, u_max=lo + width)
+    cond = Condenser(model, cfg)
+    for name, oracle in zip("S P H lower upper".split(), reference_condenser(model, cfg)):
+        assert getattr(cond, name).tobytes() == oracle.tobytes(), name
+    assert Controller(model, cfg, np.zeros((1, n))).u_neutral.tobytes() == np.full(
+        m, 0.5 * (cfg.u_min + cfg.u_max)).tobytes()
 
 
 def test_condense_reference_length_check():
@@ -163,8 +182,7 @@ def test_condense_reference_length_check():
 ], ids=["not-finite", "singular", "free-response-not-finite"])
 def test_condenser_refuses_a_model_it_cannot_condense(model):
     # one ValueError and no RuntimeWarning (warnings are errors here)
-    cfg = MpcConfig(Nh=2, Q=np.eye(1), R=1e-5 * np.eye(model.m),
-                    u_min=np.zeros(model.m), u_max=np.ones(model.m))
+    cfg = MpcConfig(Nh=2, q=(1.0,), r_weight=1e-5, u_min=0.0, u_max=1.0)
     with pytest.raises(ValueError, match="not finite with a positive definite Hessian"):
         Condenser(model, cfg)
 
@@ -324,8 +342,7 @@ def test_receding_horizon_shift_property():
     # constant reference, exact model: re-solving from the predicted next
     # state reproduces the previous solution shifted by one block
     model = scalar_model(a=0.5)
-    cfg = MpcConfig(Nh=20, Q=np.eye(1), R=np.eye(1),
-                    u_min=np.array([-10.0]), u_max=np.array([10.0]))
+    cfg = MpcConfig(Nh=20, q=(1.0,), r_weight=1.0, u_min=-10.0, u_max=10.0)
     cond = Condenser(model, cfg)
     ref = np.zeros(cfg.Nh)
     tol = 1e-10
@@ -338,38 +355,37 @@ def test_receding_horizon_shift_property():
     assert np.max(np.abs(second.x[:-1] - first.x[1:])) <= 10 * tol
 
 
-def test_end_effector_weight():
-    Q = end_effector_weight(4)
-    assert np.array_equal(np.diag(Q), [0.0, 0.0, 1.0, 1.0])
-    assert np.count_nonzero(Q) == 2
+def test_end_effector_weight(default_cfg):
+    # the arm's tracking cost weighs the end effector's position, its last two
+    # outputs, by 1; the inputs share one weight and the box [0, 1]
+    cfg = default_cfg.mpc_config()
+    assert cfg.q == (0.0, 0.0, 1.0, 1.0)
+    assert (cfg.r_weight, cfg.u_min, cfg.u_max) == (default_cfg.r_weight, 0.0, 1.0)
 
 
 def test_mpc_config_validation():
-    with pytest.raises(ValueError):
-        MpcConfig(Nh=0, Q=np.eye(1), R=np.eye(1),
-                  u_min=np.zeros(1), u_max=np.ones(1))
-    with pytest.raises(ValueError):
-        MpcConfig(Nh=1, Q=np.eye(1), R=np.eye(1),
-                  u_min=np.ones(1), u_max=np.zeros(1))
-    # Q must be PSD (zero is allowed) and R PD
-    MpcConfig(Nh=1, Q=np.zeros((2, 2)), R=np.eye(1), u_min=np.zeros(1), u_max=np.ones(1))
-    for Q, R, name in ((-np.eye(2), np.eye(1), "'Q'"), (np.diag([1.0, -1e-3]), np.eye(1), "'Q'"),
-                       (np.eye(2), np.zeros((1, 1)), "'R'"), (np.eye(2), -np.eye(1), "'R'"),
-                       (np.eye(2), np.full((1, 1), np.nan), "'R'")):
-        with pytest.raises(ValueError, match=name):
-            MpcConfig(Nh=1, Q=Q, R=R, u_min=np.zeros(1), u_max=np.ones(1))
-    # finite input bounds; NaN fails each check
-    for kwargs, name in (({"u_min": [np.nan]}, "'u_min'"), ({"u_max": [np.inf]}, "'u_max'"),
-                         ({"u_min": [-np.inf]}, "'u_min'"), ({"Nh": np.nan}, "'Nh'")):
-        with pytest.raises(ValueError, match=name):
-            MpcConfig(**{"Nh": 1, "Q": np.eye(1), "R": np.eye(1), "u_min": np.zeros(1),
-                         "u_max": np.ones(1), **kwargs})
+    good = {"Nh": 1, "q": (1.0, 0.0), "r_weight": 1.0, "u_min": 0.0, "u_max": 1.0}
+    MpcConfig(**good)
+    MpcConfig(**{**good, "q": (0.0, 0.0)})  # a zero output weight is allowed
+    # one ValueError naming its field; NaN fails each check
+    for key, value, name in (
+            ("Nh", 0, "'Nh'"), ("Nh", np.nan, "'Nh'"),
+            ("q", (1.0, -1e-3), "'q'"), ("q", (np.nan, 1.0), "'q'"), ("q", (1.0, np.inf), "'q'"),
+            ("q", 1.0, "'q'"),
+            ("r_weight", 0.0, "'r_weight'"), ("r_weight", -1.0, "'r_weight'"),
+            ("r_weight", np.nan, "'r_weight'"), ("r_weight", np.inf, "'r_weight'"),
+            ("u_min", 1.0, "'u_min' and 'u_max'"), ("u_min", 2.0, "'u_min' and 'u_max'"),
+            ("u_min", np.nan, "'u_min'"), ("u_min", -np.inf, "'u_min'"),
+            ("u_max", np.nan, "'u_max'"), ("u_max", np.inf, "'u_max'")):
+        with pytest.raises(ValueError, match=f"^MpcConfig: .*{name}"):
+            MpcConfig(**{**good, key: value})
 
 
 def test_the_qp_stopping_rule_is_stated_once():
     # the QP's tolerance and iteration cap are MpcConfig's class constants,
     # not constructor fields, and solve_box_qp's defaults are the same two
-    assert [f.name for f in dataclasses.fields(MpcConfig)] == ["Nh", "Q", "R", "u_min", "u_max"]
+    assert ([f.name for f in dataclasses.fields(MpcConfig)]
+            == ["Nh", "q", "r_weight", "u_min", "u_max"])
     cfg = scalar_cfg()
     assert (cfg.qp_tol, cfg.qp_max_iter) == (1e-8, 100)
     defaults = solve_box_qp.__kwdefaults__
@@ -381,8 +397,7 @@ def test_controller_neutral_at_equilibrium():
     # input is the neutral command
     model = KoopmanModel(A=0.9 * np.eye(2), B=0.1 * np.eye(2),
                          basis=identity_basis(2, 2, 0), Ts=TS)
-    cfg = MpcConfig(Nh=5, Q=np.eye(2), R=0.01 * np.eye(2),
-                    u_min=-np.ones(2), u_max=np.ones(2))
+    cfg = MpcConfig(Nh=5, q=(1.0, 1.0), r_weight=0.01, u_min=-1.0, u_max=1.0)
     ctrl = Controller(model, cfg, np.zeros((1, 2)))
     u = ctrl.step(np.zeros(2))
     assert np.allclose(u, 0.0, atol=1e-8)
@@ -396,7 +411,7 @@ def test_controller_known_load_bypasses_estimator():
     assert ctrl.estimator is None
     assert np.array_equal(ctrl.w_hat, [0.2])
     u = ctrl.step(np.array([0.3]))
-    assert cfg.u_min[0] <= u[0] <= cfg.u_max[0]
+    assert cfg.u_min <= u[0] <= cfg.u_max
 
 
 def test_controller_refuses_a_bad_known_load():
@@ -431,8 +446,7 @@ def test_controller_embeds_its_start_up_window_and_logged_steps(d, monkeypatch):
     A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
     model = KoopmanModel(A=A, B=rng.normal(size=(n_z, m)),
                          basis=identity_basis(n, m, d), Ts=TS)
-    cfg = MpcConfig(Nh=3, Q=np.eye(n), R=0.1 * np.eye(m),
-                    u_min=-np.ones(m), u_max=2.0 * np.ones(m))
+    cfg = MpcConfig(Nh=3, q=(1.0,) * n, r_weight=0.1, u_min=-1.0, u_max=2.0)
     lifted, lift = [], KoopmanModel.lift
 
     def recording_lift(self, yd, w=None):
@@ -480,7 +494,7 @@ def test_controller_closed_loop_estimation_schedule():
     K = 60
     for k in range(K):
         u = ctrl.step(np.array([x]))
-        assert cfg.u_min[0] <= u[0] <= cfg.u_max[0]
+        assert cfg.u_min <= u[0] <= cfg.u_max
         x = bilinear_step(x, u[0], w_true, c0)
     # the estimator takes each step's record at the end of that step
     expected = sum(1 for j in range(K)
