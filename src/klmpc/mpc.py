@@ -61,6 +61,8 @@ class Condenser:
     def __init__(self, model: KoopmanModel, cfg: MpcConfig):
         A, B = model.A, model.B
         n, m, Nh = model.n, B.shape[1], cfg.Nh
+        if len(cfg.q) != n:
+            raise ValueError(f"Condenser: 'q' has length {len(cfg.q)}, but the model has n = {n}")
         # S: stacked C A^i = (A^i)[:n] (i = 1..Nh); M: block lower triangular, block
         # row i the Markov parameters C A^i B, ..., C B (each formed once), then zeros
         powers = [np.eye(A.shape[0])]

@@ -19,14 +19,13 @@ from numpy.linalg import lapack_lite
 
 DEFAULT_RTOL = 1e-10
 
-# numpy's private LAPACK entry points that numkit calls, by module of
-# numpy.linalg, checked at import; calls look them up on the module.  The
-# dgesv gufuncs ``solve`` (m,m),(m,k)->(m,k) and ``solve1`` (m,m),(m)->(m),
-# called with signature="dd->d", skip np.linalg.solve's checks, which cost
-# more than a small solve; a singular matrix gives NaN and the invalid flag,
-# not LinAlgError.  ``dgeqrf`` and ``dorgqr`` run in place on a column-major
-# matrix, passed as its C-contiguous transpose, and report through ``info``.
-PRIVATE_LAPACK = {"_umath_linalg": ("solve", "solve1"), "lapack_lite": ("dgeqrf", "dorgqr")}
+# numpy.linalg's private LAPACK entry points that the package calls, by
+# module, checked at import; calls look them up on the module.  The one dgesv
+# gufunc, ``solve1`` (m,m),(m)->(m) with signature="dd->d", skips
+# np.linalg.solve's checks, which cost more than a small solve: a singular
+# matrix gives NaN and the invalid flag, not LinAlgError.  ``dgeqrf`` and
+# ``dorgqr`` run in place on a column-major matrix and report through ``info``.
+PRIVATE_LAPACK = {"_umath_linalg": ("solve1",), "lapack_lite": ("dgeqrf", "dorgqr")}
 lapack = np.linalg._umath_linalg
 
 

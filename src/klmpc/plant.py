@@ -83,18 +83,17 @@ def _payload_terms(params: ArmParams, w: np.ndarray) -> tuple:
 def _rk4_stage(terms: tuple, tau: np.ndarray, x: np.ndarray, dq: np.ndarray) -> Callable:
     """Bind one RK4 stage: a call writes into ``dq`` the derivative of the
     states ``x``, both (4, B) with rows (th1, th2, om1, om2), under the
-    torques ``tau``, (2, B), into buffers bound here, ``terms``' mass matrix
-    among them.  Both joint rows are one expression, rounded as the expanded
-    per-joint formulas are, left to right: torque, Coriolis (its sign carried
-    by the ``coriolis`` row), gravity, spring, damper.
+    torques ``tau``, (2, B), into buffers bound here.  Both joint rows are one
+    expression, rounded as the per-joint formulas are, left to right: torque,
+    Coriolis (its sign carried by ``coriolis``), gravity, spring, damper;
+    ``lapack.solve1`` (dgesv) solves ``terms``' mass matrices for the accelerations.
     """
     ll, coriolis, gravity, stiff, M, coupling = terms
     th1, th2, th, om, om_swapped = x[0], x[1], x[:2], x[2:], x[3:1:-1]
     d12, trig = np.empty((2,) + ll.shape)
     (f, sines), kc = np.empty((2,) + th.shape), np.empty(x.shape)
-    spring, damper, rates = kc[:2], kc[2:], dq[:2]
-    rhs, acc = f.T[..., None], dq[2:].T[..., None]
-    sin, cos, square, copyto, solve = np.sin, np.cos, np.square, np.copyto, lapack.solve
+    spring, damper, rates, rhs, acc = kc[:2], kc[2:], dq[:2], f.T, dq[2:].T
+    sin, cos, square, copyto, solve1 = np.sin, np.cos, np.square, np.copyto, lapack.solve1
     multiply, add, subtract = np.multiply, np.add, np.subtract
 
     def stage():
@@ -108,8 +107,7 @@ def _rk4_stage(terms: tuple, tau: np.ndarray, x: np.ndarray, dq: np.ndarray) -> 
         subtract(f, spring, f)
         subtract(f, damper, f)
         copyto(rates, om)
-        # straight into the derivative; the mass matrix is positive definite
-        solve(M, rhs, acc, signature="dd->d")
+        solve1(M, rhs, acc, signature="dd->d")
 
     return stage
 

@@ -186,12 +186,30 @@ def test_numpy_keeps_the_private_lapack_entry_points(module, names):
 def test_a_numpy_without_a_private_name_fails_at_import():
     # numkit runs this check when it is imported, naming numpy's version and
     # every name it misses
-    stub = types.SimpleNamespace(solve=numkit.lapack.solve)
+    stub = types.SimpleNamespace()
     with pytest.raises(ImportError, match=re.escape(
             f"numpy {np.__version__} lacks the LAPACK routines klmpc calls: "
             "numpy.linalg._umath_linalg.solve1")):
         numkit._check_private_lapack({"_umath_linalg": stub,
                                       "lapack_lite": numkit.lapack_lite})
+
+
+def test_private_lapack_lists_exactly_the_routines_the_package_calls():
+    # PRIVATE_LAPACK is the import check's list: every ``lapack.<name>`` the
+    # package reads and every ``_lapack_lite("<name>", ...)`` it calls is on
+    # it, and it names nothing that none of them calls
+    called = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("lapack", "lapack_lite")):
+                module = "_umath_linalg" if node.value.id == "lapack" else "lapack_lite"
+                called.add((module, node.attr))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "_lapack_lite"):
+                called.add(("lapack_lite", node.args[0].value))
+    assert called == {(module, name) for module, names in numkit.PRIVATE_LAPACK.items()
+                      for name in names}
 
 
 def test_the_command_line_reports_an_import_error(monkeypatch, capsys):

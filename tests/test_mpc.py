@@ -187,6 +187,17 @@ def test_condenser_refuses_a_model_it_cannot_condense(model):
         Condenser(model, cfg)
 
 
+@pytest.mark.parametrize("weights", [1, 3])
+def test_condenser_refuses_a_q_that_does_not_fit_the_model(weights):
+    # one output weight per model output: a 2-output model refuses 1 or 3 weights
+    # with one ValueError naming q, its length and n, not numpy's matmul message
+    model = KoopmanModel(A=0.5 * np.eye(2), B=np.ones((2, 1)), basis=identity_basis(2, 1, 0), Ts=TS)
+    cfg = MpcConfig(Nh=2, q=(1.0,) * weights, r_weight=1e-3, u_min=0.0, u_max=1.0)
+    with pytest.raises(ValueError, match=f"^Condenser: 'q' has length {weights}, but the model "
+                                         "has n = 2$"):
+        Condenser(model, cfg)
+
+
 def test_solver_clipped_scalar():
     # min 1/2 u^2 - u over [0, 0.4] -> u* = 0.4
     H, f, lo, hi = np.array([[1.0]]), np.array([-1.0]), np.array([0.0]), np.array([0.4])
