@@ -4,8 +4,9 @@ payload, and seeded Gaussian sensor noise on the measured positions.
 
 :func:`drive` is the one loop that steps the arm: the data campaigns and each
 experiment are one batch of their runs' policies, and each run stays
-bit-identical to driving it alone.  The runs still going share one
-:func:`_stepper`, bound again only when a run leaves.
+bit-identical to driving it alone.  One :func:`_stepper` is bound per
+batch; a run that has ended rides along at zero torque until the longest
+run ends.
 """
 
 from __future__ import annotations
@@ -53,15 +54,15 @@ class ArmParams:
 
 def _payload_terms(params: ArmParams, w: np.ndarray) -> tuple:
     """The right-hand side's constants for B runs of payloads ``w``, (B,),
-    with m2p = m2 + w:
+    with m2p = m2 + w, one column per run:
 
-    - ``ll`` = m2p*L1*L2;
+    - ``ll`` = m2p*L1*L2 in both rows of a (2, B) array;
     - ``coriolis`` = (-ll, +ll), the Coriolis coefficient of each joint row;
     - ``gravity`` = ((m1+m2p)*g*L1, m2p*g*L2), one row per joint;
     - ``stiff`` = (k, k, c, c) against the state rows (th1, th2, om1, om2);
-    - ``M``, a (B, 2, 2) mass-matrix buffer with its constant diagonal
-      filled in, and ``coupling``, a (2, B) view of its two off-diagonal
-      entries.
+    - ``M``, a (2, 2, B) mass-matrix buffer with its constant diagonal
+      filled in, as its (B, 2, 2) transposed view, and ``coupling``, its
+      two off-diagonal rows as one contiguous (2, B) view.
 
     Each product is formed in the order the expanded formulas use, and a
     negation is exact, so every derivative rounds exactly as if computed
@@ -72,12 +73,12 @@ def _payload_terms(params: ArmParams, w: np.ndarray) -> tuple:
     ll = m2p * params.L1 * params.L2
     coriolis = np.array([-ll, ll])
     gravity = np.array([m1p * params.g * params.L1, m2p * params.g * params.L2])
-    stiff = np.array([[params.k], [params.k], [params.c], [params.c]])
-    M = np.empty(w.shape + (2, 2))
-    M[:, 0, 0] = m1p * params.L1**2
-    M[:, 1, 1] = m2p * params.L2**2
-    coupling = M.reshape(-1, 4)[:, 1:3].T
-    return ll, coriolis, gravity, stiff, M, coupling
+    stiff = np.repeat([[params.k], [params.k], [params.c], [params.c]], w.size, axis=1)
+    M = np.empty((2, 2) + w.shape)
+    M[0, 0] = m1p * params.L1**2
+    M[1, 1] = m2p * params.L2**2
+    coupling = M.reshape(4, -1)[1:3]
+    return np.array([ll, ll]), coriolis, gravity, stiff, M.transpose(2, 0, 1), coupling
 
 
 def _rk4_stage(terms: tuple, tau: np.ndarray, x: np.ndarray, dq: np.ndarray) -> Callable:
@@ -90,10 +91,9 @@ def _rk4_stage(terms: tuple, tau: np.ndarray, x: np.ndarray, dq: np.ndarray) -> 
     """
     ll, coriolis, gravity, stiff, M, coupling = terms
     th1, th2, th, om, om_swapped = x[0], x[1], x[:2], x[2:], x[3:1:-1]
-    d12, trig = np.empty((2,) + ll.shape)
-    (f, sines), kc = np.empty((2,) + th.shape), np.empty(x.shape)
+    d12, (f, sines, trig), kc = np.empty(th1.shape), np.empty((3,) + th.shape), np.empty(x.shape)
     spring, damper, rates, rhs, acc = kc[:2], kc[2:], dq[:2], f.T, dq[2:].T
-    sin, cos, square, copyto, solve1 = np.sin, np.cos, np.square, np.copyto, lapack.solve1
+    sin, cos, square, solve1 = np.sin, np.cos, np.square, lapack.solve1
     multiply, add, subtract = np.multiply, np.add, np.subtract
 
     def stage():
@@ -106,7 +106,7 @@ def _rk4_stage(terms: tuple, tau: np.ndarray, x: np.ndarray, dq: np.ndarray) -> 
         multiply(stiff, x, kc)
         subtract(f, spring, f)
         subtract(f, damper, f)
-        copyto(rates, om)
+        rates[...] = om
         solve1(M, rhs, acc, signature="dd->d")
 
     return stage
@@ -119,7 +119,7 @@ def _stepper(params: ArmParams, q: np.ndarray, w: np.ndarray) -> Callable:
     or (2,) for B = 1, at torque tau_max * (2u - 1) per joint.  A command
     outside the box, NaN included, raises ValueError before the plant moves,
     and a state driven out of the finite numbers raises after.  Payload
-    terms, buffers and the four stage closures are made here, once.
+    terms, buffers, stages and full (4, B) RK4 constants are made here once.
     """
     terms = _payload_terms(params, w)
     tau, x = np.empty((2,) + w.shape), np.empty_like(q)
@@ -127,7 +127,7 @@ def _stepper(params: ArmParams, q: np.ndarray, w: np.ndarray) -> Callable:
     stage1, stage2, stage3, stage4 = (_rk4_stage(terms, tau, src, k)
                                       for src, k in ((q, k1), (x, k2), (x, k3), (x, k4)))
     h = params.Ts / params.substeps
-    half, sixth = 0.5 * h, h / 6.0
+    half, h, sixth, two = (np.full(q.shape, c) for c in (0.5 * h, h, h / 6.0, 2.0))
     multiply, add = np.multiply, np.add
 
     # a diverging state overflows on the way; the check at the end reports it
@@ -148,7 +148,7 @@ def _stepper(params: ArmParams, q: np.ndarray, w: np.ndarray) -> Callable:
             stage4()
             # q + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right; the
             # two operands of a sum commute exactly, so k2 holds the sum
-            add(add(multiply(k2, 2.0, k2), k1, k2), multiply(k3, 2.0, k3), k2)
+            add(add(multiply(k2, two, k2), k1, k2), multiply(k3, two, k3), k2)
             add(q, multiply(add(k2, k4, k2), sixth, k2), q)
         if not np.all(np.isfinite(q)):
             raise ValueError(f"the arm state diverged: the RK4 step of Ts = {params.Ts} s "
@@ -222,44 +222,43 @@ class Run:
     steps: int
     policy: Callable
 
+    def __post_init__(self):
+        steps = self.steps  # a bool is an int to isinstance, but no step count
+        if type(steps) is bool or not isinstance(steps, (int, np.integer)) or steps < 0:
+            raise ValueError(f"Run: 'steps' must be an integer >= 0, got {steps!r}")
+
 
 def drive(params: ArmParams, runs) -> list:
     """Drive each run from rest, all runs in lockstep; return one ``(Y, U)``
     per run, in the order given: its ``steps + 1`` measured outputs and the
     ``steps`` commands applied.
 
-    Each period the policies of the runs still going are called in turn,
-    then one :func:`_stepper` advances their states together.  The longest
-    runs come first in the batch, so the runs still going are always a
-    leading slice; a run leaves when its steps are done, and only then is a
-    stepper bound to the states of the runs left.  A run draws from its own
+    One :func:`_stepper` advances all states until the longest run ends.
+    Each period the policies of the runs still going are called in turn; a
+    run that has ended holds u = 0.5, zero torque, and still draws noise
+    from its generator, which no caller reads after.  A run draws from its
     generator and its policy's in the order it would alone (the initial
     measurement, then per period the policy, the step and the noise), and
     the batched arithmetic is that of a lone state, so every run is
     identical to driving it by itself.
     """
-    order = sorted(range(len(runs)), key=lambda i: -runs[i].steps)
-    batch = [runs[i] for i in order]
-    w = np.array([run.w for run in batch])
+    w = np.array([run.w for run in runs])
     if not np.all((w >= 0.0) & (w <= W_MAX)):
         raise ValueError(f"payloads must lie in [0, {W_MAX}] kg")
-    steps = np.array([run.steps for run in batch], dtype=int)
-    rngs = [run.rng for run in batch]
-    K = int(steps.max(initial=0))
-    q, advance = np.zeros((4, len(batch))), None
-    Y = np.empty((len(batch), K + 1, ARM_SHAPE[0]))
-    U = np.empty((len(batch), K, ARM_SHAPE[1]))
+    rngs = [run.rng for run in runs]
+    K = max((run.steps for run in runs), default=0)
+    q = np.zeros((4, len(runs)))
+    advance = _stepper(params, q, w)
+    Y = np.empty((len(runs), K + 1, ARM_SHAPE[0]))
+    U = np.full((len(runs), K, ARM_SHAPE[1]), 0.5)
     Y[:, 0] = _measure(q, params, rngs)
     for k in range(K):
-        n = int(np.count_nonzero(steps > k))
-        for i in range(n):
-            U[i, k] = batch[i].policy(k, Y[i, k])
-        if advance is None or n < q.shape[1]:
-            q = q[:, :n].copy()
-            advance = _stepper(params, q, w[:n])
-        advance(U[:n, k])
-        Y[:n, k + 1] = _measure(q, params, rngs[:n])
-    return [(Y[j, :steps[j] + 1], U[j, :steps[j]]) for j in np.argsort(order)]
+        for i, run in enumerate(runs):
+            if k < run.steps:
+                U[i, k] = run.policy(k, Y[i, k])
+        advance(U[:, k])
+        Y[:, k + 1] = _measure(q, params, rngs)
+    return [(Y[i, :run.steps + 1], U[i, :run.steps]) for i, run in enumerate(runs)]
 
 
 def sample_steps(duration: float, Ts: float) -> int:

@@ -257,7 +257,7 @@ def test_collect_training_data_matches_run_by_run():
     params = ArmParams()
     loads = (0.05, 0.25)
     # one campaign; then campaigns of different lengths, trials and seeds,
-    # whose shorter runs leave the batch first whichever order they come in
+    # whose shorter runs end first whichever order they come in
     for specs in ([(2, 2.0, 4)],
                   [(1, 1.0, 7), (2, 2.0, 4)],
                   [(2, 2.0, 4), (1, 1.0, 7), (3, 1.5, 11)]):
@@ -275,9 +275,9 @@ def test_collect_training_data_matches_run_by_run():
             assert np.array_equal(U, [us for _, us in runs])
     # `drive` under the campaigns: runs of unequal lengths (one of none),
     # with open-loop and feedback policies, each drawing its policy and its
-    # noise from separate generators, leave the batch as they end and equal
-    # each run driven alone and the hand-written one-run loop; the second
-    # batch shrinks 3 -> 2 -> 1, so a stepper hands a lone run on
+    # noise from separate generators, ride along at zero torque once they
+    # end and equal each run driven alone and the hand-written one-run
+    # loop; in the second batch two runs ride along behind the longest one
     def make(w, steps, seed):
         policy = excitation(np.random.default_rng(seed + 100), params.Ts)
         if seed % 2:
@@ -295,6 +295,48 @@ def test_collect_training_data_matches_run_by_run():
             assert Y.shape == (spec[1] + 1, 4) and U.shape == (spec[1], 2)
             assert np.array_equal(Y, Y1) and np.array_equal(U, U1)
             assert np.array_equal(Y, Y2) and np.array_equal(U, U2)
+
+
+def test_drive_binds_one_stepper_and_holds_ended_runs_at_zero_torque(monkeypatch):
+    # one batch of 17, 17, 9, 3 and 0 periods: one stepper until the
+    # longest run ends, each policy called once per period of its run, and
+    # a run past its end commanded u = 0.5, zero torque
+    params, steps, u = ArmParams(), (17, 17, 9, 3, 0), np.array([0.2, 0.9])
+    bound, commands, calls = [], [], [0] * len(steps)
+    stepper = plant._stepper
+
+    def spy_stepper(*args):
+        advance = stepper(*args)
+        bound.append(args)
+
+        def spy_advance(rows):
+            commands.append(np.array(rows))
+            advance(rows)
+        return spy_advance
+
+    def counted(i):
+        def policy(k, y):
+            calls[i] += 1
+            return u
+        return policy
+
+    monkeypatch.setattr(plant, "_stepper", spy_stepper)
+    runs = [Run(0.1, np.random.default_rng(i), n, counted(i)) for i, n in enumerate(steps)]
+    recorded = drive(params, runs)
+    assert len(bound) == 1
+    assert calls == list(steps)
+    assert len(commands) == max(steps)
+    for k, rows in enumerate(commands):
+        assert rows.shape == (len(steps), 2)
+        for row, n in zip(rows, steps):
+            assert np.array_equal(row, u if k < n else [0.5, 0.5])
+    assert [(Y.shape, U.shape) for Y, U in recorded] == [((n + 1, 4), (n, 2)) for n in steps]
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5, True])
+def test_run_refuses_steps_that_are_not_a_count(steps):
+    with pytest.raises(ValueError, match="Run: 'steps' must be an integer >= 0"):
+        Run(0.1, np.random.default_rng(0), steps, hold([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("B", [None, 3])
