@@ -20,8 +20,8 @@ from . import edmd, lifting, observer as obs
 from .edmd import KoopmanModel
 from .mpc import Controller, MpcConfig
 from .observer import EstimatorConfig, EstimatorState
-from .plant import (ARM_SHAPE, ArmParams, CampaignConfig, Run, collect_training_data, drive,
-                    excitation, sample_steps)
+from .plant import (ARM_SHAPE, ArmParams, CampaignConfig, Run, check_counts,
+                    collect_training_data, drive, excitation, sample_steps)
 
 EXP1_PAYLOADS = (0.025, 0.075, 0.125, 0.175, 0.225, 0.275)
 EXP2_PAYLOADS = (0.025, 0.125, 0.225)
@@ -29,6 +29,8 @@ EXP2_PAYLOADS = (0.025, 0.125, 0.225)
 EXP1_DURATION = 20.0
 EXP2_DURATION = 20.0
 EXP3_DURATION = 30.0
+# exp3's settled tail (s), where its live and known-load trials are compared
+EXP3_TAIL_DURATION = 10.0
 BIN_WIDTH = 0.05
 BIN_COUNT = 5
 CUP_RADIUS = 0.045
@@ -52,8 +54,7 @@ class FitConfig:
     holdout_duration: float = 20.0
 
     def __post_init__(self):
-        if not self.d >= 0:
-            raise ValueError(f"FitConfig: 'd' must be >= 0, got {self.d}")
+        check_counts("FitConfig", 0, d=self.d)
         if not 0.0 < self.energy <= 1.0:
             raise ValueError(f"FitConfig: 'energy' must be in (0, 1], got {self.energy}")
         if not 0.0 < self.holdout_duration < math.inf:
@@ -72,10 +73,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_counts("ExperimentConfig", 1, Nh=self.Nh)
+        check_counts("ExperimentConfig", 0, seed=self.seed)
         if not self.r_weight > 0.0:
             raise ValueError(f"ExperimentConfig: 'r_weight' must be > 0, got {self.r_weight}")
-        if not self.seed >= 0:
-            raise ValueError(f"ExperimentConfig: 'seed' must be >= 0, got {self.seed}")
         self.mpc_config()  # range checks of the controller settings
 
     def mpc_config(self) -> MpcConfig:
@@ -427,14 +428,33 @@ def run_experiment2(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> lis
 
 def run_experiment3(cfg: ExperimentConfig, models: ModelSet, outdir=None) -> list:
     """Trajectory following with unknown payload: KL-MPC with the live
-    observer tracking a 0.1 m-radius circle for 30 s at each exp2 payload."""
+    observer tracking a 0.1 m-radius circle for 30 s at each exp2 payload,
+    and "KL-MPC known", given the true load, on the same seed.  Returns the
+    live trials, then the known ones, each in payload order; only the live
+    trials' step logs are written."""
     ref = circle_reference(cfg.plant, duration=EXP3_DURATION)
     trials = _lockstep(cfg.plant, [
-        _tracking_trial(models.koopman_load, cfg, payload, ref, EXP3_DURATION, None,
-                        cfg.estimator, cfg.seed * 100 + 50 + i, "KL-MPC")
-        for i, payload in enumerate(EXP2_PAYLOADS)])
-    _write_logs(outdir, 3, trials)
+        _tracking_trial(models.koopman_load, cfg, payload, ref, EXP3_DURATION,
+                        payload if known else None, None if known else cfg.estimator,
+                        cfg.seed * 100 + 50 + i, "KL-MPC known" if known else "KL-MPC")
+        for known in (False, True) for i, payload in enumerate(EXP2_PAYLOADS)])
+    _write_logs(outdir, 3, trials[:len(EXP2_PAYLOADS)])
     return trials
+
+
+def exp3_tail_ratios(trials) -> dict:
+    """The live/known comparison of :func:`run_experiment3`'s ``trials``:
+    each payload mapped to its live trial's RMSE over the final
+    EXP3_TAIL_DURATION seconds, divided by its known-load trial's."""
+    half = len(trials) // 2
+    # the step log's t column steps by the sample period
+    tail = slice(-sample_steps(EXP3_TAIL_DURATION, trials[0].t[1]), None)
+
+    def rmse(trial):
+        return np.sqrt(np.mean(trial.errors[tail] ** 2))
+
+    return {live.payload: float(rmse(live) / rmse(known))
+            for live, known in zip(trials[:half], trials[half:], strict=True)}
 
 
 def bin_index(w: float) -> int:

@@ -13,6 +13,7 @@ import numpy as np
 from . import lifting, numkit
 from .edmd import KoopmanModel
 from .lifting import delay_embed
+from .plant import check_counts
 
 STATIONARY_MOTION_TOL = 1e-4
 
@@ -33,9 +34,8 @@ class EstimatorConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not (self.Nw >= 1 and self.Ne >= 1 and self.Nr >= 0):
-            raise ValueError(f"EstimatorConfig: need Nw >= 1, Ne >= 1, Nr >= 0, "
-                             f"got {self.Nw}, {self.Ne}, {self.Nr}")
+        check_counts("EstimatorConfig", 1, Nw=self.Nw, Ne=self.Ne)
+        check_counts("EstimatorConfig", 0, Nr=self.Nr)
         if not -np.inf < self.w_min <= self.w_max < np.inf:
             raise ValueError(f"EstimatorConfig: 'w_min' and 'w_max' must be finite with "
                              f"w_min <= w_max, got {self.w_min} and {self.w_max}")

@@ -24,6 +24,16 @@ W_MAX = 0.3
 ARM_SHAPE = (4, 2)
 
 
+def check_counts(owner: str, least: int, **fields) -> None:
+    """Refuse the first of ``fields`` that is not an int or a numpy integer
+    of at least ``least``, with one ValueError naming it; a bool is an int
+    to isinstance, but no count."""
+    for name, value in fields.items():
+        if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{owner}: {name!r} must be >= {least} and an integer, "
+                             f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArmParams:
     L1: float = 0.5          # link lengths (m)
@@ -48,8 +58,7 @@ class ArmParams:
         for name in ("k", "c", "noise_std"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"ArmParams: {name!r} must be >= 0, got {getattr(self, name)}")
-        if not self.substeps >= 1:
-            raise ValueError(f"ArmParams: 'substeps' must be >= 1, got {self.substeps}")
+        check_counts("ArmParams", 1, substeps=self.substeps)
 
 
 def _payload_terms(params: ArmParams, w: np.ndarray) -> tuple:
@@ -285,13 +294,11 @@ class CampaignConfig:
         if not self.loads or not all(0.0 <= w <= W_MAX for w in self.loads):
             raise ValueError(f"CampaignConfig: 'loads' must be a non-empty list of "
                              f"payloads in [0, {W_MAX}] kg, got {list(self.loads)}")
-        if not self.trials >= 1:
-            raise ValueError(f"CampaignConfig: 'trials' must be >= 1, got {self.trials}")
+        check_counts("CampaignConfig", 1, trials=self.trials)
         if not 0.0 < self.duration < np.inf:
             raise ValueError(f"CampaignConfig: 'duration' must be finite and > 0, "
                              f"got {self.duration}")
-        if not self.seed >= 0:
-            raise ValueError(f"CampaignConfig: 'seed' must be >= 0, got {self.seed}")
+        check_counts("CampaignConfig", 0, seed=self.seed)
 
 
 def collect_training_data(params: ArmParams, campaigns) -> list:

@@ -16,7 +16,7 @@ import pytest
 from klmpc import cli, edmd, harness, lifting, observer as obs, plant
 from klmpc.lifting import delay_embed
 from klmpc.mpc import Controller
-from klmpc.observer import EstimatorState
+from klmpc.observer import EstimatorConfig, EstimatorState
 from klmpc.plant import ArmParams, ramp_and_hold
 from klmpc.harness import (
     BIN_COUNT,
@@ -69,6 +69,20 @@ def test_library_configs_refuse_nan():
                       (FitConfig, "holdout_duration")):
         with pytest.raises(ValueError, match=f"'{name}'"):
             cls(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("cls, name", [
+    (ArmParams, "substeps"), (CampaignConfig, "trials"), (CampaignConfig, "seed"),
+    (EstimatorConfig, "Nw"), (EstimatorConfig, "Ne"), (EstimatorConfig, "Nr"),
+    (FitConfig, "d"), (ExperimentConfig, "Nh"), (ExperimentConfig, "seed")])
+def test_library_configs_refuse_non_integer_counts(cls, name, value):
+    # a count field refuses a non-integer, and a bool, which is an int to
+    # isinstance, on the library path, naming the field; a numpy integer is
+    # an integer
+    with pytest.raises(ValueError, match=f"^{cls.__name__}: '{name}' must be .* an integer"):
+        cls(**{name: value})
+    assert getattr(cls(**{name: np.int64(3)}), name) == 3
 
 
 def test_config_defaults_for_missing_fields(tmp_path):
@@ -293,10 +307,11 @@ def assert_same_trial(trial, alone):
 def test_experiments_drive_their_trials_as_one_batch_of_lone_runs(default_cfg, models,
                                                                   monkeypatch):
     # exp1 runs L, K and KL with the true load at each payload, payload-major;
-    # exp3 runs KL with its live observer; exp2 runs the open-loop observer.
-    # Each experiment is one drive call, and each of its trials is the lone
-    # trial at its seed: exp1's at payload i seeded cfg.seed * 1000 + i,
-    # exp3's cfg.seed * 100 + 50 + i and exp2's cfg.seed * 100 + i
+    # exp3 runs KL with its live observer, then KL with the true load; exp2
+    # runs the open-loop observer.  Each experiment is one drive call, and
+    # each of its trials is the lone trial at its seed: exp1's at payload i
+    # seeded cfg.seed * 1000 + i, exp3's (both) cfg.seed * 100 + 50 + i and
+    # exp2's cfg.seed * 100 + i
     cfg = dataclasses.replace(default_cfg, seed=2)
     calls = drive_calls(monkeypatch)
     payloads = (0.125, 0.025)
@@ -320,13 +335,16 @@ def test_experiments_drive_their_trials_as_one_batch_of_lone_runs(default_cfg, m
     calls.clear()
     monkeypatch.setattr(harness, "EXP3_DURATION", 2.0)
     trials = run_experiment3(cfg, models)
-    assert calls == [3]
+    assert calls == [6]
     circle = circle_reference(cfg.plant, duration=2.0)
-    for i, (trial, payload) in enumerate(zip(trials, EXP2_PAYLOADS, strict=True)):
+    alone = [run_tracking_trial(models.koopman_load, cfg, payload, circle, 2.0,
+                                known_load=payload if known else None,
+                                est_cfg=None if known else cfg.estimator, seed=250 + i,
+                                label="KL-MPC known" if known else "KL-MPC")
+             for known in (False, True) for i, payload in enumerate(EXP2_PAYLOADS)]
+    for trial, lone in zip(trials, alone, strict=True):
         assert len(trial.logs) == 40
-        assert_same_trial(trial, run_tracking_trial(
-            models.koopman_load, cfg, payload, circle, 2.0, est_cfg=cfg.estimator,
-            seed=250 + i, label="KL-MPC"))
+        assert_same_trial(trial, lone)
 
     calls.clear()
     monkeypatch.setattr(harness, "EXP2_DURATION", 2.0)
@@ -373,20 +391,18 @@ def test_run_experiment2_file_reads_back_the_step_log(default_cfg, models, tmp_p
 def test_run_experiment3_matches_known_load(default_cfg, models, tmp_path):
     # unknown-load tracking settles to roughly the known-load error: after
     # the estimate converges (final 10 s of 30 s) the ratio stays <= 1.25
-    results = run_experiment3(default_cfg, models, outdir=tmp_path)
-    assert [(r.controller, r.payload) for r in results] == [("KL-MPC", p) for p in EXP2_PAYLOADS]
-    tail = slice(400, None)  # final 10 s at Ts = 0.05
-    circle = circle_reference(default_cfg.plant, duration=30.0)
-    for i, res in enumerate(results):
+    trials = run_experiment3(default_cfg, models, outdir=tmp_path)
+    assert [(r.controller, r.payload) for r in trials] == [
+        (label, p) for label in ("KL-MPC", "KL-MPC known") for p in EXP2_PAYLOADS]
+    ratios = harness.exp3_tail_ratios(trials)
+    # only the live trials' step logs are written
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"experiment3_w{1000 * p:g}g.csv" for p in EXP2_PAYLOADS)
+    for res in trials[:3]:
         # first scheduled estimates have not happened yet: w_init in force
         assert np.allclose(res.w_hat_trace[:default_cfg.estimator.Ne],
                            default_cfg.estimator.w_init, atol=1e-12)
-        known = run_tracking_trial(
-            models.koopman_load, default_cfg, res.payload, circle, 30.0,
-            known_load=res.payload, seed=default_cfg.seed * 100 + 50 + i)
-        ratio = (np.sqrt(np.mean(res.errors[tail] ** 2))
-                 / np.sqrt(np.mean(known.errors[tail] ** 2)))
-        assert ratio <= 1.25
+        assert ratios[res.payload] <= 1.25
         # the step log: one row per step, the live estimate as one column
         lines = (tmp_path / f"experiment3_w{1000 * res.payload:g}g.csv").read_text().splitlines()
         assert lines[0] == ("step,t,y1,y2,y3,y4,r1,r2,r3,r4,u1,u2,w_hat1,"
@@ -395,12 +411,10 @@ def test_run_experiment3_matches_known_load(default_cfg, models, tmp_path):
         assert [float(c) for c in lines[-1].split(",")[:2]] == [599, res.logs[-1].t]
     # a rerun of the live trial at the first payload, with its seed, logs the
     # same cells; only the solve's wall time differs
-    rerun = run_tracking_trial(models.koopman_load, default_cfg, EXP2_PAYLOADS[0], circle,
-                               30.0, est_cfg=default_cfg.estimator,
-                               seed=default_cfg.seed * 100 + 50, label="KL-MPC")
-    for name in rerun.logs.dtype.names:
-        if name != "solve_ms":
-            assert np.array_equal(rerun.logs[name], results[0].logs[name]), name
+    assert_same_trial(trials[0], run_tracking_trial(
+        models.koopman_load, default_cfg, EXP2_PAYLOADS[0],
+        circle_reference(default_cfg.plant, duration=30.0), 30.0,
+        est_cfg=default_cfg.estimator, seed=default_cfg.seed * 100 + 50, label="KL-MPC"))
 
 
 def test_tracking_trial_matches_one_run_oracle(default_cfg, models):

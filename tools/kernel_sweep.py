@@ -13,10 +13,8 @@ Each set runs the Tier-1 command in its own child process, with
 in that child's environment alone; a second child runs ``tools/blas_core.py``
 to read back the core name OpenBLAS loaded, and a third runs :func:`headline`.
 That fits the default models and prints exp1's mean RMSE per controller and
-exp3's live/known tail-RMSE ratio per payload: the final 10 s of each live
-KL-MPC trial against a lone KL-MPC trial given the true load, seeded
-``cfg.seed * 100 + 50 + i`` as exp3's i-th trial (the recipe of
-``test_run_experiment3_matches_known_load``).  The JSON holds, per set, that
+exp3's live/known tail-RMSE ratio per payload, ``harness.exp3_tail_ratios``
+of one ``run_experiment3``.  The JSON holds, per set, that
 core name, the pass and fail counts, the ids of the failing tests with their
 reasons, the AC-1...AC-9 lines and the headline numbers.  The exit status is
 1 when any set has a failing test.
@@ -46,7 +44,6 @@ TIER1 = ["-m", "pytest", "-q", "-rfE", "--continue-on-collection-errors",
 CORE_PROBE = ROOT / "tools" / "blas_core.py"
 LIMITS = ("OPENBLAS_CORETYPE swaps the BLAS kernels only; numpy's SIMD ufunc "
           "loops still run the host's code")
-TAIL_S = 10.0   # exp3's settled tail, read at its end
 # the headline child: this module, imported from its own directory
 HEADLINE = ["-c", "import json, kernel_sweep; print(json.dumps(kernel_sweep.headline()))"]
 
@@ -54,25 +51,15 @@ HEADLINE = ["-c", "import json, kernel_sweep; print(json.dumps(kernel_sweep.head
 def headline() -> dict:
     """exp1's mean RMSE (mm) per controller, and exp3's live/known tail-RMSE
     ratio per payload, under this process's kernels."""
-    import numpy as np
-    from klmpc.harness import (EXP3_DURATION, ExperimentConfig, circle_reference, fit_models,
-                               run_experiment1, run_experiment3, run_tracking_trial,
-                               tracking_table)
-    from klmpc.plant import sample_steps
+    from klmpc.harness import (ExperimentConfig, exp3_tail_ratios, fit_models, run_experiment1,
+                               run_experiment3, tracking_table)
 
     cfg = ExperimentConfig()
     models = fit_models(cfg)
     _, rows = tracking_table(run_experiment1(cfg, models))
-    circle = circle_reference(cfg.plant, duration=EXP3_DURATION)
-    tail = slice(-sample_steps(TAIL_S, cfg.plant.Ts), None)
-    ratios = {}
-    for i, live in enumerate(run_experiment3(cfg, models)):
-        known = run_tracking_trial(models.koopman_load, cfg, live.payload, circle, EXP3_DURATION,
-                                   known_load=live.payload, seed=cfg.seed * 100 + 50 + i)
-        ratios[f"{1000 * live.payload:g} g"] = float(
-            np.sqrt(np.mean(live.errors[tail] ** 2)) / np.sqrt(np.mean(known.errors[tail] ** 2)))
     return {"exp1_mean_rmse_mm": {name: 1e3 * mean for name, (_, mean, _) in rows.items()},
-            "exp3_tail_ratio": ratios}
+            "exp3_tail_ratio": {f"{1000 * payload:g} g": ratio for payload, ratio
+                                in exp3_tail_ratios(run_experiment3(cfg, models)).items()}}
 
 
 def child_env(kernel: str) -> dict:
