@@ -17,6 +17,7 @@ from .edmd import KoopmanModel
 from .lifting import delay_embed
 from .numkit import lapack
 from .observer import EstimatorConfig, EstimatorState
+from .plant import check_counts
 
 logger = logging.getLogger(__name__)
 
@@ -37,8 +38,7 @@ class MpcConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.Nh >= 1:
-            raise ValueError(f"MpcConfig: 'Nh' must be >= 1, got {self.Nh}")
+        check_counts("MpcConfig", 1, Nh=self.Nh)
         q = np.asarray(self.q, dtype=float)
         if not (q.ndim == 1 and np.all((q >= 0.0) & (q < np.inf))):
             raise ValueError(f"MpcConfig: 'q' must be finite weights >= 0, got {self.q}")

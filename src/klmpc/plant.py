@@ -232,9 +232,7 @@ class Run:
     policy: Callable
 
     def __post_init__(self):
-        steps = self.steps  # a bool is an int to isinstance, but no step count
-        if type(steps) is bool or not isinstance(steps, (int, np.integer)) or steps < 0:
-            raise ValueError(f"Run: 'steps' must be an integer >= 0, got {steps!r}")
+        check_counts("Run", 0, steps=self.steps)
 
 
 def drive(params: ArmParams, runs) -> list:

@@ -1,8 +1,13 @@
 """Shared fixtures: the default experiment configuration and a single
 session-scoped model fit (the campaign + fit takes a few seconds, so every
 test that needs real fitted models shares one ModelSet).
+
+The run's summary ends with the AC-1...AC-9 lines and one ``headline <json>``
+line (exp1's mean RMSE per controller, exp3's live/known tail ratios): the
+one source of these numbers, which ``tools/kernel_sweep.py`` and CI read.
 """
 
+import json
 import os
 import sys
 import tracemalloc
@@ -25,6 +30,9 @@ from klmpc.plant import collect_training_data  # noqa: E402
 # filled by test_acceptance, printed after the run so the per-criterion
 # verdicts are visible even with captured output
 ACCEPTANCE_LINES = []
+# filled by AC-5 ("exp1_mean_rmse_mm") and the exp3 test ("exp3_tail_ratio"),
+# each before its first assertion, so a failing run still prints its numbers
+HEADLINE = {}
 
 
 @pytest.fixture(scope="session")
@@ -89,3 +97,5 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    if HEADLINE:
+        terminalreporter.write_line(f"headline {json.dumps(HEADLINE)}")

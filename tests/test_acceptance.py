@@ -102,6 +102,8 @@ def test_ac5_tracking_improvement(default_cfg, models):
     _, kl_mean, kl_std = rows["KL-MPC"]
     _, k_mean, k_std = rows["K-MPC"]
     mean_ratio, std_ratio = kl_mean / k_mean, kl_std / k_std
+    conftest.HEADLINE["exp1_mean_rmse_mm"] = {name: 1e3 * mean
+                                              for name, (_, mean, _) in rows.items()}
     record("AC-5", mean_ratio <= 0.80 and std_ratio <= 0.50 and elapsed < 600.0,
            f"KL/K mean ratio {mean_ratio:.3f} (limit 0.80), "
            f"std ratio {std_ratio:.3f} (limit 0.50) in {elapsed:.0f} s")

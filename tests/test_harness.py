@@ -42,7 +42,7 @@ from klmpc.harness import (
     write_tracking_csv,
 )
 
-from conftest import traced_peak
+from conftest import HEADLINE, traced_peak
 from oracles import reference_estimate_instant, reference_rows, reference_run, row_stacked_fit
 
 # exp1's controllers, in the order each first runs
@@ -392,9 +392,10 @@ def test_run_experiment3_matches_known_load(default_cfg, models, tmp_path):
     # unknown-load tracking settles to roughly the known-load error: after
     # the estimate converges (final 10 s of 30 s) the ratio stays <= 1.25
     trials = run_experiment3(default_cfg, models, outdir=tmp_path)
+    ratios = harness.exp3_tail_ratios(trials)
+    HEADLINE["exp3_tail_ratio"] = {f"{1000 * p:g} g": ratio for p, ratio in ratios.items()}
     assert [(r.controller, r.payload) for r in trials] == [
         (label, p) for label in ("KL-MPC", "KL-MPC known") for p in EXP2_PAYLOADS]
-    ratios = harness.exp3_tail_ratios(trials)
     # only the live trials' step logs are written
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
         f"experiment3_w{1000 * p:g}g.csv" for p in EXP2_PAYLOADS)

@@ -380,7 +380,7 @@ def test_mpc_config_validation():
     MpcConfig(**{**good, "q": (0.0, 0.0)})  # a zero output weight is allowed
     # one ValueError naming its field; NaN fails each check
     for key, value, name in (
-            ("Nh", 0, "'Nh'"), ("Nh", np.nan, "'Nh'"),
+            ("Nh", 0, "'Nh'"), ("Nh", np.nan, "'Nh'"), ("Nh", 2.5, "'Nh'"), ("Nh", True, "'Nh'"),
             ("q", (1.0, -1e-3), "'q'"), ("q", (np.nan, 1.0), "'q'"), ("q", (1.0, np.inf), "'q'"),
             ("q", 1.0, "'q'"),
             ("r_weight", 0.0, "'r_weight'"), ("r_weight", -1.0, "'r_weight'"),

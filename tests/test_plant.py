@@ -335,7 +335,7 @@ def test_drive_binds_one_stepper_and_holds_ended_runs_at_zero_torque(monkeypatch
 
 @pytest.mark.parametrize("steps", [-1, 2.5, True])
 def test_run_refuses_steps_that_are_not_a_count(steps):
-    with pytest.raises(ValueError, match="Run: 'steps' must be an integer >= 0"):
+    with pytest.raises(ValueError, match="^Run: 'steps' must be >= 0 and an integer, got "):
         Run(0.1, np.random.default_rng(0), steps, hold([0.5, 0.5]))
 
 

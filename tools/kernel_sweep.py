@@ -11,13 +11,12 @@ loops still run the host's code.
 Each set runs the Tier-1 command in its own child process, with
 ``OPENBLAS_CORETYPE`` and ``klmpc.__main__.BLAS_THREAD_VARS`` (each at 1) set
 in that child's environment alone; a second child runs ``tools/blas_core.py``
-to read back the core name OpenBLAS loaded, and a third runs :func:`headline`.
-That fits the default models and prints exp1's mean RMSE per controller and
-exp3's live/known tail-RMSE ratio per payload, ``harness.exp3_tail_ratios``
-of one ``run_experiment3``.  The JSON holds, per set, that
-core name, the pass and fail counts, the ids of the failing tests with their
-reasons, the AC-1...AC-9 lines and the headline numbers.  The exit status is
-1 when any set has a failing test.
+to read back the core name OpenBLAS loaded.  :func:`read_tier1` reads the
+suite's own summary, the one source of its numbers: the pass and fail
+counts, the ids of the failing tests with their reasons, the AC-1...AC-9
+lines and the ``headline`` line (exp1's mean RMSE per controller, exp3's
+live/known tail-RMSE ratio per payload).  The JSON holds these per set, with
+the core name.  The exit status is 1 when any set has a failing test.
 """
 
 from __future__ import annotations
@@ -44,22 +43,6 @@ TIER1 = ["-m", "pytest", "-q", "-rfE", "--continue-on-collection-errors",
 CORE_PROBE = ROOT / "tools" / "blas_core.py"
 LIMITS = ("OPENBLAS_CORETYPE swaps the BLAS kernels only; numpy's SIMD ufunc "
           "loops still run the host's code")
-# the headline child: this module, imported from its own directory
-HEADLINE = ["-c", "import json, kernel_sweep; print(json.dumps(kernel_sweep.headline()))"]
-
-
-def headline() -> dict:
-    """exp1's mean RMSE (mm) per controller, and exp3's live/known tail-RMSE
-    ratio per payload, under this process's kernels."""
-    from klmpc.harness import (ExperimentConfig, exp3_tail_ratios, fit_models, run_experiment1,
-                               run_experiment3, tracking_table)
-
-    cfg = ExperimentConfig()
-    models = fit_models(cfg)
-    _, rows = tracking_table(run_experiment1(cfg, models))
-    return {"exp1_mean_rmse_mm": {name: 1e3 * mean for name, (_, mean, _) in rows.items()},
-            "exp3_tail_ratio": {f"{1000 * payload:g} g": ratio for payload, ratio
-                                in exp3_tail_ratios(run_experiment3(cfg, models)).items()}}
 
 
 def child_env(kernel: str) -> dict:
@@ -74,23 +57,17 @@ def child_env(kernel: str) -> dict:
     return env
 
 
-def run_kernel(kernel: str) -> dict:
-    env = child_env(kernel)
-    probe = subprocess.run([sys.executable, str(CORE_PROBE)], cwd=ROOT, env=env,
-                           capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    numbers = subprocess.run([sys.executable, *HEADLINE], cwd=ROOT / "tools", env=env,
-                             capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    lines = proc.stdout.splitlines()
+def read_tier1(stdout: str, stderr: str) -> dict:
+    """The counts, failing tests, AC lines and headline numbers of one Tier-1
+    run, from pytest's stdout; a run that printed nothing is summarised by
+    the tail of its stderr."""
+    lines = stdout.splitlines()
     counts = {}
     if lines:
         for number, outcome in re.findall(r"(\d+) (\w+)", lines[-1]):
             counts[outcome] = int(number)
+    headline = [line.removeprefix("headline ") for line in lines if line.startswith("headline ")]
     return {
-        "kernel": kernel,
-        "core": probe.stdout.strip() or f"unknown: {probe.stderr.strip()[-200:]}",
-        "exit": proc.returncode,
         "passed": counts.get("passed", 0),
         "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0),
         # each failing test's id, and pytest's one-line reason
@@ -98,10 +75,21 @@ def run_kernel(kernel: str) -> dict:
                     if (m := re.match(r"(?:FAILED|ERROR) (\S+)(?: - (.*))?", line))},
         "acceptance": list(dict.fromkeys(line for line in lines
                                          if re.match(r"AC-\d: (PASS|FAIL) - ", line))),
-        "summary": lines[-1] if lines else proc.stderr.strip()[-500:],
-        "headline": (json.loads(numbers.stdout.splitlines()[-1]) if numbers.returncode == 0
-                     else {"error": numbers.stderr.strip()[-500:]}),
+        "summary": lines[-1] if lines else stderr.strip()[-500:],
+        "headline": (json.loads(headline[-1]) if headline
+                     else {"error": "the Tier-1 run printed no headline line"}),
     }
+
+
+def run_kernel(kernel: str) -> dict:
+    env = child_env(kernel)
+    probe = subprocess.run([sys.executable, str(CORE_PROBE)], cwd=ROOT, env=env,
+                           capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    return {"kernel": kernel,
+            "core": probe.stdout.strip() or f"unknown: {probe.stderr.strip()[-200:]}",
+            "exit": proc.returncode, **read_tier1(proc.stdout, proc.stderr)}
 
 
 def main(argv=None) -> int:
