@@ -153,6 +153,10 @@ def solve_box_qp(H: np.ndarray, f: np.ndarray, lower: np.ndarray, upper: np.ndar
     coordinate at a bound moves inward.  The step is never empty: g_F'd_F < 0
     and each held coordinate has g_j d_j >= 0, so one with g_j d_j < 0 stays free.
 
+    A line search whose 60 halvings all raise the objective ends the solve
+    at the iterate it started from, not at its last trial point, and the
+    result says it did not converge.
+
     The tol and max_iter defaults are MpcConfig's values, bound when this
     module is imported; a caller who wants other values passes them.
     """
@@ -182,9 +186,9 @@ def solve_box_qp(H: np.ndarray, f: np.ndarray, lower: np.ndarray, upper: np.ndar
                 accepted = True
                 break
             alpha *= 0.5
-        x = x_new
         if not accepted:
             break
+        x = x_new
     res = kkt_residual(x, H @ x + f, lower, upper)
     return QpResult(x=x, converged=res <= tol, iterations=it, kkt_residual=res)
 

@@ -2,11 +2,15 @@
 session-scoped model fit (the campaign + fit takes a few seconds, so every
 test that needs real fitted models shares one ModelSet).
 
-The run's summary ends with the AC-1...AC-9 lines and one ``headline <json>``
-line (exp1's mean RMSE per controller, exp3's live/known tail ratios): the
-one source of these numbers, which ``tools/kernel_sweep.py`` and CI read.
+The run's summary ends with the AC-1...AC-9 lines, one ``blas_core <name>``
+line (the OpenBLAS kernel set, which decides the fitted models' last bits)
+and one ``headline <json>`` line (exp1's mean RMSE per controller, exp3's
+live/known tail ratios): the one source of these numbers, which
+``tools/kernel_sweep.py`` and CI read.
 """
 
+import ctypes
+import glob
 import json
 import os
 import sys
@@ -21,6 +25,7 @@ from klmpc.__main__ import BLAS_THREAD_VARS  # noqa: E402  (imports no numpy)
 for _var in BLAS_THREAD_VARS:
     os.environ[_var] = "1"
 
+import numpy  # noqa: E402
 import pytest  # noqa: E402
 
 from klmpc import numkit  # noqa: E402
@@ -92,10 +97,25 @@ def factorisations(monkeypatch):
     return calls
 
 
+def blas_core():
+    """The core name of numpy's bundled OpenBLAS: the kernel set it loaded.
+    ``unknown (<reason>)`` when numpy bundles no OpenBLAS, or its library
+    lacks the lookup."""
+    libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError) as exc:
+        return f"unknown ({exc!r})"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    terminalreporter.write_line(f"blas_core {blas_core()}")
     if HEADLINE:
         terminalreporter.write_line(f"headline {json.dumps(HEADLINE)}")

@@ -669,7 +669,7 @@ def test_cli_fit_campaign_without_runs_is_one_error_line(tmp_path, capsys, monke
     ("--trials", "0"), ("--trials", "-1"), ("--duration", "0"), ("--duration", "-2.5"),
     ("--loads", "0.1,0.5"),
 ])
-def test_cli_collect_rejects_non_positive_flag(tmp_path, capsys, monkeypatch, flag, value):
+def test_cli_fit_refuses_campaign_flags_and_their_document_values(tmp_path, capsys, monkeypatch, flag, value):
     # fit takes its campaign from the document alone: the former flag is
     # an unknown argument, and its value written as the document's campaign
     # field meets the field's check, one error line naming the field, before

@@ -1,7 +1,8 @@
 """The kernel sweep's reading of a Tier-1 run: ``tools/kernel_sweep.py``
-takes each kernel set's counts, failing tests, AC lines and headline numbers
-from the suite's own output.  The sweep itself runs the whole suite five
-times, so these tests feed its reader a synthetic pytest stdout instead.
+takes each kernel set's BLAS core, counts, failing tests, AC lines and
+headline numbers from the suite's own output.  The sweep itself runs the
+whole suite five times, so these tests feed its reader a synthetic pytest
+stdout instead.
 """
 
 import sys
@@ -25,6 +26,7 @@ STDOUT = "\n".join([
     AC_LINES[0],
     "------------------------------ acceptance criteria -----------------------------",
     *AC_LINES,
+    "blas_core Haswell",
     f"headline {HEADLINE}",
     "=========================== short test summary info ============================",
     f"FAILED {FAILING} - assert 1.2939301169654156 <= 1.25",
@@ -44,6 +46,7 @@ def kernel_sweep():
 
 def test_read_tier1_takes_every_number_from_the_suites_summary(kernel_sweep):
     run = kernel_sweep.read_tier1(STDOUT, "")
+    assert run["core"] == "Haswell"
     assert (run["passed"], run["failed"]) == (441, 1)
     assert run["failing"] == {FAILING: "assert 1.2939301169654156 <= 1.25"}
     # an AC line echoed in a failure's captured output is kept once
@@ -59,9 +62,16 @@ def test_read_tier1_notes_a_run_without_a_headline(kernel_sweep):
     lines = [line for line in STDOUT.splitlines() if not line.startswith("headline ")]
     run = kernel_sweep.read_tier1("\n".join(lines), "")
     assert (run["passed"], run["failed"], run["acceptance"]) == (441, 1, AC_LINES)
+    assert run["core"] == "Haswell"
     assert list(run["headline"]) == ["error"]
+    # a run whose summary names no core
+    lines = [line for line in STDOUT.splitlines() if not line.startswith("blas_core ")]
+    run = kernel_sweep.read_tier1("\n".join(lines), "")
+    assert run["core"].startswith("unknown: ")
+    assert (run["passed"], run["failed"], run["acceptance"]) == (441, 1, AC_LINES)
     # nothing on stdout at all: the summary is stderr's tail
     run = kernel_sweep.read_tier1("", "ImportError: numpy\n")
     assert (run["passed"], run["failed"], run["failing"], run["acceptance"]) == (0, 0, {}, [])
     assert run["summary"] == "ImportError: numpy"
+    assert run["core"].startswith("unknown: ")
     assert list(run["headline"]) == ["error"]

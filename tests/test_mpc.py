@@ -271,6 +271,18 @@ def test_solver_singular_block_falls_back_to_steepest_descent():
     assert res.converged == (kkt_residual(res.x, H @ res.x + f, lo, hi) <= 1e-8)
 
 
+def test_solver_failed_line_search_keeps_its_iterate(monkeypatch):
+    # a direction along which every halving raises the objective: the solve
+    # stops where it stood (objective 0.125), not at its last trial point
+    # x = 1 (objective 0.5), and says it did not converge
+    monkeypatch.setattr(mpc, "_free_newton", lambda H, g, free, d: np.full_like(g, np.inf))
+    x0 = np.array([0.5])
+    res = solve_box_qp(np.eye(1), np.zeros(1), np.array([-1.0]), np.array([1.0]), x0=x0)
+    assert res.x.tobytes() == x0.tobytes()
+    assert not res.converged
+    assert res.iterations == 1
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
        log_cond=st.floats(0.0, 6.0), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))

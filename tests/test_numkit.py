@@ -122,6 +122,12 @@ def test_pinv_rejects_nonfinite():
         numkit.pinv(A)
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_pinv_rejects_input_that_is_not_2d(shape):
+    with pytest.raises(np.linalg.LinAlgError, match=f"got {len(shape)} dimension"):
+        numkit.pinv(np.ones(shape))
+
+
 def test_lstsq_exact_square():
     A = np.array([[2.0, 0.0], [0.0, 4.0]])
     b = np.array([2.0, 8.0])
@@ -305,3 +311,12 @@ def test_blas_threads_pinned_before_numpy_import():
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS"):
         assert os.environ[var] == "1"
+
+
+def test_blas_core_gives_the_reason_it_has_no_name(monkeypatch):
+    # the summary's blas_core line falls back to "unknown (<reason>)" when
+    # numpy bundles no OpenBLAS, or its library lacks the core-name lookup
+    monkeypatch.setattr(conftest.ctypes, "CDLL", lambda path: object())
+    assert conftest.blas_core().startswith("unknown (AttributeError(")
+    monkeypatch.setattr(conftest.glob, "glob", lambda pattern: [])
+    assert conftest.blas_core().startswith("unknown (IndexError(")
